@@ -312,60 +312,89 @@ def _figure_table(figure: int, panel: Optional[str], threads: int) -> SweepTable
     )
 
 
-def _rows_by_params(table: SweepTable) -> Dict[Tuple[float, ...], SweepRow]:
-    return {tuple(value for _, value in row.params): row for row in table.rows}
+def _ok_rows(table: SweepTable) -> Tuple[Dict[Tuple[float, ...], SweepRow], int]:
+    """Rows with status ok keyed by their swept values, and how many rows
+    failed."""
+    rows = {
+        tuple(value for _, value in row.params): row
+        for row in table.rows
+        if row.status == "ok"
+    }
+    return rows, len(table.rows) - len(rows)
+
+
+def _failed_lines(failed: int) -> List[str]:
+    if not failed:
+        return []
+    return [f"{failed} failed rows left out of this summary (see status column)"]
 
 
 def _summarize_figure2(table: SweepTable) -> List[str]:
+    rows, failed = _ok_rows(table)
     lines = []
-    rows = _rows_by_params(table)
     for eta in (0.7, 0.8, 0.9, 0.99):
-        curve = [rows[(eta, t)].fidelity for t in _FIG2_T]
+        curve = [rows[(eta, t)].fidelity for t in _FIG2_T if (eta, t) in rows]
+        if not curve:
+            lines.append(f"eta={eta}: no successful rows")
+            continue
         monotone = all(a < b for a, b in zip(curve, curve[1:]))
         lines.append(
             f"eta={eta}: fidelity rises {curve[0]:.4f} -> {curve[-1]:.4f} "
             f"monotone={monotone}"
         )
-    return lines
+    return lines + _failed_lines(failed)
 
 
 def _summarize_figure3(table: SweepTable) -> List[str]:
-    rows = _rows_by_params(table)
+    rows, failed = _ok_rows(table)
     lines = []
     for alpha_f in (0.5, 1.0, 1.5):
-        curve = [rows[(alpha_f, eta)].fidelity for eta in (0.2, 0.4, 0.6, 0.8, 0.99)]
+        curve = [
+            rows[(alpha_f, eta)].fidelity
+            for eta in (0.2, 0.4, 0.6, 0.8, 0.99)
+            if (alpha_f, eta) in rows
+        ]
+        if not curve:
+            lines.append(f"alpha_f={alpha_f}: no successful rows")
+            continue
         monotone = all(a < b for a, b in zip(curve, curve[1:]))
         lines.append(
             f"alpha_f={alpha_f}: fidelity {curve[0]:.4f} -> {curve[-1]:.4f} "
             f"monotone in eta={monotone}"
         )
-    return lines
+    return lines + _failed_lines(failed)
 
 
 def _summarize_figure4(panel: str, table: SweepTable) -> List[str]:
     floor = 0.996 if panel == "a" else 0.986
-    rows = _rows_by_params(table)
+    rows, failed = _ok_rows(table)
     ok = True
     p_values = []
     for t in (0.99, 0.999):
         for eta in _FIG4_ETA:
             if eta < 0.4:
                 continue
-            row = rows[(eta, t)]
-            ok = ok and row.status == "ok" and row.fidelity > floor
-            if t == 0.99:
+            row = rows.get((eta, t))
+            ok = ok and row is not None and row.fidelity > floor
+            if t == 0.99 and row is not None:
                 p_values.append(row.probability_total)
+    if p_values:
+        p_range = f"[{min(p_values):.2e}, {max(p_values):.2e}]"
+    else:
+        p_range = "no successful rows"
     return [
         f"panel {panel}: all F > {floor} for t >= 0.99, eta >= 0.4: {ok}",
-        f"panel {panel}: P_tot range at t=0.99: "
-        f"[{min(p_values):.2e}, {max(p_values):.2e}]",
-    ]
+        f"panel {panel}: P_tot range at t=0.99: {p_range}",
+    ] + _failed_lines(failed)
 
 
 def _summarize_figure5(panel: str, table: SweepTable) -> List[str]:
     lam, frozen, reference, p_reference = _FIG5_SPOTS[panel]
-    rows = _rows_by_params(table)
-    row = rows[(0.5, lam)]
+    rows, failed = _ok_rows(table)
+    row = rows.get((0.5, lam))
+    if row is None:
+        spot = f"panel {panel}: the row at lambda={lam}, eta=0.5 failed"
+        return [spot] + _failed_lines(failed)
     return [
         f"panel {panel}: F_eff(lambda={lam}, eta=0.5) = {row.fidelity:.4f} "
         f"(reference {reference}, delta {row.fidelity - reference:+.4f}; "
@@ -373,7 +402,7 @@ def _summarize_figure5(panel: str, table: SweepTable) -> List[str]:
         f"panel {panel}: P_tot(lambda={lam}, eta=0.5) = "
         f"{row.probability_total:.2e} (reference {p_reference:.1e}, ratio "
         f"{row.probability_total / p_reference:.2f})",
-    ]
+    ] + _failed_lines(failed)
 
 
 def _default_output(figure: int, panel: Optional[str]) -> str:
@@ -478,7 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
     swp = commands.add_parser("sweep", help="evaluate a scenario's sweep grid")
     swp.add_argument("--scenario", required=True, help="scenario file path")
     swp.add_argument("--output", help="result table path (required)")
-    swp.add_argument("--threads", type=int, default=1, help="parallel workers")
+    swp.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="parallel workers; pin BLAS to one thread (OPENBLAS_NUM_THREADS=1)",
+    )
 
     rep = commands.add_parser(
         "reproduce", help="regenerate a reference dataset grid"
@@ -488,7 +522,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument("--panel", choices=("a", "b", "c", "d"), help="panel id")
     rep.add_argument("--output", help="result table path")
-    rep.add_argument("--threads", type=int, default=1, help="parallel workers")
+    rep.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="parallel workers; pin BLAS to one thread (OPENBLAS_NUM_THREADS=1)",
+    )
 
     commands.add_parser("selfcheck", help="run the named validation checks")
     return parser

@@ -4,7 +4,10 @@ Detectors are diagonal in the Fock basis, so every POVM element is a vector
 of weights d_k over photon number k. Heralding on a joint outcome pattern
 multiplies the diagonal weights of all measured modes into the state and
 traces those modes out, producing the success probability and the
-(normalized) conditional state on the kept modes.
+(normalized) conditional state on the kept modes. `herald` does this on a
+dense state; `herald_factored` on a state given as a short sum of products
+of kept-mode and measured-mode vectors, through a Gram matrix of the
+measured factors.
 """
 
 from __future__ import annotations
@@ -153,6 +156,24 @@ class HeraldResult:
     branch_probabilities: Tuple[float, ...]
 
 
+def _joint_weights(register: Register, spec: HeraldSpec,
+                   labels: Sequence[str]) -> np.ndarray:
+    """Joint POVM weight of every occupation pattern of the listed measured
+    modes, flattened in C order over `labels`."""
+    elements = dict(spec.elements)
+    weights = np.ones(1)
+    for label in labels:
+        element = elements[label]
+        dim = register.mode(label).dim
+        if element.dim != dim:
+            raise ValidationError(
+                f"POVM element on {label!r} has dimension {element.dim}, "
+                f"mode needs {dim}"
+            )
+        weights = np.multiply.outer(weights, element.weights)
+    return weights.ravel()
+
+
 def _branch_contribution(state: PureState, spec: HeraldSpec):
     """Probability and unnormalized conditional matrix for one pure branch."""
     register = state.register
@@ -161,29 +182,32 @@ def _branch_contribution(state: PureState, spec: HeraldSpec):
     if not kept:
         raise ValidationError("herald would measure every mode; keep at least one")
 
-    weight_vectors = []
-    for label, element in spec.elements:
-        dim = register.mode(label).dim
-        if element.dim != dim:
-            raise ValidationError(
-                f"POVM element on {label!r} has dimension {element.dim}, "
-                f"mode needs {dim}"
-            )
-        weight_vectors.append(element.weights)
-
+    weights = _joint_weights(register, spec, measured)
     ordered = state.reordered(tuple(kept) + tuple(measured))
     kept_dim = int(np.prod([register.mode(label).dim for label in kept]))
     matrix = ordered.amps.reshape(kept_dim, -1)
-
-    weights = weight_vectors[0]
-    for vec in weight_vectors[1:]:
-        weights = np.multiply.outer(weights, vec)
-    weights = weights.ravel()
 
     probs_per_outcome = (np.abs(matrix) ** 2).sum(axis=0)
     probability = float(probs_per_outcome @ weights)
     conditional = (matrix * weights) @ matrix.conj().T
     return probability, conditional, kept
+
+
+def _normalized_result(kept: Register, accumulated: np.ndarray, total: float,
+                       branch_probs) -> HeraldResult:
+    if total < HERALD_PROBABILITY_FLOOR:
+        raise HeraldImpossibleError(
+            f"herald pattern has probability {total:.3e}, below the "
+            f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
+        )
+    matrix = accumulated / total
+    matrix = 0.5 * (matrix + matrix.conj().T)
+    post = DensityOperator(kept, matrix, check=False, copy=False)
+    return HeraldResult(
+        probability=float(total),
+        post=post,
+        branch_probabilities=tuple(branch_probs),
+    )
 
 
 def herald(source: Union[PureState, Ensemble], spec: HeraldSpec) -> HeraldResult:
@@ -194,13 +218,15 @@ def herald(source: Union[PureState, Ensemble], spec: HeraldSpec) -> HeraldResult
     density operator on the kept modes is the weighted partial trace,
     renormalized by the total success probability. Raises
     HeraldImpossibleError when that probability is below the floor.
+
+    This dense contraction is the reference that `herald_factored` is
+    tested against.
     """
     if isinstance(source, PureState):
         source = Ensemble.pure(source)
     if not isinstance(source, Ensemble):
         raise ValidationError(f"cannot herald a {type(source).__name__}")
 
-    register = source.register
     total = 0.0
     accumulated = None
     branch_probs = []
@@ -214,19 +240,42 @@ def herald(source: Union[PureState, Ensemble], spec: HeraldSpec) -> HeraldResult
             kept_labels = kept
         else:
             accumulated += weight * conditional
-
-    if total < HERALD_PROBABILITY_FLOOR:
-        raise HeraldImpossibleError(
-            f"herald pattern has probability {total:.3e}, below the "
-            f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
-        )
-
-    kept_register = register.subset(kept_labels)
-    matrix = accumulated / total
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    post = DensityOperator(kept_register, matrix, check=False, copy=False)
-    return HeraldResult(
-        probability=float(total),
-        post=post,
-        branch_probabilities=tuple(branch_probs),
+    return _normalized_result(
+        source.register.subset(kept_labels), accumulated, total, branch_probs
     )
+
+
+def herald_factored(
+    branches: Sequence[Tuple[float, np.ndarray, np.ndarray]],
+    kept: Register,
+    measured: Register,
+    spec: HeraldSpec,
+) -> HeraldResult:
+    """Herald an ensemble whose branches are given in factored form.
+
+    Each branch is (weight, L, Z) with the unnormalized pure state
+    sum_m L[:, m] (x) Z[m, :]: L has one column per term over the kept
+    modes' joint space, Z one row per term over the measured modes' joint
+    space (both C order over the registers' modes). With the Gram matrix
+    G = Z diag(w) Z^H over the Fock-diagonal joint POVM weight w, the
+    branch's conditional operator is L G L^H and its trace the branch's
+    herald probability. The result matches `herald` on the expanded state
+    up to roundoff.
+    """
+    if set(measured.labels) != set(spec.measured_labels):
+        raise ValidationError(
+            f"herald spec measures {spec.measured_labels}, factored state "
+            f"has measured modes {measured.labels}"
+        )
+    weights = _joint_weights(measured, spec, measured.labels)
+    total = 0.0
+    accumulated = np.zeros((kept.size, kept.size), dtype=np.complex128)
+    branch_probs = []
+    for weight, left, right in branches:
+        gram = (right * weights) @ right.conj().T
+        conditional = left @ gram @ left.conj().T
+        prob = float(np.trace(conditional).real)
+        branch_probs.append(weight * prob)
+        total += weight * prob
+        accumulated += weight * conditional
+    return _normalized_result(kept, accumulated, total, branch_probs)

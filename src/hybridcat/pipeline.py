@@ -14,9 +14,14 @@ up as B.
 
 Internally `run_scheme` keeps the transmitted beam in the frame where it
 occupies a single polarization channel, which leaves the orthogonal channel
-exactly empty and lets it be dropped before the expensive interference
-step. `build_prestate` instead returns the full eight-mode state in the lab
-frame, right before detection.
+exactly empty and lets it be dropped before the interference step. It
+never forms the joint state: the pair (signal x idler) and the beam (tap x
+kept field) are each split into a few Schmidt factors, the splitters act
+only on the idler x tap products, and the herald contracts a small Gram
+matrix per pattern. `build_prestate` instead returns the full eight-mode
+state in the lab frame, right before detection; heralded with
+`detection.herald` it is the reference the factored path is tested
+against.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analytic
-from .detection import build_scheme_herald, herald
+from .detection import HeraldResult, build_scheme_herald, herald_factored
 from .errors import (
     HeraldImpossibleError,
     SimulationError,
@@ -43,6 +48,7 @@ from .fock_core import (
     DensityOperator,
     Ensemble,
     PureState,
+    Register,
     basis_state,
     build_register,
     project_vacuum,
@@ -57,6 +63,7 @@ from .optics import (
     pbs_route,
     polarization_rotation,
     required_displacement_cutoff,
+    two_mode_kernel,
 )
 from .resource_states import (
     PairSourceSpec,
@@ -328,20 +335,6 @@ def _pure_pair_component(
     return _displace_idler(Ensemble.pure(state), config, cuts)
 
 
-def _interfere(pair_branch: PureState, beam: PureState, config: SchemeConfig):
-    joint = tensor(pair_branch, beam)
-    half = BsParams.from_transmissivity(0.5)
-    joint = apply_beam_splitter(joint, "4H", "2H", half, tail_tol=config.tail_tol)
-    joint = apply_beam_splitter(joint, "4V", "2V", half, tail_tol=config.tail_tol)
-    return joint
-
-
-def _route(state: PureState) -> PureState:
-    relabeled = state.relabeled(_DETECTOR_RELABEL)
-    register = pbs_route(pbs_route(relabeled.register, "5"), "6")
-    return PureState(register, relabeled.amps, copy=False)
-
-
 @dataclass(frozen=True)
 class SchemeResult:
     """One heralded run: success probability summed over both click
@@ -369,38 +362,155 @@ def _analytic_scale(config: SchemeConfig) -> Optional[float]:
     return config.z if config.pair_source == "vacuum_mixed" else 1.0
 
 
-def _heralded_bundle(
-    config: SchemeConfig, pair_component: Optional[int] = None
-) -> SchemeResult:
-    cuts = resolve_cutoffs(config)
-    beam, beam_loss = _beam_state(config, cuts)
+def _schmidt(matrix: np.ndarray):
+    """SVD of `matrix` cut at its numerical rank (numpy's `matrix_rank`
+    tolerance, s_max * max(shape) * eps), so the cut is exact to roundoff.
+
+    Returns (u, s, vh, discarded) with matrix ~= (u * s) @ vh and
+    `discarded` the squared singular mass that was cut.
+    """
+    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    cut = s[0] * max(matrix.shape) * np.finfo(float).eps if s.size else 0.0
+    rank = int(np.count_nonzero(s > cut))
+    return u[:, :rank], s[:rank], vh[:rank], float(np.sum(s[rank:] ** 2))
+
+
+def _interfere_factors(idler: np.ndarray, tap: np.ndarray, dim: int) -> np.ndarray:
+    """Both 50:50 splitters applied to every product idler_k (x) tap_l.
+
+    `idler` rows live on (2H, 2V), `tap` rows on (4H, 4V), each of cutoff
+    dim - 1. Row k * len(tap) + l of the result is the image of the k-th
+    idler and l-th tap factor on (6H, 5H, 6V, 5V).
+    """
+    kernel = two_mode_kernel(
+        BsParams.from_transmissivity(0.5).scattering_matrix(), dim, dim
+    )
+    n_idler, n_tap = len(idler), len(tap)
+    # H splitter on (4H, 2H): contract the idler's 2H index into the kernel
+    # first, then the tap's 4H index
+    half = kernel.reshape(dim**3, dim) @ idler.reshape(n_idler, dim, dim)
+    half = half.reshape(n_idler, dim * dim, dim, dim).transpose(0, 1, 3, 2)
+    taps = tap.reshape(n_tap, dim, dim).transpose(1, 0, 2).reshape(dim, -1)
+    mixed = half.reshape(-1, dim) @ taps
+    # rows (k, l, 6H 5H), columns (4V, 2V) for the V splitter
+    mixed = mixed.reshape(n_idler, dim * dim, dim, n_tap, dim)
+    mixed = mixed.transpose(0, 3, 1, 4, 2).reshape(-1, dim * dim)
+    return (mixed @ kernel.T).reshape(n_idler * n_tap, dim**4)
+
+
+@dataclass(frozen=True, eq=False)
+class _Factors:
+    """Efficiency-independent state right before detection, factored.
+
+    Each branch is (weight, L, Z): the branch state is sum_m L[:, m] (x)
+    Z[m, :], with L over `kept` = (A_H, A_V, B_H) and Z over `measured` =
+    (6H, 5H, 6V, 5V); see `detection.herald_factored`. `tails` holds each
+    branch's truncation deficit, `ranks` its (pair, beam) Schmidt ranks.
+    """
+
+    cuts: ResolvedCutoffs
+    kept: Register
+    measured: Register
+    branches: Tuple[Tuple[float, np.ndarray, np.ndarray], ...]
+    tails: Tuple[float, ...]
+    ranks: Tuple[Tuple[int, int], ...]
+    discarded: float
+    beam_loss: float
+
+
+def _efficiency_key(config: SchemeConfig) -> SchemeConfig:
+    """Cache key of `_factors`: the config with eta canonicalised, as
+    `_component_key` does with lambda."""
+    return dataclasses.replace(config, eta=1.0)
+
+
+@lru_cache(maxsize=32)
+def _factors(key: SchemeConfig, pair_component: Optional[int]) -> _Factors:
+    """Schmidt-factored pre-detection state of one configuration.
+
+    The pair branch splits signal (A_H, A_V) against idler (2H, 2V), the
+    reduced beam tap (4H, 4V) against the kept field B_H; the splitters
+    then act only on the idler x tap products. Nothing here depends on the
+    detector efficiency, so callers key the cache with it canonicalised.
+    """
+    cuts = resolve_cutoffs(key)
+    dim = cuts.detector + 1
+    beam, beam_loss = _beam_state(key, cuts)
+    tap, beam_s, beam_vh, beam_discarded = _schmidt(
+        beam.amps.reshape(dim * dim, -1)
+    )
+    field = beam_s[:, None] * beam_vh
     if pair_component is None:
-        ensemble = _pair_ensemble(config, cuts)
+        ensemble = _pair_ensemble(key, cuts)
     else:
-        ensemble = _pure_pair_component(pair_component, config, cuts)
+        ensemble = _pure_pair_component(pair_component, key, cuts)
 
     branches = []
     tails = []
+    ranks = []
+    discarded = beam_discarded
     for weight, state in ensemble:
-        joint = _interfere(state, beam, config)
-        deficit = max(0.0, 1.0 - float(joint.norm()) ** 2)
-        tails.append(deficit)
-        branches.append((weight, _route(joint)))
-    register = branches[0][1].register
-    routed = Ensemble(register, tuple(branches))
+        signal, pair_s, idler, pair_discarded = _schmidt(
+            state.amps.reshape(-1, dim * dim)
+        )
+        left = np.einsum("ak,lb->abkl", signal * pair_s, field)
+        left = left.reshape(-1, len(pair_s) * len(beam_s))
+        right = _interfere_factors(idler, tap.T, dim)
+        left.setflags(write=False)
+        right.setflags(write=False)
+        gram = right @ right.conj().T
+        norm2 = float(np.trace(left @ gram @ left.conj().T).real)
+        tails.append(max(0.0, 1.0 - norm2) + pair_discarded + beam_discarded)
+        ranks.append((len(pair_s), len(beam_s)))
+        discarded += pair_discarded
+        branches.append((weight, left, right))
 
     worst_tail = max(tails)
-    if worst_tail > config.tail_tol:
+    if worst_tail > key.tail_tol:
         raise TruncationError(
             f"truncation lost probability {worst_tail:.3e}, above the "
-            f"tolerance {config.tail_tol:.0e}; raise the cutoffs"
+            f"tolerance {key.tail_tol:.0e}; raise the cutoffs"
         )
+    kept = build_register((("A_H", cuts.a), ("A_V", cuts.a), ("B_H", cuts.b)))
+    measured = build_register(
+        (label, cuts.detector) for label in ("6H", "5H", "6V", "5V")
+    )
+    return _Factors(
+        cuts=cuts,
+        kept=kept,
+        measured=measured,
+        branches=tuple(branches),
+        tails=tuple(tails),
+        ranks=tuple(ranks),
+        discarded=discarded,
+        beam_loss=beam_loss,
+    )
 
+
+@dataclass(frozen=True)
+class _Heralded:
+    """Both click patterns heralded at one efficiency; `post` is their
+    probability-weighted state on (A_H, A_V, B), the flipped one corrected."""
+
+    factors: _Factors
+    patterns: Tuple[Optional[HeraldResult], Optional[HeraldResult]]
+    probability: float
+    post: DensityOperator
+
+
+def _herald_both(
+    config: SchemeConfig, pair_component: Optional[int] = None
+) -> _Heralded:
+    factors = _factors(_efficiency_key(config), pair_component)
     results = []
     for flipped in (False, True):
-        spec = build_scheme_herald(register, config.detector, config.eta, flipped)
+        spec = build_scheme_herald(
+            factors.measured, config.detector, config.eta, flipped
+        )
         try:
-            results.append(herald(routed, spec))
+            results.append(
+                herald_factored(factors.branches, factors.kept, factors.measured, spec)
+            )
         except HeraldImpossibleError:
             results.append(None)
     if results[0] is None and results[1] is None:
@@ -424,23 +534,44 @@ def _heralded_bundle(
         pieces.append((p_flip, corrected))
     matrix = sum(p * piece.matrix for p, piece in pieces) / total
     post = DensityOperator(pieces[0][1].register, matrix, check=False, copy=False)
-    post = post.relabeled({"B_H": "B"})
+    return _Heralded(
+        factors=factors,
+        patterns=(results[0], results[1]),
+        probability=float(total),
+        post=post.relabeled({"B_H": "B"}),
+    )
 
+
+def _score(config: SchemeConfig, post: DensityOperator) -> float:
     target = target_hybrid(config.resolved_alpha_f, config.phi, post.register)
-    fid = fidelity(post, target)
+    return fidelity(post, target)
+
+
+def _heralded_bundle(config: SchemeConfig) -> SchemeResult:
+    heralded = _herald_both(config)
+    factors = heralded.factors
+    plain, flip = heralded.patterns
+    total = heralded.probability
+    post = heralded.post
+    fid = _score(config, post)
     neg = negativity(post, Bipartition(("A_H", "A_V"), ("B",)))
 
     diagnostics: Dict[str, object] = {
-        "pattern_probabilities": (p_plain, p_flip),
-        "branch_pattern_probabilities": (
-            results[0].branch_probabilities if results[0] else None,
-            results[1].branch_probabilities if results[1] else None,
+        "pattern_probabilities": (
+            plain.probability if plain else 0.0,
+            flip.probability if flip else 0.0,
         ),
-        "worst_tail_mass": worst_tail,
-        "beam_projection_loss": beam_loss,
-        "cutoffs": dataclasses.asdict(cuts),
+        "branch_pattern_probabilities": (
+            plain.branch_probabilities if plain else None,
+            flip.branch_probabilities if flip else None,
+        ),
+        "worst_tail_mass": max(factors.tails),
+        "beam_projection_loss": factors.beam_loss,
+        "cutoffs": dataclasses.asdict(factors.cuts),
+        "schmidt_ranks": factors.ranks,
+        "discarded_mass": factors.discarded,
     }
-    scale = _analytic_scale(config) if pair_component is None else None
+    scale = _analytic_scale(config)
     if scale is not None:
         reference = analytic.p_tot_eta(
             config.resolved_alpha_f, config.t, config.eta, config.phi
@@ -465,6 +596,10 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     the deterministic polarization bit flip that maps it onto the plain
     one. The reported fidelity is against the hybrid target at the
     configured alpha_f and phi.
+
+    The herald contracts Schmidt factors of the pair and the beam instead
+    of the joint state (see `_factors`); the efficiency-independent part is
+    cached, so runs that differ only in eta share it.
     """
     result = _heralded_bundle(config)
     if config.pair_source == "spdc":
@@ -479,18 +614,25 @@ def build_prestate(config: SchemeConfig) -> Ensemble:
     """Joint state of all eight modes right before detection, in the lab
     polarization frame, ordered (A_H, A_V, 5H, 5V, 6H, 6V, B_H, B_V).
 
-    This is the reference representation; `run_scheme` works in a reduced
-    one that drops the structurally empty beam channel early. The two agree
+    This dense state is the test oracle: heralded with
+    `detection.herald`, it gives the same pattern probabilities and
+    conditional states as the factored contraction `run_scheme` uses,
     after rotating the B channels into the beam frame and projecting the
-    empty channel out.
+    empty channel out. It is not on `run_scheme`'s path.
     """
     cuts = resolve_cutoffs(config)
     beam = _beam_state_full(config, cuts)
-    ensemble = _pair_ensemble(config, cuts)
+    half = BsParams.from_transmissivity(0.5)
     branches = []
-    for weight, state in ensemble:
-        joint = _interfere(state, beam, config)
-        branches.append((weight, _route(joint)))
+    for weight, state in _pair_ensemble(config, cuts):
+        joint = tensor(state, beam)
+        for tap, idler in (("4H", "2H"), ("4V", "2V")):
+            joint = apply_beam_splitter(
+                joint, tap, idler, half, tail_tol=config.tail_tol
+            )
+        joint = joint.relabeled(_DETECTOR_RELABEL)
+        register = pbs_route(pbs_route(joint.register, "5"), "6")
+        branches.append((weight, PureState(register, joint.amps, copy=False)))
     return Ensemble(branches[0][1].register, tuple(branches))
 
 
@@ -504,9 +646,9 @@ def _spdc_components(key: SchemeConfig):
     fids = []
     for n in (0, 1, 2):
         try:
-            bundle = _heralded_bundle(key, pair_component=n)
-            probs.append(bundle.probability_total)
-            fids.append(bundle.fidelity)
+            heralded = _herald_both(key, pair_component=n)
+            probs.append(heralded.probability)
+            fids.append(_score(key, heralded.post))
         except HeraldImpossibleError:
             probs.append(0.0)
             fids.append(0.0)
@@ -523,12 +665,15 @@ def spdc_decomposition(config: SchemeConfig) -> Dict[str, float]:
     configured lambda weighting. Returns p_vac, p_chi, p_phi2 (herald
     probabilities of the components), f_chi (one-pair fidelity), f_eff
     (probability-weighted fidelity), and p_tot (weighted total
-    probability).
+    probability). The three components are the whole expansion only at
+    spdc_order 2, so other orders are rejected.
     """
     if config.pair_source != "spdc":
         raise ValidationError("decomposition applies to the spdc pair source")
-    if config.spdc_order < 2:
-        raise ValidationError("decomposition needs spdc_order >= 2")
+    if config.spdc_order != 2:
+        raise ValidationError(
+            f"decomposition covers spdc_order 2 only, got {config.spdc_order}"
+        )
     (p_vac, p_chi, p_phi2), (f_vac, f_chi, f_phi2) = _spdc_components(
         _component_key(config)
     )
@@ -596,7 +741,7 @@ def _evaluate_point(
     params = tuple(zip(axes, point))
     try:
         cfg = _apply_point(config, axes, point)
-        if cfg.pair_source == "spdc":
+        if cfg.pair_source == "spdc" and cfg.spdc_order == 2:
             dec = spdc_decomposition(cfg)
             return SweepRow(
                 params=params,
@@ -610,15 +755,16 @@ def _evaluate_point(
                 status="ok",
             )
         result = run_scheme(cfg)
+        diag = result.diagnostics
         return SweepRow(
             params=params,
             fidelity=result.fidelity,
             probability_total=result.probability_total,
             negativity=result.negativity,
-            p_vac=None,
-            p_chi=None,
-            p_phi2=None,
-            tail_mass=float(result.diagnostics["worst_tail_mass"]),
+            p_vac=diag.get("p_vac"),
+            p_chi=diag.get("p_chi"),
+            p_phi2=diag.get("p_phi2"),
+            tail_mass=float(diag["worst_tail_mass"]),
             status="ok",
         )
     except SimulationError as exc:
@@ -645,9 +791,10 @@ def sweep(
     Axes are sorted by name and each axis's values ascending, so the row
     order is deterministic regardless of input ordering. Rows that fail
     validation or hit numerical limits are reported with an error status
-    instead of aborting the sweep. Downconversion configs report the
-    decomposition quantities (f_eff as the fidelity column); all others
-    report the plain heralded run.
+    instead of aborting the sweep. Downconversion configs at spdc_order 2
+    report the decomposition quantities (f_eff as the fidelity column); all
+    others report the plain heralded run. Points that differ only in eta
+    share one cached efficiency-independent preparation.
     """
     if not grid:
         raise ValidationError("sweep grid must name at least one axis")

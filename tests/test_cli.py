@@ -5,8 +5,9 @@ import re
 
 import pytest
 
+from hybridcat import pipeline
 from hybridcat.cli import main, parse_scenario
-from hybridcat.errors import ValidationError
+from hybridcat.errors import SimulationError, ValidationError
 from hybridcat.selfcheck import CheckResult
 
 
@@ -128,6 +129,15 @@ def test_run_truncation_failure_exit_code(tmp_path, capsys):
     )
     assert main(["run", "--scenario", scenario]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_run_too_small_detector_cutoff_exit_code(tmp_path, capsys):
+    scenario = _write(
+        tmp_path / "s.txt",
+        "t = 0.8\neta = 0.9\nalpha_i = 2.0\ncutoff_detector = 10\n",
+    )
+    assert main(["run", "--scenario", scenario]) == 3
+    assert "truncation lost probability" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +264,50 @@ def test_reproduce_conversion_summary_mentions_reference(tmp_path, capsys):
     assert "reference 0.842" in printed
     assert "delta" in printed
     assert len(out.read_text().splitlines()) == 126
+
+
+# (figure, swept values of the one point made to fail, files written)
+FAILED_POINTS = (
+    (2, {"eta": 0.7, "t": 0.9}, ("fig.tsv",)),
+    (3, {"alpha_f": 1.0, "eta": 0.6}, ("fig.tsv",)),
+    (4, {"eta": 0.7, "t": 0.99}, ("fig_a.tsv", "fig_b.tsv")),
+    (5, {"eta": 0.5, "lam": 0.022}, ("fig_a.tsv", "fig_b.tsv")),
+)
+
+
+@pytest.mark.parametrize("figure,point,files", FAILED_POINTS)
+def test_reproduce_summary_skips_failed_rows(
+    figure, point, files, tmp_path, capsys, monkeypatch
+):
+    failed = []
+
+    def failing(real):
+        def wrapper(config):
+            hit = all(getattr(config, key) == value for key, value in point.items())
+            if hit and not failed:
+                failed.append(config)
+                raise SimulationError("injected failure")
+            return real(config)
+
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "run_scheme", failing(pipeline.run_scheme))
+    monkeypatch.setattr(
+        pipeline, "spdc_decomposition", failing(pipeline.spdc_decomposition)
+    )
+    code = main(
+        ["reproduce", "--figure", str(figure), "--output", str(tmp_path / "fig.tsv")]
+    )
+    printed = capsys.readouterr().out
+    assert code == 0
+    assert len(failed) == 1
+    assert "1 failed rows left out" in printed
+    statuses = []
+    for name in files:
+        lines = (tmp_path / name).read_text().splitlines()[1:]
+        statuses += [line.rsplit("\t", 1)[1] for line in lines]
+    assert statuses.count("error:SimulationError") == 1
+    assert statuses.count("ok") == len(statuses) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,23 @@ Frozen ten-digit values are regression anchors produced by this
 implementation under the locked conventions.
 """
 
+import dataclasses
+import itertools
 import math
 
+import numpy as np
 import pytest
 
-from hybridcat import analytic
+from hybridcat import analytic, pipeline
 from hybridcat.detection import build_scheme_herald, herald
-from hybridcat.errors import ValidationError
+from hybridcat.errors import (
+    CutoffError,
+    HeraldImpossibleError,
+    TruncationError,
+    ValidationError,
+)
+from hybridcat.fock_core import DensityOperator, apply_to_density
+from hybridcat.optics import two_mode_kernel
 from hybridcat.pipeline import (
     SWEEP_AXES,
     SchemeConfig,
@@ -254,3 +264,168 @@ def test_sweep_threads_match_serial():
     serial = sweep(config, grid, threads=1)
     parallel = sweep(config, grid, threads=3)
     assert serial == parallel
+
+
+# ---------------------------------------------------------------------------
+# factored herald against the dense oracle
+
+
+def _dense_oracle(config):
+    """Pattern probabilities and combined post-state from the dense
+    eight-mode state heralded with `detection.herald`, with the flipped
+    pattern corrected, the field rotated into the beam frame and its empty
+    channel projected out, as `run_scheme` reports them."""
+    prestate = build_prestate(config)
+    probs = []
+    pieces = []
+    for flipped in (False, True):
+        spec = build_scheme_herald(
+            prestate.register, config.detector, config.eta, flipped
+        )
+        try:
+            outcome = herald(prestate, spec)
+        except HeraldImpossibleError:
+            probs.append(0.0)
+            continue
+        post = outcome.post
+        if flipped:
+            post = post.relabeled({"A_H": "A_V", "A_V": "A_H"}).reordered(
+                ("A_H", "A_V", "B_H", "B_V")
+            )
+        probs.append(outcome.probability)
+        pieces.append((outcome.probability, post))
+    register = pieces[0][1].register
+    matrix = sum(p * post.matrix for p, post in pieces) / sum(probs)
+    rho = DensityOperator(register, matrix, check=False)
+    if config.displacement_convention == "diagonal":
+        c = s = math.sqrt(0.5)
+        dim = register.mode("B_H").dim
+        kernel = two_mode_kernel(np.array([[c, s], [-s, c]]), dim, dim)
+        rho = apply_to_density(kernel, ("B_H", "B_V"), rho)
+    empty = np.arange(register.size).reshape(register.dims)[..., 0].ravel()
+    return tuple(probs), rho.matrix[np.ix_(empty, empty)]
+
+
+ORACLE_CASES = list(
+    itertools.product(
+        ("chi", "vacuum_mixed", "spdc"),
+        ("ideal", "squeezed"),
+        ("pnr", "onoff"),
+        ("diagonal", "parallel_h"),
+    )
+)
+
+
+@pytest.mark.parametrize("pair,beam,detector,convention", ORACLE_CASES)
+def test_factored_herald_matches_dense_oracle(pair, beam, detector, convention):
+    # Small amplitudes and cutoffs keep the dense eight-mode state cheap;
+    # both paths truncate alike, and the looser tail_tol admits the
+    # two-pair term at this detector cutoff.
+    kwargs = dict(
+        t=0.95,
+        eta=0.8,
+        alpha_i=0.5,
+        pair_source=pair,
+        scs_source=beam,
+        detector=detector,
+        displacement_convention=convention,
+        cutoff_b=8,
+        tail_tol=1e-6,
+    )
+    if pair == "vacuum_mixed":
+        kwargs["z"] = 0.6
+    if pair == "spdc":
+        kwargs["lam"] = 0.3
+    if beam == "squeezed":
+        kwargs.update(s=0.2, n_cut=3)
+    config = SchemeConfig(**kwargs)
+    result = run_scheme(config)
+    probs, rho = _dense_oracle(config)
+    for got, expected in zip(result.diagnostics["pattern_probabilities"], probs):
+        assert abs(got - expected) <= 1e-12 * max(probs)
+    assert abs(result.probability_total / sum(probs) - 1.0) <= 1e-12
+    assert float(np.abs(result.post_state.matrix - rho).max()) <= 1e-12
+
+
+def test_factored_diagnostics_report_schmidt_ranks():
+    result = run_scheme(SchemeConfig(**SPOT_A))
+    # one pure branch: its vacuum, one-pair and two-pair terms keep 1, 2
+    # and 3 signal factors
+    ((pair_rank, beam_rank),) = result.diagnostics["schmidt_ranks"]
+    assert pair_rank == 6
+    assert beam_rank < resolve_cutoffs(SchemeConfig(**SPOT_A)).b + 1
+    assert 0.0 <= result.diagnostics["discarded_mass"] < 1e-20
+
+
+def test_eta_sweep_is_bit_identical_to_runs():
+    config = SchemeConfig(t=0.9, eta=0.9, alpha_f=1.2)
+    etas = (0.3, 0.6, 0.9)
+    serial = sweep(config, {"eta": etas, "t": (0.9, 0.95)})
+    threaded = sweep(config, {"eta": etas, "t": (0.9, 0.95)}, threads=2)
+    assert serial == threaded
+    pipeline._factors.cache_clear()
+    for row in serial.rows:
+        params = dict(row.params)
+        result = run_scheme(dataclasses.replace(config, **params))
+        assert row.fidelity == result.fidelity
+        assert row.probability_total == result.probability_total
+        assert row.negativity == result.negativity
+        assert row.tail_mass == result.diagnostics["worst_tail_mass"]
+
+
+def test_eta_shares_one_preparation():
+    pipeline._factors.cache_clear()
+    sweep(SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0), {"eta": (0.5, 0.7, 0.9)})
+    info = pipeline._factors.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_too_small_detector_cutoff_raises():
+    config = SchemeConfig(t=0.8, eta=0.9, alpha_i=2.0, cutoff_detector=10)
+    with pytest.raises(TruncationError):
+        run_scheme(config)
+    assert run_scheme(dataclasses.replace(config, cutoff_detector=12))
+
+
+def test_too_small_field_cutoff_raises():
+    with pytest.raises(CutoffError):
+        run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_i=1.0, cutoff_b=10))
+
+
+SPDC_ORDER_3 = dict(
+    t=0.99,
+    eta=0.5,
+    alpha_i=0.7,
+    scs_source="squeezed",
+    s=0.161,
+    pair_source="spdc",
+    lam=0.3,
+    spdc_order=3,
+    detector="onoff",
+)
+
+
+def test_sweep_runs_higher_spdc_orders_in_full():
+    config = SchemeConfig(**SPDC_ORDER_3)
+    row = sweep(config, {"eta": (0.5,)}).rows[0]
+    result = run_scheme(config)
+    assert row.status == "ok"
+    assert row.probability_total == result.probability_total
+    assert row.fidelity == result.fidelity
+    assert row.negativity == result.negativity
+    assert row.p_chi == result.diagnostics["p_chi"]
+    assert abs(row.probability_total - 4.4635e-4) < 1e-7
+    assert abs(row.fidelity - 0.17855) < 1e-5
+    with pytest.raises(ValidationError):
+        spdc_decomposition(config)
+
+
+def test_spdc_components_skip_negativity(monkeypatch):
+    calls = []
+    real = pipeline.negativity
+    monkeypatch.setattr(
+        pipeline, "negativity", lambda *args: calls.append(1) or real(*args)
+    )
+    pipeline._spdc_components.cache_clear()
+    spdc_decomposition(SchemeConfig(**SPOT_A))
+    assert calls == []
