@@ -31,7 +31,6 @@ __all__ = [
     "p_tot_eta",
     "scs_fidelity",
     "f_eff",
-    "f_eff_from_total",
     "ideal_negativity",
 ]
 
@@ -153,18 +152,6 @@ def f_eff(p_vac: float, p_chi: float, p_phi2: float, lam: float,
     if denom <= 0.0:
         raise ValidationError("all component probabilities vanish")
     return p_chi / denom * f_chi
-
-
-def f_eff_from_total(p_chi: float, lam: float, f_chi: float,
-                     p_tot: float) -> float:
-    """Effective fidelity given an externally supplied total probability:
-    (1 - lam^2) lam^2 P_chi F_chi / P_tot. Identical to `f_eff` when P_tot
-    is the three-component total (1-lam^2)(P_vac + lam^2 P_chi + lam^4 P_phi2).
-    """
-    _check_range("lam", lam, 0.0, 1.0, high_open=True)
-    if p_tot <= 0.0:
-        raise ValidationError(f"p_tot={p_tot} must be positive")
-    return (1.0 - lam * lam) * lam * lam * p_chi * f_chi / p_tot
 
 
 def ideal_negativity(alpha_f: float) -> float:

@@ -30,13 +30,12 @@ from .errors import (
 from .pipeline import (
     SWEEP_AXES,
     SchemeConfig,
-    SchemeResult,
     SweepRow,
     SweepTable,
     run_scheme,
     sweep,
 )
-from .selfcheck import run_all_checks
+from .selfcheck import CONVERSION_SPOTS, run_all_checks
 
 _FLOAT_KEYS = frozenset(
     ("t", "eta", "phi", "alpha_i", "alpha_f", "s", "z", "lambda", "tail_tol")
@@ -50,7 +49,6 @@ _STR_KEYS = frozenset(
         "pair_source",
         "detector",
         "spdc_weighting",
-        "displacement_convention",
     )
 )
 _SWEEP_KEYS = frozenset(f"sweep_{axis}" for axis in SWEEP_AXES)
@@ -189,21 +187,6 @@ def save_table(table: SweepTable, path: str) -> None:
         raise ValidationError(f"cannot write table {path!r}: {exc}") from exc
 
 
-def _row_from_result(result: SchemeResult) -> SweepRow:
-    diag = result.diagnostics
-    return SweepRow(
-        params=(),
-        fidelity=result.fidelity,
-        probability_total=result.probability_total,
-        negativity=result.negativity,
-        p_vac=diag.get("p_vac"),
-        p_chi=diag.get("p_chi"),
-        p_phi2=diag.get("p_phi2"),
-        tail_mass=float(diag["worst_tail_mass"]),
-        status="ok",
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -238,7 +221,8 @@ def cmd_run(scenario_path: str, output: Optional[str]) -> int:
     else:
         print("oracle cross-checks: none (no closed form for this configuration)")
     if output:
-        save_table(SweepTable(axes=(), rows=(_row_from_result(result),)), output)
+        row = SweepRow.from_result((), result)
+        save_table(SweepTable(axes=(), rows=(row,)), output)
         print(f"table -> {output}")
     return 0
 
@@ -265,12 +249,6 @@ _FIG5_LAMBDA = tuple(round(0.002 * k, 3) for k in range(1, 26))
 _PANELS = {
     "a": (0.161, 0.7),
     "b": (0.313, 1.0),
-}
-# this implementation's converged conversion-spot fidelities next to the
-# reference dataset quotes (see selfcheck.CONVERSION_SPOTS)
-_FIG5_SPOTS = {
-    "a": (0.022, 0.950732, 0.939, 5.1e-7),
-    "b": (0.038, 0.869283, 0.842, 2.4e-6),
 }
 
 
@@ -389,7 +367,10 @@ def _summarize_figure4(panel: str, table: SweepTable) -> List[str]:
 
 
 def _summarize_figure5(panel: str, table: SweepTable) -> List[str]:
-    lam, frozen, reference, p_reference = _FIG5_SPOTS[panel]
+    # the panel's conversion spot is the one with its (s, alpha_i)
+    lam, _, _, frozen, reference, p_reference = next(
+        spot for spot in CONVERSION_SPOTS if spot[1:3] == _PANELS[panel]
+    )
     rows, failed = _ok_rows(table)
     row = rows.get((0.5, lam))
     if row is None:
@@ -520,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument(
         "--figure", type=int, required=True, help="reference dataset id (2-5)"
     )
-    rep.add_argument("--panel", choices=("a", "b", "c", "d"), help="panel id")
+    rep.add_argument("--panel", help="panel id of figures 4 and 5: a or b")
     rep.add_argument("--output", help="result table path")
     rep.add_argument(
         "--threads",

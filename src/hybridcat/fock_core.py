@@ -25,18 +25,14 @@ __all__ = [
     "PureState",
     "Ensemble",
     "DensityOperator",
-    "ModeOperator",
     "build_register",
     "basis_state",
     "tensor",
     "apply",
-    "apply_to_density",
     "inner",
     "norm",
-    "partial_trace",
     "to_density",
     "project_vacuum",
-    "occupation_distribution",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -68,14 +64,12 @@ class Register:
     """Ordered collection of modes fixing the tensor layout of joint states.
 
     Equality and hashing consider only the mode list, so two registers built
-    from the same specs are interchangeable. The `routed` set records which
-    spatial modes already passed a polarizing beam splitter; it is pure
-    bookkeeping and does not affect equality.
+    from the same specs are interchangeable.
     """
 
-    __slots__ = ("modes", "labels", "dims", "size", "routed", "_axis")
+    __slots__ = ("modes", "labels", "dims", "size", "_axis")
 
-    def __init__(self, modes: Iterable[ModeSpec], routed: frozenset = frozenset()):
+    def __init__(self, modes: Iterable[ModeSpec]):
         modes = tuple(modes)
         if not modes:
             raise ValidationError("register needs at least one mode")
@@ -86,7 +80,6 @@ class Register:
         self.labels = labels
         self.dims = tuple(m.dim for m in modes)
         self.size = int(np.prod(self.dims))
-        self.routed = frozenset(routed)
         self._axis = {label: k for k, label in enumerate(labels)}
 
     # -- lookups ---------------------------------------------------------
@@ -105,25 +98,16 @@ class Register:
     def __contains__(self, label: str) -> bool:
         return label in self._axis
 
-    def index_of(self, occupations: Sequence[int]) -> int:
-        """Flat index of an occupation tuple (C order)."""
-        return int(np.ravel_multi_index(tuple(occupations), self.dims))
-
-    def occupation_of(self, index: int) -> tuple:
-        """Occupation tuple of a flat index; inverse of index_of."""
-        return tuple(int(k) for k in np.unravel_index(index, self.dims))
-
     # -- derived registers -------------------------------------------------
 
     def subset(self, labels: Sequence[str]) -> "Register":
-        return Register((self.mode(label) for label in labels), routed=self.routed)
+        return Register(self.mode(label) for label in labels)
 
     def relabeled(self, mapping: Mapping[str, str]) -> "Register":
         for old in mapping:
             self.axis(old)
         return Register(
-            (ModeSpec(mapping.get(m.label, m.label), m.cutoff) for m in self.modes),
-            routed=self.routed,
+            ModeSpec(mapping.get(m.label, m.label), m.cutoff) for m in self.modes
         )
 
     # -- value semantics ---------------------------------------------------
@@ -239,10 +223,6 @@ class Ensemble:
     def pure(cls, state: PureState, weight: float = 1.0) -> "Ensemble":
         return cls(state.register, [(weight, state)])
 
-    @property
-    def total_weight(self) -> float:
-        return float(sum(w for w, _ in self.branches))
-
     def __iter__(self):
         return iter(self.branches)
 
@@ -320,15 +300,6 @@ class DensityOperator:
         return f"DensityOperator({self.register!r}, trace={self.trace:.6g})"
 
 
-@dataclass(frozen=True, eq=False)
-class ModeOperator:
-    """Matrix block acting on the joint space of one or two modes."""
-
-    matrix: np.ndarray
-    arity: int = 1
-    unitary: bool = False
-
-
 # ---------------------------------------------------------------------------
 # construction helpers
 
@@ -393,21 +364,11 @@ def _apply_axes(arr: np.ndarray, kernel: np.ndarray, axes: Sequence[int]) -> np.
     return np.transpose(out, np.argsort(order))
 
 
-def _kernel_matrix(op, labels) -> np.ndarray:
-    if isinstance(op, ModeOperator):
-        if op.arity != len(labels):
-            raise ValidationError(
-                f"operator arity {op.arity} does not match {len(labels)} targets"
-            )
-        return op.matrix
-    return np.asarray(op, dtype=np.complex128)
-
-
 def apply(op, labels: Union[str, Sequence[str]], state: PureState) -> PureState:
     """Apply an operator to the listed target modes of a pure state.
 
-    `op` is a ModeOperator or a square matrix over the joint truncated space
-    of the targets (row index: first listed mode most significant).
+    `op` is a square matrix over the joint truncated space of the targets
+    (row index: first listed mode most significant).
     """
     if isinstance(labels, str):
         labels = (labels,)
@@ -415,37 +376,13 @@ def apply(op, labels: Union[str, Sequence[str]], state: PureState) -> PureState:
     register = state.register
     axes = [register.axis(label) for label in labels]
     joint = int(np.prod([register.dims[a] for a in axes]))
-    kernel = _kernel_matrix(op, labels)
+    kernel = np.asarray(op, dtype=np.complex128)
     if kernel.shape != (joint, joint):
         raise ValidationError(
             f"kernel shape {kernel.shape} does not match joint dimension "
             f"{joint} of modes {labels}"
         )
     return PureState(register, _apply_axes(state.amps, kernel, axes), copy=False)
-
-
-def apply_to_density(op, labels: Union[str, Sequence[str]],
-                     rho: DensityOperator) -> DensityOperator:
-    """Conjugate a density operator by an operator on the listed modes."""
-    if isinstance(labels, str):
-        labels = (labels,)
-    labels = tuple(labels)
-    register = rho.register
-    ndim = len(register.dims)
-    axes = [register.axis(label) for label in labels]
-    joint = int(np.prod([register.dims[a] for a in axes]))
-    kernel = _kernel_matrix(op, labels)
-    if kernel.shape != (joint, joint):
-        raise ValidationError(
-            f"kernel shape {kernel.shape} does not match joint dimension "
-            f"{joint} of modes {labels}"
-        )
-    tens = rho.matrix.reshape(register.dims * 2)
-    tens = _apply_axes(tens, kernel, axes)
-    tens = _apply_axes(tens, kernel.conj(), [ndim + a for a in axes])
-    return DensityOperator(
-        register, tens.reshape(register.size, register.size), check=False, copy=False
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -465,47 +402,6 @@ def norm(state: PureState) -> float:
 
 # ---------------------------------------------------------------------------
 # reductions
-
-
-def _pure_partial_trace(state: PureState, keep_axes: Sequence[int]) -> np.ndarray:
-    ndim = state.amps.ndim
-    order = list(keep_axes) + [k for k in range(ndim) if k not in keep_axes]
-    moved = np.transpose(state.amps, order)
-    kept = int(np.prod(moved.shape[: len(keep_axes)])) if keep_axes else 1
-    mat = np.ascontiguousarray(moved).reshape(kept, -1)
-    return mat @ mat.conj().T
-
-
-def partial_trace(source, keep: Sequence[str]) -> DensityOperator:
-    """Trace out all modes except `keep` (result listed in `keep` order)."""
-    keep = tuple(keep)
-    if not keep:
-        raise ValidationError("keep set must be non-empty")
-    register = source.register
-    keep_axes = [register.axis(label) for label in keep]
-    target = register.subset(keep)
-
-    if isinstance(source, PureState):
-        mat = _pure_partial_trace(source, keep_axes)
-    elif isinstance(source, Ensemble):
-        mat = np.zeros((target.size, target.size), dtype=np.complex128)
-        for weight, state in source.branches:
-            if weight:
-                mat += weight * _pure_partial_trace(state, keep_axes)
-    elif isinstance(source, DensityOperator):
-        ndim = len(register.dims)
-        traced = [k for k in range(ndim) if k not in keep_axes]
-        perm = (
-            list(keep_axes) + traced
-            + [ndim + a for a in keep_axes] + [ndim + a for a in traced]
-        )
-        tens = np.transpose(source.matrix.reshape(register.dims * 2), perm)
-        dt = int(np.prod([register.dims[a] for a in traced])) if traced else 1
-        tens = tens.reshape(target.size, dt, target.size, dt)
-        mat = np.einsum("ajbj->ab", tens)
-    else:
-        raise ValidationError(f"cannot partial-trace {type(source).__name__}")
-    return DensityOperator(target, mat, check=False, copy=False)
 
 
 def to_density(source) -> DensityOperator:
@@ -539,11 +435,3 @@ def project_vacuum(state: PureState, label: str) -> tuple:
     removed = float(np.linalg.norm(state.amps) ** 2 - np.linalg.norm(kept) ** 2)
     labels = [lab for lab in register.labels if lab != label]
     return PureState(register.subset(labels), kept), max(removed, 0.0)
-
-
-def occupation_distribution(state: PureState, label: str) -> np.ndarray:
-    """Probability of each occupation of one mode (unnormalized state ok)."""
-    axis = state.register.axis(label)
-    probs = np.abs(state.amps) ** 2
-    other = tuple(k for k in range(probs.ndim) if k != axis)
-    return probs.sum(axis=other)

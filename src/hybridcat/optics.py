@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import CutoffError, TruncationError, ValidationError
-from .fock_core import ModeOperator, PureState, Register, apply
+from .fock_core import PureState, apply
 
 __all__ = [
     "BsParams",
@@ -40,7 +40,6 @@ __all__ = [
     "displacement_matrix",
     "required_displacement_cutoff",
     "apply_displacement",
-    "pbs_route",
     "polarization_rotation",
 ]
 
@@ -66,14 +65,6 @@ class BsParams:
         if not 0.0 < t <= 1.0:
             raise ValidationError(f"transmissivity {t} outside (0, 1]")
         return cls(math.acos(math.sqrt(t)), phase)
-
-    @property
-    def transmissivity(self) -> float:
-        return math.cos(self.xi) ** 2
-
-    @property
-    def reflectivity(self) -> float:
-        return 1.0 - self.transmissivity
 
     def scattering_matrix(self) -> np.ndarray:
         c = math.cos(self.xi)
@@ -251,8 +242,9 @@ def _cached_displacement(alpha: complex, cutoff: int) -> np.ndarray:
     return mat
 
 
-def displacement_matrix(alpha: complex, cutoff: int) -> ModeOperator:
-    """Single-mode displacement operator on a truncated space.
+def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
+    """Single-mode displacement operator on a truncated space, as a cached
+    read-only matrix.
 
     Matrix elements are the closed-form associated-Laguerre expressions. The
     cutoff must be at least `required_displacement_cutoff(alpha)` so that the
@@ -267,36 +259,13 @@ def displacement_matrix(alpha: complex, cutoff: int) -> ModeOperator:
             f"displacement with |alpha|={abs(alpha):.4g} needs cutoff >= "
             f"{needed}, got {cutoff}"
         )
-    return ModeOperator(_cached_displacement(alpha, int(cutoff)),
-                        arity=1, unitary=True)
+    return _cached_displacement(alpha, int(cutoff))
 
 
 def apply_displacement(state: PureState, spec: DisplacementSpec,
                        tail_tol: float | None = None) -> PureState:
     """Displace one mode of a state."""
     cutoff = state.register.mode(spec.mode).cutoff
-    op = displacement_matrix(spec.alpha, cutoff)
-    return _checked_apply(op.matrix, (spec.mode,), state, tail_tol)
+    kernel = displacement_matrix(spec.alpha, cutoff)
+    return _checked_apply(kernel, (spec.mode,), state, tail_tol)
 
-
-# ---------------------------------------------------------------------------
-# polarizing beam splitter
-
-
-def pbs_route(register: Register, spatial: str) -> Register:
-    """Route one spatial mode's polarization components to detector channels.
-
-    In this representation each polarization component is already a separate
-    Fock mode, so routing is pure bookkeeping: it validates that both
-    components exist and marks the spatial mode as routed (a second routing
-    of the same mode is an error). Amplitudes are untouched.
-    """
-    for suffix in ("H", "V"):
-        label = f"{spatial}{suffix}"
-        if label not in register:
-            raise ValidationError(
-                f"spatial mode {spatial!r} lacks polarization component {label!r}"
-            )
-    if spatial in register.routed:
-        raise ValidationError(f"spatial mode {spatial!r} was already routed")
-    return Register(register.modes, routed=register.routed | {spatial})

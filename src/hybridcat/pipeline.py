@@ -60,7 +60,6 @@ from .optics import (
     DisplacementSpec,
     apply_beam_splitter,
     apply_displacement,
-    pbs_route,
     polarization_rotation,
     required_displacement_cutoff,
     two_mode_kernel,
@@ -80,7 +79,6 @@ from .resource_states import (
 SCS_SOURCES = ("ideal", "squeezed")
 PAIR_SOURCES = ("chi", "vacuum_mixed", "spdc")
 DETECTORS = ("pnr", "onoff")
-DISPLACEMENT_CONVENTIONS = ("diagonal", "parallel_h")
 SWEEP_AXES = ("alpha_f", "eta", "lambda", "s", "t", "z")
 
 # The dropped beam channel is empty by construction; anything above this is
@@ -115,7 +113,6 @@ class SchemeConfig:
     spdc_order: int = 2
     spdc_weighting: str = "paper"
     detector: str = "pnr"
-    displacement_convention: str = "diagonal"
     cutoff_a: Optional[int] = None
     cutoff_detector: Optional[int] = None
     cutoff_b: Optional[int] = None
@@ -138,38 +135,23 @@ class SchemeConfig:
         if self.scs_source == "squeezed":
             if self.s is None:
                 raise ValidationError("squeezed source needs the squeezing s")
-            if not (math.isfinite(self.s) and self.s >= 0.0):
-                raise ValidationError(f"squeezing s must be >= 0, got {self.s}")
-            if self.n_cut < 1:
-                raise ValidationError("n_cut must be >= 1")
+            SqueezedPhotonSpec(self.s, self.n_cut)
         elif self.s is not None:
             raise ValidationError("s only applies to the squeezed source")
         if self.pair_source not in PAIR_SOURCES:
             raise ValidationError(f"pair_source must be one of {PAIR_SOURCES}")
-        if self.pair_source == "vacuum_mixed":
-            if self.z is None:
-                raise ValidationError("vacuum_mixed pair source needs z")
-            if not (0.0 < self.z <= 1.0):
-                raise ValidationError(f"z must be in (0, 1], got {self.z}")
-        elif self.z is not None:
+        if self.pair_source == "vacuum_mixed" and self.z is None:
+            raise ValidationError("vacuum_mixed pair source needs z")
+        if self.pair_source != "vacuum_mixed" and self.z is not None:
             raise ValidationError("z only applies to the vacuum_mixed pair source")
-        if self.pair_source == "spdc":
-            if self.lam is None:
-                raise ValidationError("spdc pair source needs lambda")
-            if not (0.0 <= self.lam < 1.0):
-                raise ValidationError(f"lambda must be in [0, 1), got {self.lam}")
-            if self.spdc_order < 1:
-                raise ValidationError("spdc_order must be >= 1")
-            if self.spdc_weighting not in ("paper", "exact"):
-                raise ValidationError("spdc_weighting must be 'paper' or 'exact'")
-        elif self.lam is not None:
+        if self.pair_source == "spdc" and self.lam is None:
+            raise ValidationError("spdc pair source needs lambda")
+        if self.pair_source != "spdc" and self.lam is not None:
             raise ValidationError("lambda only applies to the spdc pair source")
+        # the source specs own the range checks of their parameters
+        _pair_spec(self)
         if self.detector not in DETECTORS:
             raise ValidationError(f"detector must be one of {DETECTORS}")
-        if self.displacement_convention not in DISPLACEMENT_CONVENTIONS:
-            raise ValidationError(
-                f"displacement_convention must be one of {DISPLACEMENT_CONVENTIONS}"
-            )
         for name in ("cutoff_a", "cutoff_detector", "cutoff_b"):
             value = getattr(self, name)
             if value is not None and (not isinstance(value, int) or value < 1):
@@ -255,8 +237,7 @@ def _beam_state_full(config: SchemeConfig, cuts: ResolvedCutoffs) -> PureState:
     amps = np.zeros(register.dims, dtype=np.complex128)
     amps[0, 0, :, 0] = _source_vector(config, cuts.b)
     state = PureState(register, amps, copy=False)
-    if config.displacement_convention == "diagonal":
-        state = polarization_rotation(state, "B_H", "B_V", -math.pi / 4.0)
+    state = polarization_rotation(state, "B_H", "B_V", -math.pi / 4.0)
     tap = BsParams.from_transmissivity(config.t)
     state = apply_beam_splitter(state, "4H", "B_H", tap, tail_tol=config.tail_tol)
     state = apply_beam_splitter(state, "4V", "B_V", tap, tail_tol=config.tail_tol)
@@ -266,8 +247,7 @@ def _beam_state_full(config: SchemeConfig, cuts: ResolvedCutoffs) -> PureState:
 def _beam_state(config: SchemeConfig, cuts: ResolvedCutoffs):
     """Beam reduced to (4H, 4V, B_H) with the empty channel dropped."""
     state = _beam_state_full(config, cuts)
-    if config.displacement_convention == "diagonal":
-        state = polarization_rotation(state, "B_H", "B_V", math.pi / 4.0)
+    state = polarization_rotation(state, "B_H", "B_V", math.pi / 4.0)
     state, removed = project_vacuum(state, "B_V")
     if removed > BEAM_PROJECTION_TOL:
         raise TruncationError(
@@ -288,14 +268,12 @@ def _pair_spec(config: SchemeConfig) -> PairSourceSpec:
 def _displace_idler(
     ensemble: Ensemble, config: SchemeConfig, cuts: ResolvedCutoffs
 ) -> Ensemble:
+    # the "diagonal" convention: x / sqrt(2) on each polarization component
     x = math.sqrt(max(0.0, 1.0 - config.t)) * config.resolved_alpha_i
-    if config.displacement_convention == "diagonal":
-        specs = [
-            DisplacementSpec(x / math.sqrt(2.0), "2H"),
-            DisplacementSpec(x / math.sqrt(2.0), "2V"),
-        ]
-    else:
-        specs = [DisplacementSpec(x, "2H")]
+    specs = [
+        DisplacementSpec(x / math.sqrt(2.0), "2H"),
+        DisplacementSpec(x / math.sqrt(2.0), "2V"),
+    ]
     branches = []
     for weight, state in ensemble:
         for spec in specs:
@@ -354,8 +332,6 @@ def _analytic_scale(config: SchemeConfig) -> Optional[float]:
     if config.scs_source != "ideal":
         return None
     if config.detector != "pnr":
-        return None
-    if config.displacement_convention != "diagonal":
         return None
     if config.pair_source == "spdc":
         return None
@@ -603,7 +579,7 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     """
     result = _heralded_bundle(config)
     if config.pair_source == "spdc":
-        (p_vac, p_chi, p_phi2), _ = _spdc_components(_component_key(config))
+        (p_vac, p_chi, p_phi2), _, _ = _spdc_components(_component_key(config))
         result.diagnostics["p_vac"] = p_vac
         result.diagnostics["p_chi"] = p_chi
         result.diagnostics["p_phi2"] = p_phi2
@@ -630,9 +606,7 @@ def build_prestate(config: SchemeConfig) -> Ensemble:
             joint = apply_beam_splitter(
                 joint, tap, idler, half, tail_tol=config.tail_tol
             )
-        joint = joint.relabeled(_DETECTOR_RELABEL)
-        register = pbs_route(pbs_route(joint.register, "5"), "6")
-        branches.append((weight, PureState(register, joint.amps, copy=False)))
+        branches.append((weight, joint.relabeled(_DETECTOR_RELABEL)))
     return Ensemble(branches[0][1].register, tuple(branches))
 
 
@@ -642,9 +616,13 @@ def _component_key(config: SchemeConfig) -> SchemeConfig:
 
 @lru_cache(maxsize=32)
 def _spdc_components(key: SchemeConfig):
+    """Herald probabilities and fidelities of the vacuum, one-pair and
+    two-pair components, and the worst truncation tail among them."""
     probs = []
     fids = []
+    tail = 0.0
     for n in (0, 1, 2):
+        tail = max(tail, *_factors(_efficiency_key(key), n).tails)
         try:
             heralded = _herald_both(key, pair_component=n)
             probs.append(heralded.probability)
@@ -652,7 +630,7 @@ def _spdc_components(key: SchemeConfig):
         except HeraldImpossibleError:
             probs.append(0.0)
             fids.append(0.0)
-    return tuple(probs), tuple(fids)
+    return tuple(probs), tuple(fids), tail
 
 
 def spdc_decomposition(config: SchemeConfig) -> Dict[str, float]:
@@ -664,9 +642,10 @@ def spdc_decomposition(config: SchemeConfig) -> Dict[str, float]:
     total-number sectors of the signal modes) and recombines them with the
     configured lambda weighting. Returns p_vac, p_chi, p_phi2 (herald
     probabilities of the components), f_chi (one-pair fidelity), f_eff
-    (probability-weighted fidelity), and p_tot (weighted total
-    probability). The three components are the whole expansion only at
-    spdc_order 2, so other orders are rejected.
+    (probability-weighted fidelity), p_tot (weighted total probability)
+    and tail_mass (the worst component's truncation tail). The three
+    components are the whole expansion only at spdc_order 2, so other
+    orders are rejected.
     """
     if config.pair_source != "spdc":
         raise ValidationError("decomposition applies to the spdc pair source")
@@ -674,7 +653,7 @@ def spdc_decomposition(config: SchemeConfig) -> Dict[str, float]:
         raise ValidationError(
             f"decomposition covers spdc_order 2 only, got {config.spdc_order}"
         )
-    (p_vac, p_chi, p_phi2), (f_vac, f_chi, f_phi2) = _spdc_components(
+    (p_vac, p_chi, p_phi2), (f_vac, f_chi, f_phi2), tail = _spdc_components(
         _component_key(config)
     )
     lam = float(config.lam)
@@ -698,6 +677,7 @@ def spdc_decomposition(config: SchemeConfig) -> Dict[str, float]:
         "f_chi": float(f_chi),
         "f_eff": float(f_eff),
         "p_tot": float(p_tot),
+        "tail_mass": float(tail),
     }
 
 
@@ -712,6 +692,24 @@ class SweepRow:
     p_phi2: Optional[float]
     tail_mass: Optional[float]
     status: str
+
+    @classmethod
+    def from_result(
+        cls, params: Tuple[Tuple[str, float], ...], result: SchemeResult
+    ) -> "SweepRow":
+        """The table row of one heralded run."""
+        diag = result.diagnostics
+        return cls(
+            params=params,
+            fidelity=result.fidelity,
+            probability_total=result.probability_total,
+            negativity=result.negativity,
+            p_vac=diag.get("p_vac"),
+            p_chi=diag.get("p_chi"),
+            p_phi2=diag.get("p_phi2"),
+            tail_mass=float(diag["worst_tail_mass"]),
+            status="ok",
+        )
 
 
 @dataclass(frozen=True)
@@ -751,22 +749,10 @@ def _evaluate_point(
                 p_vac=dec["p_vac"],
                 p_chi=dec["p_chi"],
                 p_phi2=dec["p_phi2"],
-                tail_mass=None,
+                tail_mass=dec["tail_mass"],
                 status="ok",
             )
-        result = run_scheme(cfg)
-        diag = result.diagnostics
-        return SweepRow(
-            params=params,
-            fidelity=result.fidelity,
-            probability_total=result.probability_total,
-            negativity=result.negativity,
-            p_vac=diag.get("p_vac"),
-            p_chi=diag.get("p_chi"),
-            p_phi2=diag.get("p_phi2"),
-            tail_mass=float(diag["worst_tail_mass"]),
-            status="ok",
-        )
+        return SweepRow.from_result(params, run_scheme(cfg))
     except SimulationError as exc:
         return SweepRow(
             params=params,

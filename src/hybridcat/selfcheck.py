@@ -25,7 +25,6 @@ import numpy as np
 
 from . import analytic
 from .detection import build_scheme_herald, herald, povm_click, povm_pnr
-from .errors import HeraldImpossibleError
 from .fock_core import (
     basis_state,
     build_register,
@@ -41,13 +40,7 @@ from .optics import (
     displacement_matrix,
     two_mode_kernel,
 )
-from .pipeline import (
-    SchemeConfig,
-    _herald_both,
-    build_prestate,
-    run_scheme,
-    spdc_decomposition,
-)
+from .pipeline import SchemeConfig, build_prestate, run_scheme, spdc_decomposition
 from .resource_states import coherent
 
 # Converged values of this implementation for the pair-conversion spots,
@@ -172,10 +165,10 @@ def check_displacement_composition() -> CheckResult:
     worst = 0.0
     cutoff = 24
     for alpha in (0.4, 0.9, 0.5 + 0.3j):
-        zero = displacement_matrix(0.0, cutoff).matrix
+        zero = displacement_matrix(0.0, cutoff)
         worst = max(worst, float(np.abs(zero - np.eye(cutoff + 1)).max()))
-        forward = displacement_matrix(alpha, cutoff).matrix
-        backward = displacement_matrix(-alpha, cutoff).matrix
+        forward = displacement_matrix(alpha, cutoff)
+        backward = displacement_matrix(-alpha, cutoff)
         # interior block only: the truncation edge is not unitary
         product = (backward @ forward)[:8, :8]
         worst = max(worst, float(np.abs(product - np.eye(8)).max()))
@@ -230,10 +223,11 @@ def _ideal_config(alpha_i: float, t: float, eta: float = 1.0, **kw) -> SchemeCon
 
 
 def _vacuum_probability(config: SchemeConfig) -> float:
-    try:
-        return _herald_both(config, pair_component=0).probability
-    except HeraldImpossibleError:
-        return 0.0
+    """Herald probability of the empty pair alone: the vacuum branch of an
+    even vacuum-mixed pair, summed over both patterns, over its weight."""
+    run = run_scheme(replace(config, pair_source="vacuum_mixed", z=0.5))
+    patterns = run.diagnostics["branch_pattern_probabilities"]
+    return sum(branches[1] for branches in patterns if branches) / 0.5
 
 
 def check_vacuum_filtering() -> CheckResult:

@@ -266,6 +266,19 @@ def test_reproduce_conversion_summary_mentions_reference(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 126
 
 
+def test_reproduce_figure5_reports_tail_mass(tmp_path, capsys):
+    tail_tol = pipeline.SchemeConfig(t=0.99, eta=0.5, alpha_i=0.7).tail_tol
+    code = main(["reproduce", "--figure", "5", "--output", str(tmp_path / "f.tsv")])
+    assert code == 0
+    capsys.readouterr()
+    for name in ("f_a.tsv", "f_b.tsv"):
+        header, *lines = (tmp_path / name).read_text().splitlines()
+        column = header.split("\t").index("tail_mass")
+        assert len(lines) == 125
+        for line in lines:
+            assert 0.0 <= float(line.split("\t")[column]) <= tail_tol
+
+
 # (figure, swept values of the one point made to fail, files written)
 FAILED_POINTS = (
     (2, {"eta": 0.7, "t": 0.9}, ("fig.tsv",)),

@@ -13,8 +13,6 @@ from hybridcat.fock_core import (
     build_register,
     inner,
     norm,
-    occupation_distribution,
-    partial_trace,
     project_vacuum,
     tensor,
     to_density,
@@ -73,22 +71,6 @@ def test_to_density_and_fidelity_roundtrip():
     assert abs(rho.expectation(state) - 1.0) < 1e-12
 
 
-def test_partial_trace_of_product_state():
-    joint = tensor(coherent(0.5, 12, label="x"), coherent(0.2, 8, label="y"))
-    reduced = partial_trace(joint, keep=("x",))
-    expected = to_density(coherent(0.5, 12, label="x"))
-    assert np.max(np.abs(reduced.matrix - expected.matrix)) < 1e-12
-
-
-def test_partial_trace_of_entangled_state_is_mixed():
-    reg = build_register((("x", 1), ("y", 1)))
-    bell = basis_state(reg, (0, 1)) + basis_state(reg, (1, 0))
-    bell = bell * (1.0 / math.sqrt(2.0))
-    reduced = partial_trace(bell, keep=("x",))
-    purity = np.trace(reduced.matrix @ reduced.matrix).real
-    assert abs(purity - 0.5) < 1e-12
-
-
 def test_project_vacuum_splits_norm():
     # mode y of a two-mode state: projecting onto its vacuum keeps the
     # amplitude block and reports the discarded probability
@@ -100,14 +82,6 @@ def test_project_vacuum_splits_norm():
     # the surviving block is the x coherent state, renormalized
     overlap = abs(inner(projected * (1.0 / math.sqrt(kept)), coherent(0.6, 12, label="x")))
     assert abs(overlap - 1.0) < 1e-9
-
-
-def test_occupation_distribution_poisson():
-    state = coherent(0.9, 20, label="m")
-    dist = occupation_distribution(state, "m")
-    x = 0.81
-    expected = np.exp(-x) * np.array([x**n / math.factorial(n) for n in range(8)])
-    assert np.max(np.abs(dist[:8] - expected)) < 1e-12
 
 
 def test_ensemble_expectation_is_weighted():

@@ -1,19 +1,16 @@
-"""Tests for beam splitters, rotations, displacements and routing."""
+"""Tests for beam splitters, rotations and displacements."""
 
 import math
 
 import numpy as np
-import pytest
 from scipy.linalg import expm
 
-from hybridcat.errors import ValidationError
 from hybridcat.fock_core import basis_state, build_register, inner, norm, tensor
 from hybridcat.optics import (
     BsParams,
     apply_beam_splitter,
     bs_fock_coefficient,
     displacement_matrix,
-    pbs_route,
     polarization_rotation,
     required_displacement_cutoff,
     two_mode_kernel,
@@ -147,7 +144,7 @@ def test_displacement_matrix_unitary_interior():
     # levels of headroom the low-lying block is unitary to high accuracy
     alpha = 0.45
     cutoff = required_displacement_cutoff(alpha) + 8
-    d = displacement_matrix(alpha, cutoff).matrix
+    d = displacement_matrix(alpha, cutoff)
     product = d.conj().T @ d
     interior = product[:6, :6]
     assert np.max(np.abs(interior - np.eye(6))) < 1e-10
@@ -156,7 +153,7 @@ def test_displacement_matrix_unitary_interior():
 def test_displacement_of_vacuum_is_coherent():
     alpha = 0.6
     cutoff = 14
-    d = displacement_matrix(alpha, cutoff).matrix
+    d = displacement_matrix(alpha, cutoff)
     column = d[:, 0]
     expected = coherent(alpha, cutoff, label="m").amps
     assert np.max(np.abs(column - expected)) < 1e-10
@@ -165,20 +162,11 @@ def test_displacement_of_vacuum_is_coherent():
 def test_displacements_compose():
     alpha = 0.5
     cutoff = required_displacement_cutoff(alpha) + 8
-    d_plus = displacement_matrix(alpha, cutoff).matrix
-    d_minus = displacement_matrix(-alpha, cutoff).matrix
+    d_plus = displacement_matrix(alpha, cutoff)
+    d_minus = displacement_matrix(-alpha, cutoff)
     product = d_minus @ d_plus
     interior = product[:6, :6]
     assert np.max(np.abs(interior - np.eye(6))) < 1e-9
-
-
-def test_pbs_route_bookkeeping():
-    reg = build_register((("4H", 2), ("4V", 2)))
-    routed = pbs_route(reg, "4")
-    with pytest.raises(ValidationError):
-        pbs_route(routed, "4")
-    with pytest.raises(ValidationError):
-        pbs_route(reg, "9")
 
 
 def test_required_displacement_cutoff_monotone():
