@@ -30,9 +30,7 @@ __all__ = [
     "tensor",
     "apply",
     "inner",
-    "norm",
     "to_density",
-    "project_vacuum",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -396,10 +394,6 @@ def inner(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def norm(state: PureState) -> float:
-    return state.norm()
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -420,18 +414,3 @@ def to_density(source) -> DensityOperator:
         return DensityOperator(source.register, mat, check=False, copy=False)
     raise ValidationError(f"cannot convert {type(source).__name__} to a density")
 
-
-def project_vacuum(state: PureState, label: str) -> tuple:
-    """Project one mode onto vacuum and drop it from the register.
-
-    Returns (reduced state, removed probability mass). The reduced state is
-    not renormalized.
-    """
-    register = state.register
-    axis = register.axis(label)
-    if len(register.dims) == 1:
-        raise ValidationError("cannot drop the only mode of a register")
-    kept = np.take(state.amps, 0, axis=axis)
-    removed = float(np.linalg.norm(state.amps) ** 2 - np.linalg.norm(kept) ** 2)
-    labels = [lab for lab in register.labels if lab != label]
-    return PureState(register.subset(labels), kept), max(removed, 0.0)

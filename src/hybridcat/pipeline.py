@@ -12,16 +12,16 @@ beam. After the balanced splitter the detector channels are relabeled
 5H/5V (the idler side) and 6H/6V (the tap side); the kept field mode ends
 up as B.
 
-Internally `run_scheme` keeps the transmitted beam in the frame where it
-occupies a single polarization channel, which leaves the orthogonal channel
-exactly empty and lets it be dropped before the interference step. It
-never forms the joint state: the pair (signal x idler) and the beam (tap x
+The tap splitter is polarization independent, so `run_scheme` writes the
+tapped beam down in closed form on (4H, 4V, B_H): the kept field is the
+single mode B_H and the orthogonal field channel is never built. It never
+forms the joint state either: the pair (signal x idler) and the beam (tap x
 kept field) are each split into a few Schmidt factors, the splitters act
 only on the idler x tap products, and the herald contracts a small Gram
 matrix per pattern. `build_prestate` instead returns the full eight-mode
-state in the lab frame, right before detection; heralded with
-`detection.herald` it is the reference the factored path is tested
-against.
+state in the lab frame, where the diagonally polarized beam fills both
+B_H and B_V, right before detection; heralded with `detection.herald` it
+is the reference the factored path is tested against.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from functools import lru_cache
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import analytic
 from .detection import HeraldResult, build_scheme_herald, herald_factored
@@ -49,9 +50,7 @@ from .fock_core import (
     Ensemble,
     PureState,
     Register,
-    basis_state,
     build_register,
-    project_vacuum,
     tensor,
 )
 from .metrics import Bipartition, fidelity, negativity, target_hybrid
@@ -68,7 +67,6 @@ from .resource_states import (
     PairSourceSpec,
     ScsSpec,
     SqueezedPhotonSpec,
-    bell_chi,
     coherent_cutoff_for,
     pair_source,
     phi_state,
@@ -80,10 +78,6 @@ SCS_SOURCES = ("ideal", "squeezed")
 PAIR_SOURCES = ("chi", "vacuum_mixed", "spdc")
 DETECTORS = ("pnr", "onoff")
 SWEEP_AXES = ("alpha_f", "eta", "lambda", "s", "t", "z")
-
-# The dropped beam channel is empty by construction; anything above this is
-# a programming error, not truncation.
-BEAM_PROJECTION_TOL = 1e-10
 
 _PAIR_LABELS = ("A_H", "A_V", "2H", "2V")
 _DETECTOR_RELABEL = {"2H": "5H", "2V": "5V", "4H": "6H", "4V": "6V"}
@@ -224,37 +218,30 @@ def _source_vector(config: SchemeConfig, cutoff: int) -> np.ndarray:
     return state.amps
 
 
-def _beam_state_full(config: SchemeConfig, cuts: ResolvedCutoffs) -> PureState:
-    """Beam after the tap splitter, on (4H, 4V, B_H, B_V) in the lab frame."""
-    register = build_register(
-        [
-            ("4H", cuts.detector),
-            ("4V", cuts.detector),
-            ("B_H", cuts.b),
-            ("B_V", cuts.b),
-        ]
-    )
-    amps = np.zeros(register.dims, dtype=np.complex128)
-    amps[0, 0, :, 0] = _source_vector(config, cuts.b)
-    state = PureState(register, amps, copy=False)
-    state = polarization_rotation(state, "B_H", "B_V", -math.pi / 4.0)
-    tap = BsParams.from_transmissivity(config.t)
-    state = apply_beam_splitter(state, "4H", "B_H", tap, tail_tol=config.tail_tol)
-    state = apply_beam_splitter(state, "4V", "B_V", tap, tail_tol=config.tail_tol)
-    return state
+def _beam_state(config: SchemeConfig, cuts: ResolvedCutoffs) -> np.ndarray:
+    """Beam after the tap splitter, amplitudes on (4H, 4V, B_H).
 
+    The tap is polarization independent, so each source photon stays in the
+    kept field with amplitude sqrt(t) and goes to either tap polarization
+    with sqrt((1 - t) / 2):
 
-def _beam_state(config: SchemeConfig, cuts: ResolvedCutoffs):
-    """Beam reduced to (4H, 4V, B_H) with the empty channel dropped."""
-    state = _beam_state_full(config, cuts)
-    state = polarization_rotation(state, "B_H", "B_V", math.pi / 4.0)
-    state, removed = project_vacuum(state, "B_V")
-    if removed > BEAM_PROJECTION_TOL:
-        raise TruncationError(
-            f"dropped beam channel holds probability {removed:.3e}; "
-            "it should be empty by construction"
-        )
-    return state, float(removed)
+        psi[j, k, m] = c_n sqrt(n! / (j! k! m!)) ((1 - t) / 2)^((j + k) / 2)
+                       t^(m / 2),  n = j + k + m,
+
+    with c the source vector, zero for n above the field cutoff, and j, k up
+    to the detector cutoff: the box the lab-frame splitters of
+    `build_prestate` keep, seen with the field in the beam's polarization.
+    """
+    j = np.arange(cuts.detector + 1)[:, None, None]
+    k = j.reshape(1, -1, 1)
+    m = np.arange(cuts.b + 1)
+    n = j + k + m
+    c = np.concatenate((_source_vector(config, cuts.b), np.zeros(2 * cuts.detector)))
+    lg = gammaln(np.arange(c.size) + 1.0)
+    multinomial = np.exp(0.5 * (lg[n] - lg[j] - lg[k] - lg[m]))
+    # plain powers, not logarithms: at t = 1 the tap needs 0 ** 0 = 1
+    tap = math.sqrt((1.0 - config.t) / 2.0) ** (j + k)
+    return c[n] * multinomial * tap * math.sqrt(config.t) ** m
 
 
 def _pair_spec(config: SchemeConfig) -> PairSourceSpec:
@@ -303,13 +290,7 @@ def _pure_pair_component(
     n: int, config: SchemeConfig, cuts: ResolvedCutoffs
 ) -> Ensemble:
     """Displaced pure n-pair component of the downconversion expansion."""
-    register = _pair_register(cuts)
-    if n == 0:
-        state = basis_state(register, (0, 0, 0, 0))
-    elif n == 1:
-        state = bell_chi(register, labels=_PAIR_LABELS)
-    else:
-        state = phi_state(n, register, labels=_PAIR_LABELS)
+    state = phi_state(n, _pair_register(cuts), labels=_PAIR_LABELS)
     return _displace_idler(Ensemble.pure(state), config, cuts)
 
 
@@ -391,7 +372,6 @@ class _Factors:
     tails: Tuple[float, ...]
     ranks: Tuple[Tuple[int, int], ...]
     discarded: float
-    beam_loss: float
 
 
 def _efficiency_key(config: SchemeConfig) -> SchemeConfig:
@@ -411,9 +391,8 @@ def _factors(key: SchemeConfig, pair_component: Optional[int]) -> _Factors:
     """
     cuts = resolve_cutoffs(key)
     dim = cuts.detector + 1
-    beam, beam_loss = _beam_state(key, cuts)
     tap, beam_s, beam_vh, beam_discarded = _schmidt(
-        beam.amps.reshape(dim * dim, -1)
+        _beam_state(key, cuts).reshape(dim * dim, -1)
     )
     field = beam_s[:, None] * beam_vh
     if pair_component is None:
@@ -459,7 +438,6 @@ def _factors(key: SchemeConfig, pair_component: Optional[int]) -> _Factors:
         tails=tuple(tails),
         ranks=tuple(ranks),
         discarded=discarded,
-        beam_loss=beam_loss,
     )
 
 
@@ -542,7 +520,6 @@ def _heralded_bundle(config: SchemeConfig) -> SchemeResult:
             flip.branch_probabilities if flip else None,
         ),
         "worst_tail_mass": max(factors.tails),
-        "beam_projection_loss": factors.beam_loss,
         "cutoffs": dataclasses.asdict(factors.cuts),
         "schmidt_ranks": factors.ranks,
         "discarded_mass": factors.discarded,
@@ -594,10 +571,30 @@ def build_prestate(config: SchemeConfig) -> Ensemble:
     `detection.herald`, it gives the same pattern probabilities and
     conditional states as the factored contraction `run_scheme` uses,
     after rotating the B channels into the beam frame and projecting the
-    empty channel out. It is not on `run_scheme`'s path.
+    empty channel out. It is not on `run_scheme`'s path. Its beam is built
+    independently of `_beam_state`'s closed form: the source is rotated
+    from B_H onto the diagonal of (B_H, B_V) and each polarization is tapped
+    by its own splitter.
     """
     cuts = resolve_cutoffs(config)
-    beam = _beam_state_full(config, cuts)
+    register = build_register(
+        [
+            ("4H", cuts.detector),
+            ("4V", cuts.detector),
+            ("B_H", cuts.b),
+            ("B_V", cuts.b),
+        ]
+    )
+    amps = np.zeros(register.dims, dtype=np.complex128)
+    amps[0, 0, :, 0] = _source_vector(config, cuts.b)
+    beam = polarization_rotation(
+        PureState(register, amps, copy=False), "B_H", "B_V", -math.pi / 4.0
+    )
+    tap = BsParams.from_transmissivity(config.t)
+    for reflected, kept in (("4H", "B_H"), ("4V", "B_V")):
+        beam = apply_beam_splitter(
+            beam, reflected, kept, tap, tail_tol=config.tail_tol
+        )
     half = BsParams.from_transmissivity(0.5)
     branches = []
     for weight, state in _pair_ensemble(config, cuts):

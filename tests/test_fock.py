@@ -12,8 +12,6 @@ from hybridcat.fock_core import (
     basis_state,
     build_register,
     inner,
-    norm,
-    project_vacuum,
     tensor,
     to_density,
 )
@@ -25,7 +23,7 @@ def test_register_and_basis_state():
     state = basis_state(reg, (1, 2))
     assert state.amplitude((1, 2)) == 1.0
     assert state.amplitude((0, 0)) == 0.0
-    assert math.isclose(norm(state), 1.0, rel_tol=0, abs_tol=1e-15)
+    assert math.isclose(state.norm(), 1.0, rel_tol=0, abs_tol=1e-15)
 
 
 def test_basis_state_occupation_mapping():
@@ -49,7 +47,7 @@ def test_tensor_and_inner():
     left = coherent(0.3, 10, label="x")
     right = coherent(0.3 + 0.1j, 10, label="y")
     joint = tensor(left, right)
-    assert math.isclose(norm(joint), 1.0, rel_tol=0, abs_tol=1e-9)
+    assert math.isclose(joint.norm(), 1.0, rel_tol=0, abs_tol=1e-9)
     # inner product of coherent states: exp(-|a|^2/2 - |b|^2/2 + conj(a) b)
     a, b = 0.3, 0.3 + 0.1j
     expected = np.exp(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2 + np.conj(a) * b)
@@ -69,19 +67,6 @@ def test_to_density_and_fidelity_roundtrip():
     rho = to_density(state)
     assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
     assert abs(rho.expectation(state) - 1.0) < 1e-12
-
-
-def test_project_vacuum_splits_norm():
-    # mode y of a two-mode state: projecting onto its vacuum keeps the
-    # amplitude block and reports the discarded probability
-    joint = tensor(coherent(0.6, 12, label="x"), coherent(0.4, 10, label="y"))
-    projected, removed = project_vacuum(joint, "y")
-    kept = 1.0 - removed
-    assert math.isclose(kept, math.exp(-0.16), rel_tol=1e-9)
-    assert "y" not in projected.register
-    # the surviving block is the x coherent state, renormalized
-    overlap = abs(inner(projected * (1.0 / math.sqrt(kept)), coherent(0.6, 12, label="x")))
-    assert abs(overlap - 1.0) < 1e-9
 
 
 def test_ensemble_expectation_is_weighted():

@@ -8,7 +8,6 @@ from hybridcat import analytic
 from hybridcat.fock_core import (
     basis_state,
     build_register,
-    norm,
     tensor,
     to_density,
 )
@@ -30,7 +29,7 @@ def _target_register(alpha_f):
 def test_target_is_normalized():
     for alpha_f in (0.5, 1.0):
         state = target_hybrid(alpha_f, math.pi, _target_register(alpha_f))
-        assert abs(norm(state) - 1.0) < 1e-12
+        assert abs(state.norm() - 1.0) < 1e-12
 
 
 def test_target_branch_structure():

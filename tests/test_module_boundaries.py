@@ -1,10 +1,12 @@
 """Static checks on the package layout: no module imports another's private
-helpers, and every `__all__` entry is defined where it is exported."""
+helpers, every `__all__` entry is defined where it is exported, and every
+one has a caller in the package or the benchmark."""
 
 import ast
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "hybridcat"
+BENCH = PACKAGE.parents[1] / "bench"
 
 
 def _trees():
@@ -57,3 +59,75 @@ def test_all_lists_only_defined_names():
         for export in sorted(set(_exported_names(tree)) - _defined_names(tree))
     ]
     assert stale == []
+
+
+def _definition(tree, name):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            return node
+        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return node
+    return None
+
+
+def _uses_own(tree, name):
+    """Whether the defining module uses `name` outside its definition."""
+    skip = _definition(tree, name)
+    return any(
+        isinstance(node, ast.Name) and node.id == name
+        for top in tree.body
+        if top is not skip
+        for node in ast.walk(top)
+    )
+
+
+def _imports(tree, module):
+    """Names another module takes from `module`: `from .module import x`
+    or `module.x`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_package_import(node):
+            if (node.module or "").split(".")[-1] == module:
+                names.update(alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == module
+        ):
+            names.add(node.attr)
+    return names
+
+
+def _bench_names():
+    """Names the benchmark imports from the package, and its string
+    constants, which is how its tracer names the functions it wraps."""
+    names = set()
+    for path in BENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and _is_package_import(node):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_export_has_a_caller():
+    # The package's own re-exports in __init__ and the tests keep no name
+    # alive; a caller is another module, the defining module outside the
+    # definition, or the benchmark.
+    trees = dict(_trees())
+    del trees["__init__.py"]
+    bench = _bench_names()
+    dead = []
+    for name, tree in trees.items():
+        module = name[: -len(".py")]
+        taken = bench.union(
+            *(_imports(other, module) for other in trees.values() if other is not tree)
+        )
+        dead += [
+            f"{name}: {export}"
+            for export in _exported_names(tree)
+            if export not in taken and not _uses_own(tree, export)
+        ]
+    assert dead == []

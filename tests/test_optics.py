@@ -5,7 +5,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from hybridcat.fock_core import basis_state, build_register, inner, norm, tensor
+from hybridcat.fock_core import basis_state, build_register, inner, tensor
 from hybridcat.optics import (
     BsParams,
     apply_beam_splitter,
@@ -114,7 +114,7 @@ def test_coherent_states_stay_coherent():
 def test_beam_splitter_preserves_norm():
     state = tensor(coherent(0.5, 12, label="i"), coherent(0.3, 12, label="j"))
     out = apply_beam_splitter(state, "i", "j", BsParams.from_transmissivity(0.9))
-    assert abs(norm(out) - 1.0) < 1e-9
+    assert abs(out.norm() - 1.0) < 1e-9
 
 
 def test_polarization_rotation_diagonal_to_h():

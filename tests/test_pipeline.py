@@ -19,8 +19,8 @@ from hybridcat.errors import (
     TruncationError,
     ValidationError,
 )
-from hybridcat.fock_core import Ensemble
-from hybridcat.optics import polarization_rotation
+from hybridcat.fock_core import Ensemble, PureState, build_register
+from hybridcat.optics import BsParams, apply_beam_splitter, polarization_rotation
 from hybridcat.pipeline import (
     SWEEP_AXES,
     SchemeConfig,
@@ -275,6 +275,60 @@ def test_sweep_threads_match_serial():
     serial = sweep(config, grid, threads=1)
     parallel = sweep(config, grid, threads=3)
     assert serial == parallel
+
+
+# ---------------------------------------------------------------------------
+# the tapped beam
+
+
+def _lab_frame_beam(config, cuts):
+    """The beam built mode by mode: the source rotated onto the diagonal of
+    (B_H, B_V), each polarization tapped by its own splitter, rotated back,
+    and the empty B_V channel dropped."""
+    register = build_register(
+        [("4H", cuts.detector), ("4V", cuts.detector), ("B_H", cuts.b), ("B_V", cuts.b)]
+    )
+    amps = np.zeros(register.dims, dtype=np.complex128)
+    amps[0, 0, :, 0] = pipeline._source_vector(config, cuts.b)
+    state = polarization_rotation(
+        PureState(register, amps), "B_H", "B_V", -math.pi / 4
+    )
+    tap = BsParams.from_transmissivity(config.t)
+    state = apply_beam_splitter(state, "4H", "B_H", tap)
+    state = apply_beam_splitter(state, "4V", "B_V", tap)
+    state = polarization_rotation(state, "B_H", "B_V", math.pi / 4)
+    return state.amps[..., 0]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(t=0.9, cutoff_detector=13, cutoff_b=32),
+        dict(t=0.9, scs_source="squeezed", s=0.313, cutoff_detector=13, cutoff_b=32),
+        dict(t=0.8, cutoff_detector=3, tail_tol=0.9),
+    ],
+    ids=["ideal", "squeezed", "truncated"],
+)
+def test_closed_form_beam_matches_lab_frame(kwargs):
+    config = SchemeConfig(eta=0.9, alpha_f=2.5, **kwargs)
+    cuts = resolve_cutoffs(config)
+    beam = pipeline._beam_state(config, cuts)
+    assert beam.shape == (cuts.detector + 1, cuts.detector + 1, cuts.b + 1)
+    assert float(np.abs(beam - _lab_frame_beam(config, cuts)).max()) <= 1e-14
+    if config.cutoff_detector == 3:
+        # the detector cutoff really truncates this beam
+        assert 1.0 - np.linalg.norm(beam) ** 2 > 1e-2
+
+
+def test_untapped_beam_heralds_nothing():
+    config = SchemeConfig(t=1.0, eta=0.9, alpha_i=1.0)
+    beam = pipeline._beam_state(config, resolve_cutoffs(config))
+    assert np.isfinite(beam).all()
+    source = pipeline._source_vector(config, beam.shape[2] - 1)
+    assert np.array_equal(beam[0, 0], source)
+    assert not beam[1:].any() and not beam[:, 1:].any()
+    with pytest.raises(HeraldImpossibleError):
+        run_scheme(config)
 
 
 # ---------------------------------------------------------------------------

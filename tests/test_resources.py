@@ -7,7 +7,7 @@ import pytest
 
 from hybridcat import analytic
 from hybridcat.errors import CutoffError
-from hybridcat.fock_core import basis_state, build_register, inner, norm
+from hybridcat.fock_core import basis_state, build_register, inner
 from hybridcat.resource_states import (
     PairSourceSpec,
     ScsSpec,
@@ -36,7 +36,7 @@ def test_coherent_amplitudes():
         [math.factorial(int(k)) for k in n]
     )
     assert np.max(np.abs(state.amps - expected)) < 1e-12
-    assert abs(norm(state) - 1.0) < 1e-12
+    assert abs(state.norm() - 1.0) < 1e-12
 
 
 def test_coherent_cutoff_bound_is_tight_enough():
@@ -51,7 +51,7 @@ def test_odd_cat_has_odd_support():
     state = scs(ScsSpec(alpha=0.9, phi=math.pi), 18, label="m")
     amps = state.amps
     assert np.max(np.abs(amps[0::2])) < 1e-14
-    assert abs(norm(state) - 1.0) < 1e-12
+    assert abs(state.norm() - 1.0) < 1e-12
     # overlap with the constituent coherent state is N (1 - e^{-2 a^2})
     n = analytic.n_phi(0.9, math.pi)
     overlap = inner(coherent(0.9, 18, label="m"), state)
@@ -62,7 +62,7 @@ def test_odd_cat_has_odd_support():
 def test_even_cat_has_even_support():
     state = scs(ScsSpec(alpha=0.9, phi=0.0), 18, label="m")
     assert np.max(np.abs(state.amps[1::2])) < 1e-14
-    assert abs(norm(state) - 1.0) < 1e-12
+    assert abs(state.norm() - 1.0) < 1e-12
 
 
 def test_squeezed_photon_expansion_structure():
@@ -96,7 +96,7 @@ def test_bell_chi_amplitudes():
     root_half = 1.0 / math.sqrt(2.0)
     assert abs(state.amplitude((1, 0, 0, 1)) - root_half) < 1e-12
     assert abs(state.amplitude((0, 1, 1, 0)) - root_half) < 1e-12
-    assert abs(norm(state) - 1.0) < 1e-12
+    assert abs(state.norm() - 1.0) < 1e-12
 
 
 def test_phi_state_uniform_weights():
@@ -107,7 +107,7 @@ def test_phi_state_uniform_weights():
         for m in range(n + 1):
             occ = (m, n - m, n - m, m)
             assert abs(state.amplitude(occ) - weight) < 1e-12
-        assert abs(norm(state) - 1.0) < 1e-12
+        assert abs(state.norm() - 1.0) < 1e-12
 
 
 def test_phi_one_is_bell_chi():
