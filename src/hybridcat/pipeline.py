@@ -12,16 +12,17 @@ beam. After the balanced splitter the detector channels are relabeled
 5H/5V (the idler side) and 6H/6V (the tap side); the kept field mode ends
 up as B.
 
-The tap splitter is polarization independent, so `run_scheme` writes the
-tapped beam down in closed form on (4H, 4V, B_H): the kept field is the
-single mode B_H and the orthogonal field channel is never built. It never
-forms the joint state either: the pair (signal x idler) and the beam (tap x
-kept field) are each split into a few Schmidt factors, the splitters act
-only on the idler x tap products, and the herald contracts a small Gram
-matrix per pattern. `build_prestate` instead returns the full eight-mode
-state in the lab frame, where the diagonally polarized beam fills both
-B_H and B_V, right before detection; heralded with `detection.herald` it
-is the reference the factored path is tested against.
+`run_scheme` never forms the joint state. The tapped beam is written in
+closed form on (4H, 4V, B_H) and split into Schmidt factors, the pair as a
+sum over pair-number sectors n written in closed form; the splitters act
+only on idler x tap products and the herald contracts a small Gram matrix
+per pattern. Downconversion weights the unit sector n by w_n = (1 -
+lambda^2) lambda^(2n), the paper's P_tot normalization (arXiv:1410.6823),
+so P = sum_n w_n p_n; `tail_mass` is the worst branch's deficit sum_n w_n
+d_n / sum_n w_n. Sweep rows of that source skip the per-row herald and so
+leave negativity empty, which needs the coherent post-state.
+`build_prestate`, the full eight-mode lab-frame state heralded with
+`detection.herald`, is the dense test oracle.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import analytic
-from .detection import HeraldResult, build_scheme_herald, herald_factored
+from .detection import build_scheme_herald, herald_factored
 from .errors import (
+    CutoffError,
     HeraldImpossibleError,
     SimulationError,
     TruncationError,
@@ -59,6 +61,7 @@ from .optics import (
     DisplacementSpec,
     apply_beam_splitter,
     apply_displacement,
+    displacement_matrix,
     polarization_rotation,
     required_displacement_cutoff,
     two_mode_kernel,
@@ -69,7 +72,6 @@ from .resource_states import (
     SqueezedPhotonSpec,
     coherent_cutoff_for,
     pair_source,
-    phi_state,
     scs,
     squeezed_single_photon,
 )
@@ -132,6 +134,8 @@ class SchemeConfig:
             SqueezedPhotonSpec(self.s, self.n_cut)
         elif self.s is not None:
             raise ValidationError("s only applies to the squeezed source")
+        else:
+            ScsSpec(self.resolved_alpha_i, self.phi)
         if self.pair_source not in PAIR_SOURCES:
             raise ValidationError(f"pair_source must be one of {PAIR_SOURCES}")
         if self.pair_source == "vacuum_mixed" and self.z is None:
@@ -252,46 +256,39 @@ def _pair_spec(config: SchemeConfig) -> PairSourceSpec:
     return PairSourceSpec.spdc(config.lam, config.spdc_order, config.spdc_weighting)
 
 
-def _displace_idler(
-    ensemble: Ensemble, config: SchemeConfig, cuts: ResolvedCutoffs
-) -> Ensemble:
+def _displacement_amplitude(config: SchemeConfig) -> float:
     # the "diagonal" convention: x / sqrt(2) on each polarization component
     x = math.sqrt(max(0.0, 1.0 - config.t)) * config.resolved_alpha_i
-    specs = [
-        DisplacementSpec(x / math.sqrt(2.0), "2H"),
-        DisplacementSpec(x / math.sqrt(2.0), "2V"),
-    ]
-    branches = []
-    for weight, state in ensemble:
-        for spec in specs:
-            state = apply_displacement(state, spec, tail_tol=config.tail_tol)
-        branches.append((weight, state))
-    return Ensemble(ensemble.register, tuple(branches))
-
-
-def _pair_register(cuts: ResolvedCutoffs):
-    return build_register(
-        [
-            ("A_H", cuts.a),
-            ("A_V", cuts.a),
-            ("2H", cuts.detector),
-            ("2V", cuts.detector),
-        ]
-    )
+    return x / math.sqrt(2.0)
 
 
 def _pair_ensemble(config: SchemeConfig, cuts: ResolvedCutoffs) -> Ensemble:
-    register = _pair_register(cuts)
+    """The displaced pair built mode by mode, for the dense oracle."""
+    cutoffs = (cuts.a, cuts.a, cuts.detector, cuts.detector)
+    register = build_register(zip(_PAIR_LABELS, cutoffs))
     ensemble = pair_source(_pair_spec(config), register, labels=_PAIR_LABELS)
-    return _displace_idler(ensemble, config, cuts)
+    amplitude = _displacement_amplitude(config)
+    branches = []
+    for weight, state in ensemble:
+        for mode in ("2H", "2V"):
+            state = apply_displacement(
+                state, DisplacementSpec(amplitude, mode), tail_tol=config.tail_tol
+            )
+        branches.append((weight, state))
+    return Ensemble(register, tuple(branches))
 
 
-def _pure_pair_component(
-    n: int, config: SchemeConfig, cuts: ResolvedCutoffs
-) -> Ensemble:
-    """Displaced pure n-pair component of the downconversion expansion."""
-    state = phi_state(n, _pair_register(cuts), labels=_PAIR_LABELS)
-    return _displace_idler(Ensemble.pure(state), config, cuts)
+def _pair_branches(config: SchemeConfig):
+    """The pair source as incoherent branches (weight, ((n, w), ...)): each
+    branch is a coherent sum over consecutive pair-number sectors n, sector
+    n entering with squared amplitude w (these sum to 1 within a branch)."""
+    if config.pair_source == "chi":
+        return ((1.0, ((1, 1.0),)),)
+    if config.pair_source == "vacuum_mixed":
+        return ((config.z, ((1, 1.0),)), (1.0 - config.z, ((0, 1.0),)))
+    weights = _pair_spec(config).sector_weights()
+    total = sum(weights)
+    return ((total, tuple((n, w / total) for n, w in enumerate(weights))),)
 
 
 @dataclass(frozen=True)
@@ -305,18 +302,6 @@ class SchemeResult:
     negativity: float
     post_state: DensityOperator
     diagnostics: Dict[str, object]
-
-
-def _analytic_scale(config: SchemeConfig) -> Optional[float]:
-    """Weight of the closed-form total probability this run should track,
-    or None when no closed form applies."""
-    if config.scs_source != "ideal":
-        return None
-    if config.detector != "pnr":
-        return None
-    if config.pair_source == "spdc":
-        return None
-    return config.z if config.pair_source == "vacuum_mixed" else 1.0
 
 
 def _schmidt(matrix: np.ndarray):
@@ -357,75 +342,73 @@ def _interfere_factors(idler: np.ndarray, tap: np.ndarray, dim: int) -> np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class _Factors:
-    """Efficiency-independent state right before detection, factored.
+    """Efficiency- and lambda-independent state right before detection.
 
-    Each branch is (weight, L, Z): the branch state is sum_m L[:, m] (x)
-    Z[m, :], with L over `kept` = (A_H, A_V, B_H) and Z over `measured` =
-    (6H, 5H, 6V, 5V); see `detection.herald_factored`. `tails` holds each
-    branch's truncation deficit, `ranks` its (pair, beam) Schmidt ranks.
+    The unit sector of pair number n is sum_m L[:, m] (x) Z[m, :] over
+    m in `blocks[n]` (ascending in n), with L over `kept` = (A_H, A_V, B_H)
+    and Z over `measured` = (6H, 5H, 6V, 5V); see `herald_factored`.
+    `tails` holds the sectors' truncation deficits.
     """
 
     cuts: ResolvedCutoffs
     kept: Register
     measured: Register
-    branches: Tuple[Tuple[float, np.ndarray, np.ndarray], ...]
-    tails: Tuple[float, ...]
-    ranks: Tuple[Tuple[int, int], ...]
+    left: np.ndarray
+    right: np.ndarray
+    blocks: Mapping[int, slice]
+    tails: Mapping[int, float]
+    beam_rank: int
     discarded: float
 
 
-def _efficiency_key(config: SchemeConfig) -> SchemeConfig:
-    """Cache key of `_factors`: the config with eta canonicalised, as
-    `_component_key` does with lambda."""
-    return dataclasses.replace(config, eta=1.0)
+def _factors_key(config: SchemeConfig) -> SchemeConfig:
+    """Cache key of `_factors`: the config with eta and lambda
+    canonicalised, since neither enters the unit sectors."""
+    lam = None if config.lam is None else 0.0
+    return dataclasses.replace(config, eta=1.0, lam=lam)
 
 
 @lru_cache(maxsize=32)
-def _factors(key: SchemeConfig, pair_component: Optional[int]) -> _Factors:
-    """Schmidt-factored pre-detection state of one configuration.
+def _factors(key: SchemeConfig) -> _Factors:
+    """Schmidt-factored pre-detection sectors of one configuration.
 
-    The pair branch splits signal (A_H, A_V) against idler (2H, 2V), the
-    reduced beam tap (4H, 4V) against the kept field B_H; the splitters
-    then act only on the idler x tap products. Nothing here depends on the
-    detector efficiency, so callers key the cache with it canonicalised.
+    The displaced n-pair sector is written in closed form: signal factors
+    |m, n - m> on (A_H, A_V) of weight (n + 1)^(-1/2) and idler factors
+    D|n - m> (x) D|m> on (2H, 2V). The beam splits by SVD into tap (4H, 4V)
+    against kept field B_H factors, and the splitters act only on the
+    idler x tap products. A sector's deficit, 1 - ||sector||^2 plus the
+    beam's discarded mass, counts the displacement's truncation too.
     """
     cuts = resolve_cutoffs(key)
     dim = cuts.detector + 1
-    tap, beam_s, beam_vh, beam_discarded = _schmidt(
+    tap, beam_s, beam_vh, discarded = _schmidt(
         _beam_state(key, cuts).reshape(dim * dim, -1)
     )
     field = beam_s[:, None] * beam_vh
-    if pair_component is None:
-        ensemble = _pair_ensemble(key, cuts)
-    else:
-        ensemble = _pure_pair_component(pair_component, key, cuts)
+    disp = displacement_matrix(_displacement_amplitude(key), cuts.detector)
+    numbers = sorted({n for _, terms in _pair_branches(key) for n, _ in terms})
+    if numbers[-1] > min(cuts.a, cuts.detector):
+        raise CutoffError(f"{numbers[-1]} pairs need cutoffs >= {numbers[-1]}")
+    # pair factor k of sector n[k] has m[k] photons in A_H and in 2V
+    n = np.concatenate([np.full(q + 1, q) for q in numbers])
+    m = np.concatenate([np.arange(q + 1) for q in numbers])
+    signal = np.zeros(((cuts.a + 1) ** 2, len(n)))
+    signal[m * (cuts.a + 1) + n - m, np.arange(len(n))] = (n + 1.0) ** -0.5
+    idler = np.einsum("ik,jk->kij", disp[:, n - m], disp[:, m]).reshape(len(n), -1)
+    left = np.einsum("ak,lb->abkl", signal, field)
+    left = left.reshape(-1, len(n) * len(field))
+    right = _interfere_factors(idler, tap.T, dim)
+    left.setflags(write=False)
+    right.setflags(write=False)
+    # summed over a block, this is the block's trace(L G L^H) at w = 1
+    overlap = (right @ right.conj().T) * (left.T @ left.conj())
+    starts = (np.searchsorted(n, numbers) * len(field)).tolist()
+    blocks = {q: slice(a, a + (q + 1) * len(field)) for q, a in zip(numbers, starts)}
+    tails = {
+        q: max(0.0, 1.0 - float(overlap[b, b].sum().real)) + discarded
+        for q, b in blocks.items()
+    }
 
-    branches = []
-    tails = []
-    ranks = []
-    discarded = beam_discarded
-    for weight, state in ensemble:
-        signal, pair_s, idler, pair_discarded = _schmidt(
-            state.amps.reshape(-1, dim * dim)
-        )
-        left = np.einsum("ak,lb->abkl", signal * pair_s, field)
-        left = left.reshape(-1, len(pair_s) * len(beam_s))
-        right = _interfere_factors(idler, tap.T, dim)
-        left.setflags(write=False)
-        right.setflags(write=False)
-        gram = right @ right.conj().T
-        norm2 = float(np.trace(left @ gram @ left.conj().T).real)
-        tails.append(max(0.0, 1.0 - norm2) + pair_discarded + beam_discarded)
-        ranks.append((len(pair_s), len(beam_s)))
-        discarded += pair_discarded
-        branches.append((weight, left, right))
-
-    worst_tail = max(tails)
-    if worst_tail > key.tail_tol:
-        raise TruncationError(
-            f"truncation lost probability {worst_tail:.3e}, above the "
-            f"tolerance {key.tail_tol:.0e}; raise the cutoffs"
-        )
     kept = build_register((("A_H", cuts.a), ("A_V", cuts.a), ("B_H", cuts.b)))
     measured = build_register(
         (label, cuts.detector) for label in ("6H", "5H", "6V", "5V")
@@ -434,28 +417,35 @@ def _factors(key: SchemeConfig, pair_component: Optional[int]) -> _Factors:
         cuts=cuts,
         kept=kept,
         measured=measured,
-        branches=tuple(branches),
-        tails=tuple(tails),
-        ranks=tuple(ranks),
+        left=left,
+        right=right,
+        blocks=blocks,
+        tails=tails,
+        beam_rank=len(beam_s),
         discarded=discarded,
     )
 
 
-@dataclass(frozen=True)
-class _Heralded:
-    """Both click patterns heralded at one efficiency; `post` is their
-    probability-weighted state on (A_H, A_V, B), the flipped one corrected."""
+def _truncation_tail(config: SchemeConfig, factors: _Factors) -> float:
+    """Worst pair-source branch's deficit sum_n w_n d_n over its sectors,
+    the deficit of the normalized branch since the sectors' signal parts
+    are orthogonal; raises `TruncationError` above `tail_tol`."""
+    worst = max(
+        sum(w * factors.tails[n] for n, w in terms)
+        for _, terms in _pair_branches(config)
+    )
+    if worst > config.tail_tol:
+        raise TruncationError(
+            f"truncation lost probability {worst:.3e}, above the "
+            f"tolerance {config.tail_tol:.0e}; raise the cutoffs"
+        )
+    return worst
 
-    factors: _Factors
-    patterns: Tuple[Optional[HeraldResult], Optional[HeraldResult]]
-    probability: float
-    post: DensityOperator
 
-
-def _herald_both(
-    config: SchemeConfig, pair_component: Optional[int] = None
-) -> _Heralded:
-    factors = _factors(_efficiency_key(config), pair_component)
+def _herald_both(config: SchemeConfig, factors: _Factors, branches):
+    """Both click patterns' `HeraldResult`s (None where one cannot fire),
+    their total probability and their probability-weighted state on
+    (A_H, A_V, B), the flipped one corrected."""
     results = []
     for flipped in (False, True):
         spec = build_scheme_herald(
@@ -463,7 +453,7 @@ def _herald_both(
         )
         try:
             results.append(
-                herald_factored(factors.branches, factors.kept, factors.measured, spec)
+                herald_factored(branches, factors.kept, factors.measured, spec)
             )
         except HeraldImpossibleError:
             results.append(None)
@@ -488,58 +478,12 @@ def _herald_both(
         pieces.append((p_flip, corrected))
     matrix = sum(p * piece.matrix for p, piece in pieces) / total
     post = DensityOperator(pieces[0][1].register, matrix, check=False, copy=False)
-    return _Heralded(
-        factors=factors,
-        patterns=(results[0], results[1]),
-        probability=float(total),
-        post=post.relabeled({"B_H": "B"}),
-    )
+    return tuple(results), float(total), post.relabeled({"B_H": "B"})
 
 
 def _score(config: SchemeConfig, post: DensityOperator) -> float:
     target = target_hybrid(config.resolved_alpha_f, config.phi, post.register)
     return fidelity(post, target)
-
-
-def _heralded_bundle(config: SchemeConfig) -> SchemeResult:
-    heralded = _herald_both(config)
-    factors = heralded.factors
-    plain, flip = heralded.patterns
-    total = heralded.probability
-    post = heralded.post
-    fid = _score(config, post)
-    neg = negativity(post, Bipartition(("A_H", "A_V"), ("B",)))
-
-    diagnostics: Dict[str, object] = {
-        "pattern_probabilities": (
-            plain.probability if plain else 0.0,
-            flip.probability if flip else 0.0,
-        ),
-        "branch_pattern_probabilities": (
-            plain.branch_probabilities if plain else None,
-            flip.branch_probabilities if flip else None,
-        ),
-        "worst_tail_mass": max(factors.tails),
-        "cutoffs": dataclasses.asdict(factors.cuts),
-        "schmidt_ranks": factors.ranks,
-        "discarded_mass": factors.discarded,
-    }
-    scale = _analytic_scale(config)
-    if scale is not None:
-        reference = analytic.p_tot_eta(
-            config.resolved_alpha_f, config.t, config.eta, config.phi
-        )
-        if reference > 0.0:
-            diagnostics["analytic_p_tot"] = scale * reference
-            diagnostics["numeric_analytic_ratio"] = total / (scale * reference)
-
-    return SchemeResult(
-        probability_total=float(total),
-        fidelity=fid,
-        negativity=neg,
-        post_state=post,
-        diagnostics=diagnostics,
-    )
 
 
 def run_scheme(config: SchemeConfig) -> SchemeResult:
@@ -550,17 +494,67 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     one. The reported fidelity is against the hybrid target at the
     configured alpha_f and phi.
 
-    The herald contracts Schmidt factors of the pair and the beam instead
-    of the joint state (see `_factors`); the efficiency-independent part is
-    cached, so runs that differ only in eta share it.
+    The herald contracts Schmidt factors of the pair-number sectors and the
+    beam (see `_factors`, cached free of eta and lambda). A pair-source
+    branch of weight W stacks its sectors, sector n scaled by sqrt(w_n / W):
+    L = [L_0 | L_1 | ...], Z = [Z_0; Z_1; ...]. For downconversion, P and F are the
+    sector recombination of `spdc_decomposition`, equal to this coherent
+    herald's to roundoff.
     """
-    result = _heralded_bundle(config)
+    factors = _factors(_factors_key(config))
+    tail = _truncation_tail(config, factors)
+    branches = []
+    ranks = []
+    for weight, terms in _pair_branches(config):
+        # consecutive sectors: the branch's factors are one block, Z a view
+        first, last = factors.blocks[terms[0][0]], factors.blocks[terms[-1][0]]
+        rows = slice(first.start, last.stop)
+        scale = np.concatenate(
+            [np.full((n + 1) * factors.beam_rank, math.sqrt(w)) for n, w in terms]
+        )
+        branches.append((weight, factors.left[:, rows] * scale, factors.right[rows]))
+        ranks.append((len(scale) // factors.beam_rank, factors.beam_rank))
+    (plain, flip), probability, post = _herald_both(config, factors, branches)
+
+    diagnostics: Dict[str, object] = {
+        "pattern_probabilities": (
+            plain.probability if plain else 0.0,
+            flip.probability if flip else 0.0,
+        ),
+        "branch_pattern_probabilities": (
+            plain.branch_probabilities if plain else None,
+            flip.branch_probabilities if flip else None,
+        ),
+        "worst_tail_mass": tail,
+        "cutoffs": dataclasses.asdict(factors.cuts),
+        "schmidt_ranks": tuple(ranks),
+        "discarded_mass": factors.discarded,
+    }
     if config.pair_source == "spdc":
-        (p_vac, p_chi, p_phi2), _, _ = _spdc_components(_component_key(config))
-        result.diagnostics["p_vac"] = p_vac
-        result.diagnostics["p_chi"] = p_chi
-        result.diagnostics["p_phi2"] = p_phi2
-    return result
+        dec = spdc_decomposition(config)
+        total, fid = dec["p_tot"], dec["f_eff"]
+        for key in ("p_vac", "p_chi", "p_phi2"):
+            if dec[key] is not None:
+                diagnostics[key] = dec[key]
+    else:
+        total, fid = probability, _score(config, post)
+        if config.scs_source == "ideal" and config.detector == "pnr":
+            # the closed-form total probability, weighted by the pair branch
+            scale = config.z if config.pair_source == "vacuum_mixed" else 1.0
+            reference = analytic.p_tot_eta(
+                config.resolved_alpha_f, config.t, config.eta, config.phi
+            )
+            if reference > 0.0:
+                diagnostics["analytic_p_tot"] = scale * reference
+                diagnostics["numeric_analytic_ratio"] = total / (scale * reference)
+
+    return SchemeResult(
+        probability_total=float(total),
+        fidelity=fid,
+        negativity=negativity(post, Bipartition(("A_H", "A_V"), ("B",))),
+        post_state=post,
+        diagnostics=diagnostics,
+    )
 
 
 def build_prestate(config: SchemeConfig) -> Ensemble:
@@ -571,10 +565,12 @@ def build_prestate(config: SchemeConfig) -> Ensemble:
     `detection.herald`, it gives the same pattern probabilities and
     conditional states as the factored contraction `run_scheme` uses,
     after rotating the B channels into the beam frame and projecting the
-    empty channel out. It is not on `run_scheme`'s path. Its beam is built
-    independently of `_beam_state`'s closed form: the source is rotated
-    from B_H onto the diagonal of (B_H, B_V) and each polarization is tapped
-    by its own splitter.
+    empty channel out. It is not on `run_scheme`'s path, and it is built
+    independently of `run_scheme`'s closed forms: the pair comes from
+    `pair_source` with its idler displaced mode by mode, and the source
+    beam is rotated from B_H onto the diagonal of (B_H, B_V) and each
+    polarization tapped by its own splitter. Only the downconversion
+    sector weights are shared, through `PairSourceSpec.sector_weights`.
     """
     cuts = resolve_cutoffs(config)
     register = build_register(
@@ -607,74 +603,55 @@ def build_prestate(config: SchemeConfig) -> Ensemble:
     return Ensemble(branches[0][1].register, tuple(branches))
 
 
-def _component_key(config: SchemeConfig) -> SchemeConfig:
-    return dataclasses.replace(config, lam=0.0)
-
-
 @lru_cache(maxsize=32)
-def _spdc_components(key: SchemeConfig):
-    """Herald probabilities and fidelities of the vacuum, one-pair and
-    two-pair components, and the worst truncation tail among them."""
+def _sector_heralds(key: SchemeConfig, eta: float):
+    """Both-pattern herald probability p_n and fidelity f_n of each unit
+    pair-number sector of `_factors(key)` at efficiency eta (0 and 0 for
+    a sector that cannot herald)."""
+    config = dataclasses.replace(key, eta=eta)
+    factors = _factors(key)
     probs = []
     fids = []
-    tail = 0.0
-    for n in (0, 1, 2):
-        tail = max(tail, *_factors(_efficiency_key(key), n).tails)
+    for block in factors.blocks.values():
+        sector = ((1.0, factors.left[:, block], factors.right[block]),)
         try:
-            heralded = _herald_both(key, pair_component=n)
-            probs.append(heralded.probability)
-            fids.append(_score(key, heralded.post))
+            _, p, post = _herald_both(config, factors, sector)
         except HeraldImpossibleError:
-            probs.append(0.0)
-            fids.append(0.0)
-    return tuple(probs), tuple(fids), tail
+            p, post = 0.0, None
+        probs.append(p)
+        fids.append(0.0 if post is None else _score(config, post))
+    return tuple(probs), tuple(fids)
 
 
-def spdc_decomposition(config: SchemeConfig) -> Dict[str, float]:
+def spdc_decomposition(config: SchemeConfig) -> Dict[str, Optional[float]]:
     """Pair-number decomposition of a downconversion-driven run.
 
-    Runs the vacuum, one-pair, and two-pair components separately (they do
-    not interfere once the herald pattern is fixed, since the detector
-    weights are photon-number diagonal and the components occupy different
-    total-number sectors of the signal modes) and recombines them with the
-    configured lambda weighting. Returns p_vac, p_chi, p_phi2 (herald
-    probabilities of the components), f_chi (one-pair fidelity), f_eff
-    (probability-weighted fidelity), p_tot (weighted total probability)
-    and tail_mass (the worst component's truncation tail). The three
-    components are the whole expansion only at spdc_order 2, so other
-    orders are rejected.
+    The sectors n = 0 .. spdc_order do not interfere in the herald: its
+    weights are photon-number diagonal and the sectors differ in signal
+    photon number. So P = sum_n w_n p_n and F = sum_n w_n p_n f_n / P, with
+    the unit sectors' p_n and f_n cached per lambda-free config and eta and
+    w_n from `PairSourceSpec.sector_weights`; at 'paper' weighting these
+    are the paper's P_tot and F_eff. Returns p_vac, p_chi, p_phi2 (None at
+    order 1), f_chi, f_eff, p_tot and tail_mass.
     """
     if config.pair_source != "spdc":
         raise ValidationError("decomposition applies to the spdc pair source")
-    if config.spdc_order != 2:
-        raise ValidationError(
-            f"decomposition covers spdc_order 2 only, got {config.spdc_order}"
-        )
-    (p_vac, p_chi, p_phi2), (f_vac, f_chi, f_phi2), tail = _spdc_components(
-        _component_key(config)
-    )
-    lam = float(config.lam)
-    lam2 = lam * lam
-    if config.spdc_weighting == "paper":
-        p_tot = (1.0 - lam2) * (p_vac + lam2 * p_chi + lam2 * lam2 * p_phi2)
-        f_eff = analytic.f_eff(p_vac, p_chi, p_phi2, lam, f_chi)
-    else:
-        # each n-pair component carries an extra factor n + 1 in weight and
-        # the normalization squares
-        norm = (1.0 - lam2) ** 2
-        p_tot = norm * (p_vac + 2.0 * lam2 * p_chi + 3.0 * lam2 * lam2 * p_phi2)
-        denominator = p_vac + 2.0 * lam2 * p_chi + 3.0 * lam2 * lam2 * p_phi2
-        if denominator <= 0.0:
-            raise ValidationError("all decomposition components have zero weight")
-        f_eff = 2.0 * lam2 * p_chi * f_chi / denominator
+    key = _factors_key(config)
+    tail = _truncation_tail(config, _factors(key))
+    probs, fids = _sector_heralds(key, config.eta)
+    weights = _pair_spec(config).sector_weights()
+    p_tot = sum(w * p for w, p in zip(weights, probs))
+    if p_tot <= 0.0:
+        raise HeraldImpossibleError("no pair-number sector heralds")
+    f_eff = sum(w * p * f for w, p, f in zip(weights, probs, fids)) / p_tot
     return {
-        "p_vac": float(p_vac),
-        "p_chi": float(p_chi),
-        "p_phi2": float(p_phi2),
-        "f_chi": float(f_chi),
-        "f_eff": float(f_eff),
-        "p_tot": float(p_tot),
-        "tail_mass": float(tail),
+        "p_vac": probs[0],
+        "p_chi": probs[1],
+        "p_phi2": probs[2] if len(probs) > 2 else None,
+        "f_chi": fids[1],
+        "f_eff": f_eff,
+        "p_tot": p_tot,
+        "tail_mass": tail,
     }
 
 
@@ -736,7 +713,7 @@ def _evaluate_point(
     params = tuple(zip(axes, point))
     try:
         cfg = _apply_point(config, axes, point)
-        if cfg.pair_source == "spdc" and cfg.spdc_order == 2:
+        if cfg.pair_source == "spdc":
             dec = spdc_decomposition(cfg)
             return SweepRow(
                 params=params,
@@ -774,10 +751,12 @@ def sweep(
     Axes are sorted by name and each axis's values ascending, so the row
     order is deterministic regardless of input ordering. Rows that fail
     validation or hit numerical limits are reported with an error status
-    instead of aborting the sweep. Downconversion configs at spdc_order 2
-    report the decomposition quantities (f_eff as the fidelity column); all
-    others report the plain heralded run. Points that differ only in eta
-    share one cached efficiency-independent preparation.
+    instead of aborting the sweep. Downconversion rows report
+    `spdc_decomposition` (the P, F, p_* and tail_mass `run_scheme` reports)
+    without a per-row herald and leave negativity empty, since that needs
+    the coherent post-state's eigensolve; all others report the plain
+    heralded run. Points that differ only in eta (and, for downconversion,
+    lambda) share one cached preparation.
     """
     if not grid:
         raise ValidationError("sweep grid must name at least one axis")

@@ -130,6 +130,18 @@ class PairSourceSpec:
              weighting: str = "paper") -> "PairSourceSpec":
         return cls("spdc", lam=lam, order_max=order_max, weighting=weighting)
 
+    def sector_weights(self) -> tuple[float, ...]:
+        """Weights w_n of the parametric source's n-pair terms |Phi_n>, n <=
+        order_max, not renormalized after the cut: 'paper' (1 - lam^2)
+        lam^(2n), the terms of the paper's P_tot (arXiv:1410.6823); 'exact'
+        (1 - lam^2)^2 (n + 1) lam^(2n), two independent two-mode squeezers
+        regrouped by total pair number."""
+        lam2 = self.lam * self.lam
+        orders = range(self.order_max + 1)
+        if self.weighting == "paper":
+            return tuple((1.0 - lam2) * lam2**n for n in orders)
+        return tuple((1.0 - lam2) ** 2 * (n + 1) * lam2**n for n in orders)
+
 
 # ---------------------------------------------------------------------------
 # single-mode resources
@@ -281,11 +293,10 @@ def pair_source(spec: PairSourceSpec, register: Register,
     """Photon-pair input as a weighted ensemble of pure states.
 
     chi: one unit-weight Bell pair. vacuum_mixed: branches (z, Bell pair)
-    and (1-z, vacuum). spdc: a single pure branch sum_n c_n |Phi_n>
-    truncated at order_max and renormalized, with c_n proportional to
-    lambda^n ('paper' weighting) or lambda^n sqrt(n+1) ('exact' weighting,
-    the product of two independent two-mode squeezers regrouped by total
-    pair number).
+    and (1-z, vacuum). spdc: one normalized branch sum_n sqrt(w_n / W)
+    |Phi_n> of weight W = sum_n w_n (`PairSourceSpec.sector_weights`).
+    This is the pair's dense test oracle; `pipeline` writes the displaced
+    pair-number sectors in closed form instead.
     """
     if spec.variant == "chi":
         return Ensemble.pure(bell_chi(register, labels))
@@ -296,11 +307,10 @@ def pair_source(spec: PairSourceSpec, register: Register,
             [(spec.z, bell_chi(register, labels)), (1.0 - spec.z, vacuum)],
         )
     # parametric source
+    weights = spec.sector_weights()
+    total = sum(weights)
     state = None
-    for n in range(spec.order_max + 1):
-        weight = spec.lam**n
-        if spec.weighting == "exact":
-            weight *= math.sqrt(n + 1.0)
-        term = phi_state(n, register, labels) * weight
+    for n, weight in enumerate(weights):
+        term = phi_state(n, register, labels) * math.sqrt(weight / total)
         state = term if state is None else state + term
-    return Ensemble.pure(state.normalized())
+    return Ensemble.pure(state, total)

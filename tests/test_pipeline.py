@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from hybridcat import analytic, pipeline
+from hybridcat import analytic, detection, fock_core, optics, pipeline, resource_states
 from hybridcat.detection import build_scheme_herald, herald
 from hybridcat.errors import (
     CutoffError,
@@ -57,6 +57,15 @@ def test_config_validates_ranges():
     ):
         with pytest.raises(ValidationError):
             SchemeConfig(t=0.9, eta=0.9, alpha_i=0.7, **source)
+
+
+def test_config_rejects_odd_cat_without_amplitude():
+    # the ideal source's spec is built with the config, not first in the run
+    with pytest.raises(ValidationError):
+        SchemeConfig(t=0.9, eta=0.9, alpha_i=0.0)
+    with pytest.raises(ValidationError):
+        SchemeConfig(t=0.9, eta=0.9, alpha_f=0.0)
+    assert SchemeConfig(t=0.9, eta=0.9, alpha_i=0.0, phi=0.0)
 
 
 def test_config_source_parameters_are_mandatory():
@@ -374,15 +383,24 @@ def _dense_oracle(config):
 
 # the ids keep naming the displacement convention, "diagonal" (the only one)
 ORACLE_CASES = [
-    pytest.param(*case, id="-".join(case + ("diagonal",)))
+    pytest.param(*case, {}, id="-".join(case + ("diagonal",)))
     for case in itertools.product(
         ("chi", "vacuum_mixed", "spdc"), ("ideal", "squeezed"), ("pnr", "onoff")
+    )
+] + [
+    pytest.param("spdc", beam, detector, extra, id=f"spdc-{name}-{beam}-{detector}")
+    for name, extra, beam, detector in (
+        ("order1", dict(spdc_order=1), "squeezed", "onoff"),
+        ("order3", dict(spdc_order=3), "ideal", "pnr"),
+        ("order3", dict(spdc_order=3), "squeezed", "onoff"),
+        ("exact", dict(spdc_weighting="exact"), "ideal", "onoff"),
+        ("exact", dict(spdc_weighting="exact"), "squeezed", "pnr"),
     )
 ]
 
 
-@pytest.mark.parametrize("pair,beam,detector", ORACLE_CASES)
-def test_factored_herald_matches_dense_oracle(pair, beam, detector):
+@pytest.mark.parametrize("pair,beam,detector,extra", ORACLE_CASES)
+def test_factored_herald_matches_dense_oracle(pair, beam, detector, extra):
     # Small amplitudes and cutoffs keep the dense eight-mode state cheap;
     # both paths truncate alike, and the looser tail_tol admits the
     # two-pair term at this detector cutoff.
@@ -402,7 +420,7 @@ def test_factored_herald_matches_dense_oracle(pair, beam, detector):
         kwargs["lam"] = 0.3
     if beam == "squeezed":
         kwargs.update(s=0.2, n_cut=3)
-    config = SchemeConfig(**kwargs)
+    config = SchemeConfig(**kwargs, **extra)
     result = run_scheme(config)
     probs, rho = _dense_oracle(config)
     for got, expected in zip(result.diagnostics["pattern_probabilities"], probs):
@@ -442,6 +460,13 @@ def test_eta_shares_one_preparation():
     sweep(SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0), {"eta": (0.5, 0.7, 0.9)})
     info = pipeline._factors.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+    # downconversion points share it across lambda too, and their sector
+    # heralds are cached per eta
+    pipeline._factors.cache_clear()
+    pipeline._sector_heralds.cache_clear()
+    sweep(SchemeConfig(**SPOT_A), {"lambda": (0.01, 0.02, 0.03), "eta": (0.5, 0.9)})
+    assert pipeline._factors.cache_info().misses == 1
+    assert pipeline._sector_heralds.cache_info().misses == 2
 
 
 def test_too_small_detector_cutoff_raises():
@@ -454,6 +479,9 @@ def test_too_small_detector_cutoff_raises():
 def test_too_small_field_cutoff_raises():
     with pytest.raises(CutoffError):
         run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_i=1.0, cutoff_b=10))
+    # the two-pair term does not fit a signal cutoff of 1
+    with pytest.raises(CutoffError):
+        run_scheme(SchemeConfig(**dict(SPOT_A, cutoff_a=1)))
 
 
 SPDC_ORDER_3 = dict(
@@ -476,12 +504,99 @@ def test_sweep_runs_higher_spdc_orders_in_full():
     assert row.status == "ok"
     assert row.probability_total == result.probability_total
     assert row.fidelity == result.fidelity
-    assert row.negativity == result.negativity
+    # sweep rows skip the coherent post-state's eigensolve at every order
+    assert row.negativity is None and result.negativity > 0.0
     assert row.p_chi == result.diagnostics["p_chi"]
     assert abs(row.probability_total - 4.4635e-4) < 1e-7
     assert abs(row.fidelity - 0.17855) < 1e-5
-    with pytest.raises(ValidationError):
-        spdc_decomposition(config)
+    assert spdc_decomposition(config)["p_tot"] == row.probability_total
+
+
+def test_truncation_gate_weights_the_sectors():
+    # the unit three-pair sector alone loses more than tail_tol to the
+    # detector cutoff; lambda^6 weights that loss far below it
+    config = SchemeConfig(**SPDC_ORDER_3)
+    factors = pipeline._factors(pipeline._factors_key(config))
+    assert factors.tails[3] > config.tail_tol
+    tail = run_scheme(config).diagnostics["worst_tail_mass"]
+    weights = resource_states.PairSourceSpec.spdc(0.3, 3).sector_weights()
+    expected = sum(w * factors.tails[n] for n, w in enumerate(weights))
+    assert abs(tail - expected / sum(weights)) <= 1e-15 * tail
+    assert tail < 1e-10
+
+
+def test_spdc_order_one_has_no_two_pair_term():
+    config = SchemeConfig(**dict(SPOT_A, lam=0.02, spdc_order=1))
+    result = run_scheme(config)
+    assert "p_phi2" not in result.diagnostics
+    assert result.diagnostics["p_chi"] == pytest.approx(SPOT_A_EXPECTED["p_chi"])
+    row = sweep(config, {"lambda": (0.02,)}).rows[0]
+    assert row.status == "ok" and row.p_phi2 is None
+    assert spdc_decomposition(config)["p_phi2"] is None
+    lam2 = 0.02**2
+    expected = (1.0 - lam2) * (
+        SPOT_A_EXPECTED["p_vac"] + lam2 * SPOT_A_EXPECTED["p_chi"]
+    )
+    assert row.probability_total == pytest.approx(expected, rel=1e-6)
+
+
+SWEEP_MATCH_POINTS = [
+    pytest.param(SPOT_A, id="spot-a"),
+    pytest.param(dict(SPOT_A, alpha_i=1.0, s=0.313, lam=0.038), id="spot-b"),
+    pytest.param(dict(SPOT_A, lam=0.002, eta=0.1), id="corner-low"),
+    pytest.param(
+        dict(SPOT_A, alpha_i=1.0, s=0.313, lam=0.05, eta=0.9), id="corner-high"
+    ),
+]
+
+
+@pytest.mark.parametrize("point", SWEEP_MATCH_POINTS)
+def test_spdc_sweep_rows_equal_runs(point):
+    config = SchemeConfig(**point)
+    row = sweep(config, {"lambda": (config.lam,), "eta": (config.eta,)}).rows[0]
+    result = run_scheme(config)
+    diag = result.diagnostics
+    assert row.probability_total == result.probability_total
+    assert row.fidelity == result.fidelity
+    assert (row.p_vac, row.p_chi, row.p_phi2) == (
+        diag["p_vac"], diag["p_chi"], diag["p_phi2"]
+    )
+    assert row.tail_mass == diag["worst_tail_mass"]
+    # the coherent post-state agrees with the sector recombination
+    assert abs(pipeline._score(config, result.post_state) - result.fidelity) <= 1e-12
+    coherent = sum(diag["pattern_probabilities"])
+    assert abs(coherent / result.probability_total - 1.0) <= 1e-12
+
+
+def test_run_path_leaves_the_dense_oracle_alone(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense oracle called on the run path")
+
+    for module, name in (
+        (resource_states, "pair_source"),
+        (optics, "apply_displacement"),
+        (detection, "herald"),
+        (fock_core, "tensor"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+        if hasattr(pipeline, name):
+            monkeypatch.setattr(pipeline, name, forbidden)
+    pipeline._factors.cache_clear()
+    pipeline._sector_heralds.cache_clear()
+    with pytest.raises(AssertionError):
+        build_prestate(SchemeConfig(**SPOT_A))
+    for kwargs in (
+        dict(pair_source="chi", lam=None),
+        dict(pair_source="vacuum_mixed", z=0.5, lam=None),
+        dict(spdc_order=1),
+        dict(spdc_order=2),
+        dict(spdc_order=3),
+    ):
+        run_scheme(SchemeConfig(**dict(SPOT_A, **kwargs)))
+    table = sweep(
+        SchemeConfig(**SPOT_A), {"lambda": (0.002, 0.05), "eta": (0.1, 0.9)}
+    )
+    assert all(row.status == "ok" for row in table.rows)
 
 
 def test_spdc_components_skip_negativity(monkeypatch):
@@ -490,6 +605,7 @@ def test_spdc_components_skip_negativity(monkeypatch):
     monkeypatch.setattr(
         pipeline, "negativity", lambda *args: calls.append(1) or real(*args)
     )
-    pipeline._spdc_components.cache_clear()
+    pipeline._factors.cache_clear()
+    pipeline._sector_heralds.cache_clear()
     spdc_decomposition(SchemeConfig(**SPOT_A))
     assert calls == []

@@ -138,13 +138,17 @@ def test_pair_source_vacuum_mixture_weights():
 
 
 def test_pair_source_spdc_expansion():
-    # the truncated expansion is renormalized, so each component amplitude
-    # is lambda^n over the truncated norm
+    # the branch state is normalized, so each component amplitude is
+    # lambda^n over the truncated norm; the branch weight carries the
+    # paper's (1 - lambda^2) lambda^(2n) summed over the kept orders
     reg = _pair_register()
     lam = 0.2
-    ens = pair_source(PairSourceSpec(variant="spdc", lam=lam, order_max=2), reg)
+    spec = PairSourceSpec(variant="spdc", lam=lam, order_max=2)
+    ens = pair_source(spec, reg)
     assert len(ens.branches) == 1
-    _, state = ens.branches[0]
+    weight, state = ens.branches[0]
+    assert weight == sum(spec.sector_weights())
+    assert abs(weight - (1.0 - lam**6)) < 1e-15
     scale = 1.0 / math.sqrt(sum(lam ** (2 * n) for n in range(3)))
     for n in (0, 1, 2):
         component = phi_state(n, reg)
@@ -155,11 +159,12 @@ def test_pair_source_spdc_expansion():
 def test_pair_source_spdc_exact_weighting():
     reg = _pair_register()
     lam = 0.2
-    ens = pair_source(
-        PairSourceSpec(variant="spdc", lam=lam, order_max=2, weighting="exact"),
-        reg,
-    )
-    _, state = ens.branches[0]
+    spec = PairSourceSpec(variant="spdc", lam=lam, order_max=2, weighting="exact")
+    ens = pair_source(spec, reg)
+    weight, state = ens.branches[0]
+    assert weight == sum(spec.sector_weights())
+    expected = (1.0 - lam**2) ** 2 * sum((n + 1) * lam ** (2 * n) for n in range(3))
+    assert abs(weight - expected) < 1e-15
     scale = 1.0 / math.sqrt(sum((n + 1) * lam ** (2 * n) for n in range(3)))
     for n in (0, 1, 2):
         amp = inner(phi_state(n, reg), state)
