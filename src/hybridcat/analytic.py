@@ -57,31 +57,19 @@ def n_phi(alpha: float, phi: float) -> float:
     return denom ** -0.5
 
 
-def _alpha_pair(alpha: float, t: float, in_terms_of: str) -> tuple:
-    """Return (alpha_i, alpha_f) from whichever amplitude was given."""
-    _check_range("t", t, 0.0, 1.0, low_open=True)
-    if in_terms_of == "alpha_i":
-        return alpha, math.sqrt(t) * alpha
-    if in_terms_of == "alpha_f":
-        return alpha / math.sqrt(t), alpha
-    raise ValidationError(
-        f"in_terms_of must be 'alpha_i' or 'alpha_f', got {in_terms_of!r}"
-    )
-
-
-def p_success_ideal(alpha: float, t: float, phi: float = math.pi,
-                    in_terms_of: str = "alpha_i") -> float:
+def p_success_ideal(alpha: float, t: float, phi: float = math.pi) -> float:
     """Single-pattern herald probability with ideal resources and detectors.
 
-    Equals (1/2) N^2 (1-t) alpha_i^2 exp(-2 (1-t) alpha_i^2); at the
-    optimal transmissivity t = 1 - 1/(2 alpha_i^2) it approaches 1/(8e)
-    for large alpha_i. The accepted-pattern total is twice this value.
+    Equals (1/2) N^2 (1-t) alpha^2 exp(-2 (1-t) alpha^2) in the source
+    amplitude alpha = alpha_i; at the optimal transmissivity
+    t = 1 - 1/(2 alpha^2) it approaches 1/(8e) for large alpha. The
+    accepted-pattern total is twice this value.
     """
-    alpha_i, _ = _alpha_pair(alpha, t, in_terms_of)
-    if alpha_i < 0:
+    _check_range("t", t, 0.0, 1.0, low_open=True)
+    if alpha < 0:
         raise ValidationError(f"alpha must be nonnegative, got {alpha}")
-    mu2 = (1.0 - t) * alpha_i * alpha_i
-    return 0.5 * n_phi(alpha_i, phi) ** 2 * mu2 * math.exp(-2.0 * mu2)
+    mu2 = (1.0 - t) * alpha * alpha
+    return 0.5 * n_phi(alpha, phi) ** 2 * mu2 * math.exp(-2.0 * mu2)
 
 
 def fidelity_eta(alpha_f: float, t: float, eta: float) -> float:

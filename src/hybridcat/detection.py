@@ -69,7 +69,6 @@ def povm_pnr(n: int, eta: float, cutoff: int) -> PovmElement:
         raise ValidationError("photon count n must be >= 0")
     if cutoff < 0:
         raise ValidationError("cutoff must be >= 0")
-    ks = np.arange(cutoff + 1)
     weights = np.zeros(cutoff + 1)
     for k in range(n, cutoff + 1):
         weights[k] = math.comb(k, n) * eta**n * (1.0 - eta) ** (k - n)

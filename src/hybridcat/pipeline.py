@@ -16,11 +16,13 @@ up as B.
 closed form on (4H, 4V, B_H) and split into Schmidt factors, the pair as a
 sum over pair-number sectors n written in closed form; the splitters act
 only on idler x tap products and the herald contracts a small Gram matrix
-per pattern. Downconversion weights the unit sector n by w_n = (1 -
-lambda^2) lambda^(2n), the paper's P_tot normalization (arXiv:1410.6823),
-so P = sum_n w_n p_n; `tail_mass` is the worst branch's deficit sum_n w_n
-d_n / sum_n w_n. Sweep rows of that source skip the per-row herald and so
-leave negativity empty, which needs the coherent post-state.
+of the plain click pattern; the flipped one follows by the state's H <-> V
+mirror symmetry, which the dense oracle pins. Downconversion weights the
+unit sector n by w_n = (1 - lambda^2) lambda^(2n), the paper's P_tot
+normalization (arXiv:1410.6823), so P = sum_n w_n p_n; `tail_mass` is the
+worst branch's deficit sum_n w_n d_n / sum_n w_n. Sweep rows of that source
+skip the per-row herald and so leave negativity empty, which needs the
+coherent post-state.
 `build_prestate`, the full eight-mode lab-frame state heralded with
 `detection.herald`, is the dense test oracle.
 """
@@ -293,8 +295,8 @@ def _pair_branches(config: SchemeConfig):
 
 @dataclass(frozen=True)
 class SchemeResult:
-    """One heralded run: success probability summed over both click
-    patterns, the combined conditional state on (A_H, A_V, B), its overlap
+    """One heralded run: success probability of both click patterns (twice
+    the plain one's), the conditional state on (A_H, A_V, B), its overlap
     with the target, and the polarization/field negativity."""
 
     probability_total: float
@@ -443,42 +445,22 @@ def _truncation_tail(config: SchemeConfig, factors: _Factors) -> float:
 
 
 def _herald_both(config: SchemeConfig, factors: _Factors, branches):
-    """Both click patterns' `HeraldResult`s (None where one cannot fire),
-    their total probability and their probability-weighted state on
-    (A_H, A_V, B), the flipped one corrected."""
-    results = []
-    for flipped in (False, True):
-        spec = build_scheme_herald(
-            factors.measured, config.detector, config.eta, flipped
-        )
-        try:
-            results.append(
-                herald_factored(branches, factors.kept, factors.measured, spec)
-            )
-        except HeraldImpossibleError:
-            results.append(None)
-    if results[0] is None and results[1] is None:
-        raise HeraldImpossibleError(
-            "neither herald pattern has nonzero probability"
-        )
+    """The plain click pattern's `HeraldResult`, the total probability of
+    both patterns and their combined state on (A_H, A_V, B).
 
-    p_plain = results[0].probability if results[0] else 0.0
-    p_flip = results[1].probability if results[1] else 0.0
-    total = p_plain + p_flip
-
-    pieces = []
-    if results[0] is not None:
-        pieces.append((p_plain, results[0].post))
-    if results[1] is not None:
-        corrected = (
-            results[1]
-            .post.relabeled({"A_H": "A_V", "A_V": "A_H"})
-            .reordered(("A_H", "A_V", "B_H"))
-        )
-        pieces.append((p_flip, corrected))
-    matrix = sum(p * piece.matrix for p, piece in pieces) / total
-    post = DensityOperator(pieces[0][1].register, matrix, check=False, copy=False)
-    return tuple(results), float(total), post.relabeled({"B_H": "B"})
+    Only the plain pattern is heralded. Swapping H and V in every mode
+    leaves the prepared state unchanged: the tap is polarization
+    independent, pair sector n maps onto itself under m -> n - m, and the
+    splitters and POVMs are alike for H and V. So the flipped pattern fires
+    with the plain one's probability and, bit-flipped, leaves the plain
+    state. This holds only while the prepared state is H <-> V invariant; a
+    polarization-dependent element (a second displacement convention,
+    unequal detector efficiencies) would need the flipped pattern heralded
+    too. The dense oracle heralds both and pins the symmetry.
+    """
+    spec = build_scheme_herald(factors.measured, config.detector, config.eta)
+    plain = herald_factored(branches, factors.kept, factors.measured, spec)
+    return plain, 2.0 * plain.probability, plain.post.relabeled({"B_H": "B"})
 
 
 def _score(config: SchemeConfig, post: DensityOperator) -> float:
@@ -489,10 +471,11 @@ def _score(config: SchemeConfig, post: DensityOperator) -> float:
 def run_scheme(config: SchemeConfig) -> SchemeResult:
     """Simulate one heralded run of the scheme.
 
-    Both click patterns contribute; the flipped pattern's state enters after
-    the deterministic polarization bit flip that maps it onto the plain
-    one. The reported fidelity is against the hybrid target at the
-    configured alpha_f and phi.
+    Both click patterns contribute. Only the plain one is heralded: the
+    flipped pattern, after the deterministic polarization bit flip, fires
+    with the same probability and leaves the same state (see
+    `_herald_both`). The reported fidelity is against the hybrid target at
+    the configured alpha_f and phi.
 
     The herald contracts Schmidt factors of the pair-number sectors and the
     beam (see `_factors`, cached free of eta and lambda). A pair-source
@@ -514,17 +497,12 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
         )
         branches.append((weight, factors.left[:, rows] * scale, factors.right[rows]))
         ranks.append((len(scale) // factors.beam_rank, factors.beam_rank))
-    (plain, flip), probability, post = _herald_both(config, factors, branches)
+    plain, probability, post = _herald_both(config, factors, branches)
 
     diagnostics: Dict[str, object] = {
-        "pattern_probabilities": (
-            plain.probability if plain else 0.0,
-            flip.probability if flip else 0.0,
-        ),
-        "branch_pattern_probabilities": (
-            plain.branch_probabilities if plain else None,
-            flip.branch_probabilities if flip else None,
-        ),
+        # (plain, flipped): equal by the symmetry of `_herald_both`
+        "pattern_probabilities": (plain.probability,) * 2,
+        "branch_pattern_probabilities": (plain.branch_probabilities,) * 2,
         "worst_tail_mass": tail,
         "cutoffs": dataclasses.asdict(factors.cuts),
         "schmidt_ranks": tuple(ranks),

@@ -32,15 +32,6 @@ def test_ideal_success_probability_value():
     assert abs(analytic.p_success_ideal(1.0, 0.9) - 2.367191401491e-02) < 1e-13
 
 
-def test_success_probability_parameterizations_agree():
-    for alpha_i, t in ((0.7, 0.9), (1.0, 0.99)):
-        by_input = analytic.p_success_ideal(alpha_i, t, in_terms_of="alpha_i")
-        by_output = analytic.p_success_ideal(
-            math.sqrt(t) * alpha_i, t, in_terms_of="alpha_f"
-        )
-        assert abs(by_input - by_output) < 1e-15
-
-
 def test_detector_fidelity_formula_and_values():
     assert abs(analytic.fidelity_eta(0.7, 0.99, 0.7) - 0.998517354109) < 1e-10
     assert abs(analytic.fidelity_eta(1.0, 0.99, 0.9) - 0.998990918607) < 1e-10
@@ -63,7 +54,7 @@ def test_total_probability_value_and_eta_one_limit():
     # ideal probability (two patterns, and the convention factor)
     for alpha_f, t in ((0.7, 0.9), (1.0, 0.99)):
         full = analytic.p_tot_eta(alpha_f, t, 1.0)
-        single = analytic.p_success_ideal(alpha_f, t, in_terms_of="alpha_f")
+        single = analytic.p_success_ideal(alpha_f / math.sqrt(t), t)
         assert abs(full - 4.0 * single) < 1e-15
 
 

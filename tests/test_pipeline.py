@@ -123,25 +123,55 @@ def test_fidelity_follows_detector_formula():
         assert abs(result.fidelity - expected) < 1e-4
 
 
-def test_pattern_probabilities_symmetric():
-    result = run_scheme(SchemeConfig(t=0.95, eta=0.85, alpha_i=0.9))
-    p_plain, p_flip = result.diagnostics["pattern_probabilities"]
-    assert abs(p_plain - p_flip) < 1e-10 * p_plain
+def _record_heralds(monkeypatch):
+    """Arguments of every `herald_factored` call the pipeline makes."""
+    calls = []
+    real = pipeline.herald_factored
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "herald_factored", record)
+    return calls
 
 
-def test_prestate_and_compact_path_agree():
-    """The eight-mode pre-detection state heralds with the same pattern
-    probabilities as the reduced pipeline used by run_scheme."""
-    config = SchemeConfig(t=0.9, eta=0.8, alpha_i=0.8)
-    result = run_scheme(config)
-    p_plain, p_flip = result.diagnostics["pattern_probabilities"]
-    prestate = build_prestate(config)
-    for flipped, reference in ((False, p_plain), (True, p_flip)):
-        spec = build_scheme_herald(
-            prestate.register, "pnr", config.eta, flipped=flipped
-        )
-        got = herald(prestate, spec).probability
-        assert abs(got - reference) < 1e-12 * reference
+def test_pattern_probabilities_symmetric(monkeypatch):
+    """On the very branches `run_scheme` heralds, at default cutoffs, the
+    flipped pattern fires with the plain one's probability and leaves the
+    plain state once bit-flipped: the symmetry that lets it herald one."""
+    calls = _record_heralds(monkeypatch)
+    pipeline._sector_heralds.cache_clear()
+    for kwargs in (
+        dict(t=0.9, eta=0.9, alpha_f=2.5),
+        dict(t=0.99, eta=0.7, alpha_i=1.0, scs_source="squeezed", s=0.313,
+             pair_source="vacuum_mixed", z=0.5),
+        SPDC_ORDER_3,
+        dict(t=0.95, eta=0.8, alpha_i=0.9, phi=0.7, detector="onoff"),
+    ):
+        config = SchemeConfig(**kwargs)
+        calls.clear()
+        result = run_scheme(config)
+        # the coherent run, then (downconversion) one herald per sector
+        assert len(calls) == (1 if config.pair_source != "spdc" else 5)
+        coherent = detection.herald_factored(*calls[0])
+        assert result.diagnostics["pattern_probabilities"][0] == coherent.probability
+        for branches, kept, measured, _ in calls:
+            plain, flip = (
+                detection.herald_factored(
+                    branches,
+                    kept,
+                    measured,
+                    build_scheme_herald(measured, config.detector, config.eta, f),
+                )
+                for f in (False, True)
+            )
+            assert abs(flip.probability - plain.probability) <= (
+                1e-12 * plain.probability
+            )
+            mirrored = flip.post.relabeled({"A_H": "A_V", "A_V": "A_H"})
+            mirrored = mirrored.reordered(("A_H", "A_V", "B_H"))
+            assert float(np.abs(mirrored.matrix - plain.post.matrix).max()) <= 1e-12
 
 
 def test_vacuum_mixture_scales_probability():
@@ -455,7 +485,8 @@ def test_eta_sweep_is_bit_identical_to_runs():
         assert row.tail_mass == result.diagnostics["worst_tail_mass"]
 
 
-def test_eta_shares_one_preparation():
+def test_eta_shares_one_preparation(monkeypatch):
+    calls = _record_heralds(monkeypatch)
     pipeline._factors.cache_clear()
     sweep(SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0), {"eta": (0.5, 0.7, 0.9)})
     info = pipeline._factors.cache_info()
@@ -467,6 +498,8 @@ def test_eta_shares_one_preparation():
     sweep(SchemeConfig(**SPOT_A), {"lambda": (0.01, 0.02, 0.03), "eta": (0.5, 0.9)})
     assert pipeline._factors.cache_info().misses == 1
     assert pipeline._sector_heralds.cache_info().misses == 2
+    # one herald per run, then one per sector (n = 0, 1, 2) per eta
+    assert len(calls) == 3 + 3 * 2
 
 
 def test_too_small_detector_cutoff_raises():
