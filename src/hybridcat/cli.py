@@ -206,8 +206,7 @@ def cmd_run(scenario_path: str, output: Optional[str]) -> int:
     )
     print(f"negativity         {result.negativity:.6f} ({result.negativity:.11e})")
     print(f"tail_mass          {float(diag['worst_tail_mass']):.3e}")
-    p_plain, p_flip = diag["pattern_probabilities"]
-    print(f"patterns           {p_plain:.6e} + {p_flip:.6e}")
+    print(f"per_pattern        {diag['pattern_probabilities'][0]:.6e}")
     for key in ("p_vac", "p_chi", "p_phi2"):
         if key in diag:
             print(f"{key:<18} {diag[key]:.6e}")

@@ -12,6 +12,7 @@ mutate their inputs, which keeps everything safe for concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -31,9 +32,15 @@ __all__ = [
     "apply",
     "inner",
     "to_density",
+    "log_factorials",
 ]
 
 HERMITICITY_TOL = 1e-10
+
+
+def log_factorials(size: int) -> np.ndarray:
+    """log n! for n = 0 .. size - 1, each the log of the exact integer n!."""
+    return np.array([math.log(math.factorial(n)) for n in range(size)])
 
 
 @dataclass(frozen=True)
@@ -258,13 +265,6 @@ class DensityOperator:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def normalized(self) -> "DensityOperator":
-        tr = self.trace
-        if tr <= 0.0:
-            raise ValidationError(f"cannot normalize trace {tr}")
-        return DensityOperator(self.register, self.matrix / tr,
-                               check=False, copy=False)
-
     def relabeled(self, mapping: Mapping[str, str]) -> "DensityOperator":
         return DensityOperator(self.register.relabeled(mapping), self.matrix,
                                check=False, copy=False)
@@ -413,4 +413,3 @@ def to_density(source) -> DensityOperator:
                 mat += weight * (vec @ vec.conj().T)
         return DensityOperator(source.register, mat, check=False, copy=False)
     raise ValidationError(f"cannot convert {type(source).__name__} to a density")
-

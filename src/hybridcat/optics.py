@@ -16,7 +16,10 @@ its reflected part.
 
 Displacement matrices come from the closed-form associated-Laguerre matrix
 elements, not from exponentiating truncated generators, so low Fock
-components are accurate to machine precision.
+components are accurate to machine precision. The Laguerre values L_n^(k)(x)
+for all n, k up to the cutoff come from the three-term recurrence in n
+(Abramowitz & Stegun 22.7.12), run on L_n^(k)(x) / C(n + k, n) in difference
+form for all k at once.
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import CutoffError, TruncationError, ValidationError
-from .fock_core import PureState, apply
+from .fock_core import PureState, apply, log_factorials
 
 __all__ = [
     "BsParams",
@@ -46,37 +48,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BsParams:
-    """Beam-splitter parameters: mixing angle xi and internal phase.
-
-    The scattering matrix is [[cos xi, -i e^{i phase} sin xi],
-    [-i e^{-i phase} sin xi, cos xi]]; the default phase pi/2 makes it the
-    real rotation [[c, s], [-s, c]] used throughout the scheme.
-    """
+    """Beam-splitter mixing angle xi; the scattering matrix is the real
+    rotation [[cos xi, sin xi], [-sin xi, cos xi]]."""
 
     xi: float
-    phase: float = math.pi / 2
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.xi <= math.pi / 2:
             raise ValidationError(f"mixing angle {self.xi} outside [0, pi/2]")
 
     @classmethod
-    def from_transmissivity(cls, t: float, phase: float = math.pi / 2) -> "BsParams":
+    def from_transmissivity(cls, t: float) -> "BsParams":
         if not 0.0 < t <= 1.0:
             raise ValidationError(f"transmissivity {t} outside (0, 1]")
-        return cls(math.acos(math.sqrt(t)), phase)
+        return cls(math.acos(math.sqrt(t)))
 
     def scattering_matrix(self) -> np.ndarray:
         c = math.cos(self.xi)
         s = math.sin(self.xi)
-        upper = -1j * np.exp(1j * self.phase)
-        lower = -1j * np.exp(-1j * self.phase)
-        mat = np.array(
-            [[c, upper * s], [lower * s, c]], dtype=np.complex128
-        )
-        if abs(mat.imag).max() < 1e-15:
-            mat = mat.real.astype(np.complex128)
-        return mat
+        return np.array([[c, s], [-s, c]], dtype=np.complex128)
 
 
 def bs_fock_coefficient(n: int, m: int, p: int, q: int, t: float) -> float:
@@ -104,7 +94,7 @@ def bs_fock_coefficient(n: int, m: int, p: int, q: int, t: float) -> float:
 def _cached_kernel(entries: tuple, dim_i: int, dim_j: int) -> np.ndarray:
     s00, s01, s10, s11 = entries
     kernel = np.zeros((dim_i * dim_j, dim_i * dim_j), dtype=np.complex128)
-    lg = gammaln(np.arange(dim_i + dim_j + 1) + 1.0)
+    lg = log_factorials(dim_i + dim_j + 1)
     for n in range(dim_i):
         # amplitude polynomial in "photons sent to the i output" from each input
         from_i = np.array(
@@ -217,27 +207,27 @@ def required_displacement_cutoff(alpha: complex) -> int:
 
 @lru_cache(maxsize=256)
 def _cached_displacement(alpha: complex, cutoff: int) -> np.ndarray:
+    # <r|D|c> = sqrt(lo!/hi!) beta^k e^(-x/2) L_lo^(k)(x) with lo, hi =
+    # min, max(r, c), k = hi - lo and beta = alpha below the diagonal, -alpha*
+    # above it. For q[n, k] = L_n^(k)(x) / C(n + k, n) the recurrence reads
+    # (n + k + 1) q[n + 1] = (2n + k + 1 - x) q[n] - n q[n - 1], run on the
+    # step d = q[n + 1] - q[n], which stays small where q is nearly flat.
     dim = cutoff + 1
     x = abs(alpha) ** 2
-    lg = gammaln(np.arange(dim) + 1.0)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        for row in range(dim):
-            if row >= col:
-                # <row|D|col> = sqrt(col!/row!) alpha^(row-col) e^(-x/2) L_col^(row-col)(x)
-                k = row - col
-                amp = alpha**k if k else 1.0
-                lag = eval_genlaguerre(col, k, x)
-                mat[row, col] = (
-                    math.exp(0.5 * (lg[col] - lg[row]) - 0.5 * x) * amp * lag
-                )
-            else:
-                k = col - row
-                amp = (-np.conj(alpha)) ** k
-                lag = eval_genlaguerre(row, k, x)
-                mat[row, col] = (
-                    math.exp(0.5 * (lg[row] - lg[col]) - 0.5 * x) * amp * lag
-                )
+    k = np.arange(dim)
+    q = np.ones((dim, dim))
+    d = np.zeros(dim)
+    for n in range(dim - 1):
+        d = (n * d - x * q[n]) / (n + 1 + k)
+        q[n + 1] = q[n] + d
+    row, col = k[:, None], k[None, :]
+    lo, hi = np.minimum(row, col), np.maximum(row, col)
+    beta = np.where(row >= col, alpha, -np.conj(alpha))
+    lg = log_factorials(dim)
+    # sqrt(lo!/hi!) C(hi, lo) = sqrt(hi!/lo!) / k!; integer powers of a
+    # complex array keep 0 ** 0 = 1, so alpha = 0 gives the identity
+    mat = np.exp(0.5 * (lg[hi] - lg[lo]) - lg[hi - lo] - 0.5 * x) \
+        * beta ** (hi - lo) * q[lo, hi - lo]
     mat.setflags(write=False)
     return mat
 
@@ -246,9 +236,11 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     """Single-mode displacement operator on a truncated space, as a cached
     read-only matrix.
 
-    Matrix elements are the closed-form associated-Laguerre expressions. The
-    cutoff must be at least `required_displacement_cutoff(alpha)` so that the
-    truncation error stays in the far tail.
+    Matrix elements are the closed-form associated-Laguerre expressions,
+    with the Laguerre table built by the three-term recurrence in n
+    (Abramowitz & Stegun 22.7.12). The cutoff must be at least
+    `required_displacement_cutoff(alpha)` so that the truncation error stays
+    in the far tail.
     """
     alpha = complex(alpha)
     if not np.isfinite(alpha):

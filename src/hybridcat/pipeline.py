@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import analytic
 from .detection import build_scheme_herald, herald_factored
@@ -55,6 +54,7 @@ from .fock_core import (
     PureState,
     Register,
     build_register,
+    log_factorials,
     tensor,
 )
 from .metrics import Bipartition, fidelity, negativity, target_hybrid
@@ -243,7 +243,7 @@ def _beam_state(config: SchemeConfig, cuts: ResolvedCutoffs) -> np.ndarray:
     m = np.arange(cuts.b + 1)
     n = j + k + m
     c = np.concatenate((_source_vector(config, cuts.b), np.zeros(2 * cuts.detector)))
-    lg = gammaln(np.arange(c.size) + 1.0)
+    lg = log_factorials(c.size)
     multinomial = np.exp(0.5 * (lg[n] - lg[j] - lg[k] - lg[m]))
     # plain powers, not logarithms: at t = 1 the tap needs 0 ** 0 = 1
     tap = math.sqrt((1.0 - config.t) / 2.0) ** (j + k)

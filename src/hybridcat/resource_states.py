@@ -25,6 +25,7 @@ from .fock_core import (
     PureState,
     Register,
     basis_state,
+    log_factorials,
 )
 
 __all__ = [
@@ -82,8 +83,8 @@ class SqueezedPhotonSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.s) and self.s >= 0.0):
             raise ValidationError(f"squeezing must be finite and >= 0, got {self.s}")
-        if self.n_cut < 1:
-            raise ValidationError(f"n_cut must be >= 1, got {self.n_cut}")
+        if not isinstance(self.n_cut, int) or self.n_cut < 1:
+            raise ValidationError(f"n_cut must be an integer >= 1, got {self.n_cut!r}")
 
     @property
     def fock_cutoff(self) -> int:
@@ -110,8 +111,10 @@ class PairSourceSpec:
                 raise ValidationError(
                     f"interaction strength lambda={self.lam} outside [0, 1)"
                 )
-            if self.order_max < 1:
-                raise ValidationError(f"order_max must be >= 1, got {self.order_max}")
+            if not isinstance(self.order_max, int) or self.order_max < 1:
+                raise ValidationError(
+                    f"order_max must be an integer >= 1, got {self.order_max!r}"
+                )
             if self.weighting not in ("paper", "exact"):
                 raise ValidationError(
                     f"weighting must be 'paper' or 'exact', got {self.weighting!r}"
@@ -152,11 +155,10 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     if cutoff < 0:
         raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
     n = np.arange(cutoff + 1)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, cutoff + 1)))))
-    magnitude = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * log_fact) \
-        if alpha != 0 else np.where(n == 0, 1.0, 0.0)
     if alpha == 0:
-        return magnitude.astype(np.complex128)
+        return np.where(n == 0, 1.0, 0.0).astype(np.complex128)
+    magnitude = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha))
+                       - 0.5 * log_factorials(cutoff + 1))
     phase = np.exp(1j * np.angle(complex(alpha)) * n)
     return magnitude * phase
 

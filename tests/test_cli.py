@@ -87,6 +87,10 @@ def test_run_prints_scalars_and_oracle(tmp_path, capsys):
     assert "fidelity" in out
     assert "probability_total" in out
     assert "numeric/analytic ratio 0.5" in out
+    lines = {line.split()[0]: line.split()[1:] for line in out.splitlines() if line}
+    total = float(lines["probability_total"][1].strip("()"))
+    # the two click patterns are equally likely, so one number stands for both
+    assert lines["per_pattern"] == [f"{total / 2:.6e}"]
 
 
 def test_run_spdc_notes_missing_oracle(tmp_path, capsys):

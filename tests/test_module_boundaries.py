@@ -1,9 +1,13 @@
-"""Static checks on the package layout: no module imports another's private
-helpers, every `__all__` entry is defined where it is exported, and every
-one has a caller in the package or the benchmark."""
+"""Checks on the package layout: no module imports another's private
+helpers, every `__all__` entry is defined where it is exported, every one
+has a caller in the package or the benchmark, and the runtime needs numpy
+and the standard library only."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "hybridcat"
 BENCH = PACKAGE.parents[1] / "bench"
@@ -131,3 +135,37 @@ def test_every_export_has_a_caller():
             if export not in taken and not _uses_own(tree, export)
         ]
     assert dead == []
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # every import at any depth, so a lazy import inside a function counts
+    foreign = [
+        f"{name}:{node.lineno} imports {module}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and _is_package_import(node))
+        for module in (
+            [alias.name for alias in node.names]
+            if isinstance(node, ast.Import)
+            else [node.module]
+        )
+        if module.split(".")[0] not in sys.stdlib_module_names | {"numpy", "hybridcat"}
+    ]
+    assert foreign == []
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, hybridcat.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

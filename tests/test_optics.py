@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import eval_genlaguerre, gammaln
 
+from hybridcat import cli, pipeline
 from hybridcat.fock_core import basis_state, build_register, inner, tensor
 from hybridcat.optics import (
     BsParams,
@@ -167,6 +169,55 @@ def test_displacements_compose():
     product = d_minus @ d_plus
     interior = product[:6, :6]
     assert np.max(np.abs(interior - np.eye(6))) < 1e-9
+
+
+def _scipy_displacement(alpha, cutoff):
+    """<r|D|c> from scipy's Laguerre polynomials, one element at a time."""
+    dim = cutoff + 1
+    x = abs(alpha) ** 2
+    lg = gammaln(np.arange(dim) + 1.0)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for r in range(dim):
+        for c in range(dim):
+            lo, hi = min(r, c), max(r, c)
+            beta = alpha if r >= c else -np.conj(alpha)
+            mat[r, c] = (
+                math.exp(0.5 * (lg[lo] - lg[hi]) - 0.5 * x)
+                * beta ** (hi - lo)
+                * eval_genlaguerre(lo, hi - lo, x)
+            )
+    return mat
+
+
+def _figure_displacements():
+    """(amplitude, cutoff) of every displacement the figure 2-5 grids and the
+    alpha_f = 1.0, 1.5, 2.5 runs at t = 0.9 build; each is fixed by t and
+    alpha_i alone."""
+    configs = [pipeline.SchemeConfig(t=t, eta=0.9, alpha_f=1.0) for t in cli._FIG2_T]
+    configs += [
+        pipeline.SchemeConfig(t=0.99, eta=0.9, alpha_f=a) for a in cli._FIG3_ALPHA
+    ]
+    configs += [
+        pipeline.SchemeConfig(t=t, eta=0.9, alpha_i=alpha_i)
+        for _, alpha_i in cli._PANELS.values()
+        for t in (0.9, 0.99, 0.999)
+    ]
+    configs += [
+        pipeline.SchemeConfig(t=0.9, eta=0.9, alpha_f=a) for a in (1.0, 1.5, 2.5)
+    ]
+    return {
+        (pipeline._displacement_amplitude(c), pipeline.resolve_cutoffs(c).detector)
+        for c in configs
+    }
+
+
+def test_displacement_matrix_matches_scipy_laguerre():
+    pairs = _figure_displacements()
+    pairs |= {(alpha, 24) for alpha in (0.0, 0.4, 0.9, 0.5 + 0.3j, -0.9)}
+    for alpha, cutoff in pairs:
+        got = displacement_matrix(alpha, cutoff)
+        assert np.max(np.abs(got - _scipy_displacement(alpha, cutoff))) < 1e-14
+    assert np.array_equal(displacement_matrix(0.0, 24), np.eye(25))
 
 
 def test_required_displacement_cutoff_monotone():

@@ -49,10 +49,12 @@ def test_config_validates_ranges():
     for source in (
         dict(scs_source="squeezed", s=-0.1),
         dict(scs_source="squeezed", s=0.2, n_cut=0),
+        dict(scs_source="squeezed", s=0.161, n_cut=2.5),
         dict(pair_source="vacuum_mixed", z=0.0),
         dict(pair_source="vacuum_mixed", z=1.5),
         dict(pair_source="spdc", lam=1.0),
         dict(pair_source="spdc", lam=0.1, spdc_order=0),
+        dict(pair_source="spdc", lam=0.02, spdc_order=2.5),
         dict(pair_source="spdc", lam=0.1, spdc_weighting="uniform"),
     ):
         with pytest.raises(ValidationError):
