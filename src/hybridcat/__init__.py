@@ -44,6 +44,7 @@ from .metrics import (
     fidelity,
     negativity,
     partial_transpose,
+    support_negativity,
     target_hybrid,
 )
 from .pipeline import (
@@ -114,6 +115,7 @@ __all__ = [
     "scs_fidelity",
     "spdc_decomposition",
     "squeezed_amplitudes",
+    "support_negativity",
     "sweep",
     "target_hybrid",
     "tensor",

@@ -199,9 +199,7 @@ def _normalized_result(kept: Register, accumulated: np.ndarray, total: float,
             f"herald pattern has probability {total:.3e}, below the "
             f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
         )
-    matrix = accumulated / total
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    post = DensityOperator(kept, matrix, check=False, copy=False)
+    post = DensityOperator(kept, accumulated / total, check=False, copy=False)
     return HeraldResult(
         probability=float(total),
         post=post,
@@ -239,6 +237,7 @@ def herald(source: Union[PureState, Ensemble], spec: HeraldSpec) -> HeraldResult
             kept_labels = kept
         else:
             accumulated += weight * conditional
+    accumulated = 0.5 * (accumulated + accumulated.conj().T)
     return _normalized_result(
         source.register.subset(kept_labels), accumulated, total, branch_probs
     )
@@ -258,8 +257,10 @@ def herald_factored(
     space (both C order over the registers' modes). With the Gram matrix
     G = Z diag(w) Z^H over the Fock-diagonal joint POVM weight w, the
     branch's conditional operator is L G L^H and its trace the branch's
-    herald probability. The result matches `herald` on the expanded state
-    up to roundoff.
+    herald probability. G is formed with one temporary the size of Z and
+    made exactly Hermitian, so the conditional state is Hermitian to
+    roundoff without touching the larger kept x kept matrix. The result
+    matches `herald` on the expanded state up to roundoff.
     """
     if set(measured.labels) != set(spec.measured_labels):
         raise ValidationError(
@@ -271,7 +272,11 @@ def herald_factored(
     accumulated = np.zeros((kept.size, kept.size), dtype=np.complex128)
     branch_probs = []
     for weight, left, right in branches:
-        gram = (right * weights) @ right.conj().T
+        # G = Z diag(w) Z^H = Z (conj(Z) w)^T
+        scaled = right.conj()
+        scaled *= weights
+        gram = right @ scaled.T
+        gram = 0.5 * (gram + gram.conj().T)
         conditional = left @ gram @ left.conj().T
         prob = float(np.trace(conditional).real)
         branch_probs.append(weight * prob)

@@ -158,6 +158,9 @@ def test_factored_herald_matches_dense_herald():
             rng.normal(size=shape) + 1j * rng.normal(size=shape)
             for shape in ((kept.size, rank), (rank, measured.size))
         )
+        # read-only, as `run_scheme` passes them: the Gram must not scale Z
+        # in place
+        right.setflags(write=False)
         branches.append((weight, left, right))
         dense.append((weight, PureState(joint, left @ right)))
     for detector in ("pnr", "onoff"):
@@ -168,5 +171,8 @@ def test_factored_herald_matches_dense_herald():
         assert np.allclose(got.branch_probabilities, expected.branch_probabilities,
                            rtol=1e-12, atol=0.0)
         assert np.abs(got.post.matrix - expected.post.matrix).max() < 1e-12
+        # G is Hermitised, not the kept x kept state
+        matrix = got.post.matrix
+        assert np.abs(matrix - matrix.conj().T).max() < 1e-14
     with pytest.raises(ValidationError):
         herald_factored(branches, kept, kept, spec)

@@ -3,9 +3,12 @@
 import math
 
 import numpy as np
+import pytest
 
-from hybridcat import analytic
+from hybridcat import analytic, metrics
+from hybridcat.errors import ValidationError
 from hybridcat.fock_core import (
+    DensityOperator,
     basis_state,
     build_register,
     tensor,
@@ -16,6 +19,7 @@ from hybridcat.metrics import (
     fidelity,
     negativity,
     partial_transpose,
+    support_negativity,
     target_hybrid,
 )
 from hybridcat.resource_states import coherent
@@ -102,3 +106,45 @@ def test_target_negativity_phase_invariant():
         state = target_hybrid(0.7, phi, reg)
         value = negativity(to_density(state), part)
         assert abs(value - analytic.ideal_negativity(0.7)) < 1e-9
+
+
+def test_support_negativity_matches_dense_negativity():
+    """The target lives on span{|1, 0>, |0, 1>} (x) span{|a>, |-a>}; a noisy
+    mixture with a product state keeps that support."""
+    alpha_f = 0.7
+    reg = _target_register(alpha_f)
+    part = Bipartition(("A_H", "A_V"), ("B",))
+    cutoff = reg.mode("B").cutoff
+    field = np.stack(
+        [coherent(sign * alpha_f, cutoff, label="B").amps for sign in (1.0, -1.0)],
+        axis=1,
+    )
+    basis_b, _ = np.linalg.qr(field)
+    basis_a = np.eye(4)[:, [2, 1]]
+    noise = to_density(
+        tensor(
+            basis_state(build_register((("A_H", 1), ("A_V", 1))), (0, 1)),
+            coherent(-alpha_f, cutoff, label="B"),
+        )
+    )
+    for phi in (0.0, 0.7, math.pi):
+        rho = to_density(target_hybrid(alpha_f, phi, reg))
+        mixed = DensityOperator(reg, 0.8 * rho.matrix + 0.2 * noise.matrix)
+        full = negativity(mixed, part)
+        assert full > 0.1
+        assert abs(support_negativity(mixed, part, basis_a, basis_b) - full) < 1e-12
+    with pytest.raises(ValidationError):
+        support_negativity(mixed, part, basis_b, basis_a)
+
+
+def test_negativity_cap_names_the_eigensolved_dimension(monkeypatch):
+    reg = _target_register(0.7)
+    rho = to_density(target_hybrid(0.7, math.pi, reg))
+    part = Bipartition(("A_H", "A_V"), ("B",))
+    monkeypatch.setattr(metrics, "MAX_NEGATIVITY_DIM", 3)
+    with pytest.raises(ValidationError, match=f"dimension {reg.size} exceeds"):
+        negativity(rho, part)
+    # the cap sees the 4 = 2 x 2 support, before anything is projected
+    basis = np.eye(reg.size // 4, 2)
+    with pytest.raises(ValidationError, match="dimension 4 exceeds"):
+        support_negativity(rho, part, np.eye(4, 2), basis)

@@ -11,7 +11,15 @@ import math
 import numpy as np
 import pytest
 
-from hybridcat import analytic, detection, fock_core, optics, pipeline, resource_states
+from hybridcat import (
+    analytic,
+    detection,
+    fock_core,
+    metrics,
+    optics,
+    pipeline,
+    resource_states,
+)
 from hybridcat.detection import build_scheme_herald, herald
 from hybridcat.errors import (
     CutoffError,
@@ -20,6 +28,7 @@ from hybridcat.errors import (
     ValidationError,
 )
 from hybridcat.fock_core import Ensemble, PureState, build_register
+from hybridcat.metrics import Bipartition, negativity
 from hybridcat.optics import BsParams, apply_beam_splitter, polarization_rotation
 from hybridcat.pipeline import (
     SWEEP_AXES,
@@ -428,6 +437,9 @@ ORACLE_CASES = [
         ("exact", dict(spdc_weighting="exact"), "ideal", "onoff"),
         ("exact", dict(spdc_weighting="exact"), "squeezed", "pnr"),
     )
+] + [
+    pytest.param(pair, "ideal", det, dict(phi=0.7), id=f"{pair}-phi0.7-{det}")
+    for pair, det in (("chi", "pnr"), ("vacuum_mixed", "onoff"))
 ]
 
 
@@ -459,6 +471,66 @@ def test_factored_herald_matches_dense_oracle(pair, beam, detector, extra):
         assert abs(got - expected) <= 1e-12 * max(probs)
     assert abs(result.probability_total / sum(probs) - 1.0) <= 1e-12
     assert float(np.abs(result.post_state.matrix - rho).max()) <= 1e-12
+    # the Gram, not the state, is Hermitised
+    matrix = result.post_state.matrix
+    assert float(np.abs(matrix - matrix.conj().T).max()) <= 1e-14
+    assert abs(np.trace(matrix) - 1.0) <= 1e-12
+    # the product-support eigensolve against the full register's
+    full = negativity(result.post_state, Bipartition(("A_H", "A_V"), ("B",)))
+    assert abs(result.negativity - full) <= 1e-12
+
+
+FIGURE_4_SPOTS = [
+    dict(
+        t=0.99,
+        eta=0.7,
+        alpha_i=alpha_i,
+        scs_source="squeezed",
+        s=s,
+        pair_source="vacuum_mixed",
+        z=0.5,
+    )
+    for alpha_i, s in ((0.7, 0.161), (1.0, 0.313))
+]
+
+
+def _eigensolve_sizes(monkeypatch, config):
+    """Dimensions of the matrices `run_scheme(config)` eigensolves."""
+    sizes = []
+    real = np.linalg.eigvalsh
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            np.linalg, "eigvalsh", lambda m: sizes.append(m.shape[0]) or real(m)
+        )
+        result = run_scheme(config)
+    return sizes, result
+
+
+def test_negativity_eigensolve_runs_on_the_product_support(monkeypatch):
+    # two signal states |0, 1>, |1, 0> times beam rank 23, not the 297 of
+    # the full (A_H, A_V, B) register
+    sizes, result = _eigensolve_sizes(
+        monkeypatch, SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5)
+    )
+    assert sizes == [46]
+    full = negativity(result.post_state, Bipartition(("A_H", "A_V"), ("B",)))
+    assert abs(result.negativity - full) <= 1e-12
+    for spot, expected in zip(FIGURE_4_SPOTS, (30, 33)):
+        sizes, result = _eigensolve_sizes(monkeypatch, SchemeConfig(**spot))
+        # vacuum-mixed pairs use |0, 0>, |0, 1> and |1, 0>
+        (_, beam_rank), _ = result.diagnostics["schmidt_ranks"]
+        assert sizes == [3 * beam_rank] == [expected]
+
+
+def test_negativity_cap_checks_the_eigensolved_dimension(monkeypatch):
+    monkeypatch.setattr(metrics, "MAX_NEGATIVITY_DIM", 40)
+    with pytest.raises(ValidationError, match="dimension 46 exceeds"):
+        run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5))
+    # a figure 3 row: 2 signal states times beam rank 11
+    sizes, result = _eigensolve_sizes(
+        monkeypatch, SchemeConfig(t=0.99, eta=0.8, alpha_f=1.5)
+    )
+    assert sizes == [22] and result.negativity > 0.9
 
 
 def test_factored_diagnostics_report_schmidt_ranks():
@@ -636,9 +708,9 @@ def test_run_path_leaves_the_dense_oracle_alone(monkeypatch):
 
 def test_spdc_components_skip_negativity(monkeypatch):
     calls = []
-    real = pipeline.negativity
+    real = pipeline.support_negativity
     monkeypatch.setattr(
-        pipeline, "negativity", lambda *args: calls.append(1) or real(*args)
+        pipeline, "support_negativity", lambda *args: calls.append(1) or real(*args)
     )
     pipeline._factors.cache_clear()
     pipeline._sector_heralds.cache_clear()
