@@ -6,8 +6,8 @@ multiplies the diagonal weights of all measured modes into the state and
 traces those modes out, producing the success probability and the
 (normalized) conditional state on the kept modes. `herald` does this on a
 dense state; `herald_factored` on a state given as a short sum of products
-of kept-mode and measured-mode vectors, through a Gram matrix of the
-measured factors.
+of kept-mode and measured-mode vectors, through the weighted Gram matrix of
+the measured factors, which the caller forms.
 """
 
 from __future__ import annotations
@@ -155,14 +155,11 @@ class HeraldResult:
     branch_probabilities: Tuple[float, ...]
 
 
-def _joint_weights(register: Register, spec: HeraldSpec,
-                   labels: Sequence[str]) -> np.ndarray:
-    """Joint POVM weight of every occupation pattern of the listed measured
-    modes, flattened in C order over `labels`."""
-    elements = dict(spec.elements)
+def _joint_weights(register: Register, spec: HeraldSpec) -> np.ndarray:
+    """Joint POVM weight of every occupation pattern of the measured modes,
+    flattened in C order over `spec.measured_labels`."""
     weights = np.ones(1)
-    for label in labels:
-        element = elements[label]
+    for label, element in spec.elements:
         dim = register.mode(label).dim
         if element.dim != dim:
             raise ValidationError(
@@ -173,27 +170,26 @@ def _joint_weights(register: Register, spec: HeraldSpec,
     return weights.ravel()
 
 
-def _branch_contribution(state: PureState, spec: HeraldSpec):
+def _branch_contribution(state: PureState, spec: HeraldSpec, kept: Sequence[str]):
     """Probability and unnormalized conditional matrix for one pure branch."""
-    register = state.register
-    measured = list(spec.measured_labels)
-    kept = [label for label in register.labels if label not in set(measured)]
-    if not kept:
-        raise ValidationError("herald would measure every mode; keep at least one")
-
-    weights = _joint_weights(register, spec, measured)
-    ordered = state.reordered(tuple(kept) + tuple(measured))
-    kept_dim = int(np.prod([register.mode(label).dim for label in kept]))
-    matrix = ordered.amps.reshape(kept_dim, -1)
-
-    probs_per_outcome = (np.abs(matrix) ** 2).sum(axis=0)
-    probability = float(probs_per_outcome @ weights)
+    weights = _joint_weights(state.register, spec)
+    ordered = state.reordered(tuple(kept) + spec.measured_labels)
+    matrix = ordered.amps.reshape(state.register.subset(kept).size, -1)
+    probability = float((np.abs(matrix) ** 2).sum(axis=0) @ weights)
     conditional = (matrix * weights) @ matrix.conj().T
-    return probability, conditional, kept
+    return probability, 0.5 * (conditional + conditional.conj().T)
 
 
-def _normalized_result(kept: Register, accumulated: np.ndarray, total: float,
-                       branch_probs) -> HeraldResult:
+def _normalized_result(kept: Register, contributions) -> HeraldResult:
+    """Sum (weight, probability, conditional) over the branches and
+    normalize; raises HeraldImpossibleError below the floor."""
+    total = 0.0
+    accumulated = np.zeros((kept.size, kept.size), dtype=np.complex128)
+    branch_probs = []
+    for weight, prob, conditional in contributions:
+        branch_probs.append(weight * prob)
+        total += weight * prob
+        accumulated += weight * conditional
     if total < HERALD_PROBABILITY_FLOOR:
         raise HeraldImpossibleError(
             f"herald pattern has probability {total:.3e}, below the "
@@ -223,63 +219,43 @@ def herald(source: Union[PureState, Ensemble], spec: HeraldSpec) -> HeraldResult
         source = Ensemble.pure(source)
     if not isinstance(source, Ensemble):
         raise ValidationError(f"cannot herald a {type(source).__name__}")
-
-    total = 0.0
-    accumulated = None
-    branch_probs = []
-    kept_labels = None
-    for weight, state in source:
-        prob, conditional, kept = _branch_contribution(state, spec)
-        branch_probs.append(weight * prob)
-        total += weight * prob
-        if accumulated is None:
-            accumulated = weight * conditional
-            kept_labels = kept
-        else:
-            accumulated += weight * conditional
-    accumulated = 0.5 * (accumulated + accumulated.conj().T)
+    kept = [x for x in source.register.labels if x not in spec.measured_labels]
+    if not kept:
+        raise ValidationError("herald would measure every mode; keep at least one")
     return _normalized_result(
-        source.register.subset(kept_labels), accumulated, total, branch_probs
+        source.register.subset(kept),
+        ((w, *_branch_contribution(state, spec, kept)) for w, state in source),
     )
 
 
 def herald_factored(
     branches: Sequence[Tuple[float, np.ndarray, np.ndarray]],
     kept: Register,
-    measured: Register,
-    spec: HeraldSpec,
 ) -> HeraldResult:
     """Herald an ensemble whose branches are given in factored form.
 
-    Each branch is (weight, L, Z) with the unnormalized pure state
+    Each branch is (weight, L, G) for the unnormalized pure state
     sum_m L[:, m] (x) Z[m, :]: L has one column per term over the kept
-    modes' joint space, Z one row per term over the measured modes' joint
-    space (both C order over the registers' modes). With the Gram matrix
-    G = Z diag(w) Z^H over the Fock-diagonal joint POVM weight w, the
-    branch's conditional operator is L G L^H and its trace the branch's
-    herald probability. G is formed with one temporary the size of Z and
-    made exactly Hermitian, so the conditional state is Hermitian to
-    roundoff without touching the larger kept x kept matrix. The result
-    matches `herald` on the expanded state up to roundoff.
+    modes' joint space (C order over `kept`), and G = Z diag(w) Z^H is the
+    Gram matrix of the measured factors Z under the Fock-diagonal joint
+    POVM weight w, formed by the caller (the pipeline pulls w back through
+    the splitters and never forms Z). The branch's conditional operator is
+    L G L^H and its trace the branch's herald probability. G is made
+    exactly Hermitian, so the conditional state is Hermitian to roundoff
+    without touching the larger kept x kept matrix. The result matches
+    `herald` on the expanded state up to roundoff.
     """
-    if set(measured.labels) != set(spec.measured_labels):
-        raise ValidationError(
-            f"herald spec measures {spec.measured_labels}, factored state "
-            f"has measured modes {measured.labels}"
-        )
-    weights = _joint_weights(measured, spec, measured.labels)
-    total = 0.0
-    accumulated = np.zeros((kept.size, kept.size), dtype=np.complex128)
-    branch_probs = []
-    for weight, left, right in branches:
-        # G = Z diag(w) Z^H = Z (conj(Z) w)^T
-        scaled = right.conj()
-        scaled *= weights
-        gram = right @ scaled.T
-        gram = 0.5 * (gram + gram.conj().T)
-        conditional = left @ gram @ left.conj().T
-        prob = float(np.trace(conditional).real)
-        branch_probs.append(weight * prob)
-        total += weight * prob
-        accumulated += weight * conditional
-    return _normalized_result(kept, accumulated, total, branch_probs)
+    for _, left, gram in branches:
+        terms = left.shape[1]
+        if left.shape[0] != kept.size or gram.shape != (terms, terms):
+            raise ValidationError(
+                f"factored branch has L of shape {left.shape} and G of shape "
+                f"{gram.shape}; need ({kept.size}, r) and (r, r)"
+            )
+    conditionals = (
+        (weight, left @ (0.5 * (gram + gram.conj().T)) @ left.conj().T)
+        for weight, left, gram in branches
+    )
+    return _normalized_result(
+        kept, ((w, float(np.trace(c).real), c) for w, c in conditionals)
+    )

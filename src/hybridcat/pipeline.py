@@ -14,11 +14,12 @@ up as B.
 
 `run_scheme` never forms the joint state. The tapped beam is written in
 closed form on (4H, 4V, B_H) and split into Schmidt factors, the pair as a
-sum over pair-number sectors n written in closed form; the splitters act
-only on idler x tap products and the herald contracts a small Gram matrix
-of the plain click pattern; the flipped one follows by the state's H <-> V
-mirror symmetry, which the dense oracle pins. Downconversion weights the
-unit sector n by w_n = (1 - lambda^2) lambda^(2n), the paper's P_tot
+sum over pair-number sectors n written in closed form. The herald contracts
+a small Gram matrix of the plain click pattern pulled back through the
+splitters onto each polarization's idler and tap factors, so no array spans
+all four detector channels; the flipped pattern follows by the state's
+H <-> V mirror symmetry, which the dense oracle pins. Downconversion weights
+the unit sector n by w_n = (1 - lambda^2) lambda^(2n), the paper's P_tot
 normalization (arXiv:1410.6823), so P = sum_n w_n p_n; `tail_mass` is the
 worst branch's deficit sum_n w_n d_n / sum_n w_n. Sweep rows of that source
 skip the per-row herald and so leave negativity empty, which needs the
@@ -322,36 +323,18 @@ def _schmidt(matrix: np.ndarray):
     return u[:, :rank], s[:rank], vh[:rank], float(np.sum(s[rank:] ** 2))
 
 
-def _interfere_factors(idler: np.ndarray, tap: np.ndarray, dim: int) -> np.ndarray:
-    """Both 50:50 splitters applied to every product idler_k (x) tap_l.
-
-    `idler` rows live on (2H, 2V), `tap` rows on (4H, 4V), each of cutoff
-    dim - 1. Row k * len(tap) + l of the result is the image of the k-th
-    idler and l-th tap factor on (6H, 5H, 6V, 5V).
-    """
-    kernel = two_mode_kernel(
-        BsParams.from_transmissivity(0.5).scattering_matrix(), dim, dim
-    )
-    n_idler, n_tap = len(idler), len(tap)
-    # H splitter on (4H, 2H): contract the idler's 2H index into the kernel
-    # first, then the tap's 4H index
-    half = kernel.reshape(dim**3, dim) @ idler.reshape(n_idler, dim, dim)
-    half = half.reshape(n_idler, dim * dim, dim, dim).transpose(0, 1, 3, 2)
-    taps = tap.reshape(n_tap, dim, dim).transpose(1, 0, 2).reshape(dim, -1)
-    mixed = half.reshape(-1, dim) @ taps
-    # rows (k, l, 6H 5H), columns (4V, 2V) for the V splitter
-    mixed = mixed.reshape(n_idler, dim * dim, dim, n_tap, dim)
-    mixed = mixed.transpose(0, 3, 1, 4, 2).reshape(-1, dim * dim)
-    return (mixed @ kernel.T).reshape(n_idler * n_tap, dim**4)
-
-
 @dataclass(frozen=True, eq=False)
 class _Factors:
     """Efficiency- and lambda-independent state right before detection.
 
     The unit sector of pair number n is sum_m L[:, m] (x) Z[m, :] over
     m in `blocks[n]` (ascending in n), with L over `kept` = (A_H, A_V, B_H)
-    and Z over `measured` = (6H, 5H, 6V, 5V); see `herald_factored`.
+    and Z over `measured` = (6H, 5H, 6V, 5V). Z is never formed: term
+    (k, l) is idler factor u_k (x) v_k on (2H, 2V) times tap factor
+    T_l = `tap[l]` on (4H, 4V), and each splitter acts on one polarization,
+    so row (k, l) of Z, as a (6H 5H) x (6V 5V) matrix, is P_k T_l Q_k^T.
+    P_k = K (I (x) u_k), u_k through the 50:50 kernel K with the tap's 4H
+    left open, fills rows (k, 4H) of `idler_h`; `idler_v` holds Q_k alike.
     `tails` holds the sectors' truncation deficits. Every column of L lies
     in span{|m, n - m> : `signal_states`} (x) span{rows of `beam_vh`}, the
     product support `run_scheme` scores the negativity on.
@@ -361,7 +344,9 @@ class _Factors:
     kept: Register
     measured: Register
     left: np.ndarray
-    right: np.ndarray
+    idler_h: np.ndarray
+    idler_v: np.ndarray
+    tap: np.ndarray
     blocks: Mapping[int, slice]
     tails: Mapping[int, float]
     signal_states: np.ndarray
@@ -371,6 +356,36 @@ class _Factors:
     @property
     def beam_rank(self) -> int:
         return len(self.beam_vh)
+
+
+def _gram(factors: _Factors, w_h, w_v) -> np.ndarray:
+    """G = Z diag(w_h (x) w_v) Z^H over all terms, for POVM weights w_h on
+    (6H, 5H) and w_v on (6V, 5V), pulled back through the splitters: with
+    H_km = P_k^T diag(w_h) conj(P_m) and V_km = Q_k^T diag(w_v) conj(Q_m),
+    G[(k, l), (m, n)] = sum T_l[i, j] H_km[i, c] V_km[j, d] conj(T_n[c, d]).
+    That is n_k^2 n_l dim^3 + (n_k n_l dim)^2 work for n_k idler and n_l
+    tap factors, where forming Z costs n_k n_l dim^6. It needs product
+    idler factors and a product, Fock-diagonal POVM.
+    """
+    n_l, dim, _ = factors.tap.shape
+    n_k = len(factors.idler_h) // dim
+    h, v = (
+        ((p * w) @ p.conj().T).reshape(n_k, dim, n_k, dim)
+        for p, w in ((factors.idler_h, w_h), (factors.idler_v, w_v))
+    )
+    # per (k, m): H_km^T T_l V_km for every l, then against conj(T_n)
+    pushed = h.transpose(0, 2, 3, 1)[:, :, None] @ factors.tap
+    pushed = pushed @ v.transpose(0, 2, 1, 3)[:, :, None]
+    gram = pushed.reshape(n_k, n_k, n_l, -1) @ factors.tap.reshape(n_l, -1).conj().T
+    return gram.transpose(0, 2, 1, 3).reshape(n_k * n_l, -1)
+
+
+def _pattern_gram(factors: _Factors, detector: str, eta: float) -> np.ndarray:
+    """`_gram` of the plain click pattern."""
+    povm = dict(build_scheme_herald(factors.measured, detector, eta).elements)
+    return _gram(factors, *(
+        np.outer(povm["6" + p].weights, povm["5" + p].weights).ravel() for p in "HV"
+    ))
 
 
 def _factors_key(config: SchemeConfig) -> SchemeConfig:
@@ -387,9 +402,10 @@ def _factors(key: SchemeConfig) -> _Factors:
     The displaced n-pair sector is written in closed form: signal factors
     |m, n - m> on (A_H, A_V) of weight (n + 1)^(-1/2) and idler factors
     D|n - m> (x) D|m> on (2H, 2V). The beam splits by SVD into tap (4H, 4V)
-    against kept field B_H factors, and the splitters act only on the
-    idler x tap products. A sector's deficit, 1 - ||sector||^2 plus the
-    beam's discarded mass, counts the displacement's truncation too.
+    against kept field B_H factors. The idler's H and V factors pass their
+    50:50 splitters one polarization at a time (see `_Factors`). A sector's
+    deficit, 1 - ||sector||^2 plus the beam's discarded mass, counts the
+    displacement's truncation too.
     """
     cuts = resolve_cutoffs(key)
     dim = cuts.detector + 1
@@ -407,37 +423,43 @@ def _factors(key: SchemeConfig) -> _Factors:
     signal = np.zeros(((cuts.a + 1) ** 2, len(n)))
     signal_states = m * (cuts.a + 1) + n - m
     signal[signal_states, np.arange(len(n))] = (n + 1.0) ** -0.5
-    idler = np.einsum("ik,jk->kij", disp[:, n - m], disp[:, m]).reshape(len(n), -1)
     left = np.einsum("ak,lb->abkl", signal, field)
     left = left.reshape(-1, len(n) * len(field))
-    right = _interfere_factors(idler, tap.T, dim)
-    for array in (left, right, signal_states, beam_vh):
+    kernel = two_mode_kernel(
+        BsParams.from_transmissivity(0.5).scattering_matrix(), dim, dim
+    ).reshape(dim**3, dim)
+    # kernel rows (6H 5H, 4H) by column 2H, stored as rows (k, 4H)
+    idler_h, idler_v = (
+        (kernel @ disp[:, photons]).reshape(dim * dim, dim, -1)
+        .transpose(2, 1, 0).reshape(-1, dim * dim)
+        for photons in (n - m, m)
+    )
+    tap = np.ascontiguousarray(tap.T).reshape(-1, dim, dim)
+    for array in (left, idler_h, idler_v, tap, signal_states, beam_vh):
         array.setflags(write=False)
-    # summed over a block, this is the block's trace(L G L^H) at w = 1
-    overlap = (right @ right.conj().T) * (left.T @ left.conj())
     starts = (np.searchsorted(n, numbers) * len(field)).tolist()
     blocks = {q: slice(a, a + (q + 1) * len(field)) for q, a in zip(numbers, starts)}
-    tails = {
-        q: max(0.0, 1.0 - float(overlap[b, b].sum().real)) + discarded
-        for q, b in blocks.items()
-    }
-
-    kept = build_register((("A_H", cuts.a), ("A_V", cuts.a), ("B_H", cuts.b)))
-    measured = build_register(
-        (label, cuts.detector) for label in ("6H", "5H", "6V", "5V")
-    )
-    return _Factors(
+    factors = _Factors(
         cuts=cuts,
-        kept=kept,
-        measured=measured,
+        kept=build_register((("A_H", cuts.a), ("A_V", cuts.a), ("B_H", cuts.b))),
+        measured=build_register((x, cuts.detector) for x in ("6H", "5H", "6V", "5V")),
         left=left,
-        right=right,
+        idler_h=idler_h,
+        idler_v=idler_v,
+        tap=tap,
         blocks=blocks,
-        tails=tails,
+        tails={},
         signal_states=signal_states,
         beam_vh=beam_vh,
         discarded=discarded,
     )
+    # summed over a block, this is the block's trace(L G L^H) at w = 1
+    overlap = _gram(factors, 1.0, 1.0) * (left.T @ left.conj())
+    tails = {
+        q: max(0.0, 1.0 - float(overlap[b, b].sum().real)) + discarded
+        for q, b in blocks.items()
+    }
+    return dataclasses.replace(factors, tails=tails)
 
 
 def _truncation_tail(config: SchemeConfig, factors: _Factors) -> float:
@@ -456,9 +478,10 @@ def _truncation_tail(config: SchemeConfig, factors: _Factors) -> float:
     return worst
 
 
-def _herald_both(config: SchemeConfig, factors: _Factors, branches):
+def _herald_both(factors: _Factors, branches):
     """The plain click pattern's `HeraldResult`, the total probability of
-    both patterns and their combined state on (A_H, A_V, B).
+    both patterns and their combined state on (A_H, A_V, B), from branches
+    (weight, L, G) with G a block of `_pattern_gram`.
 
     Only the plain pattern is heralded. Swapping H and V in every mode
     leaves the prepared state unchanged: the tap is polarization
@@ -470,8 +493,7 @@ def _herald_both(config: SchemeConfig, factors: _Factors, branches):
     unequal detector efficiencies) would need the flipped pattern heralded
     too. The dense oracle heralds both and pins the symmetry.
     """
-    spec = build_scheme_herald(factors.measured, config.detector, config.eta)
-    plain = herald_factored(branches, factors.kept, factors.measured, spec)
+    plain = herald_factored(branches, factors.kept)
     return plain, 2.0 * plain.probability, plain.post.relabeled({"B_H": "B"})
 
 
@@ -490,31 +512,31 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     the configured alpha_f and phi.
 
     The herald contracts Schmidt factors of the pair-number sectors and the
-    beam (see `_factors`, cached free of eta and lambda). A pair-source
-    branch of weight W stacks its sectors, sector n scaled by sqrt(w_n / W):
-    L = [L_0 | L_1 | ...], Z = [Z_0; Z_1; ...]. For downconversion, P and F are the
-    sector recombination of `spdc_decomposition`, equal to this coherent
-    herald's to roundoff.
+    beam (see `_factors`, cached free of eta and lambda) through one Gram
+    matrix of all their terms (`_gram`). A pair-source branch of weight W
+    stacks its sectors, sector n scaled by sqrt(w_n / W): L = [L_0 | L_1 |
+    ...] against the Gram's block over the same consecutive terms. For
+    downconversion, P and F are the sector recombination of
+    `spdc_decomposition`, equal to this coherent herald's to roundoff.
 
-    The negativity is eigensolved on the post-state's product support, the
-    signal Fock states of the sectors times the beam's right singular
-    vectors (see `_Factors`): a local isometry, so the value is the full
-    register's (at alpha_f = 2.5, 46 dimensions instead of 297).
+    The negativity is eigensolved on the product support of `_Factors`,
+    a local isometry (at alpha_f = 2.5, 46 dimensions instead of 297).
     """
     factors = _factors(_factors_key(config))
     tail = _truncation_tail(config, factors)
+    gram = _pattern_gram(factors, config.detector, config.eta)
     branches = []
     ranks = []
     for weight, terms in _pair_branches(config):
-        # consecutive sectors: the branch's factors are one block, Z a view
+        # consecutive sectors: the branch's terms are one block of the Gram
         first, last = factors.blocks[terms[0][0]], factors.blocks[terms[-1][0]]
         rows = slice(first.start, last.stop)
         scale = np.concatenate(
             [np.full((n + 1) * factors.beam_rank, math.sqrt(w)) for n, w in terms]
         )
-        branches.append((weight, factors.left[:, rows] * scale, factors.right[rows]))
+        branches.append((weight, factors.left[:, rows] * scale, gram[rows, rows]))
         ranks.append((len(scale) // factors.beam_rank, factors.beam_rank))
-    plain, probability, post = _herald_both(config, factors, branches)
+    plain, probability, post = _herald_both(factors, branches)
 
     diagnostics: Dict[str, object] = {
         # (plain, flipped): equal by the symmetry of `_herald_both`
@@ -607,15 +629,17 @@ def build_prestate(config: SchemeConfig) -> Ensemble:
 def _sector_heralds(key: SchemeConfig, eta: float):
     """Both-pattern herald probability p_n and fidelity f_n of each unit
     pair-number sector of `_factors(key)` at efficiency eta (0 and 0 for
-    a sector that cannot herald)."""
+    a sector that cannot herald), each from its diagonal block of one Gram
+    matrix."""
     config = dataclasses.replace(key, eta=eta)
     factors = _factors(key)
+    gram = _pattern_gram(factors, key.detector, eta)
     probs = []
     fids = []
     for block in factors.blocks.values():
-        sector = ((1.0, factors.left[:, block], factors.right[block]),)
+        sector = ((1.0, factors.left[:, block], gram[block, block]),)
         try:
-            _, p, post = _herald_both(config, factors, sector)
+            _, p, post = _herald_both(factors, sector)
         except HeraldImpossibleError:
             p, post = 0.0, None
         probs.append(p)

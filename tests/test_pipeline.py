@@ -7,6 +7,7 @@ implementation under the locked conventions.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,7 +136,8 @@ def test_fidelity_follows_detector_formula():
 
 
 def _record_heralds(monkeypatch):
-    """Arguments of every `herald_factored` call the pipeline makes."""
+    """Arguments (branches, kept) of every `herald_factored` call the
+    pipeline makes."""
     calls = []
     real = pipeline.herald_factored
 
@@ -150,9 +152,11 @@ def _record_heralds(monkeypatch):
 def test_pattern_probabilities_symmetric(monkeypatch):
     """On the very branches `run_scheme` heralds, at default cutoffs, the
     flipped pattern fires with the plain one's probability and leaves the
-    plain state once bit-flipped: the symmetry that lets it herald one."""
+    plain state once bit-flipped: the symmetry that lets it herald one.
+    The flipped heralds come from rerunning with the Grams formed from the
+    flipped spec."""
     calls = _record_heralds(monkeypatch)
-    pipeline._sector_heralds.cache_clear()
+    spec = pipeline.build_scheme_herald
     for kwargs in (
         dict(t=0.9, eta=0.9, alpha_f=2.5),
         dict(t=0.99, eta=0.7, alpha_i=1.0, scs_source="squeezed", s=0.313,
@@ -161,22 +165,30 @@ def test_pattern_probabilities_symmetric(monkeypatch):
         dict(t=0.95, eta=0.8, alpha_i=0.9, phi=0.7, detector="onoff"),
     ):
         config = SchemeConfig(**kwargs)
-        calls.clear()
-        result = run_scheme(config)
-        # the coherent run, then (downconversion) one herald per sector
-        assert len(calls) == (1 if config.pair_source != "spdc" else 5)
-        coherent = detection.herald_factored(*calls[0])
-        assert result.diagnostics["pattern_probabilities"][0] == coherent.probability
-        for branches, kept, measured, _ in calls:
-            plain, flip = (
-                detection.herald_factored(
-                    branches,
-                    kept,
-                    measured,
-                    build_scheme_herald(measured, config.detector, config.eta, f),
-                )
-                for f in (False, True)
+        runs = []
+        for flipped in (False, True):
+            monkeypatch.setattr(
+                pipeline,
+                "build_scheme_herald",
+                lambda *args, f=flipped: spec(*args, flipped=f),
             )
+            pipeline._sector_heralds.cache_clear()
+            calls.clear()
+            result = run_scheme(config)
+            # the coherent run, then (downconversion) one herald per sector
+            assert len(calls) == (1 if config.pair_source != "spdc" else 5)
+            runs.append((result, list(calls)))
+        (result, plain_calls), (_, flip_calls) = runs
+        coherent = detection.herald_factored(*plain_calls[0])
+        assert result.diagnostics["pattern_probabilities"][0] == coherent.probability
+        for plain_args, flip_args in zip(plain_calls, flip_calls):
+            for (_, left, gram), (_, flip_left, flip_gram) in zip(
+                plain_args[0], flip_args[0]
+            ):
+                assert np.array_equal(left, flip_left)
+                assert not np.array_equal(gram, flip_gram)
+            plain = detection.herald_factored(*plain_args)
+            flip = detection.herald_factored(*flip_args)
             assert abs(flip.probability - plain.probability) <= (
                 1e-12 * plain.probability
             )
@@ -494,6 +506,55 @@ FIGURE_4_SPOTS = [
 ]
 
 
+def _interfered_factors(config):
+    """The measured factors Z of `config` the long way: the 50:50 kernel
+    applied on (4H, 2H) and on (4V, 2V) to every explicit product
+    u_k (x) v_k (x) T_l, rows (k, l) over (6H, 5H, 6V, 5V)."""
+    factors = pipeline._factors(pipeline._factors_key(config))
+    dim = factors.cuts.detector + 1
+    disp = optics.displacement_matrix(
+        pipeline._displacement_amplitude(config), factors.cuts.detector
+    )
+    kernel = optics.two_mode_kernel(
+        BsParams.from_transmissivity(0.5).scattering_matrix(), dim, dim
+    ).reshape((dim,) * 4)
+    # signal |m, n - m> pairs with idler D|n - m> on 2H and D|m> on 2V
+    m, n_minus_m = np.divmod(factors.signal_states, factors.cuts.a + 1)
+    rows = []
+    for u, v in zip(disp[:, n_minus_m].T, disp[:, m].T):
+        for tap in factors.tap:
+            product = np.einsum("ij,x,y->ixjy", tap, u, v)
+            image = np.einsum(
+                "abix,cdjy,ixjy->abcd", kernel, kernel, product, optimize=True
+            )
+            rows.append(image.ravel())
+    return factors, np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [dict(t=0.9, eta=0.9, alpha_f=1.0), SPOT_A]
+)
+def test_pulled_back_gram_matches_interfered_factors(kwargs):
+    factors, z = _interfered_factors(SchemeConfig(**kwargs))
+    ones = np.ones((factors.cuts.detector + 1) ** 2)
+    cases = [(1.0, 1.0)]
+    for detector, eta, flipped in itertools.product(
+        ("pnr", "onoff"), (0.1, 0.7, 1.0), (False, True)
+    ):
+        elements = dict(
+            build_scheme_herald(factors.measured, detector, eta, flipped).elements
+        )
+        cases.append(tuple(
+            np.outer(elements["6" + p].weights, elements["5" + p].weights).ravel()
+            for p in "HV"
+        ))
+    for w_h, w_v in cases:
+        weights = np.outer(ones * w_h, ones * w_v).ravel()
+        expected = (z * weights) @ z.conj().T
+        got = pipeline._gram(factors, w_h, w_v)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def _eigensolve_sizes(monkeypatch, config):
     """Dimensions of the matrices `run_scheme(config)` eigensolves."""
     sizes = []
@@ -559,21 +620,63 @@ def test_eta_sweep_is_bit_identical_to_runs():
         assert row.tail_mass == result.diagnostics["worst_tail_mass"]
 
 
+def _record_grams(monkeypatch):
+    """Every Gram matrix `pipeline._gram` returns."""
+    grams = []
+    real = pipeline._gram
+
+    def record(*args):
+        grams.append(real(*args))
+        return grams[-1]
+
+    monkeypatch.setattr(pipeline, "_gram", record)
+    return grams
+
+
 def test_eta_shares_one_preparation(monkeypatch):
     calls = _record_heralds(monkeypatch)
+    grams = _record_grams(monkeypatch)
     pipeline._factors.cache_clear()
     sweep(SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0), {"eta": (0.5, 0.7, 0.9)})
     info = pipeline._factors.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+    # the truncation deficit's Gram (w = 1), then one Gram and herald per run
+    assert (len(grams), len(calls)) == (1 + 3, 3)
     # downconversion points share it across lambda too, and their sector
     # heralds are cached per eta
+    calls.clear()
+    grams.clear()
     pipeline._factors.cache_clear()
     pipeline._sector_heralds.cache_clear()
     sweep(SchemeConfig(**SPOT_A), {"lambda": (0.01, 0.02, 0.03), "eta": (0.5, 0.9)})
     assert pipeline._factors.cache_info().misses == 1
     assert pipeline._sector_heralds.cache_info().misses == 2
-    # one herald per run, then one per sector (n = 0, 1, 2) per eta
-    assert len(calls) == 3 + 3 * 2
+    # per eta one herald Gram, whose diagonal blocks feed the heralds of
+    # the sectors n = 0, 1, 2
+    assert (len(grams), len(calls)) == (1 + 2, 3 * 2)
+    for gram, sectors in zip(grams[1:], (calls[:3], calls[3:])):
+        for ((_, _, block),), _ in sectors:
+            assert np.shares_memory(block, gram)
+
+
+def test_cold_large_amplitude_run_stays_small():
+    """No array spans all four detector channels: the traced peak of one
+    cold run at alpha_f = 2.5 stays below the 28 MB that the interfered
+    factors Z (46 x 14^4 complex) would take alone."""
+    for cache in (
+        pipeline._factors,
+        pipeline._sector_heralds,
+        optics._cached_kernel,
+        optics._cached_displacement,
+    ):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_too_small_detector_cutoff_raises():
