@@ -44,7 +44,6 @@ from .metrics import (
     fidelity,
     negativity,
     partial_transpose,
-    support_negativity,
     target_hybrid,
 )
 from .pipeline import (
@@ -115,7 +114,6 @@ __all__ = [
     "scs_fidelity",
     "spdc_decomposition",
     "squeezed_amplitudes",
-    "support_negativity",
     "sweep",
     "target_hybrid",
     "tensor",

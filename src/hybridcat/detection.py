@@ -5,9 +5,10 @@ of weights d_k over photon number k. Heralding on a joint outcome pattern
 multiplies the diagonal weights of all measured modes into the state and
 traces those modes out, producing the success probability and the
 (normalized) conditional state on the kept modes. `herald` does this on a
-dense state; `herald_factored` on a state given as a short sum of products
-of kept-mode and measured-mode vectors, through the weighted Gram matrix of
-the measured factors, which the caller forms.
+dense state and is the test oracle of the pipeline, which heralds in the
+basis of its state's terms instead: it pulls the POVM weights back onto a
+Gram matrix of the measured factors and keeps the conditional state as a
+small matrix over the terms.
 """
 
 from __future__ import annotations
@@ -180,29 +181,6 @@ def _branch_contribution(state: PureState, spec: HeraldSpec, kept: Sequence[str]
     return probability, 0.5 * (conditional + conditional.conj().T)
 
 
-def _normalized_result(kept: Register, contributions) -> HeraldResult:
-    """Sum (weight, probability, conditional) over the branches and
-    normalize; raises HeraldImpossibleError below the floor."""
-    total = 0.0
-    accumulated = np.zeros((kept.size, kept.size), dtype=np.complex128)
-    branch_probs = []
-    for weight, prob, conditional in contributions:
-        branch_probs.append(weight * prob)
-        total += weight * prob
-        accumulated += weight * conditional
-    if total < HERALD_PROBABILITY_FLOOR:
-        raise HeraldImpossibleError(
-            f"herald pattern has probability {total:.3e}, below the "
-            f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
-        )
-    post = DensityOperator(kept, accumulated / total, check=False, copy=False)
-    return HeraldResult(
-        probability=float(total),
-        post=post,
-        branch_probabilities=tuple(branch_probs),
-    )
-
-
 def herald(source: Union[PureState, Ensemble], spec: HeraldSpec) -> HeraldResult:
     """Apply a joint herald pattern and return the conditional state.
 
@@ -211,9 +189,6 @@ def herald(source: Union[PureState, Ensemble], spec: HeraldSpec) -> HeraldResult
     density operator on the kept modes is the weighted partial trace,
     renormalized by the total success probability. Raises
     HeraldImpossibleError when that probability is below the floor.
-
-    This dense contraction is the reference that `herald_factored` is
-    tested against.
     """
     if isinstance(source, PureState):
         source = Ensemble.pure(source)
@@ -222,40 +197,23 @@ def herald(source: Union[PureState, Ensemble], spec: HeraldSpec) -> HeraldResult
     kept = [x for x in source.register.labels if x not in spec.measured_labels]
     if not kept:
         raise ValidationError("herald would measure every mode; keep at least one")
-    return _normalized_result(
-        source.register.subset(kept),
-        ((w, *_branch_contribution(state, spec, kept)) for w, state in source),
-    )
-
-
-def herald_factored(
-    branches: Sequence[Tuple[float, np.ndarray, np.ndarray]],
-    kept: Register,
-) -> HeraldResult:
-    """Herald an ensemble whose branches are given in factored form.
-
-    Each branch is (weight, L, G) for the unnormalized pure state
-    sum_m L[:, m] (x) Z[m, :]: L has one column per term over the kept
-    modes' joint space (C order over `kept`), and G = Z diag(w) Z^H is the
-    Gram matrix of the measured factors Z under the Fock-diagonal joint
-    POVM weight w, formed by the caller (the pipeline pulls w back through
-    the splitters and never forms Z). The branch's conditional operator is
-    L G L^H and its trace the branch's herald probability. G is made
-    exactly Hermitian, so the conditional state is Hermitian to roundoff
-    without touching the larger kept x kept matrix. The result matches
-    `herald` on the expanded state up to roundoff.
-    """
-    for _, left, gram in branches:
-        terms = left.shape[1]
-        if left.shape[0] != kept.size or gram.shape != (terms, terms):
-            raise ValidationError(
-                f"factored branch has L of shape {left.shape} and G of shape "
-                f"{gram.shape}; need ({kept.size}, r) and (r, r)"
-            )
-    conditionals = (
-        (weight, left @ (0.5 * (gram + gram.conj().T)) @ left.conj().T)
-        for weight, left, gram in branches
-    )
-    return _normalized_result(
-        kept, ((w, float(np.trace(c).real), c) for w, c in conditionals)
+    kept_register = source.register.subset(kept)
+    total = 0.0
+    accumulated = np.zeros((kept_register.size,) * 2, dtype=np.complex128)
+    branch_probs = []
+    for weight, state in source:
+        prob, conditional = _branch_contribution(state, spec, kept)
+        branch_probs.append(weight * prob)
+        total += weight * prob
+        accumulated += weight * conditional
+    if total < HERALD_PROBABILITY_FLOOR:
+        raise HeraldImpossibleError(
+            f"herald pattern has probability {total:.3e}, below the "
+            f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
+        )
+    post = DensityOperator(kept_register, accumulated / total, check=False, copy=False)
+    return HeraldResult(
+        probability=float(total),
+        post=post,
+        branch_probabilities=tuple(branch_probs),
     )

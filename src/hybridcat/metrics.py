@@ -1,11 +1,13 @@
 """State-quality metrics: target overlap fidelity and entanglement negativity.
 
-`negativity` eigensolves the partial transpose on the full register.
-`support_negativity` first projects onto a product subspace that holds the
-state's support, a local isometry that leaves the negativity unchanged
-(Vidal & Werner, PRA 65, 032314 (2002)), and eigensolves there. Both check
-the dimension they eigensolve against `MAX_NEGATIVITY_DIM` before they
-allocate anything.
+`matrix_negativity` eigensolves the partial transpose of a square matrix
+over a C-ordered (dim_a, rest) index, after checking its dimension against
+`MAX_NEGATIVITY_DIM`. `negativity` calls it on a density operator's full
+register; the pipeline calls it on the heralded state in its term basis, a
+local isometry of the register that leaves the value unchanged (Vidal &
+Werner, PRA 65, 032314 (2002)). `target_field_vectors` gives the target's
+two field vectors, which `target_hybrid` places on the register and the
+pipeline projects into its term basis.
 """
 
 from __future__ import annotations
@@ -24,6 +26,22 @@ from .resource_states import coherent_amplitudes
 MAX_NEGATIVITY_DIM = 4096
 
 
+def target_field_vectors(alpha_f: float, phi: float, cutoff: int):
+    """The hybrid target's field vectors next to |1, 0> and |0, 1> on
+    (A_H, A_V): |alpha_f> / sqrt(2) and e^(i phi) |-alpha_f> / sqrt(2), both
+    truncated at `cutoff` and scaled by one factor so that their squared
+    norms sum to one.
+
+    The polarization branches are orthogonal, so the ideal norm is exactly
+    one; truncating the coherent tails changes it by less than 1e-10 when
+    the field cutoff is adequate.
+    """
+    plus = coherent_amplitudes(alpha_f, cutoff) / np.sqrt(2.0)
+    minus = np.exp(1j * phi) * coherent_amplitudes(-alpha_f, cutoff) / np.sqrt(2.0)
+    norm = np.linalg.norm((plus, minus))
+    return plus / norm, minus / norm
+
+
 def target_hybrid(
     alpha_f: float,
     phi: float,
@@ -32,12 +50,8 @@ def target_hybrid(
 ) -> PureState:
     """Hybrid entangled target: one photon in the first polarization mode
     next to |alpha_f> on the field mode, plus e^(i phi) times the flipped
-    polarization next to |-alpha_f>, normalized after truncation.
-
-    The polarization branches are orthogonal, so the ideal norm is exactly
-    one; truncating the coherent tails changes it by less than 1e-10 when
-    the field cutoff is adequate.
-    """
+    polarization next to |-alpha_f>, normalized after truncation (see
+    `target_field_vectors`)."""
     label_h, label_v, label_b = labels
     for label in labels:
         register.axis(label)
@@ -50,14 +64,11 @@ def target_hybrid(
         raise ValidationError("polarization modes need cutoff >= 1")
 
     ordered = register.subset(labels)
-    dims = ordered.dims
-    amps = np.zeros(dims, dtype=np.complex128)
-    plus = coherent_amplitudes(alpha_f, register.mode(label_b).cutoff)
-    minus = coherent_amplitudes(-alpha_f, register.mode(label_b).cutoff)
-    amps[1, 0, :] = plus / np.sqrt(2.0)
-    amps[0, 1, :] = np.exp(1j * phi) * minus / np.sqrt(2.0)
-    state = PureState(ordered, amps, copy=False).normalized()
-    return state.reordered(register.labels)
+    amps = np.zeros(ordered.dims, dtype=np.complex128)
+    amps[1, 0, :], amps[0, 1, :] = target_field_vectors(
+        alpha_f, phi, register.mode(label_b).cutoff
+    )
+    return PureState(ordered, amps, copy=False).reordered(register.labels)
 
 
 def fidelity(rho: DensityOperator, target: PureState) -> float:
@@ -111,17 +122,18 @@ def _transpose_first(matrix: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return swapped.reshape(dim_a * dim_b, dim_a * dim_b)
 
 
-def _check_dim(dim: int) -> None:
+def matrix_negativity(matrix: np.ndarray, dim_a: int) -> float:
+    """Negativity of a square matrix over a C-ordered (dim_a, rest) index:
+    -2 times the sum of the negative eigenvalues of its partial transpose
+    over the first factor. Refuses a dimension above `MAX_NEGATIVITY_DIM`
+    before it forms the partial transpose."""
+    dim = matrix.shape[0]
     if dim > MAX_NEGATIVITY_DIM:
         raise ValidationError(
             f"negativity eigensolve dimension {dim} exceeds the "
             f"{MAX_NEGATIVITY_DIM} limit"
         )
-
-
-def _negative_mass(pt: np.ndarray) -> float:
-    """-2 times the sum of the negative eigenvalues of a partial transpose."""
-    eigenvalues = np.linalg.eigvalsh(pt)
+    eigenvalues = np.linalg.eigvalsh(_transpose_first(matrix, dim_a, dim // dim_a))
     negative_part = eigenvalues[eigenvalues < 0.0].sum()
     return float(max(-2.0 * negative_part, 0.0))
 
@@ -158,42 +170,5 @@ def negativity(rho: DensityOperator, partition: Bipartition) -> float:
     the partial transpose. Zero for separable states; the target hybrid
     state gives sqrt(1 - e^(-4 alpha_f^2))."""
     partition.validate_against(rho.register)
-    _check_dim(rho.register.size)
-    return _negative_mass(partial_transpose(rho, partition.part_a).matrix)
-
-
-def support_negativity(
-    rho: DensityOperator,
-    partition: Bipartition,
-    basis_a: np.ndarray,
-    basis_b: np.ndarray,
-) -> float:
-    """Negativity of rho on the product subspace span(basis_a) (x)
-    span(basis_b), which must contain rho's support.
-
-    The columns of basis_a are orthonormal vectors on the joint space of
-    partition.part_a (C order over its labels, as listed), those of basis_b
-    on the rest of the register (C order over the remaining labels in
-    register order). Projecting onto their product is a local isometry, so
-    it leaves the negativity unchanged (Vidal & Werner, PRA 65, 032314
-    (2002)) while the eigensolve shrinks to dimension k_a k_b.
-    """
-    partition.validate_against(rho.register)
-    (dim_a, k_a), (dim_b, k_b) = basis_a.shape, basis_b.shape
-    _check_dim(k_a * k_b)
-    ordered, part_dim = _part_a_first(rho, partition.part_a)
-    if (dim_a, dim_b) != (part_dim, ordered.register.size // part_dim):
-        raise ValidationError(
-            f"support bases act on dimensions ({dim_a}, {dim_b}), the "
-            f"bipartition has ({part_dim}, {ordered.register.size // part_dim})"
-        )
-    bra_a, bra_b = basis_a.conj().T, basis_b.conj().T
-
-    def rows(matrix: np.ndarray) -> np.ndarray:
-        # (basis_a (x) basis_b)^H applied to the rows, one factor at a time
-        out = bra_a @ matrix.reshape(dim_a, -1)
-        out = bra_b @ out.reshape(k_a, dim_b, -1)
-        return out.reshape(k_a * k_b, -1)
-
-    projected = rows(rows(ordered.matrix).conj().T).conj().T
-    return _negative_mass(_transpose_first(projected, k_a, k_b))
+    ordered, dim_a = _part_a_first(rho, partition.part_a)
+    return matrix_negativity(ordered.matrix, dim_a)

@@ -14,19 +14,23 @@ up as B.
 
 `run_scheme` never forms the joint state. The tapped beam is written in
 closed form on (4H, 4V, B_H) and split into Schmidt factors, the pair as a
-sum over pair-number sectors n written in closed form. The herald contracts
-a small Gram matrix of the plain click pattern pulled back through the
+sum over pair-number sectors n written in closed form. Each term (k, l) of
+the state before detection is a signal Fock state |m, n - m> times the
+beam's right singular vector `beam_vh[l]` on the kept modes, scaled by
+d = (n + 1)^(-1/2) s_l, next to a measured factor. The herald contracts a
+small Gram matrix G of the plain click pattern pulled back through the
 splitters onto each polarization's idler and tap factors, so no array spans
 all four detector channels; the flipped pattern follows by the state's
-H <-> V mirror symmetry, which the dense oracle pins. Downconversion weights
-the unit sector n by w_n = (1 - lambda^2) lambda^(2n), the paper's P_tot
-normalization (arXiv:1410.6823), so P = sum_n w_n p_n; `tail_mass` is the
-worst branch's deficit sum_n w_n d_n / sum_n w_n. Sweep rows of that source
-skip the per-row herald and so leave negativity empty, which needs the
-coherent post-state. The negativity is eigensolved on the post-state's
-product support, the sectors' signal Fock states times the beam's right
-singular vectors, which `_factors` knows exactly; restricting to it is a
-local isometry and leaves the value unchanged.
+H <-> V mirror symmetry, which the dense oracle pins. The heralded state
+stays in the term basis as the r x r matrix rho_t = D G D / p: the kept
+vectors of the terms are orthonormal, so embedding rho_t in the register is
+a local isometry, and the fidelity (c^H rho_t c, with c the target's
+coefficients on the terms) and the negativity are computed on rho_t.
+Downconversion weights the unit sector n by w_n = (1 - lambda^2)
+lambda^(2n), the paper's P_tot normalization (arXiv:1410.6823), so
+P = sum_n w_n p_n; `tail_mass` is the worst branch's deficit
+sum_n w_n d_n / sum_n w_n. Sweep rows of that source skip the coherent
+herald and so leave negativity empty.
 `build_prestate`, the full eight-mode lab-frame state heralded with
 `detection.herald`, is the dense test oracle.
 """
@@ -44,7 +48,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analytic
-from .detection import build_scheme_herald, herald_factored
+from .detection import HERALD_PROBABILITY_FLOOR, build_scheme_herald
 from .errors import (
     CutoffError,
     HeraldImpossibleError,
@@ -61,7 +65,7 @@ from .fock_core import (
     log_factorials,
     tensor,
 )
-from .metrics import Bipartition, fidelity, support_negativity, target_hybrid
+from .metrics import matrix_negativity, target_field_vectors
 from .optics import (
     BsParams,
     DisplacementSpec,
@@ -300,8 +304,9 @@ def _pair_branches(config: SchemeConfig):
 @dataclass(frozen=True)
 class SchemeResult:
     """One heralded run: success probability of both click patterns (twice
-    the plain one's), the conditional state on (A_H, A_V, B), its overlap
-    with the target, and the polarization/field negativity."""
+    the plain one's), the overlap of the heralded state with the target,
+    the polarization/field negativity, and the heralded state on
+    (A_H, A_V, B), the term-basis state rho_t embedded in the register."""
 
     probability_total: float
     fidelity: float
@@ -327,23 +332,25 @@ def _schmidt(matrix: np.ndarray):
 class _Factors:
     """Efficiency- and lambda-independent state right before detection.
 
-    The unit sector of pair number n is sum_m L[:, m] (x) Z[m, :] over
-    m in `blocks[n]` (ascending in n), with L over `kept` = (A_H, A_V, B_H)
-    and Z over `measured` = (6H, 5H, 6V, 5V). Z is never formed: term
-    (k, l) is idler factor u_k (x) v_k on (2H, 2V) times tap factor
-    T_l = `tap[l]` on (4H, 4V), and each splitter acts on one polarization,
-    so row (k, l) of Z, as a (6H 5H) x (6V 5V) matrix, is P_k T_l Q_k^T.
+    The unit sector of pair number n is sum_t d_t U[:, t] (x) Z[t, :] over
+    the terms t = (k, l) in `blocks[n]` (ascending in n), with U over
+    `kept` = (A_H, A_V, B) and Z over `measured` = (6H, 5H, 6V, 5V).
+    Column (k, l) of U is the signal Fock state |m, n - m> with index
+    `signal_states[k]` times `beam_vh[l]`; these are orthonormal, so U is
+    an isometry and is never formed either. `scale` holds
+    d = (n + 1)^(-1/2) s_l, s the beam's singular values. Term (k, l) of Z
+    is idler factor u_k (x) v_k on (2H, 2V) times tap factor T_l = `tap[l]`
+    on (4H, 4V), and each splitter acts on one polarization, so row (k, l)
+    of Z, as a (6H 5H) x (6V 5V) matrix, is P_k T_l Q_k^T.
     P_k = K (I (x) u_k), u_k through the 50:50 kernel K with the tap's 4H
     left open, fills rows (k, 4H) of `idler_h`; `idler_v` holds Q_k alike.
-    `tails` holds the sectors' truncation deficits. Every column of L lies
-    in span{|m, n - m> : `signal_states`} (x) span{rows of `beam_vh`}, the
-    product support `run_scheme` scores the negativity on.
+    `tails` holds the sectors' truncation deficits.
     """
 
     cuts: ResolvedCutoffs
     kept: Register
     measured: Register
-    left: np.ndarray
+    scale: np.ndarray
     idler_h: np.ndarray
     idler_v: np.ndarray
     tap: np.ndarray
@@ -404,15 +411,15 @@ def _factors(key: SchemeConfig) -> _Factors:
     D|n - m> (x) D|m> on (2H, 2V). The beam splits by SVD into tap (4H, 4V)
     against kept field B_H factors. The idler's H and V factors pass their
     50:50 splitters one polarization at a time (see `_Factors`). A sector's
-    deficit, 1 - ||sector||^2 plus the beam's discarded mass, counts the
-    displacement's truncation too.
+    deficit, 1 - ||sector||^2 = 1 - sum_t d_t^2 G1[t, t] over its terms
+    with G1 the Gram at unit POVM weight, plus the beam's discarded mass,
+    counts the displacement's truncation too.
     """
     cuts = resolve_cutoffs(key)
     dim = cuts.detector + 1
     tap, beam_s, beam_vh, discarded = _schmidt(
         _beam_state(key, cuts).reshape(dim * dim, -1)
     )
-    field = beam_s[:, None] * beam_vh
     disp = displacement_matrix(_displacement_amplitude(key), cuts.detector)
     numbers = sorted({n for _, terms in _pair_branches(key) for n, _ in terms})
     if numbers[-1] > min(cuts.a, cuts.detector):
@@ -420,11 +427,8 @@ def _factors(key: SchemeConfig) -> _Factors:
     # pair factor k of sector n[k] has m[k] photons in A_H and in 2V
     n = np.concatenate([np.full(q + 1, q) for q in numbers])
     m = np.concatenate([np.arange(q + 1) for q in numbers])
-    signal = np.zeros(((cuts.a + 1) ** 2, len(n)))
     signal_states = m * (cuts.a + 1) + n - m
-    signal[signal_states, np.arange(len(n))] = (n + 1.0) ** -0.5
-    left = np.einsum("ak,lb->abkl", signal, field)
-    left = left.reshape(-1, len(n) * len(field))
+    scale = np.outer((n + 1.0) ** -0.5, beam_s).ravel()
     kernel = two_mode_kernel(
         BsParams.from_transmissivity(0.5).scattering_matrix(), dim, dim
     ).reshape(dim**3, dim)
@@ -435,15 +439,15 @@ def _factors(key: SchemeConfig) -> _Factors:
         for photons in (n - m, m)
     )
     tap = np.ascontiguousarray(tap.T).reshape(-1, dim, dim)
-    for array in (left, idler_h, idler_v, tap, signal_states, beam_vh):
+    for array in (scale, idler_h, idler_v, tap, signal_states, beam_vh):
         array.setflags(write=False)
-    starts = (np.searchsorted(n, numbers) * len(field)).tolist()
-    blocks = {q: slice(a, a + (q + 1) * len(field)) for q, a in zip(numbers, starts)}
+    starts = (np.searchsorted(n, numbers) * len(beam_s)).tolist()
+    blocks = {q: slice(a, a + (q + 1) * len(beam_s)) for q, a in zip(numbers, starts)}
     factors = _Factors(
         cuts=cuts,
-        kept=build_register((("A_H", cuts.a), ("A_V", cuts.a), ("B_H", cuts.b))),
+        kept=build_register((("A_H", cuts.a), ("A_V", cuts.a), ("B", cuts.b))),
         measured=build_register((x, cuts.detector) for x in ("6H", "5H", "6V", "5V")),
-        left=left,
+        scale=scale,
         idler_h=idler_h,
         idler_v=idler_v,
         tap=tap,
@@ -453,10 +457,9 @@ def _factors(key: SchemeConfig) -> _Factors:
         beam_vh=beam_vh,
         discarded=discarded,
     )
-    # summed over a block, this is the block's trace(L G L^H) at w = 1
-    overlap = _gram(factors, 1.0, 1.0) * (left.T @ left.conj())
+    norms = scale**2 * _gram(factors, 1.0, 1.0).diagonal().real
     tails = {
-        q: max(0.0, 1.0 - float(overlap[b, b].sum().real)) + discarded
+        q: max(0.0, 1.0 - float(norms[b].sum())) + discarded
         for q, b in blocks.items()
     }
     return dataclasses.replace(factors, tails=tails)
@@ -478,10 +481,17 @@ def _truncation_tail(config: SchemeConfig, factors: _Factors) -> float:
     return worst
 
 
-def _herald_both(factors: _Factors, branches):
-    """The plain click pattern's `HeraldResult`, the total probability of
-    both patterns and their combined state on (A_H, A_V, B), from branches
-    (weight, L, G) with G a block of `_pattern_gram`.
+def _herald(gram: np.ndarray, branches):
+    """Herald the plain click pattern in the term basis, from `gram`, the
+    plain pattern's Gram over all terms, and branches (weight, rows, d):
+    the branch's terms `rows` and their scales d.
+
+    Returns the plain pattern's probability p, the branches' weighted
+    probabilities and the r x r heralded state
+    rho_t = sum_branch weight D G[rows, rows] D / p, zero outside the
+    branches' rows. G is Hermitised first, so rho_t is Hermitian to
+    roundoff. Raises `HeraldImpossibleError` when p is below
+    `HERALD_PROBABILITY_FLOOR`.
 
     Only the plain pattern is heralded. Swapping H and V in every mode
     leaves the prepared state unchanged: the tap is polarization
@@ -493,13 +503,49 @@ def _herald_both(factors: _Factors, branches):
     unequal detector efficiencies) would need the flipped pattern heralded
     too. The dense oracle heralds both and pins the symmetry.
     """
-    plain = herald_factored(branches, factors.kept)
-    return plain, 2.0 * plain.probability, plain.post.relabeled({"B_H": "B"})
+    gram = 0.5 * (gram + gram.conj().T)
+    rho = np.zeros_like(gram)
+    probabilities = []
+    for weight, rows, d in branches:
+        block = d[:, None] * gram[rows, rows] * d
+        rho[rows, rows] += weight * block
+        probabilities.append(weight * float(block.trace().real))
+    total = sum(probabilities)
+    if total < HERALD_PROBABILITY_FLOOR:
+        raise HeraldImpossibleError(
+            f"herald pattern has probability {total:.3e}, below the "
+            f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
+        )
+    return total, tuple(probabilities), rho / total
 
 
-def _score(config: SchemeConfig, post: DensityOperator) -> float:
-    target = target_hybrid(config.resolved_alpha_f, config.phi, post.register)
-    return fidelity(post, target)
+def _target_terms(factors: _Factors, config: SchemeConfig) -> np.ndarray:
+    """c = U^H T, the hybrid target T's coefficients on the terms: nonzero
+    only on the signal states |1, 0> and |0, 1>, where they are the
+    target's field vectors against the conjugated rows of `beam_vh`."""
+    fields = target_field_vectors(config.resolved_alpha_f, config.phi, factors.cuts.b)
+    coeffs = np.zeros(
+        (len(factors.signal_states), factors.beam_rank), dtype=np.complex128
+    )
+    for state, field in zip((factors.cuts.a + 1, 1), fields):
+        coeffs[factors.signal_states == state] = factors.beam_vh.conj() @ field
+    return coeffs.ravel()
+
+
+def _embed(factors: _Factors, rho: np.ndarray) -> DensityOperator:
+    """U rho U^H on (A_H, A_V, B): `beam_vh` on both sides, then the
+    signal states scattered into their rows and columns."""
+    k, dim_b = len(factors.signal_states), factors.cuts.b + 1
+    vh = factors.beam_vh
+    half = rho.reshape(-1, factors.beam_rank) @ vh.conj()
+    full = (vh.T @ half.reshape(k, factors.beam_rank, -1)).reshape(k, dim_b, k, dim_b)
+    dim_a = (factors.cuts.a + 1) ** 2
+    matrix = np.zeros((dim_a, dim_b, dim_a, dim_b), dtype=np.complex128)
+    states = factors.signal_states
+    matrix[states[:, None], :, states, :] = full.transpose(0, 2, 1, 3)
+    return DensityOperator(
+        factors.kept, matrix.reshape(factors.kept.size, -1), check=False, copy=False
+    )
 
 
 def run_scheme(config: SchemeConfig) -> SchemeResult:
@@ -507,20 +553,21 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
 
     Both click patterns contribute. Only the plain one is heralded: the
     flipped pattern, after the deterministic polarization bit flip, fires
-    with the same probability and leaves the same state (see
-    `_herald_both`). The reported fidelity is against the hybrid target at
-    the configured alpha_f and phi.
+    with the same probability and leaves the same state (see `_herald`).
+    The reported fidelity is against the hybrid target at the configured
+    alpha_f and phi.
 
     The herald contracts Schmidt factors of the pair-number sectors and the
     beam (see `_factors`, cached free of eta and lambda) through one Gram
-    matrix of all their terms (`_gram`). A pair-source branch of weight W
-    stacks its sectors, sector n scaled by sqrt(w_n / W): L = [L_0 | L_1 |
-    ...] against the Gram's block over the same consecutive terms. For
+    matrix G of all their terms (`_gram`). A pair-source branch of weight W
+    stacks its sectors, sector n's scales d times sqrt(w_n / W), against
+    the Gram's block over the same consecutive terms. The heralded state
+    rho_t = D G D / p stays in the term basis: F = c^H rho_t c with c the
+    target's term coefficients, and the negativity is eigensolved on rho_t
+    (at alpha_f = 2.5, 46 dimensions instead of the register's 297). For
     downconversion, P and F are the sector recombination of
     `spdc_decomposition`, equal to this coherent herald's to roundoff.
-
-    The negativity is eigensolved on the product support of `_Factors`,
-    a local isometry (at alpha_f = 2.5, 46 dimensions instead of 297).
+    `post_state` is rho_t embedded in the register.
     """
     factors = _factors(_factors_key(config))
     tail = _truncation_tail(config, factors)
@@ -531,17 +578,17 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
         # consecutive sectors: the branch's terms are one block of the Gram
         first, last = factors.blocks[terms[0][0]], factors.blocks[terms[-1][0]]
         rows = slice(first.start, last.stop)
-        scale = np.concatenate(
+        sectors = np.concatenate(
             [np.full((n + 1) * factors.beam_rank, math.sqrt(w)) for n, w in terms]
         )
-        branches.append((weight, factors.left[:, rows] * scale, gram[rows, rows]))
-        ranks.append((len(scale) // factors.beam_rank, factors.beam_rank))
-    plain, probability, post = _herald_both(factors, branches)
+        branches.append((weight, rows, factors.scale[rows] * sectors))
+        ranks.append((len(sectors) // factors.beam_rank, factors.beam_rank))
+    plain, branch_probabilities, rho = _herald(gram, branches)
 
     diagnostics: Dict[str, object] = {
-        # (plain, flipped): equal by the symmetry of `_herald_both`
-        "pattern_probabilities": (plain.probability,) * 2,
-        "branch_pattern_probabilities": (plain.branch_probabilities,) * 2,
+        # (plain, flipped): equal by the symmetry of `_herald`
+        "pattern_probabilities": (plain,) * 2,
+        "branch_pattern_probabilities": (branch_probabilities,) * 2,
         "worst_tail_mass": tail,
         "cutoffs": dataclasses.asdict(factors.cuts),
         "schmidt_ranks": tuple(ranks),
@@ -554,7 +601,8 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
             if dec[key] is not None:
                 diagnostics[key] = dec[key]
     else:
-        total, fid = probability, _score(config, post)
+        coeffs = _target_terms(factors, config)
+        total, fid = 2.0 * plain, float(np.vdot(coeffs, rho @ coeffs).real)
         if config.scs_source == "ideal" and config.detector == "pnr":
             # the closed-form total probability, weighted by the pair branch
             scale = config.z if config.pair_source == "vacuum_mixed" else 1.0
@@ -568,13 +616,8 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     return SchemeResult(
         probability_total=float(total),
         fidelity=fid,
-        negativity=support_negativity(
-            post,
-            Bipartition(("A_H", "A_V"), ("B",)),
-            np.eye((factors.cuts.a + 1) ** 2)[:, factors.signal_states],
-            factors.beam_vh.T,
-        ),
-        post_state=post,
+        negativity=matrix_negativity(rho, len(factors.signal_states)),
+        post_state=_embed(factors, rho),
         diagnostics=diagnostics,
     )
 
@@ -629,21 +672,20 @@ def build_prestate(config: SchemeConfig) -> Ensemble:
 def _sector_heralds(key: SchemeConfig, eta: float):
     """Both-pattern herald probability p_n and fidelity f_n of each unit
     pair-number sector of `_factors(key)` at efficiency eta (0 and 0 for
-    a sector that cannot herald), each from its diagonal block of one Gram
-    matrix."""
-    config = dataclasses.replace(key, eta=eta)
+    a sector that cannot herald), each heralded by `_herald` from its
+    diagonal block of one Gram matrix and scored as c^H rho_t c."""
     factors = _factors(key)
     gram = _pattern_gram(factors, key.detector, eta)
+    coeffs = _target_terms(factors, key)
     probs = []
     fids = []
     for block in factors.blocks.values():
-        sector = ((1.0, factors.left[:, block], gram[block, block]),)
         try:
-            _, p, post = _herald_both(factors, sector)
+            p, _, rho = _herald(gram, ((1.0, block, factors.scale[block]),))
         except HeraldImpossibleError:
-            p, post = 0.0, None
-        probs.append(p)
-        fids.append(0.0 if post is None else _score(config, post))
+            p, rho = 0.0, np.zeros_like(gram)
+        probs.append(2.0 * p)
+        fids.append(float(np.vdot(coeffs, rho @ coeffs).real))
     return tuple(probs), tuple(fids)
 
 
@@ -777,8 +819,8 @@ def sweep(
     validation or hit numerical limits are reported with an error status
     instead of aborting the sweep. Downconversion rows report
     `spdc_decomposition` (the P, F, p_* and tail_mass `run_scheme` reports)
-    without a per-row herald and leave negativity empty, since that needs
-    the coherent post-state's eigensolve; all others report the plain
+    without a coherent herald and leave negativity empty, since that needs
+    the coherent state's eigensolve; all others report the plain
     heralded run. Points that differ only in eta (and, for downconversion,
     lambda) share one cached preparation.
     """

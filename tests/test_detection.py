@@ -8,11 +8,10 @@ import pytest
 from hybridcat.detection import (
     build_scheme_herald,
     herald,
-    herald_factored,
     povm_click,
     povm_pnr,
 )
-from hybridcat.errors import HeraldImpossibleError, ValidationError
+from hybridcat.errors import HeraldImpossibleError
 from hybridcat.fock_core import basis_state, build_register
 
 
@@ -142,52 +141,3 @@ def test_herald_mixture_branches():
     p1 = eta * eta
     p2 = (2.0 * eta * (1.0 - eta)) * eta
     assert abs(result.probability - 0.5 * (p1 + p2)) < 1e-12
-
-
-def test_factored_herald_matches_dense_herald():
-    from hybridcat.fock_core import Ensemble, PureState
-
-    rng = np.random.default_rng(7)
-    kept = build_register((("A_H", 1), ("A_V", 1), ("B_H", 3)))
-    measured = build_register((("6H", 2), ("5H", 2), ("6V", 2), ("5V", 2)))
-    joint = build_register(kept.modes + measured.modes)
-    factors = []
-    dense = []
-    for weight, rank in ((0.7, 3), (0.3, 2)):
-        left, right = (
-            rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            for shape in ((kept.size, rank), (rank, measured.size))
-        )
-        factors.append((weight, left, right))
-        dense.append((weight, PureState(joint, left @ right)))
-    for detector in ("pnr", "onoff"):
-        spec = build_scheme_herald(joint, detector, 0.6, flipped=True)
-        elements = dict(spec.elements)
-        weights = np.ones(1)
-        for label in measured.labels:
-            weights = np.multiply.outer(weights, elements[label].weights)
-        weights = weights.ravel()
-        # G = Z diag(w) Z^H, formed here as the pipeline's pull-back would
-        branches = [
-            (weight, left, (right * weights) @ right.conj().T)
-            for weight, left, right in factors
-        ]
-        # read-only, as the pipeline passes them: the herald must not
-        # Hermitise G in place
-        for _, _, gram in branches:
-            gram.setflags(write=False)
-        expected = herald(Ensemble(joint, dense), spec)
-        got = herald_factored(branches, kept)
-        assert abs(got.probability / expected.probability - 1.0) < 1e-12
-        assert np.allclose(got.branch_probabilities, expected.branch_probabilities,
-                           rtol=1e-12, atol=0.0)
-        assert np.abs(got.post.matrix - expected.post.matrix).max() < 1e-12
-        # G is Hermitised, not the kept x kept state
-        matrix = got.post.matrix
-        assert np.abs(matrix - matrix.conj().T).max() < 1e-14
-    # G must be square over L's columns, L must span the kept register
-    weight, left, gram = branches[0]
-    for bad in ((weight, left, gram[:, :-1]), (weight, left[:, :-1], gram),
-                (weight, left[:-1], gram)):
-        with pytest.raises(ValidationError):
-            herald_factored([bad], kept)

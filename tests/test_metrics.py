@@ -18,8 +18,8 @@ from hybridcat.metrics import (
     Bipartition,
     fidelity,
     negativity,
+    matrix_negativity,
     partial_transpose,
-    support_negativity,
     target_hybrid,
 )
 from hybridcat.resource_states import coherent
@@ -108,9 +108,10 @@ def test_target_negativity_phase_invariant():
         assert abs(value - analytic.ideal_negativity(0.7)) < 1e-9
 
 
-def test_support_negativity_matches_dense_negativity():
+def test_matrix_negativity_is_invariant_under_local_isometry():
     """The target lives on span{|1, 0>, |0, 1>} (x) span{|a>, |-a>}; a noisy
-    mixture with a product state keeps that support."""
+    mixture with a product state keeps that support, so its negativity
+    equals that of its projection onto the product of the two bases."""
     alpha_f = 0.7
     reg = _target_register(alpha_f)
     part = Bipartition(("A_H", "A_V"), ("B",))
@@ -132,9 +133,9 @@ def test_support_negativity_matches_dense_negativity():
         mixed = DensityOperator(reg, 0.8 * rho.matrix + 0.2 * noise.matrix)
         full = negativity(mixed, part)
         assert full > 0.1
-        assert abs(support_negativity(mixed, part, basis_a, basis_b) - full) < 1e-12
-    with pytest.raises(ValidationError):
-        support_negativity(mixed, part, basis_b, basis_a)
+        isometry = np.kron(basis_a, basis_b)
+        projected = isometry.conj().T @ mixed.matrix @ isometry
+        assert abs(matrix_negativity(projected, 2) - full) < 1e-12
 
 
 def test_negativity_cap_names_the_eigensolved_dimension(monkeypatch):
@@ -144,7 +145,6 @@ def test_negativity_cap_names_the_eigensolved_dimension(monkeypatch):
     monkeypatch.setattr(metrics, "MAX_NEGATIVITY_DIM", 3)
     with pytest.raises(ValidationError, match=f"dimension {reg.size} exceeds"):
         negativity(rho, part)
-    # the cap sees the 4 = 2 x 2 support, before anything is projected
-    basis = np.eye(reg.size // 4, 2)
+    # the cap sees the matrix handed in, whatever its factors
     with pytest.raises(ValidationError, match="dimension 4 exceeds"):
-        support_negativity(rho, part, np.eye(4, 2), basis)
+        matrix_negativity(np.eye(4) / 4, 2)

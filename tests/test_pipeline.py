@@ -32,6 +32,7 @@ from hybridcat.fock_core import Ensemble, PureState, build_register
 from hybridcat.metrics import Bipartition, negativity
 from hybridcat.optics import BsParams, apply_beam_splitter, polarization_rotation
 from hybridcat.pipeline import (
+    DETECTORS,
     SWEEP_AXES,
     SchemeConfig,
     build_prestate,
@@ -136,25 +137,35 @@ def test_fidelity_follows_detector_formula():
 
 
 def _record_heralds(monkeypatch):
-    """Arguments (branches, kept) of every `herald_factored` call the
-    pipeline makes."""
+    """Arguments (gram, branches) of every `_herald` call the pipeline
+    makes."""
     calls = []
-    real = pipeline.herald_factored
+    real = pipeline._herald
 
     def record(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(pipeline, "herald_factored", record)
+    monkeypatch.setattr(pipeline, "_herald", record)
     return calls
+
+
+def _mirrored_terms(factors):
+    """The term order that swaps A_H and A_V: term (k, l) goes to the term
+    of the mirrored signal state |n - m, m> and the same beam vector l."""
+    states = factors.signal_states.tolist()
+    a = factors.cuts.a + 1
+    mirror = np.array([states.index((s % a) * a + s // a) for s in states])
+    return (mirror[:, None] * factors.beam_rank + np.arange(factors.beam_rank)).ravel()
 
 
 def test_pattern_probabilities_symmetric(monkeypatch):
     """On the very branches `run_scheme` heralds, at default cutoffs, the
     flipped pattern fires with the plain one's probability and leaves the
-    plain state once bit-flipped: the symmetry that lets it herald one.
-    The flipped heralds come from rerunning with the Grams formed from the
-    flipped spec."""
+    plain term-basis state once bit-flipped: the symmetry that lets it
+    herald one. The flipped heralds come from rerunning with the Grams
+    formed from the flipped spec."""
+    herald_terms = pipeline._herald
     calls = _record_heralds(monkeypatch)
     spec = pipeline.build_scheme_herald
     for kwargs in (
@@ -179,22 +190,23 @@ def test_pattern_probabilities_symmetric(monkeypatch):
             assert len(calls) == (1 if config.pair_source != "spdc" else 5)
             runs.append((result, list(calls)))
         (result, plain_calls), (_, flip_calls) = runs
-        coherent = detection.herald_factored(*plain_calls[0])
-        assert result.diagnostics["pattern_probabilities"][0] == coherent.probability
-        for plain_args, flip_args in zip(plain_calls, flip_calls):
-            for (_, left, gram), (_, flip_left, flip_gram) in zip(
-                plain_args[0], flip_args[0]
+        coherent, _, _ = herald_terms(*plain_calls[0])
+        assert result.diagnostics["pattern_probabilities"][0] == coherent
+        terms = _mirrored_terms(pipeline._factors(pipeline._factors_key(config)))
+        for (gram, branches), (flip_gram, flip_branches) in zip(
+            plain_calls, flip_calls
+        ):
+            assert not np.array_equal(gram, flip_gram)
+            for (weight, rows, d), (flip_weight, flip_rows, flip_d) in zip(
+                branches, flip_branches
             ):
-                assert np.array_equal(left, flip_left)
-                assert not np.array_equal(gram, flip_gram)
-            plain = detection.herald_factored(*plain_args)
-            flip = detection.herald_factored(*flip_args)
-            assert abs(flip.probability - plain.probability) <= (
-                1e-12 * plain.probability
-            )
-            mirrored = flip.post.relabeled({"A_H": "A_V", "A_V": "A_H"})
-            mirrored = mirrored.reordered(("A_H", "A_V", "B_H"))
-            assert float(np.abs(mirrored.matrix - plain.post.matrix).max()) <= 1e-12
+                assert (weight, rows) == (flip_weight, flip_rows)
+                assert np.array_equal(d, flip_d)
+            plain, _, rho = herald_terms(gram, branches)
+            flip, _, flip_rho = herald_terms(flip_gram, flip_branches)
+            assert abs(flip - plain) <= 1e-12 * plain
+            mirrored = flip_rho[np.ix_(terms, terms)]
+            assert float(np.abs(mirrored - rho).max()) <= 1e-12
 
 
 def test_vacuum_mixture_scales_probability():
@@ -487,9 +499,14 @@ def test_factored_herald_matches_dense_oracle(pair, beam, detector, extra):
     matrix = result.post_state.matrix
     assert float(np.abs(matrix - matrix.conj().T).max()) <= 1e-14
     assert abs(np.trace(matrix) - 1.0) <= 1e-12
-    # the product-support eigensolve against the full register's
+    # the term-basis eigensolve against the full register's
     full = negativity(result.post_state, Bipartition(("A_H", "A_V"), ("B",)))
     assert abs(result.negativity - full) <= 1e-12
+    # the term-basis target coefficients against the dense target
+    register = result.post_state.register
+    target = metrics.target_hybrid(config.resolved_alpha_f, config.phi, register)
+    dense = metrics.fidelity(fock_core.DensityOperator(register, rho), target)
+    assert abs(result.fidelity - dense) <= 1e-12
 
 
 FIGURE_4_SPOTS = [
@@ -655,8 +672,8 @@ def test_eta_shares_one_preparation(monkeypatch):
     # the sectors n = 0, 1, 2
     assert (len(grams), len(calls)) == (1 + 2, 3 * 2)
     for gram, sectors in zip(grams[1:], (calls[:3], calls[3:])):
-        for ((_, _, block),), _ in sectors:
-            assert np.shares_memory(block, gram)
+        for sector_gram, _ in sectors:
+            assert sector_gram is gram
 
 
 def test_cold_large_amplitude_run_stays_small():
@@ -773,7 +790,9 @@ def test_spdc_sweep_rows_equal_runs(point):
     )
     assert row.tail_mass == diag["worst_tail_mass"]
     # the coherent post-state agrees with the sector recombination
-    assert abs(pipeline._score(config, result.post_state) - result.fidelity) <= 1e-12
+    post = result.post_state
+    target = metrics.target_hybrid(config.resolved_alpha_f, config.phi, post.register)
+    assert abs(metrics.fidelity(post, target) - result.fidelity) <= 1e-12
     coherent = sum(diag["pattern_probabilities"])
     assert abs(coherent / result.probability_total - 1.0) <= 1e-12
 
@@ -787,6 +806,8 @@ def test_run_path_leaves_the_dense_oracle_alone(monkeypatch):
         (optics, "apply_displacement"),
         (detection, "herald"),
         (fock_core, "tensor"),
+        (metrics, "target_hybrid"),
+        (metrics, "negativity"),
     ):
         monkeypatch.setattr(module, name, forbidden)
         if hasattr(pipeline, name):
@@ -810,12 +831,31 @@ def test_run_path_leaves_the_dense_oracle_alone(monkeypatch):
 
 
 def test_spdc_components_skip_negativity(monkeypatch):
-    calls = []
-    real = pipeline.support_negativity
+    sizes = []
+    real = np.linalg.eigvalsh
     monkeypatch.setattr(
-        pipeline, "support_negativity", lambda *args: calls.append(1) or real(*args)
+        np.linalg, "eigvalsh", lambda m: sizes.append(m.shape[0]) or real(m)
     )
     pipeline._factors.cache_clear()
     pipeline._sector_heralds.cache_clear()
     spdc_decomposition(SchemeConfig(**SPOT_A))
-    assert calls == []
+    assert sizes == []
+
+
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_ideal_cat_vacuum_sector_cannot_herald(detector):
+    """With the ideal cat the idler displacement equals the tap amplitude
+    on each polarization, so at the 50:50 splitters each cat branch sends
+    all its light to the 5 channels or all to the 6 channels. Either way
+    5V or 6H stays in vacuum, so the vacuum pair sector cannot fire the
+    plain pattern: p_vac = 0 up to truncation, at any efficiency."""
+    for alpha_i, eta, t in itertools.product(
+        (0.7, 1.0, 1.5), (0.1, 0.5, 1.0), (0.9, 0.99)
+    ):
+        got = spdc_decomposition(
+            SchemeConfig(
+                t=t, eta=eta, alpha_i=alpha_i, pair_source="spdc", lam=0.05,
+                detector=detector,
+            )
+        )
+        assert got["p_vac"] <= 1e-10 * got["p_chi"], (alpha_i, eta, t)
