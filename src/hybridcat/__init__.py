@@ -28,23 +28,21 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .fock_core import (
-    DensityOperator,
+from .fock_core import DensityOperator, PureState, Register, build_register
+from .oracle import (
+    Bipartition,
     Ensemble,
-    PureState,
-    Register,
     basis_state,
-    build_register,
+    bell_chi,
+    build_prestate,
+    fidelity,
     inner,
+    negativity,
+    pair_source,
+    phi_state,
+    target_hybrid,
     tensor,
     to_density,
-)
-from .metrics import (
-    Bipartition,
-    fidelity,
-    negativity,
-    partial_transpose,
-    target_hybrid,
 )
 from .pipeline import (
     SWEEP_AXES,
@@ -53,20 +51,12 @@ from .pipeline import (
     SchemeResult,
     SweepRow,
     SweepTable,
-    build_prestate,
     resolve_cutoffs,
     run_scheme,
     spdc_decomposition,
     sweep,
 )
-from .resource_states import (
-    bell_chi,
-    coherent,
-    pair_source,
-    phi_state,
-    scs,
-    squeezed_amplitudes,
-)
+from .resource_states import coherent, scs, squeezed_amplitudes
 from .selfcheck import CheckResult, run_all_checks
 
 __version__ = "0.1.0"
@@ -106,7 +96,6 @@ __all__ = [
     "p_success_ideal",
     "p_tot_eta",
     "pair_source",
-    "partial_transpose",
     "phi_state",
     "resolve_cutoffs",
     "run_scheme",

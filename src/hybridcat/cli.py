@@ -206,7 +206,7 @@ def cmd_run(scenario_path: str, output: Optional[str]) -> int:
     )
     print(f"negativity         {result.negativity:.6f} ({result.negativity:.11e})")
     print(f"tail_mass          {float(diag['worst_tail_mass']):.3e}")
-    print(f"per_pattern        {diag['pattern_probabilities'][0]:.6e}")
+    print(f"per_pattern        {diag['plain_probability']:.6e}")
     for key in ("p_vac", "p_chi", "p_phi2"):
         if key in diag:
             print(f"{key:<18} {diag[key]:.6e}")
@@ -226,13 +226,13 @@ def cmd_run(scenario_path: str, output: Optional[str]) -> int:
     return 0
 
 
-def cmd_sweep(scenario_path: str, output: Optional[str], threads: int) -> int:
+def cmd_sweep(scenario_path: str, output: Optional[str]) -> int:
     config, grid = load_scenario(scenario_path)
     if not grid:
         raise ValidationError("scenario defines no sweep axes (sweep_<name> keys)")
     if not output:
         raise ValidationError("sweep needs --output for the result table")
-    table = sweep(config, grid, threads=threads)
+    table = sweep(config, grid)
     save_table(table, output)
     errors = sum(1 for row in table.rows if row.status != "ok")
     print(f"{len(table.rows)} rows -> {output}")
@@ -251,17 +251,13 @@ _PANELS = {
 }
 
 
-def _figure_table(figure: int, panel: Optional[str], threads: int) -> SweepTable:
+def _figure_table(figure: int, panel: Optional[str]) -> SweepTable:
     if figure == 2:
         base = SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0)
-        return sweep(base, {"t": _FIG2_T, "eta": (0.7, 0.8, 0.9, 0.99)}, threads)
+        return sweep(base, {"t": _FIG2_T, "eta": (0.7, 0.8, 0.9, 0.99)})
     if figure == 3:
         base = SchemeConfig(t=0.99, eta=0.9, alpha_f=1.0)
-        return sweep(
-            base,
-            {"alpha_f": _FIG3_ALPHA, "eta": (0.2, 0.4, 0.6, 0.8, 0.99)},
-            threads,
-        )
+        return sweep(base, {"alpha_f": _FIG3_ALPHA, "eta": (0.2, 0.4, 0.6, 0.8, 0.99)})
     s, alpha_i = _PANELS[panel]
     if figure == 4:
         base = SchemeConfig(
@@ -273,7 +269,7 @@ def _figure_table(figure: int, panel: Optional[str], threads: int) -> SweepTable
             pair_source="vacuum_mixed",
             z=0.5,
         )
-        return sweep(base, {"t": (0.9, 0.99, 0.999), "eta": _FIG4_ETA}, threads)
+        return sweep(base, {"t": (0.9, 0.99, 0.999), "eta": _FIG4_ETA})
     base = SchemeConfig(
         t=0.99,
         eta=0.5,
@@ -284,9 +280,7 @@ def _figure_table(figure: int, panel: Optional[str], threads: int) -> SweepTable
         lam=0.01,
         detector="onoff",
     )
-    return sweep(
-        base, {"lambda": _FIG5_LAMBDA, "eta": (0.1, 0.3, 0.5, 0.7, 0.9)}, threads
-    )
+    return sweep(base, {"lambda": _FIG5_LAMBDA, "eta": (0.1, 0.3, 0.5, 0.7, 0.9)})
 
 
 def _ok_rows(table: SweepTable) -> Tuple[Dict[Tuple[float, ...], SweepRow], int]:
@@ -399,15 +393,13 @@ def _panel_output(output: Optional[str], figure: int, panel: str) -> str:
     return f"{stem}_{panel}.{extension}"
 
 
-def cmd_reproduce(
-    figure: int, panel: Optional[str], output: Optional[str], threads: int
-) -> int:
+def cmd_reproduce(figure: int, panel: Optional[str], output: Optional[str]) -> int:
     if figure not in (2, 3, 4, 5):
         raise ValidationError(f"unknown figure id {figure}; choose 2, 3, 4 or 5")
     if figure in (2, 3):
         if panel is not None:
             raise ValidationError(f"figure {figure} has no panels")
-        table = _figure_table(figure, None, threads)
+        table = _figure_table(figure, None)
         path = output or _default_output(figure, None)
         save_table(table, path)
         summary = (
@@ -421,7 +413,7 @@ def cmd_reproduce(
         raise ValidationError(f"figure {figure} has panels a and b, not {panel!r}")
     panels = (panel,) if panel else ("a", "b")
     for name in panels:
-        table = _figure_table(figure, name, threads)
+        table = _figure_table(figure, name)
         path = (
             (output or _default_output(figure, name))
             if len(panels) == 1
@@ -487,12 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp = commands.add_parser("sweep", help="evaluate a scenario's sweep grid")
     swp.add_argument("--scenario", required=True, help="scenario file path")
     swp.add_argument("--output", help="result table path (required)")
-    swp.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="parallel workers; pin BLAS to one thread (OPENBLAS_NUM_THREADS=1)",
-    )
 
     rep = commands.add_parser(
         "reproduce", help="regenerate a reference dataset grid"
@@ -502,12 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument("--panel", help="panel id of figures 4 and 5: a or b")
     rep.add_argument("--output", help="result table path")
-    rep.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="parallel workers; pin BLAS to one thread (OPENBLAS_NUM_THREADS=1)",
-    )
 
     commands.add_parser("selfcheck", help="run the named validation checks")
     return parser
@@ -520,9 +500,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "run":
             return cmd_run(args.scenario, args.output)
         if args.command == "sweep":
-            return cmd_sweep(args.scenario, args.output, args.threads)
+            return cmd_sweep(args.scenario, args.output)
         if args.command == "reproduce":
-            return cmd_reproduce(args.figure, args.panel, args.output, args.threads)
+            return cmd_reproduce(args.figure, args.panel, args.output)
         return cmd_selfcheck()
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

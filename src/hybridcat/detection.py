@@ -1,26 +1,22 @@
-"""Detector models and heralded post-selection.
+"""Detector models and the scheme's herald patterns.
 
 Detectors are diagonal in the Fock basis, so every POVM element is a vector
-of weights d_k over photon number k. Heralding on a joint outcome pattern
-multiplies the diagonal weights of all measured modes into the state and
-traces those modes out, producing the success probability and the
-(normalized) conditional state on the kept modes. `herald` does this on a
-dense state and is the test oracle of the pipeline, which heralds in the
-basis of its state's terms instead: it pulls the POVM weights back onto a
-Gram matrix of the measured factors and keeps the conditional state as a
-small matrix over the terms.
+of weights d_k over photon number k. A herald pattern names one element per
+measured mode; its joint weight on an occupation pattern is the product of
+the modes' weights, which the pipeline pulls back onto a Gram matrix of the
+measured factors of its state's terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
-from .errors import HeraldImpossibleError, ValidationError
-from .fock_core import DensityOperator, Ensemble, PureState, Register
+from .errors import ValidationError
+from .fock_core import Register
 
 # Below this total probability a herald outcome is treated as impossible:
 # the conditional state would be pure numerical noise.
@@ -144,76 +140,3 @@ def build_scheme_herald(
             element = povm_pnr(0, eta, cutoff)
         elements.append((label, element))
     return HeraldSpec(tuple(elements))
-
-
-@dataclass(frozen=True)
-class HeraldResult:
-    """Outcome of heralding: total probability, conditional state, and the
-    per-branch probabilities of the measured ensemble."""
-
-    probability: float
-    post: Optional[DensityOperator]
-    branch_probabilities: Tuple[float, ...]
-
-
-def _joint_weights(register: Register, spec: HeraldSpec) -> np.ndarray:
-    """Joint POVM weight of every occupation pattern of the measured modes,
-    flattened in C order over `spec.measured_labels`."""
-    weights = np.ones(1)
-    for label, element in spec.elements:
-        dim = register.mode(label).dim
-        if element.dim != dim:
-            raise ValidationError(
-                f"POVM element on {label!r} has dimension {element.dim}, "
-                f"mode needs {dim}"
-            )
-        weights = np.multiply.outer(weights, element.weights)
-    return weights.ravel()
-
-
-def _branch_contribution(state: PureState, spec: HeraldSpec, kept: Sequence[str]):
-    """Probability and unnormalized conditional matrix for one pure branch."""
-    weights = _joint_weights(state.register, spec)
-    ordered = state.reordered(tuple(kept) + spec.measured_labels)
-    matrix = ordered.amps.reshape(state.register.subset(kept).size, -1)
-    probability = float((np.abs(matrix) ** 2).sum(axis=0) @ weights)
-    conditional = (matrix * weights) @ matrix.conj().T
-    return probability, 0.5 * (conditional + conditional.conj().T)
-
-
-def herald(source: Union[PureState, Ensemble], spec: HeraldSpec) -> HeraldResult:
-    """Apply a joint herald pattern and return the conditional state.
-
-    Each measured mode contributes a diagonal weight; the joint weight of an
-    occupation pattern is the product over measured modes. The conditional
-    density operator on the kept modes is the weighted partial trace,
-    renormalized by the total success probability. Raises
-    HeraldImpossibleError when that probability is below the floor.
-    """
-    if isinstance(source, PureState):
-        source = Ensemble.pure(source)
-    if not isinstance(source, Ensemble):
-        raise ValidationError(f"cannot herald a {type(source).__name__}")
-    kept = [x for x in source.register.labels if x not in spec.measured_labels]
-    if not kept:
-        raise ValidationError("herald would measure every mode; keep at least one")
-    kept_register = source.register.subset(kept)
-    total = 0.0
-    accumulated = np.zeros((kept_register.size,) * 2, dtype=np.complex128)
-    branch_probs = []
-    for weight, state in source:
-        prob, conditional = _branch_contribution(state, spec, kept)
-        branch_probs.append(weight * prob)
-        total += weight * prob
-        accumulated += weight * conditional
-    if total < HERALD_PROBABILITY_FLOOR:
-        raise HeraldImpossibleError(
-            f"herald pattern has probability {total:.3e}, below the "
-            f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
-        )
-    post = DensityOperator(kept_register, accumulated / total, check=False, copy=False)
-    return HeraldResult(
-        probability=float(total),
-        post=post,
-        branch_probabilities=tuple(branch_probs),
-    )

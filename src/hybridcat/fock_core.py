@@ -1,37 +1,30 @@
-"""Truncated multimode Fock-space linear algebra.
+"""Truncated multimode Fock-space types shared by the run path and the oracle.
 
-A Register lists bosonic modes, each with an occupation cutoff; a joint pure
-state stores a dense complex amplitude array with one axis per mode. The flat
-index of an occupation tuple follows C order (the last listed mode varies
-fastest). Operators act on one or two target modes via axis reshaping and a
-small matrix product, so the full joint operator is never materialized.
+A Register lists bosonic modes, each with an occupation cutoff; a pure state
+stores a complex amplitude array with one axis per mode, and a density
+operator a matrix over the joint space. The flat index of an occupation
+tuple follows C order (the last listed mode varies fastest).
 
 All values are immutable in intent: operations return new objects and never
-mutate their inputs, which keeps everything safe for concurrent use.
+mutate their inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CutoffError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "ModeSpec",
     "Register",
     "PureState",
-    "Ensemble",
     "DensityOperator",
     "build_register",
-    "basis_state",
-    "tensor",
-    "apply",
-    "inner",
-    "to_density",
     "log_factorials",
 ]
 
@@ -205,39 +198,6 @@ class PureState:
         return f"PureState({self.register!r}, norm={self.norm():.6g})"
 
 
-class Ensemble:
-    """Classical mixture of pure states with nonnegative weights.
-
-    Weights are probabilities of preparation; they need not sum to one
-    (heralding produces sub-normalized ensembles).
-    """
-
-    __slots__ = ("register", "branches")
-
-    def __init__(self, register: Register, branches: Iterable):
-        branches = tuple((float(w), state) for w, state in branches)
-        for w, state in branches:
-            if w < 0:
-                raise ValidationError(f"ensemble weight {w} is negative")
-            if state.register != register:
-                raise ValidationError("ensemble branch register mismatch")
-        self.register = register
-        self.branches = branches
-
-    @classmethod
-    def pure(cls, state: PureState, weight: float = 1.0) -> "Ensemble":
-        return cls(state.register, [(weight, state)])
-
-    def __iter__(self):
-        return iter(self.branches)
-
-    def __len__(self) -> int:
-        return len(self.branches)
-
-    def __repr__(self) -> str:
-        return f"Ensemble({self.register!r}, {len(self.branches)} branches)"
-
-
 class DensityOperator:
     """Dense Hermitian operator over a register's joint space."""
 
@@ -296,120 +256,3 @@ class DensityOperator:
 
     def __repr__(self) -> str:
         return f"DensityOperator({self.register!r}, trace={self.trace:.6g})"
-
-
-# ---------------------------------------------------------------------------
-# construction helpers
-
-
-def basis_state(register: Register,
-                occupations: Union[Sequence[int], Mapping[str, int]]) -> PureState:
-    """Unit-amplitude state on one occupation tuple.
-
-    `occupations` is either a full tuple in register order or a mapping from
-    labels to occupations (missing labels default to vacuum).
-    """
-    if isinstance(occupations, Mapping):
-        for label in occupations:
-            register.axis(label)
-        occ = tuple(int(occupations.get(label, 0)) for label in register.labels)
-    else:
-        occ = tuple(int(n) for n in occupations)
-        if len(occ) != len(register.dims):
-            raise ValidationError(
-                f"occupation tuple has {len(occ)} entries, register has "
-                f"{len(register.dims)} modes"
-            )
-    for n, spec in zip(occ, register.modes):
-        if n < 0 or n > spec.cutoff:
-            raise CutoffError(
-                f"occupation {n} outside [0, {spec.cutoff}] for mode "
-                f"{spec.label!r}"
-            )
-    amps = np.zeros(register.dims, dtype=np.complex128)
-    amps[occ] = 1.0
-    return PureState(register, amps, copy=False)
-
-
-def tensor(a: PureState, b: PureState) -> PureState:
-    """Tensor product; the mode labels must be disjoint."""
-    overlap = set(a.register.labels) & set(b.register.labels)
-    if overlap:
-        raise ValidationError(f"tensor factors share mode labels {sorted(overlap)}")
-    register = Register(a.register.modes + b.register.modes)
-    return PureState(register, np.multiply.outer(a.amps, b.amps), copy=False)
-
-
-# ---------------------------------------------------------------------------
-# operator application
-
-
-def _apply_axes(arr: np.ndarray, kernel: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Apply a square kernel to the listed axes of a tensor.
-
-    The kernel indexes the flattened joint space of the listed axes with the
-    first listed axis most significant.
-    """
-    ndim = arr.ndim
-    axes = list(axes)
-    order = axes + [k for k in range(ndim) if k not in axes]
-    moved = np.transpose(arr, order)
-    head_shape = moved.shape[: len(axes)]
-    head = int(np.prod(head_shape))
-    flat = np.ascontiguousarray(moved).reshape(head, -1)
-    out = kernel @ flat
-    out = out.reshape(head_shape + moved.shape[len(axes):])
-    return np.transpose(out, np.argsort(order))
-
-
-def apply(op, labels: Union[str, Sequence[str]], state: PureState) -> PureState:
-    """Apply an operator to the listed target modes of a pure state.
-
-    `op` is a square matrix over the joint truncated space of the targets
-    (row index: first listed mode most significant).
-    """
-    if isinstance(labels, str):
-        labels = (labels,)
-    labels = tuple(labels)
-    register = state.register
-    axes = [register.axis(label) for label in labels]
-    joint = int(np.prod([register.dims[a] for a in axes]))
-    kernel = np.asarray(op, dtype=np.complex128)
-    if kernel.shape != (joint, joint):
-        raise ValidationError(
-            f"kernel shape {kernel.shape} does not match joint dimension "
-            f"{joint} of modes {labels}"
-        )
-    return PureState(register, _apply_axes(state.amps, kernel, axes), copy=False)
-
-
-# ---------------------------------------------------------------------------
-# scalars
-
-
-def inner(a: PureState, b: PureState) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.register != b.register:
-        raise ValidationError("inner product requires a common register")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def to_density(source) -> DensityOperator:
-    """Full density operator of a pure state or ensemble."""
-    if isinstance(source, PureState):
-        vec = source.amps.reshape(-1, 1)
-        return DensityOperator(source.register, vec @ vec.conj().T,
-                               check=False, copy=False)
-    if isinstance(source, Ensemble):
-        mat = np.zeros((source.register.size, source.register.size),
-                       dtype=np.complex128)
-        for weight, state in source.branches:
-            if weight:
-                vec = state.amps.reshape(-1, 1)
-                mat += weight * (vec @ vec.conj().T)
-        return DensityOperator(source.register, mat, check=False, copy=False)
-    raise ValidationError(f"cannot convert {type(source).__name__} to a density")

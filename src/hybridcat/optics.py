@@ -1,4 +1,4 @@
-"""Linear-optical elements in the truncated Fock basis.
+"""Matrices of the linear-optical elements in the truncated Fock basis.
 
 Beam splitters and polarization rotations share one two-mode mixing kernel,
 parameterized by the 2x2 scattering matrix S that maps input creation
@@ -30,19 +30,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CutoffError, TruncationError, ValidationError
-from .fock_core import PureState, apply, log_factorials
+from .errors import CutoffError, ValidationError
+from .fock_core import log_factorials
 
 __all__ = [
     "BsParams",
-    "DisplacementSpec",
-    "bs_fock_coefficient",
     "two_mode_kernel",
-    "apply_beam_splitter",
     "displacement_matrix",
     "required_displacement_cutoff",
-    "apply_displacement",
-    "polarization_rotation",
 ]
 
 
@@ -67,27 +62,6 @@ class BsParams:
         c = math.cos(self.xi)
         s = math.sin(self.xi)
         return np.array([[c, s], [-s, c]], dtype=np.complex128)
-
-
-def bs_fock_coefficient(n: int, m: int, p: int, q: int, t: float) -> float:
-    """Combinatorial beam-splitter coefficient B_pq for |n, m> input.
-
-    B_pq = [C(n,p) C(m,q) t^(p+q) r^(n+m-p-q)]^(1/2) (-1)^(n-p), with p
-    photons transmitted out of n and q transmitted out of m. Squared over
-    all (p, q) it sums to one; it is the full output amplitude only when one
-    input port is empty, since it omits the bosonic normalization of
-    multiply occupied output modes (see `two_mode_kernel`).
-    """
-    for name, value in (("n", n), ("m", m), ("p", p), ("q", q)):
-        if int(value) != value or value < 0:
-            raise ValidationError(f"{name} must be a nonnegative integer")
-    if p > n or q > m:
-        raise ValidationError(f"need p <= n and q <= m, got {(n, m, p, q)}")
-    if not 0.0 < t <= 1.0:
-        raise ValidationError(f"transmissivity {t} outside (0, 1]")
-    r = 1.0 - t
-    value = math.comb(n, p) * math.comb(m, q) * t ** (p + q) * r ** (n + m - p - q)
-    return math.sqrt(value) * (-1.0) ** (n - p)
 
 
 @lru_cache(maxsize=256)
@@ -140,63 +114,8 @@ def two_mode_kernel(scattering: np.ndarray, dim_i: int, dim_j: int) -> np.ndarra
     return _cached_kernel(entries, int(dim_i), int(dim_j))
 
 
-def _checked_apply(kernel: np.ndarray, labels, state: PureState,
-                   tail_tol) -> PureState:
-    out = apply(kernel, labels, state)
-    if tail_tol is not None:
-        before = state.norm() ** 2
-        after = out.norm() ** 2
-        if before > 0 and before - after > tail_tol * before:
-            raise TruncationError(
-                f"mixing on {labels} lost {before - after:.3e} of "
-                f"{before:.3e} probability mass (tolerance {tail_tol:.1e})"
-            )
-    return out
-
-
-def apply_beam_splitter(state: PureState, mode_i: str, mode_j: str,
-                        params: BsParams, tail_tol: float | None = None) -> PureState:
-    """Mix two modes with a beam splitter (see module docstring for signs).
-
-    With tail_tol set, raises TruncationError when the relative probability
-    mass lost to the cutoffs exceeds it.
-    """
-    register = state.register
-    kernel = two_mode_kernel(
-        params.scattering_matrix(),
-        register.mode(mode_i).dim,
-        register.mode(mode_j).dim,
-    )
-    return _checked_apply(kernel, (mode_i, mode_j), state, tail_tol)
-
-
-def polarization_rotation(state: PureState, mode_h: str, mode_v: str,
-                          angle: float, tail_tol: float | None = None) -> PureState:
-    """Rotate the polarization basis of one spatial mode by `angle`.
-
-    Number-conserving two-mode mixing with the real rotation matrix
-    [[cos, sin], [-sin, cos]] on (mode_h, mode_v): at +45 degrees a
-    diagonally polarized beam (equal H and V components) maps onto H.
-    """
-    c, s = math.cos(angle), math.sin(angle)
-    scattering = np.array([[c, s], [-s, c]], dtype=np.complex128)
-    register = state.register
-    kernel = two_mode_kernel(
-        scattering, register.mode(mode_h).dim, register.mode(mode_v).dim
-    )
-    return _checked_apply(kernel, (mode_h, mode_v), state, tail_tol)
-
-
 # ---------------------------------------------------------------------------
 # displacement
-
-
-@dataclass(frozen=True)
-class DisplacementSpec:
-    """Displacement amplitude and target mode label."""
-
-    alpha: complex
-    mode: str
 
 
 def required_displacement_cutoff(alpha: complex) -> int:
@@ -252,12 +171,3 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
             f"{needed}, got {cutoff}"
         )
     return _cached_displacement(alpha, int(cutoff))
-
-
-def apply_displacement(state: PureState, spec: DisplacementSpec,
-                       tail_tol: float | None = None) -> PureState:
-    """Displace one mode of a state."""
-    cutoff = state.register.mode(spec.mode).cutoff
-    kernel = displacement_matrix(spec.alpha, cutoff)
-    return _checked_apply(kernel, (spec.mode,), state, tail_tol)
-

@@ -1,0 +1,559 @@
+"""The dense second implementation of the scheme: the test oracle.
+
+`run_scheme` never forms a joint state. This module does, mode by mode and
+in the lab frame: `build_prestate` builds all eight modes right before
+detection from the pair source (`pair_source`, with its idler displaced by
+`apply_displacement`) and the beam (rotated onto the diagonal by
+`polarization_rotation` and tapped by one `apply_beam_splitter` per
+polarization), and `herald` heralds a click pattern on it by a weighted
+partial trace over dense amplitudes. `target_hybrid`, `fidelity` and
+`negativity` score the result on the full register, and
+`bs_fock_coefficient` is a second, combinatorial form of the splitter
+kernel. The tests and `selfcheck` compare `run_scheme` with these. It
+shares only the kernels, the POVMs, the cutoffs and the downconversion
+weights with the run path, which never imports it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
+
+from .detection import HERALD_PROBABILITY_FLOOR, HeraldSpec
+from .errors import CutoffError, HeraldImpossibleError, TruncationError, ValidationError
+from .fock_core import DensityOperator, PureState, Register, build_register
+from .metrics import matrix_negativity, target_field_vectors
+from .optics import BsParams, displacement_matrix, two_mode_kernel
+from .pipeline import ResolvedCutoffs, SchemeConfig, resolve_cutoffs
+from .resource_states import (
+    PairSourceSpec,
+    ScsSpec,
+    SqueezedPhotonSpec,
+    scs,
+    squeezed_single_photon,
+)
+
+_PAIR_LABELS = ("A_H", "A_V", "2H", "2V")
+_DETECTOR_RELABEL = {"2H": "5H", "2V": "5V", "4H": "6H", "4V": "6V"}
+
+
+# ---------------------------------------------------------------------------
+# dense states
+
+
+class Ensemble:
+    """Classical mixture of pure states with nonnegative weights.
+
+    Weights are probabilities of preparation; they need not sum to one
+    (heralding produces sub-normalized ensembles).
+    """
+
+    __slots__ = ("register", "branches")
+
+    def __init__(self, register: Register, branches: Iterable):
+        branches = tuple((float(w), state) for w, state in branches)
+        for w, state in branches:
+            if w < 0:
+                raise ValidationError(f"ensemble weight {w} is negative")
+            if state.register != register:
+                raise ValidationError("ensemble branch register mismatch")
+        self.register = register
+        self.branches = branches
+
+    @classmethod
+    def pure(cls, state: PureState, weight: float = 1.0) -> "Ensemble":
+        return cls(state.register, [(weight, state)])
+
+    def __iter__(self):
+        return iter(self.branches)
+
+    def __len__(self) -> int:
+        return len(self.branches)
+
+    def __repr__(self) -> str:
+        return f"Ensemble({self.register!r}, {len(self.branches)} branches)"
+
+
+def basis_state(register: Register,
+                occupations: Union[Sequence[int], Mapping[str, int]]) -> PureState:
+    """Unit-amplitude state on one occupation tuple.
+
+    `occupations` is either a full tuple in register order or a mapping from
+    labels to occupations (missing labels default to vacuum).
+    """
+    if isinstance(occupations, Mapping):
+        for label in occupations:
+            register.axis(label)
+        occ = tuple(int(occupations.get(label, 0)) for label in register.labels)
+    else:
+        occ = tuple(int(n) for n in occupations)
+        if len(occ) != len(register.dims):
+            raise ValidationError(
+                f"occupation tuple has {len(occ)} entries, register has "
+                f"{len(register.dims)} modes"
+            )
+    for n, spec in zip(occ, register.modes):
+        if n < 0 or n > spec.cutoff:
+            raise CutoffError(
+                f"occupation {n} outside [0, {spec.cutoff}] for mode "
+                f"{spec.label!r}"
+            )
+    amps = np.zeros(register.dims, dtype=np.complex128)
+    amps[occ] = 1.0
+    return PureState(register, amps, copy=False)
+
+
+def tensor(a: PureState, b: PureState) -> PureState:
+    """Tensor product; the mode labels must be disjoint."""
+    overlap = set(a.register.labels) & set(b.register.labels)
+    if overlap:
+        raise ValidationError(f"tensor factors share mode labels {sorted(overlap)}")
+    register = Register(a.register.modes + b.register.modes)
+    return PureState(register, np.multiply.outer(a.amps, b.amps), copy=False)
+
+
+def _apply_axes(arr: np.ndarray, kernel: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Apply a square kernel to the listed axes of a tensor.
+
+    The kernel indexes the flattened joint space of the listed axes with the
+    first listed axis most significant.
+    """
+    ndim = arr.ndim
+    axes = list(axes)
+    order = axes + [k for k in range(ndim) if k not in axes]
+    moved = np.transpose(arr, order)
+    head_shape = moved.shape[: len(axes)]
+    head = int(np.prod(head_shape))
+    flat = np.ascontiguousarray(moved).reshape(head, -1)
+    out = kernel @ flat
+    out = out.reshape(head_shape + moved.shape[len(axes):])
+    return np.transpose(out, np.argsort(order))
+
+
+def apply(op, labels: Union[str, Sequence[str]], state: PureState) -> PureState:
+    """Apply an operator to the listed target modes of a pure state.
+
+    `op` is a square matrix over the joint truncated space of the targets
+    (row index: first listed mode most significant).
+    """
+    if isinstance(labels, str):
+        labels = (labels,)
+    labels = tuple(labels)
+    register = state.register
+    axes = [register.axis(label) for label in labels]
+    joint = int(np.prod([register.dims[a] for a in axes]))
+    kernel = np.asarray(op, dtype=np.complex128)
+    if kernel.shape != (joint, joint):
+        raise ValidationError(
+            f"kernel shape {kernel.shape} does not match joint dimension "
+            f"{joint} of modes {labels}"
+        )
+    return PureState(register, _apply_axes(state.amps, kernel, axes), copy=False)
+
+
+def inner(a: PureState, b: PureState) -> complex:
+    """<a|b>, conjugate-linear in the first argument."""
+    if a.register != b.register:
+        raise ValidationError("inner product requires a common register")
+    return complex(np.vdot(a.amps, b.amps))
+
+
+def to_density(source) -> DensityOperator:
+    """Full density operator of a pure state or ensemble."""
+    if isinstance(source, PureState):
+        vec = source.amps.reshape(-1, 1)
+        return DensityOperator(source.register, vec @ vec.conj().T,
+                               check=False, copy=False)
+    if isinstance(source, Ensemble):
+        mat = np.zeros((source.register.size, source.register.size),
+                       dtype=np.complex128)
+        for weight, state in source.branches:
+            if weight:
+                vec = state.amps.reshape(-1, 1)
+                mat += weight * (vec @ vec.conj().T)
+        return DensityOperator(source.register, mat, check=False, copy=False)
+    raise ValidationError(f"cannot convert {type(source).__name__} to a density")
+
+
+# ---------------------------------------------------------------------------
+# photon pairs, mode by mode
+
+
+def bell_chi(register: Register,
+             labels: tuple = ("1H", "1V", "2H", "2V")) -> PureState:
+    """Polarization Bell pair (|1001> + |0110>)/sqrt(2) on the four labeled
+    modes of `register` (any other modes stay in vacuum)."""
+    h1, v1, h2, v2 = labels
+    for label in labels:
+        if register.mode(label).cutoff < 1:
+            raise CutoffError(f"mode {label!r} needs cutoff >= 1 for the pair")
+    hv = basis_state(register, {h1: 1, v2: 1})
+    vh = basis_state(register, {v1: 1, h2: 1})
+    return (hv + vh) * (1.0 / math.sqrt(2.0))
+
+
+def phi_state(n: int, register: Register,
+              labels: tuple = ("1H", "1V", "2H", "2V")) -> PureState:
+    """n-pair component of the parametric source.
+
+    (n+1)^{-1/2} sum_m |m>_{1H} |n-m>_{1V} |n-m>_{2H} |m>_{2V}; the n = 0
+    term is the vacuum and n = 1 is the Bell pair.
+    """
+    if n < 0:
+        raise ValidationError(f"pair order must be >= 0, got {n}")
+    h1, v1, h2, v2 = labels
+    for label in labels:
+        if register.mode(label).cutoff < n:
+            raise CutoffError(
+                f"mode {label!r} needs cutoff >= {n} for the {n}-pair component"
+            )
+    state = None
+    for m in range(n + 1):
+        term = basis_state(
+            register, {h1: m, v1: n - m, h2: n - m, v2: m}
+        )
+        state = term if state is None else state + term
+    return state * (1.0 / math.sqrt(n + 1.0))
+
+
+def pair_source(spec: PairSourceSpec, register: Register,
+                labels: tuple = ("1H", "1V", "2H", "2V")) -> Ensemble:
+    """Photon-pair input as a weighted ensemble of pure states.
+
+    chi: one unit-weight Bell pair. vacuum_mixed: branches (z, Bell pair)
+    and (1-z, vacuum). spdc: one normalized branch sum_n sqrt(w_n / W)
+    |Phi_n> of weight W = sum_n w_n (`PairSourceSpec.sector_weights`).
+    """
+    if spec.variant == "chi":
+        return Ensemble.pure(bell_chi(register, labels))
+    if spec.variant == "vacuum_mixed":
+        vacuum = basis_state(register, {})
+        return Ensemble(
+            register,
+            [(spec.z, bell_chi(register, labels)), (1.0 - spec.z, vacuum)],
+        )
+    # parametric source
+    weights = spec.sector_weights()
+    total = sum(weights)
+    state = None
+    for n, weight in enumerate(weights):
+        term = phi_state(n, register, labels) * math.sqrt(weight / total)
+        state = term if state is None else state + term
+    return Ensemble.pure(state, total)
+
+
+# ---------------------------------------------------------------------------
+# linear optics on a state
+
+
+def bs_fock_coefficient(n: int, m: int, p: int, q: int, t: float) -> float:
+    """Combinatorial beam-splitter coefficient B_pq for |n, m> input.
+
+    B_pq = [C(n,p) C(m,q) t^(p+q) r^(n+m-p-q)]^(1/2) (-1)^(n-p), with p
+    photons transmitted out of n and q transmitted out of m. Squared over
+    all (p, q) it sums to one; it is the full output amplitude only when one
+    input port is empty, since it omits the bosonic normalization of
+    multiply occupied output modes (see `optics.two_mode_kernel`).
+    """
+    for name, value in (("n", n), ("m", m), ("p", p), ("q", q)):
+        if int(value) != value or value < 0:
+            raise ValidationError(f"{name} must be a nonnegative integer")
+    if p > n or q > m:
+        raise ValidationError(f"need p <= n and q <= m, got {(n, m, p, q)}")
+    if not 0.0 < t <= 1.0:
+        raise ValidationError(f"transmissivity {t} outside (0, 1]")
+    r = 1.0 - t
+    value = math.comb(n, p) * math.comb(m, q) * t ** (p + q) * r ** (n + m - p - q)
+    return math.sqrt(value) * (-1.0) ** (n - p)
+
+
+def _checked_apply(kernel: np.ndarray, labels, state: PureState,
+                   tail_tol) -> PureState:
+    out = apply(kernel, labels, state)
+    if tail_tol is not None:
+        before = state.norm() ** 2
+        after = out.norm() ** 2
+        if before > 0 and before - after > tail_tol * before:
+            raise TruncationError(
+                f"mixing on {labels} lost {before - after:.3e} of "
+                f"{before:.3e} probability mass (tolerance {tail_tol:.1e})"
+            )
+    return out
+
+
+def apply_beam_splitter(state: PureState, mode_i: str, mode_j: str,
+                        params: BsParams, tail_tol: float | None = None) -> PureState:
+    """Mix two modes with a beam splitter (see `optics` for the signs).
+
+    With tail_tol set, raises TruncationError when the relative probability
+    mass lost to the cutoffs exceeds it.
+    """
+    register = state.register
+    kernel = two_mode_kernel(
+        params.scattering_matrix(),
+        register.mode(mode_i).dim,
+        register.mode(mode_j).dim,
+    )
+    return _checked_apply(kernel, (mode_i, mode_j), state, tail_tol)
+
+
+def polarization_rotation(state: PureState, mode_h: str, mode_v: str,
+                          angle: float, tail_tol: float | None = None) -> PureState:
+    """Rotate the polarization basis of one spatial mode by `angle`.
+
+    Number-conserving two-mode mixing with the real rotation matrix
+    [[cos, sin], [-sin, cos]] on (mode_h, mode_v): at +45 degrees a
+    diagonally polarized beam (equal H and V components) maps onto H.
+    """
+    c, s = math.cos(angle), math.sin(angle)
+    scattering = np.array([[c, s], [-s, c]], dtype=np.complex128)
+    register = state.register
+    kernel = two_mode_kernel(
+        scattering, register.mode(mode_h).dim, register.mode(mode_v).dim
+    )
+    return _checked_apply(kernel, (mode_h, mode_v), state, tail_tol)
+
+
+def apply_displacement(state: PureState, mode: str, alpha: complex,
+                       tail_tol: float | None = None) -> PureState:
+    """Displace one mode of a state by alpha."""
+    kernel = displacement_matrix(alpha, state.register.mode(mode).cutoff)
+    return _checked_apply(kernel, (mode,), state, tail_tol)
+
+
+# ---------------------------------------------------------------------------
+# heralding
+
+
+@dataclass(frozen=True)
+class HeraldResult:
+    """Outcome of heralding: total probability, conditional state, and the
+    per-branch probabilities of the measured ensemble."""
+
+    probability: float
+    post: Optional[DensityOperator]
+    branch_probabilities: Tuple[float, ...]
+
+
+def _joint_weights(register: Register, spec: HeraldSpec) -> np.ndarray:
+    """Joint POVM weight of every occupation pattern of the measured modes,
+    flattened in C order over `spec.measured_labels`."""
+    weights = np.ones(1)
+    for label, element in spec.elements:
+        dim = register.mode(label).dim
+        if element.dim != dim:
+            raise ValidationError(
+                f"POVM element on {label!r} has dimension {element.dim}, "
+                f"mode needs {dim}"
+            )
+        weights = np.multiply.outer(weights, element.weights)
+    return weights.ravel()
+
+
+def _branch_contribution(state: PureState, spec: HeraldSpec, kept: Sequence[str]):
+    """Probability and unnormalized conditional matrix for one pure branch."""
+    weights = _joint_weights(state.register, spec)
+    ordered = state.reordered(tuple(kept) + spec.measured_labels)
+    matrix = ordered.amps.reshape(state.register.subset(kept).size, -1)
+    probability = float((np.abs(matrix) ** 2).sum(axis=0) @ weights)
+    conditional = (matrix * weights) @ matrix.conj().T
+    return probability, 0.5 * (conditional + conditional.conj().T)
+
+
+def herald(source: Union[PureState, Ensemble], spec: HeraldSpec) -> HeraldResult:
+    """Apply a joint herald pattern and return the conditional state.
+
+    Each measured mode contributes a diagonal weight; the joint weight of an
+    occupation pattern is the product over measured modes. The conditional
+    density operator on the kept modes is the weighted partial trace,
+    renormalized by the total success probability. Raises
+    HeraldImpossibleError when that probability is below the floor.
+    """
+    if isinstance(source, PureState):
+        source = Ensemble.pure(source)
+    if not isinstance(source, Ensemble):
+        raise ValidationError(f"cannot herald a {type(source).__name__}")
+    kept = [x for x in source.register.labels if x not in spec.measured_labels]
+    if not kept:
+        raise ValidationError("herald would measure every mode; keep at least one")
+    kept_register = source.register.subset(kept)
+    total = 0.0
+    accumulated = np.zeros((kept_register.size,) * 2, dtype=np.complex128)
+    branch_probs = []
+    for weight, state in source:
+        prob, conditional = _branch_contribution(state, spec, kept)
+        branch_probs.append(weight * prob)
+        total += weight * prob
+        accumulated += weight * conditional
+    if total < HERALD_PROBABILITY_FLOOR:
+        raise HeraldImpossibleError(
+            f"herald pattern has probability {total:.3e}, below the "
+            f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
+        )
+    post = DensityOperator(kept_register, accumulated / total, check=False, copy=False)
+    return HeraldResult(
+        probability=float(total),
+        post=post,
+        branch_probabilities=tuple(branch_probs),
+    )
+
+
+# ---------------------------------------------------------------------------
+# scores on the full register
+
+
+def target_hybrid(
+    alpha_f: float,
+    phi: float,
+    register: Register,
+    labels: Tuple[str, str, str] = ("A_H", "A_V", "B"),
+) -> PureState:
+    """Hybrid entangled target: one photon in the first polarization mode
+    next to |alpha_f> on the field mode, plus e^(i phi) times the flipped
+    polarization next to |-alpha_f>, normalized after truncation (see
+    `metrics.target_field_vectors`)."""
+    label_h, label_v, label_b = labels
+    for label in labels:
+        register.axis(label)
+    if set(register.labels) != set(labels):
+        raise ValidationError(
+            f"target register must have exactly the modes {labels}, "
+            f"got {register.labels}"
+        )
+    if register.mode(label_h).cutoff < 1 or register.mode(label_v).cutoff < 1:
+        raise ValidationError("polarization modes need cutoff >= 1")
+
+    ordered = register.subset(labels)
+    amps = np.zeros(ordered.dims, dtype=np.complex128)
+    amps[1, 0, :], amps[0, 1, :] = target_field_vectors(
+        alpha_f, phi, register.mode(label_b).cutoff
+    )
+    return PureState(ordered, amps, copy=False).reordered(register.labels)
+
+
+def fidelity(rho: DensityOperator, target: PureState) -> float:
+    """Overlap <target| rho |target>, assuming a normalized target."""
+    if rho.register != target.register:
+        if set(rho.register.labels) == set(target.register.labels):
+            target = target.reordered(rho.register.labels)
+            if rho.register != target.register:
+                raise ValidationError(
+                    "fidelity operands have matching labels but different "
+                    "cutoffs"
+                )
+        else:
+            raise ValidationError(
+                f"fidelity operands live on different registers: "
+                f"{rho.register!r} vs {target.register!r}"
+            )
+    return float(rho.expectation(target))
+
+
+@dataclass(frozen=True)
+class Bipartition:
+    """Split of a register's modes into two disjoint groups."""
+
+    part_a: Tuple[str, ...]
+    part_b: Tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "part_a", tuple(self.part_a))
+        object.__setattr__(self, "part_b", tuple(self.part_b))
+        overlap = set(self.part_a) & set(self.part_b)
+        if overlap:
+            raise ValidationError(f"bipartition parts overlap on {sorted(overlap)}")
+        if not self.part_a or not self.part_b:
+            raise ValidationError("both bipartition parts must be nonempty")
+
+    def validate_against(self, register: Register) -> None:
+        combined = set(self.part_a) | set(self.part_b)
+        if combined != set(register.labels):
+            raise ValidationError(
+                f"bipartition {self.part_a} | {self.part_b} does not cover "
+                f"register {register.labels}"
+            )
+
+
+def negativity(rho: DensityOperator, partition: Bipartition) -> float:
+    """Entanglement negativity: -2 times the sum of negative eigenvalues of
+    the partial transpose, eigensolved on the full register. Zero for
+    separable states; the target hybrid state gives
+    sqrt(1 - e^(-4 alpha_f^2))."""
+    partition.validate_against(rho.register)
+    part_a = tuple(partition.part_a)
+    rest = tuple(label for label in rho.register.labels if label not in part_a)
+    ordered = rho.reordered(part_a + rest)
+    dim_a = int(np.prod([ordered.register.mode(label).dim for label in part_a]))
+    return matrix_negativity(ordered.matrix, dim_a)
+
+
+# ---------------------------------------------------------------------------
+# the scheme's eight modes before detection
+
+
+def _pair_ensemble(config: SchemeConfig, cuts: ResolvedCutoffs) -> Ensemble:
+    """The pair from `pair_source`, its idler displaced mode by mode by
+    x / sqrt(2), x = sqrt(1 - t) alpha_i (the "diagonal" convention)."""
+    cutoffs = (cuts.a, cuts.a, cuts.detector, cuts.detector)
+    register = build_register(zip(_PAIR_LABELS, cutoffs))
+    ensemble = pair_source(config.pair_spec(), register, labels=_PAIR_LABELS)
+    amplitude = math.sqrt(1.0 - config.t) * config.resolved_alpha_i / math.sqrt(2.0)
+    branches = []
+    for weight, state in ensemble:
+        for mode in ("2H", "2V"):
+            state = apply_displacement(state, mode, amplitude, tail_tol=config.tail_tol)
+        branches.append((weight, state))
+    return Ensemble(register, tuple(branches))
+
+
+def build_prestate(config: SchemeConfig) -> Ensemble:
+    """Joint state of all eight modes right before detection, in the lab
+    polarization frame, ordered (A_H, A_V, 5H, 5V, 6H, 6V, B_H, B_V).
+
+    Heralded with `herald`, it gives the pattern probabilities and
+    conditional states of `run_scheme`'s term-basis herald, after rotating
+    the B channels into the beam frame and projecting the empty channel
+    out. It is built without `run_scheme`'s closed forms: the pair comes
+    from `pair_source` with its idler displaced mode by mode, and the source
+    beam is rotated from B_H onto the diagonal of (B_H, B_V) and each
+    polarization tapped by its own splitter. Only the cutoffs and the
+    downconversion sector weights (`PairSourceSpec.sector_weights`) are
+    shared.
+    """
+    cuts = resolve_cutoffs(config)
+    register = build_register(
+        [
+            ("4H", cuts.detector),
+            ("4V", cuts.detector),
+            ("B_H", cuts.b),
+            ("B_V", cuts.b),
+        ]
+    )
+    if config.scs_source == "ideal":
+        source = scs(ScsSpec(config.resolved_alpha_i, config.phi), cuts.b)
+    else:
+        spec = SqueezedPhotonSpec(config.s, config.n_cut)
+        source = squeezed_single_photon(spec, cuts.b)
+    amps = np.zeros(register.dims, dtype=np.complex128)
+    amps[0, 0, :, 0] = source.amps
+    beam = polarization_rotation(
+        PureState(register, amps, copy=False), "B_H", "B_V", -math.pi / 4.0
+    )
+    tap = BsParams.from_transmissivity(config.t)
+    for reflected, kept in (("4H", "B_H"), ("4V", "B_V")):
+        beam = apply_beam_splitter(
+            beam, reflected, kept, tap, tail_tol=config.tail_tol
+        )
+    half = BsParams.from_transmissivity(0.5)
+    branches = []
+    for weight, state in _pair_ensemble(config, cuts):
+        joint = tensor(state, beam)
+        for tap, idler in (("4H", "2H"), ("4V", "2V")):
+            joint = apply_beam_splitter(
+                joint, tap, idler, half, tail_tol=config.tail_tol
+            )
+        branches.append((weight, joint.relabeled(_DETECTOR_RELABEL)))
+    return Ensemble(branches[0][1].register, tuple(branches))

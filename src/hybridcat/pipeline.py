@@ -21,7 +21,7 @@ d = (n + 1)^(-1/2) s_l, next to a measured factor. The herald contracts a
 small Gram matrix G of the plain click pattern pulled back through the
 splitters onto each polarization's idler and tap factors, so no array spans
 all four detector channels; the flipped pattern follows by the state's
-H <-> V mirror symmetry, which the dense oracle pins. The heralded state
+H <-> V mirror symmetry (see `_herald`). The heralded state
 stays in the term basis as the r x r matrix rho_t = D G D / p: the kept
 vectors of the terms are orthonormal, so embedding rho_t in the register is
 a local isometry, and the fidelity (c^H rho_t c, with c the target's
@@ -31,8 +31,6 @@ lambda^(2n), the paper's P_tot normalization (arXiv:1410.6823), so
 P = sum_n w_n p_n; `tail_mass` is the worst branch's deficit
 sum_n w_n d_n / sum_n w_n. Sweep rows of that source skip the coherent
 herald and so leave negativity empty.
-`build_prestate`, the full eight-mode lab-frame state heralded with
-`detection.herald`, is the dense test oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Mapping, Optional, Sequence, Tuple
@@ -56,23 +53,11 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .fock_core import (
-    DensityOperator,
-    Ensemble,
-    PureState,
-    Register,
-    build_register,
-    log_factorials,
-    tensor,
-)
+from .fock_core import DensityOperator, Register, build_register, log_factorials
 from .metrics import matrix_negativity, target_field_vectors
 from .optics import (
     BsParams,
-    DisplacementSpec,
-    apply_beam_splitter,
-    apply_displacement,
     displacement_matrix,
-    polarization_rotation,
     required_displacement_cutoff,
     two_mode_kernel,
 )
@@ -81,7 +66,6 @@ from .resource_states import (
     ScsSpec,
     SqueezedPhotonSpec,
     coherent_cutoff_for,
-    pair_source,
     scs,
     squeezed_single_photon,
 )
@@ -90,9 +74,6 @@ SCS_SOURCES = ("ideal", "squeezed")
 PAIR_SOURCES = ("chi", "vacuum_mixed", "spdc")
 DETECTORS = ("pnr", "onoff")
 SWEEP_AXES = ("alpha_f", "eta", "lambda", "s", "t", "z")
-
-_PAIR_LABELS = ("A_H", "A_V", "2H", "2V")
-_DETECTOR_RELABEL = {"2H": "5H", "2V": "5V", "4H": "6H", "4V": "6V"}
 
 
 @dataclass(frozen=True)
@@ -157,7 +138,7 @@ class SchemeConfig:
         if self.pair_source != "spdc" and self.lam is not None:
             raise ValidationError("lambda only applies to the spdc pair source")
         # the source specs own the range checks of their parameters
-        _pair_spec(self)
+        self.pair_spec()
         if self.detector not in DETECTORS:
             raise ValidationError(f"detector must be one of {DETECTORS}")
         for name in ("cutoff_a", "cutoff_detector", "cutoff_b"):
@@ -178,6 +159,14 @@ class SchemeConfig:
         if self.alpha_f is not None:
             return float(self.alpha_f)
         return float(self.alpha_i) * math.sqrt(self.t)
+
+    def pair_spec(self) -> PairSourceSpec:
+        """The pair source's spec, with its downconversion weights."""
+        if self.pair_source == "chi":
+            return PairSourceSpec.chi()
+        if self.pair_source == "vacuum_mixed":
+            return PairSourceSpec.vacuum_mixed(self.z)
+        return PairSourceSpec.spdc(self.lam, self.spdc_order, self.spdc_weighting)
 
 
 @dataclass(frozen=True)
@@ -244,7 +233,7 @@ def _beam_state(config: SchemeConfig, cuts: ResolvedCutoffs) -> np.ndarray:
 
     with c the source vector, zero for n above the field cutoff, and j, k up
     to the detector cutoff: the box the lab-frame splitters of
-    `build_prestate` keep, seen with the field in the beam's polarization.
+    `oracle.build_prestate` keep, seen with the field in the beam's polarization.
     """
     j = np.arange(cuts.detector + 1)[:, None, None]
     k = j.reshape(1, -1, 1)
@@ -258,34 +247,10 @@ def _beam_state(config: SchemeConfig, cuts: ResolvedCutoffs) -> np.ndarray:
     return c[n] * multinomial * tap * math.sqrt(config.t) ** m
 
 
-def _pair_spec(config: SchemeConfig) -> PairSourceSpec:
-    if config.pair_source == "chi":
-        return PairSourceSpec.chi()
-    if config.pair_source == "vacuum_mixed":
-        return PairSourceSpec.vacuum_mixed(config.z)
-    return PairSourceSpec.spdc(config.lam, config.spdc_order, config.spdc_weighting)
-
-
 def _displacement_amplitude(config: SchemeConfig) -> float:
     # the "diagonal" convention: x / sqrt(2) on each polarization component
     x = math.sqrt(max(0.0, 1.0 - config.t)) * config.resolved_alpha_i
     return x / math.sqrt(2.0)
-
-
-def _pair_ensemble(config: SchemeConfig, cuts: ResolvedCutoffs) -> Ensemble:
-    """The displaced pair built mode by mode, for the dense oracle."""
-    cutoffs = (cuts.a, cuts.a, cuts.detector, cuts.detector)
-    register = build_register(zip(_PAIR_LABELS, cutoffs))
-    ensemble = pair_source(_pair_spec(config), register, labels=_PAIR_LABELS)
-    amplitude = _displacement_amplitude(config)
-    branches = []
-    for weight, state in ensemble:
-        for mode in ("2H", "2V"):
-            state = apply_displacement(
-                state, DisplacementSpec(amplitude, mode), tail_tol=config.tail_tol
-            )
-        branches.append((weight, state))
-    return Ensemble(register, tuple(branches))
 
 
 def _pair_branches(config: SchemeConfig):
@@ -296,7 +261,7 @@ def _pair_branches(config: SchemeConfig):
         return ((1.0, ((1, 1.0),)),)
     if config.pair_source == "vacuum_mixed":
         return ((config.z, ((1, 1.0),)), (1.0 - config.z, ((0, 1.0),)))
-    weights = _pair_spec(config).sector_weights()
+    weights = config.pair_spec().sector_weights()
     total = sum(weights)
     return ((total, tuple((n, w / total) for n, w in enumerate(weights))),)
 
@@ -586,9 +551,9 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     plain, branch_probabilities, rho = _herald(gram, branches)
 
     diagnostics: Dict[str, object] = {
-        # (plain, flipped): equal by the symmetry of `_herald`
-        "pattern_probabilities": (plain,) * 2,
-        "branch_pattern_probabilities": (branch_probabilities,) * 2,
+        # one pattern's; the flipped one fires alike (see `_herald`)
+        "plain_probability": plain,
+        "branch_probabilities": branch_probabilities,
         "worst_tail_mass": tail,
         "cutoffs": dataclasses.asdict(factors.cuts),
         "schmidt_ranks": tuple(ranks),
@@ -620,52 +585,6 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
         post_state=_embed(factors, rho),
         diagnostics=diagnostics,
     )
-
-
-def build_prestate(config: SchemeConfig) -> Ensemble:
-    """Joint state of all eight modes right before detection, in the lab
-    polarization frame, ordered (A_H, A_V, 5H, 5V, 6H, 6V, B_H, B_V).
-
-    This dense state is the test oracle: heralded with
-    `detection.herald`, it gives the same pattern probabilities and
-    conditional states as the factored contraction `run_scheme` uses,
-    after rotating the B channels into the beam frame and projecting the
-    empty channel out. It is not on `run_scheme`'s path, and it is built
-    independently of `run_scheme`'s closed forms: the pair comes from
-    `pair_source` with its idler displaced mode by mode, and the source
-    beam is rotated from B_H onto the diagonal of (B_H, B_V) and each
-    polarization tapped by its own splitter. Only the downconversion
-    sector weights are shared, through `PairSourceSpec.sector_weights`.
-    """
-    cuts = resolve_cutoffs(config)
-    register = build_register(
-        [
-            ("4H", cuts.detector),
-            ("4V", cuts.detector),
-            ("B_H", cuts.b),
-            ("B_V", cuts.b),
-        ]
-    )
-    amps = np.zeros(register.dims, dtype=np.complex128)
-    amps[0, 0, :, 0] = _source_vector(config, cuts.b)
-    beam = polarization_rotation(
-        PureState(register, amps, copy=False), "B_H", "B_V", -math.pi / 4.0
-    )
-    tap = BsParams.from_transmissivity(config.t)
-    for reflected, kept in (("4H", "B_H"), ("4V", "B_V")):
-        beam = apply_beam_splitter(
-            beam, reflected, kept, tap, tail_tol=config.tail_tol
-        )
-    half = BsParams.from_transmissivity(0.5)
-    branches = []
-    for weight, state in _pair_ensemble(config, cuts):
-        joint = tensor(state, beam)
-        for tap, idler in (("4H", "2H"), ("4V", "2V")):
-            joint = apply_beam_splitter(
-                joint, tap, idler, half, tail_tol=config.tail_tol
-            )
-        branches.append((weight, joint.relabeled(_DETECTOR_RELABEL)))
-    return Ensemble(branches[0][1].register, tuple(branches))
 
 
 @lru_cache(maxsize=32)
@@ -705,7 +624,7 @@ def spdc_decomposition(config: SchemeConfig) -> Dict[str, Optional[float]]:
     key = _factors_key(config)
     tail = _truncation_tail(config, _factors(key))
     probs, fids = _sector_heralds(key, config.eta)
-    weights = _pair_spec(config).sector_weights()
+    weights = config.pair_spec().sector_weights()
     p_tot = sum(w * p for w, p in zip(weights, probs))
     if p_tot <= 0.0:
         raise HeraldImpossibleError("no pair-number sector heralds")
@@ -724,14 +643,14 @@ def spdc_decomposition(config: SchemeConfig) -> Dict[str, Optional[float]]:
 @dataclass(frozen=True)
 class SweepRow:
     params: Tuple[Tuple[str, float], ...]
-    fidelity: Optional[float]
-    probability_total: Optional[float]
-    negativity: Optional[float]
-    p_vac: Optional[float]
-    p_chi: Optional[float]
-    p_phi2: Optional[float]
-    tail_mass: Optional[float]
-    status: str
+    fidelity: Optional[float] = None
+    probability_total: Optional[float] = None
+    negativity: Optional[float] = None
+    p_vac: Optional[float] = None
+    p_chi: Optional[float] = None
+    p_phi2: Optional[float] = None
+    tail_mass: Optional[float] = None
+    status: str = "ok"
 
     @classmethod
     def from_result(
@@ -748,7 +667,6 @@ class SweepRow:
             p_chi=diag.get("p_chi"),
             p_phi2=diag.get("p_phi2"),
             tail_mass=float(diag["worst_tail_mass"]),
-            status="ok",
         )
 
 
@@ -785,33 +703,17 @@ def _evaluate_point(
                 params=params,
                 fidelity=dec["f_eff"],
                 probability_total=dec["p_tot"],
-                negativity=None,
                 p_vac=dec["p_vac"],
                 p_chi=dec["p_chi"],
                 p_phi2=dec["p_phi2"],
                 tail_mass=dec["tail_mass"],
-                status="ok",
             )
         return SweepRow.from_result(params, run_scheme(cfg))
     except SimulationError as exc:
-        return SweepRow(
-            params=params,
-            fidelity=None,
-            probability_total=None,
-            negativity=None,
-            p_vac=None,
-            p_chi=None,
-            p_phi2=None,
-            tail_mass=None,
-            status=f"error:{type(exc).__name__}",
-        )
+        return SweepRow(params=params, status=f"error:{type(exc).__name__}")
 
 
-def sweep(
-    config: SchemeConfig,
-    grid: Mapping[str, Sequence[float]],
-    threads: int = 1,
-) -> SweepTable:
+def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTable:
     """Evaluate the scheme over a cartesian parameter grid.
 
     Axes are sorted by name and each axis's values ascending, so the row
@@ -837,12 +739,5 @@ def sweep(
         if not axis_values:
             raise ValidationError(f"sweep axis {axis!r} has no values")
         values.append(tuple(sorted(axis_values)))
-    points = list(itertools.product(*values))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            rows = list(
-                pool.map(lambda p: _evaluate_point(config, axes, p), points)
-            )
-    else:
-        rows = [_evaluate_point(config, axes, point) for point in points]
+    rows = [_evaluate_point(config, axes, p) for p in itertools.product(*values)]
     return SweepTable(axes=axes, rows=tuple(rows))

@@ -1,9 +1,10 @@
-"""Factories for the input states of the scheme.
+"""Specs and factories for the input states of the scheme.
 
 Single-mode resources: coherent states, superpositions of coherent states
-(SCS), and squeezed single photons. Two-photon resources: the polarization
-Bell pair, its vacuum-mixed variant, and parametric pair sources with
-vacuum plus higher-order components.
+(SCS), and squeezed single photons. `PairSourceSpec` describes the
+two-photon resources: the polarization Bell pair, its vacuum-mixed variant,
+and parametric pair sources with vacuum plus higher-order components, whose
+downconversion weights it owns.
 
 Every factory returns a normalized state; truncation deficits can be probed
 through the raw amplitude functions (`coherent_amplitudes`,
@@ -19,14 +20,7 @@ import numpy as np
 
 from .analytic import n_phi
 from .errors import CutoffError, ValidationError
-from .fock_core import (
-    Ensemble,
-    ModeSpec,
-    PureState,
-    Register,
-    basis_state,
-    log_factorials,
-)
+from .fock_core import ModeSpec, PureState, Register, log_factorials
 
 __all__ = [
     "ScsSpec",
@@ -38,9 +32,6 @@ __all__ = [
     "scs",
     "squeezed_amplitudes",
     "squeezed_single_photon",
-    "bell_chi",
-    "phi_state",
-    "pair_source",
 ]
 
 COHERENT_TAIL_BOUND = 1e-10
@@ -247,72 +238,3 @@ def squeezed_single_photon(spec: SqueezedPhotonSpec, cutoff: int | None = None,
     amps = squeezed_amplitudes(spec, cutoff)
     register = Register([ModeSpec(label, cutoff)])
     return PureState(register, amps).normalized()
-
-
-# ---------------------------------------------------------------------------
-# photon-pair resources
-
-
-def bell_chi(register: Register,
-             labels: tuple = ("1H", "1V", "2H", "2V")) -> PureState:
-    """Polarization Bell pair (|1001> + |0110>)/sqrt(2) on the four labeled
-    modes of `register` (any other modes stay in vacuum)."""
-    h1, v1, h2, v2 = labels
-    for label in labels:
-        if register.mode(label).cutoff < 1:
-            raise CutoffError(f"mode {label!r} needs cutoff >= 1 for the pair")
-    hv = basis_state(register, {h1: 1, v2: 1})
-    vh = basis_state(register, {v1: 1, h2: 1})
-    return (hv + vh) * (1.0 / math.sqrt(2.0))
-
-
-def phi_state(n: int, register: Register,
-              labels: tuple = ("1H", "1V", "2H", "2V")) -> PureState:
-    """n-pair component of the parametric source.
-
-    (n+1)^{-1/2} sum_m |m>_{1H} |n-m>_{1V} |n-m>_{2H} |m>_{2V}; the n = 0
-    term is the vacuum and n = 1 is the Bell pair.
-    """
-    if n < 0:
-        raise ValidationError(f"pair order must be >= 0, got {n}")
-    h1, v1, h2, v2 = labels
-    for label in labels:
-        if register.mode(label).cutoff < n:
-            raise CutoffError(
-                f"mode {label!r} needs cutoff >= {n} for the {n}-pair component"
-            )
-    state = None
-    for m in range(n + 1):
-        term = basis_state(
-            register, {h1: m, v1: n - m, h2: n - m, v2: m}
-        )
-        state = term if state is None else state + term
-    return state * (1.0 / math.sqrt(n + 1.0))
-
-
-def pair_source(spec: PairSourceSpec, register: Register,
-                labels: tuple = ("1H", "1V", "2H", "2V")) -> Ensemble:
-    """Photon-pair input as a weighted ensemble of pure states.
-
-    chi: one unit-weight Bell pair. vacuum_mixed: branches (z, Bell pair)
-    and (1-z, vacuum). spdc: one normalized branch sum_n sqrt(w_n / W)
-    |Phi_n> of weight W = sum_n w_n (`PairSourceSpec.sector_weights`).
-    This is the pair's dense test oracle; `pipeline` writes the displaced
-    pair-number sectors in closed form instead.
-    """
-    if spec.variant == "chi":
-        return Ensemble.pure(bell_chi(register, labels))
-    if spec.variant == "vacuum_mixed":
-        vacuum = basis_state(register, {})
-        return Ensemble(
-            register,
-            [(spec.z, bell_chi(register, labels)), (1.0 - spec.z, vacuum)],
-        )
-    # parametric source
-    weights = spec.sector_weights()
-    total = sum(weights)
-    state = None
-    for n, weight in enumerate(weights):
-        term = phi_state(n, register, labels) * math.sqrt(weight / total)
-        state = term if state is None else state + term
-    return Ensemble.pure(state, total)

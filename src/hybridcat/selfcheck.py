@@ -24,23 +24,23 @@ from typing import Callable, Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import analytic
-from .detection import build_scheme_herald, herald, povm_click, povm_pnr
-from .fock_core import (
+from .detection import build_scheme_herald, povm_click, povm_pnr
+from .fock_core import build_register
+from .optics import BsParams, displacement_matrix, two_mode_kernel
+from .oracle import (
+    Bipartition,
+    apply_beam_splitter,
     basis_state,
-    build_register,
+    bs_fock_coefficient,
+    build_prestate,
+    herald,
     inner,
+    negativity,
+    target_hybrid,
     tensor,
     to_density,
 )
-from .metrics import Bipartition, negativity, target_hybrid
-from .optics import (
-    BsParams,
-    apply_beam_splitter,
-    bs_fock_coefficient,
-    displacement_matrix,
-    two_mode_kernel,
-)
-from .pipeline import SchemeConfig, build_prestate, run_scheme, spdc_decomposition
+from .pipeline import SchemeConfig, run_scheme, spdc_decomposition
 from .resource_states import coherent
 
 # Converged values of this implementation for the pair-conversion spots,
@@ -224,10 +224,9 @@ def _ideal_config(alpha_i: float, t: float, eta: float = 1.0, **kw) -> SchemeCon
 
 def _vacuum_probability(config: SchemeConfig) -> float:
     """Herald probability of the empty pair alone: the vacuum branch of an
-    even vacuum-mixed pair, summed over both patterns, over its weight."""
+    even vacuum-mixed pair, both patterns, over its weight."""
     run = run_scheme(replace(config, pair_source="vacuum_mixed", z=0.5))
-    patterns = run.diagnostics["branch_pattern_probabilities"]
-    return sum(branches[1] for branches in patterns if branches) / 0.5
+    return 2.0 * run.diagnostics["branch_probabilities"][1] / 0.5
 
 
 def check_vacuum_filtering() -> CheckResult:
@@ -280,7 +279,7 @@ def check_mixture_scaling() -> CheckResult:
 def check_pattern_symmetry() -> CheckResult:
     """The two herald patterns fire equally and agree after the bit flip,
     on the dense eight-mode state; `run_scheme`'s factored contraction
-    gives the same pattern probabilities. The dense state has one more
+    gives both the same probability. The dense state has one more
     field mode than `run_scheme` keeps, so a small amplitude keeps it cheap."""
     config = _ideal_config(0.5, 0.95, 0.9, cutoff_b=8)
     prestate = build_prestate(config)
@@ -300,8 +299,8 @@ def check_pattern_symmetry() -> CheckResult:
         posts.append(post)
     prob_gap = abs(probs[0] - probs[1]) / max(probs)
     state_gap = float(np.abs(posts[0].matrix - posts[1].matrix).max())
-    factored = run_scheme(config).diagnostics["pattern_probabilities"]
-    oracle_gap = max(abs(f - p) / p for f, p in zip(factored, probs))
+    factored = run_scheme(config).diagnostics["plain_probability"]
+    oracle_gap = max(abs(factored - p) / p for p in probs)
     passed = prob_gap <= 1e-10 and state_gap <= 1e-9 and oracle_gap <= 1e-12
     return _result(
         "pattern_symmetry",
@@ -484,8 +483,10 @@ def check_approximate_resource_thresholds() -> CheckResult:
 
 
 def check_spdc_lambda_scaling() -> CheckResult:
-    """The coherent parametric-source herald follows the pair-number sector
-    recombination, and the run's F the paper's F_eff formula."""
+    """The coherent parametric-source herald equals the pair-number sector
+    recombination to roundoff, since the POVM is photon-number diagonal and
+    the sectors differ in signal photon number, and the run's F equals the
+    paper's F_eff formula."""
     worst_p = 0.0
     worst_f = 0.0
     base = SchemeConfig(
@@ -501,7 +502,7 @@ def check_spdc_lambda_scaling() -> CheckResult:
     for lam in (0.01, 0.03, 0.05):
         config = replace(base, lam=lam)
         full = run_scheme(config)
-        coherent = sum(full.diagnostics["pattern_probabilities"])
+        coherent = 2.0 * full.diagnostics["plain_probability"]
         worst_p = max(worst_p, abs(coherent / full.probability_total - 1.0))
         dec = spdc_decomposition(config)
         formula = analytic.f_eff(
@@ -510,11 +511,11 @@ def check_spdc_lambda_scaling() -> CheckResult:
         worst_f = max(worst_f, abs(full.fidelity - formula) / formula)
     return _result(
         "spdc_lambda_scaling",
-        worst_p <= 0.01 and worst_f <= 1e-12,
-        "coherent herald within 1% of (1-l^2)(P_vac + l^2 P_chi + l^4 P_phi2); "
+        worst_p <= 1e-12 and worst_f <= 1e-12,
+        "coherent herald equal to (1-l^2)(P_vac + l^2 P_chi + l^4 P_phi2); "
         "F equal to the paper's F_eff",
         f"max relative gap {worst_p:.2e} in P, {worst_f:.2e} in F",
-        "1% / 1e-12",
+        "1e-12 / 1e-12",
     )
 
 

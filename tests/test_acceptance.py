@@ -17,8 +17,8 @@ import time
 import pytest
 
 from hybridcat import analytic
-from hybridcat.metrics import Bipartition, negativity, target_hybrid
-from hybridcat.fock_core import build_register, to_density
+from hybridcat.fock_core import build_register
+from hybridcat.oracle import Bipartition, negativity, target_hybrid, to_density
 from hybridcat.pipeline import SchemeConfig, run_scheme, spdc_decomposition
 from hybridcat.selfcheck import run_all_checks
 

@@ -168,21 +168,8 @@ def test_sweep_table_is_byte_stable(tmp_path, capsys):
     )
     first = tmp_path / "a.tsv"
     second = tmp_path / "b.tsv"
-    assert main(["sweep", "--scenario", scenario, "--output", str(first)]) == 0
-    assert (
-        main(
-            [
-                "sweep",
-                "--scenario",
-                scenario,
-                "--output",
-                str(second),
-                "--threads",
-                "2",
-            ]
-        )
-        == 0
-    )
+    for out in (first, second):
+        assert main(["sweep", "--scenario", scenario, "--output", str(out)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
     lines = first.read_text().splitlines()
@@ -237,19 +224,7 @@ def test_reproduce_rejects_missing_panel_letter(capsys):
 
 def test_reproduce_single_panel_grid(tmp_path, capsys):
     out = tmp_path / "grid.tsv"
-    code = main(
-        [
-            "reproduce",
-            "--figure",
-            "4",
-            "--panel",
-            "a",
-            "--output",
-            str(out),
-            "--threads",
-            "2",
-        ]
-    )
+    code = main(["reproduce", "--figure", "4", "--panel", "a", "--output", str(out)])
     printed = capsys.readouterr().out
     assert code == 0
     lines = out.read_text().splitlines()

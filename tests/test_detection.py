@@ -5,14 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from hybridcat.detection import (
-    build_scheme_herald,
-    herald,
-    povm_click,
-    povm_pnr,
-)
+from hybridcat.detection import build_scheme_herald, povm_click, povm_pnr
 from hybridcat.errors import HeraldImpossibleError
-from hybridcat.fock_core import basis_state, build_register
+from hybridcat.fock_core import build_register
+from hybridcat.oracle import Ensemble, basis_state, herald
 
 
 def test_pnr_weights_are_binomial_loss():
@@ -130,8 +126,6 @@ def test_impossible_pattern_raises():
 
 
 def test_herald_mixture_branches():
-    from hybridcat.fock_core import Ensemble
-
     reg = _register()
     bright = basis_state(reg, {"5V": 1, "6H": 1})
     brighter = basis_state(reg, {"5V": 2, "6H": 1})

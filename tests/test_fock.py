@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 
 from hybridcat.errors import CutoffError, ValidationError
-from hybridcat.fock_core import (
-    DensityOperator,
-    Ensemble,
-    basis_state,
-    build_register,
-    inner,
-    tensor,
-    to_density,
-)
+from hybridcat.fock_core import DensityOperator, build_register
+from hybridcat.oracle import Ensemble, basis_state, inner, tensor, to_density
 from hybridcat.resource_states import coherent
 
 

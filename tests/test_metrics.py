@@ -7,20 +7,16 @@ import pytest
 
 from hybridcat import analytic, metrics
 from hybridcat.errors import ValidationError
-from hybridcat.fock_core import (
-    DensityOperator,
-    basis_state,
-    build_register,
-    tensor,
-    to_density,
-)
-from hybridcat.metrics import (
+from hybridcat.fock_core import DensityOperator, build_register
+from hybridcat.metrics import matrix_negativity
+from hybridcat.oracle import (
     Bipartition,
+    basis_state,
     fidelity,
     negativity,
-    matrix_negativity,
-    partial_transpose,
     target_hybrid,
+    tensor,
+    to_density,
 )
 from hybridcat.resource_states import coherent
 
@@ -52,20 +48,6 @@ def test_target_branch_structure():
 def test_fidelity_of_state_with_itself():
     state = target_hybrid(0.7, math.pi, _target_register(0.7))
     assert abs(fidelity(to_density(state), state) - 1.0) < 1e-12
-
-
-def test_partial_transpose_is_involution():
-    state = target_hybrid(0.9, math.pi, _target_register(0.9))
-    rho = to_density(state)
-    twice = partial_transpose(partial_transpose(rho, ("A_H", "A_V")), ("A_H", "A_V"))
-    assert np.max(np.abs(twice.matrix - rho.matrix)) < 1e-14
-
-
-def test_partial_transpose_preserves_trace():
-    state = target_hybrid(0.6, math.pi, _target_register(0.6))
-    rho = to_density(state)
-    pt = partial_transpose(rho, ("A_H", "A_V"))
-    assert abs(np.trace(pt.matrix) - 1.0) < 1e-12
 
 
 def test_negativity_of_product_state_is_zero():

@@ -1,7 +1,7 @@
 """Checks on the package layout: no module imports another's private
 helpers, every `__all__` entry is defined where it is exported, every one
-has a caller in the package or the benchmark, and the runtime needs numpy
-and the standard library only."""
+has a caller in the package or the benchmark, only `selfcheck` reaches the
+dense oracle, and the runtime needs numpy and the standard library only."""
 
 import ast
 import os
@@ -135,6 +135,29 @@ def test_every_export_has_a_caller():
             if export not in taken and not _uses_own(tree, export)
         ]
     assert dead == []
+
+
+def test_only_selfcheck_imports_the_oracle():
+    # `oracle` is the dense second implementation; the run path's modules
+    # import neither it nor `selfcheck`, which compares against it
+    trees = dict(_trees())
+    users = sorted(name for name, tree in trees.items() if _imports(tree, "oracle"))
+    assert users == ["__init__.py", "selfcheck.py"]
+    run_path = (
+        "analytic",
+        "detection",
+        "fock_core",
+        "metrics",
+        "optics",
+        "pipeline",
+        "resource_states",
+    )
+    assert [
+        module
+        for module in run_path
+        for other in ("oracle", "selfcheck")
+        if _imports(trees[f"{module}.py"], other)
+    ] == []
 
 
 def test_package_imports_only_stdlib_and_numpy():

@@ -7,15 +7,20 @@ from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
 from hybridcat import cli, pipeline
-from hybridcat.fock_core import basis_state, build_register, inner, tensor
+from hybridcat.fock_core import build_register
 from hybridcat.optics import (
     BsParams,
-    apply_beam_splitter,
-    bs_fock_coefficient,
     displacement_matrix,
-    polarization_rotation,
     required_displacement_cutoff,
     two_mode_kernel,
+)
+from hybridcat.oracle import (
+    apply_beam_splitter,
+    basis_state,
+    bs_fock_coefficient,
+    inner,
+    polarization_rotation,
+    tensor,
 )
 from hybridcat.resource_states import coherent
 

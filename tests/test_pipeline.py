@@ -7,35 +7,45 @@ implementation under the locked conventions.
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from hybridcat import (
     analytic,
-    detection,
+    cli,
     fock_core,
     metrics,
     optics,
+    oracle,
     pipeline,
     resource_states,
 )
-from hybridcat.detection import build_scheme_herald, herald
+from hybridcat.detection import build_scheme_herald
 from hybridcat.errors import (
     CutoffError,
     HeraldImpossibleError,
     TruncationError,
     ValidationError,
 )
-from hybridcat.fock_core import Ensemble, PureState, build_register
-from hybridcat.metrics import Bipartition, negativity
-from hybridcat.optics import BsParams, apply_beam_splitter, polarization_rotation
+from hybridcat.fock_core import PureState, build_register
+from hybridcat.optics import BsParams
+from hybridcat.oracle import (
+    Bipartition,
+    Ensemble,
+    apply_beam_splitter,
+    build_prestate,
+    herald,
+    negativity,
+    polarization_rotation,
+)
 from hybridcat.pipeline import (
     DETECTORS,
     SWEEP_AXES,
     SchemeConfig,
-    build_prestate,
     resolve_cutoffs,
     run_scheme,
     spdc_decomposition,
@@ -191,7 +201,7 @@ def test_pattern_probabilities_symmetric(monkeypatch):
             runs.append((result, list(calls)))
         (result, plain_calls), (_, flip_calls) = runs
         coherent, _, _ = herald_terms(*plain_calls[0])
-        assert result.diagnostics["pattern_probabilities"][0] == coherent
+        assert result.diagnostics["plain_probability"] == coherent
         terms = _mirrored_terms(pipeline._factors(pipeline._factors_key(config)))
         for (gram, branches), (flip_gram, flip_branches) in zip(
             plain_calls, flip_calls
@@ -343,14 +353,6 @@ def test_sweep_spdc_uses_decomposition():
     assert abs(row.p_chi - SPOT_A_EXPECTED["p_chi"]) < 1e-9
 
 
-def test_sweep_threads_match_serial():
-    config = SchemeConfig(t=0.99, eta=0.9, alpha_f=1.0)
-    grid = {"eta": (0.7, 0.8, 0.9)}
-    serial = sweep(config, grid, threads=1)
-    parallel = sweep(config, grid, threads=3)
-    assert serial == parallel
-
-
 # ---------------------------------------------------------------------------
 # the tapped beam
 
@@ -412,7 +414,7 @@ def test_untapped_beam_heralds_nothing():
 def _dense_oracle(config):
     """Pattern probabilities and combined post-state from the dense
     eight-mode state, its field rotated into the beam frame and heralded
-    with `detection.herald`, with the flipped pattern corrected and the
+    with `oracle.herald`, with the flipped pattern corrected and the
     empty field channel projected out, as `run_scheme` reports them."""
     lab = build_prestate(config)
     prestate = Ensemble(
@@ -491,8 +493,9 @@ def test_factored_herald_matches_dense_oracle(pair, beam, detector, extra):
     config = SchemeConfig(**kwargs, **extra)
     result = run_scheme(config)
     probs, rho = _dense_oracle(config)
-    for got, expected in zip(result.diagnostics["pattern_probabilities"], probs):
-        assert abs(got - expected) <= 1e-12 * max(probs)
+    plain = result.diagnostics["plain_probability"]
+    for expected in probs:
+        assert abs(plain - expected) <= 1e-12 * max(probs)
     assert abs(result.probability_total / sum(probs) - 1.0) <= 1e-12
     assert float(np.abs(result.post_state.matrix - rho).max()) <= 1e-12
     # the Gram, not the state, is Hermitised
@@ -504,8 +507,8 @@ def test_factored_herald_matches_dense_oracle(pair, beam, detector, extra):
     assert abs(result.negativity - full) <= 1e-12
     # the term-basis target coefficients against the dense target
     register = result.post_state.register
-    target = metrics.target_hybrid(config.resolved_alpha_f, config.phi, register)
-    dense = metrics.fidelity(fock_core.DensityOperator(register, rho), target)
+    target = oracle.target_hybrid(config.resolved_alpha_f, config.phi, register)
+    dense = oracle.fidelity(fock_core.DensityOperator(register, rho), target)
     assert abs(result.fidelity - dense) <= 1e-12
 
 
@@ -624,11 +627,9 @@ def test_factored_diagnostics_report_schmidt_ranks():
 def test_eta_sweep_is_bit_identical_to_runs():
     config = SchemeConfig(t=0.9, eta=0.9, alpha_f=1.2)
     etas = (0.3, 0.6, 0.9)
-    serial = sweep(config, {"eta": etas, "t": (0.9, 0.95)})
-    threaded = sweep(config, {"eta": etas, "t": (0.9, 0.95)}, threads=2)
-    assert serial == threaded
+    table = sweep(config, {"eta": etas, "t": (0.9, 0.95)})
     pipeline._factors.cache_clear()
-    for row in serial.rows:
+    for row in table.rows:
         params = dict(row.params)
         result = run_scheme(dataclasses.replace(config, **params))
         assert row.fidelity == result.fidelity
@@ -791,31 +792,58 @@ def test_spdc_sweep_rows_equal_runs(point):
     assert row.tail_mass == diag["worst_tail_mass"]
     # the coherent post-state agrees with the sector recombination
     post = result.post_state
-    target = metrics.target_hybrid(config.resolved_alpha_f, config.phi, post.register)
-    assert abs(metrics.fidelity(post, target) - result.fidelity) <= 1e-12
-    coherent = sum(diag["pattern_probabilities"])
+    target = oracle.target_hybrid(config.resolved_alpha_f, config.phi, post.register)
+    assert abs(oracle.fidelity(post, target) - result.fidelity) <= 1e-12
+    coherent = 2.0 * diag["plain_probability"]
     assert abs(coherent / result.probability_total - 1.0) <= 1e-12
 
 
-def test_run_path_leaves_the_dense_oracle_alone(monkeypatch):
+def test_run_path_leaves_the_dense_oracle_alone(monkeypatch, tmp_path):
+    """Every public name of `oracle`, patched in every `hybridcat` module
+    that holds it, fails when called; `run`, `sweep`, `reproduce` and
+    `run_scheme` never reach one."""
+
     def forbidden(*args, **kwargs):
         raise AssertionError("dense oracle called on the run path")
 
-    for module, name in (
-        (resource_states, "pair_source"),
-        (optics, "apply_displacement"),
-        (detection, "herald"),
-        (fock_core, "tensor"),
-        (metrics, "target_hybrid"),
-        (metrics, "negativity"),
-    ):
-        monkeypatch.setattr(module, name, forbidden)
-        if hasattr(pipeline, name):
-            monkeypatch.setattr(pipeline, name, forbidden)
+    api = {
+        name: value
+        for name, value in vars(oracle).items()
+        if not name.startswith("_")
+        and isinstance(value, (types.FunctionType, type))
+        and value.__module__ == oracle.__name__
+    }
+    assert {"Ensemble", "build_prestate", "herald", "negativity"} <= set(api)
+    held = {id(value) for value in api.values()}
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "hybridcat":
+            for attr, value in list(vars(module).items()):
+                if id(value) in held:
+                    monkeypatch.setattr(module, attr, forbidden)
     pipeline._factors.cache_clear()
     pipeline._sector_heralds.cache_clear()
     with pytest.raises(AssertionError):
         build_prestate(SchemeConfig(**SPOT_A))
+    scenario = "".join(
+        f"{'lambda' if key == 'lam' else key} = {value}\n"
+        for key, value in SPOT_A.items()
+    )
+    run_path = tmp_path / "run.txt"
+    run_path.write_text(scenario, encoding="utf-8")
+    sweep_path = tmp_path / "sweep.txt"
+    sweep_path.write_text(
+        scenario + "sweep_lambda = 0.002, 0.05\nsweep_eta = 0.1, 0.9\n",
+        encoding="utf-8",
+    )
+    commands = [
+        ["run", "--scenario", str(run_path), "--output", str(tmp_path / "run.tsv")],
+        ["sweep", "--scenario", str(sweep_path), "--output", str(tmp_path / "s.tsv")],
+    ] + [
+        ["reproduce", "--figure", str(f), "--output", str(tmp_path / f"f{f}.tsv")]
+        for f in (2, 3, 4, 5)
+    ]
+    for argv in commands:
+        assert cli.main(argv) == 0
     for kwargs in (
         dict(pair_source="chi", lam=None),
         dict(pair_source="vacuum_mixed", z=0.5, lam=None),
@@ -824,10 +852,6 @@ def test_run_path_leaves_the_dense_oracle_alone(monkeypatch):
         dict(spdc_order=3),
     ):
         run_scheme(SchemeConfig(**dict(SPOT_A, **kwargs)))
-    table = sweep(
-        SchemeConfig(**SPOT_A), {"lambda": (0.002, 0.05), "eta": (0.1, 0.9)}
-    )
-    assert all(row.status == "ok" for row in table.rows)
 
 
 def test_spdc_components_skip_negativity(monkeypatch):

@@ -7,16 +7,14 @@ import pytest
 
 from hybridcat import analytic
 from hybridcat.errors import CutoffError
-from hybridcat.fock_core import basis_state, build_register, inner
+from hybridcat.fock_core import build_register
+from hybridcat.oracle import bell_chi, inner, pair_source, phi_state
 from hybridcat.resource_states import (
     PairSourceSpec,
     ScsSpec,
     SqueezedPhotonSpec,
-    bell_chi,
     coherent,
     coherent_cutoff_for,
-    pair_source,
-    phi_state,
     scs,
     squeezed_amplitudes,
 )
