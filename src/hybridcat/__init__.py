@@ -29,21 +29,6 @@ from .errors import (
     ValidationError,
 )
 from .fock_core import DensityOperator, PureState, Register, build_register
-from .oracle import (
-    Bipartition,
-    Ensemble,
-    basis_state,
-    bell_chi,
-    build_prestate,
-    fidelity,
-    inner,
-    negativity,
-    pair_source,
-    phi_state,
-    target_hybrid,
-    tensor,
-    to_density,
-)
 from .pipeline import (
     SWEEP_AXES,
     ResolvedCutoffs,
@@ -57,18 +42,14 @@ from .pipeline import (
     sweep,
 )
 from .resource_states import coherent, scs, squeezed_amplitudes
-from .selfcheck import CheckResult, run_all_checks
 
 __version__ = "0.1.0"
 
 __all__ = [
     "PROBABILITY_CONVENTION_FACTOR",
     "SWEEP_AXES",
-    "Bipartition",
-    "CheckResult",
     "CutoffError",
     "DensityOperator",
-    "Ensemble",
     "HeraldImpossibleError",
     "PureState",
     "Register",
@@ -81,22 +62,14 @@ __all__ = [
     "TruncationError",
     "ValidationError",
     "__version__",
-    "basis_state",
-    "bell_chi",
-    "build_prestate",
     "build_register",
     "coherent",
     "f_eff",
-    "fidelity",
     "fidelity_eta",
     "ideal_negativity",
-    "inner",
     "n_phi",
-    "negativity",
     "p_success_ideal",
     "p_tot_eta",
-    "pair_source",
-    "phi_state",
     "resolve_cutoffs",
     "run_scheme",
     "scs",
@@ -104,7 +77,4 @@ __all__ = [
     "spdc_decomposition",
     "squeezed_amplitudes",
     "sweep",
-    "target_hybrid",
-    "tensor",
-    "to_density",
 ]

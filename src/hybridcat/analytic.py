@@ -15,6 +15,9 @@ credited to a single polarization channel, which overstates the physical,
 polarization-consistent total by exactly a factor of two. The simulator's
 total therefore satisfies P_tot = PROBABILITY_CONVENTION_FACTOR * p_tot_eta,
 with the factor constant across all parameters.
+
+`CONVERSION_SPOTS` holds the reference values of the figure-5 spots, which
+have no closed form; `reproduce` prints them and `selfcheck` asserts them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 from .errors import ValidationError
 
 __all__ = [
+    "CONVERSION_SPOTS",
     "PROBABILITY_CONVENTION_FACTOR",
     "n_phi",
     "p_success_ideal",
@@ -35,6 +39,15 @@ __all__ = [
 ]
 
 PROBABILITY_CONVENTION_FACTOR = 0.5
+
+# Converged values of this implementation for the pair-conversion spots,
+# frozen for regression; the reference dataset quotes are carried alongside
+# for the printed comparison.
+CONVERSION_SPOTS = (
+    # (lam, s, alpha_i, f_eff_here, f_eff_reference, p_tot_reference)
+    (0.022, 0.161, 0.7, 0.950732, 0.939, 5.1e-7),
+    (0.038, 0.313, 1.0, 0.869283, 0.842, 2.4e-6),
+)
 
 
 def _check_range(name: str, value: float, low: float, high: float,

@@ -14,6 +14,13 @@ beam entering mode j keeps its transmitted part +sqrt(t) in mode j and sends
 +sqrt(r) into mode i, while a beam entering mode i picks up the minus sign on
 its reflected part.
 
+The kernel is built without loops over Fock entries. Input |n, m> expands
+binomially in the output creation operators (Campos, Saleh & Teich, PRA 40,
+1371 (1989)), so the amplitude of o photons in output i is a convolution of
+two per-input tables of exact binomials times powers of S; one matmul takes
+it for every input pair, and a boson factor from `log_factorials` scales
+it.
+
 Displacement matrices come from the closed-form associated-Laguerre matrix
 elements, not from exponentiating truncated generators, so low Fock
 components are accurate to machine precision. The Laguerre values L_n^(k)(x)
@@ -64,32 +71,46 @@ class BsParams:
         return np.array([[c, s], [-s, c]], dtype=np.complex128)
 
 
+def _expansion_table(size: int, dim: int, to_i: complex, to_j: complex) -> np.ndarray:
+    # row n, column p: C(n, p) to_i^p to_j^(n - p), zero for p > n; integer
+    # powers of a complex array keep 0 ** 0 = 1
+    binomials = np.array(
+        [[math.comb(n, p) for p in range(dim)] for n in range(size)], dtype=float
+    )
+    n, p = np.arange(size)[:, None], np.arange(dim)
+    powers = np.complex128(to_i) ** p * np.complex128(to_j) ** np.maximum(n - p, 0)
+    return binomials * powers
+
+
 @lru_cache(maxsize=256)
 def _cached_kernel(entries: tuple, dim_i: int, dim_j: int) -> np.ndarray:
+    # Input |n, m> expands as (s00 a_i^dag + s10 a_j^dag)^n (s01 a_i^dag +
+    # s11 a_j^dag)^m / sqrt(n! m!). The amplitude of o photons in output i
+    # is the convolution over o = p + k of a[n, p] = C(n, p) s00^p
+    # s10^(n - p) and b[m, k] = C(m, k) s01^k s11^(m - k), taken for every
+    # (n, m) by one matmul of a against b shifted by p; the boson factor
+    # sqrt(o! (n + m - o)! / (n! m!)) normalizes it. Outputs past either
+    # cutoff are dropped.
     s00, s01, s10, s11 = entries
-    kernel = np.zeros((dim_i * dim_j, dim_i * dim_j), dtype=np.complex128)
+    a = _expansion_table(dim_i, dim_i, s00, s10)
+    # b padded with a zero column at index dim_i, where k = o - p < 0 points
+    b = _expansion_table(dim_j, dim_i + 1, s01, s11)
+    b[:, dim_i] = 0.0
+    o = np.arange(dim_i)
+    k = o - o[:, None]  # [p, o]
+    shifted = b[:, np.where(k >= 0, k, dim_i)]  # [m, p, o]
+    conv = (a @ shifted.transpose(1, 0, 2).reshape(dim_i, -1)).reshape(
+        dim_i, dim_j, dim_i
+    )
+    n, m = np.arange(dim_i)[:, None, None], np.arange(dim_j)[:, None]
+    out_j = n + m - o
+    keep = (out_j >= 0) & (out_j < dim_j)
     lg = log_factorials(dim_i + dim_j + 1)
-    for n in range(dim_i):
-        # amplitude polynomial in "photons sent to the i output" from each input
-        from_i = np.array(
-            [math.comb(n, p) * s00**p * s10 ** (n - p) for p in range(n + 1)],
-            dtype=np.complex128,
-        )
-        for m in range(dim_j):
-            from_j = np.array(
-                [math.comb(m, k) * s01**k * s11 ** (m - k) for k in range(m + 1)],
-                dtype=np.complex128,
-            )
-            conv = np.convolve(from_i, from_j)
-            col = n * dim_j + m
-            for out_i, amp in enumerate(conv):
-                out_j = n + m - out_i
-                if out_i >= dim_i or out_j >= dim_j:
-                    continue
-                boson = math.exp(
-                    0.5 * (lg[out_i] + lg[out_j] - lg[n] - lg[m])
-                )
-                kernel[out_i * dim_j + out_j, col] = amp * boson
+    n, m, o, out_j = (np.broadcast_to(x, keep.shape)[keep] for x in (n, m, o, out_j))
+    # paired differences vanish exactly where o = n, so t = 1 is the identity
+    boson = np.exp(0.5 * ((lg[o] - lg[n]) + (lg[out_j] - lg[m])))
+    kernel = np.zeros((dim_i * dim_j, dim_i * dim_j), dtype=np.complex128)
+    kernel[o * dim_j + out_j, n * dim_j + m] = conv[keep] * boson
     kernel.setflags(write=False)
     return kernel
 

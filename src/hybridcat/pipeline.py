@@ -309,7 +309,8 @@ class _Factors:
     of Z, as a (6H 5H) x (6V 5V) matrix, is P_k T_l Q_k^T.
     P_k = K (I (x) u_k), u_k through the 50:50 kernel K with the tap's 4H
     left open, fills rows (k, 4H) of `idler_h`; `idler_v` holds Q_k alike.
-    `tails` holds the sectors' truncation deficits.
+    `tails` holds the sectors' truncation deficits and `target` the hybrid
+    target's coefficients c on the terms (see `_target_terms`).
     """
 
     cuts: ResolvedCutoffs
@@ -324,6 +325,7 @@ class _Factors:
     signal_states: np.ndarray
     beam_vh: np.ndarray
     discarded: float
+    target: np.ndarray
 
     @property
     def beam_rank(self) -> int:
@@ -352,6 +354,19 @@ def _gram(factors: _Factors, w_h, w_v) -> np.ndarray:
     return gram.transpose(0, 2, 1, 3).reshape(n_k * n_l, -1)
 
 
+def _unit_norms(idler_h, idler_v, tap) -> np.ndarray:
+    """The diagonal of `_gram` at unit POVM weight, ||Z[(k, l)]||^2, from
+    the diagonal blocks alone: with H_kk = P_k P_k^H and V_kk = Q_k Q_k^H,
+    entry (k, l) is sum (H_kk^T T_l V_kk) o conj(T_l)."""
+    n_l, dim, _ = tap.shape
+    h, v = (
+        p @ p.conj().transpose(0, 2, 1)
+        for p in (x.reshape(-1, dim, dim * dim) for x in (idler_h, idler_v))
+    )
+    pushed = h.transpose(0, 2, 1)[:, None] @ tap @ v[:, None]
+    return (pushed * tap.conj()).sum(axis=(2, 3)).real.ravel()
+
+
 def _pattern_gram(factors: _Factors, detector: str, eta: float) -> np.ndarray:
     """`_gram` of the plain click pattern."""
     povm = dict(build_scheme_herald(factors.measured, detector, eta).elements)
@@ -377,8 +392,8 @@ def _factors(key: SchemeConfig) -> _Factors:
     against kept field B_H factors. The idler's H and V factors pass their
     50:50 splitters one polarization at a time (see `_Factors`). A sector's
     deficit, 1 - ||sector||^2 = 1 - sum_t d_t^2 G1[t, t] over its terms
-    with G1 the Gram at unit POVM weight, plus the beam's discarded mass,
-    counts the displacement's truncation too.
+    with G1 the Gram at unit POVM weight (`_unit_norms`), plus the beam's
+    discarded mass, counts the displacement's truncation too.
     """
     cuts = resolve_cutoffs(key)
     dim = cuts.detector + 1
@@ -404,11 +419,13 @@ def _factors(key: SchemeConfig) -> _Factors:
         for photons in (n - m, m)
     )
     tap = np.ascontiguousarray(tap.T).reshape(-1, dim, dim)
-    for array in (scale, idler_h, idler_v, tap, signal_states, beam_vh):
+    target = _target_terms(key, cuts, signal_states, beam_vh)
+    for array in (scale, idler_h, idler_v, tap, signal_states, beam_vh, target):
         array.setflags(write=False)
     starts = (np.searchsorted(n, numbers) * len(beam_s)).tolist()
     blocks = {q: slice(a, a + (q + 1) * len(beam_s)) for q, a in zip(numbers, starts)}
-    factors = _Factors(
+    norms = scale**2 * _unit_norms(idler_h, idler_v, tap)
+    return _Factors(
         cuts=cuts,
         kept=build_register((("A_H", cuts.a), ("A_V", cuts.a), ("B", cuts.b))),
         measured=build_register((x, cuts.detector) for x in ("6H", "5H", "6V", "5V")),
@@ -417,17 +434,15 @@ def _factors(key: SchemeConfig) -> _Factors:
         idler_v=idler_v,
         tap=tap,
         blocks=blocks,
-        tails={},
+        tails={
+            q: max(0.0, 1.0 - float(norms[b].sum())) + discarded
+            for q, b in blocks.items()
+        },
         signal_states=signal_states,
         beam_vh=beam_vh,
         discarded=discarded,
+        target=target,
     )
-    norms = scale**2 * _gram(factors, 1.0, 1.0).diagonal().real
-    tails = {
-        q: max(0.0, 1.0 - float(norms[b].sum())) + discarded
-        for q, b in blocks.items()
-    }
-    return dataclasses.replace(factors, tails=tails)
 
 
 def _truncation_tail(config: SchemeConfig, factors: _Factors) -> float:
@@ -484,16 +499,16 @@ def _herald(gram: np.ndarray, branches):
     return total, tuple(probabilities), rho / total
 
 
-def _target_terms(factors: _Factors, config: SchemeConfig) -> np.ndarray:
+def _target_terms(
+    config: SchemeConfig, cuts: ResolvedCutoffs, signal_states, beam_vh
+) -> np.ndarray:
     """c = U^H T, the hybrid target T's coefficients on the terms: nonzero
     only on the signal states |1, 0> and |0, 1>, where they are the
     target's field vectors against the conjugated rows of `beam_vh`."""
-    fields = target_field_vectors(config.resolved_alpha_f, config.phi, factors.cuts.b)
-    coeffs = np.zeros(
-        (len(factors.signal_states), factors.beam_rank), dtype=np.complex128
-    )
-    for state, field in zip((factors.cuts.a + 1, 1), fields):
-        coeffs[factors.signal_states == state] = factors.beam_vh.conj() @ field
+    fields = target_field_vectors(config.resolved_alpha_f, config.phi, cuts.b)
+    coeffs = np.zeros((len(signal_states), len(beam_vh)), dtype=np.complex128)
+    for state, field in zip((cuts.a + 1, 1), fields):
+        coeffs[signal_states == state] = beam_vh.conj() @ field
     return coeffs.ravel()
 
 
@@ -566,7 +581,7 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
             if dec[key] is not None:
                 diagnostics[key] = dec[key]
     else:
-        coeffs = _target_terms(factors, config)
+        coeffs = factors.target
         total, fid = 2.0 * plain, float(np.vdot(coeffs, rho @ coeffs).real)
         if config.scs_source == "ideal" and config.detector == "pnr":
             # the closed-form total probability, weighted by the pair branch
@@ -595,7 +610,7 @@ def _sector_heralds(key: SchemeConfig, eta: float):
     diagonal block of one Gram matrix and scored as c^H rho_t c."""
     factors = _factors(key)
     gram = _pattern_gram(factors, key.detector, eta)
-    coeffs = _target_terms(factors, key)
+    coeffs = factors.target
     probs = []
     fids = []
     for block in factors.blocks.values():

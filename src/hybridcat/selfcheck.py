@@ -43,16 +43,6 @@ from .oracle import (
 from .pipeline import SchemeConfig, run_scheme, spdc_decomposition
 from .resource_states import coherent
 
-# Converged values of this implementation for the pair-conversion spots,
-# frozen for regression; the reference dataset quotes are carried alongside
-# for the printed comparison.
-CONVERSION_SPOTS = (
-    # (lam, s, alpha_i, f_eff_here, f_eff_reference, p_tot_reference)
-    (0.022, 0.161, 0.7, 0.950732, 0.939, 5.1e-7),
-    (0.038, 0.313, 1.0, 0.869283, 0.842, 2.4e-6),
-)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -524,7 +514,7 @@ def check_conversion_spots() -> CheckResult:
     fidelities against this implementation's frozen values."""
     lines = []
     passed = True
-    for lam, s, alpha_i, frozen, reference, p_reference in CONVERSION_SPOTS:
+    for lam, s, alpha_i, frozen, reference, p_reference in analytic.CONVERSION_SPOTS:
         config = SchemeConfig(
             t=0.99,
             eta=0.5,

@@ -316,7 +316,7 @@ def test_selfcheck_failure_exits_two(monkeypatch, capsys):
             tolerance="1e-10",
         ),
     )
-    monkeypatch.setattr("hybridcat.cli.run_all_checks", lambda: fake)
+    monkeypatch.setattr("hybridcat.selfcheck.run_all_checks", lambda: fake)
     assert main(["selfcheck"]) == 2
     printed = capsys.readouterr().out
     assert "FAIL bs_unitarity" in printed
@@ -332,7 +332,7 @@ def test_selfcheck_pass_exits_zero(monkeypatch, capsys):
             tolerance="1e-10",
         ),
     )
-    monkeypatch.setattr("hybridcat.cli.run_all_checks", lambda: fake)
+    monkeypatch.setattr("hybridcat.selfcheck.run_all_checks", lambda: fake)
     assert main(["selfcheck"]) == 0
     assert "PASS bs_unitarity" in capsys.readouterr().out
 

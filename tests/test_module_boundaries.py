@@ -139,10 +139,11 @@ def test_every_export_has_a_caller():
 
 def test_only_selfcheck_imports_the_oracle():
     # `oracle` is the dense second implementation; the run path's modules
-    # import neither it nor `selfcheck`, which compares against it
+    # import neither it nor `selfcheck`, which compares against it, and the
+    # package root re-exports neither
     trees = dict(_trees())
     users = sorted(name for name, tree in trees.items() if _imports(tree, "oracle"))
-    assert users == ["__init__.py", "selfcheck.py"]
+    assert users == ["selfcheck.py"]
     run_path = (
         "analytic",
         "detection",
@@ -178,17 +179,25 @@ def test_package_imports_only_stdlib_and_numpy():
     assert foreign == []
 
 
-def test_cli_import_loads_no_scipy():
-    code = (
-        "import sys, hybridcat.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def _modules_after_cli_import():
+    """Every module a fresh interpreter holds after `import hybridcat.cli`."""
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", "import sys, hybridcat.cli; print(*sys.modules)"],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    loaded = _modules_after_cli_import()
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_loads_no_oracle():
+    # `cli` imports `selfcheck` only inside `cmd_selfcheck`
+    loaded = _modules_after_cli_import()
+    assert [m for m in loaded if m in ("hybridcat.oracle", "hybridcat.selfcheck")] == []

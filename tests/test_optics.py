@@ -1,8 +1,11 @@
 """Tests for beam splitters, rotations and displacements."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
@@ -79,18 +82,68 @@ def test_bs_coefficient_square_sums():
 
 
 def test_bs_coefficient_matches_kernel_single_mode_input():
-    # with vacuum in the second port the kernel column is the printed
-    # coefficient up to the output phase convention
-    t = 0.81
-    dim = 7
-    params = BsParams.from_transmissivity(t)
-    kernel = two_mode_kernel(params.scattering_matrix(), dim, dim)
-    n = 3
-    col = kernel[:, n * dim + 0]
-    for p in range(n + 1):
-        amp = col[p * dim + (n - p)]
-        coeff = bs_fock_coefficient(n, 0, p, 0, t)
-        assert abs(abs(amp) - abs(coeff)) < 1e-12
+    # with one port empty the kernel column is the printed coefficient,
+    # sign included, on square and non-square dimensions; outputs past a
+    # cutoff are dropped
+    for t, (dim_i, dim_j) in itertools.product(
+        (0.73, 0.81, 0.9, 1.0), ((7, 7), (5, 8))
+    ):
+        kernel = two_mode_kernel(
+            BsParams.from_transmissivity(t).scattering_matrix(), dim_i, dim_j
+        )
+        expected = np.zeros_like(kernel)
+        for n in range(dim_i):
+            for p in range(max(0, n - dim_j + 1), n + 1):
+                expected[p * dim_j + n - p, n * dim_j] = bs_fock_coefficient(
+                    n, 0, p, 0, t
+                )
+        for m in range(dim_j):
+            # q photons stay in port j, m - q cross into port i
+            for q in range(max(0, m - dim_i + 1), m + 1):
+                expected[(m - q) * dim_j + q, m] = bs_fock_coefficient(
+                    0, m, 0, q, t
+                )
+        single_port = [n * dim_j for n in range(dim_i)] + list(range(dim_j))
+        got = kernel[:, single_port]
+        assert np.abs(got - expected[:, single_port]).max() <= 1e-12
+
+
+def _balanced_amplitude(n, m, o):
+    """<o, n + m - o| of the 50:50 splitter applied to |n, m>, in exact
+    integers and fractions: (a^dag - b^dag)^n (a^dag + b^dag)^m expands to
+    sum_p C(n, p) (-1)^(n - p) C(m, o - p) at a^dag^o, times
+    sqrt(o! (n + m - o)! / (n! m! 2^(n + m)))."""
+    coeff = sum(
+        math.comb(n, p) * (-1) ** (n - p) * math.comb(m, o - p)
+        for p in range(max(0, o - m), min(n, o) + 1)
+    )
+    square = Fraction(
+        coeff**2 * math.factorial(o) * math.factorial(n + m - o),
+        math.factorial(n) * math.factorial(m) * 2 ** (n + m),
+    )
+    return math.copysign(math.sqrt(square), coeff)
+
+
+@pytest.mark.parametrize("dim", [9, 14])
+def test_balanced_kernel_matches_exact_integers(dim):
+    # every entry, including the zeros of outputs past the cutoff
+    expected = np.zeros((dim * dim, dim * dim))
+    for n in range(dim):
+        for m in range(dim):
+            for o in range(max(0, n + m - dim + 1), min(dim, n + m + 1)):
+                expected[o * dim + n + m - o, n * dim + m] = _balanced_amplitude(
+                    n, m, o
+                )
+    s = BsParams.from_transmissivity(0.5).scattering_matrix()
+    kernel = two_mode_kernel(s, dim, dim)
+    assert np.abs(kernel - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(6, 6), (4, 9)])
+def test_full_transmission_kernel_is_the_identity(dims):
+    s = BsParams.from_transmissivity(1.0).scattering_matrix()
+    kernel = two_mode_kernel(s, *dims)
+    assert np.array_equal(kernel, np.eye(dims[0] * dims[1]))
 
 
 def test_hom_dip():

@@ -658,8 +658,9 @@ def test_eta_shares_one_preparation(monkeypatch):
     sweep(SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0), {"eta": (0.5, 0.7, 0.9)})
     info = pipeline._factors.cache_info()
     assert (info.misses, info.hits) == (1, 2)
-    # the truncation deficit's Gram (w = 1), then one Gram and herald per run
-    assert (len(grams), len(calls)) == (1 + 3, 3)
+    # one Gram and herald per run; the truncation deficit reads only the
+    # Gram's diagonal blocks and forms no Gram
+    assert (len(grams), len(calls)) == (3, 3)
     # downconversion points share it across lambda too, and their sector
     # heralds are cached per eta
     calls.clear()
@@ -671,8 +672,8 @@ def test_eta_shares_one_preparation(monkeypatch):
     assert pipeline._sector_heralds.cache_info().misses == 2
     # per eta one herald Gram, whose diagonal blocks feed the heralds of
     # the sectors n = 0, 1, 2
-    assert (len(grams), len(calls)) == (1 + 2, 3 * 2)
-    for gram, sectors in zip(grams[1:], (calls[:3], calls[3:])):
+    assert (len(grams), len(calls)) == (2, 3 * 2)
+    for gram, sectors in zip(grams, (calls[:3], calls[3:])):
         for sector_gram, _ in sectors:
             assert sector_gram is gram
 
