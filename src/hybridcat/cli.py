@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 invalid input, 2 self-check tolerance failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
@@ -386,10 +387,8 @@ def _default_output(figure: int, panel: Optional[str]) -> str:
 def _panel_output(output: Optional[str], figure: int, panel: str) -> str:
     if output is None:
         return _default_output(figure, panel)
-    stem, dot, extension = output.rpartition(".")
-    if not dot:
-        return f"{output}_{panel}"
-    return f"{stem}_{panel}.{extension}"
+    stem, extension = os.path.splitext(output)
+    return f"{stem}_{panel}{extension}"
 
 
 def cmd_reproduce(figure: int, panel: Optional[str], output: Optional[str]) -> int:

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .detection import HERALD_PROBABILITY_FLOOR, HeraldSpec
+from .detection import HERALD_PROBABILITY_FLOOR
 from .errors import CutoffError, HeraldImpossibleError, TruncationError, ValidationError
 from .fock_core import DensityOperator, PureState, Register, build_register
 from .metrics import matrix_negativity, target_field_vectors
@@ -338,35 +338,38 @@ class HeraldResult:
     branch_probabilities: Tuple[float, ...]
 
 
-def _joint_weights(register: Register, spec: HeraldSpec) -> np.ndarray:
+def _joint_weights(register: Register, pattern: Mapping[str, np.ndarray]) -> np.ndarray:
     """Joint POVM weight of every occupation pattern of the measured modes,
-    flattened in C order over `spec.measured_labels`."""
+    flattened in C order over the pattern's labels."""
     weights = np.ones(1)
-    for label, element in spec.elements:
+    for label, element in pattern.items():
         dim = register.mode(label).dim
-        if element.dim != dim:
+        if len(element) != dim:
             raise ValidationError(
-                f"POVM element on {label!r} has dimension {element.dim}, "
+                f"POVM element on {label!r} has dimension {len(element)}, "
                 f"mode needs {dim}"
             )
-        weights = np.multiply.outer(weights, element.weights)
+        weights = np.multiply.outer(weights, element)
     return weights.ravel()
 
 
-def _branch_contribution(state: PureState, spec: HeraldSpec, kept: Sequence[str]):
+def _branch_contribution(state: PureState, pattern: Mapping[str, np.ndarray],
+                         kept: Sequence[str]):
     """Probability and unnormalized conditional matrix for one pure branch."""
-    weights = _joint_weights(state.register, spec)
-    ordered = state.reordered(tuple(kept) + spec.measured_labels)
+    weights = _joint_weights(state.register, pattern)
+    ordered = state.reordered(tuple(kept) + tuple(pattern))
     matrix = ordered.amps.reshape(state.register.subset(kept).size, -1)
     probability = float((np.abs(matrix) ** 2).sum(axis=0) @ weights)
     conditional = (matrix * weights) @ matrix.conj().T
     return probability, 0.5 * (conditional + conditional.conj().T)
 
 
-def herald(source: Union[PureState, Ensemble], spec: HeraldSpec) -> HeraldResult:
+def herald(source: Union[PureState, Ensemble],
+           pattern: Mapping[str, np.ndarray]) -> HeraldResult:
     """Apply a joint herald pattern and return the conditional state.
 
-    Each measured mode contributes a diagonal weight; the joint weight of an
+    `pattern` maps each measured mode label to its Fock-diagonal POVM
+    weights (see `detection.herald_pattern`); the joint weight of an
     occupation pattern is the product over measured modes. The conditional
     density operator on the kept modes is the weighted partial trace,
     renormalized by the total success probability. Raises
@@ -376,7 +379,7 @@ def herald(source: Union[PureState, Ensemble], spec: HeraldSpec) -> HeraldResult
         source = Ensemble.pure(source)
     if not isinstance(source, Ensemble):
         raise ValidationError(f"cannot herald a {type(source).__name__}")
-    kept = [x for x in source.register.labels if x not in spec.measured_labels]
+    kept = [x for x in source.register.labels if x not in pattern]
     if not kept:
         raise ValidationError("herald would measure every mode; keep at least one")
     kept_register = source.register.subset(kept)
@@ -384,7 +387,7 @@ def herald(source: Union[PureState, Ensemble], spec: HeraldSpec) -> HeraldResult
     accumulated = np.zeros((kept_register.size,) * 2, dtype=np.complex128)
     branch_probs = []
     for weight, state in source:
-        prob, conditional = _branch_contribution(state, spec, kept)
+        prob, conditional = _branch_contribution(state, pattern, kept)
         branch_probs.append(weight * prob)
         total += weight * prob
         accumulated += weight * conditional

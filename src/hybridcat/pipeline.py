@@ -45,7 +45,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analytic
-from .detection import HERALD_PROBABILITY_FLOOR, build_scheme_herald
+from .detection import HERALD_PROBABILITY_FLOOR, herald_pattern
 from .errors import (
     CutoffError,
     HeraldImpossibleError,
@@ -299,7 +299,7 @@ class _Factors:
 
     The unit sector of pair number n is sum_t d_t U[:, t] (x) Z[t, :] over
     the terms t = (k, l) in `blocks[n]` (ascending in n), with U over
-    `kept` = (A_H, A_V, B) and Z over `measured` = (6H, 5H, 6V, 5V).
+    `kept` = (A_H, A_V, B) and Z over the detectors (6H, 5H, 6V, 5V).
     Column (k, l) of U is the signal Fock state |m, n - m> with index
     `signal_states[k]` times `beam_vh[l]`; these are orthonormal, so U is
     an isometry and is never formed either. `scale` holds
@@ -315,7 +315,6 @@ class _Factors:
 
     cuts: ResolvedCutoffs
     kept: Register
-    measured: Register
     scale: np.ndarray
     idler_h: np.ndarray
     idler_v: np.ndarray
@@ -369,10 +368,8 @@ def _unit_norms(idler_h, idler_v, tap) -> np.ndarray:
 
 def _pattern_gram(factors: _Factors, detector: str, eta: float) -> np.ndarray:
     """`_gram` of the plain click pattern."""
-    povm = dict(build_scheme_herald(factors.measured, detector, eta).elements)
-    return _gram(factors, *(
-        np.outer(povm["6" + p].weights, povm["5" + p].weights).ravel() for p in "HV"
-    ))
+    w = herald_pattern(detector, eta, factors.cuts.detector)
+    return _gram(factors, *(np.outer(w["6" + p], w["5" + p]).ravel() for p in "HV"))
 
 
 def _factors_key(config: SchemeConfig) -> SchemeConfig:
@@ -428,7 +425,6 @@ def _factors(key: SchemeConfig) -> _Factors:
     return _Factors(
         cuts=cuts,
         kept=build_register((("A_H", cuts.a), ("A_V", cuts.a), ("B", cuts.b))),
-        measured=build_register((x, cuts.detector) for x in ("6H", "5H", "6V", "5V")),
         scale=scale,
         idler_h=idler_h,
         idler_v=idler_v,

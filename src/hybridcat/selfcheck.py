@@ -24,7 +24,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import analytic
-from .detection import build_scheme_herald, povm_click, povm_pnr
+from .detection import herald_pattern, povm_click, povm_pnr
 from .fock_core import build_register
 from .optics import BsParams, displacement_matrix, two_mode_kernel
 from .oracle import (
@@ -138,9 +138,9 @@ def check_povm_completeness() -> CheckResult:
     for eta in (0.3, 0.5, 0.7, 1.0):
         total = np.zeros(cutoff + 1)
         for n in range(cutoff + 1):
-            total += povm_pnr(n, eta, cutoff).weights
+            total += povm_pnr(n, eta, cutoff)
         worst = max(worst, float(np.abs(total - 1.0).max()))
-        pair = povm_pnr(0, eta, cutoff).weights + povm_click(eta, cutoff).weights
+        pair = povm_pnr(0, eta, cutoff) + povm_click(eta, cutoff)
         worst = max(worst, float(np.abs(pair - 1.0).max()))
     return _result(
         "povm_completeness",
@@ -275,11 +275,10 @@ def check_pattern_symmetry() -> CheckResult:
     prestate = build_prestate(config)
     posts = []
     probs = []
+    cutoff = prestate.register.mode("5H").cutoff
     for flipped in (False, True):
-        spec = build_scheme_herald(
-            prestate.register, config.detector, config.eta, flipped
-        )
-        outcome = herald(prestate, spec)
+        pattern = herald_pattern(config.detector, config.eta, cutoff, flipped)
+        outcome = herald(prestate, pattern)
         probs.append(outcome.probability)
         post = outcome.post
         if flipped:

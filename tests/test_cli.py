@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from hybridcat import pipeline
+from hybridcat import cli, pipeline
 from hybridcat.cli import main, parse_scenario
 from hybridcat.errors import SimulationError, ValidationError
 from hybridcat.selfcheck import CheckResult
@@ -256,6 +256,32 @@ def test_reproduce_figure5_reports_tail_mass(tmp_path, capsys):
         assert len(lines) == 125
         for line in lines:
             assert 0.0 <= float(line.split("\t")[column]) <= tail_tol
+
+
+@pytest.mark.parametrize(
+    "output,expected",
+    [
+        ("fig.tsv", "fig_a.tsv"),
+        ("fig", "fig_a"),
+        ("run.v2/fig4", "run.v2/fig4_a"),
+        ("run.v2/fig4.tsv", "run.v2/fig4_a.tsv"),
+    ],
+)
+def test_panel_output_splits_the_file_name_only(output, expected):
+    assert cli._panel_output(output, 4, "a") == expected
+
+
+@pytest.mark.parametrize(
+    "name,files",
+    [("fig4", ["fig4_a", "fig4_b"]), ("fig4.tsv", ["fig4_a.tsv", "fig4_b.tsv"])],
+)
+def test_reproduce_panels_into_a_dotted_directory(name, files, tmp_path, capsys):
+    folder = tmp_path / "run.v2"
+    folder.mkdir()
+    assert main(["reproduce", "--figure", "4", "--output", str(folder / name)]) == 0
+    capsys.readouterr()
+    assert sorted(path.name for path in folder.iterdir()) == files
+    assert [path.name for path in tmp_path.iterdir()] == ["run.v2"]
 
 
 # (figure, swept values of the one point made to fail, files written)

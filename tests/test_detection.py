@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hybridcat.detection import build_scheme_herald, povm_click, povm_pnr
-from hybridcat.errors import HeraldImpossibleError
+from hybridcat.detection import herald_pattern, povm_click, povm_pnr
+from hybridcat.errors import HeraldImpossibleError, ValidationError
 from hybridcat.fock_core import build_register
 from hybridcat.oracle import Ensemble, basis_state, herald
 
@@ -15,7 +15,7 @@ def test_pnr_weights_are_binomial_loss():
     eta = 0.7
     cutoff = 6
     for n in (0, 1, 2):
-        weights = povm_pnr(n, eta, cutoff).weights
+        weights = povm_pnr(n, eta, cutoff)
         for k in range(cutoff + 1):
             if k < n:
                 expected = 0.0
@@ -29,25 +29,29 @@ def test_pnr_weights_are_binomial_loss():
 def test_pnr_completeness():
     eta = 0.6
     cutoff = 5
-    total = sum(povm_pnr(n, eta, cutoff).weights for n in range(cutoff + 1))
+    total = sum(povm_pnr(n, eta, cutoff) for n in range(cutoff + 1))
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 def test_click_complements_vacuum_outcome():
     eta = 0.45
     cutoff = 6
-    click = povm_click(eta, cutoff).weights
-    quiet = povm_pnr(0, eta, cutoff).weights
+    click = povm_click(eta, cutoff)
+    quiet = povm_pnr(0, eta, cutoff)
     assert np.max(np.abs(click + quiet - 1.0)) < 1e-12
     for k in range(cutoff + 1):
         assert abs(click[k] - (1.0 - (1.0 - eta) ** k)) < 1e-12
 
 
 def test_perfect_pnr_is_projective():
-    weights = povm_pnr(1, 1.0, 5).weights
+    weights = povm_pnr(1, 1.0, 5)
     expected = np.zeros(6)
     expected[1] = 1.0
     assert np.max(np.abs(weights - expected)) < 1e-15
+
+
+# detector channels 5H, 5V, 6H and 6V all have this cutoff in `_register`
+CUTOFF = 3
 
 
 def _register():
@@ -55,25 +59,77 @@ def _register():
         (
             ("A_H", 1),
             ("A_V", 1),
-            ("5H", 3),
-            ("5V", 3),
-            ("6H", 3),
-            ("6V", 3),
+            ("5H", CUTOFF),
+            ("5V", CUTOFF),
+            ("6H", CUTOFF),
+            ("6V", CUTOFF),
             ("B_H", 4),
         )
     )
 
 
 def test_herald_pattern_assignment():
+    one, zero = povm_pnr(1, 0.8, CUTOFF), povm_pnr(0, 0.8, CUTOFF)
+    plain = herald_pattern("pnr", 0.8, CUTOFF)
+    assert list(plain) == ["5H", "5V", "6H", "6V"]
+    for label, expected in (("5V", one), ("6H", one), ("5H", zero), ("6V", zero)):
+        assert np.array_equal(plain[label], expected)
+    flipped = herald_pattern("pnr", 0.8, CUTOFF, flipped=True)
+    for label, expected in (("5H", one), ("6V", one), ("5V", zero), ("6H", zero)):
+        assert np.array_equal(flipped[label], expected)
+    onoff = herald_pattern("onoff", 0.8, CUTOFF)
+    assert np.array_equal(onoff["5V"], povm_click(0.8, CUTOFF))
+    assert np.array_equal(onoff["5H"], zero)
+
+
+@pytest.mark.parametrize("detector", ["pnr", "onoff"])
+def test_herald_pattern_weights_are_read_only(detector):
+    for weights in herald_pattern(detector, 0.8, CUTOFF).values():
+        with pytest.raises(ValueError):
+            weights[0] = 0.5
+    for weights in (povm_pnr(2, 0.8, CUTOFF), povm_click(0.8, CUTOFF)):
+        assert not weights.flags.writeable
+
+
+def test_herald_pattern_rejects_unknown_detector():
+    with pytest.raises(ValidationError, match="unknown detector"):
+        herald_pattern("apd", 0.8, CUTOFF)
+
+
+@pytest.mark.parametrize("eta", [-0.1, 1.5, float("nan")])
+def test_detectors_reject_efficiency_outside_unit_interval(eta):
+    for make in (
+        lambda: povm_pnr(1, eta, CUTOFF),
+        lambda: povm_click(eta, CUTOFF),
+        lambda: herald_pattern("pnr", eta, CUTOFF),
+        lambda: herald_pattern("onoff", eta, CUTOFF),
+    ):
+        with pytest.raises(ValidationError, match="efficiency"):
+            make()
+
+
+def test_pnr_rejects_negative_photon_count():
+    with pytest.raises(ValidationError, match="photon count"):
+        povm_pnr(-1, 0.8, CUTOFF)
+
+
+def test_detectors_reject_negative_cutoff():
+    for make in (
+        lambda: povm_pnr(0, 0.8, -1),
+        lambda: povm_click(0.8, -1),
+        lambda: herald_pattern("pnr", 0.8, -1),
+    ):
+        with pytest.raises(ValidationError, match="cutoff"):
+            make()
+
+
+def test_herald_rejects_weights_of_the_wrong_length():
     reg = _register()
-    plain = dict(build_scheme_herald(reg, "pnr", 0.8).elements)
-    assert plain["5V"].kind == "pnr[1]"
-    assert plain["6H"].kind == "pnr[1]"
-    assert plain["5H"].kind == "pnr[0]"
-    assert plain["6V"].kind == "pnr[0]"
-    flipped = dict(build_scheme_herald(reg, "pnr", 0.8, flipped=True).elements)
-    assert flipped["5H"].kind == "pnr[1]"
-    assert flipped["6V"].kind == "pnr[1]"
+    state = basis_state(reg, {"5V": 1, "6H": 1})
+    pattern = herald_pattern("pnr", 0.8, CUTOFF)
+    pattern["6H"] = povm_pnr(1, 0.8, CUTOFF + 1)
+    with pytest.raises(ValidationError, match="'6H' has dimension 5, mode needs 4"):
+        herald(state, pattern)
 
 
 def test_herald_probability_single_photons():
@@ -81,7 +137,7 @@ def test_herald_probability_single_photons():
     reg = _register()
     eta = 0.8
     state = basis_state(reg, {"A_H": 1, "5V": 1, "6H": 1})
-    result = herald(state, build_scheme_herald(reg, "pnr", eta))
+    result = herald(state, herald_pattern("pnr", eta, CUTOFF))
     assert abs(result.probability - eta * eta) < 1e-12
     assert set(result.post.register.labels) == {"A_H", "A_V", "B_H"}
     # the surviving state is the unchanged A_H photon
@@ -94,7 +150,7 @@ def test_herald_dark_mode_suppresses():
     reg = _register()
     eta = 0.8
     state = basis_state(reg, {"A_H": 1, "5V": 1, "6H": 1, "5H": 1})
-    result = herald(state, build_scheme_herald(reg, "pnr", eta))
+    result = herald(state, herald_pattern("pnr", eta, CUTOFF))
     assert abs(result.probability - eta * eta * (1.0 - eta)) < 1e-12
 
 
@@ -102,7 +158,7 @@ def test_herald_two_photons_on_bright_mode():
     reg = _register()
     eta = 0.8
     state = basis_state(reg, {"A_H": 1, "5V": 2, "6H": 1})
-    result = herald(state, build_scheme_herald(reg, "pnr", eta))
+    result = herald(state, herald_pattern("pnr", eta, CUTOFF))
     expected = (2.0 * eta * (1.0 - eta)) * eta
     assert abs(result.probability - expected) < 1e-12
 
@@ -110,9 +166,9 @@ def test_herald_two_photons_on_bright_mode():
 def test_onoff_accepts_multiphoton():
     reg = _register()
     eta = 0.8
-    spec = build_scheme_herald(reg, "onoff", eta)
-    two = herald(basis_state(reg, {"5V": 2, "6H": 1}), spec)
-    one = herald(basis_state(reg, {"5V": 1, "6H": 1}), spec)
+    pattern = herald_pattern("onoff", eta, CUTOFF)
+    two = herald(basis_state(reg, {"5V": 2, "6H": 1}), pattern)
+    one = herald(basis_state(reg, {"5V": 1, "6H": 1}), pattern)
     # click probability grows with photon number instead of dropping to the
     # one-photon coincidence
     assert two.probability > one.probability
@@ -122,7 +178,7 @@ def test_impossible_pattern_raises():
     reg = _register()
     state = basis_state(reg, {"A_H": 1, "5H": 1})
     with pytest.raises(HeraldImpossibleError):
-        herald(state, build_scheme_herald(reg, "pnr", 0.9))
+        herald(state, herald_pattern("pnr", 0.9, CUTOFF))
 
 
 def test_herald_mixture_branches():
@@ -131,7 +187,7 @@ def test_herald_mixture_branches():
     brighter = basis_state(reg, {"5V": 2, "6H": 1})
     ens = Ensemble(reg, ((0.5, bright), (0.5, brighter)))
     eta = 0.7
-    result = herald(ens, build_scheme_herald(reg, "pnr", eta))
+    result = herald(ens, herald_pattern("pnr", eta, CUTOFF))
     p1 = eta * eta
     p2 = (2.0 * eta * (1.0 - eta)) * eta
     assert abs(result.probability - 0.5 * (p1 + p2)) < 1e-12

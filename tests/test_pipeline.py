@@ -24,7 +24,7 @@ from hybridcat import (
     pipeline,
     resource_states,
 )
-from hybridcat.detection import build_scheme_herald
+from hybridcat.detection import herald_pattern
 from hybridcat.errors import (
     CutoffError,
     HeraldImpossibleError,
@@ -174,10 +174,10 @@ def test_pattern_probabilities_symmetric(monkeypatch):
     flipped pattern fires with the plain one's probability and leaves the
     plain term-basis state once bit-flipped: the symmetry that lets it
     herald one. The flipped heralds come from rerunning with the Grams
-    formed from the flipped spec."""
+    formed from the flipped pattern."""
     herald_terms = pipeline._herald
     calls = _record_heralds(monkeypatch)
-    spec = pipeline.build_scheme_herald
+    pattern = pipeline.herald_pattern
     for kwargs in (
         dict(t=0.9, eta=0.9, alpha_f=2.5),
         dict(t=0.99, eta=0.7, alpha_i=1.0, scs_source="squeezed", s=0.313,
@@ -190,8 +190,8 @@ def test_pattern_probabilities_symmetric(monkeypatch):
         for flipped in (False, True):
             monkeypatch.setattr(
                 pipeline,
-                "build_scheme_herald",
-                lambda *args, f=flipped: spec(*args, flipped=f),
+                "herald_pattern",
+                lambda *args, f=flipped: pattern(*args, flipped=f),
             )
             pipeline._sector_heralds.cache_clear()
             calls.clear()
@@ -426,12 +426,12 @@ def _dense_oracle(config):
     )
     probs = []
     pieces = []
+    cutoff = prestate.register.mode("5H").cutoff
     for flipped in (False, True):
-        spec = build_scheme_herald(
-            prestate.register, config.detector, config.eta, flipped
-        )
         try:
-            outcome = herald(prestate, spec)
+            outcome = herald(
+                prestate, herald_pattern(config.detector, config.eta, cutoff, flipped)
+            )
         except HeraldImpossibleError:
             probs.append(0.0)
             continue
@@ -561,13 +561,8 @@ def test_pulled_back_gram_matches_interfered_factors(kwargs):
     for detector, eta, flipped in itertools.product(
         ("pnr", "onoff"), (0.1, 0.7, 1.0), (False, True)
     ):
-        elements = dict(
-            build_scheme_herald(factors.measured, detector, eta, flipped).elements
-        )
-        cases.append(tuple(
-            np.outer(elements["6" + p].weights, elements["5" + p].weights).ravel()
-            for p in "HV"
-        ))
+        w = herald_pattern(detector, eta, factors.cuts.detector, flipped)
+        cases.append(tuple(np.outer(w["6" + p], w["5" + p]).ravel() for p in "HV"))
     for w_h, w_v in cases:
         weights = np.outer(ones * w_h, ones * w_v).ravel()
         expected = (z * weights) @ z.conj().T
