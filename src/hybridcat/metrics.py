@@ -1,15 +1,18 @@
 """State-quality metrics: the hybrid target and the entanglement negativity.
 
-`matrix_negativity` eigensolves the partial transpose of a square matrix
-over a C-ordered (dim_a, rest) index, after checking its dimension against
-`MAX_NEGATIVITY_DIM`. The pipeline calls it on the heralded state in its
-term basis, a local isometry of the register that leaves the value
-unchanged (Vidal & Werner, PRA 65, 032314 (2002)). `target_field_vectors`
-gives the target's two field vectors, which the pipeline projects into its
-term basis.
+`stacked_negativity` eigensolves the partial transposes of a stack of
+square matrices over a C-ordered (dim_a, rest) index in one call, after
+checking their dimension against `MAX_NEGATIVITY_DIM`; `matrix_negativity`
+does one matrix. The pipeline calls it on the heralded states of every
+efficiency of one preparation in their term basis, a local isometry of the
+register that leaves the value unchanged (Vidal & Werner, PRA 65, 032314
+(2002)). `target_field_vectors` gives the target's two field vectors, which
+the pipeline projects into its term basis.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
@@ -37,25 +40,34 @@ def target_field_vectors(alpha_f: float, phi: float, cutoff: int):
     return plus / norm, minus / norm
 
 
-def _transpose_first(matrix: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Partial transpose of a (dim_a dim_b)-square matrix over the first
-    tensor factor of its C-ordered index."""
-    block = matrix.reshape(dim_a, dim_b, dim_a, dim_b)
-    swapped = np.ascontiguousarray(block.transpose(2, 1, 0, 3))
-    return swapped.reshape(dim_a * dim_b, dim_a * dim_b)
+def _transpose_first(matrices: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Partial transpose of stacked (dim_a dim_b)-square matrices over the
+    first tensor factor of their C-ordered index."""
+    count = len(matrices)
+    block = matrices.reshape(count, dim_a, dim_b, dim_a, dim_b)
+    swapped = np.ascontiguousarray(block.transpose(0, 3, 2, 1, 4))
+    return swapped.reshape(count, dim_a * dim_b, dim_a * dim_b)
 
 
-def matrix_negativity(matrix: np.ndarray, dim_a: int) -> float:
-    """Negativity of a square matrix over a C-ordered (dim_a, rest) index:
-    -2 times the sum of the negative eigenvalues of its partial transpose
-    over the first factor. Refuses a dimension above `MAX_NEGATIVITY_DIM`
-    before it forms the partial transpose."""
-    dim = matrix.shape[0]
+def stacked_negativity(matrices: np.ndarray, dim_a: int) -> Tuple[float, ...]:
+    """Negativity of each square matrix of a stack (E, dim, dim) over a
+    C-ordered (dim_a, rest) index: -2 times the sum of the negative
+    eigenvalues of its partial transpose over the first factor, from one
+    stacked eigensolve. Refuses a dimension above `MAX_NEGATIVITY_DIM`
+    before it forms the partial transposes."""
+    dim = matrices.shape[-1]
     if dim > MAX_NEGATIVITY_DIM:
         raise ValidationError(
             f"negativity eigensolve dimension {dim} exceeds the "
             f"{MAX_NEGATIVITY_DIM} limit"
         )
-    eigenvalues = np.linalg.eigvalsh(_transpose_first(matrix, dim_a, dim // dim_a))
-    negative_part = eigenvalues[eigenvalues < 0.0].sum()
-    return float(max(-2.0 * negative_part, 0.0))
+    if not len(matrices):
+        return ()
+    eigenvalues = np.linalg.eigvalsh(_transpose_first(matrices, dim_a, dim // dim_a))
+    return tuple(float(max(-2.0 * ev[ev < 0.0].sum(), 0.0)) for ev in eigenvalues)
+
+
+def matrix_negativity(matrix: np.ndarray, dim_a: int) -> float:
+    """`stacked_negativity` of one square matrix."""
+    (value,) = stacked_negativity(matrix[None], dim_a)
+    return value

@@ -31,6 +31,14 @@ lambda^(2n), the paper's P_tot normalization (arXiv:1410.6823), so
 P = sum_n w_n p_n; `tail_mass` is the worst branch's deficit
 sum_n w_n d_n / sum_n w_n. Sweep rows of that source skip the coherent
 herald and so leave negativity empty.
+
+Evaluation runs one preparation at a time (`_evaluate`): the points of a
+sweep that differ only in eta (and, for downconversion, lambda) share one
+`_factors` lookup and one truncation check, their Grams are contracted
+one efficiency at a time and stacked (E, r, r), and the stack is heralded
+in one pass and eigensolved in one stacked call. `run_scheme` is the same
+evaluation at one point plus the embedded post-state; sweep rows carry no
+post-state.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +62,7 @@ from .errors import (
     ValidationError,
 )
 from .fock_core import DensityOperator, Register, build_register, log_factorials
-from .metrics import matrix_negativity, target_field_vectors
+from .metrics import stacked_negativity, target_field_vectors
 from .optics import (
     BsParams,
     displacement_matrix,
@@ -74,6 +82,11 @@ SCS_SOURCES = ("ideal", "squeezed")
 PAIR_SOURCES = ("chi", "vacuum_mixed", "spdc")
 DETECTORS = ("pnr", "onoff")
 SWEEP_AXES = ("alpha_f", "eta", "lambda", "s", "t", "z")
+
+
+def _check_eta(eta: float) -> None:
+    if not (0.0 <= eta <= 1.0):
+        raise ValidationError(f"efficiency eta must be in [0, 1], got {eta}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +121,7 @@ class SchemeConfig:
     def __post_init__(self):
         if not (0.0 < self.t <= 1.0):
             raise ValidationError(f"transmissivity t must be in (0, 1], got {self.t}")
-        if not (0.0 <= self.eta <= 1.0):
-            raise ValidationError(f"efficiency eta must be in [0, 1], got {self.eta}")
+        _check_eta(self.eta)
         if not math.isfinite(self.phi):
             raise ValidationError("phase phi must be finite")
         if (self.alpha_i is None) == (self.alpha_f is None):
@@ -253,15 +265,20 @@ def _displacement_amplitude(config: SchemeConfig) -> float:
     return x / math.sqrt(2.0)
 
 
-def _pair_branches(config: SchemeConfig):
+def _pair_branches(
+    config: SchemeConfig, weights: Optional[Sequence[float]] = None
+):
     """The pair source as incoherent branches (weight, ((n, w), ...)): each
     branch is a coherent sum over consecutive pair-number sectors n, sector
-    n entering with squared amplitude w (these sum to 1 within a branch)."""
+    n entering with squared amplitude w (these sum to 1 within a branch).
+    Downconversion takes the sector `weights` w_n if given, else
+    `config.pair_spec().sector_weights()`."""
     if config.pair_source == "chi":
         return ((1.0, ((1, 1.0),)),)
     if config.pair_source == "vacuum_mixed":
         return ((config.z, ((1, 1.0),)), (1.0 - config.z, ((0, 1.0),)))
-    weights = config.pair_spec().sector_weights()
+    if weights is None:
+        weights = config.pair_spec().sector_weights()
     total = sum(weights)
     return ((total, tuple((n, w / total) for n, w in enumerate(weights))),)
 
@@ -271,12 +288,14 @@ class SchemeResult:
     """One heralded run: success probability of both click patterns (twice
     the plain one's), the overlap of the heralded state with the target,
     the polarization/field negativity, and the heralded state on
-    (A_H, A_V, B), the term-basis state rho_t embedded in the register."""
+    (A_H, A_V, B), the term-basis state rho_t embedded in the register.
+    `run_scheme` sets every field; the rows `_evaluate` scores for a sweep
+    leave `post_state` None, and downconversion rows the negativity too."""
 
     probability_total: float
     fidelity: float
-    negativity: float
-    post_state: DensityOperator
+    negativity: Optional[float]
+    post_state: Optional[DensityOperator]
     diagnostics: Dict[str, object]
 
 
@@ -338,7 +357,9 @@ def _gram(factors: _Factors, w_h, w_v) -> np.ndarray:
     G[(k, l), (m, n)] = sum T_l[i, j] H_km[i, c] V_km[j, d] conj(T_n[c, d]).
     That is n_k^2 n_l dim^3 + (n_k n_l dim)^2 work for n_k idler and n_l
     tap factors, where forming Z costs n_k n_l dim^6. It needs product
-    idler factors and a product, Fock-diagonal POVM.
+    idler factors and a product, Fock-diagonal POVM. Three products do it:
+    one GEMM over i, n_k^2 stacked (dim n_l x dim) products over j, and one
+    GEMM over (c, d).
     """
     n_l, dim, _ = factors.tap.shape
     n_k = len(factors.idler_h) // dim
@@ -346,11 +367,18 @@ def _gram(factors: _Factors, w_h, w_v) -> np.ndarray:
         ((p * w) @ p.conj().T).reshape(n_k, dim, n_k, dim)
         for p, w in ((factors.idler_h, w_h), (factors.idler_v, w_v))
     )
-    # per (k, m): H_km^T T_l V_km for every l, then against conj(T_n)
-    pushed = h.transpose(0, 2, 3, 1)[:, :, None] @ factors.tap
-    pushed = pushed @ v.transpose(0, 2, 1, 3)[:, :, None]
-    gram = pushed.reshape(n_k, n_k, n_l, -1) @ factors.tap.reshape(n_l, -1).conj().T
-    return gram.transpose(0, 2, 1, 3).reshape(n_k * n_l, -1)
+    pairs = n_k * n_k
+    # rows (k, m, c), columns (l, j): sum_i H_km[i, c] T_l[i, j]
+    taps = factors.tap.transpose(1, 0, 2).reshape(dim, -1)
+    pushed = h.transpose(0, 2, 3, 1).reshape(-1, dim) @ taps
+    # per (k, m), rows (c, l), columns d: times V_km over j
+    pushed = pushed.reshape(pairs, -1, dim) @ v.transpose(0, 2, 1, 3).reshape(
+        pairs, dim, dim
+    )
+    # rows (k, m, l), columns (c, d), against conj(T_n)
+    pushed = pushed.reshape(pairs, dim, n_l, dim).transpose(0, 2, 1, 3)
+    gram = pushed.reshape(-1, dim * dim) @ factors.tap.reshape(n_l, -1).conj().T
+    return gram.reshape(n_k, n_k, n_l, n_l).transpose(0, 2, 1, 3).reshape(n_k * n_l, -1)
 
 
 def _unit_norms(idler_h, idler_v, tap) -> np.ndarray:
@@ -366,17 +394,30 @@ def _unit_norms(idler_h, idler_v, tap) -> np.ndarray:
     return (pushed * tap.conj()).sum(axis=(2, 3)).real.ravel()
 
 
-def _pattern_gram(factors: _Factors, detector: str, eta: float) -> np.ndarray:
-    """`_gram` of the plain click pattern."""
-    w = herald_pattern(detector, eta, factors.cuts.detector)
-    return _gram(factors, *(np.outer(w["6" + p], w["5" + p]).ravel() for p in "HV"))
+def _eta_grams(
+    factors: _Factors, detector: str, etas: Sequence[float]
+) -> np.ndarray:
+    """`_gram` of the plain click pattern at each efficiency in `etas`,
+    stacked (E, r, r). Each is contracted on its own and only the r x r
+    outputs are stacked, so no intermediate of the contraction is held
+    once per efficiency."""
+    size = len(factors.scale)
+    grams = np.empty((len(etas), size, size), dtype=np.complex128)
+    for gram, eta in zip(grams, etas):
+        w = herald_pattern(detector, eta, factors.cuts.detector)
+        gram[...] = _gram(
+            factors, *(np.outer(w["6" + p], w["5" + p]).ravel() for p in "HV")
+        )
+    return grams
 
 
-def _factors_key(config: SchemeConfig) -> SchemeConfig:
-    """Cache key of `_factors`: the config with eta and lambda
-    canonicalised, since neither enters the unit sectors."""
-    lam = None if config.lam is None else 0.0
-    return dataclasses.replace(config, eta=1.0, lam=lam)
+def _factors_key(config: SchemeConfig, **updates) -> SchemeConfig:
+    """Cache key of `_factors`: the config with `updates` applied and eta
+    and lambda canonicalised, since neither enters the unit sectors."""
+    changes = dict(updates, eta=1.0)
+    if config.pair_source == "spdc":
+        changes["lam"] = 0.0
+    return dataclasses.replace(config, **changes)
 
 
 @lru_cache(maxsize=32)
@@ -441,33 +482,46 @@ def _factors(key: SchemeConfig) -> _Factors:
     )
 
 
-def _truncation_tail(config: SchemeConfig, factors: _Factors) -> float:
+def _truncation_tail(branches, factors: _Factors, tail_tol: float) -> float:
     """Worst pair-source branch's deficit sum_n w_n d_n over its sectors,
     the deficit of the normalized branch since the sectors' signal parts
     are orthogonal; raises `TruncationError` above `tail_tol`."""
     worst = max(
-        sum(w * factors.tails[n] for n, w in terms)
-        for _, terms in _pair_branches(config)
+        sum(w * factors.tails[n] for n, w in terms) for _, terms in branches
     )
-    if worst > config.tail_tol:
+    if worst > tail_tol:
         raise TruncationError(
             f"truncation lost probability {worst:.3e}, above the "
-            f"tolerance {config.tail_tol:.0e}; raise the cutoffs"
+            f"tolerance {tail_tol:.0e}; raise the cutoffs"
         )
     return worst
 
 
-def _herald(gram: np.ndarray, branches):
-    """Herald the plain click pattern in the term basis, from `gram`, the
-    plain pattern's Gram over all terms, and branches (weight, rows, d):
-    the branch's terms `rows` and their scales d.
+def _branch_scales(factors: _Factors, branches):
+    """Each branch as (weight, rows, d): its consecutive sectors are one
+    block `rows` of the Gram, sector n's scales d times sqrt(w_n / W)."""
+    scales = []
+    for weight, terms in branches:
+        first, last = factors.blocks[terms[0][0]], factors.blocks[terms[-1][0]]
+        rows = slice(first.start, last.stop)
+        sectors = np.concatenate(
+            [np.full((n + 1) * factors.beam_rank, math.sqrt(w)) for n, w in terms]
+        )
+        scales.append((weight, rows, factors.scale[rows] * sectors))
+    return scales
 
-    Returns the plain pattern's probability p, the branches' weighted
-    probabilities and the r x r heralded state
+
+def _herald(grams: np.ndarray, branches):
+    """Herald the plain click pattern in the term basis, from `grams`, the
+    plain pattern's Grams over all terms stacked (E, r, r), and branches
+    (weight, rows, d): the branch's terms `rows` and their scales d.
+
+    Returns per Gram the plain pattern's probability p (E,), the branches'
+    weighted probabilities (E, branches) and the r x r heralded states
     rho_t = sum_branch weight D G[rows, rows] D / p, zero outside the
-    branches' rows. G is Hermitised first, so rho_t is Hermitian to
-    roundoff. Raises `HeraldImpossibleError` when p is below
-    `HERALD_PROBABILITY_FLOOR`.
+    branches' blocks and zero where p is below `HERALD_PROBABILITY_FLOOR`,
+    a herald that cannot fire. Each block of G is Hermitised first, so
+    rho_t is Hermitian to roundoff.
 
     Only the plain pattern is heralded. Swapping H and V in every mode
     leaves the prepared state unchanged: the tap is polarization
@@ -479,20 +533,23 @@ def _herald(gram: np.ndarray, branches):
     unequal detector efficiencies) would need the flipped pattern heralded
     too. The dense oracle heralds both and pins the symmetry.
     """
-    gram = 0.5 * (gram + gram.conj().T)
-    rho = np.zeros_like(gram)
+    rho = np.zeros_like(grams)
     probabilities = []
     for weight, rows, d in branches:
-        block = d[:, None] * gram[rows, rows] * d
-        rho[rows, rows] += weight * block
-        probabilities.append(weight * float(block.trace().real))
-    total = sum(probabilities)
-    if total < HERALD_PROBABILITY_FLOOR:
-        raise HeraldImpossibleError(
-            f"herald pattern has probability {total:.3e}, below the "
-            f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
-        )
-    return total, tuple(probabilities), rho / total
+        block = grams[:, rows, rows]
+        block = d[:, None] * (0.5 * (block + block.conj().transpose(0, 2, 1))) * d
+        rho[:, rows, rows] += weight * block
+        probabilities.append(weight * np.trace(block, axis1=1, axis2=2).real)
+    totals = sum(probabilities)
+    possible = (totals >= HERALD_PROBABILITY_FLOOR)[:, None, None]
+    np.divide(rho, totals[:, None, None], out=rho, where=possible)
+    rho *= possible
+    return totals, np.stack(probabilities, axis=1), rho
+
+
+def _fidelities(rho: np.ndarray, coeffs: np.ndarray):
+    """c^H rho_t c of each stacked heralded state."""
+    return [float(np.vdot(coeffs, image).real) for image in rho @ coeffs]
 
 
 def _target_terms(
@@ -524,8 +581,168 @@ def _embed(factors: _Factors, rho: np.ndarray) -> DensityOperator:
     )
 
 
+def _coherent_rows(key: SchemeConfig, etas: Sequence[float], branches):
+    """`_evaluate` for the chi and vacuum-mixed pair sources, and the
+    coherent herald of a downconversion run: the pair-source `branches`
+    heralded at every efficiency in `etas` by one stacked herald of the
+    per-eta Grams, then one stacked eigensolve of the heralded states."""
+    factors = _factors(key)
+    tail = _truncation_tail(branches, factors, key.tail_tol)
+    scales = _branch_scales(factors, branches)
+    shared = {
+        "worst_tail_mass": tail,
+        "cutoffs": dataclasses.asdict(factors.cuts),
+        "schmidt_ranks": tuple(
+            (len(d) // factors.beam_rank, factors.beam_rank) for _, _, d in scales
+        ),
+        "discarded_mass": factors.discarded,
+    }
+    totals, probabilities, rho = _herald(
+        _eta_grams(factors, key.detector, etas), scales
+    )
+    possible = totals >= HERALD_PROBABILITY_FLOOR
+    fidelities = _fidelities(rho, factors.target)
+    dim_a = len(factors.signal_states)
+    negativities = iter(stacked_negativity(rho[possible], dim_a))
+    rows = []
+    for i, plain in enumerate(totals.tolist()):
+        if not possible[i]:
+            rows.append(
+                HeraldImpossibleError(
+                    f"herald pattern has probability {plain:.3e}, below the "
+                    f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
+                )
+            )
+            continue
+        diagnostics = {
+            # one pattern's; the flipped one fires alike (see `_herald`)
+            "plain_probability": plain,
+            "branch_probabilities": tuple(probabilities[i].tolist()),
+            **shared,
+        }
+        result = SchemeResult(
+            probability_total=2.0 * plain,
+            fidelity=fidelities[i],
+            negativity=next(negativities),
+            post_state=None,
+            diagnostics=diagnostics,
+        )
+        rows.append((result, rho[i]))
+    return rows
+
+
+@lru_cache(maxsize=32)
+def _sector_heralds(key: SchemeConfig, etas: Tuple[float, ...]):
+    """Per efficiency in `etas`: the both-pattern herald probabilities p_n
+    and fidelities f_n of the unit pair-number sectors of `_factors(key)`
+    (0 and 0 for a sector that cannot herald), each sector heralded by
+    `_herald` from its diagonal block of the stacked Grams and scored as
+    c^H rho_t c."""
+    factors = _factors(key)
+    grams = _eta_grams(factors, key.detector, etas)
+    probs = []
+    fids = []
+    for block in factors.blocks.values():
+        totals, _, rho = _herald(grams, ((1.0, block, factors.scale[block]),))
+        probs.append(
+            [2.0 * p if p >= HERALD_PROBABILITY_FLOOR else 0.0 for p in totals.tolist()]
+        )
+        fids.append(_fidelities(rho, factors.target))
+        del rho  # one sector's (E, r, r) states at a time
+    return tuple(zip(zip(*probs), zip(*fids)))
+
+
+def _decomposed_rows(
+    key: SchemeConfig, points, weights: Mapping[float, Tuple[float, ...]]
+):
+    """`_evaluate` for downconversion: per point (eta, lambda), P = sum_n
+    w_n p_n and F = sum_n w_n p_n f_n / P over the unit sectors' heralds
+    at eta, with the sector weights `weights[lambda]`."""
+    factors = _factors(key)
+    tails: Dict[float, object] = {}
+    for lam, w in weights.items():
+        try:
+            branches = _pair_branches(key, w)
+            tails[lam] = _truncation_tail(branches, factors, key.tail_tol)
+        except TruncationError as exc:
+            tails[lam] = exc
+    etas = tuple(dict.fromkeys(eta for eta, _ in points))
+    sectors = dict(zip(etas, _sector_heralds(key, etas)))
+    rows = []
+    for eta, lam in points:
+        tail, w = tails[lam], weights[lam]
+        probs, fids = sectors[eta]
+        p_tot = sum(wn * p for wn, p in zip(w, probs))
+        if isinstance(tail, SimulationError):
+            rows.append(tail)
+        elif p_tot <= 0.0:
+            rows.append(HeraldImpossibleError("no pair-number sector heralds"))
+        else:
+            f_eff = sum(wn * p * f for wn, p, f in zip(w, probs, fids)) / p_tot
+            diagnostics = {
+                "worst_tail_mass": tail,
+                "p_vac": probs[0],
+                "p_chi": probs[1],
+                "f_chi": fids[1],
+            }
+            if len(probs) > 2:
+                diagnostics["p_phi2"] = probs[2]
+            result = SchemeResult(
+                probability_total=p_tot,
+                fidelity=f_eff,
+                negativity=None,
+                post_state=None,
+                diagnostics=diagnostics,
+            )
+            rows.append((result, None))
+    return rows
+
+
+def _evaluate(key: SchemeConfig, points: Sequence[Tuple[float, Optional[float]]]):
+    """Score every point (eta, lambda) of one preparation: `key` is a
+    `_factors_key`, and lambda is None unless the pair source is
+    downconversion. `sweep` calls this once per preparation, `run_scheme`
+    with its one point.
+
+    Returns per point the `SimulationError` that failed it or (result,
+    rho_t): a `SchemeResult` without `post_state`, and the heralded
+    term-basis state. Downconversion rows are the sector recombination
+    (see `spdc_decomposition`): their rho_t and negativity are None. As in
+    `run_scheme`, a point's own values are checked first, then the shared
+    preparation and its truncation, then the point's herald.
+    """
+    weights: Dict[float, Tuple[float, ...]] = {}
+    outcomes: List[object] = []
+    for eta, lam in points:
+        try:
+            _check_eta(eta)
+            if lam is not None and lam not in weights:
+                source = PairSourceSpec.spdc(lam, key.spdc_order, key.spdc_weighting)
+                weights[lam] = source.sector_weights()
+        except ValidationError as exc:
+            outcomes.append(exc)
+        else:
+            outcomes.append(None)
+    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if not live:
+        return outcomes
+    try:
+        if key.pair_source == "spdc":
+            scored = _decomposed_rows(key, [points[i] for i in live], weights)
+        else:
+            etas = [points[i][0] for i in live]
+            scored = _coherent_rows(key, etas, _pair_branches(key))
+    except SimulationError as exc:
+        scored = [exc] * len(live)
+    for i, outcome in zip(live, scored):
+        outcomes[i] = outcome
+    return outcomes
+
+
 def run_scheme(config: SchemeConfig) -> SchemeResult:
-    """Simulate one heralded run of the scheme.
+    """Simulate one heralded run of the scheme: `sweep`'s evaluation of one
+    preparation (`_evaluate`) at the config's one point, plus the heralded
+    state embedded in the register as `post_state`.
 
     Both click patterns contribute. Only the plain one is heralded: the
     flipped pattern, after the deterministic polarization bit flip, fires
@@ -542,81 +759,42 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     target's term coefficients, and the negativity is eigensolved on rho_t
     (at alpha_f = 2.5, 46 dimensions instead of the register's 297). For
     downconversion, P and F are the sector recombination of
-    `spdc_decomposition`, equal to this coherent herald's to roundoff.
-    `post_state` is rho_t embedded in the register.
+    `spdc_decomposition`, equal to the coherent herald's to roundoff; the
+    coherent herald, which a sweep row skips, gives the negativity and the
+    state.
     """
-    factors = _factors(_factors_key(config))
-    tail = _truncation_tail(config, factors)
-    gram = _pattern_gram(factors, config.detector, config.eta)
-    branches = []
-    ranks = []
-    for weight, terms in _pair_branches(config):
-        # consecutive sectors: the branch's terms are one block of the Gram
-        first, last = factors.blocks[terms[0][0]], factors.blocks[terms[-1][0]]
-        rows = slice(first.start, last.stop)
-        sectors = np.concatenate(
-            [np.full((n + 1) * factors.beam_rank, math.sqrt(w)) for n, w in terms]
-        )
-        branches.append((weight, rows, factors.scale[rows] * sectors))
-        ranks.append((len(sectors) // factors.beam_rank, factors.beam_rank))
-    plain, branch_probabilities, rho = _herald(gram, branches)
-
-    diagnostics: Dict[str, object] = {
-        # one pattern's; the flipped one fires alike (see `_herald`)
-        "plain_probability": plain,
-        "branch_probabilities": branch_probabilities,
-        "worst_tail_mass": tail,
-        "cutoffs": dataclasses.asdict(factors.cuts),
-        "schmidt_ranks": tuple(ranks),
-        "discarded_mass": factors.discarded,
-    }
+    key = _factors_key(config)
+    (outcome,) = _evaluate(key, ((config.eta, config.lam),))
+    if isinstance(outcome, SimulationError):
+        raise outcome
+    result, rho = outcome
+    diagnostics = dict(result.diagnostics)
+    negativity = result.negativity
     if config.pair_source == "spdc":
-        dec = spdc_decomposition(config)
-        total, fid = dec["p_tot"], dec["f_eff"]
-        for key in ("p_vac", "p_chi", "p_phi2"):
-            if dec[key] is not None:
-                diagnostics[key] = dec[key]
-    else:
-        coeffs = factors.target
-        total, fid = 2.0 * plain, float(np.vdot(coeffs, rho @ coeffs).real)
-        if config.scs_source == "ideal" and config.detector == "pnr":
-            # the closed-form total probability, weighted by the pair branch
-            scale = config.z if config.pair_source == "vacuum_mixed" else 1.0
-            reference = analytic.p_tot_eta(
-                config.resolved_alpha_f, config.t, config.eta, config.phi
+        # the coherent herald, for the negativity and the state
+        (coherent,) = _coherent_rows(key, (config.eta,), _pair_branches(config))
+        if isinstance(coherent, SimulationError):
+            raise coherent
+        herald, rho = coherent
+        negativity = herald.negativity
+        diagnostics = dict(herald.diagnostics, **diagnostics)
+    elif config.scs_source == "ideal" and config.detector == "pnr":
+        # the closed-form total probability, weighted by the pair branch
+        scale = config.z if config.pair_source == "vacuum_mixed" else 1.0
+        reference = analytic.p_tot_eta(
+            config.resolved_alpha_f, config.t, config.eta, config.phi
+        )
+        if reference > 0.0:
+            diagnostics["analytic_p_tot"] = scale * reference
+            diagnostics["numeric_analytic_ratio"] = (
+                result.probability_total / (scale * reference)
             )
-            if reference > 0.0:
-                diagnostics["analytic_p_tot"] = scale * reference
-                diagnostics["numeric_analytic_ratio"] = total / (scale * reference)
-
-    return SchemeResult(
-        probability_total=float(total),
-        fidelity=fid,
-        negativity=matrix_negativity(rho, len(factors.signal_states)),
-        post_state=_embed(factors, rho),
+    return dataclasses.replace(
+        result,
+        negativity=negativity,
+        post_state=_embed(_factors(key), rho),
         diagnostics=diagnostics,
     )
-
-
-@lru_cache(maxsize=32)
-def _sector_heralds(key: SchemeConfig, eta: float):
-    """Both-pattern herald probability p_n and fidelity f_n of each unit
-    pair-number sector of `_factors(key)` at efficiency eta (0 and 0 for
-    a sector that cannot herald), each heralded by `_herald` from its
-    diagonal block of one Gram matrix and scored as c^H rho_t c."""
-    factors = _factors(key)
-    gram = _pattern_gram(factors, key.detector, eta)
-    coeffs = factors.target
-    probs = []
-    fids = []
-    for block in factors.blocks.values():
-        try:
-            p, _, rho = _herald(gram, ((1.0, block, factors.scale[block]),))
-        except HeraldImpossibleError:
-            p, rho = 0.0, np.zeros_like(gram)
-        probs.append(2.0 * p)
-        fids.append(float(np.vdot(coeffs, rho @ coeffs).real))
-    return tuple(probs), tuple(fids)
 
 
 def spdc_decomposition(config: SchemeConfig) -> Dict[str, Optional[float]]:
@@ -632,22 +810,19 @@ def spdc_decomposition(config: SchemeConfig) -> Dict[str, Optional[float]]:
     """
     if config.pair_source != "spdc":
         raise ValidationError("decomposition applies to the spdc pair source")
-    key = _factors_key(config)
-    tail = _truncation_tail(config, _factors(key))
-    probs, fids = _sector_heralds(key, config.eta)
-    weights = config.pair_spec().sector_weights()
-    p_tot = sum(w * p for w, p in zip(weights, probs))
-    if p_tot <= 0.0:
-        raise HeraldImpossibleError("no pair-number sector heralds")
-    f_eff = sum(w * p * f for w, p, f in zip(weights, probs, fids)) / p_tot
+    (outcome,) = _evaluate(_factors_key(config), ((config.eta, config.lam),))
+    if isinstance(outcome, SimulationError):
+        raise outcome
+    result, _ = outcome
+    diag = result.diagnostics
     return {
-        "p_vac": probs[0],
-        "p_chi": probs[1],
-        "p_phi2": probs[2] if len(probs) > 2 else None,
-        "f_chi": fids[1],
-        "f_eff": f_eff,
-        "p_tot": p_tot,
-        "tail_mass": tail,
+        "p_vac": diag["p_vac"],
+        "p_chi": diag["p_chi"],
+        "p_phi2": diag.get("p_phi2"),
+        "f_chi": diag["f_chi"],
+        "f_eff": result.fidelity,
+        "p_tot": result.probability_total,
+        "tail_mass": diag["worst_tail_mass"],
     }
 
 
@@ -687,11 +862,10 @@ class SweepTable:
     rows: Tuple[SweepRow, ...]
 
 
-def _apply_point(
-    config: SchemeConfig, axes: Sequence[str], point: Sequence[float]
-) -> SchemeConfig:
+def _updates(params: Sequence[Tuple[str, float]]) -> Dict[str, object]:
+    """The config fields that swept values set."""
     updates: Dict[str, object] = {}
-    for axis, value in zip(axes, point):
+    for axis, value in params:
         if axis == "lambda":
             updates["lam"] = value
         elif axis == "alpha_f":
@@ -699,43 +873,25 @@ def _apply_point(
             updates["alpha_i"] = None
         else:
             updates[axis] = value
-    return dataclasses.replace(config, **updates)
-
-
-def _evaluate_point(
-    config: SchemeConfig, axes: Tuple[str, ...], point: Tuple[float, ...]
-) -> SweepRow:
-    params = tuple(zip(axes, point))
-    try:
-        cfg = _apply_point(config, axes, point)
-        if cfg.pair_source == "spdc":
-            dec = spdc_decomposition(cfg)
-            return SweepRow(
-                params=params,
-                fidelity=dec["f_eff"],
-                probability_total=dec["p_tot"],
-                p_vac=dec["p_vac"],
-                p_chi=dec["p_chi"],
-                p_phi2=dec["p_phi2"],
-                tail_mass=dec["tail_mass"],
-            )
-        return SweepRow.from_result(params, run_scheme(cfg))
-    except SimulationError as exc:
-        return SweepRow(params=params, status=f"error:{type(exc).__name__}")
+    return updates
 
 
 def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTable:
-    """Evaluate the scheme over a cartesian parameter grid.
+    """Evaluate the scheme over a cartesian parameter grid, one preparation
+    at a time.
 
     Axes are sorted by name and each axis's values ascending, so the row
-    order is deterministic regardless of input ordering. Rows that fail
-    validation or hit numerical limits are reported with an error status
-    instead of aborting the sweep. Downconversion rows report
-    `spdc_decomposition` (the P, F, p_* and tail_mass `run_scheme` reports)
-    without a coherent herald and leave negativity empty, since that needs
-    the coherent state's eigensolve; all others report the plain
-    heralded run. Points that differ only in eta (and, for downconversion,
-    lambda) share one cached preparation.
+    order is deterministic regardless of input ordering. Points that differ
+    only in eta (and, for downconversion, lambda) share one preparation:
+    its factors are looked up once, its truncation checked once, and
+    `_evaluate` heralds every eta of it from one stacked herald and one
+    stacked eigensolve. Each row is the `run_scheme` of its point, bit for
+    bit, without the post-state, which no row carries. Downconversion rows
+    report `spdc_decomposition` (the P, F, p_* and tail_mass `run_scheme`
+    reports) without a coherent herald and leave negativity empty, since
+    that needs the coherent state's eigensolve. Rows that fail validation
+    or hit numerical limits are reported with an error status instead of
+    aborting the sweep.
     """
     if not grid:
         raise ValidationError("sweep grid must name at least one axis")
@@ -750,5 +906,26 @@ def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTab
         if not axis_values:
             raise ValidationError(f"sweep axis {axis!r} has no values")
         values.append(tuple(sorted(axis_values)))
-    rows = [_evaluate_point(config, axes, p) for p in itertools.product(*values)]
-    return SweepTable(axes=axes, rows=tuple(rows))
+    inner = ("eta", "lambda") if config.pair_source == "spdc" else ("eta",)
+    order = [tuple(zip(axes, point)) for point in itertools.product(*values)]
+    groups: Dict[tuple, List[tuple]] = {}
+    for params in order:
+        shared = tuple(item for item in params if item[0] not in inner)
+        groups.setdefault(shared, []).append(params)
+    rows: Dict[tuple, SweepRow] = {}
+    for shared, members in groups.items():
+        points = [
+            (point.get("eta", config.eta), point.get("lambda", config.lam))
+            for point in map(dict, members)
+        ]
+        try:
+            outcomes = _evaluate(_factors_key(config, **_updates(shared)), points)
+        except SimulationError as exc:
+            outcomes = [exc] * len(members)
+        for params, outcome in zip(members, outcomes):
+            if isinstance(outcome, SimulationError):
+                status = f"error:{type(outcome).__name__}"
+                rows[params] = SweepRow(params, status=status)
+            else:
+                rows[params] = SweepRow.from_result(params, outcome[0])
+    return SweepTable(axes=axes, rows=tuple(rows[params] for params in order))

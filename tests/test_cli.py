@@ -297,22 +297,25 @@ FAILED_POINTS = (
 def test_reproduce_summary_skips_failed_rows(
     figure, point, files, tmp_path, capsys, monkeypatch
 ):
+    """One row, picked by its swept values, fails inside the group function
+    that scores every row of its preparation."""
     failed = []
+    real = pipeline._evaluate
 
-    def failing(real):
-        def wrapper(config):
-            hit = all(getattr(config, key) == value for key, value in point.items())
+    def failing(key, points):
+        outcomes = real(key, points)
+        for index, (eta, lam) in enumerate(points):
+            values = {"eta": eta, "lam": lam}
+            hit = all(
+                values.get(name, getattr(key, name)) == value
+                for name, value in point.items()
+            )
             if hit and not failed:
-                failed.append(config)
-                raise SimulationError("injected failure")
-            return real(config)
+                failed.append((key, eta, lam))
+                outcomes[index] = SimulationError("injected failure")
+        return outcomes
 
-        return wrapper
-
-    monkeypatch.setattr(pipeline, "run_scheme", failing(pipeline.run_scheme))
-    monkeypatch.setattr(
-        pipeline, "spdc_decomposition", failing(pipeline.spdc_decomposition)
-    )
+    monkeypatch.setattr(pipeline, "_evaluate", failing)
     code = main(
         ["reproduce", "--figure", str(figure), "--output", str(tmp_path / "fig.tsv")]
     )

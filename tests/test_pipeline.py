@@ -147,8 +147,8 @@ def test_fidelity_follows_detector_formula():
 
 
 def _record_heralds(monkeypatch):
-    """Arguments (gram, branches) of every `_herald` call the pipeline
-    makes."""
+    """Arguments (grams, branches) of every `_herald` call the pipeline
+    makes, grams the stacked (E, r, r) Grams."""
     calls = []
     real = pipeline._herald
 
@@ -174,7 +174,8 @@ def test_pattern_probabilities_symmetric(monkeypatch):
     flipped pattern fires with the plain one's probability and leaves the
     plain term-basis state once bit-flipped: the symmetry that lets it
     herald one. The flipped heralds come from rerunning with the Grams
-    formed from the flipped pattern."""
+    formed from the flipped pattern. Each run heralds one efficiency, so
+    every stack of Grams holds one."""
     herald_terms = pipeline._herald
     calls = _record_heralds(monkeypatch)
     pattern = pipeline.herald_pattern
@@ -196,11 +197,12 @@ def test_pattern_probabilities_symmetric(monkeypatch):
             pipeline._sector_heralds.cache_clear()
             calls.clear()
             result = run_scheme(config)
-            # the coherent run, then (downconversion) one herald per sector
+            # (downconversion) one herald per sector, then the coherent run
             assert len(calls) == (1 if config.pair_source != "spdc" else 5)
+            assert all(len(grams) == 1 for grams, _ in calls)
             runs.append((result, list(calls)))
         (result, plain_calls), (_, flip_calls) = runs
-        coherent, _, _ = herald_terms(*plain_calls[0])
+        (coherent,), _, _ = herald_terms(*plain_calls[-1])
         assert result.diagnostics["plain_probability"] == coherent
         terms = _mirrored_terms(pipeline._factors(pipeline._factors_key(config)))
         for (gram, branches), (flip_gram, flip_branches) in zip(
@@ -212,8 +214,8 @@ def test_pattern_probabilities_symmetric(monkeypatch):
             ):
                 assert (weight, rows) == (flip_weight, flip_rows)
                 assert np.array_equal(d, flip_d)
-            plain, _, rho = herald_terms(gram, branches)
-            flip, _, flip_rho = herald_terms(flip_gram, flip_branches)
+            (plain,), _, (rho,) = herald_terms(gram, branches)
+            (flip,), _, (flip_rho,) = herald_terms(flip_gram, flip_branches)
             assert abs(flip - plain) <= 1e-12 * plain
             mirrored = flip_rho[np.ix_(terms, terms)]
             assert float(np.abs(mirrored - rho).max()) <= 1e-12
@@ -570,16 +572,20 @@ def test_pulled_back_gram_matches_interfered_factors(kwargs):
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-def _eigensolve_sizes(monkeypatch, config):
-    """Dimensions of the matrices `run_scheme(config)` eigensolves."""
-    sizes = []
+def _record_eigensolves(patch):
+    """Shapes of the stacks every `np.linalg.eigvalsh` call solves."""
+    shapes = []
     real = np.linalg.eigvalsh
+    patch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(m.shape) or real(m))
+    return shapes
+
+
+def _eigensolve_sizes(monkeypatch, config):
+    """Shapes of the stacks `run_scheme(config)` eigensolves."""
     with monkeypatch.context() as patch:
-        patch.setattr(
-            np.linalg, "eigvalsh", lambda m: sizes.append(m.shape[0]) or real(m)
-        )
+        shapes = _record_eigensolves(patch)
         result = run_scheme(config)
-    return sizes, result
+    return shapes, result
 
 
 def test_negativity_eigensolve_runs_on_the_product_support(monkeypatch):
@@ -588,25 +594,40 @@ def test_negativity_eigensolve_runs_on_the_product_support(monkeypatch):
     sizes, result = _eigensolve_sizes(
         monkeypatch, SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5)
     )
-    assert sizes == [46]
+    # one run, one efficiency: a stack of one
+    assert sizes == [(1, 46, 46)]
     full = negativity(result.post_state, Bipartition(("A_H", "A_V"), ("B",)))
     assert abs(result.negativity - full) <= 1e-12
     for spot, expected in zip(FIGURE_4_SPOTS, (30, 33)):
         sizes, result = _eigensolve_sizes(monkeypatch, SchemeConfig(**spot))
         # vacuum-mixed pairs use |0, 0>, |0, 1> and |1, 0>
         (_, beam_rank), _ = result.diagnostics["schmidt_ranks"]
-        assert sizes == [3 * beam_rank] == [expected]
+        assert sizes == [(1, 3 * beam_rank, 3 * beam_rank)]
+        assert 3 * beam_rank == expected
 
 
 def test_negativity_cap_checks_the_eigensolved_dimension(monkeypatch):
     monkeypatch.setattr(metrics, "MAX_NEGATIVITY_DIM", 40)
+    config = SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5)
     with pytest.raises(ValidationError, match="dimension 46 exceeds"):
-        run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5))
+        run_scheme(config)
+    # the cap sees the dimension, not the stack: every row of a sweep fails
+    table = sweep(config, {"eta": (0.5, 0.7, 0.9)})
+    assert [row.status for row in table.rows] == ["error:ValidationError"] * 3
     # a figure 3 row: 2 signal states times beam rank 11
     sizes, result = _eigensolve_sizes(
         monkeypatch, SchemeConfig(t=0.99, eta=0.8, alpha_f=1.5)
     )
-    assert sizes == [22] and result.negativity > 0.9
+    assert sizes == [(1, 22, 22)] and result.negativity > 0.9
+    # a figure 3 preparation: its five efficiencies in one stack
+    with monkeypatch.context() as patch:
+        shapes = _record_eigensolves(patch)
+        table = sweep(
+            SchemeConfig(t=0.99, eta=0.8, alpha_f=1.5),
+            {"eta": (0.2, 0.4, 0.6, 0.8, 0.99)},
+        )
+    assert shapes == [(5, 22, 22)]
+    assert all(row.status == "ok" for row in table.rows)
 
 
 def test_factored_diagnostics_report_schmidt_ranks():
@@ -649,28 +670,78 @@ def _record_grams(monkeypatch):
 def test_eta_shares_one_preparation(monkeypatch):
     calls = _record_heralds(monkeypatch)
     grams = _record_grams(monkeypatch)
+    shapes = _record_eigensolves(monkeypatch)
     pipeline._factors.cache_clear()
     sweep(SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0), {"eta": (0.5, 0.7, 0.9)})
     info = pipeline._factors.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    # one Gram and herald per run; the truncation deficit reads only the
-    # Gram's diagonal blocks and forms no Gram
-    assert (len(grams), len(calls)) == (3, 3)
-    # downconversion points share it across lambda too, and their sector
-    # heralds are cached per eta
+    assert (info.misses, info.hits) == (1, 0)
+    # one Gram per efficiency, contracted on its own; the truncation
+    # deficit reads only the Gram's diagonal blocks and forms no Gram
+    assert len(grams) == 3
+    size = grams[0].shape[0]
+    assert all(gram.shape == (size, size) for gram in grams)
+    # one herald of the stacked Grams and one stacked eigensolve
+    ((stack, _),) = calls
+    assert stack.shape == (3, size, size)
+    for gram, stacked in zip(grams, stack):
+        assert np.array_equal(gram, stacked)
+    assert shapes == [(3, size, size)]
+    # downconversion points share it across lambda too, and the sector
+    # heralds of all their efficiencies read one stack
     calls.clear()
     grams.clear()
+    shapes.clear()
     pipeline._factors.cache_clear()
     pipeline._sector_heralds.cache_clear()
     sweep(SchemeConfig(**SPOT_A), {"lambda": (0.01, 0.02, 0.03), "eta": (0.5, 0.9)})
     assert pipeline._factors.cache_info().misses == 1
-    assert pipeline._sector_heralds.cache_info().misses == 2
-    # per eta one herald Gram, whose diagonal blocks feed the heralds of
-    # the sectors n = 0, 1, 2
-    assert (len(grams), len(calls)) == (2, 3 * 2)
-    for gram, sectors in zip(grams, (calls[:3], calls[3:])):
-        for sector_gram, _ in sectors:
-            assert sector_gram is gram
+    assert pipeline._sector_heralds.cache_info().misses == 1
+    # one herald per sector n = 0, 1, 2, each of its diagonal block of the
+    # one stack of the two efficiencies' Grams; no eigensolve
+    assert (len(grams), len(calls), shapes) == (2, 3, [])
+    factors = pipeline._factors(pipeline._factors_key(SchemeConfig(**SPOT_A)))
+    stack = calls[0][0]
+    assert np.array_equal(stack, np.stack(grams))
+    for (sector_grams, branches), block in zip(calls, factors.blocks.values()):
+        ((_, rows, _),) = branches
+        assert sector_grams is stack and rows == block
+
+
+def test_sweep_reports_each_efficiency_of_a_preparation_on_its_own():
+    """eta = 0 cannot herald: its row fails alone, and the other rows of the
+    same stacked herald equal their runs bit for bit."""
+    config = SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0)
+    table = sweep(config, {"eta": (0.0, 0.5, 0.9)})
+    statuses = [row.status for row in table.rows]
+    assert statuses == ["error:HeraldImpossibleError", "ok", "ok"]
+    with pytest.raises(HeraldImpossibleError):
+        run_scheme(dataclasses.replace(config, eta=0.0))
+    for row in table.rows[1:]:
+        result = run_scheme(dataclasses.replace(config, **dict(row.params)))
+        assert row.fidelity == result.fidelity
+        assert row.probability_total == result.probability_total
+        assert row.negativity == result.negativity
+        assert row.tail_mass == result.diagnostics["worst_tail_mass"]
+
+
+def test_cold_figure_4_sweep_stays_small():
+    """The per-efficiency Gram contractions are not stacked, only their
+    r x r outputs: the traced peak of a cold figure-4 panel-b table stays
+    below 2 MB."""
+    for cache in (
+        pipeline._factors,
+        pipeline._sector_heralds,
+        optics._cached_kernel,
+        optics._cached_displacement,
+    ):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        cli._figure_table(4, "b")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_cold_large_amplitude_run_stays_small():
