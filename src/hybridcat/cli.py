@@ -198,24 +198,24 @@ def cmd_run(scenario_path: str, output: Optional[str]) -> int:
             "scenario defines sweep axes; use the sweep subcommand"
         )
     result = run_scheme(config)
-    diag = result.diagnostics
     print(f"fidelity           {result.fidelity:.6f} ({result.fidelity:.11e})")
     print(
         f"probability_total  {result.probability_total:.6e} "
         f"({result.probability_total:.11e})"
     )
     print(f"negativity         {result.negativity:.6f} ({result.negativity:.11e})")
-    print(f"tail_mass          {float(diag['worst_tail_mass']):.3e}")
-    print(f"per_pattern        {diag['plain_probability']:.6e}")
+    print(f"tail_mass          {result.tail_mass:.3e}")
+    print(f"per_pattern        {result.plain_probability:.6e}")
     for key in ("p_vac", "p_chi", "p_phi2"):
-        if key in diag:
-            print(f"{key:<18} {diag[key]:.6e}")
-    if "numeric_analytic_ratio" in diag:
+        value = getattr(result, key)
+        if value is not None:
+            print(f"{key:<18} {value:.6e}")
+    if result.analytic_p_tot is not None:
         print("oracle cross-checks:")
         print(
             f"  closed-form total probability: numeric/analytic ratio "
-            f"{diag['numeric_analytic_ratio']:.9f} (documented factor "
-            f"{analytic.PROBABILITY_CONVENTION_FACTOR})"
+            f"{result.probability_total / result.analytic_p_tot:.9f} (documented "
+            f"factor {analytic.PROBABILITY_CONVENTION_FACTOR})"
         )
     else:
         print("oracle cross-checks: none (no closed form for this configuration)")

@@ -21,24 +21,23 @@ d = (n + 1)^(-1/2) s_l, next to a measured factor. The herald contracts a
 small Gram matrix G of the plain click pattern pulled back through the
 splitters onto each polarization's idler and tap factors, so no array spans
 all four detector channels; the flipped pattern follows by the state's
-H <-> V mirror symmetry (see `_herald`). The heralded state
-stays in the term basis as the r x r matrix rho_t = D G D / p: the kept
-vectors of the terms are orthonormal, so embedding rho_t in the register is
-a local isometry, and the fidelity (c^H rho_t c, with c the target's
-coefficients on the terms) and the negativity are computed on rho_t.
-Downconversion weights the unit sector n by w_n = (1 - lambda^2)
-lambda^(2n), the paper's P_tot normalization (arXiv:1410.6823), so
-P = sum_n w_n p_n; `tail_mass` is the worst branch's deficit
-sum_n w_n d_n / sum_n w_n. Sweep rows of that source skip the coherent
-herald and so leave negativity empty.
+H <-> V mirror symmetry (see `_score`).
+
+Every pair source is a set of unit pair-number sectors n with weights w_n
+(`_sector_weights`; downconversion's are the paper's P_tot terms,
+arXiv:1410.6823). The detectors are photon-number diagonal, so P and F
+are recombined from each sector's diagonal block of G alone. The heralded
+state stays in the term basis as the r x r matrix rho_t = D G D / p, formed
+only for the negativity and the post-state: the kept vectors of the terms
+are orthonormal, so embedding rho_t in the register is a local isometry.
 
 Evaluation runs one preparation at a time (`_evaluate`): the points of a
 sweep that differ only in eta (and, for downconversion, lambda) share one
-`_factors` lookup and one truncation check, their Grams are contracted
-one efficiency at a time and stacked (E, r, r), and the stack is heralded
-in one pass and eigensolved in one stacked call. `run_scheme` is the same
-evaluation at one point plus the embedded post-state; sweep rows carry no
-post-state.
+`_factors` lookup, their Grams are contracted one efficiency at a time and
+stacked (E, r, r), and the states of a stack are eigensolved in one call.
+`run_scheme` is the same evaluation at one point plus the embedded
+post-state, and for downconversion the coherent herald; sweep rows carry
+neither.
 """
 
 from __future__ import annotations
@@ -149,14 +148,19 @@ class SchemeConfig:
             raise ValidationError("spdc pair source needs lambda")
         if self.pair_source != "spdc" and self.lam is not None:
             raise ValidationError("lambda only applies to the spdc pair source")
-        # the source specs own the range checks of their parameters
+        for name in ("n_cut", "spdc_order", "cutoff_a", "cutoff_detector", "cutoff_b"):
+            value = getattr(self, name)
+            if value is None and name.startswith("cutoff_"):
+                continue  # chosen by `resolve_cutoffs`
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        # the source specs own the range checks of their parameters; the
+        # downconversion ones are checked whatever the source, so that no
+        # malformed value is silently ignored
         self.pair_spec()
+        PairSourceSpec.spdc(0.0, self.spdc_order, self.spdc_weighting)
         if self.detector not in DETECTORS:
             raise ValidationError(f"detector must be one of {DETECTORS}")
-        for name in ("cutoff_a", "cutoff_detector", "cutoff_b"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value < 1):
-                raise ValidationError(f"{name} must be a positive integer")
         if not (0.0 < self.tail_tol < 1.0):
             raise ValidationError("tail_tol must be in (0, 1)")
 
@@ -265,38 +269,46 @@ def _displacement_amplitude(config: SchemeConfig) -> float:
     return x / math.sqrt(2.0)
 
 
-def _pair_branches(
-    config: SchemeConfig, weights: Optional[Sequence[float]] = None
-):
-    """The pair source as incoherent branches (weight, ((n, w), ...)): each
-    branch is a coherent sum over consecutive pair-number sectors n, sector
-    n entering with squared amplitude w (these sum to 1 within a branch).
-    Downconversion takes the sector `weights` w_n if given, else
-    `config.pair_spec().sector_weights()`."""
+def _sector_weights(config: SchemeConfig, lam: Optional[float]) -> Dict[int, float]:
+    """The pair source as unit pair-number sectors n with weights w_n:
+    {1: 1} for the chi pair, {0: 1 - z, 1: z} for the vacuum-mixed pair,
+    and `PairSourceSpec.sector_weights` at `lam` for downconversion."""
     if config.pair_source == "chi":
-        return ((1.0, ((1, 1.0),)),)
+        return {1: 1.0}
     if config.pair_source == "vacuum_mixed":
-        return ((config.z, ((1, 1.0),)), (1.0 - config.z, ((0, 1.0),)))
-    if weights is None:
-        weights = config.pair_spec().sector_weights()
-    total = sum(weights)
-    return ((total, tuple((n, w / total) for n, w in enumerate(weights))),)
+        return {0: 1.0 - config.z, 1: config.z}
+    source = PairSourceSpec.spdc(lam, config.spdc_order, config.spdc_weighting)
+    return dict(enumerate(source.sector_weights()))
 
 
 @dataclass(frozen=True)
 class SchemeResult:
-    """One heralded run: success probability of both click patterns (twice
-    the plain one's), the overlap of the heralded state with the target,
-    the polarization/field negativity, and the heralded state on
-    (A_H, A_V, B), the term-basis state rho_t embedded in the register.
-    `run_scheme` sets every field; the rows `_evaluate` scores for a sweep
-    leave `post_state` None, and downconversion rows the negativity too."""
+    """One heralded run or sweep row: P of both click patterns (twice the
+    plain one's), the overlap with the target, the polarization/field
+    negativity and the heralded state on (A_H, A_V, B); each unit
+    pair-number sector's both-pattern probability, the truncation deficit
+    `_score` gated, and the preparation's cutoffs, (signal
+    states, beam rank) and discarded singular mass. Sweep rows leave
+    `post_state` None, and downconversion rows the negativity too. The
+    p_* and the one-pair sector's fidelity f_chi are set for downconversion
+    only, and the closed-form P only by `run_scheme` on ideal resources
+    with number-resolving detectors."""
 
     probability_total: float
     fidelity: float
     negativity: Optional[float]
     post_state: Optional[DensityOperator]
-    diagnostics: Dict[str, object]
+    plain_probability: float
+    sector_probabilities: Mapping[int, float]
+    tail_mass: float
+    cutoffs: ResolvedCutoffs
+    schmidt_ranks: Tuple[int, int]
+    discarded_mass: float
+    p_vac: Optional[float] = None
+    p_chi: Optional[float] = None
+    p_phi2: Optional[float] = None
+    f_chi: Optional[float] = None
+    analytic_p_tot: Optional[float] = None
 
 
 def _schmidt(matrix: np.ndarray):
@@ -439,7 +451,7 @@ def _factors(key: SchemeConfig) -> _Factors:
         _beam_state(key, cuts).reshape(dim * dim, -1)
     )
     disp = displacement_matrix(_displacement_amplitude(key), cuts.detector)
-    numbers = sorted({n for _, terms in _pair_branches(key) for n, _ in terms})
+    numbers = sorted(_sector_weights(key, key.lam))
     if numbers[-1] > min(cuts.a, cuts.detector):
         raise CutoffError(f"{numbers[-1]} pairs need cutoffs >= {numbers[-1]}")
     # pair factor k of sector n[k] has m[k] photons in A_H and in 2V
@@ -482,76 +494,6 @@ def _factors(key: SchemeConfig) -> _Factors:
     )
 
 
-def _truncation_tail(branches, factors: _Factors, tail_tol: float) -> float:
-    """Worst pair-source branch's deficit sum_n w_n d_n over its sectors,
-    the deficit of the normalized branch since the sectors' signal parts
-    are orthogonal; raises `TruncationError` above `tail_tol`."""
-    worst = max(
-        sum(w * factors.tails[n] for n, w in terms) for _, terms in branches
-    )
-    if worst > tail_tol:
-        raise TruncationError(
-            f"truncation lost probability {worst:.3e}, above the "
-            f"tolerance {tail_tol:.0e}; raise the cutoffs"
-        )
-    return worst
-
-
-def _branch_scales(factors: _Factors, branches):
-    """Each branch as (weight, rows, d): its consecutive sectors are one
-    block `rows` of the Gram, sector n's scales d times sqrt(w_n / W)."""
-    scales = []
-    for weight, terms in branches:
-        first, last = factors.blocks[terms[0][0]], factors.blocks[terms[-1][0]]
-        rows = slice(first.start, last.stop)
-        sectors = np.concatenate(
-            [np.full((n + 1) * factors.beam_rank, math.sqrt(w)) for n, w in terms]
-        )
-        scales.append((weight, rows, factors.scale[rows] * sectors))
-    return scales
-
-
-def _herald(grams: np.ndarray, branches):
-    """Herald the plain click pattern in the term basis, from `grams`, the
-    plain pattern's Grams over all terms stacked (E, r, r), and branches
-    (weight, rows, d): the branch's terms `rows` and their scales d.
-
-    Returns per Gram the plain pattern's probability p (E,), the branches'
-    weighted probabilities (E, branches) and the r x r heralded states
-    rho_t = sum_branch weight D G[rows, rows] D / p, zero outside the
-    branches' blocks and zero where p is below `HERALD_PROBABILITY_FLOOR`,
-    a herald that cannot fire. Each block of G is Hermitised first, so
-    rho_t is Hermitian to roundoff.
-
-    Only the plain pattern is heralded. Swapping H and V in every mode
-    leaves the prepared state unchanged: the tap is polarization
-    independent, pair sector n maps onto itself under m -> n - m, and the
-    splitters and POVMs are alike for H and V. So the flipped pattern fires
-    with the plain one's probability and, bit-flipped, leaves the plain
-    state. This holds only while the prepared state is H <-> V invariant; a
-    polarization-dependent element (a second displacement convention,
-    unequal detector efficiencies) would need the flipped pattern heralded
-    too. The dense oracle heralds both and pins the symmetry.
-    """
-    rho = np.zeros_like(grams)
-    probabilities = []
-    for weight, rows, d in branches:
-        block = grams[:, rows, rows]
-        block = d[:, None] * (0.5 * (block + block.conj().transpose(0, 2, 1))) * d
-        rho[:, rows, rows] += weight * block
-        probabilities.append(weight * np.trace(block, axis1=1, axis2=2).real)
-    totals = sum(probabilities)
-    possible = (totals >= HERALD_PROBABILITY_FLOOR)[:, None, None]
-    np.divide(rho, totals[:, None, None], out=rho, where=possible)
-    rho *= possible
-    return totals, np.stack(probabilities, axis=1), rho
-
-
-def _fidelities(rho: np.ndarray, coeffs: np.ndarray):
-    """c^H rho_t c of each stacked heralded state."""
-    return [float(np.vdot(coeffs, image).real) for image in rho @ coeffs]
-
-
 def _target_terms(
     config: SchemeConfig, cuts: ResolvedCutoffs, signal_states, beam_vh
 ) -> np.ndarray:
@@ -581,232 +523,184 @@ def _embed(factors: _Factors, rho: np.ndarray) -> DensityOperator:
     )
 
 
-def _coherent_rows(key: SchemeConfig, etas: Sequence[float], branches):
-    """`_evaluate` for the chi and vacuum-mixed pair sources, and the
-    coherent herald of a downconversion run: the pair-source `branches`
-    heralded at every efficiency in `etas` by one stacked herald of the
-    per-eta Grams, then one stacked eigensolve of the heralded states."""
-    factors = _factors(key)
-    tail = _truncation_tail(branches, factors, key.tail_tol)
-    scales = _branch_scales(factors, branches)
-    shared = {
-        "worst_tail_mass": tail,
-        "cutoffs": dataclasses.asdict(factors.cuts),
-        "schmidt_ranks": tuple(
-            (len(d) // factors.beam_rank, factors.beam_rank) for _, _, d in scales
-        ),
-        "discarded_mass": factors.discarded,
-    }
-    totals, probabilities, rho = _herald(
-        _eta_grams(factors, key.detector, etas), scales
-    )
-    possible = totals >= HERALD_PROBABILITY_FLOOR
-    fidelities = _fidelities(rho, factors.target)
-    dim_a = len(factors.signal_states)
-    negativities = iter(stacked_negativity(rho[possible], dim_a))
-    rows = []
-    for i, plain in enumerate(totals.tolist()):
-        if not possible[i]:
-            rows.append(
-                HeraldImpossibleError(
-                    f"herald pattern has probability {plain:.3e}, below the "
-                    f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
-                )
-            )
-            continue
-        diagnostics = {
-            # one pattern's; the flipped one fires alike (see `_herald`)
-            "plain_probability": plain,
-            "branch_probabilities": tuple(probabilities[i].tolist()),
-            **shared,
-        }
-        result = SchemeResult(
-            probability_total=2.0 * plain,
-            fidelity=fidelities[i],
-            negativity=next(negativities),
-            post_state=None,
-            diagnostics=diagnostics,
-        )
-        rows.append((result, rho[i]))
-    return rows
-
-
-@lru_cache(maxsize=32)
-def _sector_heralds(key: SchemeConfig, etas: Tuple[float, ...]):
-    """Per efficiency in `etas`: the both-pattern herald probabilities p_n
-    and fidelities f_n of the unit pair-number sectors of `_factors(key)`
-    (0 and 0 for a sector that cannot herald), each sector heralded by
-    `_herald` from its diagonal block of the stacked Grams and scored as
-    c^H rho_t c."""
-    factors = _factors(key)
-    grams = _eta_grams(factors, key.detector, etas)
-    probs = []
-    fids = []
-    for block in factors.blocks.values():
-        totals, _, rho = _herald(grams, ((1.0, block, factors.scale[block]),))
-        probs.append(
-            [2.0 * p if p >= HERALD_PROBABILITY_FLOOR else 0.0 for p in totals.tolist()]
-        )
-        fids.append(_fidelities(rho, factors.target))
-        del rho  # one sector's (E, r, r) states at a time
-    return tuple(zip(zip(*probs), zip(*fids)))
-
-
-def _decomposed_rows(
-    key: SchemeConfig, points, weights: Mapping[float, Tuple[float, ...]]
+def _evaluate(
+    key: SchemeConfig,
+    points: Sequence[Tuple[float, Optional[float]]],
+    coherent_herald: bool = False,
 ):
-    """`_evaluate` for downconversion: per point (eta, lambda), P = sum_n
-    w_n p_n and F = sum_n w_n p_n f_n / P over the unit sectors' heralds
-    at eta, with the sector weights `weights[lambda]`."""
-    factors = _factors(key)
-    tails: Dict[float, object] = {}
-    for lam, w in weights.items():
-        try:
-            branches = _pair_branches(key, w)
-            tails[lam] = _truncation_tail(branches, factors, key.tail_tol)
-        except TruncationError as exc:
-            tails[lam] = exc
-    etas = tuple(dict.fromkeys(eta for eta, _ in points))
-    sectors = dict(zip(etas, _sector_heralds(key, etas)))
-    rows = []
-    for eta, lam in points:
-        tail, w = tails[lam], weights[lam]
-        probs, fids = sectors[eta]
-        p_tot = sum(wn * p for wn, p in zip(w, probs))
-        if isinstance(tail, SimulationError):
-            rows.append(tail)
-        elif p_tot <= 0.0:
-            rows.append(HeraldImpossibleError("no pair-number sector heralds"))
-        else:
-            f_eff = sum(wn * p * f for wn, p, f in zip(w, probs, fids)) / p_tot
-            diagnostics = {
-                "worst_tail_mass": tail,
-                "p_vac": probs[0],
-                "p_chi": probs[1],
-                "f_chi": fids[1],
-            }
-            if len(probs) > 2:
-                diagnostics["p_phi2"] = probs[2]
-            result = SchemeResult(
-                probability_total=p_tot,
-                fidelity=f_eff,
-                negativity=None,
-                post_state=None,
-                diagnostics=diagnostics,
-            )
-            rows.append((result, None))
-    return rows
-
-
-def _evaluate(key: SchemeConfig, points: Sequence[Tuple[float, Optional[float]]]):
     """Score every point (eta, lambda) of one preparation: `key` is a
     `_factors_key`, and lambda is None unless the pair source is
     downconversion. `sweep` calls this once per preparation, `run_scheme`
-    with its one point.
+    with its one point and the `coherent_herald`.
 
     Returns per point the `SimulationError` that failed it or (result,
     rho_t): a `SchemeResult` without `post_state`, and the heralded
-    term-basis state. Downconversion rows are the sector recombination
-    (see `spdc_decomposition`): their rho_t and negativity are None. As in
-    `run_scheme`, a point's own values are checked first, then the shared
-    preparation and its truncation, then the point's herald.
+    term-basis state or None. A point's own values are checked first, then
+    the shared preparation and its truncation, then the point's herald.
     """
-    weights: Dict[float, Tuple[float, ...]] = {}
+    weights: Dict[Optional[float], Dict[int, float]] = {}
     outcomes: List[object] = []
     for eta, lam in points:
         try:
             _check_eta(eta)
-            if lam is not None and lam not in weights:
-                source = PairSourceSpec.spdc(lam, key.spdc_order, key.spdc_weighting)
-                weights[lam] = source.sector_weights()
+            if lam not in weights:
+                weights[lam] = _sector_weights(key, lam)
         except ValidationError as exc:
             outcomes.append(exc)
         else:
             outcomes.append(None)
-    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    if not live:
-        return outcomes
+    live = [point for point, outcome in zip(points, outcomes) if outcome is None]
     try:
-        if key.pair_source == "spdc":
-            scored = _decomposed_rows(key, [points[i] for i in live], weights)
-        else:
-            etas = [points[i][0] for i in live]
-            scored = _coherent_rows(key, etas, _pair_branches(key))
+        scored = _score(key, live, weights, coherent_herald) if live else {}
     except SimulationError as exc:
-        scored = [exc] * len(live)
-    for i, outcome in zip(live, scored):
-        outcomes[i] = outcome
-    return outcomes
+        scored = dict.fromkeys(live, exc)
+    return [outcome or scored[point] for point, outcome in zip(points, outcomes)]
+
+
+def _score(key: SchemeConfig, points, weights, coherent_herald: bool):
+    """`_evaluate` of its valid points, keyed by point, with the sector
+    weights `weights[lambda]`.
+
+    The POVM is photon-number diagonal and the unit sectors differ in
+    signal photon number, so P and F read only each sector's diagonal block
+    of the Grams: with B_n = d herm(G_nn) d, t_n = tr B_n (the sector's
+    plain-pattern probability) and phi_n = c^H B_n c (its target overlap),
+    P = 2 sum_n w_n t_n and F = sum_n w_n phi_n / sum_n w_n t_n for every
+    source. The truncation deficit over the sectors' deficits d_n, gated
+    at `tail_tol` per lambda, is sum_n w_n d_n / sum_n w_n for
+    downconversion and max_n d_n for a mixture. A point whose plain
+    probability is below `HERALD_PROBABILITY_FLOOR` cannot herald and fails
+    alone.
+
+    Only the plain pattern is heralded. Swapping H and V in every mode
+    leaves the prepared state unchanged (the tap is polarization
+    independent, sector n maps onto itself under m -> n - m, and the
+    splitters and POVMs are alike for H and V), so the flipped pattern
+    fires alike and, bit-flipped, leaves the plain state. A
+    polarization-dependent element would break this; the dense oracle
+    heralds both patterns and pins it.
+
+    rho_t = D G D / (P / 2) is formed only for the negativity and the
+    post-state, one stacked eigensolve per lambda. The chi and vacuum-mixed
+    pairs are mixtures of their sectors, so their rho_t is block diagonal
+    with blocks w_n B_n. Downconversion is a coherent sum, so its rho_t
+    keeps the blocks between sectors n and m, weighted sqrt(w_n w_m), and
+    only the `coherent_herald` forms it.
+    """
+    factors = _factors(key)
+    coherent = key.pair_source == "spdc"
+    etas = list(dict.fromkeys(eta for eta, _ in points))
+    # D G D in place, G Hermitised so that rho_t is Hermitian to roundoff
+    scaled, d = _eta_grams(factors, key.detector, etas), factors.scale
+    scaled += scaled.conj().transpose(0, 2, 1)
+    scaled *= 0.5
+    scaled *= d[:, None]
+    scaled *= d
+    traces, overlaps = {}, {}
+    for n, rows in factors.blocks.items():
+        block, c = scaled[:, rows, rows], factors.target[rows]
+        traces[n] = np.trace(block, axis1=1, axis2=2).real
+        overlaps[n] = ((block @ c) * c.conj()).sum(axis=1).real
+    scores = {}
+    for lam, w in weights.items():
+        if coherent:
+            tail = sum(wn / sum(w.values()) * factors.tails[n] for n, wn in w.items())
+        else:
+            tail = max(factors.tails[n] for n in w)
+        if tail > key.tail_tol:
+            error = TruncationError(
+                f"truncation lost probability {tail:.3e}, above the "
+                f"tolerance {key.tail_tol:.0e}; raise the cutoffs"
+            )
+            scores.update(((eta, lam), error) for eta in etas)
+            continue
+        plain = sum(wn * traces[n] for n, wn in w.items())
+        overlap = sum(wn * overlaps[n] for n, wn in w.items())
+        ok = [i for i, p in enumerate(plain) if p >= HERALD_PROBABILITY_FLOOR]
+        states, negativities = {}, {}
+        if ok and (coherent_herald or not coherent):
+            mix = np.zeros((len(d), len(d)))
+            for (n, a), (m, b) in itertools.product(factors.blocks.items(), repeat=2):
+                if coherent or n == m:
+                    mix[a, b] = w[n] if n == m else math.sqrt(w[n] * w[m])
+            rho = scaled[ok] * mix / plain[ok][:, None, None]
+            states = dict(zip(ok, rho))
+            dim_a = len(factors.signal_states)
+            negativities = dict(zip(ok, stacked_negativity(rho, dim_a)))
+        for i, eta in enumerate(etas):
+            if plain[i] < HERALD_PROBABILITY_FLOOR:
+                scores[eta, lam] = HeraldImpossibleError(
+                    f"herald pattern has probability {plain[i]:.3e}, below the "
+                    f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
+                )
+                continue
+            sectors = {n: 2.0 * float(traces[n][i]) for n in w}
+            extra = {}
+            if coherent:
+                t_chi = traces[1][i]
+                extra = dict(
+                    p_vac=sectors[0],
+                    p_chi=sectors[1],
+                    p_phi2=sectors.get(2),
+                    f_chi=float(overlaps[1][i] / t_chi) if t_chi > 0.0 else 0.0,
+                )
+            result = SchemeResult(
+                probability_total=2.0 * float(plain[i]),
+                fidelity=float(overlap[i] / plain[i]),
+                negativity=negativities.get(i),
+                post_state=None,
+                plain_probability=float(plain[i]),
+                sector_probabilities=sectors,
+                tail_mass=tail,
+                cutoffs=factors.cuts,
+                schmidt_ranks=(len(factors.signal_states), factors.beam_rank),
+                discarded_mass=factors.discarded,
+                **extra,
+            )
+            scores[eta, lam] = (result, states.get(i))
+    return scores
 
 
 def run_scheme(config: SchemeConfig) -> SchemeResult:
     """Simulate one heralded run of the scheme: `sweep`'s evaluation of one
-    preparation (`_evaluate`) at the config's one point, plus the heralded
-    state embedded in the register as `post_state`.
+    preparation (`_evaluate`) at the config's one point, with the coherent
+    herald for downconversion, plus the heralded state embedded in the
+    register as `post_state`.
 
-    Both click patterns contribute. Only the plain one is heralded: the
-    flipped pattern, after the deterministic polarization bit flip, fires
-    with the same probability and leaves the same state (see `_herald`).
-    The reported fidelity is against the hybrid target at the configured
-    alpha_f and phi.
-
-    The herald contracts Schmidt factors of the pair-number sectors and the
-    beam (see `_factors`, cached free of eta and lambda) through one Gram
-    matrix G of all their terms (`_gram`). A pair-source branch of weight W
-    stacks its sectors, sector n's scales d times sqrt(w_n / W), against
-    the Gram's block over the same consecutive terms. The heralded state
-    rho_t = D G D / p stays in the term basis: F = c^H rho_t c with c the
-    target's term coefficients, and the negativity is eigensolved on rho_t
-    (at alpha_f = 2.5, 46 dimensions instead of the register's 297). For
-    downconversion, P and F are the sector recombination of
-    `spdc_decomposition`, equal to the coherent herald's to roundoff; the
-    coherent herald, which a sweep row skips, gives the negativity and the
-    state.
+    Both click patterns contribute; only the plain one is heralded (see
+    `_score`). The fidelity is against the hybrid target at the configured
+    alpha_f and phi. The negativity is eigensolved on the term-basis rho_t
+    (at alpha_f = 2.5, 46 dimensions instead of the register's 297).
     """
     key = _factors_key(config)
-    (outcome,) = _evaluate(key, ((config.eta, config.lam),))
+    (outcome,) = _evaluate(key, ((config.eta, config.lam),), coherent_herald=True)
     if isinstance(outcome, SimulationError):
         raise outcome
     result, rho = outcome
-    diagnostics = dict(result.diagnostics)
-    negativity = result.negativity
-    if config.pair_source == "spdc":
-        # the coherent herald, for the negativity and the state
-        (coherent,) = _coherent_rows(key, (config.eta,), _pair_branches(config))
-        if isinstance(coherent, SimulationError):
-            raise coherent
-        herald, rho = coherent
-        negativity = herald.negativity
-        diagnostics = dict(herald.diagnostics, **diagnostics)
-    elif config.scs_source == "ideal" and config.detector == "pnr":
-        # the closed-form total probability, weighted by the pair branch
-        scale = config.z if config.pair_source == "vacuum_mixed" else 1.0
-        reference = analytic.p_tot_eta(
+    reference = None
+    if config.scs_source == "ideal" and config.detector == "pnr" and (
+        config.pair_source != "spdc"
+    ):
+        # the closed form, weighted by the pair's one-pair sector
+        p_tot = analytic.p_tot_eta(
             config.resolved_alpha_f, config.t, config.eta, config.phi
         )
-        if reference > 0.0:
-            diagnostics["analytic_p_tot"] = scale * reference
-            diagnostics["numeric_analytic_ratio"] = (
-                result.probability_total / (scale * reference)
-            )
+        if p_tot > 0.0:
+            reference = _sector_weights(config, None)[1] * p_tot
     return dataclasses.replace(
-        result,
-        negativity=negativity,
-        post_state=_embed(_factors(key), rho),
-        diagnostics=diagnostics,
+        result, post_state=_embed(_factors(key), rho), analytic_p_tot=reference
     )
 
 
 def spdc_decomposition(config: SchemeConfig) -> Dict[str, Optional[float]]:
     """Pair-number decomposition of a downconversion-driven run.
 
-    The sectors n = 0 .. spdc_order do not interfere in the herald: its
-    weights are photon-number diagonal and the sectors differ in signal
-    photon number. So P = sum_n w_n p_n and F = sum_n w_n p_n f_n / P, with
-    the unit sectors' p_n and f_n cached per lambda-free config and eta and
-    w_n from `PairSourceSpec.sector_weights`; at 'paper' weighting these
-    are the paper's P_tot and F_eff. Returns p_vac, p_chi, p_phi2 (None at
-    order 1), f_chi, f_eff, p_tot and tail_mass.
+    The sectors n = 0 .. spdc_order do not interfere in the herald (see
+    `_score`), so P = sum_n w_n p_n and F = sum_n w_n p_n f_n / P over the
+    unit sectors' p_n and f_n, with w_n from `PairSourceSpec.sector_weights`:
+    at 'paper' weighting the paper's P_tot and F_eff. Returns p_vac, p_chi,
+    p_phi2 (None at order 1), f_chi, f_eff, p_tot and tail_mass, read off
+    `_evaluate`'s row for the point.
     """
     if config.pair_source != "spdc":
         raise ValidationError("decomposition applies to the spdc pair source")
@@ -814,16 +708,9 @@ def spdc_decomposition(config: SchemeConfig) -> Dict[str, Optional[float]]:
     if isinstance(outcome, SimulationError):
         raise outcome
     result, _ = outcome
-    diag = result.diagnostics
-    return {
-        "p_vac": diag["p_vac"],
-        "p_chi": diag["p_chi"],
-        "p_phi2": diag.get("p_phi2"),
-        "f_chi": diag["f_chi"],
-        "f_eff": result.fidelity,
-        "p_tot": result.probability_total,
-        "tail_mass": diag["worst_tail_mass"],
-    }
+    names = ("p_vac", "p_chi", "p_phi2", "f_chi", "tail_mass")
+    values = {name: getattr(result, name) for name in names}
+    return dict(values, f_eff=result.fidelity, p_tot=result.probability_total)
 
 
 @dataclass(frozen=True)
@@ -843,16 +730,15 @@ class SweepRow:
         cls, params: Tuple[Tuple[str, float], ...], result: SchemeResult
     ) -> "SweepRow":
         """The table row of one heralded run."""
-        diag = result.diagnostics
         return cls(
             params=params,
             fidelity=result.fidelity,
             probability_total=result.probability_total,
             negativity=result.negativity,
-            p_vac=diag.get("p_vac"),
-            p_chi=diag.get("p_chi"),
-            p_phi2=diag.get("p_phi2"),
-            tail_mass=float(diag["worst_tail_mass"]),
+            p_vac=result.p_vac,
+            p_chi=result.p_chi,
+            p_phi2=result.p_phi2,
+            tail_mass=result.tail_mass,
         )
 
 
@@ -882,16 +768,12 @@ def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTab
 
     Axes are sorted by name and each axis's values ascending, so the row
     order is deterministic regardless of input ordering. Points that differ
-    only in eta (and, for downconversion, lambda) share one preparation:
-    its factors are looked up once, its truncation checked once, and
-    `_evaluate` heralds every eta of it from one stacked herald and one
-    stacked eigensolve. Each row is the `run_scheme` of its point, bit for
-    bit, without the post-state, which no row carries. Downconversion rows
-    report `spdc_decomposition` (the P, F, p_* and tail_mass `run_scheme`
-    reports) without a coherent herald and leave negativity empty, since
-    that needs the coherent state's eigensolve. Rows that fail validation
-    or hit numerical limits are reported with an error status instead of
-    aborting the sweep.
+    only in eta (and, for downconversion, lambda) share one preparation,
+    which `_evaluate` scores in one pass. Each row is the `run_scheme` of
+    its point, bit for bit, without the post-state; downconversion rows
+    skip the coherent herald and so leave negativity empty. Rows that fail
+    validation or hit numerical limits are reported with an error status
+    instead of aborting the sweep.
     """
     if not grid:
         raise ValidationError("sweep grid must name at least one axis")

@@ -213,10 +213,10 @@ def _ideal_config(alpha_i: float, t: float, eta: float = 1.0, **kw) -> SchemeCon
 
 
 def _vacuum_probability(config: SchemeConfig) -> float:
-    """Herald probability of the empty pair alone: the vacuum branch of an
-    even vacuum-mixed pair, both patterns, over its weight."""
+    """Herald probability of the empty pair alone, both patterns: the unit
+    vacuum sector of a vacuum-mixed pair."""
     run = run_scheme(replace(config, pair_source="vacuum_mixed", z=0.5))
-    return 2.0 * run.diagnostics["branch_probabilities"][1] / 0.5
+    return run.sector_probabilities[0]
 
 
 def check_vacuum_filtering() -> CheckResult:
@@ -288,7 +288,7 @@ def check_pattern_symmetry() -> CheckResult:
         posts.append(post)
     prob_gap = abs(probs[0] - probs[1]) / max(probs)
     state_gap = float(np.abs(posts[0].matrix - posts[1].matrix).max())
-    factored = run_scheme(config).diagnostics["plain_probability"]
+    factored = run_scheme(config).plain_probability
     oracle_gap = max(abs(factored - p) / p for p in probs)
     passed = prob_gap <= 1e-10 and state_gap <= 1e-9 and oracle_gap <= 1e-12
     return _result(
@@ -308,7 +308,7 @@ def check_probability_ratio() -> CheckResult:
     for alpha_i in (0.7, 1.0):
         for t in (0.75, 0.9, 0.99):
             result = run_scheme(_ideal_config(alpha_i, t))
-            ratios.append(result.diagnostics["numeric_analytic_ratio"])
+            ratios.append(result.probability_total / result.analytic_p_tot)
     ratios = np.array(ratios)
     spread = float(ratios.max() - ratios.min()) / float(ratios.mean())
     constant = float(ratios.mean())
@@ -491,8 +491,10 @@ def check_spdc_lambda_scaling() -> CheckResult:
     for lam in (0.01, 0.03, 0.05):
         config = replace(base, lam=lam)
         full = run_scheme(config)
-        coherent = 2.0 * full.diagnostics["plain_probability"]
-        worst_p = max(worst_p, abs(coherent / full.probability_total - 1.0))
+        # the coherent state is normalized by the recombination, so its own
+        # trace is their ratio
+        coherent = np.trace(full.post_state.matrix).real
+        worst_p = max(worst_p, abs(coherent - 1.0))
         dec = spdc_decomposition(config)
         formula = analytic.f_eff(
             dec["p_vac"], dec["p_chi"], dec["p_phi2"], lam, dec["f_chi"]

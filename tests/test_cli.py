@@ -127,6 +127,24 @@ def test_run_missing_file_is_invalid_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "spdc_order = -3\n",
+        "spdc_weighting = bogus\n",
+        "n_cut = 0\n",
+        "spdc_order = -3\nspdc_weighting = bogus\nn_cut = 0\n",
+    ],
+    ids=["spdc_order", "spdc_weighting", "n_cut", "all"],
+)
+def test_run_refuses_values_the_sources_do_not_read(extra, tmp_path, capsys):
+    # an ideal cat and a chi pair read none of these keys, but a malformed
+    # value is refused rather than ignored
+    scenario = _write(tmp_path / "s.txt", BASE_SCENARIO + extra)
+    assert main(["run", "--scenario", scenario]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_run_truncation_failure_exit_code(tmp_path, capsys):
     scenario = _write(
         tmp_path / "s.txt", "t = 0.9\neta = 0.9\nalpha_i = 1.2\ncutoff_b = 4\n"

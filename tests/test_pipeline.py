@@ -80,6 +80,18 @@ def test_config_validates_ranges():
     ):
         with pytest.raises(ValidationError):
             SchemeConfig(t=0.9, eta=0.9, alpha_i=0.7, **source)
+    # checked whatever the source, and no bool passes for an integer
+    for field in (
+        dict(spdc_order=-3),
+        dict(spdc_weighting="bogus"),
+        dict(n_cut=0),
+        dict(n_cut=True),
+        dict(spdc_order=True),
+        dict(cutoff_detector=True),
+        dict(cutoff_b=False),
+    ):
+        with pytest.raises(ValidationError):
+            SchemeConfig(t=0.9, eta=0.9, alpha_i=0.7, **field)
 
 
 def test_config_rejects_odd_cat_without_amplitude():
@@ -146,38 +158,34 @@ def test_fidelity_follows_detector_formula():
         assert abs(result.fidelity - expected) < 1e-4
 
 
-def _record_heralds(monkeypatch):
-    """Arguments (grams, branches) of every `_herald` call the pipeline
-    makes, grams the stacked (E, r, r) Grams."""
-    calls = []
-    real = pipeline._herald
+def _record_gram_stacks(monkeypatch):
+    """A copy of every stack of plain-pattern Grams `pipeline._eta_grams`
+    returns, before the pipeline scales it in place."""
+    stacks = []
+    real = pipeline._eta_grams
 
     def record(*args):
-        calls.append(args)
-        return real(*args)
+        stacks.append(real(*args))
+        return stacks[-1].copy()
 
-    monkeypatch.setattr(pipeline, "_herald", record)
-    return calls
+    monkeypatch.setattr(pipeline, "_eta_grams", record)
+    return stacks
 
 
-def _mirrored_terms(factors):
-    """The term order that swaps A_H and A_V: term (k, l) goes to the term
-    of the mirrored signal state |n - m, m> and the same beam vector l."""
-    states = factors.signal_states.tolist()
-    a = factors.cuts.a + 1
-    mirror = np.array([states.index((s % a) * a + s // a) for s in states])
-    return (mirror[:, None] * factors.beam_rank + np.arange(factors.beam_rank)).ravel()
+def _mirrored(post):
+    """The matrix of a state on (A_H, A_V, B) with A_H and A_V swapped."""
+    tensor = post.matrix.reshape(post.register.dims * 2)
+    return tensor.transpose(1, 0, 2, 4, 3, 5).reshape(post.matrix.shape)
 
 
 def test_pattern_probabilities_symmetric(monkeypatch):
-    """On the very branches `run_scheme` heralds, at default cutoffs, the
-    flipped pattern fires with the plain one's probability and leaves the
-    plain term-basis state once bit-flipped: the symmetry that lets it
-    herald one. The flipped heralds come from rerunning with the Grams
-    formed from the flipped pattern. Each run heralds one efficiency, so
-    every stack of Grams holds one."""
-    herald_terms = pipeline._herald
-    calls = _record_heralds(monkeypatch)
+    """For every pair source, at default cutoffs, the flipped pattern fires
+    with the plain one's probability, in every pair-number sector, and
+    leaves the plain state once bit-flipped: the symmetry that lets
+    `run_scheme` herald one. The flipped run forms its Grams from the
+    flipped pattern. Each run contracts one stack of Grams, of one
+    efficiency, downconversion included."""
+    stacks = _record_gram_stacks(monkeypatch)
     pattern = pipeline.herald_pattern
     for kwargs in (
         dict(t=0.9, eta=0.9, alpha_f=2.5),
@@ -188,37 +196,26 @@ def test_pattern_probabilities_symmetric(monkeypatch):
     ):
         config = SchemeConfig(**kwargs)
         runs = []
+        grams = []
         for flipped in (False, True):
             monkeypatch.setattr(
                 pipeline,
                 "herald_pattern",
                 lambda *args, f=flipped: pattern(*args, flipped=f),
             )
-            pipeline._sector_heralds.cache_clear()
-            calls.clear()
-            result = run_scheme(config)
-            # (downconversion) one herald per sector, then the coherent run
-            assert len(calls) == (1 if config.pair_source != "spdc" else 5)
-            assert all(len(grams) == 1 for grams, _ in calls)
-            runs.append((result, list(calls)))
-        (result, plain_calls), (_, flip_calls) = runs
-        (coherent,), _, _ = herald_terms(*plain_calls[-1])
-        assert result.diagnostics["plain_probability"] == coherent
-        terms = _mirrored_terms(pipeline._factors(pipeline._factors_key(config)))
-        for (gram, branches), (flip_gram, flip_branches) in zip(
-            plain_calls, flip_calls
-        ):
-            assert not np.array_equal(gram, flip_gram)
-            for (weight, rows, d), (flip_weight, flip_rows, flip_d) in zip(
-                branches, flip_branches
-            ):
-                assert (weight, rows) == (flip_weight, flip_rows)
-                assert np.array_equal(d, flip_d)
-            (plain,), _, (rho,) = herald_terms(gram, branches)
-            (flip,), _, (flip_rho,) = herald_terms(flip_gram, flip_branches)
-            assert abs(flip - plain) <= 1e-12 * plain
-            mirrored = flip_rho[np.ix_(terms, terms)]
-            assert float(np.abs(mirrored - rho).max()) <= 1e-12
+            stacks.clear()
+            runs.append(run_scheme(config))
+            assert [len(stack) for stack in stacks] == [1]
+            grams.append(stacks[0])
+        plain, flip = runs
+        assert not np.array_equal(*grams)
+        total = plain.probability_total
+        assert abs(flip.probability_total - total) <= 1e-12 * total
+        assert flip.sector_probabilities.keys() == plain.sector_probabilities.keys()
+        for n, p in plain.sector_probabilities.items():
+            assert abs(flip.sector_probabilities[n] - p) <= 1e-12 * max(p, total)
+        mirrored = _mirrored(flip.post_state)
+        assert float(np.abs(mirrored - plain.post_state.matrix).max()) <= 1e-12
 
 
 def test_vacuum_mixture_scales_probability():
@@ -295,9 +292,9 @@ def test_spdc_decomposition_frozen_spots():
 
 def test_spdc_run_reports_component_probabilities():
     result = run_scheme(SchemeConfig(**SPOT_A))
-    diag = result.diagnostics
     for key in ("p_vac", "p_chi", "p_phi2"):
-        assert abs(diag[key] - SPOT_A_EXPECTED[key]) < 1e-6 * SPOT_A_EXPECTED[key]
+        value = getattr(result, key)
+        assert abs(value - SPOT_A_EXPECTED[key]) < 1e-6 * SPOT_A_EXPECTED[key]
     # full-state fidelity coincides with the incoherent effective fidelity
     # because the target lives entirely in the single-pair sector
     assert abs(result.fidelity - SPOT_A_EXPECTED["f_eff"]) < 1e-6
@@ -495,7 +492,7 @@ def test_factored_herald_matches_dense_oracle(pair, beam, detector, extra):
     config = SchemeConfig(**kwargs, **extra)
     result = run_scheme(config)
     probs, rho = _dense_oracle(config)
-    plain = result.diagnostics["plain_probability"]
+    plain = result.plain_probability
     for expected in probs:
         assert abs(plain - expected) <= 1e-12 * max(probs)
     assert abs(result.probability_total / sum(probs) - 1.0) <= 1e-12
@@ -601,7 +598,8 @@ def test_negativity_eigensolve_runs_on_the_product_support(monkeypatch):
     for spot, expected in zip(FIGURE_4_SPOTS, (30, 33)):
         sizes, result = _eigensolve_sizes(monkeypatch, SchemeConfig(**spot))
         # vacuum-mixed pairs use |0, 0>, |0, 1> and |1, 0>
-        (_, beam_rank), _ = result.diagnostics["schmidt_ranks"]
+        signal_states, beam_rank = result.schmidt_ranks
+        assert signal_states == 3
         assert sizes == [(1, 3 * beam_rank, 3 * beam_rank)]
         assert 3 * beam_rank == expected
 
@@ -630,14 +628,15 @@ def test_negativity_cap_checks_the_eigensolved_dimension(monkeypatch):
     assert all(row.status == "ok" for row in table.rows)
 
 
-def test_factored_diagnostics_report_schmidt_ranks():
+def test_factored_run_reports_schmidt_ranks():
     result = run_scheme(SchemeConfig(**SPOT_A))
-    # one pure branch: its vacuum, one-pair and two-pair terms keep 1, 2
-    # and 3 signal factors
-    ((pair_rank, beam_rank),) = result.diagnostics["schmidt_ranks"]
+    # the vacuum, one-pair and two-pair sectors keep 1, 2 and 3 signal
+    # factors
+    pair_rank, beam_rank = result.schmidt_ranks
     assert pair_rank == 6
-    assert beam_rank < resolve_cutoffs(SchemeConfig(**SPOT_A)).b + 1
-    assert 0.0 <= result.diagnostics["discarded_mass"] < 1e-20
+    assert result.cutoffs == resolve_cutoffs(SchemeConfig(**SPOT_A))
+    assert beam_rank < result.cutoffs.b + 1
+    assert 0.0 <= result.discarded_mass < 1e-20
 
 
 def test_eta_sweep_is_bit_identical_to_runs():
@@ -651,7 +650,7 @@ def test_eta_sweep_is_bit_identical_to_runs():
         assert row.fidelity == result.fidelity
         assert row.probability_total == result.probability_total
         assert row.negativity == result.negativity
-        assert row.tail_mass == result.diagnostics["worst_tail_mass"]
+        assert row.tail_mass == result.tail_mass
 
 
 def _record_grams(monkeypatch):
@@ -668,7 +667,7 @@ def _record_grams(monkeypatch):
 
 
 def test_eta_shares_one_preparation(monkeypatch):
-    calls = _record_heralds(monkeypatch)
+    stacks = _record_gram_stacks(monkeypatch)
     grams = _record_grams(monkeypatch)
     shapes = _record_eigensolves(monkeypatch)
     pipeline._factors.cache_clear()
@@ -680,48 +679,59 @@ def test_eta_shares_one_preparation(monkeypatch):
     assert len(grams) == 3
     size = grams[0].shape[0]
     assert all(gram.shape == (size, size) for gram in grams)
-    # one herald of the stacked Grams and one stacked eigensolve
-    ((stack, _),) = calls
+    # one stack of the three Grams and one stacked eigensolve
+    (stack,) = stacks
     assert stack.shape == (3, size, size)
     for gram, stacked in zip(grams, stack):
         assert np.array_equal(gram, stacked)
     assert shapes == [(3, size, size)]
-    # downconversion points share it across lambda too, and the sector
-    # heralds of all their efficiencies read one stack
-    calls.clear()
+    # downconversion points share it across lambda too: one stack of the
+    # two efficiencies' Grams scores every sector at every lambda, and no
+    # row is eigensolved
+    stacks.clear()
     grams.clear()
     shapes.clear()
     pipeline._factors.cache_clear()
-    pipeline._sector_heralds.cache_clear()
     sweep(SchemeConfig(**SPOT_A), {"lambda": (0.01, 0.02, 0.03), "eta": (0.5, 0.9)})
     assert pipeline._factors.cache_info().misses == 1
-    assert pipeline._sector_heralds.cache_info().misses == 1
-    # one herald per sector n = 0, 1, 2, each of its diagonal block of the
-    # one stack of the two efficiencies' Grams; no eigensolve
-    assert (len(grams), len(calls), shapes) == (2, 3, [])
-    factors = pipeline._factors(pipeline._factors_key(SchemeConfig(**SPOT_A)))
-    stack = calls[0][0]
-    assert np.array_equal(stack, np.stack(grams))
-    for (sector_grams, branches), block in zip(calls, factors.blocks.values()):
-        ((_, rows, _),) = branches
-        assert sector_grams is stack and rows == block
+    (stack,) = stacks
+    assert len(grams) == 2 and np.array_equal(stack, np.stack(grams))
+    assert shapes == []
+    # a downconversion run contracts one stack too, of its one efficiency,
+    # and eigensolves the coherent herald's state
+    stacks.clear()
+    result = run_scheme(SchemeConfig(**SPOT_A))
+    assert [len(stack) for stack in stacks] == [1]
+    size = stacks[0].shape[1]
+    assert shapes == [(1, size, size)] and result.negativity > 0.0
+
+
+SOURCES = {
+    "chi": dict(t=0.9, eta=0.9, alpha_f=1.0),
+    "vacuum_mixed": FIGURE_4_SPOTS[1],
+    "spdc": SPOT_A,
+}
 
 
 def test_sweep_reports_each_efficiency_of_a_preparation_on_its_own():
-    """eta = 0 cannot herald: its row fails alone, and the other rows of the
-    same stacked herald equal their runs bit for bit."""
-    config = SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0)
-    table = sweep(config, {"eta": (0.0, 0.5, 0.9)})
-    statuses = [row.status for row in table.rows]
-    assert statuses == ["error:HeraldImpossibleError", "ok", "ok"]
-    with pytest.raises(HeraldImpossibleError):
-        run_scheme(dataclasses.replace(config, eta=0.0))
-    for row in table.rows[1:]:
-        result = run_scheme(dataclasses.replace(config, **dict(row.params)))
-        assert row.fidelity == result.fidelity
-        assert row.probability_total == result.probability_total
-        assert row.negativity == result.negativity
-        assert row.tail_mass == result.diagnostics["worst_tail_mass"]
+    """For every pair source, eta = 0 cannot herald: one herald-floor rule
+    fails its row alone, and the other rows of the same preparation equal
+    their runs bit for bit (downconversion rows without the coherent
+    herald's negativity)."""
+    for source, kwargs in SOURCES.items():
+        config = SchemeConfig(**kwargs)
+        table = sweep(config, {"eta": (0.0, 0.5, 0.9)})
+        statuses = [row.status for row in table.rows]
+        assert statuses == ["error:HeraldImpossibleError", "ok", "ok"], source
+        with pytest.raises(HeraldImpossibleError):
+            run_scheme(dataclasses.replace(config, eta=0.0))
+        for row in table.rows[1:]:
+            result = run_scheme(dataclasses.replace(config, **dict(row.params)))
+            expected = cli.SweepRow.from_result(row.params, result)
+            if source == "spdc":
+                assert row.negativity is None and result.negativity > 0.0
+                expected = dataclasses.replace(expected, negativity=None)
+            assert row == expected, source
 
 
 def test_cold_figure_4_sweep_stays_small():
@@ -730,7 +740,6 @@ def test_cold_figure_4_sweep_stays_small():
     below 2 MB."""
     for cache in (
         pipeline._factors,
-        pipeline._sector_heralds,
         optics._cached_kernel,
         optics._cached_displacement,
     ):
@@ -750,7 +759,6 @@ def test_cold_large_amplitude_run_stays_small():
     factors Z (46 x 14^4 complex) would take alone."""
     for cache in (
         pipeline._factors,
-        pipeline._sector_heralds,
         optics._cached_kernel,
         optics._cached_displacement,
     ):
@@ -801,7 +809,7 @@ def test_sweep_runs_higher_spdc_orders_in_full():
     assert row.fidelity == result.fidelity
     # sweep rows skip the coherent post-state's eigensolve at every order
     assert row.negativity is None and result.negativity > 0.0
-    assert row.p_chi == result.diagnostics["p_chi"]
+    assert row.p_chi == result.p_chi
     assert abs(row.probability_total - 4.4635e-4) < 1e-7
     assert abs(row.fidelity - 0.17855) < 1e-5
     assert spdc_decomposition(config)["p_tot"] == row.probability_total
@@ -813,7 +821,7 @@ def test_truncation_gate_weights_the_sectors():
     config = SchemeConfig(**SPDC_ORDER_3)
     factors = pipeline._factors(pipeline._factors_key(config))
     assert factors.tails[3] > config.tail_tol
-    tail = run_scheme(config).diagnostics["worst_tail_mass"]
+    tail = run_scheme(config).tail_mass
     weights = resource_states.PairSourceSpec.spdc(0.3, 3).sector_weights()
     expected = sum(w * factors.tails[n] for n, w in enumerate(weights))
     assert abs(tail - expected / sum(weights)) <= 1e-15 * tail
@@ -823,8 +831,8 @@ def test_truncation_gate_weights_the_sectors():
 def test_spdc_order_one_has_no_two_pair_term():
     config = SchemeConfig(**dict(SPOT_A, lam=0.02, spdc_order=1))
     result = run_scheme(config)
-    assert "p_phi2" not in result.diagnostics
-    assert result.diagnostics["p_chi"] == pytest.approx(SPOT_A_EXPECTED["p_chi"])
+    assert result.p_phi2 is None
+    assert result.p_chi == pytest.approx(SPOT_A_EXPECTED["p_chi"])
     row = sweep(config, {"lambda": (0.02,)}).rows[0]
     assert row.status == "ok" and row.p_phi2 is None
     assert spdc_decomposition(config)["p_phi2"] is None
@@ -850,19 +858,18 @@ def test_spdc_sweep_rows_equal_runs(point):
     config = SchemeConfig(**point)
     row = sweep(config, {"lambda": (config.lam,), "eta": (config.eta,)}).rows[0]
     result = run_scheme(config)
-    diag = result.diagnostics
     assert row.probability_total == result.probability_total
     assert row.fidelity == result.fidelity
     assert (row.p_vac, row.p_chi, row.p_phi2) == (
-        diag["p_vac"], diag["p_chi"], diag["p_phi2"]
+        result.p_vac, result.p_chi, result.p_phi2
     )
-    assert row.tail_mass == diag["worst_tail_mass"]
-    # the coherent post-state agrees with the sector recombination
+    assert row.tail_mass == result.tail_mass
+    # the coherent post-state, normalized by the sector recombination,
+    # agrees with it: its trace is one and its overlap is F
     post = result.post_state
     target = oracle.target_hybrid(config.resolved_alpha_f, config.phi, post.register)
     assert abs(oracle.fidelity(post, target) - result.fidelity) <= 1e-12
-    coherent = 2.0 * diag["plain_probability"]
-    assert abs(coherent / result.probability_total - 1.0) <= 1e-12
+    assert abs(np.trace(post.matrix).real - 1.0) <= 1e-12
 
 
 def test_run_path_leaves_the_dense_oracle_alone(monkeypatch, tmp_path):
@@ -888,7 +895,6 @@ def test_run_path_leaves_the_dense_oracle_alone(monkeypatch, tmp_path):
                 if id(value) in held:
                     monkeypatch.setattr(module, attr, forbidden)
     pipeline._factors.cache_clear()
-    pipeline._sector_heralds.cache_clear()
     with pytest.raises(AssertionError):
         build_prestate(SchemeConfig(**SPOT_A))
     scenario = "".join(
@@ -928,7 +934,6 @@ def test_spdc_components_skip_negativity(monkeypatch):
         np.linalg, "eigvalsh", lambda m: sizes.append(m.shape[0]) or real(m)
     )
     pipeline._factors.cache_clear()
-    pipeline._sector_heralds.cache_clear()
     spdc_decomposition(SchemeConfig(**SPOT_A))
     assert sizes == []
 
