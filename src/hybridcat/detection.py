@@ -11,7 +11,9 @@ state's terms.
 from __future__ import annotations
 
 import math
-from typing import Dict
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -64,7 +66,7 @@ def povm_click(eta: float, cutoff: int) -> np.ndarray:
 
 def herald_pattern(
     detector: str, eta: float, cutoff: int, flipped: bool = False
-) -> Dict[str, np.ndarray]:
+) -> Mapping[str, np.ndarray]:
     """Weights of the scheme's four detector channels 5H, 5V, 6H and 6V.
 
     The plain pattern asks for one photon in each of 5V and 6H and nothing
@@ -72,11 +74,21 @@ def herald_pattern(
     `detector="pnr"` the bright channels use the exact one-photon outcome;
     with `detector="onoff"` they use the click outcome. Dark channels always
     use the zero-photon outcome, which is the same element for both detector
-    types.
+    types. The read-only mapping is cached per (detector, eta, cutoff,
+    flipped).
     """
     if detector not in ("pnr", "onoff"):
         raise ValidationError(f"unknown detector type {detector!r}")
+    return _cached_pattern(detector, float(eta), cutoff, bool(flipped))
+
+
+@lru_cache(maxsize=256)
+def _cached_pattern(
+    detector: str, eta: float, cutoff: int, flipped: bool
+) -> Mapping[str, np.ndarray]:
     dark = povm_pnr(0, eta, cutoff)
     bright = povm_pnr(1, eta, cutoff) if detector == "pnr" else povm_click(eta, cutoff)
     lit = ("5H", "6V") if flipped else ("5V", "6H")
-    return {x: bright if x in lit else dark for x in ("5H", "5V", "6H", "6V")}
+    return MappingProxyType(
+        {x: bright if x in lit else dark for x in ("5H", "5V", "6H", "6V")}
+    )

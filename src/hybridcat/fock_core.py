@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,9 +32,22 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 
 
+@lru_cache(maxsize=None)
+def _log_factorial_table(size: int) -> np.ndarray:
+    table = np.empty(size)
+    factorial = 1
+    for n in range(size):
+        factorial *= max(n, 1)
+        table[n] = math.log(factorial)
+    table.setflags(write=False)
+    return table
+
+
 def log_factorials(size: int) -> np.ndarray:
-    """log n! for n = 0 .. size - 1, each the log of the exact integer n!."""
-    return np.array([math.log(math.factorial(n)) for n in range(size)])
+    """log n! for n = 0 .. size - 1, each the log of the exact integer n!,
+    as a read-only slice of one cached table (its length a power of two,
+    at least 64, so that the sizes one run asks for share it)."""
+    return _log_factorial_table(max(64, 1 << max(size - 1, 0).bit_length()))[:size]
 
 
 @dataclass(frozen=True)

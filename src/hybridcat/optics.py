@@ -73,10 +73,13 @@ class BsParams:
 
 def _expansion_table(size: int, dim: int, to_i: complex, to_j: complex) -> np.ndarray:
     # row n, column p: C(n, p) to_i^p to_j^(n - p), zero for p > n; integer
-    # powers of a complex array keep 0 ** 0 = 1
-    binomials = np.array(
-        [[math.comb(n, p) for p in range(dim)] for n in range(size)], dtype=float
-    )
+    # powers of a complex array keep 0 ** 0 = 1. The binomials follow
+    # Pascal's rule in float64, exact while every C(n, p) is below 2^53
+    # (n <= 56)
+    binomials = np.zeros((size, dim))
+    binomials[:, 0] = 1.0
+    for row in range(1, size):
+        binomials[row, 1:] = binomials[row - 1, 1:] + binomials[row - 1, :-1]
     n, p = np.arange(size)[:, None], np.arange(dim)
     powers = np.complex128(to_i) ** p * np.complex128(to_j) ** np.maximum(n - p, 0)
     return binomials * powers

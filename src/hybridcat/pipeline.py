@@ -13,11 +13,12 @@ beam. After the balanced splitter the detector channels are relabeled
 up as B.
 
 `run_scheme` never forms the joint state. The tapped beam is written in
-closed form on (4H, 4V, B_H) and split into Schmidt factors, the pair as a
-sum over pair-number sectors n written in closed form. Each term (k, l) of
-the state before detection is a signal Fock state |m, n - m> times the
-beam's right singular vector `beam_vh[l]` on the kept modes, scaled by
-d = (n + 1)^(-1/2) s_l, next to a measured factor. The herald contracts a
+closed form on (4H, 4V, B_H) and split into Schmidt factors through its
+one tap mode (`_beam`), the pair as a sum over pair-number sectors n
+written in closed form. Each term (k, l) of the state before detection is
+a signal Fock state |m, n - m> times the beam's right singular vector
+`beam_vh[l]` on the kept modes, scaled by d = (n + 1)^(-1/2) s_l, next to
+a measured factor. The herald contracts a
 small Gram matrix G of the plain click pattern pulled back through the
 splitters onto each polarization's idler and tap factors, so no array spans
 all four detector channels; the flipped pattern follows by the state's
@@ -29,13 +30,14 @@ arXiv:1410.6823). The detectors are photon-number diagonal, so P and F
 are recombined from each sector's diagonal block of G alone. The heralded
 state stays in the term basis as the r x r matrix rho_t = D G D / p, formed
 only for the negativity and the post-state: the kept vectors of the terms
-are orthonormal, so embedding rho_t in the register is a local isometry.
+are orthonormal, so embedding rho_t in the register is a local isometry,
+done only when a result's `post_state` is first read.
 
 Evaluation runs one preparation at a time (`_evaluate`): the points of a
 sweep that differ only in eta (and, for downconversion, lambda) share one
 `_factors` lookup, their Grams are contracted one efficiency at a time and
 stacked (E, r, r), and the states of a stack are eigensolved in one call.
-`run_scheme` is the same evaluation at one point plus the embedded
+`run_scheme` is the same evaluation at one point plus rho_t for the
 post-state, and for downconversion the coherent herald; sweep rows carry
 neither.
 """
@@ -43,10 +45,10 @@ neither.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,6 +120,12 @@ class SchemeConfig:
     tail_tol: float = 1e-8
 
     def __post_init__(self):
+        # bool is an int, so True would pass every range check below as 1
+        floats = ("t", "eta", "phi", "alpha_i", "alpha_f", "s", "z", "lam", "tail_tol")
+        for name in floats:
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValidationError(f"{name} must be a number, got {value!r}")
         if not (0.0 < self.t <= 1.0):
             raise ValidationError(f"transmissivity t must be in (0, 1], got {self.t}")
         _check_eta(self.eta)
@@ -237,30 +245,54 @@ def _source_vector(config: SchemeConfig, cutoff: int) -> np.ndarray:
     return state.amps
 
 
-def _beam_state(config: SchemeConfig, cuts: ResolvedCutoffs) -> np.ndarray:
-    """Beam after the tap splitter, amplitudes on (4H, 4V, B_H).
+def _beam(config: SchemeConfig, cuts: ResolvedCutoffs):
+    """Schmidt factors of the beam after the tap splitter, tap (4H, 4V)
+    against kept field B_H.
 
     The tap is polarization independent, so each source photon stays in the
     kept field with amplitude sqrt(t) and goes to either tap polarization
-    with sqrt((1 - t) / 2):
+    with sqrt((1 - t) / 2). With s = j + k tap photons the beam is
 
-        psi[j, k, m] = c_n sqrt(n! / (j! k! m!)) ((1 - t) / 2)^((j + k) / 2)
-                       t^(m / 2),  n = j + k + m,
+        psi[(j, k), m] = sqrt(C(s, j) / 2^s) Phi[s, m],
+        Phi[s, m] = c_(s+m) sqrt((s + m)! / (s! m!)) (1 - t)^(s/2) t^(m/2),
 
-    with c the source vector, zero for n above the field cutoff, and j, k up
-    to the detector cutoff: the box the lab-frame splitters of
-    `oracle.build_prestate` keep, seen with the field in the beam's polarization.
+    with c the source vector, zero above the field cutoff b, and j, k up to
+    the detector cutoff d: the box the lab-frame splitters of
+    `oracle.build_prestate` keep, seen with the field in the beam's
+    polarization. The reflected light is one mode split evenly over 4H and
+    4V, so the split map's columns s are orthogonal, of squared norm
+    a_s = sum_(j+k=s) C(s, j) / 2^s (1 for s <= d, less above). The box's
+    SVD is therefore that of the (2d + 1) x (b + 1) matrix diag(sqrt(a)) Phi,
+    u s vh, with tap factors T_l[i, j] = sqrt(C(i + j, i) 2^-(i+j) / a_(i+j))
+    u[i + j, l]. The rank cut is numpy's `matrix_rank` tolerance on the
+    box's shape, s_0 max((d + 1)^2, b + 1) eps, so it is exact to roundoff
+    and keeps the box SVD's ranks (the small matrix's own shape would keep
+    24 vectors, not 23, at alpha_f = 2.5).
+
+    Returns (tap, s, vh, discarded): tap stacked (rank, d + 1, d + 1), and
+    the squared singular mass that was cut.
     """
-    j = np.arange(cuts.detector + 1)[:, None, None]
-    k = j.reshape(1, -1, 1)
+    dim, t = cuts.detector + 1, config.t
+    s = np.arange(2 * dim - 1)[:, None]
     m = np.arange(cuts.b + 1)
-    n = j + k + m
     c = np.concatenate((_source_vector(config, cuts.b), np.zeros(2 * cuts.detector)))
     lg = log_factorials(c.size)
-    multinomial = np.exp(0.5 * (lg[n] - lg[j] - lg[k] - lg[m]))
     # plain powers, not logarithms: at t = 1 the tap needs 0 ** 0 = 1
-    tap = math.sqrt((1.0 - config.t) / 2.0) ** (j + k)
-    return c[n] * multinomial * tap * math.sqrt(config.t) ** m
+    phi = c[s + m] * np.exp(0.5 * (lg[s + m] - lg[s] - lg[m])) \
+        * math.sqrt(1.0 - t) ** s * math.sqrt(t) ** m
+    j, k = np.arange(dim)[:, None], np.arange(dim)
+    split = np.exp(lg[j + k] - lg[j] - lg[k]) * 0.5 ** (j + k)
+    norms = np.bincount((j + k).ravel(), split.ravel())
+    u, sv, vh = np.linalg.svd(np.sqrt(norms)[:, None] * phi, full_matrices=False)
+    cut = sv[0] * max(dim * dim, m.size) * np.finfo(float).eps
+    rank = int(np.count_nonzero(sv > cut))
+    tap = u[j + k, :rank] * np.sqrt(split / norms[j + k])[..., None]
+    return (
+        np.ascontiguousarray(tap.transpose(2, 0, 1)),
+        sv[:rank],
+        vh[:rank],
+        float(np.sum(sv[rank:] ** 2)),
+    )
 
 
 def _displacement_amplitude(config: SchemeConfig) -> float:
@@ -292,12 +324,16 @@ class SchemeResult:
     `post_state` None, and downconversion rows the negativity too. The
     p_* and the one-pair sector's fidelity f_chi are set for downconversion
     only, and the closed-form P only by `run_scheme` on ideal resources
-    with number-resolving detectors."""
+    with number-resolving detectors.
+
+    `run_scheme` keeps the heralded state as the term-basis rho_t with its
+    preparation's `_Factors`; `post_state` embeds it in the register
+    (`_embed`) the first time it is read, and keeps it.
+    """
 
     probability_total: float
     fidelity: float
     negativity: Optional[float]
-    post_state: Optional[DensityOperator]
     plain_probability: float
     sector_probabilities: Mapping[int, float]
     tail_mass: float
@@ -309,19 +345,14 @@ class SchemeResult:
     p_phi2: Optional[float] = None
     f_chi: Optional[float] = None
     analytic_p_tot: Optional[float] = None
+    _heralded: Optional[Tuple[_Factors, np.ndarray]] = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
 
-
-def _schmidt(matrix: np.ndarray):
-    """SVD of `matrix` cut at its numerical rank (numpy's `matrix_rank`
-    tolerance, s_max * max(shape) * eps), so the cut is exact to roundoff.
-
-    Returns (u, s, vh, discarded) with matrix ~= (u * s) @ vh and
-    `discarded` the squared singular mass that was cut.
-    """
-    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    cut = s[0] * max(matrix.shape) * np.finfo(float).eps if s.size else 0.0
-    rank = int(np.count_nonzero(s > cut))
-    return u[:, :rank], s[:rank], vh[:rank], float(np.sum(s[rank:] ** 2))
+    @functools.cached_property
+    def post_state(self) -> Optional[DensityOperator]:
+        """The heralded state on (A_H, A_V, B), or None for a sweep row."""
+        return None if self._heralded is None else _embed(*self._heralded)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +372,10 @@ class _Factors:
     P_k = K (I (x) u_k), u_k through the 50:50 kernel K with the tap's 4H
     left open, fills rows (k, 4H) of `idler_h`; `idler_v` holds Q_k alike.
     `tails` holds the sectors' truncation deficits and `target` the hybrid
-    target's coefficients c on the terms (see `_target_terms`).
+    target's coefficients c on the terms (see `_target_terms`). The tap
+    factors, `beam_vh` and the `discarded` mass come from `_beam`, which
+    factors the beam through its one tap mode. A `run_scheme` result keeps
+    its preparation's factors as the basis of its term-basis state.
     """
 
     cuts: ResolvedCutoffs
@@ -432,24 +466,23 @@ def _factors_key(config: SchemeConfig, **updates) -> SchemeConfig:
     return dataclasses.replace(config, **changes)
 
 
-@lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32)
 def _factors(key: SchemeConfig) -> _Factors:
     """Schmidt-factored pre-detection sectors of one configuration.
 
     The displaced n-pair sector is written in closed form: signal factors
     |m, n - m> on (A_H, A_V) of weight (n + 1)^(-1/2) and idler factors
     D|n - m> (x) D|m> on (2H, 2V). The beam splits by SVD into tap (4H, 4V)
-    against kept field B_H factors. The idler's H and V factors pass their
-    50:50 splitters one polarization at a time (see `_Factors`). A sector's
+    against kept field B_H factors through its one tap mode (`_beam`). The
+    idler's H and V factors pass their 50:50 splitters one polarization at
+    a time (see `_Factors`). A sector's
     deficit, 1 - ||sector||^2 = 1 - sum_t d_t^2 G1[t, t] over its terms
     with G1 the Gram at unit POVM weight (`_unit_norms`), plus the beam's
     discarded mass, counts the displacement's truncation too.
     """
     cuts = resolve_cutoffs(key)
     dim = cuts.detector + 1
-    tap, beam_s, beam_vh, discarded = _schmidt(
-        _beam_state(key, cuts).reshape(dim * dim, -1)
-    )
+    tap, beam_s, beam_vh, discarded = _beam(key, cuts)
     disp = displacement_matrix(_displacement_amplitude(key), cuts.detector)
     numbers = sorted(_sector_weights(key, key.lam))
     if numbers[-1] > min(cuts.a, cuts.detector):
@@ -468,7 +501,6 @@ def _factors(key: SchemeConfig) -> _Factors:
         .transpose(2, 1, 0).reshape(-1, dim * dim)
         for photons in (n - m, m)
     )
-    tap = np.ascontiguousarray(tap.T).reshape(-1, dim, dim)
     target = _target_terms(key, cuts, signal_states, beam_vh)
     for array in (scale, idler_h, idler_v, tap, signal_states, beam_vh, target):
         array.setflags(write=False)
@@ -648,7 +680,6 @@ def _score(key: SchemeConfig, points, weights, coherent_herald: bool):
                 probability_total=2.0 * float(plain[i]),
                 fidelity=float(overlap[i] / plain[i]),
                 negativity=negativities.get(i),
-                post_state=None,
                 plain_probability=float(plain[i]),
                 sector_probabilities=sectors,
                 tail_mass=tail,
@@ -664,8 +695,9 @@ def _score(key: SchemeConfig, points, weights, coherent_herald: bool):
 def run_scheme(config: SchemeConfig) -> SchemeResult:
     """Simulate one heralded run of the scheme: `sweep`'s evaluation of one
     preparation (`_evaluate`) at the config's one point, with the coherent
-    herald for downconversion, plus the heralded state embedded in the
-    register as `post_state`.
+    herald for downconversion. The result keeps the heralded term-basis
+    state rho_t and its preparation's factors, and embeds them in the
+    register (`_embed`) only when its `post_state` is first read.
 
     Both click patterns contribute; only the plain one is heralded (see
     `_score`). The fidelity is against the hybrid target at the configured
@@ -688,7 +720,7 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
         if p_tot > 0.0:
             reference = _sector_weights(config, None)[1] * p_tot
     return dataclasses.replace(
-        result, post_state=_embed(_factors(key), rho), analytic_p_tot=reference
+        result, analytic_p_tot=reference, _heralded=(_factors(key), rho)
     )
 
 

@@ -84,9 +84,14 @@ def test_herald_pattern_assignment():
 
 @pytest.mark.parametrize("detector", ["pnr", "onoff"])
 def test_herald_pattern_weights_are_read_only(detector):
-    for weights in herald_pattern(detector, 0.8, CUTOFF).values():
+    pattern = herald_pattern(detector, 0.8, CUTOFF)
+    for weights in pattern.values():
         with pytest.raises(ValueError):
             weights[0] = 0.5
+    # the mapping is cached, so it is read-only too
+    with pytest.raises(TypeError):
+        pattern["5H"] = pattern["5V"]
+    assert herald_pattern(detector, 0.8, CUTOFF) is pattern
     for weights in (povm_pnr(2, 0.8, CUTOFF), povm_click(0.8, CUTOFF)):
         assert not weights.flags.writeable
 
@@ -126,7 +131,7 @@ def test_detectors_reject_negative_cutoff():
 def test_herald_rejects_weights_of_the_wrong_length():
     reg = _register()
     state = basis_state(reg, {"5V": 1, "6H": 1})
-    pattern = herald_pattern("pnr", 0.8, CUTOFF)
+    pattern = dict(herald_pattern("pnr", 0.8, CUTOFF))
     pattern["6H"] = povm_pnr(1, 0.8, CUTOFF + 1)
     with pytest.raises(ValidationError, match="'6H' has dimension 5, mode needs 4"):
         herald(state, pattern)

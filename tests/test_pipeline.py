@@ -92,6 +92,23 @@ def test_config_validates_ranges():
     ):
         with pytest.raises(ValidationError):
             SchemeConfig(t=0.9, eta=0.9, alpha_i=0.7, **field)
+    # nor for a float: True would run as 1.0
+    valid = dict(t=0.9, eta=0.9, alpha_i=0.7)
+    for field, extra in (
+        ("t", {}),
+        ("eta", {}),
+        ("phi", {}),
+        ("alpha_i", {}),
+        ("alpha_f", dict(alpha_i=None)),
+        ("s", dict(scs_source="squeezed")),
+        ("z", dict(pair_source="vacuum_mixed")),
+        ("lam", dict(pair_source="spdc")),
+        ("tail_tol", {}),
+    ):
+        with pytest.raises(ValidationError, match=f"{field} must be a number"):
+            SchemeConfig(**dict(valid, **extra, **{field: True}))
+    with pytest.raises(ValidationError):
+        SchemeConfig(t=0.9, eta=True, alpha_f=True)
 
 
 def test_config_rejects_odd_cat_without_amplitude():
@@ -375,6 +392,13 @@ def _lab_frame_beam(config, cuts):
     return state.amps[..., 0]
 
 
+def _factored_beam(config, cuts):
+    """The beam put back together from its Schmidt factors, on (4H, 4V, B_H)."""
+    tap, s, vh, _ = pipeline._beam(config, cuts)
+    assert tap.shape[1:] == (cuts.detector + 1, cuts.detector + 1)
+    return np.einsum("lij,l,lm->ijm", tap, s, vh)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -387,8 +411,7 @@ def _lab_frame_beam(config, cuts):
 def test_closed_form_beam_matches_lab_frame(kwargs):
     config = SchemeConfig(eta=0.9, alpha_f=2.5, **kwargs)
     cuts = resolve_cutoffs(config)
-    beam = pipeline._beam_state(config, cuts)
-    assert beam.shape == (cuts.detector + 1, cuts.detector + 1, cuts.b + 1)
+    beam = _factored_beam(config, cuts)
     assert float(np.abs(beam - _lab_frame_beam(config, cuts)).max()) <= 1e-14
     if config.cutoff_detector == 3:
         # the detector cutoff really truncates this beam
@@ -397,13 +420,43 @@ def test_closed_form_beam_matches_lab_frame(kwargs):
 
 def test_untapped_beam_heralds_nothing():
     config = SchemeConfig(t=1.0, eta=0.9, alpha_i=1.0)
-    beam = pipeline._beam_state(config, resolve_cutoffs(config))
+    cuts = resolve_cutoffs(config)
+    tap, _, _, _ = pipeline._beam(config, cuts)
+    assert len(tap) == 1
+    beam = _factored_beam(config, cuts)
     assert np.isfinite(beam).all()
-    source = pipeline._source_vector(config, beam.shape[2] - 1)
-    assert np.array_equal(beam[0, 0], source)
-    assert not beam[1:].any() and not beam[:, 1:].any()
+    assert float(np.abs(beam - _lab_frame_beam(config, cuts)).max()) <= 1e-14
+    source = pipeline._source_vector(config, cuts.b)
+    assert float(np.abs(beam[0, 0] - source).max()) <= 1e-14
     with pytest.raises(HeraldImpossibleError):
         run_scheme(config)
+
+
+@pytest.mark.parametrize(
+    "alpha_f, ranks", [(3.5, (2, 27)), (5.0, (2, 33)), (7.0, (2, 42))]
+)
+def test_large_amplitude_runs_on_the_closed_forms(alpha_f, ranks):
+    """Amplitude reach: the joint tensor is never formed, so a run at
+    alpha_f = 7 stays on the closed forms at default cutoffs."""
+    result = run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_f=alpha_f))
+    assert abs(result.fidelity - analytic.fidelity_eta(alpha_f, 0.9, 0.9)) <= 1e-9
+    assert abs(result.probability_total / result.analytic_p_tot - 0.5) <= 1e-9
+    assert result.schmidt_ranks == ranks
+
+
+def test_post_state_is_embedded_at_first_read(monkeypatch):
+    calls = []
+    embed = pipeline._embed
+    monkeypatch.setattr(
+        pipeline, "_embed", lambda *args: calls.append(1) or embed(*args)
+    )
+    result = run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0))
+    assert calls == []
+    state = result.post_state
+    assert result.post_state is state and calls == [1]
+    assert abs(np.trace(state.matrix).real - 1.0) <= 1e-12
+    row = sweep(SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0), {"eta": (0.9,)}).rows[0]
+    assert row.fidelity == result.fidelity and calls == [1]
 
 
 # ---------------------------------------------------------------------------
