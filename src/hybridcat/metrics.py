@@ -3,11 +3,11 @@
 `stacked_negativity` eigensolves the partial transposes of a stack of
 square matrices over a C-ordered (dim_a, rest) index in one call, after
 checking their dimension against `MAX_NEGATIVITY_DIM`; `matrix_negativity`
-does one matrix. The pipeline calls it on the heralded states of every
-efficiency of one preparation in their term basis, a local isometry of the
-register that leaves the value unchanged (Vidal & Werner, PRA 65, 032314
-(2002)). `target_field_vectors` gives the target's two field vectors, which
-the pipeline projects into its term basis.
+does one matrix. The pipeline calls it in the term basis, a local isometry
+of the register that leaves the value unchanged (Vidal & Werner, PRA 65,
+032314 (2002)): per pair-number sector of a mixture's block-diagonal
+heralded states, summing the blocks' values, and on downconversion's whole
+coherent herald. `target_field_vectors` gives the target's field vectors.
 """
 
 from __future__ import annotations

@@ -1,45 +1,37 @@
 """End-to-end simulation of the heralded hybrid-entanglement scheme.
 
-The layout has four stages: a polarized superposition beam is tapped by a
-transmissivity-t splitter, its reflected part interferes on a balanced
-splitter with the displaced idler of a photon-pair source, the four
-polarization-resolved detector channels are measured, and a joint click
-pattern heralds the surviving polarization-qubit x field-mode state.
-
-Mode labels: A_H/A_V hold the pair source's signal polarization, 2H/2V its
-idler, 4H/4V the reflected tap of the beam, and B_H/B_V the transmitted
-beam. After the balanced splitter the detector channels are relabeled
-5H/5V (the idler side) and 6H/6V (the tap side); the kept field mode ends
-up as B.
+A polarized superposition beam is tapped by a transmissivity-t splitter,
+its reflected part interferes on a balanced splitter with the displaced
+idler of a photon-pair source, the four polarization-resolved detector
+channels are measured, and a joint click pattern heralds the surviving
+polarization-qubit x field-mode state. A_H/A_V hold the pair source's
+signal polarization, 2H/2V its idler, 4H/4V the beam's reflected tap and
+B_H/B_V its transmitted part; after the balanced splitter the detector
+channels are 5H/5V (the idler side) and 6H/6V (the tap side), and the kept
+field mode is B.
 
 `run_scheme` never forms the joint state. The tapped beam is written in
-closed form on (4H, 4V, B_H) and split into Schmidt factors through its
-one tap mode (`_beam`), the pair as a sum over pair-number sectors n
-written in closed form. Each term (k, l) of the state before detection is
-a signal Fock state |m, n - m> times the beam's right singular vector
-`beam_vh[l]` on the kept modes, scaled by d = (n + 1)^(-1/2) s_l, next to
-a measured factor. The herald contracts a
-small Gram matrix G of the plain click pattern pulled back through the
-splitters onto each polarization's idler and tap factors, so no array spans
-all four detector channels; the flipped pattern follows by the state's
-H <-> V mirror symmetry (see `_score`).
-
-Every pair source is a set of unit pair-number sectors n with weights w_n
-(`_sector_weights`; downconversion's are the paper's P_tot terms,
-arXiv:1410.6823). The detectors are photon-number diagonal, so P and F
-are recombined from each sector's diagonal block of G alone. The heralded
-state stays in the term basis as the r x r matrix rho_t = D G D / p, formed
-only for the negativity and the post-state: the kept vectors of the terms
-are orthonormal, so embedding rho_t in the register is a local isometry,
-done only when a result's `post_state` is first read.
+closed form and split into Schmidt factors through its one tap mode
+(`_beam`); the pair source is a set of unit pair-number sectors n with
+weights w_n (`_sector_weights`; downconversion's are the paper's P_tot
+terms, arXiv:1410.6823), each in closed form. Each term (k, l) of the
+state before detection is a signal Fock state |m, n - m> times the beam's
+right singular vector `beam_vh[l]` on the kept modes, scaled by
+d = (n + 1)^(-1/2) s_l, next to a measured factor. The herald contracts
+Gram matrices G of the plain click pattern pulled back through the
+splitters onto each polarization's idler and tap factors, so no array
+spans all four detector channels. The detectors are photon-number
+diagonal, so P and F read each sector's diagonal block of G alone, and
+only those are contracted. The heralded state stays in the term basis as
+rho_t = D G D / p, embedded in the register (a local isometry) only when
+a result's `post_state` is first read.
 
 Evaluation runs one preparation at a time (`_evaluate`): the points of a
 sweep that differ only in eta (and, for downconversion, lambda) share one
-`_factors` lookup, their Grams are contracted one efficiency at a time and
-stacked (E, r, r), and the states of a stack are eigensolved in one call.
-`run_scheme` is the same evaluation at one point plus rho_t for the
-post-state, and for downconversion the coherent herald; sweep rows carry
-neither.
+`_factors` lookup and are scored together as arrays over (lambda, eta).
+`run_scheme` is the same evaluation at one point plus rho_t and, for
+downconversion, the coherent herald, the one place that contracts the
+blocks between sectors.
 """
 
 from __future__ import annotations
@@ -212,7 +204,6 @@ def resolve_cutoffs(config: SchemeConfig) -> ResolvedCutoffs:
     """
     alpha_i = config.resolved_alpha_i
     x = math.sqrt(max(0.0, 1.0 - config.t)) * alpha_i
-
     if config.cutoff_a is not None:
         a = config.cutoff_a
     elif config.pair_source == "spdc":
@@ -249,25 +240,22 @@ def _beam(config: SchemeConfig, cuts: ResolvedCutoffs):
     """Schmidt factors of the beam after the tap splitter, tap (4H, 4V)
     against kept field B_H.
 
-    The tap is polarization independent, so each source photon stays in the
+    The tap is polarization independent: each source photon stays in the
     kept field with amplitude sqrt(t) and goes to either tap polarization
     with sqrt((1 - t) / 2). With s = j + k tap photons the beam is
 
         psi[(j, k), m] = sqrt(C(s, j) / 2^s) Phi[s, m],
         Phi[s, m] = c_(s+m) sqrt((s + m)! / (s! m!)) (1 - t)^(s/2) t^(m/2),
 
-    with c the source vector, zero above the field cutoff b, and j, k up to
-    the detector cutoff d: the box the lab-frame splitters of
-    `oracle.build_prestate` keep, seen with the field in the beam's
-    polarization. The reflected light is one mode split evenly over 4H and
-    4V, so the split map's columns s are orthogonal, of squared norm
-    a_s = sum_(j+k=s) C(s, j) / 2^s (1 for s <= d, less above). The box's
-    SVD is therefore that of the (2d + 1) x (b + 1) matrix diag(sqrt(a)) Phi,
-    u s vh, with tap factors T_l[i, j] = sqrt(C(i + j, i) 2^-(i+j) / a_(i+j))
-    u[i + j, l]. The rank cut is numpy's `matrix_rank` tolerance on the
-    box's shape, s_0 max((d + 1)^2, b + 1) eps, so it is exact to roundoff
-    and keeps the box SVD's ranks (the small matrix's own shape would keep
-    24 vectors, not 23, at alpha_f = 2.5).
+    c the source vector, zero above the field cutoff b, and j, k up to the
+    detector cutoff d: the box `oracle.build_prestate`'s lab-frame
+    splitters keep. The split map's columns s are orthogonal, of squared
+    norm a_s = sum_(j+k=s) C(s, j) / 2^s, so the box's SVD is that of the
+    (2d + 1) x (b + 1) matrix diag(sqrt(a)) Phi = u s vh, with tap factors
+    T_l[i, j] = sqrt(C(i + j, i) 2^-(i+j) / a_(i+j)) u[i + j, l]. The rank
+    cut is numpy's `matrix_rank` tolerance on the box's shape,
+    s_0 max((d + 1)^2, b + 1) eps, which keeps the box SVD's ranks (the
+    small matrix's own shape keeps 24 vectors, not 23, at alpha_f = 2.5).
 
     Returns (tap, s, vh, discarded): tap stacked (rank, d + 1, d + 1), and
     the squared singular mass that was cut.
@@ -315,26 +303,22 @@ def _sector_weights(config: SchemeConfig, lam: Optional[float]) -> Dict[int, flo
 
 @dataclass(frozen=True)
 class SchemeResult:
-    """One heralded run or sweep row: P of both click patterns (twice the
-    plain one's), the overlap with the target, the polarization/field
-    negativity and the heralded state on (A_H, A_V, B); each unit
-    pair-number sector's both-pattern probability, the truncation deficit
-    `_score` gated, and the preparation's cutoffs, (signal
-    states, beam rank) and discarded singular mass. Sweep rows leave
-    `post_state` None, and downconversion rows the negativity too. The
-    p_* and the one-pair sector's fidelity f_chi are set for downconversion
-    only, and the closed-form P only by `run_scheme` on ideal resources
-    with number-resolving detectors.
-
-    `run_scheme` keeps the heralded state as the term-basis rho_t with its
-    preparation's `_Factors`; `post_state` embeds it in the register
-    (`_embed`) the first time it is read, and keeps it.
+    """One heralded run or sweep row: P of both click patterns, the overlap
+    with the target, the polarization/field negativity and the heralded
+    state on (A_H, A_V, B); each unit pair-number sector's both-pattern
+    probability, the truncation deficit `_score` gated, and the
+    preparation's cutoffs, (signal states, beam rank) and discarded
+    singular mass. Sweep rows leave `post_state` None, and downconversion
+    rows the negativity too. The p_* and the one-pair sector's fidelity
+    f_chi are set for downconversion only, and the closed-form P only by
+    `run_scheme` on ideal resources with number-resolving detectors.
+    `run_scheme` keeps rho_t with its preparation's `_Factors`;
+    `post_state` embeds them (`_embed`) at its first read.
     """
 
     probability_total: float
     fidelity: float
     negativity: Optional[float]
-    plain_probability: float
     sector_probabilities: Mapping[int, float]
     tail_mass: float
     cutoffs: ResolvedCutoffs
@@ -349,6 +333,11 @@ class SchemeResult:
         default=None, repr=False, compare=False
     )
 
+    @property
+    def plain_probability(self) -> float:
+        """The plain click pattern's P, half of `probability_total`."""
+        return self.probability_total / 2
+
     @functools.cached_property
     def post_state(self) -> Optional[DensityOperator]:
         """The heralded state on (A_H, A_V, B), or None for a sweep row."""
@@ -362,20 +351,17 @@ class _Factors:
     The unit sector of pair number n is sum_t d_t U[:, t] (x) Z[t, :] over
     the terms t = (k, l) in `blocks[n]` (ascending in n), with U over
     `kept` = (A_H, A_V, B) and Z over the detectors (6H, 5H, 6V, 5V).
-    Column (k, l) of U is the signal Fock state |m, n - m> with index
-    `signal_states[k]` times `beam_vh[l]`; these are orthonormal, so U is
-    an isometry and is never formed either. `scale` holds
-    d = (n + 1)^(-1/2) s_l, s the beam's singular values. Term (k, l) of Z
-    is idler factor u_k (x) v_k on (2H, 2V) times tap factor T_l = `tap[l]`
-    on (4H, 4V), and each splitter acts on one polarization, so row (k, l)
-    of Z, as a (6H 5H) x (6V 5V) matrix, is P_k T_l Q_k^T.
-    P_k = K (I (x) u_k), u_k through the 50:50 kernel K with the tap's 4H
-    left open, fills rows (k, 4H) of `idler_h`; `idler_v` holds Q_k alike.
-    `tails` holds the sectors' truncation deficits and `target` the hybrid
-    target's coefficients c on the terms (see `_target_terms`). The tap
-    factors, `beam_vh` and the `discarded` mass come from `_beam`, which
-    factors the beam through its one tap mode. A `run_scheme` result keeps
-    its preparation's factors as the basis of its term-basis state.
+    Column (k, l) of U, never formed, is the signal Fock state |m, n - m>
+    with index `signal_states[k]` times `beam_vh[l]`: orthonormal columns.
+    `scale` holds d = (n + 1)^(-1/2) s_l, s the beam's singular values.
+    Term (k, l) of Z is idler factor u_k (x) v_k on (2H, 2V) times tap
+    factor T_l = `tap[l]` on (4H, 4V), and each splitter acts on one
+    polarization, so row (k, l) of Z, as a (6H 5H) x (6V 5V) matrix, is
+    P_k T_l Q_k^T. P_k = K (I (x) u_k), u_k through the 50:50 kernel K with
+    the tap's 4H left open, fills rows (k, 4H) of `idler_h`; `idler_v`
+    holds Q_k alike. `tails` holds the sectors' truncation deficits and
+    `target` the hybrid target's coefficients c on the terms
+    (`_target_terms`); `tap`, `beam_vh` and `discarded` come from `_beam`.
     """
 
     cuts: ResolvedCutoffs
@@ -396,35 +382,39 @@ class _Factors:
         return len(self.beam_vh)
 
 
-def _gram(factors: _Factors, w_h, w_v) -> np.ndarray:
-    """G = Z diag(w_h (x) w_v) Z^H over all terms, for POVM weights w_h on
-    (6H, 5H) and w_v on (6V, 5V), pulled back through the splitters: with
-    H_km = P_k^T diag(w_h) conj(P_m) and V_km = Q_k^T diag(w_v) conj(Q_m),
-    G[(k, l), (m, n)] = sum T_l[i, j] H_km[i, c] V_km[j, d] conj(T_n[c, d]).
-    That is n_k^2 n_l dim^3 + (n_k n_l dim)^2 work for n_k idler and n_l
-    tap factors, where forming Z costs n_k n_l dim^6. It needs product
-    idler factors and a product, Fock-diagonal POVM. Three products do it:
-    one GEMM over i, n_k^2 stacked (dim n_l x dim) products over j, and one
-    GEMM over (c, d).
+def _gram(factors: _Factors, w: Mapping[str, np.ndarray], pairs=None) -> np.ndarray:
+    """Blocks G_km[l, n] = G[(k, l), (m, n)] of G = Z diag(w_h (x) w_v) Z^H,
+    w_h = w_6H (x) w_5H and w_v alike from a herald pattern `w`, stacked
+    (pairs, n_l, n_l) over the pairs (k, m) of pair factors in `pairs` (two
+    index arrays) or all n_k^2 pairs, k-major. Pulled back through the
+    splitters, with H_km = P_k^T diag(w_h) conj(P_m) and V_km alike from Q,
+    G_km[l, n] = sum T_l[i, j] H_km[i, c] V_km[j, d] conj(T_n[c, d]): three
+    products with the pair a batch axis (a GEMM over i, a (dim n_l x dim)
+    product per pair over j, a GEMM over (c, d)), n_k^2 n_l dim^3 +
+    (n_k n_l dim)^2 work where forming Z costs n_k n_l dim^6. It needs
+    product idler factors and a product, Fock-diagonal POVM.
     """
     n_l, dim, _ = factors.tap.shape
     n_k = len(factors.idler_h) // dim
     h, v = (
-        ((p * w) @ p.conj().T).reshape(n_k, dim, n_k, dim)
-        for p, w in ((factors.idler_h, w_h), (factors.idler_v, w_v))
+        ((p * np.outer(w["6" + q], w["5" + q]).ravel()) @ p.conj().T)
+        .reshape(n_k, dim, n_k, dim)
+        for p, q in ((factors.idler_h, "H"), (factors.idler_v, "V"))
     )
-    pairs = n_k * n_k
-    # rows (k, m, c), columns (l, j): sum_i H_km[i, c] T_l[i, j]
-    taps = factors.tap.transpose(1, 0, 2).reshape(dim, -1)
-    pushed = h.transpose(0, 2, 3, 1).reshape(-1, dim) @ taps
-    # per (k, m), rows (c, l), columns d: times V_km over j
-    pushed = pushed.reshape(pairs, -1, dim) @ v.transpose(0, 2, 1, 3).reshape(
-        pairs, dim, dim
-    )
-    # rows (k, m, l), columns (c, d), against conj(T_n)
-    pushed = pushed.reshape(pairs, dim, n_l, dim).transpose(0, 2, 1, 3)
+    # per pair (k, m): H_km as rows c, columns i, and V_km as rows j
+    if pairs is None:
+        h, v = h.transpose(0, 2, 3, 1), v.transpose(0, 2, 1, 3)
+    else:
+        h, v = h[pairs[0], :, pairs[1]].transpose(0, 2, 1), v[pairs[0], :, pairs[1]]
+    count = h.size // (dim * dim)
+    # rows (pair, c), columns (l, j): sum_i H_km[i, c] T_l[i, j]
+    pushed = h.reshape(-1, dim) @ factors.tap.transpose(1, 0, 2).reshape(dim, -1)
+    # per pair, rows (c, l), columns d: times V_km over j
+    pushed = pushed.reshape(count, -1, dim) @ v.reshape(count, dim, dim)
+    # rows (pair, l), columns (c, d), against conj(T_n)
+    pushed = pushed.reshape(count, dim, n_l, dim).transpose(0, 2, 1, 3)
     gram = pushed.reshape(-1, dim * dim) @ factors.tap.reshape(n_l, -1).conj().T
-    return gram.reshape(n_k, n_k, n_l, n_l).transpose(0, 2, 1, 3).reshape(n_k * n_l, -1)
+    return gram.reshape(count, n_l, n_l)
 
 
 def _unit_norms(idler_h, idler_v, tap) -> np.ndarray:
@@ -440,21 +430,30 @@ def _unit_norms(idler_h, idler_v, tap) -> np.ndarray:
     return (pushed * tap.conj()).sum(axis=(2, 3)).real.ravel()
 
 
-def _eta_grams(
-    factors: _Factors, detector: str, etas: Sequence[float]
-) -> np.ndarray:
-    """`_gram` of the plain click pattern at each efficiency in `etas`,
-    stacked (E, r, r). Each is contracted on its own and only the r x r
-    outputs are stacked, so no intermediate of the contraction is held
-    once per efficiency."""
-    size = len(factors.scale)
-    grams = np.empty((len(etas), size, size), dtype=np.complex128)
-    for gram, eta in zip(grams, etas):
+def _sector_pairs(factors: _Factors, inside: bool = True):
+    """`_gram`'s pairs (k, m) of pair factors in one sector, or in two."""
+    sector = np.repeat(list(factors.blocks), [n + 1 for n in factors.blocks])
+    return np.nonzero(np.equal.outer(sector, sector) == inside)
+
+
+def _eta_grams(factors: _Factors, detector: str, etas: Sequence[float]):
+    """Each sector n's diagonal block G_nn of the plain click pattern's
+    Gram at each efficiency in `etas`, stacked (E, s_n, s_n), by n. `_gram`
+    contracts one efficiency at a time and only the pairs inside a sector
+    (all pairs, ungathered, for a one-sector source)."""
+    n_l = factors.beam_rank
+    pairs = _sector_pairs(factors) if len(factors.blocks) > 1 else None
+    sizes = {n: span.stop - span.start for n, span in factors.blocks.items()}
+    stacks = {n: np.empty((len(etas), s, s), np.complex128) for n, s in sizes.items()}
+    for i, eta in enumerate(etas):
         w = herald_pattern(detector, eta, factors.cuts.detector)
-        gram[...] = _gram(
-            factors, *(np.outer(w["6" + p], w["5" + p]).ravel() for p in "HV")
-        )
-    return grams
+        blocks, end = _gram(factors, w, pairs), 0
+        for n, stack in stacks.items():
+            # the sector's pair blocks (k, m) as rows (k, l), columns (m, n)
+            q, end = n + 1, end + (n + 1) ** 2
+            sector = blocks[end - q * q:end].reshape(q, q, n_l, n_l)
+            stack[i].reshape(q, n_l, q, n_l)[...] = sector.transpose(0, 2, 1, 3)
+    return stacks
 
 
 def _factors_key(config: SchemeConfig, **updates) -> SchemeConfig:
@@ -472,11 +471,9 @@ def _factors(key: SchemeConfig) -> _Factors:
 
     The displaced n-pair sector is written in closed form: signal factors
     |m, n - m> on (A_H, A_V) of weight (n + 1)^(-1/2) and idler factors
-    D|n - m> (x) D|m> on (2H, 2V). The beam splits by SVD into tap (4H, 4V)
-    against kept field B_H factors through its one tap mode (`_beam`). The
-    idler's H and V factors pass their 50:50 splitters one polarization at
-    a time (see `_Factors`). A sector's
-    deficit, 1 - ||sector||^2 = 1 - sum_t d_t^2 G1[t, t] over its terms
+    D|n - m> (x) D|m> on (2H, 2V), each polarization through its own 50:50
+    splitter (see `_Factors`); the beam factors through its one tap mode
+    (`_beam`). A sector's deficit, 1 - sum_t d_t^2 G1[t, t] over its terms
     with G1 the Gram at unit POVM weight (`_unit_norms`), plus the beam's
     discarded mass, counts the displacement's truncation too.
     """
@@ -560,15 +557,13 @@ def _evaluate(
     points: Sequence[Tuple[float, Optional[float]]],
     coherent_herald: bool = False,
 ):
-    """Score every point (eta, lambda) of one preparation: `key` is a
-    `_factors_key`, and lambda is None unless the pair source is
-    downconversion. `sweep` calls this once per preparation, `run_scheme`
-    with its one point and the `coherent_herald`.
-
-    Returns per point the `SimulationError` that failed it or (result,
-    rho_t): a `SchemeResult` without `post_state`, and the heralded
-    term-basis state or None. A point's own values are checked first, then
-    the shared preparation and its truncation, then the point's herald.
+    """Score every point (eta, lambda) of one preparation, `key` a
+    `_factors_key` and lambda None unless the pair source is
+    downconversion: per point the `SimulationError` that failed it or
+    (result, rho_t), a `SchemeResult` without `post_state` and the heralded
+    term-basis state (only with the `coherent_herald`, `run_scheme`'s). A
+    point's own values are checked first, then the shared preparation and
+    its truncation, then the point's herald.
     """
     weights: Dict[Optional[float], Dict[int, float]] = {}
     outcomes: List[object] = []
@@ -594,99 +589,112 @@ def _score(key: SchemeConfig, points, weights, coherent_herald: bool):
     weights `weights[lambda]`.
 
     The POVM is photon-number diagonal and the unit sectors differ in
-    signal photon number, so P and F read only each sector's diagonal block
-    of the Grams: with B_n = d herm(G_nn) d, t_n = tr B_n (the sector's
-    plain-pattern probability) and phi_n = c^H B_n c (its target overlap),
-    P = 2 sum_n w_n t_n and F = sum_n w_n phi_n / sum_n w_n t_n for every
-    source. The truncation deficit over the sectors' deficits d_n, gated
-    at `tail_tol` per lambda, is sum_n w_n d_n / sum_n w_n for
-    downconversion and max_n d_n for a mixture. A point whose plain
-    probability is below `HERALD_PROBABILITY_FLOOR` cannot herald and fails
-    alone.
+    signal photon number, so P and F read only each sector's Gram block
+    (`_eta_grams`): with B_n = d herm(G_nn) d, t_n = tr B_n and
+    phi_n = c^H B_n c, P = 2 sum_n w_n t_n and F = sum_n w_n phi_n /
+    sum_n w_n t_n. The truncation deficit gated at `tail_tol` is
+    sum_n w_n d_n / sum_n w_n for downconversion and max_n d_n for a
+    mixture. All are arrays over (lambda, eta), summed in ascending n; a
+    point whose plain probability is below `HERALD_PROBABILITY_FLOOR` fails
+    alone. Only the plain pattern is heralded: swapping H and V in every
+    mode leaves the prepared state unchanged (the tap is polarization
+    independent, sector n maps onto itself under m -> n - m, the splitters
+    and POVMs are alike for H and V), so the flipped pattern fires alike
+    and, bit-flipped, leaves the plain state; the dense oracle pins it.
 
-    Only the plain pattern is heralded. Swapping H and V in every mode
-    leaves the prepared state unchanged (the tap is polarization
-    independent, sector n maps onto itself under m -> n - m, and the
-    splitters and POVMs are alike for H and V), so the flipped pattern
-    fires alike and, bit-flipped, leaves the plain state. A
-    polarization-dependent element would break this; the dense oracle
-    heralds both patterns and pins it.
-
-    rho_t = D G D / (P / 2) is formed only for the negativity and the
-    post-state, one stacked eigensolve per lambda. The chi and vacuum-mixed
-    pairs are mixtures of their sectors, so their rho_t is block diagonal
-    with blocks w_n B_n. Downconversion is a coherent sum, so its rho_t
-    keeps the blocks between sectors n and m, weighted sqrt(w_n w_m), and
-    only the `coherent_herald` forms it.
+    rho_t = D G D / (P / 2). A mixture's (chi, vacuum-mixed) is block
+    diagonal, blocks w_n B_n / (P / 2) on disjoint signal states that the
+    partial transpose keeps apart, so its negativity sums the blocks', one
+    stacked eigensolve per sector of more than one signal state.
+    Downconversion's keeps the blocks between sectors, weighted
+    sqrt(w_n w_m); only the `coherent_herald` contracts them, in a second
+    `_gram` call, and eigensolves the whole, as only `run_scheme` needs it.
     """
     factors = _factors(key)
     coherent = key.pair_source == "spdc"
+    n_k, n_l = len(factors.signal_states), factors.beam_rank
     etas = list(dict.fromkeys(eta for eta, _ in points))
-    # D G D in place, G Hermitised so that rho_t is Hermitian to roundoff
-    scaled, d = _eta_grams(factors, key.detector, etas), factors.scale
-    scaled += scaled.conj().transpose(0, 2, 1)
-    scaled *= 0.5
-    scaled *= d[:, None]
-    scaled *= d
+    blocks = _eta_grams(factors, key.detector, etas)
     traces, overlaps = {}, {}
-    for n, rows in factors.blocks.items():
-        block, c = scaled[:, rows, rows], factors.target[rows]
-        traces[n] = np.trace(block, axis1=1, axis2=2).real
-        overlaps[n] = ((block @ c) * c.conj()).sum(axis=1).real
+    for n, span in factors.blocks.items():
+        d, c, g = factors.scale[span], factors.target[span], blocks[n]
+        # D G D, G Hermitised so that rho_t is Hermitian to roundoff
+        blocks[n] = b = (g + g.conj().transpose(0, 2, 1)) * 0.5 * d[:, None] * d
+        traces[n] = np.trace(b, axis1=1, axis2=2).real
+        overlaps[n] = ((b @ c) * c.conj()).sum(axis=1).real
+    # rows lambda, columns sector n, summed over the sectors in ascending n
+    w = np.array([list(sector.values()) for sector in weights.values()])
+    plain = sum(wn[:, None] * traces[n] for wn, n in zip(w.T, blocks))
+    overlap = sum(wn[:, None] * overlaps[n] for wn, n in zip(w.T, blocks))
+    if coherent:
+        total = sum(w.T)
+        tail = sum(wn / total * factors.tails[n] for wn, n in zip(w.T, blocks))
+    else:
+        tail = np.full(len(w), max(factors.tails.values()))
+    fires = plain >= HERALD_PROBABILITY_FLOOR
+    fidelity = np.divide(overlap, plain, out=np.zeros_like(plain), where=fires)
+    probabilities = (2.0 * np.array(list(traces.values()))).T.tolist()
+    sectors = [dict(zip(blocks, p)) for p in probabilities]
+    common = dict(cutoffs=factors.cuts, discarded_mass=factors.discarded)
+    extras = [common] * len(etas)
+    if coherent:
+        extras = [
+            dict(common, p_vac=p[0], p_chi=p[1], p_phi2=p.get(2),
+                 f_chi=o / t if t > 0 else 0.0)
+            for p, o, t in zip(sectors, overlaps[1].tolist(), traces[1].tolist())
+        ]
     scores = {}
-    for lam, w in weights.items():
-        if coherent:
-            tail = sum(wn / sum(w.values()) * factors.tails[n] for n, wn in w.items())
-        else:
-            tail = max(factors.tails[n] for n in w)
-        if tail > key.tail_tol:
+    rows = zip(weights, w, fires, plain, fidelity.tolist(), tail.tolist())
+    for lam, wl, fire, p_lam, f_lam, tail_mass in rows:
+        if tail_mass > key.tail_tol:
             error = TruncationError(
-                f"truncation lost probability {tail:.3e}, above the "
+                f"truncation lost probability {tail_mass:.3e}, above the "
                 f"tolerance {key.tail_tol:.0e}; raise the cutoffs"
             )
             scores.update(((eta, lam), error) for eta in etas)
             continue
-        plain = sum(wn * traces[n] for n, wn in w.items())
-        overlap = sum(wn * overlaps[n] for n, wn in w.items())
-        ok = [i for i, p in enumerate(plain) if p >= HERALD_PROBABILITY_FLOOR]
+        ok = np.flatnonzero(fire)
         states, negativities = {}, {}
-        if ok and (coherent_herald or not coherent):
-            mix = np.zeros((len(d), len(d)))
-            for (n, a), (m, b) in itertools.product(factors.blocks.items(), repeat=2):
-                if coherent or n == m:
-                    mix[a, b] = w[n] if n == m else math.sqrt(w[n] * w[m])
-            rho = scaled[ok] * mix / plain[ok][:, None, None]
-            states = dict(zip(ok, rho))
-            dim_a = len(factors.signal_states)
-            negativities = dict(zip(ok, stacked_negativity(rho, dim_a)))
-        for i, eta in enumerate(etas):
-            if plain[i] < HERALD_PROBABILITY_FLOOR:
+        if len(ok) and (coherent_herald or not coherent):
+            norm = p_lam[ok][:, None, None]
+            rhos = {n: blocks[n][ok] * wn / norm for n, wn in zip(blocks, wl)}
+            if coherent_herald:
+                rho = np.zeros((len(ok), n_k * n_l, n_k * n_l), dtype=np.complex128)
+                if coherent:
+                    # the blocks between sectors, from a second `_gram` call
+                    cross = _sector_pairs(factors, inside=False)
+                    cut = factors.cuts.detector
+                    for state, i in zip(rho.reshape(-1, n_k, n_l, n_k, n_l), ok):
+                        pattern = herald_pattern(key.detector, etas[i], cut)
+                        state[cross[0], :, cross[1]] = _gram(factors, pattern, cross)
+                    weight = np.repeat(wl, [r.shape[-1] for r in rhos.values()])
+                    d, mix = factors.scale, np.sqrt(np.outer(weight, weight))
+                    rho = (rho + rho.conj().transpose(0, 2, 1)) * 0.5 * d[:, None] * d
+                    rho = rho * mix / norm
+                for span, sector in zip(factors.blocks.values(), rhos.values()):
+                    rho[:, span, span] = sector
+                states = dict(zip(ok.tolist(), rho))
+            if coherent:
+                values = stacked_negativity(rho, n_k)
+            else:
+                parts = [stacked_negativity(r, n + 1) for n, r in rhos.items() if n]
+                values = map(sum, zip(*parts))
+            negativities = dict(zip(ok.tolist(), values))
+        for i, (eta, p, f) in enumerate(zip(etas, p_lam.tolist(), f_lam)):
+            if p < HERALD_PROBABILITY_FLOOR:
                 scores[eta, lam] = HeraldImpossibleError(
-                    f"herald pattern has probability {plain[i]:.3e}, below the "
+                    f"herald pattern has probability {p:.3e}, below the "
                     f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
                 )
                 continue
-            sectors = {n: 2.0 * float(traces[n][i]) for n in w}
-            extra = {}
-            if coherent:
-                t_chi = traces[1][i]
-                extra = dict(
-                    p_vac=sectors[0],
-                    p_chi=sectors[1],
-                    p_phi2=sectors.get(2),
-                    f_chi=float(overlaps[1][i] / t_chi) if t_chi > 0.0 else 0.0,
-                )
             result = SchemeResult(
-                probability_total=2.0 * float(plain[i]),
-                fidelity=float(overlap[i] / plain[i]),
+                probability_total=2.0 * p,
+                fidelity=f,
                 negativity=negativities.get(i),
-                plain_probability=float(plain[i]),
-                sector_probabilities=sectors,
-                tail_mass=tail,
-                cutoffs=factors.cuts,
-                schmidt_ranks=(len(factors.signal_states), factors.beam_rank),
-                discarded_mass=factors.discarded,
-                **extra,
+                sector_probabilities=dict(sectors[i]),
+                tail_mass=tail_mass,
+                schmidt_ranks=(n_k, n_l),
+                **extras[i],
             )
             scores[eta, lam] = (result, states.get(i))
     return scores
@@ -695,14 +703,12 @@ def _score(key: SchemeConfig, points, weights, coherent_herald: bool):
 def run_scheme(config: SchemeConfig) -> SchemeResult:
     """Simulate one heralded run of the scheme: `sweep`'s evaluation of one
     preparation (`_evaluate`) at the config's one point, with the coherent
-    herald for downconversion. The result keeps the heralded term-basis
-    state rho_t and its preparation's factors, and embeds them in the
-    register (`_embed`) only when its `post_state` is first read.
-
-    Both click patterns contribute; only the plain one is heralded (see
-    `_score`). The fidelity is against the hybrid target at the configured
-    alpha_f and phi. The negativity is eigensolved on the term-basis rho_t
-    (at alpha_f = 2.5, 46 dimensions instead of the register's 297).
+    herald for downconversion. Both click patterns contribute; only the
+    plain one is heralded (see `_score`). The fidelity is against the
+    hybrid target at the configured alpha_f and phi, and the negativity is
+    eigensolved on the term-basis rho_t (at alpha_f = 2.5, 46 dimensions
+    instead of the register's 297), which `post_state` embeds at its first
+    read.
     """
     key = _factors_key(config)
     (outcome,) = _evaluate(key, ((config.eta, config.lam),), coherent_herald=True)
@@ -725,14 +731,11 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
 
 
 def spdc_decomposition(config: SchemeConfig) -> Dict[str, Optional[float]]:
-    """Pair-number decomposition of a downconversion-driven run.
-
-    The sectors n = 0 .. spdc_order do not interfere in the herald (see
-    `_score`), so P = sum_n w_n p_n and F = sum_n w_n p_n f_n / P over the
-    unit sectors' p_n and f_n, with w_n from `PairSourceSpec.sector_weights`:
-    at 'paper' weighting the paper's P_tot and F_eff. Returns p_vac, p_chi,
-    p_phi2 (None at order 1), f_chi, f_eff, p_tot and tail_mass, read off
-    `_evaluate`'s row for the point.
+    """Pair-number decomposition of a downconversion-driven run, read off
+    `_evaluate`'s row for the point: P = sum_n w_n p_n and
+    F = sum_n w_n p_n f_n / P over the unit sectors (see `_score`), at
+    'paper' weighting the paper's P_tot and F_eff. Returns p_vac, p_chi,
+    p_phi2 (None at order 1), f_chi, f_eff, p_tot and tail_mass.
     """
     if config.pair_source != "spdc":
         raise ValidationError("decomposition applies to the spdc pair source")
@@ -796,16 +799,13 @@ def _updates(params: Sequence[Tuple[str, float]]) -> Dict[str, object]:
 
 def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTable:
     """Evaluate the scheme over a cartesian parameter grid, one preparation
-    at a time.
-
-    Axes are sorted by name and each axis's values ascending, so the row
-    order is deterministic regardless of input ordering. Points that differ
-    only in eta (and, for downconversion, lambda) share one preparation,
-    which `_evaluate` scores in one pass. Each row is the `run_scheme` of
-    its point, bit for bit, without the post-state; downconversion rows
-    skip the coherent herald and so leave negativity empty. Rows that fail
-    validation or hit numerical limits are reported with an error status
-    instead of aborting the sweep.
+    at a time: axes sorted by name and values ascending, so the row order
+    does not depend on the input's. Points that differ only in eta (and,
+    for downconversion, lambda) share one preparation, which `_evaluate`
+    scores in one pass. Each row is the `run_scheme` of its point, bit for
+    bit, without the post-state, and downconversion rows without the
+    coherent herald's negativity. Rows that fail validation or hit
+    numerical limits get an error status instead of aborting the sweep.
     """
     if not grid:
         raise ValidationError("sweep grid must name at least one axis")

@@ -176,14 +176,14 @@ def test_fidelity_follows_detector_formula():
 
 
 def _record_gram_stacks(monkeypatch):
-    """A copy of every stack of plain-pattern Grams `pipeline._eta_grams`
-    returns, before the pipeline scales it in place."""
+    """Every set of per-sector stacks of plain-pattern Gram blocks that
+    `pipeline._eta_grams` returns, as returned; the pipeline gets copies."""
     stacks = []
     real = pipeline._eta_grams
 
     def record(*args):
         stacks.append(real(*args))
-        return stacks[-1].copy()
+        return {n: stack.copy() for n, stack in stacks[-1].items()}
 
     monkeypatch.setattr(pipeline, "_eta_grams", record)
     return stacks
@@ -200,7 +200,7 @@ def test_pattern_probabilities_symmetric(monkeypatch):
     with the plain one's probability, in every pair-number sector, and
     leaves the plain state once bit-flipped: the symmetry that lets
     `run_scheme` herald one. The flipped run forms its Grams from the
-    flipped pattern. Each run contracts one stack of Grams, of one
+    flipped pattern. Each run contracts one set of sector stacks, of one
     efficiency, downconversion included."""
     stacks = _record_gram_stacks(monkeypatch)
     pattern = pipeline.herald_pattern
@@ -222,8 +222,9 @@ def test_pattern_probabilities_symmetric(monkeypatch):
             )
             stacks.clear()
             runs.append(run_scheme(config))
-            assert [len(stack) for stack in stacks] == [1]
-            grams.append(stacks[0])
+            (sectors,) = stacks
+            assert all(len(stack) == 1 for stack in sectors.values())
+            grams.append(np.concatenate([s.ravel() for s in sectors.values()]))
         plain, flip = runs
         assert not np.array_equal(*grams)
         total = plain.probability_total
@@ -444,6 +445,19 @@ def test_large_amplitude_runs_on_the_closed_forms(alpha_f, ranks):
     assert result.schmidt_ranks == ranks
 
 
+def test_plain_probability_is_half_the_total():
+    """The plain pattern's P is derived, not stored: a read-only property
+    equal to half of `probability_total` on runs of every pair source."""
+    assert "plain_probability" not in {
+        field.name for field in dataclasses.fields(pipeline.SchemeResult)
+    }
+    for kwargs in SOURCES.values():
+        result = run_scheme(SchemeConfig(**kwargs))
+        assert result.plain_probability == result.probability_total / 2
+        with pytest.raises(AttributeError):
+            result.plain_probability = 0.0
+
+
 def test_post_state_is_embedded_at_first_read(monkeypatch):
     calls = []
     embed = pipeline._embed
@@ -608,18 +622,28 @@ def _interfered_factors(config):
 )
 def test_pulled_back_gram_matches_interfered_factors(kwargs):
     factors, z = _interfered_factors(SchemeConfig(**kwargs))
-    ones = np.ones((factors.cuts.detector + 1) ** 2)
-    cases = [(1.0, 1.0)]
+    ones = np.ones(factors.cuts.detector + 1)
+    cases = [dict.fromkeys(("5H", "5V", "6H", "6V"), ones)]
     for detector, eta, flipped in itertools.product(
         ("pnr", "onoff"), (0.1, 0.7, 1.0), (False, True)
     ):
-        w = herald_pattern(detector, eta, factors.cuts.detector, flipped)
-        cases.append(tuple(np.outer(w["6" + p], w["5" + p]).ravel() for p in "HV"))
-    for w_h, w_v in cases:
-        weights = np.outer(ones * w_h, ones * w_v).ravel()
-        expected = (z * weights) @ z.conj().T
-        got = pipeline._gram(factors, w_h, w_v)
-        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        cases.append(herald_pattern(detector, eta, factors.cuts.detector, flipped))
+    n_k, n_l = len(factors.signal_states), factors.beam_rank
+    for w in cases:
+        w_h, w_v = (np.outer(w["6" + p], w["5" + p]).ravel() for p in "HV")
+        weights = np.outer(w_h, w_v).ravel()
+        expected = ((z * weights) @ z.conj().T).reshape(n_k, n_l, n_k, n_l)
+        # pair blocks (k, m), k-major
+        expected = expected.transpose(0, 2, 1, 3).reshape(-1, n_l, n_l)
+        bound = 1e-13 * np.abs(expected).max()
+        got = pipeline._gram(factors, w)
+        assert np.abs(got - expected).max() <= bound
+        # the pairs inside one sector and, if any, across two, on their own
+        for inside in (True, False):
+            ks, ms = pipeline._sector_pairs(factors, inside)
+            if len(ks):
+                got = pipeline._gram(factors, w, (ks, ms))
+                assert np.abs(got - expected[ks * n_k + ms]).max() <= bound
 
 
 def _record_eigensolves(patch):
@@ -648,13 +672,14 @@ def test_negativity_eigensolve_runs_on_the_product_support(monkeypatch):
     assert sizes == [(1, 46, 46)]
     full = negativity(result.post_state, Bipartition(("A_H", "A_V"), ("B",)))
     assert abs(result.negativity - full) <= 1e-12
-    for spot, expected in zip(FIGURE_4_SPOTS, (30, 33)):
+    for spot, expected in zip(FIGURE_4_SPOTS, (20, 22)):
         sizes, result = _eigensolve_sizes(monkeypatch, SchemeConfig(**spot))
-        # vacuum-mixed pairs use |0, 0>, |0, 1> and |1, 0>
+        # vacuum-mixed pairs use |0, 0>, |0, 1> and |1, 0>; the vacuum
+        # sector's one state is its own partial transpose and is skipped
         signal_states, beam_rank = result.schmidt_ranks
         assert signal_states == 3
-        assert sizes == [(1, 3 * beam_rank, 3 * beam_rank)]
-        assert 3 * beam_rank == expected
+        assert sizes == [(1, 2 * beam_rank, 2 * beam_rank)]
+        assert 2 * beam_rank == expected
 
 
 def test_negativity_cap_checks_the_eigensolved_dimension(monkeypatch):
@@ -707,16 +732,24 @@ def test_eta_sweep_is_bit_identical_to_runs():
 
 
 def _record_grams(monkeypatch):
-    """Every Gram matrix `pipeline._gram` returns."""
+    """Every call of `pipeline._gram` as (its pairs, or None for all, and
+    the pair blocks it returns)."""
     grams = []
     real = pipeline._gram
 
-    def record(*args):
-        grams.append(real(*args))
-        return grams[-1]
+    def record(factors, w, pairs=None):
+        grams.append((pairs, real(factors, w, pairs)))
+        return grams[-1][1]
 
     monkeypatch.setattr(pipeline, "_gram", record)
     return grams
+
+
+def _sector_matrix(blocks, n_l):
+    """Pair blocks (k, m) of one sector, k-major, as its Gram block with
+    rows (k, l) and columns (m, n)."""
+    q = math.isqrt(len(blocks))
+    return blocks.reshape(q, q, n_l, n_l).transpose(0, 2, 1, 3).reshape(q * n_l, -1)
 
 
 def test_eta_shares_one_preparation(monkeypatch):
@@ -724,39 +757,100 @@ def test_eta_shares_one_preparation(monkeypatch):
     grams = _record_grams(monkeypatch)
     shapes = _record_eigensolves(monkeypatch)
     pipeline._factors.cache_clear()
-    sweep(SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0), {"eta": (0.5, 0.7, 0.9)})
+    config = SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0)
+    sweep(config, {"eta": (0.5, 0.7, 0.9)})
     info = pipeline._factors.cache_info()
     assert (info.misses, info.hits) == (1, 0)
-    # one Gram per efficiency, contracted on its own; the truncation
-    # deficit reads only the Gram's diagonal blocks and forms no Gram
-    assert len(grams) == 3
-    size = grams[0].shape[0]
-    assert all(gram.shape == (size, size) for gram in grams)
-    # one stack of the three Grams and one stacked eigensolve
-    (stack,) = stacks
+    # one Gram per efficiency, contracted on its own over every pair; the
+    # truncation deficit reads only the Gram's diagonal blocks and forms no
+    # Gram
+    assert [pairs for pairs, _ in grams] == [None] * 3
+    # the chi pair's one sector: one stack of the three Grams and one
+    # stacked eigensolve
+    (sectors,) = stacks
+    (stack,) = sectors.values()
+    size = stack.shape[1]
+    n_l = pipeline._factors(pipeline._factors_key(config)).beam_rank
     assert stack.shape == (3, size, size)
-    for gram, stacked in zip(grams, stack):
-        assert np.array_equal(gram, stacked)
+    for (_, gram), stacked in zip(grams, stack):
+        assert np.array_equal(_sector_matrix(gram, n_l), stacked)
     assert shapes == [(3, size, size)]
-    # downconversion points share it across lambda too: one stack of the
-    # two efficiencies' Grams scores every sector at every lambda, and no
-    # row is eigensolved
+    # downconversion points share it across lambda too: one Gram per
+    # efficiency, on the pairs inside one sector, scores every sector at
+    # every lambda, and no row is eigensolved
     stacks.clear()
     grams.clear()
     shapes.clear()
     pipeline._factors.cache_clear()
     sweep(SchemeConfig(**SPOT_A), {"lambda": (0.01, 0.02, 0.03), "eta": (0.5, 0.9)})
     assert pipeline._factors.cache_info().misses == 1
-    (stack,) = stacks
-    assert len(grams) == 2 and np.array_equal(stack, np.stack(grams))
+    factors = pipeline._factors(pipeline._factors_key(SchemeConfig(**SPOT_A)))
+    inside = pipeline._sector_pairs(factors)
+    (sectors,) = stacks
+    assert len(grams) == 2
+    for i, (pairs, gram) in enumerate(grams):
+        assert all(np.array_equal(a, b) for a, b in zip(pairs, inside))
+        start = 0
+        for n, stack in sectors.items():
+            block = gram[start:start + (n + 1) ** 2]
+            assert np.array_equal(stack[i], _sector_matrix(block, factors.beam_rank))
+            start += (n + 1) ** 2
+        assert start == len(gram)
     assert shapes == []
-    # a downconversion run contracts one stack too, of its one efficiency,
-    # and eigensolves the coherent herald's state
+    # a downconversion run contracts its one efficiency's sector blocks
+    # alike, then, in a second call, the pairs across two sectors, and
+    # eigensolves the coherent herald's whole state
     stacks.clear()
+    grams.clear()
     result = run_scheme(SchemeConfig(**SPOT_A))
-    assert [len(stack) for stack in stacks] == [1]
-    size = stacks[0].shape[1]
+    (sectors,) = stacks
+    assert all(len(stack) == 1 for stack in sectors.values())
+    cross = pipeline._sector_pairs(factors, inside=False)
+    assert [len(pairs[0]) for pairs, _ in grams] == [len(inside[0]), len(cross[0])]
+    assert all(np.array_equal(a, b) for a, b in zip(grams[1][0], cross))
+    size = len(factors.scale)
     assert shapes == [(1, size, size)] and result.negativity > 0.0
+
+
+FIGURE_5B = dict(SPOT_A, alpha_i=1.0, s=0.313)
+
+
+def test_figure_5_sweep_contracts_only_the_sector_blocks(monkeypatch):
+    """A cold figure-5b table contracts, once per efficiency, only the 14
+    of the 36 pairs (k, m) of pair factors that lie inside one pair-number
+    sector, and each of their blocks is the same block of the Gram that
+    `run_scheme`'s coherent herald forms at that point, bit for bit."""
+    grams = _record_grams(monkeypatch)
+    pipeline._factors.cache_clear()
+    table = cli._figure_table(5, "b")
+    etas = sorted({dict(row.params)["eta"] for row in table.rows})
+    factors = pipeline._factors(pipeline._factors_key(SchemeConfig(**FIGURE_5B)))
+    n_k, n_l = len(factors.signal_states), factors.beam_rank
+    assert n_k == 6 and len(grams) == len(etas) == 5
+    swept = list(grams)
+    for eta, (pairs, blocks) in zip(etas, swept):
+        assert len(pairs[0]) == 14
+        grams.clear()
+        run_scheme(SchemeConfig(**dict(FIGURE_5B, eta=eta)))
+        whole = np.empty((n_k * n_k, n_l, n_l), dtype=complex)
+        for (ks, ms), part in grams:
+            whole[ks * n_k + ms] = part
+        assert sum(len(ks) for (ks, _), _ in grams) == n_k * n_k
+        assert np.array_equal(whole[pairs[0] * n_k + pairs[1]], blocks)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    FIGURE_4_SPOTS
+    + [dict(FIGURE_4_SPOTS[1], z=0.3), dict(t=0.84, eta=0.7, alpha_f=1.0)],
+)
+def test_sector_negativities_sum_to_the_whole_state(kwargs):
+    """A mixture's heralded state is block diagonal over its sectors, so the
+    sum of the sector blocks' negativities is the whole state's."""
+    result = run_scheme(SchemeConfig(**kwargs))
+    _, rho = result._heralded
+    whole = metrics.matrix_negativity(rho, result.schmidt_ranks[0])
+    assert abs(result.negativity - whole) <= 1e-13
 
 
 SOURCES = {
@@ -787,10 +881,8 @@ def test_sweep_reports_each_efficiency_of_a_preparation_on_its_own():
             assert row == expected, source
 
 
-def test_cold_figure_4_sweep_stays_small():
-    """The per-efficiency Gram contractions are not stacked, only their
-    r x r outputs: the traced peak of a cold figure-4 panel-b table stays
-    below 2 MB."""
+def _cold_peak(call):
+    """The traced memory peak of `call()` with the pipeline's caches empty."""
     for cache in (
         pipeline._factors,
         optics._cached_kernel,
@@ -799,30 +891,34 @@ def test_cold_figure_4_sweep_stays_small():
         cache.cache_clear()
     tracemalloc.start()
     try:
-        cli._figure_table(4, "b")
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2e6
+    return peak
+
+
+def test_cold_figure_4_sweep_stays_small():
+    """The per-efficiency Gram contractions are not stacked, only their
+    sector blocks: the traced peak of a cold figure-4 panel-b table stays
+    below 2 MB."""
+    assert _cold_peak(lambda: cli._figure_table(4, "b")) < 2e6
+
+
+def test_cold_figure_5_sweep_stays_small():
+    """A downconversion sweep holds each sector's Gram blocks and never the
+    blocks between sectors: the traced peak of a cold figure-5 panel-b
+    table stays below 0.95 MB (the five efficiencies' whole 66 x 66 Grams
+    and their copies kept it above 1 MB)."""
+    assert _cold_peak(lambda: cli._figure_table(5, "b")) < 0.95e6
 
 
 def test_cold_large_amplitude_run_stays_small():
     """No array spans all four detector channels: the traced peak of one
     cold run at alpha_f = 2.5 stays below the 28 MB that the interfered
     factors Z (46 x 14^4 complex) would take alone."""
-    for cache in (
-        pipeline._factors,
-        optics._cached_kernel,
-        optics._cached_displacement,
-    ):
-        cache.cache_clear()
-    tracemalloc.start()
-    try:
-        run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    config = SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5)
+    assert _cold_peak(lambda: run_scheme(config)) < 16e6
 
 
 def test_too_small_detector_cutoff_raises():
