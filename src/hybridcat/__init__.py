@@ -38,7 +38,6 @@ from .pipeline import (
     SweepTable,
     resolve_cutoffs,
     run_scheme,
-    spdc_decomposition,
     sweep,
 )
 from .resource_states import coherent, scs, squeezed_amplitudes
@@ -74,7 +73,6 @@ __all__ = [
     "run_scheme",
     "scs",
     "scs_fidelity",
-    "spdc_decomposition",
     "squeezed_amplitudes",
     "sweep",
 ]

@@ -7,7 +7,9 @@ plus optional `sweep_<axis>` lines holding comma-separated grid values.
 Physical parameters have no silent defaults beyond the documented
 SchemeConfig ones; unknown or duplicate keys are rejected. Result tables
 are tab-separated text with 12-significant-digit scientific notation,
-lexicographic row order, and byte-identical reruns.
+lexicographic row order, and byte-identical reruns, written from a
+`SweepTable`'s columns one column at a time; `run --output` writes its one
+row the same way.
 
 Exit codes: 0 success, 1 invalid input, 2 self-check tolerance failure,
 3 truncation or numerical failure.
@@ -20,6 +22,8 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
+import numpy as np
+
 from . import analytic
 from .errors import (
     CutoffError,
@@ -29,9 +33,9 @@ from .errors import (
     ValidationError,
 )
 from .pipeline import (
+    METRIC_COLUMNS,
     SWEEP_AXES,
     SchemeConfig,
-    SweepRow,
     SweepTable,
     run_scheme,
     sweep,
@@ -53,17 +57,6 @@ _STR_KEYS = frozenset(
 )
 _SWEEP_KEYS = frozenset(f"sweep_{axis}" for axis in SWEEP_AXES)
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _SWEEP_KEYS
-
-METRIC_COLUMNS = (
-    "fidelity",
-    "probability_total",
-    "negativity",
-    "p_vac",
-    "p_chi",
-    "p_phi2",
-    "tail_mass",
-    "status",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -153,30 +146,19 @@ def load_scenario(path: str) -> Tuple[SchemeConfig, Dict[str, Tuple[float, ...]]
 # result tables
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.11e}"
+def _cells(values: np.ndarray) -> List[str]:
+    """One column's cells: `f"{x:.11e}"` of each value, empty where it is
+    NaN."""
+    return ["" if x != x else format(x, ".11e") for x in values.tolist()]
 
 
 def write_table(table: SweepTable, handle: TextIO) -> None:
-    header = list(table.axes) + list(METRIC_COLUMNS)
-    handle.write("\t".join(header) + "\n")
-    for row in table.rows:
-        cells = [_cell(value) for _, value in row.params]
-        cells += [
-            _cell(row.fidelity),
-            _cell(row.probability_total),
-            _cell(row.negativity),
-            _cell(row.p_vac),
-            _cell(row.p_chi),
-            _cell(row.p_phi2),
-            _cell(row.tail_mass),
-            row.status,
-        ]
-        handle.write("\t".join(cells) + "\n")
+    """The table as tab-separated text: each column formatted in one pass,
+    then the rows joined."""
+    names = table.axes + METRIC_COLUMNS
+    columns = [_cells(table.columns[name]) for name in names]
+    lines = map("\t".join, zip(*columns, table.status.tolist()))
+    handle.write("\n".join(("\t".join(names + ("status",)), *lines)) + "\n")
 
 
 def save_table(table: SweepTable, path: str) -> None:
@@ -206,10 +188,11 @@ def cmd_run(scenario_path: str, output: Optional[str]) -> int:
     print(f"negativity         {result.negativity:.6f} ({result.negativity:.11e})")
     print(f"tail_mass          {result.tail_mass:.3e}")
     print(f"per_pattern        {result.plain_probability:.6e}")
-    for key in ("p_vac", "p_chi", "p_phi2"):
-        value = getattr(result, key)
-        if value is not None:
-            print(f"{key:<18} {value:.6e}")
+    # the downconversion sectors: vacuum, one pair, two pairs
+    sectors = result.sector_probabilities if config.pair_source == "spdc" else {}
+    for n, key in enumerate(("p_vac", "p_chi", "p_phi2")):
+        if n in sectors:
+            print(f"{key:<18} {sectors[n]:.6e}")
     if result.analytic_p_tot is not None:
         print("oracle cross-checks:")
         print(
@@ -220,8 +203,12 @@ def cmd_run(scenario_path: str, output: Optional[str]) -> int:
     else:
         print("oracle cross-checks: none (no closed form for this configuration)")
     if output:
-        row = SweepRow.from_result((), result)
-        save_table(SweepTable(axes=(), rows=(row,)), output)
+        cells = (
+            result.fidelity, result.probability_total, result.negativity,
+            *(sectors.get(n, np.nan) for n in range(3)), result.tail_mass,
+        )
+        columns = {name: np.array([x]) for name, x in zip(METRIC_COLUMNS, cells)}
+        save_table(SweepTable((), columns, np.array(["ok"], dtype=object)), output)
         print(f"table -> {output}")
     return 0
 
@@ -234,8 +221,8 @@ def cmd_sweep(scenario_path: str, output: Optional[str]) -> int:
         raise ValidationError("sweep needs --output for the result table")
     table = sweep(config, grid)
     save_table(table, output)
-    errors = sum(1 for row in table.rows if row.status != "ok")
-    print(f"{len(table.rows)} rows -> {output}")
+    errors = np.count_nonzero(table.status != "ok")
+    print(f"{len(table.status)} rows -> {output}")
     if errors:
         print(f"warning: {errors} grid points failed (see status column)")
     return 0
@@ -283,80 +270,49 @@ def _figure_table(figure: int, panel: Optional[str]) -> SweepTable:
     return sweep(base, {"lambda": _FIG5_LAMBDA, "eta": (0.1, 0.3, 0.5, 0.7, 0.9)})
 
 
-def _ok_rows(table: SweepTable) -> Tuple[Dict[Tuple[float, ...], SweepRow], int]:
-    """Rows with status ok keyed by their swept values, and how many rows
-    failed."""
-    rows = {
-        tuple(value for _, value in row.params): row
-        for row in table.rows
-        if row.status == "ok"
-    }
-    return rows, len(table.rows) - len(rows)
+def _ok(table: SweepTable, **point: float) -> np.ndarray:
+    """Which rows have status ok and the given swept values."""
+    ok = table.status == "ok"
+    for axis, value in point.items():
+        ok &= table.columns[axis] == value
+    return ok
 
 
-def _failed_lines(failed: int) -> List[str]:
+def _failed_lines(table: SweepTable) -> List[str]:
+    failed = np.count_nonzero(table.status != "ok")
     if not failed:
         return []
     return [f"{failed} failed rows left out of this summary (see status column)"]
 
 
-def _summarize_figure2(table: SweepTable) -> List[str]:
-    rows, failed = _ok_rows(table)
+def _curves(table: SweepTable, axis: str, values, text: str) -> List[str]:
+    """One line per value of `axis`: `text` formatted with the first and
+    last fidelity of its ok rows and whether they rise monotonically."""
     lines = []
-    for eta in (0.7, 0.8, 0.9, 0.99):
-        curve = [rows[(eta, t)].fidelity for t in _FIG2_T if (eta, t) in rows]
-        if not curve:
-            lines.append(f"eta={eta}: no successful rows")
+    for value in values:
+        curve = table.columns["fidelity"][_ok(table, **{axis: value})]
+        if not len(curve):
+            lines.append(f"{axis}={value}: no successful rows")
             continue
-        monotone = all(a < b for a, b in zip(curve, curve[1:]))
-        lines.append(
-            f"eta={eta}: fidelity rises {curve[0]:.4f} -> {curve[-1]:.4f} "
-            f"monotone={monotone}"
-        )
-    return lines + _failed_lines(failed)
-
-
-def _summarize_figure3(table: SweepTable) -> List[str]:
-    rows, failed = _ok_rows(table)
-    lines = []
-    for alpha_f in (0.5, 1.0, 1.5):
-        curve = [
-            rows[(alpha_f, eta)].fidelity
-            for eta in (0.2, 0.4, 0.6, 0.8, 0.99)
-            if (alpha_f, eta) in rows
-        ]
-        if not curve:
-            lines.append(f"alpha_f={alpha_f}: no successful rows")
-            continue
-        monotone = all(a < b for a, b in zip(curve, curve[1:]))
-        lines.append(
-            f"alpha_f={alpha_f}: fidelity {curve[0]:.4f} -> {curve[-1]:.4f} "
-            f"monotone in eta={monotone}"
-        )
-    return lines + _failed_lines(failed)
+        monotone = bool(np.all(curve[:-1] < curve[1:]))
+        lines.append(f"{axis}={value}: " + text.format(curve[0], curve[-1], monotone))
+    return lines + _failed_lines(table)
 
 
 def _summarize_figure4(panel: str, table: SweepTable) -> List[str]:
     floor = 0.996 if panel == "a" else 0.986
-    rows, failed = _ok_rows(table)
-    ok = True
-    p_values = []
-    for t in (0.99, 0.999):
-        for eta in _FIG4_ETA:
-            if eta < 0.4:
-                continue
-            row = rows.get((eta, t))
-            ok = ok and row is not None and row.fidelity > floor
-            if t == 0.99 and row is not None:
-                p_values.append(row.probability_total)
-    if p_values:
-        p_range = f"[{min(p_values):.2e}, {max(p_values):.2e}]"
+    t, fidelity = table.columns["t"], table.columns["fidelity"]
+    # a failed row's empty (NaN) fidelity is not above the floor
+    ok = bool(np.all(fidelity[t >= 0.99] > floor))
+    p_values = table.columns["probability_total"][_ok(table, t=0.99)]
+    if len(p_values):
+        p_range = f"[{p_values.min():.2e}, {p_values.max():.2e}]"
     else:
         p_range = "no successful rows"
     return [
         f"panel {panel}: all F > {floor} for t >= 0.99, eta >= 0.4: {ok}",
         f"panel {panel}: P_tot range at t=0.99: {p_range}",
-    ] + _failed_lines(failed)
+    ] + _failed_lines(table)
 
 
 def _summarize_figure5(panel: str, table: SweepTable) -> List[str]:
@@ -364,19 +320,19 @@ def _summarize_figure5(panel: str, table: SweepTable) -> List[str]:
     lam, _, _, frozen, reference, p_reference = next(
         spot for spot in analytic.CONVERSION_SPOTS if spot[1:3] == _PANELS[panel]
     )
-    rows, failed = _ok_rows(table)
-    row = rows.get((0.5, lam))
-    if row is None:
+    row = np.flatnonzero(_ok(table, eta=0.5, **{"lambda": lam}))
+    if not len(row):
         spot = f"panel {panel}: the row at lambda={lam}, eta=0.5 failed"
-        return [spot] + _failed_lines(failed)
+        return [spot] + _failed_lines(table)
+    f, p = (table.columns[name][row[0]] for name in ("fidelity", "probability_total"))
     return [
-        f"panel {panel}: F_eff(lambda={lam}, eta=0.5) = {row.fidelity:.4f} "
-        f"(reference {reference}, delta {row.fidelity - reference:+.4f}; "
+        f"panel {panel}: F_eff(lambda={lam}, eta=0.5) = {f:.4f} "
+        f"(reference {reference}, delta {f - reference:+.4f}; "
         f"converged value here {frozen})",
         f"panel {panel}: P_tot(lambda={lam}, eta=0.5) = "
-        f"{row.probability_total:.2e} (reference {p_reference:.1e}, ratio "
-        f"{row.probability_total / p_reference:.2f})",
-    ] + _failed_lines(failed)
+        f"{p:.2e} (reference {p_reference:.1e}, ratio "
+        f"{p / p_reference:.2f})",
+    ] + _failed_lines(table)
 
 
 def _default_output(figure: int, panel: Optional[str]) -> str:
@@ -391,40 +347,34 @@ def _panel_output(output: Optional[str], figure: int, panel: str) -> str:
     return f"{stem}_{panel}{extension}"
 
 
+def _summary(figure: int, panel: Optional[str], table: SweepTable) -> List[str]:
+    if figure == 2:
+        text = "fidelity rises {:.4f} -> {:.4f} monotone={}"
+        return _curves(table, "eta", (0.7, 0.8, 0.9, 0.99), text)
+    if figure == 3:
+        text = "fidelity {:.4f} -> {:.4f} monotone in eta={}"
+        return _curves(table, "alpha_f", (0.5, 1.0, 1.5), text)
+    return (_summarize_figure4 if figure == 4 else _summarize_figure5)(panel, table)
+
+
 def cmd_reproduce(figure: int, panel: Optional[str], output: Optional[str]) -> int:
     if figure not in (2, 3, 4, 5):
         raise ValidationError(f"unknown figure id {figure}; choose 2, 3, 4 or 5")
-    if figure in (2, 3):
-        if panel is not None:
-            raise ValidationError(f"figure {figure} has no panels")
-        table = _figure_table(figure, None)
-        path = output or _default_output(figure, None)
-        save_table(table, path)
-        summary = (
-            _summarize_figure2(table) if figure == 2 else _summarize_figure3(table)
-        )
-        print(f"figure {figure}: {len(table.rows)} rows -> {path}")
-        for line in summary:
-            print(f"  {line}")
-        return 0
+    if figure in (2, 3) and panel is not None:
+        raise ValidationError(f"figure {figure} has no panels")
     if panel is not None and panel not in _PANELS:
         raise ValidationError(f"figure {figure} has panels a and b, not {panel!r}")
-    panels = (panel,) if panel else ("a", "b")
+    panels = (panel,) if panel or figure in (2, 3) else ("a", "b")
     for name in panels:
         table = _figure_table(figure, name)
-        path = (
-            (output or _default_output(figure, name))
-            if len(panels) == 1
-            else _panel_output(output, figure, name)
-        )
+        if len(panels) == 1:
+            path = output or _default_output(figure, name)
+        else:
+            path = _panel_output(output, figure, name)
         save_table(table, path)
-        summary = (
-            _summarize_figure4(name, table)
-            if figure == 4
-            else _summarize_figure5(name, table)
-        )
-        print(f"figure {figure} panel {name}: {len(table.rows)} rows -> {path}")
-        for line in summary:
+        title = f"figure {figure} panel {name}" if name else f"figure {figure}"
+        print(f"{title}: {len(table.status)} rows -> {path}")
+        for line in _summary(figure, name, table):
             print(f"  {line}")
     return 0
 

@@ -28,20 +28,21 @@ a result's `post_state` is first read.
 
 Evaluation runs one preparation at a time (`_evaluate`): the points of a
 sweep that differ only in eta (and, for downconversion, lambda) share one
-`_factors` lookup and are scored together as arrays over (lambda, eta).
-`run_scheme` is the same evaluation at one point plus rho_t and, for
-downconversion, the coherent herald, the one place that contracts the
-blocks between sectors.
+`_factors` lookup and are scored together as columns over (lambda, eta),
+which `sweep` copies as a block into its `SweepTable`'s columns, with no
+object per row. `run_scheme` is the same evaluation at one point, read off
+its one row, plus rho_t and, for downconversion, the coherent herald, the
+one place that contracts the blocks between sectors.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,6 +76,11 @@ SCS_SOURCES = ("ideal", "squeezed")
 PAIR_SOURCES = ("chi", "vacuum_mixed", "spdc")
 DETECTORS = ("pnr", "onoff")
 SWEEP_AXES = ("alpha_f", "eta", "lambda", "s", "t", "z")
+# a sweep table's metric columns, in the order the result tables print them
+METRIC_COLUMNS = (
+    "fidelity", "probability_total", "negativity", "p_vac", "p_chi", "p_phi2",
+    "tail_mass",
+)
 
 
 def _check_eta(eta: float) -> None:
@@ -303,35 +309,29 @@ def _sector_weights(config: SchemeConfig, lam: Optional[float]) -> Dict[int, flo
 
 @dataclass(frozen=True)
 class SchemeResult:
-    """One heralded run or sweep row: P of both click patterns, the overlap
-    with the target, the polarization/field negativity and the heralded
-    state on (A_H, A_V, B); each unit pair-number sector's both-pattern
-    probability, the truncation deficit `_score` gated, and the
-    preparation's cutoffs, (signal states, beam rank) and discarded
-    singular mass. Sweep rows leave `post_state` None, and downconversion
-    rows the negativity too. The p_* and the one-pair sector's fidelity
-    f_chi are set for downconversion only, and the closed-form P only by
-    `run_scheme` on ideal resources with number-resolving detectors.
-    `run_scheme` keeps rho_t with its preparation's `_Factors`;
-    `post_state` embeds them (`_embed`) at its first read.
+    """One heralded run: P of both click patterns, the overlap with the
+    target, the polarization/field negativity and the heralded state on
+    (A_H, A_V, B); each unit pair-number sector's both-pattern probability,
+    the truncation deficit `_score` gated, and the preparation's cutoffs,
+    (signal states, beam rank) and discarded singular mass. The one-pair
+    sector's fidelity f_chi is set for downconversion only, and the
+    closed-form P only on ideal resources with number-resolving detectors.
+    rho_t is kept with its preparation's `_Factors`; `post_state` embeds
+    them (`_embed`) at its first read.
     """
 
     probability_total: float
     fidelity: float
-    negativity: Optional[float]
+    negativity: float
     sector_probabilities: Mapping[int, float]
     tail_mass: float
     cutoffs: ResolvedCutoffs
     schmidt_ranks: Tuple[int, int]
     discarded_mass: float
-    p_vac: Optional[float] = None
-    p_chi: Optional[float] = None
-    p_phi2: Optional[float] = None
+    # (_Factors, rho_t) of the preparation, for `post_state`
+    _heralded: tuple = dataclasses.field(repr=False, compare=False)
     f_chi: Optional[float] = None
     analytic_p_tot: Optional[float] = None
-    _heralded: Optional[Tuple[_Factors, np.ndarray]] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def plain_probability(self) -> float:
@@ -339,9 +339,9 @@ class SchemeResult:
         return self.probability_total / 2
 
     @functools.cached_property
-    def post_state(self) -> Optional[DensityOperator]:
-        """The heralded state on (A_H, A_V, B), or None for a sweep row."""
-        return None if self._heralded is None else _embed(*self._heralded)
+    def post_state(self) -> DensityOperator:
+        """The heralded state on (A_H, A_V, B)."""
+        return _embed(*self._heralded)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,7 +382,19 @@ class _Factors:
         return len(self.beam_vh)
 
 
-def _gram(factors: _Factors, w: Mapping[str, np.ndarray], pairs=None) -> np.ndarray:
+def _pullback(factors: _Factors):
+    """`_gram`'s efficiency-free operands of one preparation: each
+    polarization's idler images with their conjugate transposes, the tap
+    factors as rows i by columns (l, j), and their conjugate transpose,
+    rows (c, d) by columns n. Formed once per `_score` call, and not cached
+    with the `_Factors` they repeat."""
+    n_l, dim, _ = factors.tap.shape
+    idlers = tuple((p, p.conj().T) for p in (factors.idler_h, factors.idler_v))
+    taps = factors.tap.transpose(1, 0, 2).reshape(dim, -1)
+    return idlers, taps, factors.tap.reshape(n_l, -1).conj().T
+
+
+def _gram(pullback, w: Mapping[str, np.ndarray], pairs=None) -> np.ndarray:
     """Blocks G_km[l, n] = G[(k, l), (m, n)] of G = Z diag(w_h (x) w_v) Z^H,
     w_h = w_6H (x) w_5H and w_v alike from a herald pattern `w`, stacked
     (pairs, n_l, n_l) over the pairs (k, m) of pair factors in `pairs` (two
@@ -394,12 +406,13 @@ def _gram(factors: _Factors, w: Mapping[str, np.ndarray], pairs=None) -> np.ndar
     (n_k n_l dim)^2 work where forming Z costs n_k n_l dim^6. It needs
     product idler factors and a product, Fock-diagonal POVM.
     """
-    n_l, dim, _ = factors.tap.shape
-    n_k = len(factors.idler_h) // dim
+    idlers, taps, taps_adjoint = pullback
+    dim, n_l = len(taps), taps_adjoint.shape[1]
+    n_k = len(idlers[0][0]) // dim
     h, v = (
-        ((p * np.outer(w["6" + q], w["5" + q]).ravel()) @ p.conj().T)
+        ((p * (w["6" + q][:, None] * w["5" + q]).ravel()) @ adjoint)
         .reshape(n_k, dim, n_k, dim)
-        for p, q in ((factors.idler_h, "H"), (factors.idler_v, "V"))
+        for (p, adjoint), q in zip(idlers, "HV")
     )
     # per pair (k, m): H_km as rows c, columns i, and V_km as rows j
     if pairs is None:
@@ -408,12 +421,12 @@ def _gram(factors: _Factors, w: Mapping[str, np.ndarray], pairs=None) -> np.ndar
         h, v = h[pairs[0], :, pairs[1]].transpose(0, 2, 1), v[pairs[0], :, pairs[1]]
     count = h.size // (dim * dim)
     # rows (pair, c), columns (l, j): sum_i H_km[i, c] T_l[i, j]
-    pushed = h.reshape(-1, dim) @ factors.tap.transpose(1, 0, 2).reshape(dim, -1)
+    pushed = h.reshape(-1, dim) @ taps
     # per pair, rows (c, l), columns d: times V_km over j
     pushed = pushed.reshape(count, -1, dim) @ v.reshape(count, dim, dim)
     # rows (pair, l), columns (c, d), against conj(T_n)
     pushed = pushed.reshape(count, dim, n_l, dim).transpose(0, 2, 1, 3)
-    gram = pushed.reshape(-1, dim * dim) @ factors.tap.reshape(n_l, -1).conj().T
+    gram = pushed.reshape(-1, dim * dim) @ taps_adjoint
     return gram.reshape(count, n_l, n_l)
 
 
@@ -436,7 +449,7 @@ def _sector_pairs(factors: _Factors, inside: bool = True):
     return np.nonzero(np.equal.outer(sector, sector) == inside)
 
 
-def _eta_grams(factors: _Factors, detector: str, etas: Sequence[float]):
+def _eta_grams(factors: _Factors, pullback, detector: str, etas: Sequence[float]):
     """Each sector n's diagonal block G_nn of the plain click pattern's
     Gram at each efficiency in `etas`, stacked (E, s_n, s_n), by n. `_gram`
     contracts one efficiency at a time and only the pairs inside a sector
@@ -447,7 +460,7 @@ def _eta_grams(factors: _Factors, detector: str, etas: Sequence[float]):
     stacks = {n: np.empty((len(etas), s, s), np.complex128) for n, s in sizes.items()}
     for i, eta in enumerate(etas):
         w = herald_pattern(detector, eta, factors.cuts.detector)
-        blocks, end = _gram(factors, w, pairs), 0
+        blocks, end = _gram(pullback, w, pairs), 0
         for n, stack in stacks.items():
             # the sector's pair blocks (k, m) as rows (k, l), columns (m, n)
             q, end = n + 1, end + (n + 1) ** 2
@@ -474,8 +487,9 @@ def _factors(key: SchemeConfig) -> _Factors:
     D|n - m> (x) D|m> on (2H, 2V), each polarization through its own 50:50
     splitter (see `_Factors`); the beam factors through its one tap mode
     (`_beam`). A sector's deficit, 1 - sum_t d_t^2 G1[t, t] over its terms
-    with G1 the Gram at unit POVM weight (`_unit_norms`), plus the beam's
-    discarded mass, counts the displacement's truncation too.
+    with G1 the Gram at unit POVM weight (`_unit_norms`), counts the
+    displacement's truncation and, since d holds only the kept singular
+    values, the beam's discarded mass.
     """
     cuts = resolve_cutoffs(key)
     dim = cuts.detector + 1
@@ -512,10 +526,7 @@ def _factors(key: SchemeConfig) -> _Factors:
         idler_v=idler_v,
         tap=tap,
         blocks=blocks,
-        tails={
-            q: max(0.0, 1.0 - float(norms[b].sum())) + discarded
-            for q, b in blocks.items()
-        },
+        tails={q: max(0.0, 1.0 - float(norms[b].sum())) for q, b in blocks.items()},
         signal_states=signal_states,
         beam_vh=beam_vh,
         discarded=discarded,
@@ -554,53 +565,63 @@ def _embed(factors: _Factors, rho: np.ndarray) -> DensityOperator:
 
 def _evaluate(
     key: SchemeConfig,
-    points: Sequence[Tuple[float, Optional[float]]],
+    lams: Sequence[Optional[float]],
+    etas: Sequence[float],
     coherent_herald: bool = False,
 ):
-    """Score every point (eta, lambda) of one preparation, `key` a
+    """Score the points (lams[i], etas[j]) of one preparation, `key` a
     `_factors_key` and lambda None unless the pair source is
-    downconversion: per point the `SimulationError` that failed it or
-    (result, rho_t), a `SchemeResult` without `post_state` and the heralded
-    term-basis state (only with the `coherent_herald`, `run_scheme`'s). A
-    point's own values are checked first, then the shared preparation and
-    its truncation, then the point's herald.
+    downconversion: `_score`'s columns, the `SimulationError` that failed a
+    point, by (i, j), and rho_t. A point's own values are checked first,
+    then the shared preparation and its truncation, then the point's
+    herald; an invalid lambda or eta is scored as 0 or 1 in its stead, and
+    its points keep their own error.
     """
-    weights: Dict[Optional[float], Dict[int, float]] = {}
-    outcomes: List[object] = []
-    for eta, lam in points:
+    failures: Dict[Tuple[int, int], SimulationError] = {}
+    weights = []
+    for i, lam in enumerate(lams):
+        try:
+            weights.append(list(_sector_weights(key, lam).values()))
+        except ValidationError as exc:
+            failures.update(((i, j), exc) for j in range(len(etas)))
+            weights.append(list(_sector_weights(key, 0.0).values()))
+    scored = list(etas)
+    for j, eta in enumerate(etas):
         try:
             _check_eta(eta)
-            if lam not in weights:
-                weights[lam] = _sector_weights(key, lam)
         except ValidationError as exc:
-            outcomes.append(exc)
-        else:
-            outcomes.append(None)
-    live = [point for point, outcome in zip(points, outcomes) if outcome is None]
+            failures.update(((i, j), exc) for i in range(len(lams)))
+            scored[j] = 1.0
     try:
-        scored = _score(key, live, weights, coherent_herald) if live else {}
+        columns, failed, rho = _score(key, scored, np.array(weights), coherent_herald)
     except SimulationError as exc:
-        scored = dict.fromkeys(live, exc)
-    return [outcome or scored[point] for point, outcome in zip(points, outcomes)]
+        columns, rho = {}, None
+        failed = dict.fromkeys(np.ndindex(len(lams), len(etas)), exc)
+    return columns, {**failed, **failures}, rho
 
 
-def _score(key: SchemeConfig, points, weights, coherent_herald: bool):
-    """`_evaluate` of its valid points, keyed by point, with the sector
-    weights `weights[lambda]`.
+def _score(key: SchemeConfig, etas, w: np.ndarray, coherent_herald: bool):
+    """`_evaluate`'s scores, with the sector weights at each lambda as the
+    rows of `w`: columns over (lambda, eta), the failures among the
+    points, and, with the `coherent_herald`, the stacked rho_t of the
+    efficiencies that herald.
 
     The POVM is photon-number diagonal and the unit sectors differ in
     signal photon number, so P and F read only each sector's Gram block
     (`_eta_grams`): with B_n = d herm(G_nn) d, t_n = tr B_n and
     phi_n = c^H B_n c, P = 2 sum_n w_n t_n and F = sum_n w_n phi_n /
-    sum_n w_n t_n. The truncation deficit gated at `tail_tol` is
+    sum_n w_n t_n, summed in ascending n. The truncation deficit is
     sum_n w_n d_n / sum_n w_n for downconversion and max_n d_n for a
-    mixture. All are arrays over (lambda, eta), summed in ascending n; a
+    mixture; a lambda above `tail_tol` fails with `TruncationError`, and a
     point whose plain probability is below `HERALD_PROBABILITY_FLOOR` fails
-    alone. Only the plain pattern is heralded: swapping H and V in every
-    mode leaves the prepared state unchanged (the tap is polarization
-    independent, sector n maps onto itself under m -> n - m, the splitters
-    and POVMs are alike for H and V), so the flipped pattern fires alike
-    and, bit-flipped, leaves the plain state; the dense oracle pins it.
+    alone. The columns are `METRIC_COLUMNS` (p_* for downconversion only),
+    f_chi (the same) and `sector_probabilities`, the p_n = 2 t_n stacked by
+    sector; each broadcasts to (L, E), and NaN marks an empty cell. Only
+    the plain pattern is heralded: swapping H and V in every mode leaves
+    the prepared state unchanged (the tap is polarization independent,
+    sector n maps onto itself under m -> n - m, the splitters and POVMs
+    are alike for H and V), so the flipped pattern fires alike and,
+    bit-flipped, leaves the plain state; the dense oracle pins it.
 
     rho_t = D G D / (P / 2). A mixture's (chi, vacuum-mixed) is block
     diagonal, blocks w_n B_n / (P / 2) on disjoint signal states that the
@@ -609,12 +630,14 @@ def _score(key: SchemeConfig, points, weights, coherent_herald: bool):
     Downconversion's keeps the blocks between sectors, weighted
     sqrt(w_n w_m); only the `coherent_herald` contracts them, in a second
     `_gram` call, and eigensolves the whole, as only `run_scheme` needs it.
+    A mixture has one lambda (None) and a run one point, so only one row
+    of lambda is ever eigensolved.
     """
     factors = _factors(key)
     coherent = key.pair_source == "spdc"
     n_k, n_l = len(factors.signal_states), factors.beam_rank
-    etas = list(dict.fromkeys(eta for eta, _ in points))
-    blocks = _eta_grams(factors, key.detector, etas)
+    pullback = _pullback(factors)
+    blocks = _eta_grams(factors, pullback, key.detector, etas)
     traces, overlaps = {}, {}
     for n, span in factors.blocks.items():
         d, c, g = factors.scale[span], factors.target[span], blocks[n]
@@ -623,7 +646,6 @@ def _score(key: SchemeConfig, points, weights, coherent_herald: bool):
         traces[n] = np.trace(b, axis1=1, axis2=2).real
         overlaps[n] = ((b @ c) * c.conj()).sum(axis=1).real
     # rows lambda, columns sector n, summed over the sectors in ascending n
-    w = np.array([list(sector.values()) for sector in weights.values()])
     plain = sum(wn[:, None] * traces[n] for wn, n in zip(w.T, blocks))
     overlap = sum(wn[:, None] * overlaps[n] for wn, n in zip(w.T, blocks))
     if coherent:
@@ -632,89 +654,82 @@ def _score(key: SchemeConfig, points, weights, coherent_herald: bool):
     else:
         tail = np.full(len(w), max(factors.tails.values()))
     fires = plain >= HERALD_PROBABILITY_FLOOR
-    fidelity = np.divide(overlap, plain, out=np.zeros_like(plain), where=fires)
-    probabilities = (2.0 * np.array(list(traces.values()))).T.tolist()
-    sectors = [dict(zip(blocks, p)) for p in probabilities]
-    common = dict(cutoffs=factors.cuts, discarded_mass=factors.discarded)
-    extras = [common] * len(etas)
+    truncated = tail > key.tail_tol
+    # the columns broadcast to (lambda, eta) where they are read
+    empty = np.full((1, 1), np.nan)
+    sectors = 2.0 * np.array(list(traces.values()))[:, None]
+    columns = {
+        "fidelity": np.divide(overlap, plain, out=np.zeros_like(plain), where=fires),
+        "probability_total": 2.0 * plain,
+        "negativity": np.full(plain.shape, np.nan),
+        "tail_mass": tail[:, None],
+        "sector_probabilities": sectors,
+        "f_chi": empty,
+    }
+    # downconversion's vacuum, one-pair and two-pair terms
+    for n, name in enumerate(("p_vac", "p_chi", "p_phi2")):
+        columns[name] = sectors[n] if coherent and n in traces else empty
     if coherent:
-        extras = [
-            dict(common, p_vac=p[0], p_chi=p[1], p_phi2=p.get(2),
-                 f_chi=o / t if t > 0 else 0.0)
-            for p, o, t in zip(sectors, overlaps[1].tolist(), traces[1].tolist())
-        ]
-    scores = {}
-    rows = zip(weights, w, fires, plain, fidelity.tolist(), tail.tolist())
-    for lam, wl, fire, p_lam, f_lam, tail_mass in rows:
-        if tail_mass > key.tail_tol:
-            error = TruncationError(
-                f"truncation lost probability {tail_mass:.3e}, above the "
-                f"tolerance {key.tail_tol:.0e}; raise the cutoffs"
-            )
-            scores.update(((eta, lam), error) for eta in etas)
-            continue
-        ok = np.flatnonzero(fire)
-        states, negativities = {}, {}
-        if len(ok) and (coherent_herald or not coherent):
-            norm = p_lam[ok][:, None, None]
-            rhos = {n: blocks[n][ok] * wn / norm for n, wn in zip(blocks, wl)}
-            if coherent_herald:
-                rho = np.zeros((len(ok), n_k * n_l, n_k * n_l), dtype=np.complex128)
-                if coherent:
-                    # the blocks between sectors, from a second `_gram` call
-                    cross = _sector_pairs(factors, inside=False)
-                    cut = factors.cuts.detector
-                    for state, i in zip(rho.reshape(-1, n_k, n_l, n_k, n_l), ok):
-                        pattern = herald_pattern(key.detector, etas[i], cut)
-                        state[cross[0], :, cross[1]] = _gram(factors, pattern, cross)
-                    weight = np.repeat(wl, [r.shape[-1] for r in rhos.values()])
-                    d, mix = factors.scale, np.sqrt(np.outer(weight, weight))
-                    rho = (rho + rho.conj().transpose(0, 2, 1)) * 0.5 * d[:, None] * d
-                    rho = rho * mix / norm
-                for span, sector in zip(factors.blocks.values(), rhos.values()):
-                    rho[:, span, span] = sector
-                states = dict(zip(ok.tolist(), rho))
+        t = traces[1]
+        f_chi = np.divide(overlaps[1], t, out=np.zeros_like(t), where=t > 0)
+        columns["f_chi"] = f_chi[None]
+    failures = {}
+    for i in np.flatnonzero(truncated).tolist():
+        error = TruncationError(
+            f"truncation lost probability {tail[i]:.3e}, above the "
+            f"tolerance {key.tail_tol:.0e}; raise the cutoffs"
+        )
+        failures.update(((i, j), error) for j in range(len(etas)))
+    for i, j in np.argwhere(~fires & ~truncated[:, None]).tolist():
+        failures[i, j] = HeraldImpossibleError(
+            f"herald pattern has probability {plain[i, j]:.3e}, below the "
+            f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
+        )
+    rho = None
+    live = np.flatnonzero(fires[0] & ~truncated[0])
+    if len(live) and (coherent_herald or not coherent):
+        (wl,), norm = w, plain[0, live][:, None, None]
+        rhos = {n: blocks[n][live] * wn / norm for n, wn in zip(blocks, wl)}
+        if coherent_herald:
+            rho = np.zeros((len(live), n_k * n_l, n_k * n_l), dtype=np.complex128)
             if coherent:
-                values = stacked_negativity(rho, n_k)
-            else:
-                parts = [stacked_negativity(r, n + 1) for n, r in rhos.items() if n]
-                values = map(sum, zip(*parts))
-            negativities = dict(zip(ok.tolist(), values))
-        for i, (eta, p, f) in enumerate(zip(etas, p_lam.tolist(), f_lam)):
-            if p < HERALD_PROBABILITY_FLOOR:
-                scores[eta, lam] = HeraldImpossibleError(
-                    f"herald pattern has probability {p:.3e}, below the "
-                    f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
-                )
-                continue
-            result = SchemeResult(
-                probability_total=2.0 * p,
-                fidelity=f,
-                negativity=negativities.get(i),
-                sector_probabilities=dict(sectors[i]),
-                tail_mass=tail_mass,
-                schmidt_ranks=(n_k, n_l),
-                **extras[i],
-            )
-            scores[eta, lam] = (result, states.get(i))
-    return scores
+                # the blocks between sectors, from a second `_gram` call
+                cross = _sector_pairs(factors, inside=False)
+                cut = factors.cuts.detector
+                for state, i in zip(rho.reshape(-1, n_k, n_l, n_k, n_l), live):
+                    pattern = herald_pattern(key.detector, etas[i], cut)
+                    state[cross[0], :, cross[1]] = _gram(pullback, pattern, cross)
+                weight = np.repeat(wl, [r.shape[-1] for r in rhos.values()])
+                d, mix = factors.scale, np.sqrt(np.outer(weight, weight))
+                rho = (rho + rho.conj().transpose(0, 2, 1)) * 0.5 * d[:, None] * d
+                rho = rho * mix / norm
+            for span, sector in zip(factors.blocks.values(), rhos.values()):
+                rho[:, span, span] = sector
+        if coherent:
+            values = stacked_negativity(rho, n_k)
+        else:
+            parts = [stacked_negativity(r, n + 1) for n, r in rhos.items() if n]
+            values = map(sum, zip(*parts))
+        columns["negativity"][0, live] = list(values)
+    return columns, failures, rho
 
 
 def run_scheme(config: SchemeConfig) -> SchemeResult:
     """Simulate one heralded run of the scheme: `sweep`'s evaluation of one
     preparation (`_evaluate`) at the config's one point, with the coherent
-    herald for downconversion. Both click patterns contribute; only the
-    plain one is heralded (see `_score`). The fidelity is against the
-    hybrid target at the configured alpha_f and phi, and the negativity is
-    eigensolved on the term-basis rho_t (at alpha_f = 2.5, 46 dimensions
-    instead of the register's 297), which `post_state` embeds at its first
-    read.
+    herald for downconversion, read off its one row. Both click patterns
+    contribute; only the plain one is heralded (see `_score`). The fidelity
+    is against the hybrid target at the configured alpha_f and phi, and the
+    negativity is eigensolved on the term-basis rho_t (at alpha_f = 2.5, 46
+    dimensions instead of the register's 297), which `post_state` embeds at
+    its first read.
     """
     key = _factors_key(config)
-    (outcome,) = _evaluate(key, ((config.eta, config.lam),), coherent_herald=True)
-    if isinstance(outcome, SimulationError):
-        raise outcome
-    result, rho = outcome
+    columns, failures, rho = _evaluate(key, (config.lam,), (config.eta,), True)
+    if failures:
+        raise failures[0, 0]
+    row = {name: column[..., 0, 0] for name, column in columns.items()}
+    factors, sectors = _factors(key), row["sector_probabilities"]
     reference = None
     if config.scs_source == "ideal" and config.detector == "pnr" and (
         config.pair_source != "spdc"
@@ -725,31 +740,26 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
         )
         if p_tot > 0.0:
             reference = _sector_weights(config, None)[1] * p_tot
-    return dataclasses.replace(
-        result, analytic_p_tot=reference, _heralded=(_factors(key), rho)
+    return SchemeResult(
+        probability_total=float(row["probability_total"]),
+        fidelity=float(row["fidelity"]),
+        negativity=float(row["negativity"]),
+        sector_probabilities=dict(zip(factors.blocks, sectors.tolist())),
+        tail_mass=float(row["tail_mass"]),
+        cutoffs=factors.cuts,
+        schmidt_ranks=(len(factors.signal_states), factors.beam_rank),
+        discarded_mass=factors.discarded,
+        f_chi=None if np.isnan(row["f_chi"]) else float(row["f_chi"]),
+        analytic_p_tot=reference,
+        _heralded=(factors, rho[0]),
     )
-
-
-def spdc_decomposition(config: SchemeConfig) -> Dict[str, Optional[float]]:
-    """Pair-number decomposition of a downconversion-driven run, read off
-    `_evaluate`'s row for the point: P = sum_n w_n p_n and
-    F = sum_n w_n p_n f_n / P over the unit sectors (see `_score`), at
-    'paper' weighting the paper's P_tot and F_eff. Returns p_vac, p_chi,
-    p_phi2 (None at order 1), f_chi, f_eff, p_tot and tail_mass.
-    """
-    if config.pair_source != "spdc":
-        raise ValidationError("decomposition applies to the spdc pair source")
-    (outcome,) = _evaluate(_factors_key(config), ((config.eta, config.lam),))
-    if isinstance(outcome, SimulationError):
-        raise outcome
-    result, _ = outcome
-    names = ("p_vac", "p_chi", "p_phi2", "f_chi", "tail_mass")
-    values = {name: getattr(result, name) for name in names}
-    return dict(values, f_eff=result.fidelity, p_tot=result.probability_total)
 
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One row of a `SweepTable`: its swept values by axis and its cells,
+    None where the table leaves them empty."""
+
     params: Tuple[Tuple[str, float], ...]
     fidelity: Optional[float] = None
     probability_total: Optional[float] = None
@@ -760,40 +770,50 @@ class SweepRow:
     tail_mass: Optional[float] = None
     status: str = "ok"
 
-    @classmethod
-    def from_result(
-        cls, params: Tuple[Tuple[str, float], ...], result: SchemeResult
-    ) -> "SweepRow":
-        """The table row of one heralded run."""
-        return cls(
-            params=params,
-            fidelity=result.fidelity,
-            probability_total=result.probability_total,
-            negativity=result.negativity,
-            p_vac=result.p_vac,
-            p_chi=result.p_chi,
-            p_phi2=result.p_phi2,
-            tail_mass=result.tail_mass,
-        )
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
+    """A sweep's rows as columns: `columns` maps each of `axes`, then each
+    of `METRIC_COLUMNS`, to one float per row, NaN where a cell is empty,
+    and `status` holds each row's "ok" or "error:<type>"; a failed row
+    leaves every metric cell empty. The columns are read-only, and `rows`
+    reads them row by row, once; tables compare and hash by their rows."""
+
     axes: Tuple[str, ...]
-    rows: Tuple[SweepRow, ...]
+    columns: Mapping[str, np.ndarray]
+    status: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (*self.columns.values(), self.status):
+            array.setflags(write=False)
+        object.__setattr__(self, "columns", MappingProxyType(dict(self.columns)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SweepTable):
+            return NotImplemented
+        return (self.axes, self.rows) == (other.axes, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.axes, self.rows))
+
+    @functools.cached_property
+    def rows(self) -> Tuple[SweepRow, ...]:
+        keys = zip(*(self.columns[a].tolist() for a in self.axes), self.status.tolist())
+        cells = (
+            [None if math.isnan(x) else x for x in self.columns[name].tolist()]
+            for name in METRIC_COLUMNS
+        )
+        return tuple(
+            SweepRow(tuple(zip(self.axes, values)), *row, status=status)
+            for (*values, status), *row in zip(keys, *cells)
+        )
 
 
 def _updates(params: Sequence[Tuple[str, float]]) -> Dict[str, object]:
     """The config fields that swept values set."""
-    updates: Dict[str, object] = {}
-    for axis, value in params:
-        if axis == "lambda":
-            updates["lam"] = value
-        elif axis == "alpha_f":
-            updates["alpha_f"] = value
-            updates["alpha_i"] = None
-        else:
-            updates[axis] = value
+    updates = {"lam" if axis == "lambda" else axis: value for axis, value in params}
+    if "alpha_f" in updates:
+        updates["alpha_i"] = None
     return updates
 
 
@@ -801,11 +821,12 @@ def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTab
     """Evaluate the scheme over a cartesian parameter grid, one preparation
     at a time: axes sorted by name and values ascending, so the row order
     does not depend on the input's. Points that differ only in eta (and,
-    for downconversion, lambda) share one preparation, which `_evaluate`
-    scores in one pass. Each row is the `run_scheme` of its point, bit for
-    bit, without the post-state, and downconversion rows without the
-    coherent herald's negativity. Rows that fail validation or hit
-    numerical limits get an error status instead of aborting the sweep.
+    for downconversion, lambda) share one preparation, whose (lambda, eta)
+    columns `_evaluate` scores in one pass and the table takes as a block.
+    Each row is the `run_scheme` of its point, bit for bit, without the
+    post-state, and downconversion rows without the coherent herald's
+    negativity. Rows that fail validation or hit numerical limits get an
+    error status instead of aborting the sweep.
     """
     if not grid:
         raise ValidationError("sweep grid must name at least one axis")
@@ -820,26 +841,33 @@ def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTab
         if not axis_values:
             raise ValidationError(f"sweep axis {axis!r} has no values")
         values.append(tuple(sorted(axis_values)))
-    inner = ("eta", "lambda") if config.pair_source == "spdc" else ("eta",)
-    order = [tuple(zip(axes, point)) for point in itertools.product(*values)]
-    groups: Dict[tuple, List[tuple]] = {}
-    for params in order:
-        shared = tuple(item for item in params if item[0] not in inner)
-        groups.setdefault(shared, []).append(params)
-    rows: Dict[tuple, SweepRow] = {}
-    for shared, members in groups.items():
-        points = [
-            (point.get("eta", config.eta), point.get("lambda", config.lam))
-            for point in map(dict, members)
-        ]
+    # each preparation scores a (lambda, eta) block: the cells are held with
+    # the other axes first, an inner axis that is not swept of length one
+    spdc = config.pair_source == "spdc"
+    inner = [a if a in axes and (a == "eta" or spdc) else "" for a in ("lambda", "eta")]
+    lams = values[axes.index("lambda")] if inner[0] else (config.lam,)
+    etas = values[axes.index("eta")] if inner[1] else (config.eta,)
+    outer = [k for k, axis in enumerate(axes) if axis not in inner]
+    shape = tuple(len(values[k]) for k in outer) + (len(lams), len(etas))
+    cells = {name: np.full(shape, np.nan) for name in METRIC_COLUMNS}
+    status = np.full(shape, "ok", dtype=object)
+    for at in np.ndindex(*shape[:-2]):
+        updates = _updates([(axes[k], values[k][i]) for k, i in zip(outer, at)])
         try:
-            outcomes = _evaluate(_factors_key(config, **_updates(shared)), points)
+            key = _factors_key(config, **updates)
+            columns, failures, _ = _evaluate(key, lams, etas)
         except SimulationError as exc:
-            outcomes = [exc] * len(members)
-        for params, outcome in zip(members, outcomes):
-            if isinstance(outcome, SimulationError):
-                status = f"error:{type(outcome).__name__}"
-                rows[params] = SweepRow(params, status=status)
-            else:
-                rows[params] = SweepRow.from_result(params, outcome[0])
-    return SweepTable(axes=axes, rows=tuple(rows[params] for params in order))
+            status[at] = f"error:{type(exc).__name__}"
+            continue
+        for name, column in cells.items():
+            column[at] = columns.get(name, np.nan)
+        for point, exc in failures.items():
+            status[at + point] = f"error:{type(exc).__name__}"
+            for column in cells.values():
+                column[at + point] = np.nan
+    # back to the grid's axis order; the unswept inner axes go last and vanish
+    labels = [axes[k] for k in outer] + inner
+    order = [labels.index(a) for a in axes] + [k for k, a in enumerate(labels) if not a]
+    table = dict(zip(axes, (g.ravel() for g in np.meshgrid(*values, indexing="ij"))))
+    table.update((name, cell.transpose(order).ravel()) for name, cell in cells.items())
+    return SweepTable(axes, table, status.transpose(order).ravel())

@@ -40,7 +40,7 @@ from .oracle import (
     tensor,
     to_density,
 )
-from .pipeline import SchemeConfig, run_scheme, spdc_decomposition
+from .pipeline import SchemeConfig, run_scheme
 from .resource_states import coherent
 
 @dataclass(frozen=True)
@@ -495,10 +495,8 @@ def check_spdc_lambda_scaling() -> CheckResult:
         # trace is their ratio
         coherent = np.trace(full.post_state.matrix).real
         worst_p = max(worst_p, abs(coherent - 1.0))
-        dec = spdc_decomposition(config)
-        formula = analytic.f_eff(
-            dec["p_vac"], dec["p_chi"], dec["p_phi2"], lam, dec["f_chi"]
-        )
+        p = full.sector_probabilities
+        formula = analytic.f_eff(p[0], p[1], p[2], lam, full.f_chi)
         worst_f = max(worst_f, abs(full.fidelity - formula) / formula)
     return _result(
         "spdc_lambda_scaling",
@@ -526,14 +524,15 @@ def check_conversion_spots() -> CheckResult:
             lam=lam,
             detector="onoff",
         )
-        dec = spdc_decomposition(config)
-        p_ok = abs(dec["p_tot"] - p_reference) <= 0.2 * p_reference
-        f_ok = abs(dec["f_eff"] - frozen) <= 2e-3
+        result = run_scheme(config)
+        f_eff, p_tot = result.fidelity, result.probability_total
+        p_ok = abs(p_tot - p_reference) <= 0.2 * p_reference
+        f_ok = abs(f_eff - frozen) <= 2e-3
         passed = passed and p_ok and f_ok
         lines.append(
-            f"lam={lam}: F_eff={dec['f_eff']:.4f} (frozen {frozen}, reference "
-            f"{reference}, delta {dec['f_eff'] - reference:+.4f}), "
-            f"P_tot={dec['p_tot']:.2e} (reference {p_reference:.1e})"
+            f"lam={lam}: F_eff={f_eff:.4f} (frozen {frozen}, reference "
+            f"{reference}, delta {f_eff - reference:+.4f}), "
+            f"P_tot={p_tot:.2e} (reference {p_reference:.1e})"
         )
     return _result(
         "conversion_spots",

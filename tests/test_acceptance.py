@@ -17,7 +17,7 @@ and reports the quote deltas. The analysis lives in the project notes.
 import math
 import time
 
-from hybridcat.pipeline import SchemeConfig, run_scheme, spdc_decomposition
+from hybridcat.pipeline import SchemeConfig, run_scheme
 from hybridcat.selfcheck import run_all_checks
 
 
@@ -114,22 +114,23 @@ def test_criterion_09_conversion_spot_values(capsys):
             lam=lam,
             detector="onoff",
         )
-        got = spdc_decomposition(config)
-        p_ok = abs(got["p_tot"] - quote_p) <= 0.20 * quote_p
-        f_frozen_ok = abs(got["f_eff"] - frozen_f) <= 2e-3
-        in_quote_band = abs(got["f_eff"] - quote_f) <= tol_f
+        got = run_scheme(config)
+        p_tot, f_eff = got.probability_total, got.fidelity
+        p_ok = abs(p_tot - quote_p) <= 0.20 * quote_p
+        f_frozen_ok = abs(f_eff - frozen_f) <= 2e-3
+        in_quote_band = abs(f_eff - quote_f) <= tol_f
         ok = ok and p_ok and f_frozen_ok
         notes.append(
-            f"lam={lam}: P_tot {got['p_tot']:.2e} vs quoted {quote_p:.1e} "
+            f"lam={lam}: P_tot {p_tot:.2e} vs quoted {quote_p:.1e} "
             f"+-20% ({'in' if p_ok else 'OUT OF'} band); F_eff "
-            f"{got['f_eff']:.4f} vs quoted {quote_f} "
+            f"{f_eff:.4f} vs quoted {quote_f} "
             f"({'in' if in_quote_band else 'outside'} quoted band, "
-            f"delta {got['f_eff'] - quote_f:+.4f})"
+            f"delta {f_eff - quote_f:+.4f})"
         )
         assert p_ok
         assert f_frozen_ok
         # proximity sanity: the deviation stays small and one-sided
-        assert 0.0 < got["f_eff"] - quote_f < 0.03
+        assert 0.0 < f_eff - quote_f < 0.03
     _report(
         capsys,
         f"criterion 9: {'PASS' if ok else 'FAIL'} with documented F_eff "

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: scenario parsing, table format,
 subcommand behavior and exit codes."""
 
+import itertools
 import re
 
 import pytest
@@ -320,9 +321,9 @@ def test_reproduce_summary_skips_failed_rows(
     failed = []
     real = pipeline._evaluate
 
-    def failing(key, points):
-        outcomes = real(key, points)
-        for index, (eta, lam) in enumerate(points):
+    def failing(key, lams, etas):
+        columns, failures, rho = real(key, lams, etas)
+        for (i, lam), (j, eta) in itertools.product(enumerate(lams), enumerate(etas)):
             values = {"eta": eta, "lam": lam}
             hit = all(
                 values.get(name, getattr(key, name)) == value
@@ -330,8 +331,8 @@ def test_reproduce_summary_skips_failed_rows(
             )
             if hit and not failed:
                 failed.append((key, eta, lam))
-                outcomes[index] = SimulationError("injected failure")
-        return outcomes
+                failures[i, j] = SimulationError("injected failure")
+        return columns, failures, rho
 
     monkeypatch.setattr(pipeline, "_evaluate", failing)
     code = main(

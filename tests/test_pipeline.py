@@ -48,7 +48,6 @@ from hybridcat.pipeline import (
     SchemeConfig,
     resolve_cutoffs,
     run_scheme,
-    spdc_decomposition,
     sweep,
 )
 
@@ -297,21 +296,32 @@ SPOT_B_EXPECTED = {
 }
 
 
+def _decomposition(config):
+    """A downconversion run's numbers under the names of the paper's
+    P_tot and F_eff terms."""
+    result = run_scheme(config)
+    p = result.sector_probabilities
+    return dict(
+        p_vac=p[0], p_chi=p[1], p_phi2=p.get(2), f_chi=result.f_chi,
+        f_eff=result.fidelity, p_tot=result.probability_total,
+    )
+
+
 def test_spdc_decomposition_frozen_spots():
-    got = spdc_decomposition(SchemeConfig(**SPOT_A))
+    got = _decomposition(SchemeConfig(**SPOT_A))
     for key, expected in SPOT_A_EXPECTED.items():
         assert abs(got[key] - expected) < 1e-6 * abs(expected), key
 
     spot_b = dict(SPOT_A, alpha_i=1.0, s=0.313, lam=0.038)
-    got = spdc_decomposition(SchemeConfig(**spot_b))
+    got = _decomposition(SchemeConfig(**spot_b))
     for key, expected in SPOT_B_EXPECTED.items():
         assert abs(got[key] - expected) < 1e-6 * abs(expected), key
 
 
 def test_spdc_run_reports_component_probabilities():
     result = run_scheme(SchemeConfig(**SPOT_A))
-    for key in ("p_vac", "p_chi", "p_phi2"):
-        value = getattr(result, key)
+    for n, key in enumerate(("p_vac", "p_chi", "p_phi2")):
+        value = result.sector_probabilities[n]
         assert abs(value - SPOT_A_EXPECTED[key]) < 1e-6 * SPOT_A_EXPECTED[key]
     # full-state fidelity coincides with the incoherent effective fidelity
     # because the target lives entirely in the single-pair sector
@@ -320,7 +330,7 @@ def test_spdc_run_reports_component_probabilities():
 
 
 def test_spdc_effective_fidelity_identity():
-    got = spdc_decomposition(SchemeConfig(**SPOT_A))
+    got = _decomposition(SchemeConfig(**SPOT_A))
     rebuilt = analytic.f_eff(
         p_vac=got["p_vac"],
         p_chi=got["p_chi"],
@@ -368,6 +378,52 @@ def test_sweep_spdc_uses_decomposition():
     assert row.negativity is None
     assert abs(row.fidelity - SPOT_A_EXPECTED["f_eff"]) < 1e-6
     assert abs(row.p_chi - SPOT_A_EXPECTED["p_chi"]) < 1e-9
+
+
+def test_sweep_table_rows_read_the_columns():
+    """`rows` is a view of the columns: row k holds entry k of every column,
+    None where the column is NaN."""
+    table = cli._figure_table(4, "a")
+    assert table.axes == ("eta", "t") and len(table.rows) == len(table.status) == 21
+    for k, row in enumerate(table.rows):
+        assert row.params == tuple((a, table.columns[a][k]) for a in table.axes)
+        for name in pipeline.METRIC_COLUMNS:
+            value = table.columns[name][k]
+            assert getattr(row, name) == (None if np.isnan(value) else value), name
+        assert row.status == table.status[k] == "ok"
+    assert all(row.negativity > 0.0 and row.p_chi is None for row in table.rows)
+
+
+def test_sweep_tables_are_read_only_and_compare_by_rows():
+    """The columns cannot be changed under the rows, and two sweeps of one
+    grid are equal tables with equal hashes, failed rows included."""
+    config, grid = SchemeConfig(t=0.9, eta=0.9, alpha_i=0.6, cutoff_b=14), {"alpha_f": (0.5, 2.4)}
+    table, again = sweep(config, grid), sweep(config, grid)
+    assert table == again and hash(table) == hash(again)
+    assert table != sweep(config, {"alpha_f": (0.5,)})
+    with pytest.raises(ValueError):
+        table.columns["fidelity"][0] = 0.0
+    with pytest.raises(ValueError):
+        table.status[0] = "ok"
+    with pytest.raises(TypeError):
+        table.columns["fidelity"] = np.zeros(2)
+
+
+def test_cold_figure_5_builds_no_result_objects(monkeypatch, tmp_path):
+    """A sweep goes from the score arrays to the table columns: a cold
+    figure-5 `reproduce` constructs no `SchemeResult` and no `SweepRow`."""
+    built = []
+    for cls in (pipeline.SchemeResult, pipeline.SweepRow):
+        init = cls.__init__
+        monkeypatch.setattr(
+            cls, "__init__", lambda self, *a, init=init, **k: built.append(self)
+            or init(self, *a, **k)
+        )
+    pipeline._factors.cache_clear()
+    argv = ["reproduce", "--figure", "5", "--output", str(tmp_path / "f5.tsv")]
+    assert cli.main(argv) == 0
+    assert built == []
+    assert len(sweep(SchemeConfig(**SPOT_A), {"eta": (0.5,)}).rows) == len(built) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -636,13 +692,13 @@ def test_pulled_back_gram_matches_interfered_factors(kwargs):
         # pair blocks (k, m), k-major
         expected = expected.transpose(0, 2, 1, 3).reshape(-1, n_l, n_l)
         bound = 1e-13 * np.abs(expected).max()
-        got = pipeline._gram(factors, w)
+        got = pipeline._gram(pipeline._pullback(factors), w)
         assert np.abs(got - expected).max() <= bound
         # the pairs inside one sector and, if any, across two, on their own
         for inside in (True, False):
             ks, ms = pipeline._sector_pairs(factors, inside)
             if len(ks):
-                got = pipeline._gram(factors, w, (ks, ms))
+                got = pipeline._gram(pipeline._pullback(factors), w, (ks, ms))
                 assert np.abs(got - expected[ks * n_k + ms]).max() <= bound
 
 
@@ -874,10 +930,15 @@ def test_sweep_reports_each_efficiency_of_a_preparation_on_its_own():
             run_scheme(dataclasses.replace(config, eta=0.0))
         for row in table.rows[1:]:
             result = run_scheme(dataclasses.replace(config, **dict(row.params)))
-            expected = cli.SweepRow.from_result(row.params, result)
+            sectors = result.sector_probabilities if source == "spdc" else {}
+            negativity = result.negativity
             if source == "spdc":
                 assert row.negativity is None and result.negativity > 0.0
-                expected = dataclasses.replace(expected, negativity=None)
+                negativity = None
+            expected = pipeline.SweepRow(
+                row.params, result.fidelity, result.probability_total, negativity,
+                *(sectors.get(n) for n in range(3)), result.tail_mass,
+            )
             assert row == expected, source
 
 
@@ -958,10 +1019,40 @@ def test_sweep_runs_higher_spdc_orders_in_full():
     assert row.fidelity == result.fidelity
     # sweep rows skip the coherent post-state's eigensolve at every order
     assert row.negativity is None and result.negativity > 0.0
-    assert row.p_chi == result.p_chi
+    assert row.p_chi == result.sector_probabilities[1]
     assert abs(row.probability_total - 4.4635e-4) < 1e-7
     assert abs(row.fidelity - 0.17855) < 1e-5
-    assert spdc_decomposition(config)["p_tot"] == row.probability_total
+
+
+@pytest.mark.parametrize(
+    "kwargs", [FIGURE_4_SPOTS[1], SPOT_A], ids=["figure-4b", "spot-a"]
+)
+def test_discarded_beam_mass_is_counted_once(monkeypatch, kwargs):
+    """`_beam` cut to its first two vectors: each sector's deficit rises by
+    the mass of the terms it drops, which is the discarded singular mass
+    times those terms' unit-POVM norms (just below one), so by the
+    discarded mass once, not twice."""
+    key = pipeline._factors_key(SchemeConfig(**kwargs))
+    pipeline._factors.cache_clear()
+    full = pipeline._factors(key)
+    norms = full.scale**2 * pipeline._unit_norms(full.idler_h, full.idler_v, full.tap)
+    dropped = np.arange(len(full.scale)) % full.beam_rank >= 2
+    beam = pipeline._beam
+
+    def cut(config, cuts):
+        tap, s, vh, discarded = beam(config, cuts)
+        return tap[:2], s[:2], vh[:2], discarded + float(np.sum(s[2:] ** 2))
+
+    monkeypatch.setattr(pipeline, "_beam", cut)
+    pipeline._factors.cache_clear()
+    factors = pipeline._factors(key)
+    pipeline._factors.cache_clear()
+    extra = factors.discarded - full.discarded
+    assert extra > 1e-8
+    for n, span in full.blocks.items():
+        rise = factors.tails[n] - full.tails[n]
+        assert abs(rise - norms[span][dropped[span]].sum()) <= 1e-15
+        assert abs(rise - extra) <= 1e-4 * extra
 
 
 def test_truncation_gate_weights_the_sectors():
@@ -980,11 +1071,10 @@ def test_truncation_gate_weights_the_sectors():
 def test_spdc_order_one_has_no_two_pair_term():
     config = SchemeConfig(**dict(SPOT_A, lam=0.02, spdc_order=1))
     result = run_scheme(config)
-    assert result.p_phi2 is None
-    assert result.p_chi == pytest.approx(SPOT_A_EXPECTED["p_chi"])
+    assert sorted(result.sector_probabilities) == [0, 1]
+    assert result.sector_probabilities[1] == pytest.approx(SPOT_A_EXPECTED["p_chi"])
     row = sweep(config, {"lambda": (0.02,)}).rows[0]
     assert row.status == "ok" and row.p_phi2 is None
-    assert spdc_decomposition(config)["p_phi2"] is None
     lam2 = 0.02**2
     expected = (1.0 - lam2) * (
         SPOT_A_EXPECTED["p_vac"] + lam2 * SPOT_A_EXPECTED["p_chi"]
@@ -1009,8 +1099,8 @@ def test_spdc_sweep_rows_equal_runs(point):
     result = run_scheme(config)
     assert row.probability_total == result.probability_total
     assert row.fidelity == result.fidelity
-    assert (row.p_vac, row.p_chi, row.p_phi2) == (
-        result.p_vac, result.p_chi, result.p_phi2
+    assert (row.p_vac, row.p_chi, row.p_phi2) == tuple(
+        result.sector_probabilities[n] for n in range(3)
     )
     assert row.tail_mass == result.tail_mass
     # the coherent post-state, normalized by the sector recombination,
@@ -1083,8 +1173,8 @@ def test_spdc_components_skip_negativity(monkeypatch):
         np.linalg, "eigvalsh", lambda m: sizes.append(m.shape[0]) or real(m)
     )
     pipeline._factors.cache_clear()
-    spdc_decomposition(SchemeConfig(**SPOT_A))
-    assert sizes == []
+    row = sweep(SchemeConfig(**SPOT_A), {"eta": (0.5,)}).rows[0]
+    assert sizes == [] and row.p_chi > 0.0
 
 
 @pytest.mark.parametrize("detector", DETECTORS)
@@ -1097,10 +1187,9 @@ def test_ideal_cat_vacuum_sector_cannot_herald(detector):
     for alpha_i, eta, t in itertools.product(
         (0.7, 1.0, 1.5), (0.1, 0.5, 1.0), (0.9, 0.99)
     ):
-        got = spdc_decomposition(
-            SchemeConfig(
-                t=t, eta=eta, alpha_i=alpha_i, pair_source="spdc", lam=0.05,
-                detector=detector,
-            )
+        config = SchemeConfig(
+            t=t, eta=eta, alpha_i=alpha_i, pair_source="spdc", lam=0.05,
+            detector=detector,
         )
-        assert got["p_vac"] <= 1e-10 * got["p_chi"], (alpha_i, eta, t)
+        got = sweep(config, {"eta": (eta,)}).rows[0]
+        assert got.p_vac <= 1e-10 * got.p_chi, (alpha_i, eta, t)

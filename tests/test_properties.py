@@ -1,0 +1,65 @@
+"""Properties over random valid configurations (hypothesis; see
+conftest.py for the profile)."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from hybridcat.errors import SimulationError  # noqa: E402
+from hybridcat.pipeline import (  # noqa: E402
+    DETECTORS,
+    PAIR_SOURCES,
+    SCS_SOURCES,
+    SchemeConfig,
+    run_scheme,
+    sweep,
+)
+
+
+@st.composite
+def configs(draw):
+    """A small-amplitude config of any source, pair source and detector."""
+    kwargs = dict(
+        t=draw(st.floats(0.85, 0.999)),
+        eta=draw(st.floats(0.05, 1.0)),
+        scs_source=draw(st.sampled_from(SCS_SOURCES)),
+        pair_source=draw(st.sampled_from(PAIR_SOURCES)),
+        detector=draw(st.sampled_from(DETECTORS)),
+    )
+    if kwargs["scs_source"] == "ideal":
+        kwargs["alpha_f"] = draw(st.floats(0.3, 1.2))
+    else:
+        kwargs.update(alpha_i=draw(st.floats(0.5, 1.0)), s=draw(st.floats(0.1, 0.35)))
+    if kwargs["pair_source"] == "vacuum_mixed":
+        kwargs["z"] = draw(st.floats(0.1, 1.0))
+    elif kwargs["pair_source"] == "spdc":
+        kwargs["lam"] = draw(st.floats(0.001, 0.1))
+        kwargs["spdc_order"] = draw(st.sampled_from((1, 2)))
+    return SchemeConfig(**kwargs)
+
+
+@settings(max_examples=25)
+@given(configs())
+def test_one_point_sweep_row_is_its_run(config):
+    """A one-point sweep's row holds its run's P, F, truncation deficit and,
+    for downconversion, sector probabilities, bit for bit; a run that fails
+    leaves the row failed with its error type and every cell empty."""
+    grid = {"eta": (config.eta,), "t": (config.t,)}
+    if config.pair_source == "spdc":
+        grid["lambda"] = (config.lam,)
+    (row,) = sweep(config, grid).rows
+    try:
+        result = run_scheme(config)
+    except SimulationError as exc:
+        assert row.status == f"error:{type(exc).__name__}"
+        assert (row.fidelity, row.probability_total, row.tail_mass) == (None,) * 3
+        return
+    assert row.status == "ok"
+    assert row.probability_total == result.probability_total
+    assert row.fidelity == result.fidelity
+    assert row.tail_mass == result.tail_mass
+    sectors = result.sector_probabilities if config.pair_source == "spdc" else {}
+    assert (row.p_vac, row.p_chi, row.p_phi2) == tuple(sectors.get(n) for n in range(3))
