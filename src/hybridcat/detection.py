@@ -46,6 +46,8 @@ def povm_pnr(n: int, eta: float, cutoff: int) -> np.ndarray:
     if n < 0:
         raise ValidationError("photon count n must be >= 0")
     weights = np.zeros(cutoff + 1)
+    # scalar powers, not numpy's array power, whose SIMD loop can differ in
+    # the last bit (at eta = 0.9, n = 0 from k = 10 on) and so move the tables
     for k in range(n, cutoff + 1):
         weights[k] = math.comb(k, n) * eta**n * (1.0 - eta) ** (k - n)
     weights.setflags(write=False)

@@ -11,7 +11,9 @@ mutate their inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -34,11 +36,8 @@ HERMITICITY_TOL = 1e-10
 
 @lru_cache(maxsize=None)
 def _log_factorial_table(size: int) -> np.ndarray:
-    table = np.empty(size)
-    factorial = 1
-    for n in range(size):
-        factorial *= max(n, 1)
-        table[n] = math.log(factorial)
+    factorials = itertools.accumulate(range(1, size), operator.mul, initial=1)
+    table = np.fromiter(map(math.log, factorials), float, size)
     table.setflags(write=False)
     return table
 

@@ -14,12 +14,14 @@ beam entering mode j keeps its transmitted part +sqrt(t) in mode j and sends
 +sqrt(r) into mode i, while a beam entering mode i picks up the minus sign on
 its reflected part.
 
-The kernel is built without loops over Fock entries. Input |n, m> expands
-binomially in the output creation operators (Campos, Saleh & Teich, PRA 40,
-1371 (1989)), so the amplitude of o photons in output i is a convolution of
-two per-input tables of exact binomials times powers of S; one matmul takes
-it for every input pair, and a boson factor from `log_factorials` scales
-it.
+The mixer conserves photon number, so its amplitudes are indexed by the
+input (n, m) and the output o in mode i alone (`mixer_amplitudes`), and the
+dense kernel of the dense test oracle only scatters them. They are built
+without loops over Fock entries. Input |n, m> expands binomially in the
+output creation operators (Campos, Saleh & Teich, PRA 40, 1371 (1989)), so
+the amplitude of o photons in output i is a convolution of two per-input
+tables of exact binomials times powers of S; one matmul takes it for every
+input pair, and a boson factor from `log_factorials` scales it.
 
 Displacement matrices come from the closed-form associated-Laguerre matrix
 elements, not from exponentiating truncated generators, so low Fock
@@ -42,6 +44,7 @@ from .fock_core import log_factorials
 
 __all__ = [
     "BsParams",
+    "mixer_amplitudes",
     "two_mode_kernel",
     "displacement_matrix",
     "required_displacement_cutoff",
@@ -86,7 +89,7 @@ def _expansion_table(size: int, dim: int, to_i: complex, to_j: complex) -> np.nd
 
 
 @lru_cache(maxsize=256)
-def _cached_kernel(entries: tuple, dim_i: int, dim_j: int) -> np.ndarray:
+def _cached_amplitudes(entries: tuple, dim_i: int, dim_j: int) -> np.ndarray:
     # Input |n, m> expands as (s00 a_i^dag + s10 a_j^dag)^n (s01 a_i^dag +
     # s11 a_j^dag)^m / sqrt(n! m!). The amplitude of o photons in output i
     # is the convolution over o = p + k of a[n, p] = C(n, p) s00^p
@@ -107,13 +110,42 @@ def _cached_kernel(entries: tuple, dim_i: int, dim_j: int) -> np.ndarray:
     )
     n, m = np.arange(dim_i)[:, None, None], np.arange(dim_j)[:, None]
     out_j = n + m - o
-    keep = (out_j >= 0) & (out_j < dim_j)
     lg = log_factorials(dim_i + dim_j + 1)
-    n, m, o, out_j = (np.broadcast_to(x, keep.shape)[keep] for x in (n, m, o, out_j))
-    # paired differences vanish exactly where o = n, so t = 1 is the identity
+    # paired differences vanish exactly where o = n, so t = 1 is the identity;
+    # past a cutoff out_j reads any entry of lg, and the amplitude is dropped
     boson = np.exp(0.5 * ((lg[o] - lg[n]) + (lg[out_j] - lg[m])))
+    amplitudes = np.where((out_j >= 0) & (out_j < dim_j), conv * boson, 0.0)
+    amplitudes.setflags(write=False)
+    return amplitudes
+
+
+def _scattering_entries(scattering: np.ndarray) -> tuple:
+    mat = np.asarray(scattering, dtype=np.complex128)
+    if mat.shape != (2, 2):
+        raise ValidationError("scattering matrix must be 2x2")
+    return tuple(complex(x) for x in mat.ravel())
+
+
+def mixer_amplitudes(scattering: np.ndarray, dim_i: int, dim_j: int) -> np.ndarray:
+    """The two-mode mixer's photon-number-conserving amplitudes, indexed
+    [n, m, o]: <o, n + m - o| of the mixer applied to input |n, m>, over
+    dimensions (dim_i, dim_j), zero where that output falls outside them.
+
+    These are the only nonzero entries of `two_mode_kernel`, dim_i^2 dim_j
+    of them against its (dim_i dim_j)^2. The result is cached and
+    read-only.
+    """
+    return _cached_amplitudes(_scattering_entries(scattering), int(dim_i), int(dim_j))
+
+
+@lru_cache(maxsize=256)
+def _cached_kernel(entries: tuple, dim_i: int, dim_j: int) -> np.ndarray:
+    # the nonzero `_cached_amplitudes` scattered to row (o, n + m - o),
+    # column (n, m)
+    amplitudes = _cached_amplitudes(entries, dim_i, dim_j)
+    n, m, o = np.nonzero(amplitudes)
     kernel = np.zeros((dim_i * dim_j, dim_i * dim_j), dtype=np.complex128)
-    kernel[o * dim_j + out_j, n * dim_j + m] = conv[keep] * boson
+    kernel[o * dim_j + n + m - o, n * dim_j + m] = amplitudes[n, m, o]
     kernel.setflags(write=False)
     return kernel
 
@@ -122,20 +154,13 @@ def two_mode_kernel(scattering: np.ndarray, dim_i: int, dim_j: int) -> np.ndarra
     """Fock-basis matrix of the two-mode mixer with the given 2x2 scattering
     matrix, over dimensions (dim_i, dim_j); row/column index is i-major.
 
-    Components whose output occupation exceeds a cutoff are dropped, so the
-    matrix is an exact isometry only on inputs whose images fit. The result
-    is cached and read-only.
+    The dense form of `mixer_amplitudes`, which the run path uses instead;
+    this matrix serves the dense test oracle and `selfcheck`. Components
+    whose output occupation exceeds a cutoff are dropped, so the matrix is
+    an exact isometry only on inputs whose images fit. The result is cached
+    and read-only.
     """
-    mat = np.asarray(scattering, dtype=np.complex128)
-    if mat.shape != (2, 2):
-        raise ValidationError("scattering matrix must be 2x2")
-    entries = (
-        complex(mat[0, 0]),
-        complex(mat[0, 1]),
-        complex(mat[1, 0]),
-        complex(mat[1, 1]),
-    )
-    return _cached_kernel(entries, int(dim_i), int(dim_j))
+    return _cached_kernel(_scattering_entries(scattering), int(dim_i), int(dim_j))
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,18 @@
 `run_scheme` never forms a joint state. This module does, mode by mode and
 in the lab frame: `build_prestate` builds all eight modes right before
 detection from the pair source (`pair_source`, with its idler displaced by
-`apply_displacement`) and the beam (rotated onto the diagonal by
-`polarization_rotation` and tapped by one `apply_beam_splitter` per
-polarization), and `herald` heralds a click pattern on it by a weighted
-partial trace over dense amplitudes. `target_hybrid`, `fidelity` and
-`negativity` score the result on the full register, and
+`apply_displacement`) and the beam (the source up to b + 2d photons,
+rotated onto the diagonal by `polarization_rotation`, tapped by one
+`apply_beam_splitter` per polarization, and its kept field projected onto
+at most b photons), and `herald` heralds a click pattern on it by a
+weighted partial trace over dense amplitudes. `target_hybrid`, `fidelity`
+and `negativity` score the result on the full register, and
 `bs_fock_coefficient` is a second, combinatorial form of the splitter
-kernel. The tests and `selfcheck` compare `run_scheme` with these. It
-shares only the kernels, the POVMs, the cutoffs and the downconversion
-weights with the run path, which never imports it.
+kernel. The tests and `selfcheck` compare `run_scheme` with these. Its
+splitters apply the dense `two_mode_kernel`, which the run path never
+builds; it shares the mixer amplitudes that kernel scatters, the displacement
+matrices, the POVMs, the source amplitudes, the cutoffs and the
+downconversion weights with the run path, which never imports it.
 """
 
 from __future__ import annotations
@@ -521,27 +524,31 @@ def build_prestate(config: SchemeConfig) -> Ensemble:
     the B channels into the beam frame and projecting the empty channel
     out. It is built without `run_scheme`'s closed forms: the pair comes
     from `pair_source` with its idler displaced mode by mode, and the source
-    beam is rotated from B_H onto the diagonal of (B_H, B_V) and each
-    polarization tapped by its own splitter. Only the cutoffs and the
-    downconversion sector weights (`PairSourceSpec.sector_weights`) are
-    shared.
+    beam, up to b + 2d photons (b the field and d the detector cutoff, so
+    that no photon the taps keep is cut before them), is rotated from B_H
+    onto the diagonal of (B_H, B_V) and each polarization tapped by its own
+    splitter; the kept field is then projected onto at most b photons, the
+    (B_H, B_V) cutoffs. It shares the source amplitudes and their cutoff
+    contracts (checked at b), the cutoffs and the downconversion sector
+    weights (`PairSourceSpec.sector_weights`) with the run path, not its
+    closed forms.
     """
     cuts = resolve_cutoffs(config)
-    register = build_register(
-        [
-            ("4H", cuts.detector),
-            ("4V", cuts.detector),
-            ("B_H", cuts.b),
-            ("B_V", cuts.b),
-        ]
-    )
+    reach = cuts.b + 2 * cuts.detector
+
+    def beam_register(field: int) -> Register:
+        taps = (("4H", cuts.detector), ("4V", cuts.detector))
+        return build_register(taps + (("B_H", field), ("B_V", field)))
+
     if config.scs_source == "ideal":
-        source = scs(ScsSpec(config.resolved_alpha_i, config.phi), cuts.b)
+        spec, source = ScsSpec(config.resolved_alpha_i, config.phi), scs
     else:
         spec = SqueezedPhotonSpec(config.s, config.n_cut)
-        source = squeezed_single_photon(spec, cuts.b)
+        source = squeezed_single_photon
+    source(spec, cuts.b)
+    register = beam_register(reach)
     amps = np.zeros(register.dims, dtype=np.complex128)
-    amps[0, 0, :, 0] = source.amps
+    amps[0, 0, :, 0] = source(spec, reach).amps
     beam = polarization_rotation(
         PureState(register, amps, copy=False), "B_H", "B_V", -math.pi / 4.0
     )
@@ -550,6 +557,10 @@ def build_prestate(config: SchemeConfig) -> Ensemble:
         beam = apply_beam_splitter(
             beam, reflected, kept, tap, tail_tol=config.tail_tol
         )
+    # at most b photons in the kept field, which then fit (B_H, B_V) at b
+    photons = np.add.outer(np.arange(reach + 1), np.arange(reach + 1))
+    kept = np.where(photons <= cuts.b, beam.amps, 0.0)[..., : cuts.b + 1, : cuts.b + 1]
+    beam = PureState(beam_register(cuts.b), kept, copy=False)
     half = BsParams.from_transmissivity(0.5)
     branches = []
     for weight, state in _pair_ensemble(config, cuts):

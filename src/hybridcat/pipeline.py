@@ -60,8 +60,8 @@ from .metrics import stacked_negativity, target_field_vectors
 from .optics import (
     BsParams,
     displacement_matrix,
+    mixer_amplitudes,
     required_displacement_cutoff,
-    two_mode_kernel,
 )
 from .resource_states import (
     PairSourceSpec,
@@ -232,14 +232,18 @@ def resolve_cutoffs(config: SchemeConfig) -> ResolvedCutoffs:
     return ResolvedCutoffs(a=int(a), detector=int(det), b=int(b))
 
 
-def _source_vector(config: SchemeConfig, cutoff: int) -> np.ndarray:
+def _source_vector(config: SchemeConfig, cuts: ResolvedCutoffs) -> np.ndarray:
+    """The source beam's amplitudes up to b + 2d photons, all that the tap
+    box (4H, 4V, B) reaches, b the field cutoff and d the detector cutoff.
+    Each source's cutoff contract (`scs`'s tail bound, the squeezed
+    photon's 2 n_cut + 1) is checked at b, where it always was."""
     if config.scs_source == "ideal":
-        state = scs(ScsSpec(config.resolved_alpha_i, config.phi), cutoff, label="B_H")
+        spec, source = ScsSpec(config.resolved_alpha_i, config.phi), scs
     else:
-        state = squeezed_single_photon(
-            SqueezedPhotonSpec(config.s, config.n_cut), cutoff, label="B_H"
-        )
-    return state.amps
+        spec = SqueezedPhotonSpec(config.s, config.n_cut)
+        source = squeezed_single_photon
+    source(spec, cuts.b)
+    return source(spec, cuts.b + 2 * cuts.detector).amps
 
 
 def _beam(config: SchemeConfig, cuts: ResolvedCutoffs):
@@ -253,15 +257,19 @@ def _beam(config: SchemeConfig, cuts: ResolvedCutoffs):
         psi[(j, k), m] = sqrt(C(s, j) / 2^s) Phi[s, m],
         Phi[s, m] = c_(s+m) sqrt((s + m)! / (s! m!)) (1 - t)^(s/2) t^(m/2),
 
-    c the source vector, zero above the field cutoff b, and j, k up to the
-    detector cutoff d: the box `oracle.build_prestate`'s lab-frame
-    splitters keep. The split map's columns s are orthogonal, of squared
-    norm a_s = sum_(j+k=s) C(s, j) / 2^s, so the box's SVD is that of the
-    (2d + 1) x (b + 1) matrix diag(sqrt(a)) Phi = u s vh, with tap factors
-    T_l[i, j] = sqrt(C(i + j, i) 2^-(i+j) / a_(i+j)) u[i + j, l]. The rank
-    cut is numpy's `matrix_rank` tolerance on the box's shape,
-    s_0 max((d + 1)^2, b + 1) eps, which keeps the box SVD's ranks (the
-    small matrix's own shape keeps 24 vectors, not 23, at alpha_f = 2.5).
+    c the source vector up to b + 2d photons (`_source_vector`), m up to
+    the field cutoff b and j, k up to the detector cutoff d: the box
+    `oracle.build_prestate`'s lab-frame splitters keep. The source is not
+    cut at b before the tap, so the box is a projection of the tapped
+    source on each side, and the ideal cat's beam, a sum of two coherent
+    products, stays exactly rank 2 (its Schmidt vectors the even and odd
+    cats); the mass the box drops, the kept field's above b included,
+    enters every sector's deficit. The split map's columns s are
+    orthogonal, of squared norm a_s = sum_(j+k=s) C(s, j) / 2^s, so the
+    box's SVD is that of the (2d + 1) x (b + 1) matrix diag(sqrt(a)) Phi =
+    u s vh, with tap factors T_l[i, j] = sqrt(C(i + j, i) 2^-(i+j) /
+    a_(i+j)) u[i + j, l]. The rank cut is numpy's `matrix_rank` tolerance
+    on the box's shape, s_0 max((d + 1)^2, b + 1) eps.
 
     Returns (tap, s, vh, discarded): tap stacked (rank, d + 1, d + 1), and
     the squared singular mass that was cut.
@@ -269,7 +277,7 @@ def _beam(config: SchemeConfig, cuts: ResolvedCutoffs):
     dim, t = cuts.detector + 1, config.t
     s = np.arange(2 * dim - 1)[:, None]
     m = np.arange(cuts.b + 1)
-    c = np.concatenate((_source_vector(config, cuts.b), np.zeros(2 * cuts.detector)))
+    c = _source_vector(config, cuts)
     lg = log_factorials(c.size)
     # plain powers, not logarithms: at t = 1 the tap needs 0 ** 0 = 1
     phi = c[s + m] * np.exp(0.5 * (lg[s + m] - lg[s] - lg[m])) \
@@ -357,9 +365,10 @@ class _Factors:
     Term (k, l) of Z is idler factor u_k (x) v_k on (2H, 2V) times tap
     factor T_l = `tap[l]` on (4H, 4V), and each splitter acts on one
     polarization, so row (k, l) of Z, as a (6H 5H) x (6V 5V) matrix, is
-    P_k T_l Q_k^T. P_k = K (I (x) u_k), u_k through the 50:50 kernel K with
-    the tap's 4H left open, fills rows (k, 4H) of `idler_h`; `idler_v`
-    holds Q_k alike. `tails` holds the sectors' truncation deficits and
+    P_k T_l Q_k^T. P_k = K (I (x) u_k), u_k through the 50:50 splitter K
+    with the tap's 4H left open, fills rows (k, 4H) of `idler_h`, one
+    amplitude of K per entry (`_balanced_splitter`); `idler_v` holds Q_k
+    alike. `tails` holds the sectors' truncation deficits and
     `target` the hybrid target's coefficients c on the terms
     (`_target_terms`); `tap`, `beam_vh` and `discarded` come from `_beam`.
     """
@@ -479,6 +488,26 @@ def _factors_key(config: SchemeConfig, **updates) -> SchemeConfig:
 
 
 @functools.lru_cache(maxsize=32)
+def _balanced_splitter(dim: int):
+    """The 50:50 splitter on (4H, 2H) as a gather: output (6H, 5H) =
+    (o6, o5) of tap input j takes the one idler input i = o6 + o5 - j that
+    conserves photon number, with amplitude kappa[j, o6, o5]
+    (`mixer_amplitudes` at [j, i, o6]; zero where i falls outside the
+    cutoff, whose index is then 0). Returns (i, kappa), cached read-only."""
+    amplitudes = mixer_amplitudes(
+        BsParams.from_transmissivity(0.5).scattering_matrix(), dim, dim
+    )
+    j, o6, o5 = np.arange(dim)[:, None, None], np.arange(dim)[:, None], np.arange(dim)
+    inputs = o6 + o5 - j
+    inside = (inputs >= 0) & (inputs < dim)
+    inputs = np.where(inside, inputs, 0)
+    kappa = np.where(inside, amplitudes.take((j * dim + inputs) * dim + o6), 0.0)
+    for array in (inputs, kappa):
+        array.setflags(write=False)
+    return inputs, kappa
+
+
+@functools.lru_cache(maxsize=32)
 def _factors(key: SchemeConfig) -> _Factors:
     """Schmidt-factored pre-detection sectors of one configuration.
 
@@ -503,13 +532,10 @@ def _factors(key: SchemeConfig) -> _Factors:
     m = np.concatenate([np.arange(q + 1) for q in numbers])
     signal_states = m * (cuts.a + 1) + n - m
     scale = np.outer((n + 1.0) ** -0.5, beam_s).ravel()
-    kernel = two_mode_kernel(
-        BsParams.from_transmissivity(0.5).scattering_matrix(), dim, dim
-    ).reshape(dim**3, dim)
-    # kernel rows (6H 5H, 4H) by column 2H, stored as rows (k, 4H)
+    # rows (k, 4H), columns (6H 5H): one amplitude of u_k each
+    inputs, kappa = _balanced_splitter(dim)
     idler_h, idler_v = (
-        (kernel @ disp[:, photons]).reshape(dim * dim, dim, -1)
-        .transpose(2, 1, 0).reshape(-1, dim * dim)
+        (disp.T[photons].take(inputs, axis=1) * kappa).reshape(-1, dim * dim)
         for photons in (n - m, m)
     )
     target = _target_terms(key, cuts, signal_states, beam_vh)

@@ -431,21 +431,31 @@ def test_cold_figure_5_builds_no_result_objects(monkeypatch, tmp_path):
 
 
 def _lab_frame_beam(config, cuts):
-    """The beam built mode by mode: the source rotated onto the diagonal of
-    (B_H, B_V), each polarization tapped by its own splitter, rotated back,
-    and the empty B_V channel dropped."""
+    """The beam built mode by mode: the source up to b + 2d photons rotated
+    onto the diagonal of (B_H, B_V), each polarization tapped by its own
+    splitter, the kept field projected onto at most b photons and rotated
+    back, and the empty B_V channel dropped."""
+    reach = cuts.b + 2 * cuts.detector
     register = build_register(
-        [("4H", cuts.detector), ("4V", cuts.detector), ("B_H", cuts.b), ("B_V", cuts.b)]
+        [("4H", cuts.detector), ("4V", cuts.detector), ("B_H", reach), ("B_V", reach)]
     )
     amps = np.zeros(register.dims, dtype=np.complex128)
-    amps[0, 0, :, 0] = pipeline._source_vector(config, cuts.b)
+    amps[0, 0, :, 0] = pipeline._source_vector(config, cuts)
     state = polarization_rotation(
         PureState(register, amps), "B_H", "B_V", -math.pi / 4
     )
     tap = BsParams.from_transmissivity(config.t)
     state = apply_beam_splitter(state, "4H", "B_H", tap)
     state = apply_beam_splitter(state, "4V", "B_V", tap)
-    state = polarization_rotation(state, "B_H", "B_V", math.pi / 4)
+    photons = np.add.outer(np.arange(reach + 1), np.arange(reach + 1))
+    kept = np.where(photons <= cuts.b, state.amps, 0.0)[..., : cuts.b + 1, : cuts.b + 1]
+    register = build_register(
+        [("4H", cuts.detector), ("4V", cuts.detector), ("B_H", cuts.b), ("B_V", cuts.b)]
+    )
+    state = polarization_rotation(PureState(register, kept), "B_H", "B_V", math.pi / 4)
+    # the rotation at b + 2d builds a dense kernel of (b + 2d + 1)^4 entries
+    # (194 MB at b = 32, d = 13); keep no test process holding it
+    optics._cached_kernel.cache_clear()
     return state.amps[..., 0]
 
 
@@ -483,22 +493,48 @@ def test_untapped_beam_heralds_nothing():
     beam = _factored_beam(config, cuts)
     assert np.isfinite(beam).all()
     assert float(np.abs(beam - _lab_frame_beam(config, cuts)).max()) <= 1e-14
-    source = pipeline._source_vector(config, cuts.b)
+    # untapped, the beam is the source's first b + 1 amplitudes
+    source = pipeline._source_vector(config, cuts)[: cuts.b + 1]
     assert float(np.abs(beam[0, 0] - source).max()) <= 1e-14
     with pytest.raises(HeraldImpossibleError):
         run_scheme(config)
 
 
 @pytest.mark.parametrize(
-    "alpha_f, ranks", [(3.5, (2, 27)), (5.0, (2, 33)), (7.0, (2, 42))]
+    "alpha_f, ranks", [(3.5, (2, 2)), (5.0, (2, 2)), (7.0, (2, 2))]
 )
 def test_large_amplitude_runs_on_the_closed_forms(alpha_f, ranks):
     """Amplitude reach: the joint tensor is never formed, so a run at
-    alpha_f = 7 stays on the closed forms at default cutoffs."""
+    alpha_f = 7 stays on the closed forms at default cutoffs, on the cat's
+    exactly rank-2 beam."""
     result = run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_f=alpha_f))
-    assert abs(result.fidelity - analytic.fidelity_eta(alpha_f, 0.9, 0.9)) <= 1e-9
-    assert abs(result.probability_total / result.analytic_p_tot - 0.5) <= 1e-9
+    assert abs(result.fidelity - analytic.fidelity_eta(alpha_f, 0.9, 0.9)) <= 1e-12
+    assert abs(result.probability_total / result.analytic_p_tot - 0.5) <= 1e-12
     assert result.schmidt_ranks == ranks
+
+
+def test_ideal_cat_beam_is_rank_two(monkeypatch):
+    """The tapped cat is a sum of two coherent products. With the source
+    run to b + 2d photons the box is a projection of it on each side, so
+    the roundoff rank cut keeps exactly its two Schmidt vectors at every
+    figure-2 and figure-3 preparation and at alpha_f = 2.5."""
+    ranks = []
+    beam = pipeline._beam
+
+    def recorded(*args):
+        factors = beam(*args)
+        ranks.append(len(factors[1]))
+        return factors
+
+    monkeypatch.setattr(pipeline, "_beam", recorded)
+    pipeline._factors.cache_clear()
+    cli._figure_table(2, None)
+    cli._figure_table(3, None)
+    result = run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5))
+    assert result.schmidt_ranks == (2, 2)
+    # 11 transmissivities of figure 2, 6 amplitudes of figure 3 (one of them
+    # figure 2's t = 0.99 preparation, served from the cache), one run
+    assert ranks == [2] * (len(cli._FIG2_T) + len(cli._FIG3_ALPHA))
 
 
 def test_plain_probability_is_half_the_total():
@@ -719,13 +755,13 @@ def _eigensolve_sizes(monkeypatch, config):
 
 
 def test_negativity_eigensolve_runs_on_the_product_support(monkeypatch):
-    # two signal states |0, 1>, |1, 0> times beam rank 23, not the 297 of
-    # the full (A_H, A_V, B) register
+    # two signal states |0, 1>, |1, 0> times the cat's beam rank 2, not the
+    # 297 of the full (A_H, A_V, B) register
     sizes, result = _eigensolve_sizes(
         monkeypatch, SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5)
     )
     # one run, one efficiency: a stack of one
-    assert sizes == [(1, 46, 46)]
+    assert sizes == [(1, 4, 4)]
     full = negativity(result.post_state, Bipartition(("A_H", "A_V"), ("B",)))
     assert abs(result.negativity - full) <= 1e-12
     for spot, expected in zip(FIGURE_4_SPOTS, (20, 22)):
@@ -739,18 +775,23 @@ def test_negativity_eigensolve_runs_on_the_product_support(monkeypatch):
 
 
 def test_negativity_cap_checks_the_eigensolved_dimension(monkeypatch):
-    monkeypatch.setattr(metrics, "MAX_NEGATIVITY_DIM", 40)
-    config = SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5)
-    with pytest.raises(ValidationError, match="dimension 46 exceeds"):
-        run_scheme(config)
-    # the cap sees the dimension, not the stack: every row of a sweep fails
-    table = sweep(config, {"eta": (0.5, 0.7, 0.9)})
+    monkeypatch.setattr(metrics, "MAX_NEGATIVITY_DIM", 20)
+    # a figure 4 spot: the one-pair sector's 2 signal states times beam
+    # rank 11; the cap trips before any eigensolve
+    config = SchemeConfig(**FIGURE_4_SPOTS[1])
+    with monkeypatch.context() as patch:
+        shapes = _record_eigensolves(patch)
+        with pytest.raises(ValidationError, match="dimension 22 exceeds"):
+            run_scheme(config)
+        # the cap sees the dimension, not the stack: every row of a sweep fails
+        table = sweep(config, {"eta": (0.5, 0.7, 0.9)})
+    assert shapes == []
     assert [row.status for row in table.rows] == ["error:ValidationError"] * 3
-    # a figure 3 row: 2 signal states times beam rank 11
+    # a figure 3 row: 2 signal states times beam rank 2
     sizes, result = _eigensolve_sizes(
         monkeypatch, SchemeConfig(t=0.99, eta=0.8, alpha_f=1.5)
     )
-    assert sizes == [(1, 22, 22)] and result.negativity > 0.9
+    assert sizes == [(1, 4, 4)] and result.negativity > 0.9
     # a figure 3 preparation: its five efficiencies in one stack
     with monkeypatch.context() as patch:
         shapes = _record_eigensolves(patch)
@@ -758,7 +799,7 @@ def test_negativity_cap_checks_the_eigensolved_dimension(monkeypatch):
             SchemeConfig(t=0.99, eta=0.8, alpha_f=1.5),
             {"eta": (0.2, 0.4, 0.6, 0.8, 0.99)},
         )
-    assert shapes == [(5, 22, 22)]
+    assert shapes == [(5, 4, 4)]
     assert all(row.status == "ok" for row in table.rows)
 
 
@@ -942,14 +983,19 @@ def test_sweep_reports_each_efficiency_of_a_preparation_on_its_own():
             assert row == expected, source
 
 
+def _clear_program_caches():
+    """Empty every functools cache in the `hybridcat` modules, found by
+    attribute, so that a cache added later is emptied too."""
+    for name, module in list(sys.modules.items()):
+        if name == "hybridcat" or name.startswith("hybridcat."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear") and hasattr(value, "cache_info"):
+                    value.cache_clear()
+
+
 def _cold_peak(call):
-    """The traced memory peak of `call()` with the pipeline's caches empty."""
-    for cache in (
-        pipeline._factors,
-        optics._cached_kernel,
-        optics._cached_displacement,
-    ):
-        cache.cache_clear()
+    """The traced memory peak of `call()` with the program's caches empty."""
+    _clear_program_caches()
     tracemalloc.start()
     try:
         call()
@@ -982,6 +1028,15 @@ def test_cold_large_amplitude_run_stays_small():
     assert _cold_peak(lambda: run_scheme(config)) < 16e6
 
 
+def test_cold_alpha_7_run_stays_small():
+    """The idler images come from the 50:50 splitter's (d + 1)^3
+    photon-number-conserving amplitudes, never its dense (d + 1)^4 kernel
+    (27 MB at d = 35), and the cat's beam is rank 2: the traced peak of one
+    cold run at alpha_f = 7 stays below 12 MB."""
+    config = SchemeConfig(t=0.9, eta=0.9, alpha_f=7.0)
+    assert _cold_peak(lambda: run_scheme(config)) < 12e6
+
+
 def test_too_small_detector_cutoff_raises():
     config = SchemeConfig(t=0.8, eta=0.9, alpha_i=2.0, cutoff_detector=10)
     with pytest.raises(TruncationError):
@@ -990,8 +1045,15 @@ def test_too_small_detector_cutoff_raises():
 
 
 def test_too_small_field_cutoff_raises():
-    with pytest.raises(CutoffError):
-        run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_i=1.0, cutoff_b=10))
+    # each source's cutoff contract holds at b, though the beam is built
+    # from the source up to b + 2d photons
+    small = SchemeConfig(t=0.9, eta=0.9, alpha_i=1.0, cutoff_b=10)
+    squeezed = dataclasses.replace(small, scs_source="squeezed", s=0.2, cutoff_b=14)
+    for config in (small, squeezed):
+        with pytest.raises(CutoffError):
+            run_scheme(config)
+        with pytest.raises(CutoffError):
+            build_prestate(config)
     # the two-pair term does not fit a signal cutoff of 1
     with pytest.raises(CutoffError):
         run_scheme(SchemeConfig(**dict(SPOT_A, cutoff_a=1)))
