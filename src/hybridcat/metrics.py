@@ -5,9 +5,10 @@ square matrices over a C-ordered (dim_a, rest) index in one call, after
 checking their dimension against `MAX_NEGATIVITY_DIM`; `matrix_negativity`
 does one matrix. The pipeline calls it in the term basis, a local isometry
 of the register that leaves the value unchanged (Vidal & Werner, PRA 65,
-032314 (2002)): per pair-number sector of a mixture's block-diagonal
-heralded states, summing the blocks' values, and on downconversion's whole
-coherent herald. `target_field_vectors` gives the target's field vectors.
+032314 (2002)), once per pair-number sector of the block-diagonal heralded
+state, on each sector's unit-weight block over a preparation's
+efficiencies; the blocks' values, weighted, sum to the state's.
+`target_field_vectors` gives the target's field vectors.
 """
 
 from __future__ import annotations

@@ -13,8 +13,10 @@ and `negativity` score the result on the full register, and
 kernel. The tests and `selfcheck` compare `run_scheme` with these. Its
 splitters apply the dense `two_mode_kernel`, which the run path never
 builds; it shares the mixer amplitudes that kernel scatters, the displacement
-matrices, the POVMs, the source amplitudes, the cutoffs and the
-downconversion weights with the run path, which never imports it.
+matrices, the POVMs, the source amplitudes, the cutoffs and the pair
+sources' sector weights with the run path, which never imports it. Every
+pair source is the ensemble of its pair-number terms, so the mixture
+`run_scheme` scores has this second, dense form.
 """
 
 from __future__ import annotations
@@ -224,28 +226,17 @@ def phi_state(n: int, register: Register,
 
 def pair_source(spec: PairSourceSpec, register: Register,
                 labels: tuple = ("1H", "1V", "2H", "2V")) -> Ensemble:
-    """Photon-pair input as a weighted ensemble of pure states.
-
-    chi: one unit-weight Bell pair. vacuum_mixed: branches (z, Bell pair)
-    and (1-z, vacuum). spdc: one normalized branch sum_n sqrt(w_n / W)
-    |Phi_n> of weight W = sum_n w_n (`PairSourceSpec.sector_weights`).
+    """Photon-pair input as a weighted ensemble of pure states: one branch
+    (w_n, `phi_state(n)`) per pair-number term of the source, w_n from
+    `PairSourceSpec.sector_weights`. chi: the unit branch |Phi_1>, the Bell
+    pair. vacuum_mixed: (1 - z, vacuum) and (z, |Phi_1>). spdc: the mixture
+    of its n-pair terms |Phi_n>, the dense form of the model `run_scheme`
+    scores.
     """
-    if spec.variant == "chi":
-        return Ensemble.pure(bell_chi(register, labels))
-    if spec.variant == "vacuum_mixed":
-        vacuum = basis_state(register, {})
-        return Ensemble(
-            register,
-            [(spec.z, bell_chi(register, labels)), (1.0 - spec.z, vacuum)],
-        )
-    # parametric source
-    weights = spec.sector_weights()
-    total = sum(weights)
-    state = None
-    for n, weight in enumerate(weights):
-        term = phi_state(n, register, labels) * math.sqrt(weight / total)
-        state = term if state is None else state + term
-    return Ensemble.pure(state, total)
+    return Ensemble(
+        register,
+        [(w, phi_state(n, register, labels)) for n, w in spec.sector_weights().items()],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,38 +264,20 @@ def bs_fock_coefficient(n: int, m: int, p: int, q: int, t: float) -> float:
     return math.sqrt(value) * (-1.0) ** (n - p)
 
 
-def _checked_apply(kernel: np.ndarray, labels, state: PureState,
-                   tail_tol) -> PureState:
-    out = apply(kernel, labels, state)
-    if tail_tol is not None:
-        before = state.norm() ** 2
-        after = out.norm() ** 2
-        if before > 0 and before - after > tail_tol * before:
-            raise TruncationError(
-                f"mixing on {labels} lost {before - after:.3e} of "
-                f"{before:.3e} probability mass (tolerance {tail_tol:.1e})"
-            )
-    return out
-
-
 def apply_beam_splitter(state: PureState, mode_i: str, mode_j: str,
-                        params: BsParams, tail_tol: float | None = None) -> PureState:
-    """Mix two modes with a beam splitter (see `optics` for the signs).
-
-    With tail_tol set, raises TruncationError when the relative probability
-    mass lost to the cutoffs exceeds it.
-    """
+                        params: BsParams) -> PureState:
+    """Mix two modes with a beam splitter (see `optics` for the signs)."""
     register = state.register
     kernel = two_mode_kernel(
         params.scattering_matrix(),
         register.mode(mode_i).dim,
         register.mode(mode_j).dim,
     )
-    return _checked_apply(kernel, (mode_i, mode_j), state, tail_tol)
+    return apply(kernel, (mode_i, mode_j), state)
 
 
 def polarization_rotation(state: PureState, mode_h: str, mode_v: str,
-                          angle: float, tail_tol: float | None = None) -> PureState:
+                          angle: float) -> PureState:
     """Rotate the polarization basis of one spatial mode by `angle`.
 
     Number-conserving two-mode mixing with the real rotation matrix
@@ -317,14 +290,13 @@ def polarization_rotation(state: PureState, mode_h: str, mode_v: str,
     kernel = two_mode_kernel(
         scattering, register.mode(mode_h).dim, register.mode(mode_v).dim
     )
-    return _checked_apply(kernel, (mode_h, mode_v), state, tail_tol)
+    return apply(kernel, (mode_h, mode_v), state)
 
 
-def apply_displacement(state: PureState, mode: str, alpha: complex,
-                       tail_tol: float | None = None) -> PureState:
+def apply_displacement(state: PureState, mode: str, alpha: complex) -> PureState:
     """Displace one mode of a state by alpha."""
     kernel = displacement_matrix(alpha, state.register.mode(mode).cutoff)
-    return _checked_apply(kernel, (mode,), state, tail_tol)
+    return apply(kernel, (mode,), state)
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +330,20 @@ def _joint_weights(register: Register, pattern: Mapping[str, np.ndarray]) -> np.
 
 def _branch_contribution(state: PureState, pattern: Mapping[str, np.ndarray],
                          kept: Sequence[str]):
-    """Probability and unnormalized conditional matrix for one pure branch."""
+    """Probability and unnormalized conditional matrix for one pure branch,
+    contracted on the kept states it populates (an n-pair branch fills
+    only the signal states of n photons)."""
     weights = _joint_weights(state.register, pattern)
     ordered = state.reordered(tuple(kept) + tuple(pattern))
-    matrix = ordered.amps.reshape(state.register.subset(kept).size, -1)
+    size = state.register.subset(kept).size
+    matrix = ordered.amps.reshape(size, -1)
+    support = np.flatnonzero(matrix.any(axis=1))
+    matrix = matrix[support]
     probability = float((np.abs(matrix) ** 2).sum(axis=0) @ weights)
-    conditional = (matrix * weights) @ matrix.conj().T
-    return probability, 0.5 * (conditional + conditional.conj().T)
+    block = (matrix * weights) @ matrix.conj().T
+    conditional = np.zeros((size, size), dtype=np.complex128)
+    conditional[np.ix_(support, support)] = 0.5 * (block + block.conj().T)
+    return probability, conditional
 
 
 def herald(source: Union[PureState, Ensemble],
@@ -500,19 +479,39 @@ def negativity(rho: DensityOperator, partition: Bipartition) -> float:
 # the scheme's eight modes before detection
 
 
+def _each_branch(config: SchemeConfig, branches, op, *args):
+    """`op(state, *args)` on every (weight, state) branch, the probability
+    it loses to the cutoffs gated at `tail_tol` as `run_scheme` gates the
+    pair sectors' deficits: branch by branch for a mixture, the worst
+    sector's rule, and over the weighted branches, sum_n w_n lost_n /
+    sum_n w_n before_n, for downconversion."""
+    out = [(weight, op(state, *args)) for weight, state in branches]
+    spdc = config.pair_source == "spdc"
+    masses = [
+        (weight if spdc else 1.0, state.norm() ** 2, after.norm() ** 2)
+        for (weight, state), (_, after) in zip(branches, out)
+    ]
+    for group in [masses] if spdc else [[mass] for mass in masses]:
+        before = sum(w * b for w, b, _ in group)
+        lost = before - sum(w * a for w, _, a in group)
+        if before > 0 and lost > config.tail_tol * before:
+            raise TruncationError(
+                f"{op.__name__} on {args[:-1]} lost {lost:.3e} of {before:.3e} "
+                f"probability mass (tolerance {config.tail_tol:.1e})"
+            )
+    return out
+
+
 def _pair_ensemble(config: SchemeConfig, cuts: ResolvedCutoffs) -> Ensemble:
     """The pair from `pair_source`, its idler displaced mode by mode by
     x / sqrt(2), x = sqrt(1 - t) alpha_i (the "diagonal" convention)."""
     cutoffs = (cuts.a, cuts.a, cuts.detector, cuts.detector)
     register = build_register(zip(_PAIR_LABELS, cutoffs))
-    ensemble = pair_source(config.pair_spec(), register, labels=_PAIR_LABELS)
+    branches = pair_source(config.pair_spec(), register, labels=_PAIR_LABELS)
     amplitude = math.sqrt(1.0 - config.t) * config.resolved_alpha_i / math.sqrt(2.0)
-    branches = []
-    for weight, state in ensemble:
-        for mode in ("2H", "2V"):
-            state = apply_displacement(state, mode, amplitude, tail_tol=config.tail_tol)
-        branches.append((weight, state))
-    return Ensemble(register, tuple(branches))
+    for mode in ("2H", "2V"):
+        branches = _each_branch(config, branches, apply_displacement, mode, amplitude)
+    return Ensemble(register, branches)
 
 
 def build_prestate(config: SchemeConfig) -> Ensemble:
@@ -528,10 +527,11 @@ def build_prestate(config: SchemeConfig) -> Ensemble:
     that no photon the taps keep is cut before them), is rotated from B_H
     onto the diagonal of (B_H, B_V) and each polarization tapped by its own
     splitter; the kept field is then projected onto at most b photons, the
-    (B_H, B_V) cutoffs. It shares the source amplitudes and their cutoff
-    contracts (checked at b), the cutoffs and the downconversion sector
-    weights (`PairSourceSpec.sector_weights`) with the run path, not its
-    closed forms.
+    (B_H, B_V) cutoffs. Each stage's truncation is gated per pair branch
+    as `_each_branch` says. It shares the source amplitudes and their
+    cutoff contracts (checked at b), the cutoffs and the sector weights
+    (`PairSourceSpec.sector_weights`) with the run path, not its closed
+    forms.
     """
     cuts = resolve_cutoffs(config)
     reach = cuts.b + 2 * cuts.detector
@@ -552,22 +552,19 @@ def build_prestate(config: SchemeConfig) -> Ensemble:
     beam = polarization_rotation(
         PureState(register, amps, copy=False), "B_H", "B_V", -math.pi / 4.0
     )
+    # the beam is one unit branch, for which both gating rules agree
+    beam = [(1.0, beam)]
     tap = BsParams.from_transmissivity(config.t)
     for reflected, kept in (("4H", "B_H"), ("4V", "B_V")):
-        beam = apply_beam_splitter(
-            beam, reflected, kept, tap, tail_tol=config.tail_tol
-        )
+        beam = _each_branch(config, beam, apply_beam_splitter, reflected, kept, tap)
+    ((_, beam),) = beam
     # at most b photons in the kept field, which then fit (B_H, B_V) at b
     photons = np.add.outer(np.arange(reach + 1), np.arange(reach + 1))
     kept = np.where(photons <= cuts.b, beam.amps, 0.0)[..., : cuts.b + 1, : cuts.b + 1]
     beam = PureState(beam_register(cuts.b), kept, copy=False)
     half = BsParams.from_transmissivity(0.5)
-    branches = []
-    for weight, state in _pair_ensemble(config, cuts):
-        joint = tensor(state, beam)
-        for tap, idler in (("4H", "2H"), ("4V", "2V")):
-            joint = apply_beam_splitter(
-                joint, tap, idler, half, tail_tol=config.tail_tol
-            )
-        branches.append((weight, joint.relabeled(_DETECTOR_RELABEL)))
-    return Ensemble(branches[0][1].register, tuple(branches))
+    joint = [(w, tensor(state, beam)) for w, state in _pair_ensemble(config, cuts)]
+    for tap, idler in (("4H", "2H"), ("4V", "2V")):
+        joint = _each_branch(config, joint, apply_beam_splitter, tap, idler, half)
+    branches = [(w, state.relabeled(_DETECTOR_RELABEL)) for w, state in joint]
+    return Ensemble(branches[0][1].register, branches)

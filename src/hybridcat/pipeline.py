@@ -12,27 +12,28 @@ field mode is B.
 
 `run_scheme` never forms the joint state. The tapped beam is written in
 closed form and split into Schmidt factors through its one tap mode
-(`_beam`); the pair source is a set of unit pair-number sectors n with
-weights w_n (`_sector_weights`; downconversion's are the paper's P_tot
-terms, arXiv:1410.6823), each in closed form. Each term (k, l) of the
-state before detection is a signal Fock state |m, n - m> times the beam's
-right singular vector `beam_vh[l]` on the kept modes, scaled by
-d = (n + 1)^(-1/2) s_l, next to a measured factor. The herald contracts
-Gram matrices G of the plain click pattern pulled back through the
-splitters onto each polarization's idler and tap factors, so no array
-spans all four detector channels. The detectors are photon-number
-diagonal, so P and F read each sector's diagonal block of G alone, and
-only those are contracted. The heralded state stays in the term basis as
-rho_t = D G D / p, embedded in the register (a local isometry) only when
-a result's `post_state` is first read.
+(`_beam`); every pair source is a mixture of unit pair-number sectors n
+with weights w_n (`PairSourceSpec.sector_weights`; downconversion's are
+the paper's P_tot terms, arXiv:1410.6823), each in closed form. Each
+term (k, l) of the state before detection is a signal Fock state
+|m, n - m> times the beam's right singular vector `beam_vh[l]` on the
+kept modes, scaled by d = (n + 1)^(-1/2) s_l, next to a measured factor.
+The herald contracts Gram matrices G of the plain click pattern pulled
+back through the splitters onto each polarization's idler and tap
+factors, so no array spans all four detector channels. The detectors are
+photon-number diagonal, so P and F read each sector's diagonal block of G
+alone, and only those are contracted. The heralded state is the sectors'
+mixture, block diagonal in the term basis, rho_t = sum_n w_n D G_nn D / p,
+so its negativity recombines the sectors' own; it is embedded in the
+register (a local isometry) only when a result's `post_state` is first
+read.
 
 Evaluation runs one preparation at a time (`_evaluate`): the points of a
 sweep that differ only in eta (and, for downconversion, lambda) share one
 `_factors` lookup and are scored together as columns over (lambda, eta),
 which `sweep` copies as a block into its `SweepTable`'s columns, with no
 object per row. `run_scheme` is the same evaluation at one point, read off
-its one row, plus rho_t and, for downconversion, the coherent herald, the
-one place that contracts the blocks between sectors.
+its one row, plus rho_t.
 """
 
 from __future__ import annotations
@@ -304,15 +305,12 @@ def _displacement_amplitude(config: SchemeConfig) -> float:
 
 
 def _sector_weights(config: SchemeConfig, lam: Optional[float]) -> Dict[int, float]:
-    """The pair source as unit pair-number sectors n with weights w_n:
-    {1: 1} for the chi pair, {0: 1 - z, 1: z} for the vacuum-mixed pair,
-    and `PairSourceSpec.sector_weights` at `lam` for downconversion."""
-    if config.pair_source == "chi":
-        return {1: 1.0}
-    if config.pair_source == "vacuum_mixed":
-        return {0: 1.0 - config.z, 1: config.z}
-    source = PairSourceSpec.spdc(lam, config.spdc_order, config.spdc_weighting)
-    return dict(enumerate(source.sector_weights()))
+    """The pair source as unit pair-number sectors n with weights w_n
+    (`PairSourceSpec.sector_weights`), at `lam` for downconversion."""
+    spec = config.pair_spec()
+    if lam is not None:
+        spec = dataclasses.replace(spec, lam=lam)
+    return spec.sector_weights()
 
 
 @dataclass(frozen=True)
@@ -393,13 +391,13 @@ class _Factors:
 
 def _pullback(factors: _Factors):
     """`_gram`'s efficiency-free operands of one preparation: each
-    polarization's idler images with their conjugate transposes, the tap
-    factors as rows i by columns (l, j), and their conjugate transpose,
-    rows (c, d) by columns n. Formed once per `_score` call, and not cached
-    with the `_Factors` they repeat."""
+    polarization's idler images, the tap factors as rows i by columns
+    (l, j), and their conjugate transpose, rows (c, d) by columns n. Formed
+    once per `_score` call, and not cached with the `_Factors` they
+    repeat; the images are the cached ones, with no adjoint copy."""
     n_l, dim, _ = factors.tap.shape
-    idlers = tuple((p, p.conj().T) for p in (factors.idler_h, factors.idler_v))
     taps = factors.tap.transpose(1, 0, 2).reshape(dim, -1)
+    idlers = (factors.idler_h, factors.idler_v)
     return idlers, taps, factors.tap.reshape(n_l, -1).conj().T
 
 
@@ -413,16 +411,21 @@ def _gram(pullback, w: Mapping[str, np.ndarray], pairs=None) -> np.ndarray:
     products with the pair a batch axis (a GEMM over i, a (dim n_l x dim)
     product per pair over j, a GEMM over (c, d)), n_k^2 n_l dim^3 +
     (n_k n_l dim)^2 work where forming Z costs n_k n_l dim^6. It needs
-    product idler factors and a product, Fock-diagonal POVM.
+    product idler factors and a product, Fock-diagonal POVM. Each image's
+    P diag(w) P^H is formed as conj((conj(P) o w) P^T), from one weighted
+    copy and a transposed view of the image, so no adjoint is held.
     """
     idlers, taps, taps_adjoint = pullback
     dim, n_l = len(taps), taps_adjoint.shape[1]
-    n_k = len(idlers[0][0]) // dim
-    h, v = (
-        ((p * (w["6" + q][:, None] * w["5" + q]).ravel()) @ adjoint)
-        .reshape(n_k, dim, n_k, dim)
-        for (p, adjoint), q in zip(idlers, "HV")
-    )
+    n_k = len(idlers[0]) // dim
+
+    def pulled(p, q):
+        weighted = p.conj()
+        weighted *= (w["6" + q][:, None] * w["5" + q]).ravel()
+        square = weighted @ p.T
+        return np.conjugate(square, out=square).reshape(n_k, dim, n_k, dim)
+
+    h, v = (pulled(p, q) for p, q in zip(idlers, "HV"))
     # per pair (k, m): H_km as rows c, columns i, and V_km as rows j
     if pairs is None:
         h, v = h.transpose(0, 2, 3, 1), v.transpose(0, 2, 1, 3)
@@ -452,10 +455,10 @@ def _unit_norms(idler_h, idler_v, tap) -> np.ndarray:
     return (pushed * tap.conj()).sum(axis=(2, 3)).real.ravel()
 
 
-def _sector_pairs(factors: _Factors, inside: bool = True):
-    """`_gram`'s pairs (k, m) of pair factors in one sector, or in two."""
+def _sector_pairs(factors: _Factors):
+    """`_gram`'s pairs (k, m) of pair factors inside one sector."""
     sector = np.repeat(list(factors.blocks), [n + 1 for n in factors.blocks])
-    return np.nonzero(np.equal.outer(sector, sector) == inside)
+    return np.nonzero(np.equal.outer(sector, sector))
 
 
 def _eta_grams(factors: _Factors, pullback, detector: str, etas: Sequence[float]):
@@ -590,18 +593,15 @@ def _embed(factors: _Factors, rho: np.ndarray) -> DensityOperator:
 
 
 def _evaluate(
-    key: SchemeConfig,
-    lams: Sequence[Optional[float]],
-    etas: Sequence[float],
-    coherent_herald: bool = False,
+    key: SchemeConfig, lams: Sequence[Optional[float]], etas: Sequence[float]
 ):
     """Score the points (lams[i], etas[j]) of one preparation, `key` a
     `_factors_key` and lambda None unless the pair source is
     downconversion: `_score`'s columns, the `SimulationError` that failed a
-    point, by (i, j), and rho_t. A point's own values are checked first,
-    then the shared preparation and its truncation, then the point's
-    herald; an invalid lambda or eta is scored as 0 or 1 in its stead, and
-    its points keep their own error.
+    point, by (i, j), and the sectors' unit-weight blocks B_n. A point's
+    own values are checked first, then the shared preparation and its
+    truncation, then the point's herald; an invalid lambda or eta is
+    scored as 0 or 1 in its stead, and its points keep their own error.
     """
     failures: Dict[Tuple[int, int], SimulationError] = {}
     weights = []
@@ -619,18 +619,17 @@ def _evaluate(
             failures.update(((i, j), exc) for i in range(len(lams)))
             scored[j] = 1.0
     try:
-        columns, failed, rho = _score(key, scored, np.array(weights), coherent_herald)
+        columns, failed, blocks = _score(key, scored, np.array(weights))
     except SimulationError as exc:
-        columns, rho = {}, None
+        columns, blocks = {}, None
         failed = dict.fromkeys(np.ndindex(len(lams), len(etas)), exc)
-    return columns, {**failed, **failures}, rho
+    return columns, {**failed, **failures}, blocks
 
 
-def _score(key: SchemeConfig, etas, w: np.ndarray, coherent_herald: bool):
+def _score(key: SchemeConfig, etas, w: np.ndarray):
     """`_evaluate`'s scores, with the sector weights at each lambda as the
     rows of `w`: columns over (lambda, eta), the failures among the
-    points, and, with the `coherent_herald`, the stacked rho_t of the
-    efficiencies that herald.
+    points, and each sector n's unit-weight block B_n stacked over eta.
 
     The POVM is photon-number diagonal and the unit sectors differ in
     signal photon number, so P and F read only each sector's Gram block
@@ -649,21 +648,16 @@ def _score(key: SchemeConfig, etas, w: np.ndarray, coherent_herald: bool):
     are alike for H and V), so the flipped pattern fires alike and,
     bit-flipped, leaves the plain state; the dense oracle pins it.
 
-    rho_t = D G D / (P / 2). A mixture's (chi, vacuum-mixed) is block
-    diagonal, blocks w_n B_n / (P / 2) on disjoint signal states that the
-    partial transpose keeps apart, so its negativity sums the blocks', one
-    stacked eigensolve per sector of more than one signal state.
-    Downconversion's keeps the blocks between sectors, weighted
-    sqrt(w_n w_m); only the `coherent_herald` contracts them, in a second
-    `_gram` call, and eigensolves the whole, as only `run_scheme` needs it.
-    A mixture has one lambda (None) and a run one point, so only one row
-    of lambda is ever eigensolved.
+    Every pair source is a mixture of its sectors, so rho_t = sum_n w_n
+    B_n / (P / 2) is block diagonal on disjoint signal states, which the
+    partial transpose keeps apart: N = sum_n w_n nu_n / (P / 2), nu_n the
+    negativity of B_n. The negativity is homogeneous, so one stacked
+    eigensolve per sector of more than one signal state, over the
+    efficiencies at which some point heralds, serves every lambda.
     """
     factors = _factors(key)
-    coherent = key.pair_source == "spdc"
-    n_k, n_l = len(factors.signal_states), factors.beam_rank
-    pullback = _pullback(factors)
-    blocks = _eta_grams(factors, pullback, key.detector, etas)
+    spdc = key.pair_source == "spdc"
+    blocks = _eta_grams(factors, _pullback(factors), key.detector, etas)
     traces, overlaps = {}, {}
     for n, span in factors.blocks.items():
         d, c, g = factors.scale[span], factors.target[span], blocks[n]
@@ -674,28 +668,41 @@ def _score(key: SchemeConfig, etas, w: np.ndarray, coherent_herald: bool):
     # rows lambda, columns sector n, summed over the sectors in ascending n
     plain = sum(wn[:, None] * traces[n] for wn, n in zip(w.T, blocks))
     overlap = sum(wn[:, None] * overlaps[n] for wn, n in zip(w.T, blocks))
-    if coherent:
+    if spdc:
         total = sum(w.T)
         tail = sum(wn / total * factors.tails[n] for wn, n in zip(w.T, blocks))
     else:
         tail = np.full(len(w), max(factors.tails.values()))
     fires = plain >= HERALD_PROBABILITY_FLOOR
     truncated = tail > key.tail_tol
+    live = fires & ~truncated[:, None]
+    # the sectors' negativities nu_n at the efficiencies that herald, mixed
+    # over lambda; a one-state sector is its own partial transpose
+    heralding = np.flatnonzero(live.any(axis=0))
+    mixed = sum(
+        wn[:, None] * np.array(stacked_negativity(blocks[n][heralding], n + 1))
+        for wn, n in zip(w.T, blocks) if n
+    )
+    negativity = np.full(plain.shape, np.nan)
+    negativity[:, heralding] = np.divide(
+        mixed, plain[:, heralding], out=np.full(mixed.shape, np.nan),
+        where=live[:, heralding],
+    )
     # the columns broadcast to (lambda, eta) where they are read
     empty = np.full((1, 1), np.nan)
     sectors = 2.0 * np.array(list(traces.values()))[:, None]
     columns = {
         "fidelity": np.divide(overlap, plain, out=np.zeros_like(plain), where=fires),
         "probability_total": 2.0 * plain,
-        "negativity": np.full(plain.shape, np.nan),
+        "negativity": negativity,
         "tail_mass": tail[:, None],
         "sector_probabilities": sectors,
         "f_chi": empty,
     }
     # downconversion's vacuum, one-pair and two-pair terms
     for n, name in enumerate(("p_vac", "p_chi", "p_phi2")):
-        columns[name] = sectors[n] if coherent and n in traces else empty
-    if coherent:
+        columns[name] = sectors[n] if spdc and n in traces else empty
+    if spdc:
         t = traces[1]
         f_chi = np.divide(overlaps[1], t, out=np.zeros_like(t), where=t > 0)
         columns["f_chi"] = f_chi[None]
@@ -711,51 +718,31 @@ def _score(key: SchemeConfig, etas, w: np.ndarray, coherent_herald: bool):
             f"herald pattern has probability {plain[i, j]:.3e}, below the "
             f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
         )
-    rho = None
-    live = np.flatnonzero(fires[0] & ~truncated[0])
-    if len(live) and (coherent_herald or not coherent):
-        (wl,), norm = w, plain[0, live][:, None, None]
-        rhos = {n: blocks[n][live] * wn / norm for n, wn in zip(blocks, wl)}
-        if coherent_herald:
-            rho = np.zeros((len(live), n_k * n_l, n_k * n_l), dtype=np.complex128)
-            if coherent:
-                # the blocks between sectors, from a second `_gram` call
-                cross = _sector_pairs(factors, inside=False)
-                cut = factors.cuts.detector
-                for state, i in zip(rho.reshape(-1, n_k, n_l, n_k, n_l), live):
-                    pattern = herald_pattern(key.detector, etas[i], cut)
-                    state[cross[0], :, cross[1]] = _gram(pullback, pattern, cross)
-                weight = np.repeat(wl, [r.shape[-1] for r in rhos.values()])
-                d, mix = factors.scale, np.sqrt(np.outer(weight, weight))
-                rho = (rho + rho.conj().transpose(0, 2, 1)) * 0.5 * d[:, None] * d
-                rho = rho * mix / norm
-            for span, sector in zip(factors.blocks.values(), rhos.values()):
-                rho[:, span, span] = sector
-        if coherent:
-            values = stacked_negativity(rho, n_k)
-        else:
-            parts = [stacked_negativity(r, n + 1) for n, r in rhos.items() if n]
-            values = map(sum, zip(*parts))
-        columns["negativity"][0, live] = list(values)
-    return columns, failures, rho
+    return columns, failures, blocks
 
 
 def run_scheme(config: SchemeConfig) -> SchemeResult:
     """Simulate one heralded run of the scheme: `sweep`'s evaluation of one
-    preparation (`_evaluate`) at the config's one point, with the coherent
-    herald for downconversion, read off its one row. Both click patterns
+    preparation (`_evaluate`) at the config's one point, read off its one
+    row, so a run is its sweep row bit for bit. Both click patterns
     contribute; only the plain one is heralded (see `_score`). The fidelity
     is against the hybrid target at the configured alpha_f and phi, and the
-    negativity is eigensolved on the term-basis rho_t (at alpha_f = 2.5, 46
-    dimensions instead of the register's 297), which `post_state` embeds at
-    its first read.
+    negativity is eigensolved per sector on the term-basis blocks (at
+    alpha_f = 2.5, 4 dimensions instead of the register's 297). rho_t, the
+    blocks' mixture sum_n w_n B_n / (P / 2), is kept for `post_state` to
+    embed at its first read.
     """
     key = _factors_key(config)
-    columns, failures, rho = _evaluate(key, (config.lam,), (config.eta,), True)
+    columns, failures, blocks = _evaluate(key, (config.lam,), (config.eta,))
     if failures:
         raise failures[0, 0]
     row = {name: column[..., 0, 0] for name, column in columns.items()}
     factors, sectors = _factors(key), row["sector_probabilities"]
+    weights = _sector_weights(config, config.lam)
+    plain = float(row["probability_total"]) / 2
+    rho = np.zeros((len(factors.scale),) * 2, dtype=np.complex128)
+    for n, span in factors.blocks.items():
+        rho[span, span] = blocks[n][0] * weights[n] / plain
     reference = None
     if config.scs_source == "ideal" and config.detector == "pnr" and (
         config.pair_source != "spdc"
@@ -765,7 +752,7 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
             config.resolved_alpha_f, config.t, config.eta, config.phi
         )
         if p_tot > 0.0:
-            reference = _sector_weights(config, None)[1] * p_tot
+            reference = weights[1] * p_tot
     return SchemeResult(
         probability_total=float(row["probability_total"]),
         fidelity=float(row["fidelity"]),
@@ -777,7 +764,7 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
         discarded_mass=factors.discarded,
         f_chi=None if np.isnan(row["f_chi"]) else float(row["f_chi"]),
         analytic_p_tot=reference,
-        _heralded=(factors, rho[0]),
+        _heralded=(factors, rho),
     )
 
 
@@ -849,10 +836,9 @@ def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTab
     does not depend on the input's. Points that differ only in eta (and,
     for downconversion, lambda) share one preparation, whose (lambda, eta)
     columns `_evaluate` scores in one pass and the table takes as a block.
-    Each row is the `run_scheme` of its point, bit for bit, without the
-    post-state, and downconversion rows without the coherent herald's
-    negativity. Rows that fail validation or hit numerical limits get an
-    error status instead of aborting the sweep.
+    Each row is the `run_scheme` of its point, bit for bit, negativity
+    included, without the post-state. Rows that fail validation or hit
+    numerical limits get an error status instead of aborting the sweep.
     """
     if not grid:
         raise ValidationError("sweep grid must name at least one axis")

@@ -3,8 +3,8 @@
 Single-mode resources: coherent states, superpositions of coherent states
 (SCS), and squeezed single photons. `PairSourceSpec` describes the
 two-photon resources: the polarization Bell pair, its vacuum-mixed variant,
-and parametric pair sources with vacuum plus higher-order components, whose
-downconversion weights it owns.
+and parametric pair sources with vacuum plus higher-order components, each
+a mixture of pair-number terms whose weights it owns.
 
 Every factory returns a normalized state; truncation deficits can be probed
 through the raw amplitude functions (`coherent_amplitudes`,
@@ -124,17 +124,22 @@ class PairSourceSpec:
              weighting: str = "paper") -> "PairSourceSpec":
         return cls("spdc", lam=lam, order_max=order_max, weighting=weighting)
 
-    def sector_weights(self) -> tuple[float, ...]:
-        """Weights w_n of the parametric source's n-pair terms |Phi_n>, n <=
-        order_max, not renormalized after the cut: 'paper' (1 - lam^2)
-        lam^(2n), the terms of the paper's P_tot (arXiv:1410.6823); 'exact'
-        (1 - lam^2)^2 (n + 1) lam^(2n), two independent two-mode squeezers
-        regrouped by total pair number."""
+    def sector_weights(self) -> dict[int, float]:
+        """The source as a mixture of unit n-pair terms |Phi_n>, weights w_n
+        by n: {1: 1} for the Bell pair, {0: 1 - z, 1: z} for the
+        vacuum-mixed pair and, for the parametric source, n <= order_max
+        with 'paper' (1 - lam^2) lam^(2n), the terms of the paper's P_tot
+        (arXiv:1410.6823), or 'exact' (1 - lam^2)^2 (n + 1) lam^(2n), two
+        two-mode squeezers regrouped by pair number; not renormalized."""
+        if self.variant == "chi":
+            return {1: 1.0}
+        if self.variant == "vacuum_mixed":
+            return {0: 1.0 - self.z, 1: self.z}
         lam2 = self.lam * self.lam
         orders = range(self.order_max + 1)
         if self.weighting == "paper":
-            return tuple((1.0 - lam2) * lam2**n for n in orders)
-        return tuple((1.0 - lam2) ** 2 * (n + 1) * lam2**n for n in orders)
+            return {n: (1.0 - lam2) * lam2**n for n in orders}
+        return {n: (1.0 - lam2) ** 2 * (n + 1) * lam2**n for n in orders}
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .fock_core import build_register
 from .optics import BsParams, displacement_matrix, two_mode_kernel
 from .oracle import (
     Bipartition,
+    Ensemble,
     apply_beam_splitter,
     basis_state,
     bs_fock_coefficient,
@@ -36,6 +37,7 @@ from .oracle import (
     herald,
     inner,
     negativity,
+    polarization_rotation,
     target_hybrid,
     tensor,
     to_density,
@@ -472,11 +474,9 @@ def check_approximate_resource_thresholds() -> CheckResult:
 
 
 def check_spdc_lambda_scaling() -> CheckResult:
-    """The coherent parametric-source herald equals the pair-number sector
-    recombination to roundoff, since the POVM is photon-number diagonal and
-    the sectors differ in signal photon number, and the run's F equals the
-    paper's F_eff formula."""
-    worst_p = 0.0
+    """The run's F equals the paper's F_eff formula at three lambda, and
+    at one small point (the `pattern_symmetry` size) its P and heralded
+    state equal the dense oracle's herald of the pair-number mixture."""
     worst_f = 0.0
     base = SchemeConfig(
         t=0.99,
@@ -489,21 +489,31 @@ def check_spdc_lambda_scaling() -> CheckResult:
         detector="onoff",
     )
     for lam in (0.01, 0.03, 0.05):
-        config = replace(base, lam=lam)
-        full = run_scheme(config)
-        # the coherent state is normalized by the recombination, so its own
-        # trace is their ratio
-        coherent = np.trace(full.post_state.matrix).real
-        worst_p = max(worst_p, abs(coherent - 1.0))
+        full = run_scheme(replace(base, lam=lam))
         p = full.sector_probabilities
         formula = analytic.f_eff(p[0], p[1], p[2], lam, full.f_chi)
         worst_f = max(worst_f, abs(full.fidelity - formula) / formula)
+    small = replace(base, t=0.95, eta=0.9, alpha_i=0.5, n_cut=3, lam=0.05, cutoff_b=8)
+    run, lab = run_scheme(small), build_prestate(small)
+    # the field rotated into the beam frame, whose empty channel is dropped
+    frame = Ensemble(
+        lab.register,
+        [(w, polarization_rotation(s, "B_H", "B_V", math.pi / 4)) for w, s in lab],
+    )
+    cutoff = lab.register.mode("5H").cutoff
+    dense = herald(frame, herald_pattern(small.detector, small.eta, cutoff))
+    register = dense.post.register
+    empty = np.arange(register.size).reshape(register.dims)[..., 0].ravel()
+    gap_p = abs(run.plain_probability / dense.probability - 1.0)
+    rho = dense.post.matrix[np.ix_(empty, empty)]
+    gap_state = float(np.abs(run.post_state.matrix - rho).max())
     return _result(
         "spdc_lambda_scaling",
-        worst_p <= 1e-12 and worst_f <= 1e-12,
-        "coherent herald equal to (1-l^2)(P_vac + l^2 P_chi + l^4 P_phi2); "
+        max(gap_p, gap_state) <= 1e-12 and worst_f <= 1e-12,
+        "P and heralded state equal to the dense pair-number mixture's; "
         "F equal to the paper's F_eff",
-        f"max relative gap {worst_p:.2e} in P, {worst_f:.2e} in F",
+        f"relative gap {gap_p:.2e} in P, {gap_state:.2e} in the state, "
+        f"{worst_f:.2e} in F",
         "1e-12 / 1e-12",
     )
 

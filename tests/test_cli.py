@@ -107,6 +107,27 @@ def test_run_spdc_notes_missing_oracle(tmp_path, capsys):
     assert "none" in out  # no closed form applies to this configuration
 
 
+def test_run_prints_the_negativity_of_its_sweep_row(tmp_path, capsys):
+    # a downconversion point: `run` prints the 12-digit negativity that the
+    # one-point sweep table holds
+    spot = (
+        "t = 0.99\neta = 0.5\nalpha_i = 0.7\nscs_source = squeezed\n"
+        "s = 0.161\npair_source = spdc\nlambda = 0.022\ndetector = onoff\n"
+    )
+    assert main(["run", "--scenario", _write(tmp_path / "run.txt", spot)]) == 0
+    out = capsys.readouterr().out
+    lines = {line.split()[0]: line.split()[1:] for line in out.splitlines() if line}
+    printed = lines["negativity"][1].strip("()")
+    scenario = _write(
+        tmp_path / "sweep.txt", spot + "sweep_lambda = 0.022\nsweep_eta = 0.5\n"
+    )
+    table = tmp_path / "t.tsv"
+    assert main(["sweep", "--scenario", scenario, "--output", str(table)]) == 0
+    capsys.readouterr()
+    header, row = (line.split("\t") for line in table.read_text().splitlines())
+    assert row[header.index("negativity")] == printed == "8.77631504763e-01"
+
+
 def test_run_writes_single_row_table(tmp_path, capsys):
     scenario = _write(tmp_path / "s.txt", BASE_SCENARIO)
     table = tmp_path / "row.tsv"

@@ -286,6 +286,8 @@ SPOT_A_EXPECTED = {
     "p_tot": 4.950997264e-07,
 }
 
+SPOT_B = dict(SPOT_A, alpha_i=1.0, s=0.313, lam=0.038)
+
 SPOT_B_EXPECTED = {
     "p_vac": 1.886964888e-07,
     "p_chi": 1.429033214e-03,
@@ -312,8 +314,7 @@ def test_spdc_decomposition_frozen_spots():
     for key, expected in SPOT_A_EXPECTED.items():
         assert abs(got[key] - expected) < 1e-6 * abs(expected), key
 
-    spot_b = dict(SPOT_A, alpha_i=1.0, s=0.313, lam=0.038)
-    got = _decomposition(SchemeConfig(**spot_b))
+    got = _decomposition(SchemeConfig(**SPOT_B))
     for key, expected in SPOT_B_EXPECTED.items():
         assert abs(got[key] - expected) < 1e-6 * abs(expected), key
 
@@ -375,7 +376,8 @@ def test_sweep_rejects_unknown_axis():
 def test_sweep_spdc_uses_decomposition():
     table = sweep(SchemeConfig(**SPOT_A), {"lambda": (0.022, 0.038)})
     row = table.rows[0]
-    assert row.negativity is None
+    assert row.negativity == run_scheme(SchemeConfig(**SPOT_A)).negativity
+    assert 0.0 < row.negativity <= 1.0
     assert abs(row.fidelity - SPOT_A_EXPECTED["f_eff"]) < 1e-6
     assert abs(row.p_chi - SPOT_A_EXPECTED["p_chi"]) < 1e-9
 
@@ -730,12 +732,10 @@ def test_pulled_back_gram_matches_interfered_factors(kwargs):
         bound = 1e-13 * np.abs(expected).max()
         got = pipeline._gram(pipeline._pullback(factors), w)
         assert np.abs(got - expected).max() <= bound
-        # the pairs inside one sector and, if any, across two, on their own
-        for inside in (True, False):
-            ks, ms = pipeline._sector_pairs(factors, inside)
-            if len(ks):
-                got = pipeline._gram(pipeline._pullback(factors), w, (ks, ms))
-                assert np.abs(got - expected[ks * n_k + ms]).max() <= bound
+        # the pairs inside one sector on their own
+        ks, ms = pipeline._sector_pairs(factors)
+        got = pipeline._gram(pipeline._pullback(factors), w, (ks, ms))
+        assert np.abs(got - expected[ks * n_k + ms]).max() <= bound
 
 
 def _record_eigensolves(patch):
@@ -874,7 +874,8 @@ def test_eta_shares_one_preparation(monkeypatch):
     assert shapes == [(3, size, size)]
     # downconversion points share it across lambda too: one Gram per
     # efficiency, on the pairs inside one sector, scores every sector at
-    # every lambda, and no row is eigensolved
+    # every lambda, and each sector of more than one signal state takes one
+    # eigensolve, stacked over the efficiencies, for every lambda
     stacks.clear()
     grams.clear()
     shapes.clear()
@@ -893,20 +894,20 @@ def test_eta_shares_one_preparation(monkeypatch):
             assert np.array_equal(stack[i], _sector_matrix(block, factors.beam_rank))
             start += (n + 1) ** 2
         assert start == len(gram)
-    assert shapes == []
-    # a downconversion run contracts its one efficiency's sector blocks
-    # alike, then, in a second call, the pairs across two sectors, and
-    # eigensolves the coherent herald's whole state
+    n_l = factors.beam_rank
+    assert shapes == [(2, 2 * n_l, 2 * n_l), (2, 3 * n_l, 3 * n_l)]
+    # a downconversion run makes one `_gram` call, on the same pairs, and
+    # eigensolves each sector's block, never the whole state
     stacks.clear()
     grams.clear()
+    shapes.clear()
     result = run_scheme(SchemeConfig(**SPOT_A))
     (sectors,) = stacks
     assert all(len(stack) == 1 for stack in sectors.values())
-    cross = pipeline._sector_pairs(factors, inside=False)
-    assert [len(pairs[0]) for pairs, _ in grams] == [len(inside[0]), len(cross[0])]
-    assert all(np.array_equal(a, b) for a, b in zip(grams[1][0], cross))
-    size = len(factors.scale)
-    assert shapes == [(1, size, size)] and result.negativity > 0.0
+    assert len(grams) == 1
+    assert all(np.array_equal(a, b) for a, b in zip(grams[0][0], inside))
+    assert shapes == [(1, 2 * n_l, 2 * n_l), (1, 3 * n_l, 3 * n_l)]
+    assert 0.0 < result.negativity <= 1.0
 
 
 FIGURE_5B = dict(SPOT_A, alpha_i=1.0, s=0.313)
@@ -915,8 +916,8 @@ FIGURE_5B = dict(SPOT_A, alpha_i=1.0, s=0.313)
 def test_figure_5_sweep_contracts_only_the_sector_blocks(monkeypatch):
     """A cold figure-5b table contracts, once per efficiency, only the 14
     of the 36 pairs (k, m) of pair factors that lie inside one pair-number
-    sector, and each of their blocks is the same block of the Gram that
-    `run_scheme`'s coherent herald forms at that point, bit for bit."""
+    sector, and their blocks are the ones `run_scheme` contracts at that
+    point, in its one `_gram` call, bit for bit."""
     grams = _record_grams(monkeypatch)
     pipeline._factors.cache_clear()
     table = cli._figure_table(5, "b")
@@ -929,25 +930,33 @@ def test_figure_5_sweep_contracts_only_the_sector_blocks(monkeypatch):
         assert len(pairs[0]) == 14
         grams.clear()
         run_scheme(SchemeConfig(**dict(FIGURE_5B, eta=eta)))
-        whole = np.empty((n_k * n_k, n_l, n_l), dtype=complex)
-        for (ks, ms), part in grams:
-            whole[ks * n_k + ms] = part
-        assert sum(len(ks) for (ks, _), _ in grams) == n_k * n_k
-        assert np.array_equal(whole[pairs[0] * n_k + pairs[1]], blocks)
+        ((run_pairs, run_blocks),) = grams
+        assert all(np.array_equal(a, b) for a, b in zip(run_pairs, pairs))
+        assert run_blocks.shape == (14, n_l, n_l)
+        assert np.array_equal(run_blocks, blocks)
 
 
 @pytest.mark.parametrize(
     "kwargs",
     FIGURE_4_SPOTS
-    + [dict(FIGURE_4_SPOTS[1], z=0.3), dict(t=0.84, eta=0.7, alpha_f=1.0)],
+    + [dict(FIGURE_4_SPOTS[1], z=0.3), dict(t=0.84, eta=0.7, alpha_f=1.0)]
+    + [SPOT_A, SPOT_B],
 )
 def test_sector_negativities_sum_to_the_whole_state(kwargs):
-    """A mixture's heralded state is block diagonal over its sectors, so the
-    sum of the sector blocks' negativities is the whole state's."""
+    """Every pair source's heralded state is the mixture of its sectors,
+    block diagonal, so the weighted sum of the sector blocks' negativities
+    is the whole state's, downconversion's at both conversion spots too."""
     result = run_scheme(SchemeConfig(**kwargs))
     _, rho = result._heralded
     whole = metrics.matrix_negativity(rho, result.schmidt_ranks[0])
     assert abs(result.negativity - whole) <= 1e-13
+
+
+def test_conversion_spot_negativities():
+    """The pair-number mixture's negativity at the two conversion spots, a
+    polarization qubit's, below its maximum of 1."""
+    for kwargs, expected in ((SPOT_A, 0.877631504763), (SPOT_B, 0.862343208329)):
+        assert abs(run_scheme(SchemeConfig(**kwargs)).negativity - expected) < 1e-9
 
 
 SOURCES = {
@@ -960,8 +969,7 @@ SOURCES = {
 def test_sweep_reports_each_efficiency_of_a_preparation_on_its_own():
     """For every pair source, eta = 0 cannot herald: one herald-floor rule
     fails its row alone, and the other rows of the same preparation equal
-    their runs bit for bit (downconversion rows without the coherent
-    herald's negativity)."""
+    their runs bit for bit, negativity included."""
     for source, kwargs in SOURCES.items():
         config = SchemeConfig(**kwargs)
         table = sweep(config, {"eta": (0.0, 0.5, 0.9)})
@@ -972,12 +980,8 @@ def test_sweep_reports_each_efficiency_of_a_preparation_on_its_own():
         for row in table.rows[1:]:
             result = run_scheme(dataclasses.replace(config, **dict(row.params)))
             sectors = result.sector_probabilities if source == "spdc" else {}
-            negativity = result.negativity
-            if source == "spdc":
-                assert row.negativity is None and result.negativity > 0.0
-                negativity = None
             expected = pipeline.SweepRow(
-                row.params, result.fidelity, result.probability_total, negativity,
+                row.params, result.fidelity, result.probability_total, result.negativity,
                 *(sectors.get(n) for n in range(3)), result.tail_mass,
             )
             assert row == expected, source
@@ -1031,10 +1035,11 @@ def test_cold_large_amplitude_run_stays_small():
 def test_cold_alpha_7_run_stays_small():
     """The idler images come from the 50:50 splitter's (d + 1)^3
     photon-number-conserving amplitudes, never its dense (d + 1)^4 kernel
-    (27 MB at d = 35), and the cat's beam is rank 2: the traced peak of one
-    cold run at alpha_f = 7 stays below 12 MB."""
+    (27 MB at d = 35), the cat's beam is rank 2, and the Gram holds no
+    adjoint copy of an image: the traced peak of one cold run at
+    alpha_f = 7 stays below 8 MB."""
     config = SchemeConfig(t=0.9, eta=0.9, alpha_f=7.0)
-    assert _cold_peak(lambda: run_scheme(config)) < 12e6
+    assert _cold_peak(lambda: run_scheme(config)) < 8e6
 
 
 def test_too_small_detector_cutoff_raises():
@@ -1079,8 +1084,8 @@ def test_sweep_runs_higher_spdc_orders_in_full():
     assert row.status == "ok"
     assert row.probability_total == result.probability_total
     assert row.fidelity == result.fidelity
-    # sweep rows skip the coherent post-state's eigensolve at every order
-    assert row.negativity is None and result.negativity > 0.0
+    # sweep rows carry the run's negativity at every order
+    assert row.negativity == result.negativity > 0.0
     assert row.p_chi == result.sector_probabilities[1]
     assert abs(row.probability_total - 4.4635e-4) < 1e-7
     assert abs(row.fidelity - 0.17855) < 1e-5
@@ -1125,8 +1130,8 @@ def test_truncation_gate_weights_the_sectors():
     assert factors.tails[3] > config.tail_tol
     tail = run_scheme(config).tail_mass
     weights = resource_states.PairSourceSpec.spdc(0.3, 3).sector_weights()
-    expected = sum(w * factors.tails[n] for n, w in enumerate(weights))
-    assert abs(tail - expected / sum(weights)) <= 1e-15 * tail
+    expected = sum(w * factors.tails[n] for n, w in weights.items())
+    assert abs(tail - expected / sum(weights.values())) <= 1e-15 * tail
     assert tail < 1e-10
 
 
@@ -1165,8 +1170,9 @@ def test_spdc_sweep_rows_equal_runs(point):
         result.sector_probabilities[n] for n in range(3)
     )
     assert row.tail_mass == result.tail_mass
-    # the coherent post-state, normalized by the sector recombination,
-    # agrees with it: its trace is one and its overlap is F
+    assert row.negativity == result.negativity
+    # the post-state, the sectors' mixture, agrees with the recombination:
+    # its trace is one and its overlap is F
     post = result.post_state
     target = oracle.target_hybrid(config.resolved_alpha_f, config.phi, post.register)
     assert abs(oracle.fidelity(post, target) - result.fidelity) <= 1e-12
@@ -1228,15 +1234,18 @@ def test_run_path_leaves_the_dense_oracle_alone(monkeypatch, tmp_path):
         run_scheme(SchemeConfig(**dict(SPOT_A, **kwargs)))
 
 
-def test_spdc_components_skip_negativity(monkeypatch):
-    sizes = []
-    real = np.linalg.eigvalsh
-    monkeypatch.setattr(
-        np.linalg, "eigvalsh", lambda m: sizes.append(m.shape[0]) or real(m)
-    )
+def test_spdc_sweep_eigensolves_each_sector_once(monkeypatch):
+    """A downconversion preparation eigensolves each sector of more than
+    one signal state once, stacked over its efficiencies, for all its
+    lambda: the one-pair and two-pair blocks, 2 and 3 signal states times
+    the beam rank; the vacuum sector's one state is skipped."""
+    shapes = _record_eigensolves(monkeypatch)
     pipeline._factors.cache_clear()
-    row = sweep(SchemeConfig(**SPOT_A), {"eta": (0.5,)}).rows[0]
-    assert sizes == [] and row.p_chi > 0.0
+    config = SchemeConfig(**SPOT_A)
+    table = sweep(config, {"lambda": (0.01, 0.022, 0.038), "eta": (0.5, 0.9)})
+    n_l = pipeline._factors(pipeline._factors_key(config)).beam_rank
+    assert shapes == [(2, 2 * n_l, 2 * n_l), (2, 3 * n_l, 3 * n_l)]
+    assert all(row.p_chi > 0.0 and 0.0 < row.negativity <= 1.0 for row in table.rows)
 
 
 @pytest.mark.parametrize("detector", DETECTORS)

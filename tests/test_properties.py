@@ -1,6 +1,7 @@
 """Properties over random valid configurations (hypothesis; see
 conftest.py for the profile)."""
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -44,8 +45,9 @@ def configs(draw):
 @settings(max_examples=25)
 @given(configs())
 def test_one_point_sweep_row_is_its_run(config):
-    """A one-point sweep's row holds its run's P, F, truncation deficit and,
-    for downconversion, sector probabilities, bit for bit; a run that fails
+    """A one-point sweep's row holds its run's P, F, negativity, truncation
+    deficit and, for downconversion, sector probabilities, bit for bit, for
+    every pair source; a run that fails
     leaves the row failed with its error type and every cell empty."""
     grid = {"eta": (config.eta,), "t": (config.t,)}
     if config.pair_source == "spdc":
@@ -60,6 +62,24 @@ def test_one_point_sweep_row_is_its_run(config):
     assert row.status == "ok"
     assert row.probability_total == result.probability_total
     assert row.fidelity == result.fidelity
+    assert row.negativity == result.negativity
     assert row.tail_mass == result.tail_mass
     sectors = result.sector_probabilities if config.pair_source == "spdc" else {}
     assert (row.p_vac, row.p_chi, row.p_phi2) == tuple(sectors.get(n) for n in range(3))
+
+
+@settings(max_examples=25)
+@given(configs())
+def test_a_run_heralds_a_state(config):
+    """A run's `post_state` is Hermitian and positive semidefinite, within
+    1e-12, with trace 1 within 1e-12, and its P and F lie in [0, 1]."""
+    try:
+        result = run_scheme(config)
+    except SimulationError:
+        return
+    rho = result.post_state.matrix
+    assert float(np.abs(rho - rho.conj().T).max()) <= 1e-12
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert 0.0 <= result.probability_total <= 1.0
+    assert 0.0 <= result.fidelity <= 1.0

@@ -136,22 +136,19 @@ def test_pair_source_vacuum_mixture_weights():
 
 
 def test_pair_source_spdc_expansion():
-    # the branch state is normalized, so each component amplitude is
-    # lambda^n over the truncated norm; the branch weight carries the
-    # paper's (1 - lambda^2) lambda^(2n) summed over the kept orders
+    # one branch per pair number n, the unit term |Phi_n> with the paper's
+    # weight (1 - lambda^2) lambda^(2n), not renormalized after the cut: a
+    # mixture, with no coherence between the terms
     reg = _pair_register()
     lam = 0.2
     spec = PairSourceSpec(variant="spdc", lam=lam, order_max=2)
     ens = pair_source(spec, reg)
-    assert len(ens.branches) == 1
-    weight, state = ens.branches[0]
-    assert weight == sum(spec.sector_weights())
-    assert abs(weight - (1.0 - lam**6)) < 1e-15
-    scale = 1.0 / math.sqrt(sum(lam ** (2 * n) for n in range(3)))
-    for n in (0, 1, 2):
-        component = phi_state(n, reg)
-        amp = inner(component, state)
-        assert abs(amp - scale * lam**n) < 1e-12
+    assert len(ens.branches) == 3
+    for n, (weight, state) in enumerate(ens.branches):
+        assert weight == spec.sector_weights()[n]
+        assert abs(weight - (1.0 - lam**2) * lam ** (2 * n)) < 1e-15
+        assert abs(inner(phi_state(n, reg), state) - 1.0) < 1e-12
+    assert abs(sum(w for w, _ in ens) - (1.0 - lam**6)) < 1e-15
 
 
 def test_pair_source_spdc_exact_weighting():
@@ -159,12 +156,16 @@ def test_pair_source_spdc_exact_weighting():
     lam = 0.2
     spec = PairSourceSpec(variant="spdc", lam=lam, order_max=2, weighting="exact")
     ens = pair_source(spec, reg)
-    weight, state = ens.branches[0]
-    assert weight == sum(spec.sector_weights())
-    expected = (1.0 - lam**2) ** 2 * sum((n + 1) * lam ** (2 * n) for n in range(3))
-    assert abs(weight - expected) < 1e-15
-    scale = 1.0 / math.sqrt(sum((n + 1) * lam ** (2 * n) for n in range(3)))
-    for n in (0, 1, 2):
-        amp = inner(phi_state(n, reg), state)
-        expected = scale * math.sqrt(n + 1.0) * lam**n
-        assert abs(amp - expected) < 1e-12
+    assert len(ens.branches) == 3
+    for n, (weight, state) in enumerate(ens.branches):
+        assert weight == spec.sector_weights()[n]
+        expected = (1.0 - lam**2) ** 2 * (n + 1) * lam ** (2 * n)
+        assert abs(weight - expected) < 1e-15
+        assert abs(inner(phi_state(n, reg), state) - 1.0) < 1e-12
+
+
+def test_sector_weights_cover_every_pair_source():
+    assert PairSourceSpec.chi().sector_weights() == {1: 1.0}
+    assert PairSourceSpec.vacuum_mixed(0.37).sector_weights() == {0: 1.0 - 0.37, 1: 0.37}
+    spdc = PairSourceSpec.spdc(0.1, 3).sector_weights()
+    assert list(spdc) == [0, 1, 2, 3]
