@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import ValidationError
+from .detection import efficiency
+from .errors import ValidationError, real
 
 __all__ = [
     "CONVERSION_SPOTS",
@@ -52,9 +53,10 @@ CONVERSION_SPOTS = (
 
 def _check_range(name: str, value: float, low: float, high: float,
                  low_open: bool = False, high_open: bool = False) -> None:
+    real(name, value)
     ok_low = value > low if low_open else value >= low
     ok_high = value < high if high_open else value <= high
-    if not (math.isfinite(value) and ok_low and ok_high):
+    if not (ok_low and ok_high):
         lo = "(" if low_open else "["
         hi = ")" if high_open else "]"
         raise ValidationError(f"{name}={value} outside {lo}{low}, {high}{hi}")
@@ -92,7 +94,7 @@ def fidelity_eta(alpha_f: float, t: float, eta: float) -> float:
     resource states under number-resolved heralding.
     """
     _check_range("t", t, 0.0, 1.0, low_open=True)
-    _check_range("eta", eta, 0.0, 1.0)
+    efficiency(eta)
     mu2 = (1.0 / t - 1.0) * alpha_f * alpha_f
     return 0.5 * (1.0 + math.exp(-2.0 * (1.0 - eta) * mu2))
 
@@ -105,7 +107,7 @@ def p_tot_eta(alpha_f: float, t: float, eta: float, phi: float = math.pi) -> flo
     PROBABILITY_CONVENTION_FACTOR times this expression.
     """
     _check_range("t", t, 0.0, 1.0, low_open=True)
-    _check_range("eta", eta, 0.0, 1.0)
+    efficiency(eta)
     alpha_i = alpha_f / math.sqrt(t)
     mu2 = (1.0 / t - 1.0) * alpha_f * alpha_f
     return (

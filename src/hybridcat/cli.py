@@ -2,8 +2,9 @@
 dataset reproduction, and the self-check suite.
 
 Owns the two file formats. A scenario is a flat key = value document (one
-assignment per line, '#' comments) that maps one-to-one onto SchemeConfig,
-plus optional `sweep_<axis>` lines holding comma-separated grid values.
+assignment per line, '#' comments) whose keys are SchemeConfig's fields
+(`lambda` for `lam`), read through the schema `pipeline.FIELDS`, plus
+optional `sweep_<axis>` lines holding comma-separated grid values.
 Physical parameters have no silent defaults beyond the documented
 SchemeConfig ones; unknown or duplicate keys are rejected. Result tables
 are tab-separated text with 12-significant-digit scientific notation,
@@ -18,6 +19,7 @@ Exit codes: 0 success, 1 invalid input, 2 self-check tolerance failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
@@ -33,39 +35,36 @@ from .errors import (
     ValidationError,
 )
 from .pipeline import (
+    FIELDS,
     METRIC_COLUMNS,
     SWEEP_AXES,
+    VALUE_RULES,
     SchemeConfig,
     SweepTable,
     run_scheme,
     sweep,
 )
 
-_FLOAT_KEYS = frozenset(
-    ("t", "eta", "phi", "alpha_i", "alpha_f", "s", "z", "lambda", "tail_tol")
-)
-_INT_KEYS = frozenset(
-    ("n_cut", "spdc_order", "cutoff_a", "cutoff_detector", "cutoff_b")
-)
-_STR_KEYS = frozenset(
-    (
-        "scs_source",
-        "pair_source",
-        "detector",
-        "spdc_weighting",
-    )
-)
-_SWEEP_KEYS = frozenset(f"sweep_{axis}" for axis in SWEEP_AXES)
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _SWEEP_KEYS
-
-
 # ---------------------------------------------------------------------------
 # scenario format
 
 
+def _value(name: str, kind: type, token: str):
+    """A scenario token read as a value of `kind`, held to its rule."""
+    try:
+        value = kind(token)
+    except ValueError:
+        value = token  # not a number, which the rule refuses
+    return VALUE_RULES[kind](name, value) if kind in VALUE_RULES else value
+
+
 def parse_scenario(text: str) -> Tuple[Dict[str, object], Dict[str, Tuple[float, ...]]]:
     """Parse a scenario document into SchemeConfig keyword arguments and a
-    sweep grid. Raises ValidationError on any malformed or unknown content."""
+    sweep grid. Its keys are the config's fields, `lambda` for `lam`, and
+    `sweep_<axis>` for each of `SWEEP_AXES`; each value is read as its
+    field's kind (`pipeline.FIELDS`) and held to that kind's rule, and a
+    sweep line's comma-separated values as reals. Raises ValidationError,
+    naming the line, on any malformed or unknown content."""
     kwargs: Dict[str, object] = {}
     grid: Dict[str, Tuple[float, ...]] = {}
     seen = set()
@@ -73,62 +72,32 @@ def parse_scenario(text: str) -> Tuple[Dict[str, object], Dict[str, Tuple[float,
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValidationError(
-                f"scenario line {lineno}: expected 'key = value', got {raw!r}"
-            )
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _ALL_KEYS:
-            raise ValidationError(
-                f"scenario line {lineno}: unknown key {key!r}"
-            )
-        if key in seen:
-            raise ValidationError(
-                f"scenario line {lineno}: duplicate key {key!r}"
-            )
-        seen.add(key)
-        if not value:
-            raise ValidationError(f"scenario line {lineno}: {key!r} has no value")
-        if key in _SWEEP_KEYS:
-            axis = key[len("sweep_"):]
-            try:
-                values = tuple(float(tok) for tok in value.split(","))
-            except ValueError:
-                raise ValidationError(
-                    f"scenario line {lineno}: {key!r} needs comma-separated "
-                    f"numbers, got {value!r}"
-                ) from None
-            grid[axis] = values
-        elif key in _FLOAT_KEYS:
-            try:
-                number = float(value)
-            except ValueError:
-                raise ValidationError(
-                    f"scenario line {lineno}: {key!r} needs a number, got "
-                    f"{value!r}"
-                ) from None
-            kwargs["lam" if key == "lambda" else key] = number
-        elif key in _INT_KEYS:
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise ValidationError(
-                    f"scenario line {lineno}: {key!r} needs an integer, got "
-                    f"{value!r}"
-                ) from None
-        else:
-            kwargs[key] = value
+        key, equals, value = (part.strip() for part in line.partition("="))
+        try:
+            if not equals:
+                raise ValidationError(f"expected 'key = value', got {raw!r}")
+            axis = key[len("sweep_"):] if key.startswith("sweep_") else None
+            if key not in FIELDS and axis not in SWEEP_AXES:
+                raise ValidationError(f"unknown key {key!r}")
+            if key in seen:
+                raise ValidationError(f"duplicate key {key!r}")
+            seen.add(key)
+            if not value:
+                raise ValidationError(f"{key!r} has no value")
+            if axis:
+                grid[axis] = tuple(_value(axis, float, x) for x in value.split(","))
+            else:
+                name, kind, _ = FIELDS[key]
+                kwargs[name] = _value(key, kind, value)
+        except ValidationError as exc:
+            raise ValidationError(f"scenario line {lineno}: {exc}") from None
     return kwargs, grid
 
 
 def config_from_kwargs(kwargs: Dict[str, object]) -> SchemeConfig:
-    for required in ("t", "eta"):
-        if required not in kwargs:
-            raise ValidationError(f"scenario must set {required!r}")
-    if "alpha_i" not in kwargs and "alpha_f" not in kwargs:
-        raise ValidationError("scenario must set alpha_i or alpha_f")
+    for field in dataclasses.fields(SchemeConfig):
+        if field.default is dataclasses.MISSING and field.name not in kwargs:
+            raise ValidationError(f"scenario must set {field.name!r}")
     return SchemeConfig(**kwargs)
 
 

@@ -17,20 +17,26 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer, real
 
 # Below this total probability a herald outcome is treated as impossible:
 # the conditional state would be pure numerical noise.
 HERALD_PROBABILITY_FLOOR = 1e-300
 
 
-def _checked_eta(eta: float, cutoff: int) -> float:
-    eta = float(eta)
-    if not (0.0 <= eta <= 1.0):
-        raise ValidationError(f"detector efficiency must be in [0, 1], got {eta}")
-    if cutoff < 0:
-        raise ValidationError("cutoff must be >= 0")
+def efficiency(eta) -> float:
+    """A detector efficiency as a float: a number in [0, 1], the one range
+    check every efficiency, a config's or a sweep point's, goes through."""
+    eta = float(real("efficiency eta", eta))
+    if not 0.0 <= eta <= 1.0:
+        raise ValidationError(f"efficiency eta must be in [0, 1], got {eta}")
     return eta
+
+
+def _checked_cutoff(cutoff) -> int:
+    if integer("cutoff", cutoff) < 0:
+        raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
+    return int(cutoff)
 
 
 def povm_pnr(n: int, eta: float, cutoff: int) -> np.ndarray:
@@ -41,10 +47,10 @@ def povm_pnr(n: int, eta: float, cutoff: int) -> np.ndarray:
     Summed over n = 0..k this is a binomial distribution, so the full set of
     elements resolves the identity.
     """
-    eta = _checked_eta(eta, cutoff)
-    n = int(n)
+    eta, cutoff = efficiency(eta), _checked_cutoff(cutoff)
+    n = int(integer("photon count n", n))
     if n < 0:
-        raise ValidationError("photon count n must be >= 0")
+        raise ValidationError(f"photon count n must be >= 0, got {n}")
     weights = np.zeros(cutoff + 1)
     # scalar powers, not numpy's array power, whose SIMD loop can differ in
     # the last bit (at eta = 0.9, n = 0 from k = 10 on) and so move the tables
@@ -61,7 +67,8 @@ def povm_click(eta: float, cutoff: int) -> np.ndarray:
     click weight is 1 - (1 - eta)^m. Together with the n = 0 PNR element
     (which is the same thing as "no click") the pair sums to the identity.
     """
-    weights = 1.0 - (1.0 - _checked_eta(eta, cutoff)) ** np.arange(cutoff + 1)
+    eta, cutoff = efficiency(eta), _checked_cutoff(cutoff)
+    weights = 1.0 - (1.0 - eta) ** np.arange(cutoff + 1)
     weights.setflags(write=False)
     return weights
 
@@ -81,7 +88,9 @@ def herald_pattern(
     """
     if detector not in ("pnr", "onoff"):
         raise ValidationError(f"unknown detector type {detector!r}")
-    return _cached_pattern(detector, float(eta), cutoff, bool(flipped))
+    return _cached_pattern(
+        detector, efficiency(eta), _checked_cutoff(cutoff), bool(flipped)
+    )
 
 
 @lru_cache(maxsize=256)

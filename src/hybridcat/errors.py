@@ -1,8 +1,11 @@
-"""Exception hierarchy for the simulator.
+"""Exception hierarchy for the simulator, and the value rules of its inputs.
 
 Everything raised on purpose derives from SimulationError so callers can
 catch one base class. The CLI maps subclasses to exit codes.
 """
+
+import math
+import numbers
 
 
 class SimulationError(Exception):
@@ -23,3 +26,23 @@ class TruncationError(SimulationError):
 
 class HeraldImpossibleError(SimulationError):
     """The requested herald pattern has (numerically) zero probability."""
+
+
+def real(name: str, value):
+    """`value` as given if it is a finite real number other than a bool (an
+    int, so True would pass every range check as 1); np.bool_ is none."""
+    # float and int first: a check against the abstract class alone is slow
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ValidationError(f"{name} must be a number (a finite real), got {value!r}")
+
+
+def integer(name: str, value):
+    """`value` as given if it is an integral number, but not a bool."""
+    if isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool):
+        return value
+    raise ValidationError(f"{name} must be a number (an integer), got {value!r}")

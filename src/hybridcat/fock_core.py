@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 
 __all__ = [
     "ModeSpec",
@@ -59,11 +59,9 @@ class ModeSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise ValidationError("mode label must be a nonempty string")
-        if int(self.cutoff) != self.cutoff or self.cutoff < 0:
-            raise ValidationError(
-                f"mode {self.label!r}: cutoff must be a nonnegative integer, "
-                f"got {self.cutoff!r}"
-            )
+        name = f"mode {self.label!r}: cutoff"
+        if integer(name, self.cutoff) < 0:
+            raise ValidationError(f"{name} must be >= 0, got {self.cutoff}")
 
     @property
     def dim(self) -> int:

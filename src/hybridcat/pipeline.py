@@ -43,20 +43,22 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
 
 from . import analytic
-from .detection import HERALD_PROBABILITY_FLOOR, herald_pattern
+from .detection import HERALD_PROBABILITY_FLOOR, efficiency, herald_pattern
 from .errors import (
     CutoffError,
     HeraldImpossibleError,
     SimulationError,
     TruncationError,
     ValidationError,
+    integer,
+    real,
 )
-from .fock_core import DensityOperator, Register, build_register, log_factorials
+from .fock_core import DensityOperator, build_register, log_factorials
 from .metrics import stacked_negativity, target_field_vectors
 from .optics import (
     BsParams,
@@ -84,11 +86,6 @@ METRIC_COLUMNS = (
 )
 
 
-def _check_eta(eta: float) -> None:
-    if not (0.0 <= eta <= 1.0):
-        raise ValidationError(f"efficiency eta must be in [0, 1], got {eta}")
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     """Full parameter set for one simulation run.
@@ -97,6 +94,11 @@ class SchemeConfig:
     alpha_i = alpha_f / sqrt(t)) must be given. Cutoffs left at None are
     chosen automatically from the amplitudes involved; explicit values are
     honored as-is and may trigger truncation failures.
+
+    The annotations are the schema of every input (`FIELDS`): a float field
+    takes a finite real number, an int field an integral one >= 1, numpy
+    scalars too, bools not (`errors.real`, `errors.integer`), and an
+    Optional one None as well. Values are stored as given.
     """
 
     t: float
@@ -119,51 +121,37 @@ class SchemeConfig:
     tail_tol: float = 1e-8
 
     def __post_init__(self):
-        # bool is an int, so True would pass every range check below as 1
-        floats = ("t", "eta", "phi", "alpha_i", "alpha_f", "s", "z", "lam", "tail_tol")
-        for name in floats:
+        # every int field counts something: at least one
+        for name, kind, optional in FIELDS.values():
             value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ValidationError(f"{name} must be a number, got {value!r}")
+            if kind in VALUE_RULES and not (optional and value is None):
+                VALUE_RULES[kind](name, value)
+                if kind is int and value < 1:
+                    raise ValidationError(f"{name} must be >= 1, got {value!r}")
         if not (0.0 < self.t <= 1.0):
             raise ValidationError(f"transmissivity t must be in (0, 1], got {self.t}")
-        _check_eta(self.eta)
-        if not math.isfinite(self.phi):
-            raise ValidationError("phase phi must be finite")
+        efficiency(self.eta)
         if (self.alpha_i is None) == (self.alpha_f is None):
             raise ValidationError("give exactly one of alpha_i and alpha_f")
         amplitude = self.alpha_i if self.alpha_i is not None else self.alpha_f
-        if not (math.isfinite(amplitude) and amplitude >= 0.0):
-            raise ValidationError(f"amplitude must be finite and >= 0, got {amplitude}")
+        if amplitude < 0.0:
+            raise ValidationError(f"amplitude must be >= 0, got {amplitude}")
         if self.scs_source not in SCS_SOURCES:
             raise ValidationError(f"scs_source must be one of {SCS_SOURCES}")
-        if self.scs_source == "squeezed":
-            if self.s is None:
-                raise ValidationError("squeezed source needs the squeezing s")
-            SqueezedPhotonSpec(self.s, self.n_cut)
-        elif self.s is not None:
-            raise ValidationError("s only applies to the squeezed source")
-        else:
-            ScsSpec(self.resolved_alpha_i, self.phi)
         if self.pair_source not in PAIR_SOURCES:
             raise ValidationError(f"pair_source must be one of {PAIR_SOURCES}")
-        if self.pair_source == "vacuum_mixed" and self.z is None:
-            raise ValidationError("vacuum_mixed pair source needs z")
-        if self.pair_source != "vacuum_mixed" and self.z is not None:
-            raise ValidationError("z only applies to the vacuum_mixed pair source")
-        if self.pair_source == "spdc" and self.lam is None:
-            raise ValidationError("spdc pair source needs lambda")
-        if self.pair_source != "spdc" and self.lam is not None:
-            raise ValidationError("lambda only applies to the spdc pair source")
-        for name in ("n_cut", "spdc_order", "cutoff_a", "cutoff_detector", "cutoff_b"):
-            value = getattr(self, name)
-            if value is None and name.startswith("cutoff_"):
-                continue  # chosen by `resolve_cutoffs`
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        if (self.s is None) == (self.scs_source == "squeezed"):
+            raise ValidationError("s must be set exactly for the squeezed source")
+        if (self.z is None) == (self.pair_source == "vacuum_mixed"):
+            raise ValidationError("z must be set exactly for the vacuum_mixed pair")
+        if (self.lam is None) == (self.pair_source == "spdc"):
+            raise ValidationError("lambda must be set exactly for the spdc pair")
         # the source specs own the range checks of their parameters; the
-        # downconversion ones are checked whatever the source, so that no
-        # malformed value is silently ignored
+        # squeezed photon's and downconversion's are checked whatever the
+        # source, so that no malformed value is silently ignored
+        if self.scs_source == "ideal":
+            ScsSpec(self.resolved_alpha_i, self.phi)
+        SqueezedPhotonSpec(self.s or 0.0, self.n_cut)
         self.pair_spec()
         PairSourceSpec.spdc(0.0, self.spdc_order, self.spdc_weighting)
         if self.detector not in DETECTORS:
@@ -190,6 +178,17 @@ class SchemeConfig:
         if self.pair_source == "vacuum_mixed":
             return PairSourceSpec.vacuum_mixed(self.z)
         return PairSourceSpec.spdc(self.lam, self.spdc_order, self.spdc_weighting)
+
+
+# The schema of every input, read off the annotations: (field, kind, optional)
+# by the name inputs give the field, `lambda` for `lam` (a Python keyword),
+# kind float, int or str (text has no value rule, but a set of choices).
+FIELDS: Mapping[str, Tuple[str, type, bool]] = MappingProxyType({
+    "lambda" if name == "lam" else name: (name, kinds[0], type(None) in kinds)
+    for name, hint in get_type_hints(SchemeConfig).items()
+    for kinds in [get_args(hint) or (hint,)]
+})
+VALUE_RULES = MappingProxyType({float: real, int: integer})
 
 
 @dataclass(frozen=True)
@@ -355,8 +354,8 @@ class _Factors:
     """Efficiency- and lambda-independent state right before detection.
 
     The unit sector of pair number n is sum_t d_t U[:, t] (x) Z[t, :] over
-    the terms t = (k, l) in `blocks[n]` (ascending in n), with U over
-    `kept` = (A_H, A_V, B) and Z over the detectors (6H, 5H, 6V, 5V).
+    the terms t = (k, l) in `blocks[n]` (ascending in n), with U over the
+    kept modes (A_H, A_V, B) and Z over the detectors (6H, 5H, 6V, 5V).
     Column (k, l) of U, never formed, is the signal Fock state |m, n - m>
     with index `signal_states[k]` times `beam_vh[l]`: orthonormal columns.
     `scale` holds d = (n + 1)^(-1/2) s_l, s the beam's singular values.
@@ -372,7 +371,6 @@ class _Factors:
     """
 
     cuts: ResolvedCutoffs
-    kept: Register
     scale: np.ndarray
     idler_h: np.ndarray
     idler_v: np.ndarray
@@ -549,7 +547,6 @@ def _factors(key: SchemeConfig) -> _Factors:
     norms = scale**2 * _unit_norms(idler_h, idler_v, tap)
     return _Factors(
         cuts=cuts,
-        kept=build_register((("A_H", cuts.a), ("A_V", cuts.a), ("B", cuts.b))),
         scale=scale,
         idler_h=idler_h,
         idler_v=idler_v,
@@ -577,19 +574,19 @@ def _target_terms(
 
 
 def _embed(factors: _Factors, rho: np.ndarray) -> DensityOperator:
-    """U rho U^H on (A_H, A_V, B): `beam_vh` on both sides, then the
-    signal states scattered into their rows and columns."""
-    k, dim_b = len(factors.signal_states), factors.cuts.b + 1
+    """U rho U^H on the register (A_H, A_V, B): `beam_vh` on both sides,
+    then the signal states scattered into their rows and columns."""
+    cuts = factors.cuts
+    kept = build_register((("A_H", cuts.a), ("A_V", cuts.a), ("B", cuts.b)))
+    k, dim_b = len(factors.signal_states), cuts.b + 1
     vh = factors.beam_vh
     half = rho.reshape(-1, factors.beam_rank) @ vh.conj()
     full = (vh.T @ half.reshape(k, factors.beam_rank, -1)).reshape(k, dim_b, k, dim_b)
-    dim_a = (factors.cuts.a + 1) ** 2
+    dim_a = (cuts.a + 1) ** 2
     matrix = np.zeros((dim_a, dim_b, dim_a, dim_b), dtype=np.complex128)
     states = factors.signal_states
     matrix[states[:, None], :, states, :] = full.transpose(0, 2, 1, 3)
-    return DensityOperator(
-        factors.kept, matrix.reshape(factors.kept.size, -1), check=False, copy=False
-    )
+    return DensityOperator(kept, matrix.reshape(kept.size, -1), check=False, copy=False)
 
 
 def _evaluate(
@@ -614,7 +611,7 @@ def _evaluate(
     scored = list(etas)
     for j, eta in enumerate(etas):
         try:
-            _check_eta(eta)
+            efficiency(eta)
         except ValidationError as exc:
             failures.update(((i, j), exc) for i in range(len(lams)))
             scored[j] = 1.0
@@ -822,14 +819,6 @@ class SweepTable:
         )
 
 
-def _updates(params: Sequence[Tuple[str, float]]) -> Dict[str, object]:
-    """The config fields that swept values set."""
-    updates = {"lam" if axis == "lambda" else axis: value for axis, value in params}
-    if "alpha_f" in updates:
-        updates["alpha_i"] = None
-    return updates
-
-
 def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTable:
     """Evaluate the scheme over a cartesian parameter grid, one preparation
     at a time: axes sorted by name and values ascending, so the row order
@@ -837,22 +826,28 @@ def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTab
     for downconversion, lambda) share one preparation, whose (lambda, eta)
     columns `_evaluate` scores in one pass and the table takes as a block.
     Each row is the `run_scheme` of its point, bit for bit, negativity
-    included, without the post-state. Rows that fail validation or hit
-    numerical limits get an error status instead of aborting the sweep.
+    included, without the post-state. Each axis of `SWEEP_AXES` takes a
+    non-empty collection, not a string, of finite real numbers, numpy
+    scalars too, bools not, or the whole call is refused with
+    `ValidationError` before any point runs. A number out of its field's
+    range, like eta = 1.5, fails its own row alone, as do points that hit
+    numerical limits: their rows get an error status instead.
     """
     if not grid:
         raise ValidationError("sweep grid must name at least one axis")
+    unknown = [axis for axis in grid if axis not in SWEEP_AXES]
+    if unknown:
+        raise ValidationError(f"unknown sweep axes {unknown}; axes: {SWEEP_AXES}")
     axes = tuple(sorted(grid))
     values = []
     for axis in axes:
-        if axis not in SWEEP_AXES:
-            raise ValidationError(
-                f"unknown sweep axis {axis!r}; valid axes: {SWEEP_AXES}"
-            )
-        axis_values = [float(v) for v in grid[axis]]
-        if not axis_values:
-            raise ValidationError(f"sweep axis {axis!r} has no values")
-        values.append(tuple(sorted(axis_values)))
+        try:  # text, a number or a 0-d array holds no values
+            points = () if isinstance(grid[axis], (str, bytes)) else tuple(grid[axis])
+        except TypeError:
+            points = ()
+        if not points:
+            raise ValidationError(f"sweep axis {axis!r} needs a collection of numbers")
+        values.append(tuple(sorted(float(real(axis, v)) for v in points)))
     # each preparation scores a (lambda, eta) block: the cells are held with
     # the other axes first, an inner axis that is not swept of length one
     spdc = config.pair_source == "spdc"
@@ -864,7 +859,10 @@ def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTab
     cells = {name: np.full(shape, np.nan) for name in METRIC_COLUMNS}
     status = np.full(shape, "ok", dtype=object)
     for at in np.ndindex(*shape[:-2]):
-        updates = _updates([(axes[k], values[k][i]) for k, i in zip(outer, at)])
+        # the config fields that the swept values set; alpha_f replaces alpha_i
+        updates = {FIELDS[axes[k]][0]: values[k][i] for k, i in zip(outer, at)}
+        if "alpha_f" in updates:
+            updates["alpha_i"] = None
         try:
             key = _factors_key(config, **updates)
             columns, failures, _ = _evaluate(key, lams, etas)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import n_phi
-from .errors import CutoffError, ValidationError
+from .errors import CutoffError, ValidationError, integer, real
 from .fock_core import ModeSpec, PureState, Register, log_factorials
 
 __all__ = [
@@ -49,9 +49,9 @@ class ScsSpec:
     phi: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if abs(math.cos(self.phi) + 1.0) < 1e-9 and self.alpha <= 1e-6:
+        if real("alpha", self.alpha) < 0.0:
+            raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
+        if abs(math.cos(real("phi", self.phi)) + 1.0) < 1e-9 and self.alpha <= 1e-6:
             raise ValidationError(
                 "odd superposition normalization diverges for alpha <= 1e-6"
             )
@@ -72,10 +72,10 @@ class SqueezedPhotonSpec:
     n_cut: int = 7
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.s) and self.s >= 0.0):
-            raise ValidationError(f"squeezing must be finite and >= 0, got {self.s}")
-        if not isinstance(self.n_cut, int) or self.n_cut < 1:
-            raise ValidationError(f"n_cut must be an integer >= 1, got {self.n_cut!r}")
+        if real("s", self.s) < 0.0:
+            raise ValidationError(f"squeezing s must be >= 0, got {self.s}")
+        if integer("n_cut", self.n_cut) < 1:
+            raise ValidationError(f"n_cut must be >= 1, got {self.n_cut!r}")
 
     @property
     def fock_cutoff(self) -> int:
@@ -95,17 +95,15 @@ class PairSourceSpec:
     def __post_init__(self) -> None:
         if self.variant not in ("chi", "vacuum_mixed", "spdc"):
             raise ValidationError(f"unknown pair-source variant {self.variant!r}")
-        if self.variant == "vacuum_mixed" and not 0.0 < self.z <= 1.0:
+        if self.variant == "vacuum_mixed" and not 0.0 < real("z", self.z) <= 1.0:
             raise ValidationError(f"pair weight z={self.z} outside (0, 1]")
         if self.variant == "spdc":
-            if not 0.0 <= self.lam < 1.0:
+            if not 0.0 <= real("lambda", self.lam) < 1.0:
                 raise ValidationError(
                     f"interaction strength lambda={self.lam} outside [0, 1)"
                 )
-            if not isinstance(self.order_max, int) or self.order_max < 1:
-                raise ValidationError(
-                    f"order_max must be an integer >= 1, got {self.order_max!r}"
-                )
+            if integer("order_max", self.order_max) < 1:
+                raise ValidationError(f"order_max must be >= 1, got {self.order_max!r}")
             if self.weighting not in ("paper", "exact"):
                 raise ValidationError(
                     f"weighting must be 'paper' or 'exact', got {self.weighting!r}"

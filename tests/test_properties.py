@@ -1,6 +1,8 @@
 """Properties over random valid configurations (hypothesis; see
 conftest.py for the profile)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from hybridcat import metrics  # noqa: E402
 from hybridcat.errors import SimulationError  # noqa: E402
 from hybridcat.pipeline import (  # noqa: E402
     DETECTORS,
+    FIELDS,
     PAIR_SOURCES,
     SCS_SOURCES,
     SchemeConfig,
@@ -83,3 +87,46 @@ def test_a_run_heralds_a_state(config):
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert 0.0 <= result.probability_total <= 1.0
     assert 0.0 <= result.fidelity <= 1.0
+
+
+@settings(max_examples=30)
+@given(
+    configs(),
+    st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4, unique=True),
+    st.lists(st.floats(0.001, 0.1), min_size=2, max_size=2, unique=True),
+)
+def test_a_sweep_of_many_points_is_its_runs(config, etas, lams):
+    """2-4 efficiencies (and, for downconversion, 2 lambdas) swept in one
+    call: each row holds its point's run, P, F, negativity and truncation
+    deficit bit for bit, or a failed run's error type."""
+    grid = {"eta": etas}
+    if config.pair_source == "spdc":
+        grid["lambda"] = lams
+    table = sweep(config, grid)
+    assert len(table.rows) == len(etas) * (len(lams) if "lambda" in grid else 1)
+    for row in table.rows:
+        point = dataclasses.replace(config, **{FIELDS[a][0]: v for a, v in row.params})
+        try:
+            result = run_scheme(point)
+        except SimulationError as exc:
+            assert row.status == f"error:{type(exc).__name__}"
+            continue
+        assert row.status == "ok"
+        assert row.probability_total == result.probability_total
+        assert row.fidelity == result.fidelity
+        assert row.negativity == result.negativity
+        assert row.tail_mass == result.tail_mass
+
+
+@settings(max_examples=30)
+@given(configs())
+def test_sector_negativities_sum_to_the_state_negativity(config):
+    """A run's negativity, the weighted sum of its sectors' own, is that of
+    its whole term-basis state rho_t, within 1e-13."""
+    try:
+        result = run_scheme(config)
+    except SimulationError:
+        return
+    _, rho = result._heralded
+    whole = metrics.matrix_negativity(rho, result.schmidt_ranks[0])
+    assert abs(result.negativity - whole) <= 1e-13
