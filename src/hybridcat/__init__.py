@@ -40,7 +40,7 @@ from .pipeline import (
     run_scheme,
     sweep,
 )
-from .resource_states import coherent, scs, squeezed_amplitudes
+from .resource_states import coherent, source_amplitudes, squeezed_amplitudes
 
 __version__ = "0.1.0"
 
@@ -71,8 +71,8 @@ __all__ = [
     "p_tot_eta",
     "resolve_cutoffs",
     "run_scheme",
-    "scs",
     "scs_fidelity",
+    "source_amplitudes",
     "squeezed_amplitudes",
     "sweep",
 ]

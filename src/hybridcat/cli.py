@@ -201,10 +201,6 @@ _FIG2_T = tuple(round(0.84 + 0.02 * k, 2) for k in range(8)) + (0.99, 0.995, 0.9
 _FIG3_ALPHA = tuple(round(0.25 * k, 2) for k in range(1, 7))
 _FIG4_ETA = tuple(round(0.4 + 0.1 * k, 1) for k in range(7))
 _FIG5_LAMBDA = tuple(round(0.002 * k, 3) for k in range(1, 26))
-_PANELS = {
-    "a": (0.161, 0.7),
-    "b": (0.313, 1.0),
-}
 
 
 def _figure_table(figure: int, panel: Optional[str]) -> SweepTable:
@@ -214,7 +210,8 @@ def _figure_table(figure: int, panel: Optional[str]) -> SweepTable:
     if figure == 3:
         base = SchemeConfig(t=0.99, eta=0.9, alpha_f=1.0)
         return sweep(base, {"alpha_f": _FIG3_ALPHA, "eta": (0.2, 0.4, 0.6, 0.8, 0.99)})
-    s, alpha_i = _PANELS[panel]
+    # the panel's (s, alpha_i) are those of its conversion spot
+    _, s, alpha_i, *_ = analytic.CONVERSION_SPOTS[panel]
     if figure == 4:
         base = SchemeConfig(
             t=0.99,
@@ -285,10 +282,7 @@ def _summarize_figure4(panel: str, table: SweepTable) -> List[str]:
 
 
 def _summarize_figure5(panel: str, table: SweepTable) -> List[str]:
-    # the panel's conversion spot is the one with its (s, alpha_i)
-    lam, _, _, frozen, reference, p_reference = next(
-        spot for spot in analytic.CONVERSION_SPOTS if spot[1:3] == _PANELS[panel]
-    )
+    lam, _, _, frozen, reference, p_reference = analytic.CONVERSION_SPOTS[panel]
     row = np.flatnonzero(_ok(table, eta=0.5, **{"lambda": lam}))
     if not len(row):
         spot = f"panel {panel}: the row at lambda={lam}, eta=0.5 failed"
@@ -331,7 +325,7 @@ def cmd_reproduce(figure: int, panel: Optional[str], output: Optional[str]) -> i
         raise ValidationError(f"unknown figure id {figure}; choose 2, 3, 4 or 5")
     if figure in (2, 3) and panel is not None:
         raise ValidationError(f"figure {figure} has no panels")
-    if panel is not None and panel not in _PANELS:
+    if panel is not None and panel not in analytic.CONVERSION_SPOTS:
         raise ValidationError(f"figure {figure} has panels a and b, not {panel!r}")
     panels = (panel,) if panel or figure in (2, 3) else ("a", "b")
     for name in panels:

@@ -17,11 +17,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ValidationError, integer, real
+from .errors import ValidationError, choice, integer, nonnegative, real
 
 # Below this total probability a herald outcome is treated as impossible:
 # the conditional state would be pure numerical noise.
 HERALD_PROBABILITY_FLOOR = 1e-300
+DETECTORS = ("pnr", "onoff")
 
 
 def efficiency(eta) -> float:
@@ -34,9 +35,7 @@ def efficiency(eta) -> float:
 
 
 def _checked_cutoff(cutoff) -> int:
-    if integer("cutoff", cutoff) < 0:
-        raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
-    return int(cutoff)
+    return int(nonnegative("cutoff", cutoff, integer))
 
 
 def povm_pnr(n: int, eta: float, cutoff: int) -> np.ndarray:
@@ -48,9 +47,7 @@ def povm_pnr(n: int, eta: float, cutoff: int) -> np.ndarray:
     elements resolves the identity.
     """
     eta, cutoff = efficiency(eta), _checked_cutoff(cutoff)
-    n = int(integer("photon count n", n))
-    if n < 0:
-        raise ValidationError(f"photon count n must be >= 0, got {n}")
+    n = int(nonnegative("photon count n", n, integer))
     weights = np.zeros(cutoff + 1)
     # scalar powers, not numpy's array power, whose SIMD loop can differ in
     # the last bit (at eta = 0.9, n = 0 from k = 10 on) and so move the tables
@@ -73,33 +70,25 @@ def povm_click(eta: float, cutoff: int) -> np.ndarray:
     return weights
 
 
-def herald_pattern(
-    detector: str, eta: float, cutoff: int, flipped: bool = False
-) -> Mapping[str, np.ndarray]:
+def herald_pattern(detector: str, eta: float, cutoff: int) -> Mapping[str, np.ndarray]:
     """Weights of the scheme's four detector channels 5H, 5V, 6H and 6V.
 
     The plain pattern asks for one photon in each of 5V and 6H and nothing
-    in 5H and 6V; `flipped` swaps the roles (5H and 6V fire instead). With
+    in 5H and 6V; it is the one the run path heralds. With
     `detector="pnr"` the bright channels use the exact one-photon outcome;
-    with `detector="onoff"` they use the click outcome. Dark channels always
-    use the zero-photon outcome, which is the same element for both detector
-    types. The read-only mapping is cached per (detector, eta, cutoff,
-    flipped).
+    with `detector="onoff"` they use the click outcome (`DETECTORS`). Dark
+    channels always use the zero-photon outcome, which is the same element
+    for both detector types. The read-only mapping is cached per
+    (detector, eta, cutoff).
     """
-    if detector not in ("pnr", "onoff"):
-        raise ValidationError(f"unknown detector type {detector!r}")
-    return _cached_pattern(
-        detector, efficiency(eta), _checked_cutoff(cutoff), bool(flipped)
-    )
+    detector = choice("detector", detector, DETECTORS)
+    return _cached_pattern(detector, efficiency(eta), _checked_cutoff(cutoff))
 
 
 @lru_cache(maxsize=256)
-def _cached_pattern(
-    detector: str, eta: float, cutoff: int, flipped: bool
-) -> Mapping[str, np.ndarray]:
+def _cached_pattern(detector: str, eta: float, cutoff: int) -> Mapping[str, np.ndarray]:
     dark = povm_pnr(0, eta, cutoff)
     bright = povm_pnr(1, eta, cutoff) if detector == "pnr" else povm_click(eta, cutoff)
-    lit = ("5H", "6V") if flipped else ("5V", "6H")
     return MappingProxyType(
-        {x: bright if x in lit else dark for x in ("5H", "5V", "6H", "6V")}
+        {x: bright if x in ("5V", "6H") else dark for x in ("5H", "5V", "6H", "6V")}
     )

@@ -46,3 +46,19 @@ def integer(name: str, value):
     if isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool):
         return value
     raise ValidationError(f"{name} must be a number (an integer), got {value!r}")
+
+
+def nonnegative(name: str, value, rule=real):
+    """`value` as given if it passes `rule` (`real`, or `integer` for a
+    count) and is >= 0: the rule of every amplitude, squeezing, probability,
+    photon number and cutoff argument."""
+    if rule(name, value) < 0:
+        raise ValidationError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+def choice(name: str, value, choices):
+    """`value` as given if it is one of the text `choices`."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise ValidationError(f"unknown {name} {value!r}; choose one of {choices}")

@@ -39,16 +39,27 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CutoffError, ValidationError
+from .errors import CutoffError, ValidationError, real
 from .fock_core import log_factorials
 
 __all__ = [
+    "transmissivity",
     "BsParams",
     "mixer_amplitudes",
     "two_mode_kernel",
     "displacement_matrix",
     "required_displacement_cutoff",
 ]
+
+
+def transmissivity(t) -> float:
+    """A splitter transmissivity as a float: a number in (0, 1], the one
+    range check every transmissivity, a config's, a closed form's or a
+    splitter's, goes through."""
+    t = float(real("t", t))
+    if not 0.0 < t <= 1.0:
+        raise ValidationError(f"transmissivity t must be in (0, 1], got {t}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -64,9 +75,7 @@ class BsParams:
 
     @classmethod
     def from_transmissivity(cls, t: float) -> "BsParams":
-        if not 0.0 < t <= 1.0:
-            raise ValidationError(f"transmissivity {t} outside (0, 1]")
-        return cls(math.acos(math.sqrt(t)))
+        return cls(math.acos(math.sqrt(transmissivity(t))))
 
     def scattering_matrix(self) -> np.ndarray:
         c = math.cos(self.xi)

@@ -28,21 +28,23 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .detection import HERALD_PROBABILITY_FLOOR
-from .errors import CutoffError, HeraldImpossibleError, TruncationError, ValidationError
+from .errors import (
+    CutoffError,
+    HeraldImpossibleError,
+    TruncationError,
+    ValidationError,
+    integer,
+    nonnegative,
+)
 from .fock_core import DensityOperator, PureState, Register, build_register
 from .metrics import matrix_negativity, target_field_vectors
-from .optics import BsParams, displacement_matrix, two_mode_kernel
+from .optics import BsParams, displacement_matrix, transmissivity, two_mode_kernel
 from .pipeline import ResolvedCutoffs, SchemeConfig, resolve_cutoffs
-from .resource_states import (
-    PairSourceSpec,
-    ScsSpec,
-    SqueezedPhotonSpec,
-    scs,
-    squeezed_single_photon,
-)
+from .resource_states import PairSourceSpec, source_amplitudes
 
 _PAIR_LABELS = ("A_H", "A_V", "2H", "2V")
 _DETECTOR_RELABEL = {"2H": "5H", "2V": "5V", "4H": "6H", "4V": "6V"}
+_SWAP_HV = str.maketrans("HV", "VH")
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +255,10 @@ def bs_fock_coefficient(n: int, m: int, p: int, q: int, t: float) -> float:
     multiply occupied output modes (see `optics.two_mode_kernel`).
     """
     for name, value in (("n", n), ("m", m), ("p", p), ("q", q)):
-        if int(value) != value or value < 0:
-            raise ValidationError(f"{name} must be a nonnegative integer")
+        nonnegative(name, value, integer)
     if p > n or q > m:
         raise ValidationError(f"need p <= n and q <= m, got {(n, m, p, q)}")
-    if not 0.0 < t <= 1.0:
-        raise ValidationError(f"transmissivity {t} outside (0, 1]")
+    t = transmissivity(t)
     r = 1.0 - t
     value = math.comb(n, p) * math.comb(m, q) * t ** (p + q) * r ** (n + m - p - q)
     return math.sqrt(value) * (-1.0) ** (n - p)
@@ -311,6 +311,14 @@ class HeraldResult:
     probability: float
     post: Optional[DensityOperator]
     branch_probabilities: Tuple[float, ...]
+
+
+def flipped_pattern(pattern: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarray]:
+    """The pattern with H and V swapped in its mode labels, in the same
+    label order: `detection.herald_pattern`'s plain pattern (5V and 6H
+    fire) becomes the flipped one (5H and 6V fire), which the run path
+    never heralds and the symmetry checks compare against."""
+    return {label: pattern[label.translate(_SWAP_HV)] for label in pattern}
 
 
 def _joint_weights(register: Register, pattern: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -529,9 +537,9 @@ def build_prestate(config: SchemeConfig) -> Ensemble:
     splitter; the kept field is then projected onto at most b photons, the
     (B_H, B_V) cutoffs. Each stage's truncation is gated per pair branch
     as `_each_branch` says. It shares the source amplitudes and their
-    cutoff contracts (checked at b), the cutoffs and the sector weights
-    (`PairSourceSpec.sector_weights`) with the run path, not its closed
-    forms.
+    cutoff contracts (`source_amplitudes`, checked at b), the cutoffs and
+    the sector weights (`PairSourceSpec.sector_weights`) with the run path,
+    not its closed forms.
     """
     cuts = resolve_cutoffs(config)
     reach = cuts.b + 2 * cuts.detector
@@ -540,15 +548,9 @@ def build_prestate(config: SchemeConfig) -> Ensemble:
         taps = (("4H", cuts.detector), ("4V", cuts.detector))
         return build_register(taps + (("B_H", field), ("B_V", field)))
 
-    if config.scs_source == "ideal":
-        spec, source = ScsSpec(config.resolved_alpha_i, config.phi), scs
-    else:
-        spec = SqueezedPhotonSpec(config.s, config.n_cut)
-        source = squeezed_single_photon
-    source(spec, cuts.b)
     register = beam_register(reach)
     amps = np.zeros(register.dims, dtype=np.complex128)
-    amps[0, 0, :, 0] = source(spec, reach).amps
+    amps[0, 0, :, 0] = source_amplitudes(config.source_spec(), cuts.b, reach)
     beam = polarization_rotation(
         PureState(register, amps, copy=False), "B_H", "B_V", -math.pi / 4.0
     )

@@ -48,14 +48,16 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, get_args, get_type_
 import numpy as np
 
 from . import analytic
-from .detection import HERALD_PROBABILITY_FLOOR, efficiency, herald_pattern
+from .detection import DETECTORS, HERALD_PROBABILITY_FLOOR, efficiency, herald_pattern
 from .errors import (
     CutoffError,
     HeraldImpossibleError,
     SimulationError,
     TruncationError,
     ValidationError,
+    choice,
     integer,
+    nonnegative,
     real,
 )
 from .fock_core import DensityOperator, build_register, log_factorials
@@ -65,19 +67,26 @@ from .optics import (
     displacement_matrix,
     mixer_amplitudes,
     required_displacement_cutoff,
+    transmissivity,
 )
 from .resource_states import (
+    PAIR_SOURCES,
+    SPDC_WEIGHTINGS,
     PairSourceSpec,
     ScsSpec,
     SqueezedPhotonSpec,
     coherent_cutoff_for,
-    scs,
-    squeezed_single_photon,
+    source_amplitudes,
 )
 
 SCS_SOURCES = ("ideal", "squeezed")
-PAIR_SOURCES = ("chi", "vacuum_mixed", "spdc")
-DETECTORS = ("pnr", "onoff")
+# each text field's choices, kept by the module that reads the field
+CHOICES = MappingProxyType({
+    "scs_source": SCS_SOURCES,
+    "pair_source": PAIR_SOURCES,
+    "spdc_weighting": SPDC_WEIGHTINGS,
+    "detector": DETECTORS,
+})
 SWEEP_AXES = ("alpha_f", "eta", "lambda", "s", "t", "z")
 # a sweep table's metric columns, in the order the result tables print them
 METRIC_COLUMNS = (
@@ -97,8 +106,11 @@ class SchemeConfig:
 
     The annotations are the schema of every input (`FIELDS`): a float field
     takes a finite real number, an int field an integral one >= 1, numpy
-    scalars too, bools not (`errors.real`, `errors.integer`), and an
-    Optional one None as well. Values are stored as given.
+    scalars too, bools not (`errors.real`, `errors.integer`), a str field
+    one of its `CHOICES`, and an Optional one None as well. Values are
+    stored as given. The ranges are the ones every other entry point
+    applies: `optics.transmissivity`, `detection.efficiency`, the source
+    specs' (`source_spec`, `pair_spec`).
     """
 
     t: float
@@ -115,7 +127,6 @@ class SchemeConfig:
     spdc_order: int = 2
     spdc_weighting: str = "paper"
     detector: str = "pnr"
-    cutoff_a: Optional[int] = None
     cutoff_detector: Optional[int] = None
     cutoff_b: Optional[int] = None
     tail_tol: float = 1e-8
@@ -124,22 +135,18 @@ class SchemeConfig:
         # every int field counts something: at least one
         for name, kind, optional in FIELDS.values():
             value = getattr(self, name)
-            if kind in VALUE_RULES and not (optional and value is None):
+            if kind is str:
+                choice(name, value, CHOICES[name])
+            elif not (optional and value is None):
                 VALUE_RULES[kind](name, value)
                 if kind is int and value < 1:
                     raise ValidationError(f"{name} must be >= 1, got {value!r}")
-        if not (0.0 < self.t <= 1.0):
-            raise ValidationError(f"transmissivity t must be in (0, 1], got {self.t}")
+        transmissivity(self.t)
         efficiency(self.eta)
         if (self.alpha_i is None) == (self.alpha_f is None):
             raise ValidationError("give exactly one of alpha_i and alpha_f")
-        amplitude = self.alpha_i if self.alpha_i is not None else self.alpha_f
-        if amplitude < 0.0:
-            raise ValidationError(f"amplitude must be >= 0, got {amplitude}")
-        if self.scs_source not in SCS_SOURCES:
-            raise ValidationError(f"scs_source must be one of {SCS_SOURCES}")
-        if self.pair_source not in PAIR_SOURCES:
-            raise ValidationError(f"pair_source must be one of {PAIR_SOURCES}")
+        amplitude = "alpha_i" if self.alpha_i is not None else "alpha_f"
+        nonnegative(amplitude, getattr(self, amplitude))
         if (self.s is None) == (self.scs_source == "squeezed"):
             raise ValidationError("s must be set exactly for the squeezed source")
         if (self.z is None) == (self.pair_source == "vacuum_mixed"):
@@ -149,13 +156,10 @@ class SchemeConfig:
         # the source specs own the range checks of their parameters; the
         # squeezed photon's and downconversion's are checked whatever the
         # source, so that no malformed value is silently ignored
-        if self.scs_source == "ideal":
-            ScsSpec(self.resolved_alpha_i, self.phi)
-        SqueezedPhotonSpec(self.s or 0.0, self.n_cut)
+        self.source_spec()
         self.pair_spec()
-        PairSourceSpec.spdc(0.0, self.spdc_order, self.spdc_weighting)
-        if self.detector not in DETECTORS:
-            raise ValidationError(f"detector must be one of {DETECTORS}")
+        SqueezedPhotonSpec(self.s or 0.0, self.n_cut)
+        PairSourceSpec("spdc", order_max=self.spdc_order, weighting=self.spdc_weighting)
         if not (0.0 < self.tail_tol < 1.0):
             raise ValidationError("tail_tol must be in (0, 1)")
 
@@ -171,13 +175,21 @@ class SchemeConfig:
             return float(self.alpha_f)
         return float(self.alpha_i) * math.sqrt(self.t)
 
+    def source_spec(self) -> ScsSpec | SqueezedPhotonSpec:
+        """The beam source's spec: the cat (`ScsSpec`) for "ideal", the
+        squeezed photon (`SqueezedPhotonSpec`) for "squeezed"."""
+        if self.scs_source == "ideal":
+            return ScsSpec(self.resolved_alpha_i, self.phi)
+        return SqueezedPhotonSpec(self.s, self.n_cut)
+
     def pair_spec(self) -> PairSourceSpec:
-        """The pair source's spec, with its downconversion weights."""
-        if self.pair_source == "chi":
-            return PairSourceSpec.chi()
-        if self.pair_source == "vacuum_mixed":
-            return PairSourceSpec.vacuum_mixed(self.z)
-        return PairSourceSpec.spdc(self.lam, self.spdc_order, self.spdc_weighting)
+        """The pair source's spec, with its downconversion weights; a z or
+        lambda the source does not read is None and takes the spec's default."""
+        z = 1.0 if self.z is None else self.z
+        lam = 0.0 if self.lam is None else self.lam
+        return PairSourceSpec(
+            self.pair_source, z, lam, self.spdc_order, self.spdc_weighting
+        )
 
 
 # The schema of every input, read off the annotations: (field, kind, optional)
@@ -201,8 +213,11 @@ class ResolvedCutoffs:
 def resolve_cutoffs(config: SchemeConfig) -> ResolvedCutoffs:
     """Fock cutoffs for the three register groups.
 
-    The pair-source polarization modes hold at most spdc_order photons. The
-    detector channels see the tapped source field and the displacement,
+    The signal polarization modes (A_H, A_V) hold exactly n photons in the
+    pair source's n-pair term, so their cutoff a is the source's largest
+    pair number: 1 for the Bell and vacuum-mixed pairs, `spdc_order` for
+    downconversion. It truncates nothing and is not an input. The detector
+    channels see the tapped source field and the displacement,
     each of amplitude sqrt(r) alpha_i, so their cutoff covers the coherent
     sum of the two with the displacement operator's safety margin. The kept
     field mode holds the source beam, so it follows the coherent-tail bound
@@ -210,12 +225,7 @@ def resolve_cutoffs(config: SchemeConfig) -> ResolvedCutoffs:
     """
     alpha_i = config.resolved_alpha_i
     x = math.sqrt(max(0.0, 1.0 - config.t)) * alpha_i
-    if config.cutoff_a is not None:
-        a = config.cutoff_a
-    elif config.pair_source == "spdc":
-        a = max(2, config.spdc_order)
-    else:
-        a = 2
+    a = max(config.pair_spec().sector_weights())
 
     if config.cutoff_detector is not None:
         det = config.cutoff_detector
@@ -232,20 +242,6 @@ def resolve_cutoffs(config: SchemeConfig) -> ResolvedCutoffs:
     return ResolvedCutoffs(a=int(a), detector=int(det), b=int(b))
 
 
-def _source_vector(config: SchemeConfig, cuts: ResolvedCutoffs) -> np.ndarray:
-    """The source beam's amplitudes up to b + 2d photons, all that the tap
-    box (4H, 4V, B) reaches, b the field cutoff and d the detector cutoff.
-    Each source's cutoff contract (`scs`'s tail bound, the squeezed
-    photon's 2 n_cut + 1) is checked at b, where it always was."""
-    if config.scs_source == "ideal":
-        spec, source = ScsSpec(config.resolved_alpha_i, config.phi), scs
-    else:
-        spec = SqueezedPhotonSpec(config.s, config.n_cut)
-        source = squeezed_single_photon
-    source(spec, cuts.b)
-    return source(spec, cuts.b + 2 * cuts.detector).amps
-
-
 def _beam(config: SchemeConfig, cuts: ResolvedCutoffs):
     """Schmidt factors of the beam after the tap splitter, tap (4H, 4V)
     against kept field B_H.
@@ -257,9 +253,10 @@ def _beam(config: SchemeConfig, cuts: ResolvedCutoffs):
         psi[(j, k), m] = sqrt(C(s, j) / 2^s) Phi[s, m],
         Phi[s, m] = c_(s+m) sqrt((s + m)! / (s! m!)) (1 - t)^(s/2) t^(m/2),
 
-    c the source vector up to b + 2d photons (`_source_vector`), m up to
-    the field cutoff b and j, k up to the detector cutoff d: the box
-    `oracle.build_prestate`'s lab-frame splitters keep. The source is not
+    c the source vector up to b + 2d photons, m up to the field cutoff b
+    and j, k up to the detector cutoff d: the box `oracle.build_prestate`'s
+    lab-frame splitters keep. The source is evaluated once, that far, with
+    its cutoff contract checked at b (`source_amplitudes`); it is not
     cut at b before the tap, so the box is a projection of the tapped
     source on each side, and the ideal cat's beam, a sum of two coherent
     products, stays exactly rank 2 (its Schmidt vectors the even and odd
@@ -277,7 +274,7 @@ def _beam(config: SchemeConfig, cuts: ResolvedCutoffs):
     dim, t = cuts.detector + 1, config.t
     s = np.arange(2 * dim - 1)[:, None]
     m = np.arange(cuts.b + 1)
-    c = _source_vector(config, cuts)
+    c = source_amplitudes(config.source_spec(), cuts.b, cuts.b + 2 * cuts.detector)
     lg = log_factorials(c.size)
     # plain powers, not logarithms: at t = 1 the tap needs 0 ** 0 = 1
     phi = c[s + m] * np.exp(0.5 * (lg[s + m] - lg[s] - lg[m])) \
@@ -526,8 +523,8 @@ def _factors(key: SchemeConfig) -> _Factors:
     tap, beam_s, beam_vh, discarded = _beam(key, cuts)
     disp = displacement_matrix(_displacement_amplitude(key), cuts.detector)
     numbers = sorted(_sector_weights(key, key.lam))
-    if numbers[-1] > min(cuts.a, cuts.detector):
-        raise CutoffError(f"{numbers[-1]} pairs need cutoffs >= {numbers[-1]}")
+    if numbers[-1] > cuts.detector:
+        raise CutoffError(f"{numbers[-1]} pairs need cutoff_detector >= {numbers[-1]}")
     # pair factor k of sector n[k] has m[k] photons in A_H and in 2V
     n = np.concatenate([np.full(q + 1, q) for q in numbers])
     m = np.concatenate([np.arange(q + 1) for q in numbers])
@@ -725,7 +722,7 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     contribute; only the plain one is heralded (see `_score`). The fidelity
     is against the hybrid target at the configured alpha_f and phi, and the
     negativity is eigensolved per sector on the term-basis blocks (at
-    alpha_f = 2.5, 4 dimensions instead of the register's 297). rho_t, the
+    alpha_f = 2.5, 4 dimensions instead of the register's 132). rho_t, the
     blocks' mixture sum_n w_n B_n / (P / 2), is kept for `post_state` to
     embed at its first read.
     """

@@ -6,7 +6,8 @@ two-photon resources: the polarization Bell pair, its vacuum-mixed variant,
 and parametric pair sources with vacuum plus higher-order components, each
 a mixture of pair-number terms whose weights it owns.
 
-Every factory returns a normalized state; truncation deficits can be probed
+`source_amplitudes` is the beam source, the cat or the squeezed photon by
+its spec, evaluated once and normalized; truncation deficits can be probed
 through the raw amplitude functions (`coherent_amplitudes`,
 `squeezed_amplitudes`).
 """
@@ -18,23 +19,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import n_phi
-from .errors import CutoffError, ValidationError, integer, real
+from .analytic import interaction_strength, n_phi
+from .errors import CutoffError, ValidationError, choice, integer, nonnegative, real
 from .fock_core import ModeSpec, PureState, Register, log_factorials
 
 __all__ = [
+    "PAIR_SOURCES",
+    "SPDC_WEIGHTINGS",
     "ScsSpec",
     "SqueezedPhotonSpec",
     "PairSourceSpec",
     "coherent_amplitudes",
     "coherent_cutoff_for",
     "coherent",
-    "scs",
+    "source_amplitudes",
     "squeezed_amplitudes",
-    "squeezed_single_photon",
 ]
 
 COHERENT_TAIL_BOUND = 1e-10
+PAIR_SOURCES = ("chi", "vacuum_mixed", "spdc")
+SPDC_WEIGHTINGS = ("paper", "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +53,7 @@ class ScsSpec:
     phi: float
 
     def __post_init__(self) -> None:
-        if real("alpha", self.alpha) < 0.0:
-            raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
+        nonnegative("alpha", self.alpha)
         if abs(math.cos(real("phi", self.phi)) + 1.0) < 1e-9 and self.alpha <= 1e-6:
             raise ValidationError(
                 "odd superposition normalization diverges for alpha <= 1e-6"
@@ -72,8 +75,7 @@ class SqueezedPhotonSpec:
     n_cut: int = 7
 
     def __post_init__(self) -> None:
-        if real("s", self.s) < 0.0:
-            raise ValidationError(f"squeezing s must be >= 0, got {self.s}")
+        nonnegative("s", self.s)
         if integer("n_cut", self.n_cut) < 1:
             raise ValidationError(f"n_cut must be >= 1, got {self.n_cut!r}")
 
@@ -81,10 +83,19 @@ class SqueezedPhotonSpec:
     def fock_cutoff(self) -> int:
         return 2 * self.n_cut + 1
 
+    def check_cutoff(self, cutoff: int) -> None:
+        """Raises CutoffError unless a mode of `cutoff` holds the expansion."""
+        if cutoff < self.fock_cutoff:
+            raise CutoffError(
+                f"squeezed single photon with n_cut={self.n_cut} needs mode "
+                f"cutoff >= {self.fock_cutoff}, got {cutoff}"
+            )
+
 
 @dataclass(frozen=True)
 class PairSourceSpec:
-    """Photon-pair source: ideal Bell pair, vacuum-mixed, or parametric."""
+    """Photon-pair source: ideal Bell pair, vacuum-mixed, or parametric
+    (`PAIR_SOURCES`)."""
 
     variant: str
     z: float = 1.0
@@ -93,34 +104,14 @@ class PairSourceSpec:
     weighting: str = "paper"
 
     def __post_init__(self) -> None:
-        if self.variant not in ("chi", "vacuum_mixed", "spdc"):
-            raise ValidationError(f"unknown pair-source variant {self.variant!r}")
+        choice("pair_source", self.variant, PAIR_SOURCES)
         if self.variant == "vacuum_mixed" and not 0.0 < real("z", self.z) <= 1.0:
             raise ValidationError(f"pair weight z={self.z} outside (0, 1]")
         if self.variant == "spdc":
-            if not 0.0 <= real("lambda", self.lam) < 1.0:
-                raise ValidationError(
-                    f"interaction strength lambda={self.lam} outside [0, 1)"
-                )
+            interaction_strength(self.lam)
             if integer("order_max", self.order_max) < 1:
                 raise ValidationError(f"order_max must be >= 1, got {self.order_max!r}")
-            if self.weighting not in ("paper", "exact"):
-                raise ValidationError(
-                    f"weighting must be 'paper' or 'exact', got {self.weighting!r}"
-                )
-
-    @classmethod
-    def chi(cls) -> "PairSourceSpec":
-        return cls("chi")
-
-    @classmethod
-    def vacuum_mixed(cls, z: float) -> "PairSourceSpec":
-        return cls("vacuum_mixed", z=z)
-
-    @classmethod
-    def spdc(cls, lam: float, order_max: int = 2,
-             weighting: str = "paper") -> "PairSourceSpec":
-        return cls("spdc", lam=lam, order_max=order_max, weighting=weighting)
+            choice("spdc_weighting", self.weighting, SPDC_WEIGHTINGS)
 
     def sector_weights(self) -> dict[int, float]:
         """The source as a mixture of unit n-pair terms |Phi_n>, weights w_n
@@ -193,19 +184,30 @@ def coherent(alpha: complex, cutoff: int, label: str = "mode") -> PureState:
     return state.normalized()
 
 
-def scs(spec: ScsSpec, cutoff: int, label: str = "mode") -> PureState:
-    """Superposition of coherent states N (|alpha> + e^{i phi} |-alpha>)."""
-    plus = coherent_amplitudes(spec.alpha, cutoff)
-    minus = coherent_amplitudes(-spec.alpha, cutoff)
-    amps = spec.normalization * (plus + np.exp(1j * spec.phi) * minus)
-    weight = float(np.sum(np.abs(amps) ** 2))
-    if 1.0 - weight > 1e-9:
-        raise CutoffError(
-            f"superposition tail mass {1.0 - weight:.3e} too large; "
-            f"need cutoff >= {coherent_cutoff_for(spec.alpha)}"
-        )
-    register = Register([ModeSpec(label, cutoff)])
-    return PureState(register, amps).normalized()
+def source_amplitudes(
+    spec: ScsSpec | SqueezedPhotonSpec, cutoff: int, reach: int
+) -> np.ndarray:
+    """The beam source's amplitudes up to `reach` >= `cutoff` photons,
+    normalized there, from one evaluation: the superposition of
+    coherent states N (|alpha> + e^{i phi} |-alpha>) of an `ScsSpec`, or the
+    squeezed single photon of a `SqueezedPhotonSpec`, renormalized after its
+    summation cutoff. The source's cutoff contract holds at `cutoff`, on the
+    first cutoff + 1 raw entries: the superposition's tail mass there is at
+    most 1e-9, and the squeezed photon's 2 n_cut + 1 photons fit."""
+    if isinstance(spec, ScsSpec):
+        plus = coherent_amplitudes(spec.alpha, reach)
+        minus = coherent_amplitudes(-spec.alpha, reach)
+        amps = spec.normalization * (plus + np.exp(1j * spec.phi) * minus)
+        lost = 1.0 - float(np.sum(np.abs(amps[: cutoff + 1]) ** 2))
+        if lost > 1e-9:
+            raise CutoffError(
+                f"superposition tail mass {lost:.3e} too large; "
+                f"need cutoff >= {coherent_cutoff_for(spec.alpha)}"
+            )
+    else:
+        spec.check_cutoff(cutoff)
+        amps = squeezed_amplitudes(spec, reach)
+    return amps / float(np.linalg.norm(amps))
 
 
 def squeezed_amplitudes(spec: SqueezedPhotonSpec, cutoff: int) -> np.ndarray:
@@ -214,11 +216,7 @@ def squeezed_amplitudes(spec: SqueezedPhotonSpec, cutoff: int) -> np.ndarray:
     Occupation 2n+1 carries (tanh s)^n (cosh s)^{-3/2} sqrt((2n+1)!)/(2^n n!)
     for n = 0 .. n_cut; the vector is not renormalized.
     """
-    if cutoff < spec.fock_cutoff:
-        raise CutoffError(
-            f"squeezed single photon with n_cut={spec.n_cut} needs mode "
-            f"cutoff >= {spec.fock_cutoff}, got {cutoff}"
-        )
+    spec.check_cutoff(cutoff)
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
     tanh_s = math.tanh(spec.s)
     cosh_s = math.cosh(spec.s)
@@ -231,13 +229,3 @@ def squeezed_amplitudes(spec: SqueezedPhotonSpec, cutoff: int) -> np.ndarray:
         )
         amps[2 * n + 1] = weight
     return amps
-
-
-def squeezed_single_photon(spec: SqueezedPhotonSpec, cutoff: int | None = None,
-                           label: str = "mode") -> PureState:
-    """Squeezed single photon, renormalized after the summation cutoff."""
-    if cutoff is None:
-        cutoff = spec.fock_cutoff
-    amps = squeezed_amplitudes(spec, cutoff)
-    register = Register([ModeSpec(label, cutoff)])
-    return PureState(register, amps).normalized()

@@ -34,6 +34,7 @@ from .oracle import (
     basis_state,
     bs_fock_coefficient,
     build_prestate,
+    flipped_pattern,
     herald,
     inner,
     negativity,
@@ -275,19 +276,16 @@ def check_pattern_symmetry() -> CheckResult:
     field mode than `run_scheme` keeps, so a small amplitude keeps it cheap."""
     config = _ideal_config(0.5, 0.95, 0.9, cutoff_b=8)
     prestate = build_prestate(config)
-    posts = []
-    probs = []
     cutoff = prestate.register.mode("5H").cutoff
-    for flipped in (False, True):
-        pattern = herald_pattern(config.detector, config.eta, cutoff, flipped)
-        outcome = herald(prestate, pattern)
-        probs.append(outcome.probability)
-        post = outcome.post
-        if flipped:
-            post = post.relabeled({"A_H": "A_V", "A_V": "A_H"}).reordered(
-                ("A_H", "A_V", "B_H", "B_V")
-            )
-        posts.append(post)
+    plain = herald_pattern(config.detector, config.eta, cutoff)
+    outcomes = [herald(prestate, w) for w in (plain, flipped_pattern(plain))]
+    probs = [outcome.probability for outcome in outcomes]
+    posts = [
+        outcomes[0].post,
+        outcomes[1].post.relabeled({"A_H": "A_V", "A_V": "A_H"}).reordered(
+            ("A_H", "A_V", "B_H", "B_V")
+        ),
+    ]
     prob_gap = abs(probs[0] - probs[1]) / max(probs)
     state_gap = float(np.abs(posts[0].matrix - posts[1].matrix).max())
     factored = run_scheme(config).plain_probability
@@ -523,7 +521,9 @@ def check_conversion_spots() -> CheckResult:
     fidelities against this implementation's frozen values."""
     lines = []
     passed = True
-    for lam, s, alpha_i, frozen, reference, p_reference in analytic.CONVERSION_SPOTS:
+    for lam, s, alpha_i, frozen, reference, p_reference in (
+        analytic.CONVERSION_SPOTS.values()
+    ):
         config = SchemeConfig(
             t=0.99,
             eta=0.5,

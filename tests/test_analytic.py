@@ -7,7 +7,11 @@ identities below them are convention independent.
 
 import math
 
+import pytest
+
 from hybridcat import analytic
+from hybridcat.errors import ValidationError
+from hybridcat.resource_states import PairSourceSpec, ScsSpec, SqueezedPhotonSpec
 
 
 def test_normalization_constant_values():
@@ -99,3 +103,55 @@ def test_effective_fidelity_pure_pair_limit():
 
 def test_convention_factor_documented_value():
     assert analytic.PROBABILITY_CONVENTION_FACTOR == 0.5
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("n_phi", (NAN, math.pi)),
+        ("n_phi", (1.0, NAN)),
+        ("p_success_ideal", (NAN, 0.9)),
+        ("p_success_ideal", (True, 0.9)),
+        ("p_success_ideal", (-1.0, 0.9)),
+        ("p_success_ideal", (1.0, True)),
+        ("ideal_negativity", (NAN,)),
+        ("ideal_negativity", (-0.5,)),
+        ("scs_fidelity", (NAN, 0.1)),
+        ("scs_fidelity", (1.0, NAN)),
+        ("scs_fidelity", (0.0, 0.1)),
+        ("scs_fidelity", (1.0, -0.1)),
+        ("fidelity_eta", (NAN, 0.9, 0.5)),
+        ("fidelity_eta", (1.0, 0.9, True)),
+        ("p_tot_eta", (INF, 0.9, 0.5)),
+        ("p_tot_eta", (1.0, 1.5, 0.5)),
+        ("f_eff", (NAN, 1e-3, 0.0, 0.02, 0.9)),
+        ("f_eff", (0.0, True, 0.0, 0.02, 0.9)),
+        ("f_eff", (0.0, 1e-3, -1.0, 0.02, 0.9)),
+        ("f_eff", (0.0, 1e-3, 0.0, 1.0, 0.9)),
+        ("f_eff", (0.0, 1e-3, 0.0, 0.02, NAN)),
+    ],
+    ids=repr,
+)
+def test_closed_forms_refuse_what_the_config_refuses(name, args):
+    with pytest.raises(ValidationError):
+        getattr(analytic, name)(*args)
+
+
+def test_closed_forms_share_the_specs_ranges():
+    def message(call):
+        with pytest.raises(ValidationError) as info:
+            call()
+        return str(info.value)
+
+    assert message(lambda: analytic.scs_fidelity(1.0, -0.1)) == message(
+        lambda: SqueezedPhotonSpec(-0.1)
+    )
+    assert message(lambda: analytic.f_eff(0.0, 1e-3, 0.0, 1.0, 0.9)) == message(
+        lambda: PairSourceSpec("spdc", lam=1.0)
+    )
+    assert message(lambda: analytic.n_phi(-1.0, 0.0)) == message(
+        lambda: ScsSpec(-1.0, 0.0)
+    )

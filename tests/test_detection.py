@@ -8,7 +8,7 @@ import pytest
 from hybridcat.detection import herald_pattern, povm_click, povm_pnr
 from hybridcat.errors import HeraldImpossibleError, ValidationError
 from hybridcat.fock_core import build_register
-from hybridcat.oracle import Ensemble, basis_state, herald
+from hybridcat.oracle import Ensemble, basis_state, flipped_pattern, herald
 
 
 def test_pnr_weights_are_binomial_loss():
@@ -74,7 +74,7 @@ def test_herald_pattern_assignment():
     assert list(plain) == ["5H", "5V", "6H", "6V"]
     for label, expected in (("5V", one), ("6H", one), ("5H", zero), ("6V", zero)):
         assert np.array_equal(plain[label], expected)
-    flipped = herald_pattern("pnr", 0.8, CUTOFF, flipped=True)
+    flipped = flipped_pattern(plain)
     for label, expected in (("5H", one), ("6V", one), ("5V", zero), ("6H", zero)):
         assert np.array_equal(flipped[label], expected)
     onoff = herald_pattern("onoff", 0.8, CUTOFF)
@@ -94,6 +94,17 @@ def test_herald_pattern_weights_are_read_only(detector):
     assert herald_pattern(detector, 0.8, CUTOFF) is pattern
     for weights in (povm_pnr(2, 0.8, CUTOFF), povm_click(0.8, CUTOFF)):
         assert not weights.flags.writeable
+
+
+def test_herald_pattern_is_the_plain_pattern_only():
+    # the run path heralds the plain pattern; the flipped one is the
+    # oracle's relabelling of it, and no argument of the pattern asks for it
+    with pytest.raises(TypeError):
+        herald_pattern("pnr", 0.8, CUTOFF, True)
+    plain = herald_pattern("pnr", 0.8, CUTOFF)
+    twice = flipped_pattern(flipped_pattern(plain))
+    assert list(twice) == list(plain)
+    assert all(twice[label] is plain[label] for label in plain)
 
 
 def test_herald_pattern_rejects_unknown_detector():

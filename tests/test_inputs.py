@@ -1,17 +1,21 @@
 """One schema for every input: scenario files, sweep grids and SchemeConfig
 read the fields through `pipeline.FIELDS` and hold each value to the same
-rule (`errors.real`, `errors.integer`)."""
+rule (`errors.real`, `errors.integer`), and each range or choice has one
+home that every entry point goes through."""
 
 import dataclasses
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from hybridcat import cli, detection, pipeline
+from hybridcat import analytic, cli, detection, optics, oracle, pipeline
 from hybridcat.cli import parse_scenario
 from hybridcat.errors import ValidationError
 from hybridcat.pipeline import FIELDS, SWEEP_AXES, SchemeConfig, run_scheme, sweep
+from hybridcat.resource_states import PairSourceSpec
 
 KINDS = (float, int, str)
 TOKENS = {float: "0.5", int: "3", str: "text"}
@@ -137,3 +141,97 @@ def test_detectors_hold_efficiency_and_cutoff_to_the_rules():
         detection.povm_pnr(True, 0.8, 4)
     numpy_args = detection.povm_pnr(np.int64(1), np.float64(0.8), np.int64(4))
     assert np.array_equal(numpy_args, detection.povm_pnr(1, 0.8, 4))
+
+
+def test_a_deleted_field_is_an_unknown_scenario_key(tmp_path, capsys):
+    # the signal cutoff follows from the pair source; no input sets it
+    path = tmp_path / "run.txt"
+    path.write_text("t = 0.9\neta = 0.9\nalpha_f = 1.0\ncutoff_a = 2\n", "utf-8")
+    assert cli.main(["run", "--scenario", str(path)]) == 1
+    assert "scenario line 4: unknown key 'cutoff_a'" in capsys.readouterr().err
+
+
+def _message(call) -> str:
+    with pytest.raises(ValidationError) as info:
+        call()
+    return str(info.value)
+
+
+def _run_message(tmp_path, capsys, text) -> str:
+    """What `hybridcat run` prints on stderr for a refused scenario."""
+    path = tmp_path / "run.txt"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["run", "--scenario", str(path)]) == 1
+    return capsys.readouterr().err.removeprefix("error: ").strip()
+
+
+@pytest.mark.parametrize("t", [True, np.True_, 0.0, 1.5, -0.1, math.nan])
+def test_every_entry_point_refuses_a_transmissivity_alike(t, tmp_path, capsys):
+    messages = {
+        _message(call)
+        for call in (
+            lambda: SchemeConfig(t=t, eta=0.9, alpha_f=1.0),
+            lambda: analytic.p_success_ideal(1.0, t),
+            lambda: analytic.fidelity_eta(1.0, t, 0.9),
+            lambda: analytic.p_tot_eta(1.0, t, 0.9),
+            lambda: optics.BsParams.from_transmissivity(t),
+            lambda: oracle.bs_fock_coefficient(1, 0, 1, 0, t),
+        )
+    }
+    if isinstance(t, (bool, np.bool_)):
+        config = SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0)
+        messages.add(_message(lambda: sweep(config, {"t": [t]})))
+    elif math.isfinite(t):
+        scenario = f"t = {t}\neta = 0.9\nalpha_f = 1.0\n"
+        messages.add(_run_message(tmp_path, capsys, scenario))
+    assert len(messages) == 1, messages
+
+
+def test_every_entry_point_refuses_a_choice_alike(tmp_path, capsys):
+    scenario = "t = 0.9\neta = 0.9\nalpha_f = 1.0\n"
+    detector = {
+        _message(lambda: SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0, detector="apd")),
+        _message(lambda: detection.herald_pattern("apd", 0.9, 4)),
+        _run_message(tmp_path, capsys, scenario + "detector = apd\n"),
+    }
+    assert detector == {"unknown detector 'apd'; choose one of ('pnr', 'onoff')"}
+    pair = {
+        _message(lambda: SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0, pair_source="bell")),
+        _message(lambda: PairSourceSpec("bell")),
+        _run_message(tmp_path, capsys, scenario + "pair_source = bell\n"),
+    }
+    assert pair == {
+        "unknown pair_source 'bell'; choose one of ('chi', 'vacuum_mixed', 'spdc')"
+    }
+
+
+def _scenario_section() -> str:
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    return readme.split("### Scenario files", 1)[1].split("\n### ", 1)[0]
+
+
+def test_readme_scenario_examples_run():
+    """README's two scenario examples parse and run: the first as one run,
+    the second as a sweep of 12 ok rows."""
+    blocks = re.findall(r"```\n(.*?)```", _scenario_section(), re.S)
+    assert len(blocks) == 2
+    kwargs, grid = parse_scenario(blocks[0])
+    assert grid == {}
+    assert run_scheme(cli.config_from_kwargs(kwargs)).probability_total > 0
+    kwargs, grid = parse_scenario(blocks[1])
+    table = sweep(cli.config_from_kwargs(kwargs), grid)
+    assert list(table.status) == ["ok"] * 12
+
+
+def test_readme_scenario_section_names_only_inputs():
+    """Every key-like name the section quotes is a field, a sweep axis, a
+    choice, a refused value or the subcommand: a deleted field such as
+    `cutoff_a` fails."""
+    names = set(re.findall(r"`([a-z][a-z_0-9]*)`", _scenario_section()))
+    known = set(FIELDS) | {f.name for f in dataclasses.fields(SchemeConfig)}
+    known |= set(SWEEP_AXES) | set().union(*pipeline.CHOICES.values())
+    known |= {"nan", "inf", "sweep"}
+    assert names - known == set()
+    assert {"cutoff_detector", "cutoff_b"} <= names

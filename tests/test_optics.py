@@ -9,7 +9,8 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
-from hybridcat import cli, pipeline
+from hybridcat import analytic, cli, pipeline
+from hybridcat.errors import ValidationError
 from hybridcat.fock_core import build_register
 from hybridcat.optics import (
     BsParams,
@@ -79,6 +80,14 @@ def test_bs_coefficient_square_sums():
             for q in range(m + 1)
         )
         assert abs(total - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("photons", [True, 1.0, -1, "1"], ids=repr)
+def test_bs_coefficient_takes_photon_counts_only(photons):
+    # photon numbers follow the integer rule: no bool, no integral float
+    for args in ((photons, 0, 0, 0), (1, photons, 0, 0), (1, 1, photons, 0)):
+        with pytest.raises(ValidationError):
+            bs_fock_coefficient(*args, 0.5)
 
 
 def test_bs_coefficient_matches_kernel_single_mode_input():
@@ -257,7 +266,7 @@ def _figure_displacements():
     ]
     configs += [
         pipeline.SchemeConfig(t=t, eta=0.9, alpha_i=alpha_i)
-        for _, alpha_i in cli._PANELS.values()
+        for _, _, alpha_i, *_ in analytic.CONVERSION_SPOTS.values()
         for t in (0.9, 0.99, 0.999)
     ]
     configs += [

@@ -138,7 +138,7 @@ def test_alpha_parameterizations():
 def test_cutoff_policy_scales_with_amplitude():
     small = resolve_cutoffs(SchemeConfig(t=0.99, eta=0.9, alpha_i=0.7))
     large = resolve_cutoffs(SchemeConfig(t=0.9, eta=0.9, alpha_i=1.4))
-    assert small.a == 2
+    assert small.a == 1
     assert large.detector > small.detector
     assert large.b >= small.b
     explicit = resolve_cutoffs(
@@ -202,7 +202,11 @@ def test_pattern_probabilities_symmetric(monkeypatch):
     flipped pattern. Each run contracts one set of sector stacks, of one
     efficiency, downconversion included."""
     stacks = _record_gram_stacks(monkeypatch)
-    pattern = pipeline.herald_pattern
+    plain_pattern = pipeline.herald_pattern
+
+    def flipped(*args):
+        return oracle.flipped_pattern(plain_pattern(*args))
+
     for kwargs in (
         dict(t=0.9, eta=0.9, alpha_f=2.5),
         dict(t=0.99, eta=0.7, alpha_i=1.0, scs_source="squeezed", s=0.313,
@@ -213,12 +217,8 @@ def test_pattern_probabilities_symmetric(monkeypatch):
         config = SchemeConfig(**kwargs)
         runs = []
         grams = []
-        for flipped in (False, True):
-            monkeypatch.setattr(
-                pipeline,
-                "herald_pattern",
-                lambda *args, f=flipped: pattern(*args, flipped=f),
-            )
+        for pattern in (plain_pattern, flipped):
+            monkeypatch.setattr(pipeline, "herald_pattern", pattern)
             stacks.clear()
             runs.append(run_scheme(config))
             (sectors,) = stacks
@@ -442,7 +442,8 @@ def _lab_frame_beam(config, cuts):
         [("4H", cuts.detector), ("4V", cuts.detector), ("B_H", reach), ("B_V", reach)]
     )
     amps = np.zeros(register.dims, dtype=np.complex128)
-    amps[0, 0, :, 0] = pipeline._source_vector(config, cuts)
+    source = resource_states.source_amplitudes(config.source_spec(), cuts.b, reach)
+    amps[0, 0, :, 0] = source
     state = polarization_rotation(
         PureState(register, amps), "B_H", "B_V", -math.pi / 4
     )
@@ -496,7 +497,9 @@ def test_untapped_beam_heralds_nothing():
     assert np.isfinite(beam).all()
     assert float(np.abs(beam - _lab_frame_beam(config, cuts)).max()) <= 1e-14
     # untapped, the beam is the source's first b + 1 amplitudes
-    source = pipeline._source_vector(config, cuts)[: cuts.b + 1]
+    reach = cuts.b + 2 * cuts.detector
+    source = resource_states.source_amplitudes(config.source_spec(), cuts.b, reach)
+    source = source[: cuts.b + 1]
     assert float(np.abs(beam[0, 0] - source).max()) <= 1e-14
     with pytest.raises(HeraldImpossibleError):
         run_scheme(config)
@@ -587,11 +590,10 @@ def _dense_oracle(config):
     probs = []
     pieces = []
     cutoff = prestate.register.mode("5H").cutoff
-    for flipped in (False, True):
+    plain = herald_pattern(config.detector, config.eta, cutoff)
+    for flipped, pattern in ((False, plain), (True, oracle.flipped_pattern(plain))):
         try:
-            outcome = herald(
-                prestate, herald_pattern(config.detector, config.eta, cutoff, flipped)
-            )
+            outcome = herald(prestate, pattern)
         except HeraldImpossibleError:
             probs.append(0.0)
             continue
@@ -721,7 +723,8 @@ def test_pulled_back_gram_matches_interfered_factors(kwargs):
     for detector, eta, flipped in itertools.product(
         ("pnr", "onoff"), (0.1, 0.7, 1.0), (False, True)
     ):
-        cases.append(herald_pattern(detector, eta, factors.cuts.detector, flipped))
+        pattern = herald_pattern(detector, eta, factors.cuts.detector)
+        cases.append(oracle.flipped_pattern(pattern) if flipped else pattern)
     n_k, n_l = len(factors.signal_states), factors.beam_rank
     for w in cases:
         w_h, w_v = (np.outer(w["6" + p], w["5" + p]).ravel() for p in "HV")
@@ -1059,9 +1062,6 @@ def test_too_small_field_cutoff_raises():
             run_scheme(config)
         with pytest.raises(CutoffError):
             build_prestate(config)
-    # the two-pair term does not fit a signal cutoff of 1
-    with pytest.raises(CutoffError):
-        run_scheme(SchemeConfig(**dict(SPOT_A, cutoff_a=1)))
 
 
 SPDC_ORDER_3 = dict(
@@ -1075,6 +1075,58 @@ SPDC_ORDER_3 = dict(
     spdc_order=3,
     detector="onoff",
 )
+
+
+def test_pair_number_above_the_detector_cutoff_raises():
+    """The signal cutoff is the source's largest pair number, so only the
+    detector cutoff can be too small for a pair term: six pairs fail at
+    cutoff_detector = 5 and run at 6."""
+    config = SchemeConfig(**dict(SPDC_ORDER_3, spdc_order=6, cutoff_detector=5))
+    assert resolve_cutoffs(config).a == 6
+    with pytest.raises(CutoffError, match="6 pairs need cutoff_detector >= 6"):
+        run_scheme(config)
+    assert run_scheme(dataclasses.replace(config, cutoff_detector=6)).probability_total > 0
+
+
+def test_post_state_signal_modes_stop_at_the_largest_pair_number():
+    """(A_H, A_V) hold exactly n photons in the n-pair term, so the signal
+    cutoff is the largest pair number: 2 x 2 x 33 = 132 dimensions for the
+    Bell pair at alpha_f = 2.5, and 4 x 4 x 16 = 256 for downconversion at
+    order 3."""
+    for kwargs, dims in (
+        (dict(t=0.9, eta=0.9, alpha_f=2.5), (2, 2, 33)),
+        (SPDC_ORDER_3, (4, 4, 16)),
+    ):
+        post = run_scheme(SchemeConfig(**kwargs)).post_state
+        assert post.register.labels == ("A_H", "A_V", "B")
+        assert tuple(post.register.dims) == dims
+        assert post.matrix.shape == (math.prod(dims),) * 2
+
+
+def test_a_cold_preparation_evaluates_its_source_once(monkeypatch):
+    """The beam takes the source up to b + 2d photons from one evaluation,
+    its cutoff contract checked on that vector's first b + 1 entries: the
+    cat's two coherent vectors once, the squeezed photon's expansion once,
+    in `_factors` and in the dense oracle alike."""
+    calls = []
+    for name in ("coherent_amplitudes", "squeezed_amplitudes"):
+        real = getattr(resource_states, name)
+        monkeypatch.setattr(
+            resource_states, name,
+            lambda *args, real=real, name=name: calls.append(name) or real(*args),
+        )
+    cat = ["coherent_amplitudes"] * 2
+    for kwargs, expected in (
+        (dict(t=0.9, eta=0.9, alpha_f=1.0), cat),
+        (FIGURE_4_SPOTS[1], ["squeezed_amplitudes"]),
+    ):
+        calls.clear()
+        pipeline._factors.cache_clear()
+        pipeline._factors(pipeline._factors_key(SchemeConfig(**kwargs)))
+        assert calls == expected
+    calls.clear()
+    build_prestate(SchemeConfig(t=0.95, eta=0.8, alpha_i=0.5, cutoff_b=8))
+    assert calls == cat
 
 
 def test_sweep_runs_higher_spdc_orders_in_full():
@@ -1129,7 +1181,8 @@ def test_truncation_gate_weights_the_sectors():
     factors = pipeline._factors(pipeline._factors_key(config))
     assert factors.tails[3] > config.tail_tol
     tail = run_scheme(config).tail_mass
-    weights = resource_states.PairSourceSpec.spdc(0.3, 3).sector_weights()
+    spec = resource_states.PairSourceSpec("spdc", lam=0.3, order_max=3)
+    weights = spec.sector_weights()
     expected = sum(w * factors.tails[n] for n, w in weights.items())
     assert abs(tail - expected / sum(weights.values())) <= 1e-15 * tail
     assert tail < 1e-10
