@@ -28,7 +28,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .fock_core import DensityOperator, PureState, Register, build_register
+from .fock_core import DensityOperator
 from .pipeline import (
     SWEEP_AXES,
     ResolvedCutoffs,
@@ -40,7 +40,7 @@ from .pipeline import (
     run_scheme,
     sweep,
 )
-from .resource_states import coherent, source_amplitudes, squeezed_amplitudes
+from .resource_states import source_amplitudes, squeezed_amplitudes
 
 __version__ = "0.1.0"
 
@@ -50,8 +50,6 @@ __all__ = [
     "CutoffError",
     "DensityOperator",
     "HeraldImpossibleError",
-    "PureState",
-    "Register",
     "ResolvedCutoffs",
     "SchemeConfig",
     "SchemeResult",
@@ -61,8 +59,6 @@ __all__ = [
     "TruncationError",
     "ValidationError",
     "__version__",
-    "build_register",
-    "coherent",
     "f_eff",
     "fidelity_eta",
     "ideal_negativity",

@@ -33,8 +33,10 @@ from .errors import (
     SimulationError,
     TruncationError,
     ValidationError,
+    choice,
 )
 from .pipeline import (
+    CHOICES,
     FIELDS,
     METRIC_COLUMNS,
     SWEEP_AXES,
@@ -50,12 +52,15 @@ from .pipeline import (
 
 
 def _value(name: str, kind: type, token: str):
-    """A scenario token read as a value of `kind`, held to its rule."""
+    """A scenario token read as a value of `kind`, held to its rule: a
+    text token to its field's `CHOICES`."""
+    if kind is str:
+        return choice(name, token, CHOICES[name])
     try:
         value = kind(token)
     except ValueError:
         value = token  # not a number, which the rule refuses
-    return VALUE_RULES[kind](name, value) if kind in VALUE_RULES else value
+    return VALUE_RULES[kind](name, value)
 
 
 def parse_scenario(text: str) -> Tuple[Dict[str, object], Dict[str, Tuple[float, ...]]]:

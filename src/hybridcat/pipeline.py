@@ -60,7 +60,7 @@ from .errors import (
     nonnegative,
     real,
 )
-from .fock_core import DensityOperator, build_register, log_factorials
+from .fock_core import DensityOperator, log_factorials
 from .metrics import stacked_negativity, target_field_vectors
 from .optics import (
     BsParams,
@@ -254,7 +254,7 @@ def _beam(config: SchemeConfig, cuts: ResolvedCutoffs):
         Phi[s, m] = c_(s+m) sqrt((s + m)! / (s! m!)) (1 - t)^(s/2) t^(m/2),
 
     c the source vector up to b + 2d photons, m up to the field cutoff b
-    and j, k up to the detector cutoff d: the box `oracle.build_prestate`'s
+    and j, k up to the detector cutoff d: the box `oracle.lab_frame_beam`'s
     lab-frame splitters keep. The source is evaluated once, that far, with
     its cutoff contract checked at b (`source_amplitudes`); it is not
     cut at b before the tap, so the box is a projection of the tapped
@@ -396,12 +396,12 @@ def _pullback(factors: _Factors):
     return idlers, taps, factors.tap.reshape(n_l, -1).conj().T
 
 
-def _gram(pullback, w: Mapping[str, np.ndarray], pairs=None) -> np.ndarray:
+def _gram(pullback, w: Mapping[str, np.ndarray], pairs) -> np.ndarray:
     """Blocks G_km[l, n] = G[(k, l), (m, n)] of G = Z diag(w_h (x) w_v) Z^H,
     w_h = w_6H (x) w_5H and w_v alike from a herald pattern `w`, stacked
     (pairs, n_l, n_l) over the pairs (k, m) of pair factors in `pairs` (two
-    index arrays) or all n_k^2 pairs, k-major. Pulled back through the
-    splitters, with H_km = P_k^T diag(w_h) conj(P_m) and V_km alike from Q,
+    index arrays). Pulled back through the splitters, with
+    H_km = P_k^T diag(w_h) conj(P_m) and V_km alike from Q,
     G_km[l, n] = sum T_l[i, j] H_km[i, c] V_km[j, d] conj(T_n[c, d]): three
     products with the pair a batch axis (a GEMM over i, a (dim n_l x dim)
     product per pair over j, a GEMM over (c, d)), n_k^2 n_l dim^3 +
@@ -422,10 +422,7 @@ def _gram(pullback, w: Mapping[str, np.ndarray], pairs=None) -> np.ndarray:
 
     h, v = (pulled(p, q) for p, q in zip(idlers, "HV"))
     # per pair (k, m): H_km as rows c, columns i, and V_km as rows j
-    if pairs is None:
-        h, v = h.transpose(0, 2, 3, 1), v.transpose(0, 2, 1, 3)
-    else:
-        h, v = h[pairs[0], :, pairs[1]].transpose(0, 2, 1), v[pairs[0], :, pairs[1]]
+    h, v = h[pairs[0], :, pairs[1]].transpose(0, 2, 1), v[pairs[0], :, pairs[1]]
     count = h.size // (dim * dim)
     # rows (pair, c), columns (l, j): sum_i H_km[i, c] T_l[i, j]
     pushed = h.reshape(-1, dim) @ taps
@@ -459,10 +456,9 @@ def _sector_pairs(factors: _Factors):
 def _eta_grams(factors: _Factors, pullback, detector: str, etas: Sequence[float]):
     """Each sector n's diagonal block G_nn of the plain click pattern's
     Gram at each efficiency in `etas`, stacked (E, s_n, s_n), by n. `_gram`
-    contracts one efficiency at a time and only the pairs inside a sector
-    (all pairs, ungathered, for a one-sector source)."""
+    contracts one efficiency at a time and only the pairs inside a sector."""
     n_l = factors.beam_rank
-    pairs = _sector_pairs(factors) if len(factors.blocks) > 1 else None
+    pairs = _sector_pairs(factors)
     sizes = {n: span.stop - span.start for n, span in factors.blocks.items()}
     stacks = {n: np.empty((len(etas), s, s), np.complex128) for n, s in sizes.items()}
     for i, eta in enumerate(etas):
@@ -571,10 +567,9 @@ def _target_terms(
 
 
 def _embed(factors: _Factors, rho: np.ndarray) -> DensityOperator:
-    """U rho U^H on the register (A_H, A_V, B): `beam_vh` on both sides,
+    """U rho U^H on (A_H, A_V, B): `beam_vh` on both sides,
     then the signal states scattered into their rows and columns."""
     cuts = factors.cuts
-    kept = build_register((("A_H", cuts.a), ("A_V", cuts.a), ("B", cuts.b)))
     k, dim_b = len(factors.signal_states), cuts.b + 1
     vh = factors.beam_vh
     half = rho.reshape(-1, factors.beam_rank) @ vh.conj()
@@ -583,7 +578,8 @@ def _embed(factors: _Factors, rho: np.ndarray) -> DensityOperator:
     matrix = np.zeros((dim_a, dim_b, dim_a, dim_b), dtype=np.complex128)
     states = factors.signal_states
     matrix[states[:, None], :, states, :] = full.transpose(0, 2, 1, 3)
-    return DensityOperator(kept, matrix.reshape(kept.size, -1), check=False, copy=False)
+    dims = (cuts.a + 1, cuts.a + 1, dim_b)
+    return DensityOperator(("A_H", "A_V", "B"), dims, matrix.reshape(dim_a * dim_b, -1))
 
 
 def _evaluate(

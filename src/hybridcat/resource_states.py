@@ -21,7 +21,7 @@ import numpy as np
 
 from .analytic import interaction_strength, n_phi
 from .errors import CutoffError, ValidationError, choice, integer, nonnegative, real
-from .fock_core import ModeSpec, PureState, Register, log_factorials
+from .fock_core import log_factorials
 
 __all__ = [
     "PAIR_SOURCES",
@@ -31,7 +31,6 @@ __all__ = [
     "PairSourceSpec",
     "coherent_amplitudes",
     "coherent_cutoff_for",
-    "coherent",
     "source_amplitudes",
     "squeezed_amplitudes",
 ]
@@ -164,24 +163,6 @@ def coherent_cutoff_for(alpha: complex, tail: float = COHERENT_TAIL_BOUND) -> in
         if n > 10_000:
             raise ValidationError(f"amplitude {alpha} too large to truncate")
     return n
-
-
-def coherent(alpha: complex, cutoff: int, label: str = "mode") -> PureState:
-    """Coherent state on a fresh single-mode register.
-
-    The cutoff must leave a tail mass below 1e-10; the error message names
-    the smallest acceptable cutoff.
-    """
-    amps = coherent_amplitudes(alpha, cutoff)
-    tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
-    if tail > COHERENT_TAIL_BOUND:
-        raise CutoffError(
-            f"coherent tail mass {tail:.3e} above {COHERENT_TAIL_BOUND:.0e}; "
-            f"need cutoff >= {coherent_cutoff_for(alpha)}"
-        )
-    register = Register([ModeSpec(label, cutoff)])
-    state = PureState(register, amps)
-    return state.normalized()
 
 
 def source_amplitudes(

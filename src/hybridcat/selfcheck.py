@@ -24,27 +24,13 @@ from typing import Callable, Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import analytic
-from .detection import herald_pattern, povm_click, povm_pnr
-from .fock_core import build_register
+from .detection import povm_click, povm_pnr
+from .metrics import matrix_negativity
 from .optics import BsParams, displacement_matrix, two_mode_kernel
-from .oracle import (
-    Bipartition,
-    Ensemble,
-    apply_beam_splitter,
-    basis_state,
-    bs_fock_coefficient,
-    build_prestate,
-    flipped_pattern,
-    herald,
-    inner,
-    negativity,
-    polarization_rotation,
-    target_hybrid,
-    tensor,
-    to_density,
-)
+from .oracle import bs_fock_coefficient, herald_patterns, mix, target_hybrid
 from .pipeline import SchemeConfig, run_scheme
-from .resource_states import coherent
+from .resource_states import coherent_amplitudes
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -180,28 +166,23 @@ def check_coherent_interference() -> CheckResult:
     worst = 0.0
     cutoff = 20
     for t in (0.5, 0.73):
-        params = BsParams.from_transmissivity(t)
-        scattering = params.scattering_matrix()
+        scattering = BsParams.from_transmissivity(t).scattering_matrix()
         for alpha, beta in ((0.4, 0.2), (0.6, 0.5j)):
-            state = tensor(
-                coherent(alpha, cutoff, "i"), coherent(beta, cutoff, "j")
+            pair = np.multiply.outer(
+                coherent_amplitudes(alpha, cutoff), coherent_amplitudes(beta, cutoff)
             )
-            state = apply_beam_splitter(state, "i", "j", params)
+            state = mix(pair, (0, 1), scattering)
             out_i = scattering[0, 0] * alpha + scattering[0, 1] * beta
             out_j = scattering[1, 0] * alpha + scattering[1, 1] * beta
-            expected = tensor(
-                coherent(out_i, cutoff, "i"), coherent(out_j, cutoff, "j")
+            expected = np.multiply.outer(
+                coherent_amplitudes(out_i, cutoff), coherent_amplitudes(out_j, cutoff)
             )
-            worst = max(worst, abs(1.0 - abs(inner(expected, state))))
-    register = build_register((("i", 4), ("j", 4)))
-    hom = apply_beam_splitter(
-        basis_state(register, (1, 1)), "i", "j", BsParams.from_transmissivity(0.5)
-    )
-    dip = abs(hom.amplitude((1, 1)))
-    split = abs(
-        abs(hom.amplitude((2, 0))) - 1.0 / math.sqrt(2.0)
-    ) + abs(abs(hom.amplitude((0, 2))) - 1.0 / math.sqrt(2.0))
-    worst = max(worst, dip, split)
+            worst = max(worst, abs(1.0 - abs(np.vdot(expected, state))))
+    ket = np.zeros((5, 5), dtype=np.complex128)
+    ket[1, 1] = 1.0
+    hom = abs(mix(ket, (0, 1), BsParams.from_transmissivity(0.5).scattering_matrix()))
+    split = abs(hom[2, 0] - 1.0 / math.sqrt(2.0)) + abs(hom[0, 2] - 1.0 / math.sqrt(2.0))
+    worst = max(worst, hom[1, 1], split)
     return _result(
         "coherent_interference",
         worst <= 1e-10,
@@ -275,19 +256,10 @@ def check_pattern_symmetry() -> CheckResult:
     gives both the same probability. The dense state has one more
     field mode than `run_scheme` keeps, so a small amplitude keeps it cheap."""
     config = _ideal_config(0.5, 0.95, 0.9, cutoff_b=8)
-    prestate = build_prestate(config)
-    cutoff = prestate.register.mode("5H").cutoff
-    plain = herald_pattern(config.detector, config.eta, cutoff)
-    outcomes = [herald(prestate, w) for w in (plain, flipped_pattern(plain))]
-    probs = [outcome.probability for outcome in outcomes]
-    posts = [
-        outcomes[0].post,
-        outcomes[1].post.relabeled({"A_H": "A_V", "A_V": "A_H"}).reordered(
-            ("A_H", "A_V", "B_H", "B_V")
-        ),
-    ]
+    (p_plain, plain), (p_flipped, flipped) = herald_patterns(config)
+    probs = [p_plain, p_flipped]
     prob_gap = abs(probs[0] - probs[1]) / max(probs)
-    state_gap = float(np.abs(posts[0].matrix - posts[1].matrix).max())
+    state_gap = float(np.abs(plain - flipped).max())
     factored = run_scheme(config).plain_probability
     oracle_gap = max(abs(factored - p) / p for p in probs)
     passed = prob_gap <= 1e-10 and state_gap <= 1e-9 and oracle_gap <= 1e-12
@@ -373,11 +345,9 @@ def check_target_negativity() -> CheckResult:
     worst_quote = 0.0
     worst_closed = 0.0
     for alpha_f, quote in ((0.7, 0.927), (1.0, 0.991)):
-        register = build_register(
-            (("A_H", 1), ("A_V", 1), ("B", max(10, int(8 * alpha_f ** 2) + 8)))
-        )
-        state = target_hybrid(alpha_f, math.pi, register)
-        value = negativity(to_density(state), Bipartition(("A_H", "A_V"), ("B",)))
+        field = max(10, int(8 * alpha_f ** 2) + 8)
+        state = target_hybrid(alpha_f, math.pi, (2, 2, field + 1)).ravel()
+        value = matrix_negativity(np.outer(state, state.conj()), 4)
         worst_quote = max(worst_quote, abs(value - quote))
         worst_closed = max(
             worst_closed, abs(value - analytic.ideal_negativity(alpha_f))
@@ -492,18 +462,10 @@ def check_spdc_lambda_scaling() -> CheckResult:
         formula = analytic.f_eff(p[0], p[1], p[2], lam, full.f_chi)
         worst_f = max(worst_f, abs(full.fidelity - formula) / formula)
     small = replace(base, t=0.95, eta=0.9, alpha_i=0.5, n_cut=3, lam=0.05, cutoff_b=8)
-    run, lab = run_scheme(small), build_prestate(small)
-    # the field rotated into the beam frame, whose empty channel is dropped
-    frame = Ensemble(
-        lab.register,
-        [(w, polarization_rotation(s, "B_H", "B_V", math.pi / 4)) for w, s in lab],
-    )
-    cutoff = lab.register.mode("5H").cutoff
-    dense = herald(frame, herald_pattern(small.detector, small.eta, cutoff))
-    register = dense.post.register
-    empty = np.arange(register.size).reshape(register.dims)[..., 0].ravel()
-    gap_p = abs(run.plain_probability / dense.probability - 1.0)
-    rho = dense.post.matrix[np.ix_(empty, empty)]
+    run = run_scheme(small)
+    (probability, post), _ = herald_patterns(small)
+    gap_p = abs(run.plain_probability / probability - 1.0)
+    rho = post[:, 0, :, 0]
     gap_state = float(np.abs(run.post_state.matrix - rho).max())
     return _result(
         "spdc_lambda_scaling",

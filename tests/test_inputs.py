@@ -14,11 +14,11 @@ import pytest
 from hybridcat import analytic, cli, detection, optics, oracle, pipeline
 from hybridcat.cli import parse_scenario
 from hybridcat.errors import ValidationError
-from hybridcat.pipeline import FIELDS, SWEEP_AXES, SchemeConfig, run_scheme, sweep
+from hybridcat.pipeline import CHOICES, FIELDS, SWEEP_AXES, SchemeConfig, run_scheme, sweep
 from hybridcat.resource_states import PairSourceSpec
 
 KINDS = (float, int, str)
-TOKENS = {float: "0.5", int: "3", str: "text"}
+TOKENS = {float: "0.5", int: "3"}
 
 
 def test_the_schema_partitions_the_config_fields():
@@ -34,7 +34,8 @@ def test_scenario_keys_are_the_schema_and_the_sweep_axes():
     keys = set(FIELDS) | {f"sweep_{axis}" for axis in SWEEP_AXES}
     for key in keys:
         kind = float if key.startswith("sweep_") else FIELDS[key][1]
-        kwargs, grid = parse_scenario(f"{key} = {TOKENS[kind]}\n")
+        token = CHOICES[key][-1] if kind is str else TOKENS[kind]
+        kwargs, grid = parse_scenario(f"{key} = {token}\n")
         assert len(kwargs) + len(grid) == 1, key
     for key in ("lam", "sweep_lam", "sweep_phi", "sweep_", "kept", "sweep_sweep_t"):
         with pytest.raises(ValidationError, match="unknown key"):
@@ -192,17 +193,20 @@ def test_every_entry_point_refuses_a_choice_alike(tmp_path, capsys):
     detector = {
         _message(lambda: SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0, detector="apd")),
         _message(lambda: detection.herald_pattern("apd", 0.9, 4)),
-        _run_message(tmp_path, capsys, scenario + "detector = apd\n"),
     }
     assert detector == {"unknown detector 'apd'; choose one of ('pnr', 'onoff')"}
+    # the scenario names the line, as it does for a refused number
+    refused = _run_message(tmp_path, capsys, scenario + "detector = apd\n")
+    assert refused == "scenario line 4: " + detector.pop()
     pair = {
         _message(lambda: SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0, pair_source="bell")),
         _message(lambda: PairSourceSpec("bell")),
-        _run_message(tmp_path, capsys, scenario + "pair_source = bell\n"),
     }
     assert pair == {
         "unknown pair_source 'bell'; choose one of ('chi', 'vacuum_mixed', 'spdc')"
     }
+    refused = _run_message(tmp_path, capsys, scenario + "pair_source = bell\n")
+    assert refused == "scenario line 4: " + pair.pop()
 
 
 def _scenario_section() -> str:

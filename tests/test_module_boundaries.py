@@ -2,7 +2,8 @@
 helpers, every `__all__` entry is defined where it is exported, every one
 has a caller in the package or the benchmark, only `selfcheck` reaches the
 dense oracle, the run path never builds the oracle's dense two-mode
-kernel, and the runtime needs numpy and the standard library only."""
+kernel, the runtime needs numpy and the standard library only, and the
+package stays within its line budget."""
 
 import ast
 import os
@@ -136,6 +137,15 @@ def test_every_export_has_a_caller():
             if export not in taken and not _uses_own(tree, export)
         ]
     assert dead == []
+
+
+def test_package_stays_within_its_line_budget():
+    # every module counts, the oracle and `selfcheck` included
+    lines = sum(
+        len(path.read_text(encoding="utf-8").splitlines())
+        for path in PACKAGE.glob("*.py")
+    )
+    assert lines <= 3300
 
 
 def test_only_selfcheck_imports_the_oracle():

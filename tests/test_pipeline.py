@@ -17,7 +17,6 @@ import pytest
 from hybridcat import (
     analytic,
     cli,
-    fock_core,
     metrics,
     optics,
     oracle,
@@ -31,17 +30,8 @@ from hybridcat.errors import (
     TruncationError,
     ValidationError,
 )
-from hybridcat.fock_core import PureState, build_register
+from hybridcat.fock_core import DensityOperator
 from hybridcat.optics import BsParams
-from hybridcat.oracle import (
-    Bipartition,
-    Ensemble,
-    apply_beam_splitter,
-    build_prestate,
-    herald,
-    negativity,
-    polarization_rotation,
-)
 from hybridcat.pipeline import (
     DETECTORS,
     SWEEP_AXES,
@@ -190,7 +180,7 @@ def _record_gram_stacks(monkeypatch):
 
 def _mirrored(post):
     """The matrix of a state on (A_H, A_V, B) with A_H and A_V swapped."""
-    tensor = post.matrix.reshape(post.register.dims * 2)
+    tensor = post.matrix.reshape(post.dims * 2)
     return tensor.transpose(1, 0, 2, 4, 3, 5).reshape(post.matrix.shape)
 
 
@@ -432,34 +422,14 @@ def test_cold_figure_5_builds_no_result_objects(monkeypatch, tmp_path):
 # the tapped beam
 
 
-def _lab_frame_beam(config, cuts):
-    """The beam built mode by mode: the source up to b + 2d photons rotated
-    onto the diagonal of (B_H, B_V), each polarization tapped by its own
-    splitter, the kept field projected onto at most b photons and rotated
-    back, and the empty B_V channel dropped."""
-    reach = cuts.b + 2 * cuts.detector
-    register = build_register(
-        [("4H", cuts.detector), ("4V", cuts.detector), ("B_H", reach), ("B_V", reach)]
-    )
-    amps = np.zeros(register.dims, dtype=np.complex128)
-    source = resource_states.source_amplitudes(config.source_spec(), cuts.b, reach)
-    amps[0, 0, :, 0] = source
-    state = polarization_rotation(
-        PureState(register, amps), "B_H", "B_V", -math.pi / 4
-    )
-    tap = BsParams.from_transmissivity(config.t)
-    state = apply_beam_splitter(state, "4H", "B_H", tap)
-    state = apply_beam_splitter(state, "4V", "B_V", tap)
-    photons = np.add.outer(np.arange(reach + 1), np.arange(reach + 1))
-    kept = np.where(photons <= cuts.b, state.amps, 0.0)[..., : cuts.b + 1, : cuts.b + 1]
-    register = build_register(
-        [("4H", cuts.detector), ("4V", cuts.detector), ("B_H", cuts.b), ("B_V", cuts.b)]
-    )
-    state = polarization_rotation(PureState(register, kept), "B_H", "B_V", math.pi / 4)
+def _lab_frame_beam(config):
+    """The oracle's beam, built mode by mode in the lab frame, with the
+    empty B_V channel dropped."""
+    beam = oracle.lab_frame_beam(config)
     # the rotation at b + 2d builds a dense kernel of (b + 2d + 1)^4 entries
     # (194 MB at b = 32, d = 13); keep no test process holding it
     optics._cached_kernel.cache_clear()
-    return state.amps[..., 0]
+    return beam[..., 0]
 
 
 def _factored_beam(config, cuts):
@@ -482,7 +452,7 @@ def test_closed_form_beam_matches_lab_frame(kwargs):
     config = SchemeConfig(eta=0.9, alpha_f=2.5, **kwargs)
     cuts = resolve_cutoffs(config)
     beam = _factored_beam(config, cuts)
-    assert float(np.abs(beam - _lab_frame_beam(config, cuts)).max()) <= 1e-14
+    assert float(np.abs(beam - _lab_frame_beam(config)).max()) <= 1e-14
     if config.cutoff_detector == 3:
         # the detector cutoff really truncates this beam
         assert 1.0 - np.linalg.norm(beam) ** 2 > 1e-2
@@ -495,7 +465,7 @@ def test_untapped_beam_heralds_nothing():
     assert len(tap) == 1
     beam = _factored_beam(config, cuts)
     assert np.isfinite(beam).all()
-    assert float(np.abs(beam - _lab_frame_beam(config, cuts)).max()) <= 1e-14
+    assert float(np.abs(beam - _lab_frame_beam(config)).max()) <= 1e-14
     # untapped, the beam is the source's first b + 1 amplitudes
     reach = cuts.b + 2 * cuts.detector
     source = resource_states.source_amplitudes(config.source_spec(), cuts.b, reach)
@@ -575,39 +545,22 @@ def test_post_state_is_embedded_at_first_read(monkeypatch):
 
 
 def _dense_oracle(config):
-    """Pattern probabilities and combined post-state from the dense
-    eight-mode state, its field rotated into the beam frame and heralded
-    with `oracle.herald`, with the flipped pattern corrected and the
-    empty field channel projected out, as `run_scheme` reports them."""
-    lab = build_prestate(config)
-    prestate = Ensemble(
-        lab.register,
-        [
-            (weight, polarization_rotation(state, "B_H", "B_V", math.pi / 4))
-            for weight, state in lab
-        ],
-    )
-    probs = []
-    pieces = []
-    cutoff = prestate.register.mode("5H").cutoff
-    plain = herald_pattern(config.detector, config.eta, cutoff)
-    for flipped, pattern in ((False, plain), (True, oracle.flipped_pattern(plain))):
-        try:
-            outcome = herald(prestate, pattern)
-        except HeraldImpossibleError:
-            probs.append(0.0)
-            continue
-        post = outcome.post
-        if flipped:
-            post = post.relabeled({"A_H": "A_V", "A_V": "A_H"}).reordered(
-                ("A_H", "A_V", "B_H", "B_V")
-            )
-        probs.append(outcome.probability)
-        pieces.append((outcome.probability, post))
-    register = pieces[0][1].register
-    matrix = sum(p * post.matrix for p, post in pieces) / sum(probs)
-    empty = np.arange(register.size).reshape(register.dims)[..., 0].ravel()
-    return tuple(probs), matrix[np.ix_(empty, empty)]
+    """Pattern probabilities and combined post-state from the dense state,
+    both patterns heralded by `oracle.herald_patterns`, with the empty
+    field channel projected out, as `run_scheme` reports them."""
+    (p_plain, plain), (p_flipped, flipped) = oracle.herald_patterns(config)
+    matrix = (p_plain * plain + p_flipped * flipped) / (p_plain + p_flipped)
+    return (p_plain, p_flipped), matrix[:, 0, :, 0]
+
+
+def _full_negativity(post):
+    """The (A_H, A_V | B) negativity eigensolved on the whole post-state."""
+    return metrics.matrix_negativity(post.matrix, post.dims[0] * post.dims[1])
+
+
+def _target(config, post):
+    """The dense hybrid target on the post-state's modes, flattened."""
+    return oracle.target_hybrid(config.resolved_alpha_f, config.phi, post.dims).ravel()
 
 
 # the ids keep naming the displacement convention, "diagonal" (the only one)
@@ -665,12 +618,10 @@ def test_factored_herald_matches_dense_oracle(pair, beam, detector, extra):
     assert float(np.abs(matrix - matrix.conj().T).max()) <= 1e-14
     assert abs(np.trace(matrix) - 1.0) <= 1e-12
     # the term-basis eigensolve against the full register's
-    full = negativity(result.post_state, Bipartition(("A_H", "A_V"), ("B",)))
-    assert abs(result.negativity - full) <= 1e-12
+    assert abs(result.negativity - _full_negativity(result.post_state)) <= 1e-12
     # the term-basis target coefficients against the dense target
-    register = result.post_state.register
-    target = oracle.target_hybrid(config.resolved_alpha_f, config.phi, register)
-    dense = oracle.fidelity(fock_core.DensityOperator(register, rho), target)
+    target = _target(config, result.post_state)
+    dense = np.vdot(target, rho @ target).real
     assert abs(result.fidelity - dense) <= 1e-12
 
 
@@ -733,7 +684,8 @@ def test_pulled_back_gram_matches_interfered_factors(kwargs):
         # pair blocks (k, m), k-major
         expected = expected.transpose(0, 2, 1, 3).reshape(-1, n_l, n_l)
         bound = 1e-13 * np.abs(expected).max()
-        got = pipeline._gram(pipeline._pullback(factors), w)
+        every = np.divmod(np.arange(n_k * n_k), n_k)
+        got = pipeline._gram(pipeline._pullback(factors), w, every)
         assert np.abs(got - expected).max() <= bound
         # the pairs inside one sector on their own
         ks, ms = pipeline._sector_pairs(factors)
@@ -765,8 +717,7 @@ def test_negativity_eigensolve_runs_on_the_product_support(monkeypatch):
     )
     # one run, one efficiency: a stack of one
     assert sizes == [(1, 4, 4)]
-    full = negativity(result.post_state, Bipartition(("A_H", "A_V"), ("B",)))
-    assert abs(result.negativity - full) <= 1e-12
+    assert abs(result.negativity - _full_negativity(result.post_state)) <= 1e-12
     for spot, expected in zip(FIGURE_4_SPOTS, (20, 22)):
         sizes, result = _eigensolve_sizes(monkeypatch, SchemeConfig(**spot))
         # vacuum-mixed pairs use |0, 0>, |0, 1> and |1, 0>; the vacuum
@@ -832,12 +783,12 @@ def test_eta_sweep_is_bit_identical_to_runs():
 
 
 def _record_grams(monkeypatch):
-    """Every call of `pipeline._gram` as (its pairs, or None for all, and
-    the pair blocks it returns)."""
+    """Every call of `pipeline._gram` as (its pairs, and the pair blocks it
+    returns)."""
     grams = []
     real = pipeline._gram
 
-    def record(factors, w, pairs=None):
+    def record(factors, w, pairs):
         grams.append((pairs, real(factors, w, pairs)))
         return grams[-1][1]
 
@@ -861,16 +812,19 @@ def test_eta_shares_one_preparation(monkeypatch):
     sweep(config, {"eta": (0.5, 0.7, 0.9)})
     info = pipeline._factors.cache_info()
     assert (info.misses, info.hits) == (1, 0)
-    # one Gram per efficiency, contracted on its own over every pair; the
-    # truncation deficit reads only the Gram's diagonal blocks and forms no
-    # Gram
-    assert [pairs for pairs, _ in grams] == [None] * 3
+    # one Gram per efficiency, contracted on its own over every pair, which
+    # lie inside the one sector; the truncation deficit reads only the
+    # Gram's diagonal blocks and forms no Gram
+    factors = pipeline._factors(pipeline._factors_key(config))
+    every = np.divmod(np.arange(len(factors.signal_states) ** 2), len(factors.signal_states))
+    assert len(grams) == 3
+    assert all(np.array_equal(a, b) for pairs, _ in grams for a, b in zip(pairs, every))
     # the chi pair's one sector: one stack of the three Grams and one
     # stacked eigensolve
     (sectors,) = stacks
     (stack,) = sectors.values()
     size = stack.shape[1]
-    n_l = pipeline._factors(pipeline._factors_key(config)).beam_rank
+    n_l = factors.beam_rank
     assert stack.shape == (3, size, size)
     for (_, gram), stacked in zip(grams, stack):
         assert np.array_equal(_sector_matrix(gram, n_l), stacked)
@@ -1061,7 +1015,7 @@ def test_too_small_field_cutoff_raises():
         with pytest.raises(CutoffError):
             run_scheme(config)
         with pytest.raises(CutoffError):
-            build_prestate(config)
+            oracle.lab_frame_beam(config)
 
 
 SPDC_ORDER_3 = dict(
@@ -1098,9 +1052,12 @@ def test_post_state_signal_modes_stop_at_the_largest_pair_number():
         (SPDC_ORDER_3, (4, 4, 16)),
     ):
         post = run_scheme(SchemeConfig(**kwargs)).post_state
-        assert post.register.labels == ("A_H", "A_V", "B")
-        assert tuple(post.register.dims) == dims
+        assert isinstance(post, DensityOperator)
+        assert post.labels == ("A_H", "A_V", "B")
+        assert post.dims == dims
         assert post.matrix.shape == (math.prod(dims),) * 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            post.dims = ()
 
 
 def test_a_cold_preparation_evaluates_its_source_once(monkeypatch):
@@ -1125,7 +1082,7 @@ def test_a_cold_preparation_evaluates_its_source_once(monkeypatch):
         pipeline._factors(pipeline._factors_key(SchemeConfig(**kwargs)))
         assert calls == expected
     calls.clear()
-    build_prestate(SchemeConfig(t=0.95, eta=0.8, alpha_i=0.5, cutoff_b=8))
+    oracle.lab_frame_beam(SchemeConfig(t=0.95, eta=0.8, alpha_i=0.5, cutoff_b=8))
     assert calls == cat
 
 
@@ -1227,8 +1184,8 @@ def test_spdc_sweep_rows_equal_runs(point):
     # the post-state, the sectors' mixture, agrees with the recombination:
     # its trace is one and its overlap is F
     post = result.post_state
-    target = oracle.target_hybrid(config.resolved_alpha_f, config.phi, post.register)
-    assert abs(oracle.fidelity(post, target) - result.fidelity) <= 1e-12
+    target = _target(config, post)
+    assert abs(np.vdot(target, post.matrix @ target).real - result.fidelity) <= 1e-12
     assert abs(np.trace(post.matrix).real - 1.0) <= 1e-12
 
 
@@ -1247,7 +1204,7 @@ def test_run_path_leaves_the_dense_oracle_alone(monkeypatch, tmp_path):
         and isinstance(value, (types.FunctionType, type))
         and value.__module__ == oracle.__name__
     }
-    assert {"Ensemble", "build_prestate", "herald", "negativity"} <= set(api)
+    assert {"herald_patterns", "lab_frame_beam", "herald", "mix"} <= set(api)
     held = {id(value) for value in api.values()}
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "hybridcat":
@@ -1256,7 +1213,7 @@ def test_run_path_leaves_the_dense_oracle_alone(monkeypatch, tmp_path):
                     monkeypatch.setattr(module, attr, forbidden)
     pipeline._factors.cache_clear()
     with pytest.raises(AssertionError):
-        build_prestate(SchemeConfig(**SPOT_A))
+        oracle.herald_patterns(SchemeConfig(**SPOT_A))
     scenario = "".join(
         f"{'lambda' if key == 'lam' else key} = {value}\n"
         for key, value in SPOT_A.items()

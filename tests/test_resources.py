@@ -7,40 +7,44 @@ import pytest
 
 from hybridcat import analytic
 from hybridcat.errors import CutoffError
-from hybridcat.fock_core import build_register
-from hybridcat.oracle import bell_chi, inner, pair_source, phi_state
+from hybridcat.oracle import pair_source, phi_state
 from hybridcat.resource_states import (
     PairSourceSpec,
     ScsSpec,
     SqueezedPhotonSpec,
-    coherent,
+    coherent_amplitudes,
     coherent_cutoff_for,
     source_amplitudes,
     squeezed_amplitudes,
 )
 
 
-def _pair_register(cutoff=2):
-    return build_register(
-        (("1H", cutoff), ("1V", cutoff), ("2H", cutoff), ("2V", cutoff))
-    )
+def _pair_dims(cutoff=2):
+    return (cutoff + 1,) * 4
+
+
+def _bell_chi():
+    """The polarization Bell pair (|1001> + |0110>)/sqrt(2), written out."""
+    amps = np.zeros(_pair_dims())
+    amps[1, 0, 0, 1] = amps[0, 1, 1, 0] = 1.0 / math.sqrt(2.0)
+    return amps
 
 
 def test_coherent_amplitudes():
     alpha = 0.8
-    state = coherent(alpha, 20, label="m")
+    amps = coherent_amplitudes(alpha, 20)
     n = np.arange(21)
     expected = np.exp(-abs(alpha) ** 2 / 2) * alpha**n / np.sqrt(
         [math.factorial(int(k)) for k in n]
     )
-    assert np.max(np.abs(state.amps - expected)) < 1e-12
-    assert abs(state.norm() - 1.0) < 1e-12
+    assert np.max(np.abs(amps - expected)) < 1e-12
+    assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
 
 def test_coherent_cutoff_bound_is_tight_enough():
     for alpha in (0.5, 1.0, 1.5):
         cut = coherent_cutoff_for(alpha, tail=1e-12)
-        amps = coherent(alpha, cut + 10, label="m").amps
+        amps = coherent_amplitudes(alpha, cut + 10)
         tail = float(np.sum(np.abs(amps[cut + 1 :]) ** 2))
         assert tail < 1e-12
 
@@ -51,7 +55,7 @@ def test_odd_cat_has_odd_support():
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
     # overlap with the constituent coherent state is N (1 - e^{-2 a^2})
     n = analytic.n_phi(0.9, math.pi)
-    overlap = np.vdot(coherent(0.9, 18, label="m").amps, amps)
+    overlap = np.vdot(coherent_amplitudes(0.9, 18), amps)
     expected = n * (1.0 - math.exp(-2 * 0.81))
     assert abs(overlap - expected) < 1e-12
 
@@ -88,79 +92,74 @@ def test_squeezed_overlap_matches_closed_form():
 
 
 def test_bell_chi_amplitudes():
-    reg = _pair_register()
-    state = bell_chi(reg)
+    state = phi_state(1, _pair_dims())
     root_half = 1.0 / math.sqrt(2.0)
-    assert abs(state.amplitude((1, 0, 0, 1)) - root_half) < 1e-12
-    assert abs(state.amplitude((0, 1, 1, 0)) - root_half) < 1e-12
-    assert abs(state.norm() - 1.0) < 1e-12
+    assert abs(state[1, 0, 0, 1] - root_half) < 1e-12
+    assert abs(state[0, 1, 1, 0] - root_half) < 1e-12
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
 def test_phi_state_uniform_weights():
-    reg = _pair_register(cutoff=2)
     for n in (0, 1, 2):
-        state = phi_state(n, reg)
+        state = phi_state(n, _pair_dims(cutoff=2))
         weight = 1.0 / math.sqrt(n + 1)
         for m in range(n + 1):
             occ = (m, n - m, n - m, m)
-            assert abs(state.amplitude(occ) - weight) < 1e-12
-        assert abs(state.norm() - 1.0) < 1e-12
+            assert abs(state[occ] - weight) < 1e-12
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
 def test_phi_one_is_bell_chi():
-    reg = _pair_register()
-    overlap = inner(phi_state(1, reg), bell_chi(reg))
+    overlap = np.vdot(phi_state(1, _pair_dims()), _bell_chi())
     assert abs(abs(overlap) - 1.0) < 1e-12
 
 
 def test_pair_source_chi_single_branch():
-    reg = _pair_register()
-    ens = pair_source(PairSourceSpec(variant="chi"), reg)
-    assert len(ens.branches) == 1
-    weight, state = ens.branches[0]
+    branches = pair_source(PairSourceSpec(variant="chi"), _pair_dims())
+    assert len(branches) == 1
+    weight, state = branches[0]
     assert weight == 1.0
-    assert abs(abs(inner(state, bell_chi(reg))) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(state, _bell_chi())) - 1.0) < 1e-12
 
 
 def test_pair_source_vacuum_mixture_weights():
-    reg = _pair_register()
     z = 0.37
-    ens = pair_source(PairSourceSpec(variant="vacuum_mixed", z=z), reg)
-    weights = sorted(w for w, _ in ens.branches)
+    branches = pair_source(PairSourceSpec(variant="vacuum_mixed", z=z), _pair_dims())
+    weights = sorted(w for w, _ in branches)
     assert abs(weights[0] - z) < 1e-15
     assert abs(weights[1] - (1.0 - z)) < 1e-15
-    for weight, state in ens.branches:
+    for weight, state in branches:
         if abs(weight - (1.0 - z)) < 1e-12:
-            assert abs(state.amplitude((0, 0, 0, 0)) - 1.0) < 1e-12
+            assert abs(state[0, 0, 0, 0] - 1.0) < 1e-12
 
 
 def test_pair_source_spdc_expansion():
     # one branch per pair number n, the unit term |Phi_n> with the paper's
     # weight (1 - lambda^2) lambda^(2n), not renormalized after the cut: a
     # mixture, with no coherence between the terms
-    reg = _pair_register()
+    dims = _pair_dims()
     lam = 0.2
     spec = PairSourceSpec(variant="spdc", lam=lam, order_max=2)
-    ens = pair_source(spec, reg)
-    assert len(ens.branches) == 3
-    for n, (weight, state) in enumerate(ens.branches):
+    branches = pair_source(spec, dims)
+    assert len(branches) == 3
+    for n, (weight, state) in enumerate(branches):
         assert weight == spec.sector_weights()[n]
         assert abs(weight - (1.0 - lam**2) * lam ** (2 * n)) < 1e-15
-        assert abs(inner(phi_state(n, reg), state) - 1.0) < 1e-12
-    assert abs(sum(w for w, _ in ens) - (1.0 - lam**6)) < 1e-15
+        assert abs(np.vdot(phi_state(n, dims), state) - 1.0) < 1e-12
+    assert abs(sum(w for w, _ in branches) - (1.0 - lam**6)) < 1e-15
 
 
 def test_pair_source_spdc_exact_weighting():
-    reg = _pair_register()
+    dims = _pair_dims()
     lam = 0.2
     spec = PairSourceSpec(variant="spdc", lam=lam, order_max=2, weighting="exact")
-    ens = pair_source(spec, reg)
-    assert len(ens.branches) == 3
-    for n, (weight, state) in enumerate(ens.branches):
+    branches = pair_source(spec, dims)
+    assert len(branches) == 3
+    for n, (weight, state) in enumerate(branches):
         assert weight == spec.sector_weights()[n]
         expected = (1.0 - lam**2) ** 2 * (n + 1) * lam ** (2 * n)
         assert abs(weight - expected) < 1e-15
-        assert abs(inner(phi_state(n, reg), state) - 1.0) < 1e-12
+        assert abs(np.vdot(phi_state(n, dims), state) - 1.0) < 1e-12
 
 
 def test_sector_weights_cover_every_pair_source():
