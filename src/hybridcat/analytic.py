@@ -16,15 +16,18 @@ polarization-consistent total by exactly a factor of two. The simulator's
 total therefore satisfies P_tot = PROBABILITY_CONVENTION_FACTOR * p_tot_eta,
 with the factor constant across all parameters.
 
-`CONVERSION_SPOTS` holds the reference values of the figure-5 spots, which
-have no closed form, by the panel of figures 4 and 5 whose (s, alpha_i)
-they fix; `reproduce` prints them and `selfcheck` asserts them. Every
-argument is held to the rule the config and the source specs apply.
+`PANELS` declares the panels of figures 4 and 5 once: the squeezed
+photon's (s, alpha_i) that both figures of a panel share, figure 4's
+quoted fidelity floor and negativity, and figure 5's conversion spot,
+which has no closed form. `reproduce` prints the tables' cells next to
+them and `selfcheck` asserts those cells. Every argument is held to the
+rule the config and the source specs apply.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from .detection import efficiency
@@ -32,7 +35,7 @@ from .errors import ValidationError, nonnegative, real
 from .optics import transmissivity
 
 __all__ = [
-    "CONVERSION_SPOTS",
+    "PANELS",
     "PROBABILITY_CONVENTION_FACTOR",
     "interaction_strength",
     "n_phi",
@@ -46,14 +49,38 @@ __all__ = [
 
 PROBABILITY_CONVENTION_FACTOR = 0.5
 
-# Converged values of this implementation for the pair-conversion spots,
-# frozen for regression; the reference dataset quotes are carried alongside
-# for the printed comparison. Keyed by panel: the figure 4 and 5 panels
-# share the spot's (s, alpha_i).
-CONVERSION_SPOTS = MappingProxyType({
-    # (lam, s, alpha_i, f_eff_here, f_eff_reference, p_tot_reference)
-    "a": (0.022, 0.161, 0.7, 0.950732, 0.939, 5.1e-7),
-    "b": (0.038, 0.313, 1.0, 0.869283, 0.842, 2.4e-6),
+
+@dataclass(frozen=True)
+class Panel:
+    """One panel of figures 4 and 5 (arXiv:1410.6823). Both figures use the
+    squeezed single photon of squeezing `s` for the superposition of
+    amplitude `alpha_i`. Figure 4 quotes F > `fidelity_floor` for
+    t >= 0.99 and N = `negativity` at t = 0.99, eta = 0.7. Figure 5's
+    conversion spot is lambda = `lam` at t = 0.99, eta = 0.5, where the
+    paper quotes `f_eff_quoted` and `p_tot_quoted`; `f_eff` is this
+    implementation's converged value there, frozen for regression, since
+    the quote is not reproduced (see README).
+    """
+
+    s: float
+    alpha_i: float
+    fidelity_floor: float
+    negativity: float
+    lam: float
+    f_eff: float
+    f_eff_quoted: float
+    p_tot_quoted: float
+
+
+PANELS = MappingProxyType({
+    "a": Panel(
+        s=0.161, alpha_i=0.7, fidelity_floor=0.996, negativity=0.922,
+        lam=0.022, f_eff=0.950732, f_eff_quoted=0.939, p_tot_quoted=5.1e-7,
+    ),
+    "b": Panel(
+        s=0.313, alpha_i=1.0, fidelity_floor=0.986, negativity=0.982,
+        lam=0.038, f_eff=0.869283, f_eff_quoted=0.842, p_tot_quoted=2.4e-6,
+    ),
 })
 
 

@@ -208,45 +208,43 @@ _FIG4_ETA = tuple(round(0.4 + 0.1 * k, 1) for k in range(7))
 _FIG5_LAMBDA = tuple(round(0.002 * k, 3) for k in range(1, 26))
 
 
-def _figure_table(figure: int, panel: Optional[str]) -> SweepTable:
+def figure_sweep(
+    figure: int, panel: Optional[str]
+) -> Tuple[SchemeConfig, Dict[str, Tuple[float, ...]]]:
+    """The base config and grid of one `reproduce` table. A panel of
+    figures 4 and 5 takes its squeezed photon from `analytic.PANELS`; the
+    base point of figure 4 is where the paper quotes its negativity, its
+    fidelity floor holding from that t up, and figure 5's is the
+    conversion spot."""
     if figure == 2:
         base = SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0)
-        return sweep(base, {"t": _FIG2_T, "eta": (0.7, 0.8, 0.9, 0.99)})
+        return base, {"t": _FIG2_T, "eta": (0.7, 0.8, 0.9, 0.99)}
     if figure == 3:
         base = SchemeConfig(t=0.99, eta=0.9, alpha_f=1.0)
-        return sweep(base, {"alpha_f": _FIG3_ALPHA, "eta": (0.2, 0.4, 0.6, 0.8, 0.99)})
-    # the panel's (s, alpha_i) are those of its conversion spot
-    _, s, alpha_i, *_ = analytic.CONVERSION_SPOTS[panel]
+        return base, {"alpha_f": _FIG3_ALPHA, "eta": (0.2, 0.4, 0.6, 0.8, 0.99)}
+    spec = analytic.PANELS[panel]
+    photon = dict(t=0.99, alpha_i=spec.alpha_i, scs_source="squeezed", s=spec.s)
     if figure == 4:
-        base = SchemeConfig(
-            t=0.99,
-            eta=0.7,
-            alpha_i=alpha_i,
-            scs_source="squeezed",
-            s=s,
-            pair_source="vacuum_mixed",
-            z=0.5,
-        )
-        return sweep(base, {"t": (0.9, 0.99, 0.999), "eta": _FIG4_ETA})
+        base = SchemeConfig(eta=0.7, pair_source="vacuum_mixed", z=0.5, **photon)
+        return base, {"t": (0.9, 0.99, 0.999), "eta": _FIG4_ETA}
     base = SchemeConfig(
-        t=0.99,
-        eta=0.5,
-        alpha_i=alpha_i,
-        scs_source="squeezed",
-        s=s,
-        pair_source="spdc",
-        lam=0.01,
-        detector="onoff",
+        eta=0.5, pair_source="spdc", lam=spec.lam, detector="onoff", **photon
     )
-    return sweep(base, {"lambda": _FIG5_LAMBDA, "eta": (0.1, 0.3, 0.5, 0.7, 0.9)})
+    return base, {"lambda": _FIG5_LAMBDA, "eta": (0.1, 0.3, 0.5, 0.7, 0.9)}
+
+
+def rows_at(table: SweepTable, **point: float) -> np.ndarray:
+    """Which rows hold the given swept values, whatever their status: a
+    failed row's cells are empty (NaN), and no bound holds for them."""
+    at = np.ones(len(table.status), dtype=bool)
+    for axis, value in point.items():
+        at &= table.columns[axis] == value
+    return at
 
 
 def _ok(table: SweepTable, **point: float) -> np.ndarray:
     """Which rows have status ok and the given swept values."""
-    ok = table.status == "ok"
-    for axis, value in point.items():
-        ok &= table.columns[axis] == value
-    return ok
+    return rows_at(table, **point) & (table.status == "ok")
 
 
 def _failed_lines(table: SweepTable) -> List[str]:
@@ -270,36 +268,40 @@ def _curves(table: SweepTable, axis: str, values, text: str) -> List[str]:
     return lines + _failed_lines(table)
 
 
-def _summarize_figure4(panel: str, table: SweepTable) -> List[str]:
-    floor = 0.996 if panel == "a" else 0.986
-    t, fidelity = table.columns["t"], table.columns["fidelity"]
+def _summarize_figure4(
+    panel: str, base: SchemeConfig, table: SweepTable
+) -> List[str]:
+    floor = analytic.PANELS[panel].fidelity_floor
     # a failed row's empty (NaN) fidelity is not above the floor
-    ok = bool(np.all(fidelity[t >= 0.99] > floor))
-    p_values = table.columns["probability_total"][_ok(table, t=0.99)]
+    above = table.columns["fidelity"][table.columns["t"] >= base.t]
+    ok = bool(np.all(above > floor))
+    p_values = table.columns["probability_total"][_ok(table, t=base.t)]
     if len(p_values):
         p_range = f"[{p_values.min():.2e}, {p_values.max():.2e}]"
     else:
         p_range = "no successful rows"
     return [
-        f"panel {panel}: all F > {floor} for t >= 0.99, eta >= 0.4: {ok}",
-        f"panel {panel}: P_tot range at t=0.99: {p_range}",
+        f"panel {panel}: all F > {floor} for t >= {base.t}, eta >= 0.4: {ok}",
+        f"panel {panel}: P_tot range at t={base.t}: {p_range}",
     ] + _failed_lines(table)
 
 
-def _summarize_figure5(panel: str, table: SweepTable) -> List[str]:
-    lam, _, _, frozen, reference, p_reference = analytic.CONVERSION_SPOTS[panel]
-    row = np.flatnonzero(_ok(table, eta=0.5, **{"lambda": lam}))
+def _summarize_figure5(
+    panel: str, base: SchemeConfig, table: SweepTable
+) -> List[str]:
+    spec, lam, eta = analytic.PANELS[panel], base.lam, base.eta
+    row = np.flatnonzero(_ok(table, eta=eta, **{"lambda": lam}))
     if not len(row):
-        spot = f"panel {panel}: the row at lambda={lam}, eta=0.5 failed"
+        spot = f"panel {panel}: the row at lambda={lam}, eta={eta} failed"
         return [spot] + _failed_lines(table)
     f, p = (table.columns[name][row[0]] for name in ("fidelity", "probability_total"))
     return [
-        f"panel {panel}: F_eff(lambda={lam}, eta=0.5) = {f:.4f} "
-        f"(reference {reference}, delta {f - reference:+.4f}; "
-        f"converged value here {frozen})",
-        f"panel {panel}: P_tot(lambda={lam}, eta=0.5) = "
-        f"{p:.2e} (reference {p_reference:.1e}, ratio "
-        f"{p / p_reference:.2f})",
+        f"panel {panel}: F_eff(lambda={lam}, eta={eta}) = {f:.4f} "
+        f"(reference {spec.f_eff_quoted}, delta {f - spec.f_eff_quoted:+.4f}; "
+        f"converged value here {spec.f_eff})",
+        f"panel {panel}: P_tot(lambda={lam}, eta={eta}) = "
+        f"{p:.2e} (reference {spec.p_tot_quoted:.1e}, ratio "
+        f"{p / spec.p_tot_quoted:.2f})",
     ] + _failed_lines(table)
 
 
@@ -315,14 +317,17 @@ def _panel_output(output: Optional[str], figure: int, panel: str) -> str:
     return f"{stem}_{panel}{extension}"
 
 
-def _summary(figure: int, panel: Optional[str], table: SweepTable) -> List[str]:
+def _summary(
+    figure: int, panel: Optional[str], base: SchemeConfig, table: SweepTable
+) -> List[str]:
     if figure == 2:
         text = "fidelity rises {:.4f} -> {:.4f} monotone={}"
         return _curves(table, "eta", (0.7, 0.8, 0.9, 0.99), text)
     if figure == 3:
         text = "fidelity {:.4f} -> {:.4f} monotone in eta={}"
         return _curves(table, "alpha_f", (0.5, 1.0, 1.5), text)
-    return (_summarize_figure4 if figure == 4 else _summarize_figure5)(panel, table)
+    summarize = _summarize_figure4 if figure == 4 else _summarize_figure5
+    return summarize(panel, base, table)
 
 
 def cmd_reproduce(figure: int, panel: Optional[str], output: Optional[str]) -> int:
@@ -330,11 +335,12 @@ def cmd_reproduce(figure: int, panel: Optional[str], output: Optional[str]) -> i
         raise ValidationError(f"unknown figure id {figure}; choose 2, 3, 4 or 5")
     if figure in (2, 3) and panel is not None:
         raise ValidationError(f"figure {figure} has no panels")
-    if panel is not None and panel not in analytic.CONVERSION_SPOTS:
+    if panel is not None and panel not in analytic.PANELS:
         raise ValidationError(f"figure {figure} has panels a and b, not {panel!r}")
     panels = (panel,) if panel or figure in (2, 3) else ("a", "b")
     for name in panels:
-        table = _figure_table(figure, name)
+        base, grid = figure_sweep(figure, name)
+        table = sweep(base, grid)
         if len(panels) == 1:
             path = output or _default_output(figure, name)
         else:
@@ -342,7 +348,7 @@ def cmd_reproduce(figure: int, panel: Optional[str], output: Optional[str]) -> i
         save_table(table, path)
         title = f"figure {figure} panel {name}" if name else f"figure {figure}"
         print(f"{title}: {len(table.status)} rows -> {path}")
-        for line in _summary(figure, name, table):
+        for line in _summary(figure, name, base, table):
             print(f"  {line}")
     return 0
 

@@ -34,7 +34,6 @@ form for all k at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,7 +43,8 @@ from .fock_core import log_factorials
 
 __all__ = [
     "transmissivity",
-    "BsParams",
+    "rotation",
+    "splitter",
     "mixer_amplitudes",
     "two_mode_kernel",
     "displacement_matrix",
@@ -62,25 +62,19 @@ def transmissivity(t) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class BsParams:
-    """Beam-splitter mixing angle xi; the scattering matrix is the real
-    rotation [[cos xi, sin xi], [-sin xi, cos xi]]."""
+def rotation(angle: float) -> np.ndarray:
+    """The real scattering matrix [[cos, sin], [-sin, cos]] of mixing angle
+    `angle`. On the (H, V) polarizations of one spatial mode it turns the
+    basis, so that at +45 degrees a diagonally polarized beam (equal H and
+    V components) maps onto H."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, s], [-s, c]], dtype=np.complex128)
 
-    xi: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.xi <= math.pi / 2:
-            raise ValidationError(f"mixing angle {self.xi} outside [0, pi/2]")
-
-    @classmethod
-    def from_transmissivity(cls, t: float) -> "BsParams":
-        return cls(math.acos(math.sqrt(transmissivity(t))))
-
-    def scattering_matrix(self) -> np.ndarray:
-        c = math.cos(self.xi)
-        s = math.sin(self.xi)
-        return np.array([[c, s], [-s, c]], dtype=np.complex128)
+def splitter(t) -> np.ndarray:
+    """The scattering matrix of a transmissivity-t beam splitter: the
+    rotation by arccos(sqrt(t))."""
+    return rotation(math.acos(math.sqrt(transmissivity(t))))
 
 
 def _expansion_table(size: int, dim: int, to_i: complex, to_j: complex) -> np.ndarray:

@@ -37,7 +37,13 @@ from .errors import (
     nonnegative,
 )
 from .metrics import target_field_vectors
-from .optics import BsParams, displacement_matrix, transmissivity, two_mode_kernel
+from .optics import (
+    displacement_matrix,
+    rotation,
+    splitter,
+    transmissivity,
+    two_mode_kernel,
+)
 from .pipeline import SchemeConfig, resolve_cutoffs
 from .resource_states import PairSourceSpec, source_amplitudes
 
@@ -74,15 +80,6 @@ def mix(amps: np.ndarray, axes: Tuple[int, int], scattering: np.ndarray) -> np.n
     dense `two_mode_kernel` (see `optics` for the signs)."""
     i, j = axes
     return _apply_axes(amps, two_mode_kernel(scattering, amps.shape[i], amps.shape[j]), axes)
-
-
-def rotation(angle: float) -> np.ndarray:
-    """The scattering matrix that turns the polarization basis of one
-    spatial mode by `angle`: [[cos, sin], [-sin, cos]] on (H, V), so that
-    at +45 degrees a diagonally polarized beam (equal H and V components)
-    maps onto H."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, s], [-s, c]], dtype=np.complex128)
 
 
 def bs_fock_coefficient(n: int, m: int, p: int, q: int, t: float) -> float:
@@ -234,7 +231,7 @@ def lab_frame_beam(config: SchemeConfig) -> np.ndarray:
     amps[0, 0, :, 0] = source_amplitudes(config.source_spec(), cuts.b, reach)
     # the beam is one unit branch, for which both gating rules agree
     beam = [(1.0, mix(amps, (2, 3), rotation(-math.pi / 4.0)))]
-    tap = BsParams.from_transmissivity(config.t).scattering_matrix()
+    tap = splitter(config.t)
     for p, axes in zip("HV", ((0, 2), (1, 3))):
         beam = _gated(config, beam, f"the {p} tap", lambda a: mix(a, axes, tap))
     ((_, beam),) = beam
@@ -262,7 +259,7 @@ def herald_patterns(config: SchemeConfig):
     for p, axis in zip("HV", (2, 3)):
         pair = _gated(config, pair, f"displacing 2{p}", lambda a: _apply_axes(a, shift, [axis]))
     joint = [(w, np.multiply.outer(amps, beam)) for w, amps in pair]
-    half = BsParams.from_transmissivity(0.5).scattering_matrix()
+    half = splitter(0.5)
     for p, axes in zip("HV", ((4, 2), (5, 3))):
         joint = _gated(config, joint, f"the {p} 50:50 splitter", lambda a: mix(a, axes, half))
     plain = herald_pattern(config.detector, config.eta, cuts.detector)

@@ -63,10 +63,10 @@ from .errors import (
 from .fock_core import DensityOperator, log_factorials
 from .metrics import stacked_negativity, target_field_vectors
 from .optics import (
-    BsParams,
     displacement_matrix,
     mixer_amplitudes,
     required_displacement_cutoff,
+    splitter,
     transmissivity,
 )
 from .resource_states import (
@@ -362,9 +362,11 @@ class _Factors:
     P_k T_l Q_k^T. P_k = K (I (x) u_k), u_k through the 50:50 splitter K
     with the tap's 4H left open, fills rows (k, 4H) of `idler_h`, one
     amplitude of K per entry (`_balanced_splitter`); `idler_v` holds Q_k
-    alike. `tails` holds the sectors' truncation deficits and
-    `target` the hybrid target's coefficients c on the terms
-    (`_target_terms`); `tap`, `beam_vh` and `discarded` come from `_beam`.
+    alike. `pairs` holds the pairs (k, m) of pair factors inside one
+    sector, the only ones `_gram` contracts, as two index arrays. `tails`
+    holds the sectors' truncation deficits and `target` the hybrid
+    target's coefficients c on the terms (`_target_terms`); `tap`,
+    `beam_vh` and `discarded` come from `_beam`.
     """
 
     cuts: ResolvedCutoffs
@@ -372,6 +374,7 @@ class _Factors:
     idler_h: np.ndarray
     idler_v: np.ndarray
     tap: np.ndarray
+    pairs: Tuple[np.ndarray, np.ndarray]
     blocks: Mapping[int, slice]
     tails: Mapping[int, float]
     signal_states: np.ndarray
@@ -384,35 +387,24 @@ class _Factors:
         return len(self.beam_vh)
 
 
-def _pullback(factors: _Factors):
-    """`_gram`'s efficiency-free operands of one preparation: each
-    polarization's idler images, the tap factors as rows i by columns
-    (l, j), and their conjugate transpose, rows (c, d) by columns n. Formed
-    once per `_score` call, and not cached with the `_Factors` they
-    repeat; the images are the cached ones, with no adjoint copy."""
-    n_l, dim, _ = factors.tap.shape
-    taps = factors.tap.transpose(1, 0, 2).reshape(dim, -1)
-    idlers = (factors.idler_h, factors.idler_v)
-    return idlers, taps, factors.tap.reshape(n_l, -1).conj().T
-
-
-def _gram(pullback, w: Mapping[str, np.ndarray], pairs) -> np.ndarray:
+def _gram(factors: _Factors, w: Mapping[str, np.ndarray]) -> np.ndarray:
     """Blocks G_km[l, n] = G[(k, l), (m, n)] of G = Z diag(w_h (x) w_v) Z^H,
     w_h = w_6H (x) w_5H and w_v alike from a herald pattern `w`, stacked
-    (pairs, n_l, n_l) over the pairs (k, m) of pair factors in `pairs` (two
-    index arrays). Pulled back through the splitters, with
+    (pairs, n_l, n_l) over the pairs (k, m) of pair factors inside one
+    sector (`_Factors.pairs`). Pulled back through the splitters, with
     H_km = P_k^T diag(w_h) conj(P_m) and V_km alike from Q,
     G_km[l, n] = sum T_l[i, j] H_km[i, c] V_km[j, d] conj(T_n[c, d]): three
-    products with the pair a batch axis (a GEMM over i, a (dim n_l x dim)
-    product per pair over j, a GEMM over (c, d)), n_k^2 n_l dim^3 +
-    (n_k n_l dim)^2 work where forming Z costs n_k n_l dim^6. It needs
-    product idler factors and a product, Fock-diagonal POVM. Each image's
-    P diag(w) P^H is formed as conj((conj(P) o w) P^T), from one weighted
-    copy and a transposed view of the image, so no adjoint is held.
+    products with the pair a batch axis (a GEMM over i against the tap
+    factors as rows i by columns (l, j), a (dim n_l x dim) product per pair
+    over j, a GEMM over (c, d) against their conjugate transpose),
+    n_k^2 n_l dim^3 + (n_k n_l dim)^2 work where forming Z costs
+    n_k n_l dim^6. It needs product idler factors and a product,
+    Fock-diagonal POVM. Each image's P diag(w) P^H is formed as
+    conj((conj(P) o w) P^T), from one weighted copy and a transposed view of
+    the image, so no adjoint is held.
     """
-    idlers, taps, taps_adjoint = pullback
-    dim, n_l = len(taps), taps_adjoint.shape[1]
-    n_k = len(idlers[0]) // dim
+    n_l, dim, _ = factors.tap.shape
+    n_k, (k, m) = len(factors.signal_states), factors.pairs
 
     def pulled(p, q):
         weighted = p.conj()
@@ -420,17 +412,17 @@ def _gram(pullback, w: Mapping[str, np.ndarray], pairs) -> np.ndarray:
         square = weighted @ p.T
         return np.conjugate(square, out=square).reshape(n_k, dim, n_k, dim)
 
-    h, v = (pulled(p, q) for p, q in zip(idlers, "HV"))
+    h, v = pulled(factors.idler_h, "H"), pulled(factors.idler_v, "V")
     # per pair (k, m): H_km as rows c, columns i, and V_km as rows j
-    h, v = h[pairs[0], :, pairs[1]].transpose(0, 2, 1), v[pairs[0], :, pairs[1]]
+    h, v = h[k, :, m].transpose(0, 2, 1), v[k, :, m]
     count = h.size // (dim * dim)
     # rows (pair, c), columns (l, j): sum_i H_km[i, c] T_l[i, j]
-    pushed = h.reshape(-1, dim) @ taps
+    pushed = h.reshape(-1, dim) @ factors.tap.transpose(1, 0, 2).reshape(dim, -1)
     # per pair, rows (c, l), columns d: times V_km over j
     pushed = pushed.reshape(count, -1, dim) @ v.reshape(count, dim, dim)
     # rows (pair, l), columns (c, d), against conj(T_n)
     pushed = pushed.reshape(count, dim, n_l, dim).transpose(0, 2, 1, 3)
-    gram = pushed.reshape(-1, dim * dim) @ taps_adjoint
+    gram = pushed.reshape(-1, dim * dim) @ factors.tap.reshape(n_l, -1).conj().T
     return gram.reshape(count, n_l, n_l)
 
 
@@ -447,23 +439,16 @@ def _unit_norms(idler_h, idler_v, tap) -> np.ndarray:
     return (pushed * tap.conj()).sum(axis=(2, 3)).real.ravel()
 
 
-def _sector_pairs(factors: _Factors):
-    """`_gram`'s pairs (k, m) of pair factors inside one sector."""
-    sector = np.repeat(list(factors.blocks), [n + 1 for n in factors.blocks])
-    return np.nonzero(np.equal.outer(sector, sector))
-
-
-def _eta_grams(factors: _Factors, pullback, detector: str, etas: Sequence[float]):
+def _eta_grams(factors: _Factors, detector: str, etas: Sequence[float]):
     """Each sector n's diagonal block G_nn of the plain click pattern's
     Gram at each efficiency in `etas`, stacked (E, s_n, s_n), by n. `_gram`
     contracts one efficiency at a time and only the pairs inside a sector."""
     n_l = factors.beam_rank
-    pairs = _sector_pairs(factors)
     sizes = {n: span.stop - span.start for n, span in factors.blocks.items()}
     stacks = {n: np.empty((len(etas), s, s), np.complex128) for n, s in sizes.items()}
     for i, eta in enumerate(etas):
         w = herald_pattern(detector, eta, factors.cuts.detector)
-        blocks, end = _gram(pullback, w, pairs), 0
+        blocks, end = _gram(factors, w), 0
         for n, stack in stacks.items():
             # the sector's pair blocks (k, m) as rows (k, l), columns (m, n)
             q, end = n + 1, end + (n + 1) ** 2
@@ -488,9 +473,7 @@ def _balanced_splitter(dim: int):
     conserves photon number, with amplitude kappa[j, o6, o5]
     (`mixer_amplitudes` at [j, i, o6]; zero where i falls outside the
     cutoff, whose index is then 0). Returns (i, kappa), cached read-only."""
-    amplitudes = mixer_amplitudes(
-        BsParams.from_transmissivity(0.5).scattering_matrix(), dim, dim
-    )
+    amplitudes = mixer_amplitudes(splitter(0.5), dim, dim)
     j, o6, o5 = np.arange(dim)[:, None, None], np.arange(dim)[:, None], np.arange(dim)
     inputs = o6 + o5 - j
     inside = (inputs >= 0) & (inputs < dim)
@@ -533,7 +516,8 @@ def _factors(key: SchemeConfig) -> _Factors:
         for photons in (n - m, m)
     )
     target = _target_terms(key, cuts, signal_states, beam_vh)
-    for array in (scale, idler_h, idler_v, tap, signal_states, beam_vh, target):
+    pairs = np.nonzero(np.equal.outer(n, n))
+    for array in (scale, idler_h, idler_v, tap, *pairs, signal_states, beam_vh, target):
         array.setflags(write=False)
     starts = (np.searchsorted(n, numbers) * len(beam_s)).tolist()
     blocks = {q: slice(a, a + (q + 1) * len(beam_s)) for q, a in zip(numbers, starts)}
@@ -544,6 +528,7 @@ def _factors(key: SchemeConfig) -> _Factors:
         idler_h=idler_h,
         idler_v=idler_v,
         tap=tap,
+        pairs=pairs,
         blocks=blocks,
         tails={q: max(0.0, 1.0 - float(norms[b].sum())) for q, b in blocks.items()},
         signal_states=signal_states,
@@ -647,7 +632,7 @@ def _score(key: SchemeConfig, etas, w: np.ndarray):
     """
     factors = _factors(key)
     spdc = key.pair_source == "spdc"
-    blocks = _eta_grams(factors, _pullback(factors), key.detector, etas)
+    blocks = _eta_grams(factors, key.detector, etas)
     traces, overlaps = {}, {}
     for n, span in factors.blocks.items():
         d, c, g = factors.scale[span], factors.target[span], blocks[n]

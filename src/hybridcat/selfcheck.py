@@ -5,8 +5,11 @@ explicit tolerance: operator-level identities (beam-splitter unitarity,
 detector completeness, coherent interference), scheme-level invariants
 (vacuum filtering, mixture scaling, herald-pattern symmetry, the documented
 numeric/analytic probability ratio), and the reference values the simulator
-is validated against. `run_all_checks` evaluates them in a fixed order and
-is the engine behind the command-line `selfcheck` subcommand.
+is validated against. The figure 4 and 5 checks read their cells off the
+tables `reproduce` prints (`cli.figure_sweep`), against the quotes of
+`analytic.PANELS`. `run_all_checks` evaluates the checks in a fixed order,
+names each result after its function, and is the engine behind the
+command-line `selfcheck` subcommand.
 
 The two pair-conversion fidelity spots are asserted against this
 implementation's converged values; the reference dataset quotes slightly
@@ -24,26 +27,25 @@ from typing import Callable, Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import analytic
+from .cli import figure_sweep, rows_at
 from .detection import povm_click, povm_pnr
 from .metrics import matrix_negativity
-from .optics import BsParams, displacement_matrix, two_mode_kernel
+from .optics import displacement_matrix, splitter, two_mode_kernel
 from .oracle import bs_fock_coefficient, herald_patterns, mix, target_hybrid
-from .pipeline import SchemeConfig, run_scheme
+from .pipeline import SchemeConfig, run_scheme, sweep
 from .resource_states import coherent_amplitudes
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    name: str
+    """One check's outcome; `run_all_checks` names it after its function."""
+
     passed: bool
     expected: str
     actual: str
     tolerance: str
     detail: str = ""
-
-
-def _result(name, passed, expected, actual, tolerance, detail=""):
-    return CheckResult(name, bool(passed), expected, actual, tolerance, detail)
+    name: str = ""
 
 
 def _sector_unitary_from_coefficients(total: int, t: float) -> np.ndarray:
@@ -76,9 +78,8 @@ def check_bs_unitarity() -> CheckResult:
     worst = 0.0
     worst_kernel = 0.0
     for t in (0.3, 0.5, 0.73, 0.99):
-        params = BsParams.from_transmissivity(t)
         dim = 8
-        kernel = two_mode_kernel(params.scattering_matrix(), dim, dim)
+        kernel = two_mode_kernel(splitter(t), dim, dim)
         for total in range(7):
             block = _sector_unitary_from_coefficients(total, t)
             gram = block.T @ block - np.eye(total + 1)
@@ -91,8 +92,7 @@ def check_bs_unitarity() -> CheckResult:
                         worst_kernel, abs(block[out_i, n] - entry.real), abs(entry.imag)
                     )
     passed = worst <= 1e-10 and worst_kernel <= 1e-12
-    return _result(
-        "bs_unitarity",
+    return CheckResult(
         passed,
         "U^T U = 1 on every sector; entries match the two-mode kernel",
         f"max |U^T U - 1| = {worst:.2e}, max kernel mismatch = {worst_kernel:.2e}",
@@ -112,8 +112,7 @@ def check_bs_coefficient_norm() -> CheckResult:
                     for q in range(m + 1)
                 )
                 worst = max(worst, abs(total - 1.0))
-    return _result(
-        "bs_coefficient_norm",
+    return CheckResult(
         worst <= 1e-12,
         "sum_{p,q} B_pq^2 = 1",
         f"max deviation {worst:.2e}",
@@ -131,8 +130,7 @@ def check_povm_completeness() -> CheckResult:
         worst = max(worst, float(np.abs(total - 1.0).max()))
         pair = povm_pnr(0, eta, cutoff) + povm_click(eta, cutoff)
         worst = max(worst, float(np.abs(pair - 1.0).max()))
-    return _result(
-        "povm_completeness",
+    return CheckResult(
         worst <= 1e-12,
         "sum_n E_n = 1 and E_0 + E_click = 1",
         f"max deviation {worst:.2e}",
@@ -151,8 +149,7 @@ def check_displacement_composition() -> CheckResult:
         # interior block only: the truncation edge is not unitary
         product = (backward @ forward)[:8, :8]
         worst = max(worst, float(np.abs(product - np.eye(8)).max()))
-    return _result(
-        "displacement_composition",
+    return CheckResult(
         worst <= 1e-10,
         "D(0) = 1 and D(-a) D(a) = 1 away from the truncation edge",
         f"max deviation {worst:.2e}",
@@ -166,7 +163,7 @@ def check_coherent_interference() -> CheckResult:
     worst = 0.0
     cutoff = 20
     for t in (0.5, 0.73):
-        scattering = BsParams.from_transmissivity(t).scattering_matrix()
+        scattering = splitter(t)
         for alpha, beta in ((0.4, 0.2), (0.6, 0.5j)):
             pair = np.multiply.outer(
                 coherent_amplitudes(alpha, cutoff), coherent_amplitudes(beta, cutoff)
@@ -180,11 +177,10 @@ def check_coherent_interference() -> CheckResult:
             worst = max(worst, abs(1.0 - abs(np.vdot(expected, state))))
     ket = np.zeros((5, 5), dtype=np.complex128)
     ket[1, 1] = 1.0
-    hom = abs(mix(ket, (0, 1), BsParams.from_transmissivity(0.5).scattering_matrix()))
+    hom = abs(mix(ket, (0, 1), splitter(0.5)))
     split = abs(hom[2, 0] - 1.0 / math.sqrt(2.0)) + abs(hom[0, 2] - 1.0 / math.sqrt(2.0))
     worst = max(worst, hom[1, 1], split)
-    return _result(
-        "coherent_interference",
+    return CheckResult(
         worst <= 1e-10,
         "coherent in -> coherent out at scattered amplitudes; (1,1) -> no coincidence",
         f"max deviation {worst:.2e}",
@@ -222,8 +218,7 @@ def check_vacuum_filtering() -> CheckResult:
     )
     collapse = deep / base if base > 0.0 else 0.0
     passed = worst <= 1e-12 and collapse <= 1e-6
-    return _result(
-        "vacuum_filtering",
+    return CheckResult(
         passed,
         "herald probability 0 (truncation floor only)",
         f"max residual {worst:.2e}; deepening the source cutoff leaves "
@@ -241,8 +236,7 @@ def check_mixture_scaling() -> CheckResult:
     ratio = mixed.probability_total / pure.probability_total
     fidelity_shift = abs(mixed.fidelity - pure.fidelity)
     passed = abs(ratio - z) <= 1e-12 and fidelity_shift <= 1e-9
-    return _result(
-        "mixture_scaling",
+    return CheckResult(
         passed,
         f"P ratio {z}, fidelity unchanged",
         f"ratio {ratio:.15f}, fidelity shift {fidelity_shift:.2e}",
@@ -263,8 +257,7 @@ def check_pattern_symmetry() -> CheckResult:
     factored = run_scheme(config).plain_probability
     oracle_gap = max(abs(factored - p) / p for p in probs)
     passed = prob_gap <= 1e-10 and state_gap <= 1e-9 and oracle_gap <= 1e-12
-    return _result(
-        "pattern_symmetry",
+    return CheckResult(
         passed,
         "equal pattern probabilities, identical corrected posts, factored "
         "herald equal to the dense one",
@@ -286,8 +279,7 @@ def check_probability_ratio() -> CheckResult:
     constant = float(ratios.mean())
     documented = analytic.PROBABILITY_CONVENTION_FACTOR
     passed = spread < 1e-6 and abs(constant - documented) <= 1e-9
-    return _result(
-        "probability_ratio",
+    return CheckResult(
         passed,
         f"constant {documented}",
         f"constant {constant:.12f}, relative spread {spread:.2e}",
@@ -301,8 +293,7 @@ def check_ideal_exactness() -> CheckResult:
         for t in (0.75, 0.9, 0.99):
             result = run_scheme(_ideal_config(alpha_i, t))
             worst = max(worst, 1.0 - result.fidelity)
-    return _result(
-        "ideal_exactness",
+    return CheckResult(
         worst <= 1e-8,
         "fidelity 1 with ideal resources and detectors",
         f"max infidelity {worst:.2e}",
@@ -319,8 +310,7 @@ def check_detector_fidelity_formula() -> CheckResult:
                 result = run_scheme(config)
                 reference = analytic.fidelity_eta(alpha_f, t, eta)
                 worst = max(worst, abs(result.fidelity - reference))
-    return _result(
-        "detector_fidelity_formula",
+    return CheckResult(
         worst <= 1e-4,
         "numeric fidelity matches the closed form",
         f"max |numeric - analytic| = {worst:.2e}",
@@ -332,8 +322,7 @@ def check_scs_fidelity_spots() -> CheckResult:
     first = analytic.scs_fidelity(0.7, 0.161)
     second = analytic.scs_fidelity(1.0, 0.313)
     passed = abs(first - 0.9998) <= 5e-4 and abs(second - 0.997) <= 5e-3
-    return _result(
-        "scs_fidelity_spots",
+    return CheckResult(
         passed,
         "0.9998 and 0.997",
         f"{first:.5f} and {second:.5f}",
@@ -353,8 +342,7 @@ def check_target_negativity() -> CheckResult:
             worst_closed, abs(value - analytic.ideal_negativity(alpha_f))
         )
     passed = worst_quote <= 1e-3 and worst_closed <= 1e-9
-    return _result(
-        "target_negativity",
+    return CheckResult(
         passed,
         "0.927 / 0.991, equal to the closed form",
         f"quote gap {worst_quote:.2e}, closed-form gap {worst_closed:.2e}",
@@ -368,8 +356,7 @@ def check_asymptotic_probability() -> CheckResult:
     value = analytic.p_success_ideal(alpha, t)
     limit = 1.0 / (8.0 * math.e)
     gap = abs(value - limit) / limit
-    return _result(
-        "asymptotic_probability",
+    return CheckResult(
         gap <= 0.01,
         f"1/(8e) = {limit:.6f}",
         f"{value:.6f} (relative gap {gap:.2e})",
@@ -377,64 +364,51 @@ def check_asymptotic_probability() -> CheckResult:
     )
 
 
+def _table(figure: int, panel: str):
+    """A figure panel's base config and `reproduce` table."""
+    base, grid = figure_sweep(figure, panel)
+    return base, sweep(base, grid)
+
+
 def check_heralded_negativity() -> CheckResult:
-    worst = 0.0
-    values = []
-    for alpha_i, s, quote in ((0.7, 0.161, 0.922), (1.0, 0.313, 0.982)):
-        config = SchemeConfig(
-            t=0.99,
-            eta=0.7,
-            alpha_i=alpha_i,
-            scs_source="squeezed",
-            s=s,
-            pair_source="vacuum_mixed",
-            z=0.5,
-        )
-        result = run_scheme(config)
-        values.append(result.negativity)
-        worst = max(worst, abs(result.negativity - quote))
-    return _result(
-        "heralded_negativity",
-        worst <= 0.005,
-        "0.922 and 0.982",
-        f"{values[0]:.4f} and {values[1]:.4f}",
+    """Figure 4's negativity cells at its base point against the quotes."""
+    values, quotes = [], []
+    for name, panel in analytic.PANELS.items():
+        base, table = _table(4, name)
+        (value,) = table.columns["negativity"][rows_at(table, t=base.t, eta=base.eta)]
+        values.append(value)
+        quotes.append(panel.negativity)
+    gaps = np.abs(np.subtract(values, quotes))
+    return CheckResult(
+        np.all(gaps <= 0.005),
+        " and ".join(map(str, quotes)),
+        " and ".join(f"{value:.4f}" for value in values),
         "5e-3",
     )
 
 
 def check_approximate_resource_thresholds() -> CheckResult:
-    """Squeezed-photon runs stay above the quoted fidelity floors and inside
-    the quoted probability band."""
-    failures = []
-    p_range = (math.inf, -math.inf)
-    for alpha_i, s, floor in ((0.7, 0.161, 0.996), (1.0, 0.313, 0.986)):
-        for t in (0.99, 0.999):
-            for eta in (0.4, 0.7, 1.0):
-                config = SchemeConfig(
-                    t=t,
-                    eta=eta,
-                    alpha_i=alpha_i,
-                    scs_source="squeezed",
-                    s=s,
-                    pair_source="vacuum_mixed",
-                    z=0.5,
+    """Figure 4's fidelity cells from the base t up stay above the quoted
+    floors, and its probability cells at the base t inside the quoted
+    band."""
+    failures, p_values = [], []
+    for name, panel in analytic.PANELS.items():
+        base, table = _table(4, name)
+        t, eta, fidelity = (table.columns[c] for c in ("t", "eta", "fidelity"))
+        for row in np.flatnonzero(t >= base.t):
+            # a failed row's empty (NaN) fidelity is not above the floor
+            if not fidelity[row] > panel.fidelity_floor:
+                failures.append(
+                    f"F={fidelity[row]:.4f} at s={panel.s}, t={t[row]}, eta={eta[row]}"
                 )
-                result = run_scheme(config)
-                if result.fidelity <= floor:
-                    failures.append(
-                        f"F={result.fidelity:.4f} at s={s}, t={t}, eta={eta}"
-                    )
-                if t == 0.99:
-                    p_range = (
-                        min(p_range[0], result.probability_total),
-                        max(p_range[1], result.probability_total),
-                    )
+        p_values.append(table.columns["probability_total"][rows_at(table, t=base.t)])
+    p_values = np.concatenate(p_values)
+    p_range = (p_values.min(), p_values.max())
     in_band = 5e-5 <= p_range[0] and p_range[1] <= 5e-3
-    passed = not failures and in_band
-    return _result(
-        "approximate_resource_thresholds",
-        passed,
-        "F > 0.996 (s=0.161) / 0.986 (s=0.313); P_tot in [5e-5, 5e-3] at t=0.99",
+    floors = [f"{p.fidelity_floor} (s={p.s})" for p in analytic.PANELS.values()]
+    return CheckResult(
+        not failures and in_band,
+        f"F > {' / '.join(floors)}; P_tot in [5e-5, 5e-3] at t={base.t}",
         f"violations: {failures or 'none'}; P_tot range "
         f"[{p_range[0]:.2e}, {p_range[1]:.2e}]",
         "strict inequalities",
@@ -446,16 +420,7 @@ def check_spdc_lambda_scaling() -> CheckResult:
     at one small point (the `pattern_symmetry` size) its P and heralded
     state equal the dense oracle's herald of the pair-number mixture."""
     worst_f = 0.0
-    base = SchemeConfig(
-        t=0.99,
-        eta=0.8,
-        alpha_i=0.7,
-        scs_source="squeezed",
-        s=0.161,
-        pair_source="spdc",
-        lam=0.01,
-        detector="onoff",
-    )
+    base = replace(figure_sweep(5, "a")[0], eta=0.8)
     for lam in (0.01, 0.03, 0.05):
         full = run_scheme(replace(base, lam=lam))
         p = full.sector_probabilities
@@ -467,8 +432,7 @@ def check_spdc_lambda_scaling() -> CheckResult:
     gap_p = abs(run.plain_probability / probability - 1.0)
     rho = post[:, 0, :, 0]
     gap_state = float(np.abs(run.post_state.matrix - rho).max())
-    return _result(
-        "spdc_lambda_scaling",
+    return CheckResult(
         max(gap_p, gap_state) <= 1e-12 and worst_f <= 1e-12,
         "P and heralded state equal to the dense pair-number mixture's; "
         "F equal to the paper's F_eff",
@@ -479,35 +443,27 @@ def check_spdc_lambda_scaling() -> CheckResult:
 
 
 def check_conversion_spots() -> CheckResult:
-    """Pair-conversion spots: probabilities against the reference bands,
-    fidelities against this implementation's frozen values."""
+    """Figure 5's cells at the conversion spots, its base point:
+    probabilities against the reference bands, fidelities against this
+    implementation's frozen values."""
     lines = []
     passed = True
-    for lam, s, alpha_i, frozen, reference, p_reference in (
-        analytic.CONVERSION_SPOTS.values()
-    ):
-        config = SchemeConfig(
-            t=0.99,
-            eta=0.5,
-            alpha_i=alpha_i,
-            scs_source="squeezed",
-            s=s,
-            pair_source="spdc",
-            lam=lam,
-            detector="onoff",
+    for name, panel in analytic.PANELS.items():
+        base, table = _table(5, name)
+        spot = rows_at(table, eta=base.eta, **{"lambda": base.lam})
+        (f_eff,), (p_tot,) = (
+            table.columns[c][spot] for c in ("fidelity", "probability_total")
         )
-        result = run_scheme(config)
-        f_eff, p_tot = result.fidelity, result.probability_total
+        reference, p_reference = panel.f_eff_quoted, panel.p_tot_quoted
         p_ok = abs(p_tot - p_reference) <= 0.2 * p_reference
-        f_ok = abs(f_eff - frozen) <= 2e-3
+        f_ok = abs(f_eff - panel.f_eff) <= 2e-3
         passed = passed and p_ok and f_ok
         lines.append(
-            f"lam={lam}: F_eff={f_eff:.4f} (frozen {frozen}, reference "
+            f"lam={base.lam}: F_eff={f_eff:.4f} (frozen {panel.f_eff}, reference "
             f"{reference}, delta {f_eff - reference:+.4f}), "
             f"P_tot={p_tot:.2e} (reference {p_reference:.1e})"
         )
-    return _result(
-        "conversion_spots",
+    return CheckResult(
         passed,
         "P_tot within 20% of the reference; F_eff at the frozen values",
         "; ".join(lines),
@@ -548,7 +504,7 @@ def run_all_checks(names: Optional[Iterable[str]] = None) -> List[CheckResult]:
     results = []
     for func in ALL_CHECKS:
         name = func.__name__.removeprefix("check_")
-        if wanted is not None and name not in wanted:
-            continue
-        results.append(func())
+        if wanted is None or name in wanted:
+            result = func()
+            results.append(replace(result, name=name, passed=bool(result.passed)))
     return results

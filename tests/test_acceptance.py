@@ -93,7 +93,7 @@ def test_criterion_08_threshold_fidelities(capsys):
     _selfcheck(capsys, 8, "approximate_resource_thresholds")
 
 
-CONVERSION_SPOTS = (
+QUOTED_SPOTS = (
     # lam, s, alpha_i, quoted f_eff, f_eff tolerance, quoted p_tot, frozen f_eff
     (0.022, 0.161, 0.7, 0.939, 0.010, 5.1e-7, 0.950731578),
     (0.038, 0.313, 1.0, 0.842, 0.015, 2.4e-6, 0.869283148),
@@ -103,7 +103,7 @@ CONVERSION_SPOTS = (
 def test_criterion_09_conversion_spot_values(capsys):
     notes = []
     ok = True
-    for lam, s, alpha_i, quote_f, tol_f, quote_p, frozen_f in CONVERSION_SPOTS:
+    for lam, s, alpha_i, quote_f, tol_f, quote_p, frozen_f in QUOTED_SPOTS:
         config = SchemeConfig(
             t=0.99,
             eta=0.5,

@@ -4,9 +4,10 @@ subcommand behavior and exit codes."""
 import itertools
 import re
 
+import numpy as np
 import pytest
 
-from hybridcat import cli, pipeline
+from hybridcat import cli, pipeline, selfcheck
 from hybridcat.cli import main, parse_scenario
 from hybridcat.errors import SimulationError, ValidationError
 from hybridcat.selfcheck import CheckResult
@@ -404,6 +405,66 @@ def test_selfcheck_pass_exits_zero(monkeypatch, capsys):
     monkeypatch.setattr("hybridcat.selfcheck.run_all_checks", lambda: fake)
     assert main(["selfcheck"]) == 0
     assert "PASS bs_unitarity" in capsys.readouterr().out
+
+
+def test_run_all_checks_names_each_result_after_its_function(monkeypatch):
+    def check_unnamed():
+        return CheckResult(np.True_, "expected", "actual", "tolerance")
+
+    checks = selfcheck.ALL_CHECKS + (check_unnamed,)
+    monkeypatch.setattr(selfcheck, "ALL_CHECKS", checks)
+    results = selfcheck.run_all_checks()
+    assert [r.name for r in results] == [
+        check.__name__.removeprefix("check_") for check in checks
+    ]
+    assert all(type(r.passed) is bool for r in results)
+    for result in results:
+        assert selfcheck.run_all_checks([result.name]) == [result]
+
+
+def _move_cells(monkeypatch, figure, panel, column, delta, point):
+    """Make `selfcheck` read the `reproduce` table of one figure panel with
+    the `column` cells at the swept values `point` moved by `delta`."""
+    real = selfcheck._table
+
+    def moved(*which):
+        base, table = real(*which)
+        if which == (figure, panel):
+            at = cli.rows_at(table, **point)
+            assert np.count_nonzero(at) == 1
+            columns = dict(table.columns)
+            columns[column] = np.where(at, columns[column] + delta, columns[column])
+            table = pipeline.SweepTable(table.axes, columns, table.status)
+        return base, table
+
+    monkeypatch.setattr(selfcheck, "_table", moved)
+
+
+@pytest.mark.parametrize(
+    "name, figure, column, point, inside, past",
+    [
+        # quoted N = 0.922 within 5e-3; the cell reads 0.9226
+        ("heralded_negativity", 4, "negativity", {"t": 0.99, "eta": 0.7}, 4e-3, 5e-3),
+        # F > 0.996 for t >= 0.99 at every efficiency; the cell reads 0.99685
+        (
+            "approximate_resource_thresholds", 4, "fidelity",
+            {"t": 0.99, "eta": 0.5}, -5e-4, -1e-3,
+        ),
+        # the frozen F_eff 0.950732 within 2e-3; the cell reads 0.9507316
+        (
+            "conversion_spots", 5, "fidelity",
+            {"lambda": 0.022, "eta": 0.5}, 1.9e-3, 2.1e-3,
+        ),
+    ],
+)
+def test_figure_checks_read_the_reproduce_cells(
+    monkeypatch, name, figure, column, point, inside, past
+):
+    for delta, passed in ((inside, True), (past, False), (np.nan, False)):
+        with monkeypatch.context() as patch:
+            _move_cells(patch, figure, "a", column, delta, point)
+            (result,) = selfcheck.run_all_checks([name])
+        assert result.passed is passed, (delta, result.actual)
 
 
 def test_help_exits_zero(capsys):

@@ -175,7 +175,7 @@ def test_every_entry_point_refuses_a_transmissivity_alike(t, tmp_path, capsys):
             lambda: analytic.p_success_ideal(1.0, t),
             lambda: analytic.fidelity_eta(1.0, t, 0.9),
             lambda: analytic.p_tot_eta(1.0, t, 0.9),
-            lambda: optics.BsParams.from_transmissivity(t),
+            lambda: optics.splitter(t),
             lambda: oracle.bs_fock_coefficient(1, 0, 1, 0, t),
         )
     }

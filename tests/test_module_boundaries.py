@@ -246,12 +246,12 @@ def test_compact_amplitudes_are_the_dense_kernels_nonzero_entries():
 
     import numpy as np
 
-    from hybridcat.optics import BsParams, mixer_amplitudes, two_mode_kernel
+    from hybridcat.optics import mixer_amplitudes, splitter, two_mode_kernel
 
     for t, (dim_i, dim_j) in itertools.product(
         (0.5, 0.73, 1.0), ((1, 1), (5, 5), (4, 9), (9, 4), (14, 14), (36, 36))
     ):
-        scattering = BsParams.from_transmissivity(t).scattering_matrix()
+        scattering = splitter(t)
         kernel = two_mode_kernel(scattering, dim_i, dim_j)
         amplitudes = mixer_amplitudes(scattering, dim_i, dim_j)
         assert amplitudes.shape == (dim_i, dim_j, dim_i)

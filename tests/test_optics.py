@@ -12,12 +12,13 @@ from scipy.special import eval_genlaguerre, gammaln
 from hybridcat import analytic, cli, pipeline
 from hybridcat.errors import ValidationError
 from hybridcat.optics import (
-    BsParams,
     displacement_matrix,
     required_displacement_cutoff,
+    rotation,
+    splitter,
     two_mode_kernel,
 )
-from hybridcat.oracle import bs_fock_coefficient, mix, rotation
+from hybridcat.oracle import bs_fock_coefficient, mix
 from hybridcat.resource_states import coherent_amplitudes
 
 
@@ -41,8 +42,7 @@ def test_kernel_matches_exponential_generator():
     from scipy.linalg import logm
 
     t = 0.73
-    params = BsParams.from_transmissivity(t)
-    s = params.scattering_matrix()
+    s = splitter(t)
     # generator G with expm(iG) = S (principal branch)
     g = logm(s) / 1j
     dim = 6
@@ -89,9 +89,7 @@ def test_bs_coefficient_matches_kernel_single_mode_input():
     for t, (dim_i, dim_j) in itertools.product(
         (0.73, 0.81, 0.9, 1.0), ((7, 7), (5, 8))
     ):
-        kernel = two_mode_kernel(
-            BsParams.from_transmissivity(t).scattering_matrix(), dim_i, dim_j
-        )
+        kernel = two_mode_kernel(splitter(t), dim_i, dim_j)
         expected = np.zeros_like(kernel)
         for n in range(dim_i):
             for p in range(max(0, n - dim_j + 1), n + 1):
@@ -135,14 +133,14 @@ def test_balanced_kernel_matches_exact_integers(dim):
                 expected[o * dim + n + m - o, n * dim + m] = _balanced_amplitude(
                     n, m, o
                 )
-    s = BsParams.from_transmissivity(0.5).scattering_matrix()
+    s = splitter(0.5)
     kernel = two_mode_kernel(s, dim, dim)
     assert np.abs(kernel - expected).max() <= 1e-12
 
 
 @pytest.mark.parametrize("dims", [(6, 6), (4, 9)])
 def test_full_transmission_kernel_is_the_identity(dims):
-    s = BsParams.from_transmissivity(1.0).scattering_matrix()
+    s = splitter(1.0)
     kernel = two_mode_kernel(s, *dims)
     assert np.array_equal(kernel, np.eye(dims[0] * dims[1]))
 
@@ -151,7 +149,7 @@ def test_hom_dip():
     """Two indistinguishable photons on a 50:50 splitter never split."""
     state = np.zeros((3, 3), dtype=complex)
     state[1, 1] = 1.0
-    half = BsParams.from_transmissivity(0.5).scattering_matrix()
+    half = splitter(0.5)
     out = mix(state, (0, 1), half)
     assert abs(out[1, 1]) < 1e-12
     assert abs(abs(out[2, 0]) - 1 / math.sqrt(2)) < 1e-12
@@ -162,7 +160,7 @@ def test_coherent_states_stay_coherent():
     """A coherent input scatters to coherent outputs at the matrix amplitudes."""
     alpha = 0.7
     t = 0.84
-    s = BsParams.from_transmissivity(t).scattering_matrix()
+    s = splitter(t)
     state = np.multiply.outer(coherent_amplitudes(alpha, 14), coherent_amplitudes(0.0, 14))
     out = mix(state, (0, 1), s)
     expected = np.multiply.outer(
@@ -173,7 +171,7 @@ def test_coherent_states_stay_coherent():
 
 def test_beam_splitter_preserves_norm():
     state = np.multiply.outer(coherent_amplitudes(0.5, 12), coherent_amplitudes(0.3, 12))
-    out = mix(state, (0, 1), BsParams.from_transmissivity(0.9).scattering_matrix())
+    out = mix(state, (0, 1), splitter(0.9))
     assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
 
@@ -249,8 +247,8 @@ def _figure_displacements():
         pipeline.SchemeConfig(t=0.99, eta=0.9, alpha_f=a) for a in cli._FIG3_ALPHA
     ]
     configs += [
-        pipeline.SchemeConfig(t=t, eta=0.9, alpha_i=alpha_i)
-        for _, _, alpha_i, *_ in analytic.CONVERSION_SPOTS.values()
+        pipeline.SchemeConfig(t=t, eta=0.9, alpha_i=panel.alpha_i)
+        for panel in analytic.PANELS.values()
         for t in (0.9, 0.99, 0.999)
     ]
     configs += [

@@ -31,7 +31,7 @@ from hybridcat.errors import (
     ValidationError,
 )
 from hybridcat.fock_core import DensityOperator
-from hybridcat.optics import BsParams
+from hybridcat.optics import splitter
 from hybridcat.pipeline import (
     DETECTORS,
     SWEEP_AXES,
@@ -375,7 +375,7 @@ def test_sweep_spdc_uses_decomposition():
 def test_sweep_table_rows_read_the_columns():
     """`rows` is a view of the columns: row k holds entry k of every column,
     None where the column is NaN."""
-    table = cli._figure_table(4, "a")
+    table = sweep(*cli.figure_sweep(4, "a"))
     assert table.axes == ("eta", "t") and len(table.rows) == len(table.status) == 21
     for k, row in enumerate(table.rows):
         assert row.params == tuple((a, table.columns[a][k]) for a in table.axes)
@@ -503,8 +503,8 @@ def test_ideal_cat_beam_is_rank_two(monkeypatch):
 
     monkeypatch.setattr(pipeline, "_beam", recorded)
     pipeline._factors.cache_clear()
-    cli._figure_table(2, None)
-    cli._figure_table(3, None)
+    sweep(*cli.figure_sweep(2, None))
+    sweep(*cli.figure_sweep(3, None))
     result = run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5))
     assert result.schmidt_ranks == (2, 2)
     # 11 transmissivities of figure 2, 6 amplitudes of figure 3 (one of them
@@ -648,9 +648,7 @@ def _interfered_factors(config):
     disp = optics.displacement_matrix(
         pipeline._displacement_amplitude(config), factors.cuts.detector
     )
-    kernel = optics.two_mode_kernel(
-        BsParams.from_transmissivity(0.5).scattering_matrix(), dim, dim
-    ).reshape((dim,) * 4)
+    kernel = optics.two_mode_kernel(splitter(0.5), dim, dim).reshape((dim,) * 4)
     # signal |m, n - m> pairs with idler D|n - m> on 2H and D|m> on 2V
     m, n_minus_m = np.divmod(factors.signal_states, factors.cuts.a + 1)
     rows = []
@@ -684,12 +682,9 @@ def test_pulled_back_gram_matches_interfered_factors(kwargs):
         # pair blocks (k, m), k-major
         expected = expected.transpose(0, 2, 1, 3).reshape(-1, n_l, n_l)
         bound = 1e-13 * np.abs(expected).max()
-        every = np.divmod(np.arange(n_k * n_k), n_k)
-        got = pipeline._gram(pipeline._pullback(factors), w, every)
-        assert np.abs(got - expected).max() <= bound
-        # the pairs inside one sector on their own
-        ks, ms = pipeline._sector_pairs(factors)
-        got = pipeline._gram(pipeline._pullback(factors), w, (ks, ms))
+        # the pairs inside one sector, the only ones `_gram` contracts
+        ks, ms = factors.pairs
+        got = pipeline._gram(factors, w)
         assert np.abs(got - expected[ks * n_k + ms]).max() <= bound
 
 
@@ -788,8 +783,8 @@ def _record_grams(monkeypatch):
     grams = []
     real = pipeline._gram
 
-    def record(factors, w, pairs):
-        grams.append((pairs, real(factors, w, pairs)))
+    def record(factors, w):
+        grams.append((factors.pairs, real(factors, w)))
         return grams[-1][1]
 
     monkeypatch.setattr(pipeline, "_gram", record)
@@ -840,7 +835,7 @@ def test_eta_shares_one_preparation(monkeypatch):
     sweep(SchemeConfig(**SPOT_A), {"lambda": (0.01, 0.02, 0.03), "eta": (0.5, 0.9)})
     assert pipeline._factors.cache_info().misses == 1
     factors = pipeline._factors(pipeline._factors_key(SchemeConfig(**SPOT_A)))
-    inside = pipeline._sector_pairs(factors)
+    inside = factors.pairs
     (sectors,) = stacks
     assert len(grams) == 2
     for i, (pairs, gram) in enumerate(grams):
@@ -877,7 +872,7 @@ def test_figure_5_sweep_contracts_only_the_sector_blocks(monkeypatch):
     point, in its one `_gram` call, bit for bit."""
     grams = _record_grams(monkeypatch)
     pipeline._factors.cache_clear()
-    table = cli._figure_table(5, "b")
+    table = sweep(*cli.figure_sweep(5, "b"))
     etas = sorted({dict(row.params)["eta"] for row in table.rows})
     factors = pipeline._factors(pipeline._factors_key(SchemeConfig(**FIGURE_5B)))
     n_k, n_l = len(factors.signal_states), factors.beam_rank
@@ -970,7 +965,7 @@ def test_cold_figure_4_sweep_stays_small():
     """The per-efficiency Gram contractions are not stacked, only their
     sector blocks: the traced peak of a cold figure-4 panel-b table stays
     below 2 MB."""
-    assert _cold_peak(lambda: cli._figure_table(4, "b")) < 2e6
+    assert _cold_peak(lambda: sweep(*cli.figure_sweep(4, "b"))) < 2e6
 
 
 def test_cold_figure_5_sweep_stays_small():
@@ -978,7 +973,7 @@ def test_cold_figure_5_sweep_stays_small():
     blocks between sectors: the traced peak of a cold figure-5 panel-b
     table stays below 0.95 MB (the five efficiencies' whole 66 x 66 Grams
     and their copies kept it above 1 MB)."""
-    assert _cold_peak(lambda: cli._figure_table(5, "b")) < 0.95e6
+    assert _cold_peak(lambda: sweep(*cli.figure_sweep(5, "b"))) < 0.95e6
 
 
 def test_cold_large_amplitude_run_stays_small():
