@@ -12,6 +12,9 @@ lexicographic row order, and byte-identical reruns, written from a
 `SweepTable`'s columns one column at a time; `run --output` writes its one
 row the same way.
 
+The paper's figure 4 and 5 claims live in `panel_checks`: `reproduce`
+prints them, and `selfcheck` asserts them over both panels.
+
 Exit codes: 0 success, 1 invalid input, 2 self-check tolerance failure,
 3 truncation or numerical failure.
 """
@@ -242,16 +245,91 @@ def rows_at(table: SweepTable, **point: float) -> np.ndarray:
     return at
 
 
-def _ok(table: SweepTable, **point: float) -> np.ndarray:
-    """Which rows have status ok and the given swept values."""
-    return rows_at(table, **point) & (table.status == "ok")
+@dataclasses.dataclass(frozen=True)
+class CheckResult:
+    """One check's outcome; `selfcheck.run_all_checks` names it after its
+    function, `panel_checks` after the claim."""
+
+    passed: bool
+    expected: str
+    actual: str
+    tolerance: str
+    detail: str = ""
+    name: str = ""
+
+
+def check_lines(result: CheckResult) -> List[str]:
+    """A check as `selfcheck` and `reproduce` print it: PASS or FAIL and its
+    name, then what was expected and found, its tolerance and any note."""
+    lines = [
+        f"{'PASS' if result.passed else 'FAIL'} {result.name}",
+        f"    expected:  {result.expected}",
+        f"    actual:    {result.actual}",
+        f"    tolerance: {result.tolerance}",
+    ]
+    return lines + ([f"    note:      {result.detail}"] if result.detail else [])
+
+
+def panel_checks(
+    figure: int, panel: str, base: SchemeConfig, table: SweepTable
+) -> List[CheckResult]:
+    """The paper's claims on one panel table of figure 4 or 5 against
+    `analytic.PANELS`: figure 4's negativity at its base point, and its
+    fidelity floor from the base t up with P_tot at the base t in the quoted
+    band; figure 5's P_tot and F_eff (the frozen value) at its conversion
+    spot. A failed row's empty (NaN) cell fails its claim."""
+    spec, cells = analytic.PANELS[panel], table.columns
+    if figure == 4:
+        (n,) = cells["negativity"][rows_at(table, t=base.t, eta=base.eta)]
+        above = cells["fidelity"][cells["t"] >= base.t]
+        p = cells["probability_total"][rows_at(table, t=base.t)]
+        return [
+            CheckResult(
+                abs(n - spec.negativity) <= 5e-3,
+                f"N = {spec.negativity} at t={base.t}, eta={base.eta}",
+                f"N = {n:.4f}, off by {abs(n - spec.negativity):.1e}",
+                "5e-3",
+                name="heralded_negativity",
+            ),
+            CheckResult(
+                np.all(above > spec.fidelity_floor)
+                and 5e-5 <= p.min() and p.max() <= 5e-3,
+                f"F > {spec.fidelity_floor} for t >= {base.t}; "
+                f"P_tot in [5e-5, 5e-3] at t={base.t}",
+                f"lowest F {above.min():.5f} of {len(above)} rows, "
+                f"{above.min() - spec.fidelity_floor:.1e} above the floor; "
+                f"P_tot range [{p.min():.2e}, {p.max():.2e}]",
+                "strict inequalities",
+                name="approximate_resource_thresholds",
+            ),
+        ]
+    spot = rows_at(table, eta=base.eta, **{"lambda": base.lam})
+    (f,), (p,) = (cells[c][spot] for c in ("fidelity", "probability_total"))
+    return [
+        CheckResult(
+            abs(p - spec.p_tot_quoted) <= 0.2 * spec.p_tot_quoted
+            and abs(f - spec.f_eff) <= 2e-3,
+            f"P_tot within 20% of the reference, F_eff at the frozen value, "
+            f"at lambda={base.lam}, eta={base.eta}",
+            f"F_eff={f:.4f} (frozen {spec.f_eff}, off by {abs(f - spec.f_eff):.1e}; "
+            f"reference {spec.f_eff_quoted}, delta {f - spec.f_eff_quoted:+.4f}), "
+            f"P_tot={p:.2e} (reference {spec.p_tot_quoted:.1e}, "
+            f"ratio {p / spec.p_tot_quoted:.2f})",
+            "20% / 2e-3",
+            detail=(
+                "the reference F_eff quotes imply a uniform ~1.28x inflation of "
+                "the non-pair herald weights that no convention of this model "
+                "reproduces; probabilities and every other reference value agree"
+            ),
+            name="conversion_spots",
+        )
+    ]
 
 
 def _failed_lines(table: SweepTable) -> List[str]:
     failed = np.count_nonzero(table.status != "ok")
-    if not failed:
-        return []
-    return [f"{failed} failed rows left out of this summary (see status column)"]
+    note = f"{failed} failed rows left out of this summary (see status column)"
+    return [note] if failed else []
 
 
 def _curves(table: SweepTable, axis: str, values, text: str) -> List[str]:
@@ -259,50 +337,14 @@ def _curves(table: SweepTable, axis: str, values, text: str) -> List[str]:
     last fidelity of its ok rows and whether they rise monotonically."""
     lines = []
     for value in values:
-        curve = table.columns["fidelity"][_ok(table, **{axis: value})]
+        ok = rows_at(table, **{axis: value}) & (table.status == "ok")
+        curve = table.columns["fidelity"][ok]
         if not len(curve):
             lines.append(f"{axis}={value}: no successful rows")
             continue
         monotone = bool(np.all(curve[:-1] < curve[1:]))
         lines.append(f"{axis}={value}: " + text.format(curve[0], curve[-1], monotone))
-    return lines + _failed_lines(table)
-
-
-def _summarize_figure4(
-    panel: str, base: SchemeConfig, table: SweepTable
-) -> List[str]:
-    floor = analytic.PANELS[panel].fidelity_floor
-    # a failed row's empty (NaN) fidelity is not above the floor
-    above = table.columns["fidelity"][table.columns["t"] >= base.t]
-    ok = bool(np.all(above > floor))
-    p_values = table.columns["probability_total"][_ok(table, t=base.t)]
-    if len(p_values):
-        p_range = f"[{p_values.min():.2e}, {p_values.max():.2e}]"
-    else:
-        p_range = "no successful rows"
-    return [
-        f"panel {panel}: all F > {floor} for t >= {base.t}, eta >= 0.4: {ok}",
-        f"panel {panel}: P_tot range at t={base.t}: {p_range}",
-    ] + _failed_lines(table)
-
-
-def _summarize_figure5(
-    panel: str, base: SchemeConfig, table: SweepTable
-) -> List[str]:
-    spec, lam, eta = analytic.PANELS[panel], base.lam, base.eta
-    row = np.flatnonzero(_ok(table, eta=eta, **{"lambda": lam}))
-    if not len(row):
-        spot = f"panel {panel}: the row at lambda={lam}, eta={eta} failed"
-        return [spot] + _failed_lines(table)
-    f, p = (table.columns[name][row[0]] for name in ("fidelity", "probability_total"))
-    return [
-        f"panel {panel}: F_eff(lambda={lam}, eta={eta}) = {f:.4f} "
-        f"(reference {spec.f_eff_quoted}, delta {f - spec.f_eff_quoted:+.4f}; "
-        f"converged value here {spec.f_eff})",
-        f"panel {panel}: P_tot(lambda={lam}, eta={eta}) = "
-        f"{p:.2e} (reference {spec.p_tot_quoted:.1e}, ratio "
-        f"{p / spec.p_tot_quoted:.2f})",
-    ] + _failed_lines(table)
+    return lines
 
 
 def _default_output(figure: int, panel: Optional[str]) -> str:
@@ -322,12 +364,13 @@ def _summary(
 ) -> List[str]:
     if figure == 2:
         text = "fidelity rises {:.4f} -> {:.4f} monotone={}"
-        return _curves(table, "eta", (0.7, 0.8, 0.9, 0.99), text)
+        etas = sorted(set(table.columns["eta"].tolist()))
+        return _curves(table, "eta", etas, text)
     if figure == 3:
         text = "fidelity {:.4f} -> {:.4f} monotone in eta={}"
         return _curves(table, "alpha_f", (0.5, 1.0, 1.5), text)
-    summarize = _summarize_figure4 if figure == 4 else _summarize_figure5
-    return summarize(panel, base, table)
+    checks = panel_checks(figure, panel, base, table)
+    return [line for check in checks for line in check_lines(check)]
 
 
 def cmd_reproduce(figure: int, panel: Optional[str], output: Optional[str]) -> int:
@@ -348,7 +391,7 @@ def cmd_reproduce(figure: int, panel: Optional[str], output: Optional[str]) -> i
         save_table(table, path)
         title = f"figure {figure} panel {name}" if name else f"figure {figure}"
         print(f"{title}: {len(table.status)} rows -> {path}")
-        for line in _summary(figure, name, base, table):
+        for line in _summary(figure, name, base, table) + _failed_lines(table):
             print(f"  {line}")
     return 0
 
@@ -359,16 +402,9 @@ def cmd_selfcheck() -> int:
     from .selfcheck import run_all_checks
 
     results = run_all_checks()
-    failures = 0
     for result in results:
-        mark = "PASS" if result.passed else "FAIL"
-        failures += 0 if result.passed else 1
-        print(f"{mark} {result.name}")
-        print(f"    expected:  {result.expected}")
-        print(f"    actual:    {result.actual}")
-        print(f"    tolerance: {result.tolerance}")
-        if result.detail:
-            print(f"    note:      {result.detail}")
+        print(*check_lines(result), sep="\n")
+    failures = sum(not result.passed for result in results)
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 0 if failures == 0 else 2
 

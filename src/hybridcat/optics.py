@@ -91,8 +91,22 @@ def _expansion_table(size: int, dim: int, to_i: complex, to_j: complex) -> np.nd
     return binomials * powers
 
 
-@lru_cache(maxsize=256)
-def _cached_amplitudes(entries: tuple, dim_i: int, dim_j: int) -> np.ndarray:
+def _scattering_entries(scattering: np.ndarray) -> tuple:
+    mat = np.asarray(scattering, dtype=np.complex128)
+    if mat.shape != (2, 2):
+        raise ValidationError("scattering matrix must be 2x2")
+    return tuple(complex(x) for x in mat.ravel())
+
+
+def mixer_amplitudes(scattering: np.ndarray, dim_i: int, dim_j: int) -> np.ndarray:
+    """The two-mode mixer's photon-number-conserving amplitudes, indexed
+    [n, m, o]: <o, n + m - o| of the mixer applied to input |n, m>, over
+    dimensions (dim_i, dim_j), zero where that output falls outside them.
+
+    These are the only nonzero entries of `two_mode_kernel`, dim_i^2 dim_j
+    of them against its (dim_i dim_j)^2. The result is not cached: its
+    callers cache what they build from it.
+    """
     # Input |n, m> expands as (s00 a_i^dag + s10 a_j^dag)^n (s01 a_i^dag +
     # s11 a_j^dag)^m / sqrt(n! m!). The amplitude of o photons in output i
     # is the convolution over o = p + k of a[n, p] = C(n, p) s00^p
@@ -100,7 +114,7 @@ def _cached_amplitudes(entries: tuple, dim_i: int, dim_j: int) -> np.ndarray:
     # (n, m) by one matmul of a against b shifted by p; the boson factor
     # sqrt(o! (n + m - o)! / (n! m!)) normalizes it. Outputs past either
     # cutoff are dropped.
-    s00, s01, s10, s11 = entries
+    s00, s01, s10, s11 = _scattering_entries(scattering)
     a = _expansion_table(dim_i, dim_i, s00, s10)
     # b padded with a zero column at index dim_i, where k = o - p < 0 points
     b = _expansion_table(dim_j, dim_i + 1, s01, s11)
@@ -117,35 +131,14 @@ def _cached_amplitudes(entries: tuple, dim_i: int, dim_j: int) -> np.ndarray:
     # paired differences vanish exactly where o = n, so t = 1 is the identity;
     # past a cutoff out_j reads any entry of lg, and the amplitude is dropped
     boson = np.exp(0.5 * ((lg[o] - lg[n]) + (lg[out_j] - lg[m])))
-    amplitudes = np.where((out_j >= 0) & (out_j < dim_j), conv * boson, 0.0)
-    amplitudes.setflags(write=False)
-    return amplitudes
-
-
-def _scattering_entries(scattering: np.ndarray) -> tuple:
-    mat = np.asarray(scattering, dtype=np.complex128)
-    if mat.shape != (2, 2):
-        raise ValidationError("scattering matrix must be 2x2")
-    return tuple(complex(x) for x in mat.ravel())
-
-
-def mixer_amplitudes(scattering: np.ndarray, dim_i: int, dim_j: int) -> np.ndarray:
-    """The two-mode mixer's photon-number-conserving amplitudes, indexed
-    [n, m, o]: <o, n + m - o| of the mixer applied to input |n, m>, over
-    dimensions (dim_i, dim_j), zero where that output falls outside them.
-
-    These are the only nonzero entries of `two_mode_kernel`, dim_i^2 dim_j
-    of them against its (dim_i dim_j)^2. The result is cached and
-    read-only.
-    """
-    return _cached_amplitudes(_scattering_entries(scattering), int(dim_i), int(dim_j))
+    return np.where((out_j >= 0) & (out_j < dim_j), conv * boson, 0.0)
 
 
 @lru_cache(maxsize=256)
 def _cached_kernel(entries: tuple, dim_i: int, dim_j: int) -> np.ndarray:
-    # the nonzero `_cached_amplitudes` scattered to row (o, n + m - o),
+    # the nonzero `mixer_amplitudes` scattered to row (o, n + m - o),
     # column (n, m)
-    amplitudes = _cached_amplitudes(entries, dim_i, dim_j)
+    amplitudes = mixer_amplitudes(np.reshape(entries, (2, 2)), dim_i, dim_j)
     n, m, o = np.nonzero(amplitudes)
     kernel = np.zeros((dim_i * dim_j, dim_i * dim_j), dtype=np.complex128)
     kernel[o * dim_j + n + m - o, n * dim_j + m] = amplitudes[n, m, o]

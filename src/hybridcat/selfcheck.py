@@ -5,47 +5,30 @@ explicit tolerance: operator-level identities (beam-splitter unitarity,
 detector completeness, coherent interference), scheme-level invariants
 (vacuum filtering, mixture scaling, herald-pattern symmetry, the documented
 numeric/analytic probability ratio), and the reference values the simulator
-is validated against. The figure 4 and 5 checks read their cells off the
-tables `reproduce` prints (`cli.figure_sweep`), against the quotes of
-`analytic.PANELS`. `run_all_checks` evaluates the checks in a fixed order,
-names each result after its function, and is the engine behind the
-command-line `selfcheck` subcommand.
-
-The two pair-conversion fidelity spots are asserted against this
-implementation's converged values; the reference dataset quotes slightly
-lower numbers, which no physical convention of the model reproduces (see
-the check detail and README). The corresponding success probabilities are
-asserted against the reference bands directly.
+is validated against. The figure 4 and 5 checks join, over both panels,
+the claims `cli.panel_checks` reads off the tables `reproduce` prints.
+`run_all_checks` evaluates the checks in a fixed order, names each result
+after its function, and is the engine behind the command-line `selfcheck`
+subcommand.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from . import analytic
-from .cli import figure_sweep, rows_at
+from .cli import CheckResult, figure_sweep, panel_checks
 from .detection import povm_click, povm_pnr
 from .metrics import matrix_negativity
 from .optics import displacement_matrix, splitter, two_mode_kernel
 from .oracle import bs_fock_coefficient, herald_patterns, mix, target_hybrid
 from .pipeline import SchemeConfig, run_scheme, sweep
 from .resource_states import coherent_amplitudes
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One check's outcome; `run_all_checks` names it after its function."""
-
-    passed: bool
-    expected: str
-    actual: str
-    tolerance: str
-    detail: str = ""
-    name: str = ""
 
 
 def _sector_unitary_from_coefficients(total: int, t: float) -> np.ndarray:
@@ -319,8 +302,9 @@ def check_detector_fidelity_formula() -> CheckResult:
 
 
 def check_scs_fidelity_spots() -> CheckResult:
-    first = analytic.scs_fidelity(0.7, 0.161)
-    second = analytic.scs_fidelity(1.0, 0.313)
+    """Each panel's squeezed photon against the superposition it stands for."""
+    panels = analytic.PANELS.values()
+    first, second = (analytic.scs_fidelity(p.alpha_i, p.s) for p in panels)
     passed = abs(first - 0.9998) <= 5e-4 and abs(second - 0.997) <= 5e-3
     return CheckResult(
         passed,
@@ -364,55 +348,37 @@ def check_asymptotic_probability() -> CheckResult:
     )
 
 
-def _table(figure: int, panel: str):
-    """A figure panel's base config and `reproduce` table."""
-    base, grid = figure_sweep(figure, panel)
-    return base, sweep(base, grid)
+@functools.lru_cache(maxsize=None)
+def _joined(figure: int) -> dict:
+    """Each claim of figure 4 or 5 (`cli.panel_checks`) by name, joined over
+    both panels: it passes where every panel's does and lists each panel's
+    expected and actual values; a claim's tolerance and note are the same
+    on every panel. One sweep of each panel table per `run_all_checks`,
+    which empties this cache."""
+    parts = {}
+    for panel in analytic.PANELS:
+        base, grid = figure_sweep(figure, panel)
+        for result in panel_checks(figure, panel, base, sweep(base, grid)):
+            parts.setdefault(result.name, []).append((panel, result))
+    return {
+        name: CheckResult(
+            all(result.passed for _, result in part),
+            "; ".join(f"panel {panel}: {result.expected}" for panel, result in part),
+            "; ".join(f"panel {panel}: {result.actual}" for panel, result in part),
+            part[0][1].tolerance, part[0][1].detail,
+        )
+        for name, part in parts.items()
+    }
 
 
 def check_heralded_negativity() -> CheckResult:
-    """Figure 4's negativity cells at its base point against the quotes."""
-    values, quotes = [], []
-    for name, panel in analytic.PANELS.items():
-        base, table = _table(4, name)
-        (value,) = table.columns["negativity"][rows_at(table, t=base.t, eta=base.eta)]
-        values.append(value)
-        quotes.append(panel.negativity)
-    gaps = np.abs(np.subtract(values, quotes))
-    return CheckResult(
-        np.all(gaps <= 0.005),
-        " and ".join(map(str, quotes)),
-        " and ".join(f"{value:.4f}" for value in values),
-        "5e-3",
-    )
+    """Figure 4's negativity at its base point."""
+    return _joined(4)["heralded_negativity"]
 
 
 def check_approximate_resource_thresholds() -> CheckResult:
-    """Figure 4's fidelity cells from the base t up stay above the quoted
-    floors, and its probability cells at the base t inside the quoted
-    band."""
-    failures, p_values = [], []
-    for name, panel in analytic.PANELS.items():
-        base, table = _table(4, name)
-        t, eta, fidelity = (table.columns[c] for c in ("t", "eta", "fidelity"))
-        for row in np.flatnonzero(t >= base.t):
-            # a failed row's empty (NaN) fidelity is not above the floor
-            if not fidelity[row] > panel.fidelity_floor:
-                failures.append(
-                    f"F={fidelity[row]:.4f} at s={panel.s}, t={t[row]}, eta={eta[row]}"
-                )
-        p_values.append(table.columns["probability_total"][rows_at(table, t=base.t)])
-    p_values = np.concatenate(p_values)
-    p_range = (p_values.min(), p_values.max())
-    in_band = 5e-5 <= p_range[0] and p_range[1] <= 5e-3
-    floors = [f"{p.fidelity_floor} (s={p.s})" for p in analytic.PANELS.values()]
-    return CheckResult(
-        not failures and in_band,
-        f"F > {' / '.join(floors)}; P_tot in [5e-5, 5e-3] at t={base.t}",
-        f"violations: {failures or 'none'}; P_tot range "
-        f"[{p_range[0]:.2e}, {p_range[1]:.2e}]",
-        "strict inequalities",
-    )
+    """Figure 4's fidelity floor and probability band."""
+    return _joined(4)["approximate_resource_thresholds"]
 
 
 def check_spdc_lambda_scaling() -> CheckResult:
@@ -443,37 +409,8 @@ def check_spdc_lambda_scaling() -> CheckResult:
 
 
 def check_conversion_spots() -> CheckResult:
-    """Figure 5's cells at the conversion spots, its base point:
-    probabilities against the reference bands, fidelities against this
-    implementation's frozen values."""
-    lines = []
-    passed = True
-    for name, panel in analytic.PANELS.items():
-        base, table = _table(5, name)
-        spot = rows_at(table, eta=base.eta, **{"lambda": base.lam})
-        (f_eff,), (p_tot,) = (
-            table.columns[c][spot] for c in ("fidelity", "probability_total")
-        )
-        reference, p_reference = panel.f_eff_quoted, panel.p_tot_quoted
-        p_ok = abs(p_tot - p_reference) <= 0.2 * p_reference
-        f_ok = abs(f_eff - panel.f_eff) <= 2e-3
-        passed = passed and p_ok and f_ok
-        lines.append(
-            f"lam={base.lam}: F_eff={f_eff:.4f} (frozen {panel.f_eff}, reference "
-            f"{reference}, delta {f_eff - reference:+.4f}), "
-            f"P_tot={p_tot:.2e} (reference {p_reference:.1e})"
-        )
-    return CheckResult(
-        passed,
-        "P_tot within 20% of the reference; F_eff at the frozen values",
-        "; ".join(lines),
-        "20% / 2e-3",
-        detail=(
-            "the reference F_eff quotes imply a uniform ~1.28x inflation of "
-            "the non-pair herald weights that no convention of this model "
-            "reproduces; probabilities and every other reference value agree"
-        ),
-    )
+    """Figure 5's P_tot and F_eff at the conversion spots."""
+    return _joined(5)["conversion_spots"]
 
 
 ALL_CHECKS: Sequence[Callable[[], CheckResult]] = (
@@ -501,6 +438,7 @@ ALL_CHECKS: Sequence[Callable[[], CheckResult]] = (
 def run_all_checks(names: Optional[Iterable[str]] = None) -> List[CheckResult]:
     """Run the named checks (all of them by default), in declaration order."""
     wanted = None if names is None else set(names)
+    _joined.cache_clear()
     results = []
     for func in ALL_CHECKS:
         name = func.__name__.removeprefix("check_")

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from hybridcat import cli, pipeline, selfcheck
+from hybridcat import analytic, cli, pipeline, selfcheck
 from hybridcat.cli import main, parse_scenario
 from hybridcat.errors import SimulationError, ValidationError
 from hybridcat.selfcheck import CheckResult
@@ -271,7 +271,7 @@ def test_reproduce_single_panel_grid(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 22  # header plus 3 x 7 grid
     assert "panel a" in printed
-    assert "True" in printed
+    assert "PASS approximate_resource_thresholds" in printed
 
 
 def test_reproduce_conversion_summary_mentions_reference(tmp_path, capsys):
@@ -423,21 +423,23 @@ def test_run_all_checks_names_each_result_after_its_function(monkeypatch):
 
 
 def _move_cells(monkeypatch, figure, panel, column, delta, point):
-    """Make `selfcheck` read the `reproduce` table of one figure panel with
-    the `column` cells at the swept values `point` moved by `delta`."""
-    real = selfcheck._table
+    """Make `selfcheck` and `reproduce` read the table of one figure panel
+    with the `column` cells at the swept values `point` moved by `delta`."""
+    real = pipeline.sweep
+    base = cli.figure_sweep(figure, panel)[0]
 
-    def moved(*which):
-        base, table = real(*which)
-        if which == (figure, panel):
+    def moved(config, grid):
+        table = real(config, grid)
+        if config == base:
             at = cli.rows_at(table, **point)
             assert np.count_nonzero(at) == 1
             columns = dict(table.columns)
             columns[column] = np.where(at, columns[column] + delta, columns[column])
             table = pipeline.SweepTable(table.axes, columns, table.status)
-        return base, table
+        return table
 
-    monkeypatch.setattr(selfcheck, "_table", moved)
+    for module in (cli, selfcheck):
+        monkeypatch.setattr(module, "sweep", moved)
 
 
 @pytest.mark.parametrize(
@@ -465,6 +467,96 @@ def test_figure_checks_read_the_reproduce_cells(
             _move_cells(patch, figure, "a", column, delta, point)
             (result,) = selfcheck.run_all_checks([name])
         assert result.passed is passed, (delta, result.actual)
+
+
+@pytest.mark.parametrize(
+    "name, figure, column, point, inside, past",
+    [
+        ("heralded_negativity", 4, "negativity", {"t": 0.99, "eta": 0.7}, 4e-3, 5e-3),
+        (
+            "approximate_resource_thresholds", 4, "fidelity",
+            {"t": 0.99, "eta": 0.5}, -5e-4, -1e-3,
+        ),
+        (
+            "conversion_spots", 5, "fidelity",
+            {"lambda": 0.022, "eta": 0.5}, 1.9e-3, 2.1e-3,
+        ),
+    ],
+)
+def test_reproduce_prints_the_moved_cells_claim(
+    monkeypatch, capsys, tmp_path, name, figure, column, point, inside, past
+):
+    # the cases of `test_figure_checks_read_the_reproduce_cells`, read by
+    # `reproduce`: a claim past its bound prints FAIL, and the run still
+    # exits 0
+    argv = ["reproduce", "--figure", str(figure), "--panel", "a"]
+    for delta, mark in ((inside, "PASS"), (past, "FAIL"), (np.nan, "FAIL")):
+        with monkeypatch.context() as patch:
+            _move_cells(patch, figure, "a", column, delta, point)
+            assert main(argv + ["--output", str(tmp_path / "f.tsv")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert f"  {mark} {name}" in printed, delta
+
+
+def _panel_claims(figure):
+    """Each panel of a figure: its freshly swept table and the claims
+    `panel_checks` reads off it."""
+    claims = {}
+    for panel in analytic.PANELS:
+        base, grid = cli.figure_sweep(figure, panel)
+        table = pipeline.sweep(base, grid)
+        claims[panel] = table, cli.panel_checks(figure, panel, base, table)
+    return claims
+
+
+@pytest.mark.parametrize("figure", [4, 5])
+def test_reproduce_prints_each_panels_claims(figure, tmp_path, capsys):
+    argv = ["reproduce", "--figure", str(figure), "--output", str(tmp_path / "f")]
+    assert main(argv) == 0
+    expected = []
+    for panel, (table, checks) in _panel_claims(figure).items():
+        path = tmp_path / f"f_{panel}"
+        title = f"figure {figure} panel {panel}"
+        expected.append(f"{title}: {len(table.status)} rows -> {path}")
+        expected += ["  " + line for check in checks for line in cli.check_lines(check)]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_selfcheck_joins_the_panel_claims_from_four_sweeps(monkeypatch):
+    bases = []
+    real = selfcheck.sweep
+
+    def counted(base, grid):
+        bases.append(base)
+        return real(base, grid)
+
+    monkeypatch.setattr(selfcheck, "sweep", counted)
+    results = {result.name: result for result in selfcheck.run_all_checks()}
+    # one sweep of each figure 4 and 5 panel table, and no other
+    panel_bases = [
+        cli.figure_sweep(figure, panel)[0]
+        for figure in (4, 5)
+        for panel in analytic.PANELS
+    ]
+    assert sorted(bases, key=repr) == sorted(panel_bases, key=repr)
+    claims = {}
+    for figure in (4, 5):
+        for panel, (_, checks) in _panel_claims(figure).items():
+            for check in checks:
+                claims.setdefault(check.name, {})[panel] = check
+    assert list(claims) == [
+        "heralded_negativity", "approximate_resource_thresholds", "conversion_spots"
+    ]
+    for name, parts in claims.items():
+        joined = results[name]
+        assert joined.passed is all(part.passed for part in parts.values())
+        for field in ("expected", "actual"):
+            assert getattr(joined, field) == "; ".join(
+                f"panel {panel}: {getattr(part, field)}"
+                for panel, part in parts.items()
+            )
+        assert {joined.tolerance} == {part.tolerance for part in parts.values()}
+        assert {joined.detail} == {part.detail for part in parts.values()}
 
 
 def test_help_exits_zero(capsys):
