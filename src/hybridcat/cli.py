@@ -42,6 +42,7 @@ from .pipeline import (
     CHOICES,
     FIELDS,
     METRIC_COLUMNS,
+    SECTOR_COLUMNS,
     SWEEP_AXES,
     VALUE_RULES,
     SchemeConfig,
@@ -167,9 +168,9 @@ def cmd_run(scenario_path: str, output: Optional[str]) -> int:
     print(f"per_pattern        {result.plain_probability:.6e}")
     # the downconversion sectors: vacuum, one pair, two pairs
     sectors = result.sector_probabilities if config.pair_source == "spdc" else {}
-    for n, key in enumerate(("p_vac", "p_chi", "p_phi2")):
-        if n in sectors:
-            print(f"{key:<18} {sectors[n]:.6e}")
+    row = {name: sectors[n] for n, name in enumerate(SECTOR_COLUMNS) if n in sectors}
+    for name, value in row.items():
+        print(f"{name:<18} {value:.6e}")
     if result.analytic_p_tot is not None:
         print("oracle cross-checks:")
         print(
@@ -180,11 +181,11 @@ def cmd_run(scenario_path: str, output: Optional[str]) -> int:
     else:
         print("oracle cross-checks: none (no closed form for this configuration)")
     if output:
-        cells = (
-            result.fidelity, result.probability_total, result.negativity,
-            *(sectors.get(n, np.nan) for n in range(3)), result.tail_mass,
+        cells = dict(
+            row, fidelity=result.fidelity, probability_total=result.probability_total,
+            negativity=result.negativity, tail_mass=result.tail_mass,
         )
-        columns = {name: np.array([x]) for name, x in zip(METRIC_COLUMNS, cells)}
+        columns = {name: np.array([cells.get(name, np.nan)]) for name in METRIC_COLUMNS}
         save_table(SweepTable((), columns, np.array(["ok"], dtype=object)), output)
         print(f"table -> {output}")
     return 0
@@ -328,8 +329,7 @@ def panel_checks(
 
 def _failed_lines(table: SweepTable) -> List[str]:
     failed = np.count_nonzero(table.status != "ok")
-    note = f"{failed} failed rows left out of this summary (see status column)"
-    return [note] if failed else []
+    return [f"{failed} failed rows (see status column)"] if failed else []
 
 
 def _curves(table: SweepTable, axis: str, values, text: str) -> List[str]:

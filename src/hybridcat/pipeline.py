@@ -28,11 +28,11 @@ so its negativity recombines the sectors' own; it is embedded in the
 register (a local isometry) only when a result's `post_state` is first
 read.
 
-Evaluation runs one preparation at a time (`_evaluate`): the points of a
-sweep that differ only in eta (and, for downconversion, lambda) share one
+Scoring runs one preparation at a time (`_score`): the points of a sweep
+that differ only in eta (and, for downconversion, lambda) share one
 `_factors` lookup and are scored together as columns over (lambda, eta),
 which `sweep` copies as a block into its `SweepTable`'s columns, with no
-object per row. `run_scheme` is the same evaluation at one point, read off
+object per row. `run_scheme` is the same scoring at one point, read off
 its one row, plus rho_t.
 """
 
@@ -88,10 +88,11 @@ CHOICES = MappingProxyType({
     "detector": DETECTORS,
 })
 SWEEP_AXES = ("alpha_f", "eta", "lambda", "s", "t", "z")
+# downconversion's vacuum, one-pair and two-pair probabilities, by pair number
+SECTOR_COLUMNS = ("p_vac", "p_chi", "p_phi2")
 # a sweep table's metric columns, in the order the result tables print them
 METRIC_COLUMNS = (
-    "fidelity", "probability_total", "negativity", "p_vac", "p_chi", "p_phi2",
-    "tail_mass",
+    "fidelity", "probability_total", "negativity", *SECTOR_COLUMNS, "tail_mass",
 )
 
 
@@ -224,7 +225,7 @@ def resolve_cutoffs(config: SchemeConfig) -> ResolvedCutoffs:
     (and the odd-photon expansion length for the squeezed source).
     """
     alpha_i = config.resolved_alpha_i
-    x = math.sqrt(max(0.0, 1.0 - config.t)) * alpha_i
+    x = math.sqrt(1.0 - config.t) * alpha_i
     a = max(config.pair_spec().sector_weights())
 
     if config.cutoff_detector is not None:
@@ -296,7 +297,7 @@ def _beam(config: SchemeConfig, cuts: ResolvedCutoffs):
 
 def _displacement_amplitude(config: SchemeConfig) -> float:
     # the "diagonal" convention: x / sqrt(2) on each polarization component
-    x = math.sqrt(max(0.0, 1.0 - config.t)) * config.resolved_alpha_i
+    x = math.sqrt(1.0 - config.t) * config.resolved_alpha_i
     return x / math.sqrt(2.0)
 
 
@@ -567,44 +568,14 @@ def _embed(factors: _Factors, rho: np.ndarray) -> DensityOperator:
     return DensityOperator(("A_H", "A_V", "B"), dims, matrix.reshape(dim_a * dim_b, -1))
 
 
-def _evaluate(
+def _score(
     key: SchemeConfig, lams: Sequence[Optional[float]], etas: Sequence[float]
 ):
     """Score the points (lams[i], etas[j]) of one preparation, `key` a
-    `_factors_key` and lambda None unless the pair source is
-    downconversion: `_score`'s columns, the `SimulationError` that failed a
-    point, by (i, j), and the sectors' unit-weight blocks B_n. A point's
-    own values are checked first, then the shared preparation and its
-    truncation, then the point's herald; an invalid lambda or eta is
-    scored as 0 or 1 in its stead, and its points keep their own error.
-    """
-    failures: Dict[Tuple[int, int], SimulationError] = {}
-    weights = []
-    for i, lam in enumerate(lams):
-        try:
-            weights.append(list(_sector_weights(key, lam).values()))
-        except ValidationError as exc:
-            failures.update(((i, j), exc) for j in range(len(etas)))
-            weights.append(list(_sector_weights(key, 0.0).values()))
-    scored = list(etas)
-    for j, eta in enumerate(etas):
-        try:
-            efficiency(eta)
-        except ValidationError as exc:
-            failures.update(((i, j), exc) for i in range(len(lams)))
-            scored[j] = 1.0
-    try:
-        columns, failed, blocks = _score(key, scored, np.array(weights))
-    except SimulationError as exc:
-        columns, blocks = {}, None
-        failed = dict.fromkeys(np.ndindex(len(lams), len(etas)), exc)
-    return columns, {**failed, **failures}, blocks
-
-
-def _score(key: SchemeConfig, etas, w: np.ndarray):
-    """`_evaluate`'s scores, with the sector weights at each lambda as the
-    rows of `w`: columns over (lambda, eta), the failures among the
-    points, and each sector n's unit-weight block B_n stacked over eta.
+    `_factors_key`, each value in range, lambda None but for downconversion:
+    columns over (lambda, eta), the failures among the points by (i, j),
+    and each sector n's unit-weight block B_n stacked over eta. A failed
+    preparation (`_factors`) raises.
 
     The POVM is photon-number diagonal and the unit sectors differ in
     signal photon number, so P and F read only each sector's Gram block
@@ -641,6 +612,7 @@ def _score(key: SchemeConfig, etas, w: np.ndarray):
         traces[n] = np.trace(b, axis1=1, axis2=2).real
         overlaps[n] = ((b @ c) * c.conj()).sum(axis=1).real
     # rows lambda, columns sector n, summed over the sectors in ascending n
+    w = np.array([list(_sector_weights(key, lam).values()) for lam in lams])
     plain = sum(wn[:, None] * traces[n] for wn, n in zip(w.T, blocks))
     overlap = sum(wn[:, None] * overlaps[n] for wn, n in zip(w.T, blocks))
     if spdc:
@@ -674,8 +646,7 @@ def _score(key: SchemeConfig, etas, w: np.ndarray):
         "sector_probabilities": sectors,
         "f_chi": empty,
     }
-    # downconversion's vacuum, one-pair and two-pair terms
-    for n, name in enumerate(("p_vac", "p_chi", "p_phi2")):
+    for n, name in enumerate(SECTOR_COLUMNS):
         columns[name] = sectors[n] if spdc and n in traces else empty
     if spdc:
         t = traces[1]
@@ -697,18 +668,18 @@ def _score(key: SchemeConfig, etas, w: np.ndarray):
 
 
 def run_scheme(config: SchemeConfig) -> SchemeResult:
-    """Simulate one heralded run of the scheme: `sweep`'s evaluation of one
-    preparation (`_evaluate`) at the config's one point, read off its one
-    row, so a run is its sweep row bit for bit. Both click patterns
-    contribute; only the plain one is heralded (see `_score`). The fidelity
-    is against the hybrid target at the configured alpha_f and phi, and the
-    negativity is eigensolved per sector on the term-basis blocks (at
-    alpha_f = 2.5, 4 dimensions instead of the register's 132). rho_t, the
-    blocks' mixture sum_n w_n B_n / (P / 2), is kept for `post_state` to
-    embed at its first read.
+    """Simulate one heralded run of the scheme: `sweep`'s scoring of one
+    preparation (`_score`) at the config's one point, read off its one row,
+    so a run is its sweep row bit for bit; a failed preparation or point
+    raises its error. Both click patterns contribute; only the plain one is
+    heralded (see `_score`). The fidelity is against the hybrid target at
+    the configured alpha_f and phi, and the negativity is eigensolved per
+    sector on the term-basis blocks (at alpha_f = 2.5, 4 dimensions instead
+    of the register's 132). rho_t, the blocks' mixture sum_n w_n B_n /
+    (P / 2), is kept for `post_state` to embed at its first read.
     """
     key = _factors_key(config)
-    columns, failures, blocks = _evaluate(key, (config.lam,), (config.eta,))
+    columns, failures, blocks = _score(key, (config.lam,), (config.eta,))
     if failures:
         raise failures[0, 0]
     row = {name: column[..., 0, 0] for name, column in columns.items()}
@@ -802,14 +773,14 @@ def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTab
     at a time: axes sorted by name and values ascending, so the row order
     does not depend on the input's. Points that differ only in eta (and,
     for downconversion, lambda) share one preparation, whose (lambda, eta)
-    columns `_evaluate` scores in one pass and the table takes as a block.
+    columns `_score` scores in one pass and the table takes as a block.
     Each row is the `run_scheme` of its point, bit for bit, negativity
     included, without the post-state. Each axis of `SWEEP_AXES` takes a
     non-empty collection, not a string, of finite real numbers, numpy
     scalars too, bools not, or the whole call is refused with
     `ValidationError` before any point runs. A number out of its field's
-    range, like eta = 1.5, fails its own row alone, as do points that hit
-    numerical limits: their rows get an error status instead.
+    range, like eta = 1.5, fails its own row alone, ahead of its preparation,
+    as do points that hit numerical limits: their rows get an error status.
     """
     if not grid:
         raise ValidationError("sweep grid must name at least one axis")
@@ -832,6 +803,21 @@ def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTab
     inner = [a if a in axes and (a == "eta" or spdc) else "" for a in ("lambda", "eta")]
     lams = values[axes.index("lambda")] if inner[0] else (config.lam,)
     etas = values[axes.index("eta")] if inner[1] else (config.eta,)
+    # each inner value is checked once: one out of range is scored at a
+    # stand-in (lambda 0, eta 1), and its points keep their own error
+    own, lams, etas = {}, list(lams), list(etas)
+    for i, lam in enumerate(lams if spdc else ()):
+        try:
+            analytic.interaction_strength(lam)
+        except ValidationError as exc:
+            own.update(((i, j), exc) for j in range(len(etas)))
+            lams[i] = 0.0
+    for j, eta in enumerate(etas):
+        try:
+            efficiency(eta)
+        except ValidationError as exc:
+            own.update(((i, j), exc) for i in range(len(lams)))
+            etas[j] = 1.0
     outer = [k for k, axis in enumerate(axes) if axis not in inner]
     shape = tuple(len(values[k]) for k in outer) + (len(lams), len(etas))
     cells = {name: np.full(shape, np.nan) for name in METRIC_COLUMNS}
@@ -843,13 +829,13 @@ def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTab
             updates["alpha_i"] = None
         try:
             key = _factors_key(config, **updates)
-            columns, failures, _ = _evaluate(key, lams, etas)
+            columns, failures, _ = _score(key, lams, etas)
         except SimulationError as exc:
             status[at] = f"error:{type(exc).__name__}"
-            continue
+            columns, failures = {}, {}
         for name, column in cells.items():
             column[at] = columns.get(name, np.nan)
-        for point, exc in failures.items():
+        for point, exc in {**failures, **own}.items():
             status[at + point] = f"error:{type(exc).__name__}"
             for column in cells.values():
                 column[at + point] = np.nan

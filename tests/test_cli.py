@@ -341,7 +341,7 @@ def test_reproduce_summary_skips_failed_rows(
     """One row, picked by its swept values, fails inside the group function
     that scores every row of its preparation."""
     failed = []
-    real = pipeline._evaluate
+    real = pipeline._score
 
     def failing(key, lams, etas):
         columns, failures, rho = real(key, lams, etas)
@@ -356,14 +356,14 @@ def test_reproduce_summary_skips_failed_rows(
                 failures[i, j] = SimulationError("injected failure")
         return columns, failures, rho
 
-    monkeypatch.setattr(pipeline, "_evaluate", failing)
+    monkeypatch.setattr(pipeline, "_score", failing)
     code = main(
         ["reproduce", "--figure", str(figure), "--output", str(tmp_path / "fig.tsv")]
     )
     printed = capsys.readouterr().out
     assert code == 0
     assert len(failed) == 1
-    assert "1 failed rows left out" in printed
+    assert "1 failed rows (see status column)" in printed
     statuses = []
     for name in files:
         lines = (tmp_path / name).read_text().splitlines()[1:]

@@ -99,6 +99,25 @@ def test_an_out_of_range_grid_value_fails_its_own_row():
     assert [row.params for row in table.rows] == [(("eta", 0.5),), (("eta", 1.5),)]
 
 
+def test_a_points_own_values_fail_it_ahead_of_its_preparation():
+    """A point's own out-of-range value decides its status first, then the
+    shared preparation (alpha_f = 3.0 needs more than cutoff_detector 5),
+    then its herald; every out-of-range lambda, eta and t fails its rows."""
+    config = SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0, cutoff_detector=5)
+    table = sweep(config, {"alpha_f": (0.5, 3.0), "eta": (0.9, 1.5)})
+    assert [row.status for row in table.rows] == [
+        "ok", "error:ValidationError", "error:CutoffError", "error:ValidationError",
+    ]
+    spot = SchemeConfig(
+        t=0.99, eta=0.5, alpha_i=0.7, scs_source="squeezed", s=0.161,
+        pair_source="spdc", lam=0.022, detector="onoff",
+    )
+    grid = {"eta": (-0.1, 0.5), "lambda": (0.022, 1.0), "t": (0.99, 1.5)}
+    statuses = [row.status for row in sweep(spot, grid).rows]
+    assert statuses.pop(4) == "ok"
+    assert statuses == ["error:ValidationError"] * 7
+
+
 def test_config_refuses_numpy_bools():
     with pytest.raises(ValidationError, match="eta must be a number"):
         SchemeConfig(t=0.9, eta=np.True_, alpha_f=1.0)

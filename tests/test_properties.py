@@ -94,20 +94,22 @@ def test_a_run_heralds_a_state(config):
     configs(),
     st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4, unique=True),
     st.lists(st.floats(0.001, 0.1), min_size=2, max_size=2, unique=True),
+    st.sampled_from((-0.5, -1e-9, 1.0 + 1e-9, 1.5)),
 )
-def test_a_sweep_of_many_points_is_its_runs(config, etas, lams):
-    """2-4 efficiencies (and, for downconversion, 2 lambdas) swept in one
-    call: each row holds its point's run, P, F, negativity and truncation
-    deficit bit for bit, or a failed run's error type."""
-    grid = {"eta": etas}
+def test_a_sweep_of_many_points_is_its_runs(config, etas, lams, bad_eta):
+    """2-4 efficiencies and one out of range (and, for downconversion, 2
+    lambdas) swept in one call: each row holds its point's run, P, F,
+    negativity and truncation deficit bit for bit, or the error type of a
+    failed run or of a config that refuses the point."""
+    grid = {"eta": etas + [bad_eta]}
     if config.pair_source == "spdc":
         grid["lambda"] = lams
     table = sweep(config, grid)
-    assert len(table.rows) == len(etas) * (len(lams) if "lambda" in grid else 1)
+    assert len(table.rows) == len(grid["eta"]) * (len(lams) if "lambda" in grid else 1)
     for row in table.rows:
-        point = dataclasses.replace(config, **{FIELDS[a][0]: v for a, v in row.params})
+        values = {FIELDS[a][0]: v for a, v in row.params}
         try:
-            result = run_scheme(point)
+            result = run_scheme(dataclasses.replace(config, **values))
         except SimulationError as exc:
             assert row.status == f"error:{type(exc).__name__}"
             continue
