@@ -77,6 +77,7 @@ from .resource_states import (
     SqueezedPhotonSpec,
     coherent_cutoff_for,
     source_amplitudes,
+    squeezed_cutoff_for,
 )
 
 SCS_SOURCES = ("ideal", "squeezed")
@@ -121,7 +122,6 @@ class SchemeConfig:
     alpha_f: Optional[float] = None
     scs_source: str = "ideal"
     s: Optional[float] = None
-    n_cut: int = 7
     pair_source: str = "chi"
     z: Optional[float] = None
     lam: Optional[float] = None
@@ -154,12 +154,11 @@ class SchemeConfig:
             raise ValidationError("z must be set exactly for the vacuum_mixed pair")
         if (self.lam is None) == (self.pair_source == "spdc"):
             raise ValidationError("lambda must be set exactly for the spdc pair")
-        # the source specs own the range checks of their parameters; the
-        # squeezed photon's and downconversion's are checked whatever the
-        # source, so that no malformed value is silently ignored
+        # the source specs own the range checks of their parameters;
+        # downconversion's are checked whatever the pair source, so that no
+        # malformed value is silently ignored
         self.source_spec()
         self.pair_spec()
-        SqueezedPhotonSpec(self.s or 0.0, self.n_cut)
         PairSourceSpec("spdc", order_max=self.spdc_order, weighting=self.spdc_weighting)
         if not (0.0 < self.tail_tol < 1.0):
             raise ValidationError("tail_tol must be in (0, 1)")
@@ -181,7 +180,7 @@ class SchemeConfig:
         squeezed photon (`SqueezedPhotonSpec`) for "squeezed"."""
         if self.scs_source == "ideal":
             return ScsSpec(self.resolved_alpha_i, self.phi)
-        return SqueezedPhotonSpec(self.s, self.n_cut)
+        return SqueezedPhotonSpec(self.s)
 
     def pair_spec(self) -> PairSourceSpec:
         """The pair source's spec, with its downconversion weights; a z or
@@ -221,8 +220,11 @@ def resolve_cutoffs(config: SchemeConfig) -> ResolvedCutoffs:
     channels see the tapped source field and the displacement,
     each of amplitude sqrt(r) alpha_i, so their cutoff covers the coherent
     sum of the two with the displacement operator's safety margin. The kept
-    field mode holds the source beam, so it follows the coherent-tail bound
-    (and the odd-photon expansion length for the squeezed source).
+    field mode holds the source beam and the target: b keeps all but 1e-12
+    of the coherent state of amplitude alpha_i and, for the squeezed
+    source, of the squeezed photon's own expansion (`squeezed_cutoff_for`),
+    so that the source's contract (`source_amplitudes`) holds at b; the
+    mass above b leaves the beam's box and enters the tail mass (`_beam`).
     """
     alpha_i = config.resolved_alpha_i
     x = math.sqrt(1.0 - config.t) * alpha_i
@@ -238,7 +240,7 @@ def resolve_cutoffs(config: SchemeConfig) -> ResolvedCutoffs:
     else:
         b = max(14, coherent_cutoff_for(alpha_i, tail=1e-12))
         if config.scs_source == "squeezed":
-            b = max(b, 2 * config.n_cut + 1)
+            b = max(b, squeezed_cutoff_for(config.s, tail=1e-12))
 
     return ResolvedCutoffs(a=int(a), detector=int(det), b=int(b))
 

@@ -7,9 +7,11 @@ and parametric pair sources with vacuum plus higher-order components, each
 a mixture of pair-number terms whose weights it owns.
 
 `source_amplitudes` is the beam source, the cat or the squeezed photon by
-its spec, evaluated once and normalized; truncation deficits can be probed
-through the raw amplitude functions (`coherent_amplitudes`,
-`squeezed_amplitudes`).
+its spec, evaluated once from its exact expansion, held to one cutoff
+contract and normalized; the raw amplitude functions
+(`coherent_amplitudes`, `squeezed_amplitudes`) expand to any photon
+number, and `coherent_cutoff_for` and `squeezed_cutoff_for` find where a
+tail bound holds.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "coherent_cutoff_for",
     "source_amplitudes",
     "squeezed_amplitudes",
+    "squeezed_cutoff_for",
 ]
 
 COHERENT_TAIL_BOUND = 1e-10
@@ -52,11 +55,9 @@ class ScsSpec:
     phi: float
 
     def __post_init__(self) -> None:
-        nonnegative("alpha", self.alpha)
-        if abs(math.cos(real("phi", self.phi)) + 1.0) < 1e-9 and self.alpha <= 1e-6:
-            raise ValidationError(
-                "odd superposition normalization diverges for alpha <= 1e-6"
-            )
+        # the closed forms' one check of the amplitude, the phase and
+        # where the normalization diverges
+        n_phi(self.alpha, self.phi)
 
     @property
     def normalization(self) -> float:
@@ -65,30 +66,12 @@ class ScsSpec:
 
 @dataclass(frozen=True)
 class SqueezedPhotonSpec:
-    """Squeezed single photon with squeezing s, summation cutoff n_cut.
-
-    The state populates odd occupations 1, 3, ..., 2 n_cut + 1.
-    """
+    """Squeezed single photon S(s)|1> with squeezing s, on odd occupations."""
 
     s: float
-    n_cut: int = 7
 
     def __post_init__(self) -> None:
         nonnegative("s", self.s)
-        if integer("n_cut", self.n_cut) < 1:
-            raise ValidationError(f"n_cut must be >= 1, got {self.n_cut!r}")
-
-    @property
-    def fock_cutoff(self) -> int:
-        return 2 * self.n_cut + 1
-
-    def check_cutoff(self, cutoff: int) -> None:
-        """Raises CutoffError unless a mode of `cutoff` holds the expansion."""
-        if cutoff < self.fock_cutoff:
-            raise CutoffError(
-                f"squeezed single photon with n_cut={self.n_cut} needs mode "
-                f"cutoff >= {self.fock_cutoff}, got {cutoff}"
-            )
 
 
 @dataclass(frozen=True)
@@ -165,48 +148,60 @@ def coherent_cutoff_for(alpha: complex, tail: float = COHERENT_TAIL_BOUND) -> in
     return n
 
 
+def squeezed_cutoff_for(s: float, tail: float) -> int:
+    """Smallest cutoff whose squeezed-photon tail mass is at most `tail`:
+    the terms |c_(2n+1)|^2 run from cosh^-3 s = (1 - tanh^2 s)^(3/2) by the
+    ratio tanh^2 s (2n + 3) / (2n + 2)."""
+    tanh2 = math.tanh(s) ** 2
+    term = total = (1.0 - tanh2) ** 1.5
+    n = 0
+    while 1.0 - total > tail:
+        term *= tanh2 * (2 * n + 3) / (2 * n + 2)
+        total += term
+        n += 1
+        if n > 10_000:
+            raise ValidationError(f"squeezing s={s} too large to truncate")
+    return 2 * n + 1
+
+
 def source_amplitudes(
     spec: ScsSpec | SqueezedPhotonSpec, cutoff: int, reach: int
 ) -> np.ndarray:
     """The beam source's amplitudes up to `reach` >= `cutoff` photons,
-    normalized there, from one evaluation: the superposition of
-    coherent states N (|alpha> + e^{i phi} |-alpha>) of an `ScsSpec`, or the
-    squeezed single photon of a `SqueezedPhotonSpec`, renormalized after its
-    summation cutoff. The source's cutoff contract holds at `cutoff`, on the
-    first cutoff + 1 raw entries: the superposition's tail mass there is at
-    most 1e-9, and the squeezed photon's 2 n_cut + 1 photons fit."""
+    normalized there, from one evaluation: the superposition of coherent
+    states N (|alpha> + e^{i phi} |-alpha>) of an `ScsSpec`, or the squeezed
+    single photon of a `SqueezedPhotonSpec`. Both expansions are exact, so
+    one cutoff contract holds for either source: the raw amplitudes' mass
+    above `cutoff` photons is at most 1e-9, or `CutoffError`."""
     if isinstance(spec, ScsSpec):
         plus = coherent_amplitudes(spec.alpha, reach)
         minus = coherent_amplitudes(-spec.alpha, reach)
         amps = spec.normalization * (plus + np.exp(1j * spec.phi) * minus)
-        lost = 1.0 - float(np.sum(np.abs(amps[: cutoff + 1]) ** 2))
-        if lost > 1e-9:
-            raise CutoffError(
-                f"superposition tail mass {lost:.3e} too large; "
-                f"need cutoff >= {coherent_cutoff_for(spec.alpha)}"
-            )
     else:
-        spec.check_cutoff(cutoff)
         amps = squeezed_amplitudes(spec, reach)
+    lost = 1.0 - float(np.sum(np.abs(amps[: cutoff + 1]) ** 2))
+    if lost > 1e-9:
+        raise CutoffError(
+            f"source tail mass {lost:.3e} above {cutoff} photons exceeds 1e-9"
+        )
     return amps / float(np.linalg.norm(amps))
 
 
 def squeezed_amplitudes(spec: SqueezedPhotonSpec, cutoff: int) -> np.ndarray:
-    """Raw truncated amplitudes of the squeezed single photon.
-
-    Occupation 2n+1 carries (tanh s)^n (cosh s)^{-3/2} sqrt((2n+1)!)/(2^n n!)
-    for n = 0 .. n_cut; the vector is not renormalized.
+    """The squeezed single photon's exact amplitudes up to `cutoff` photons,
+    not renormalized: occupation 2n + 1 carries c_(2n+1) = tanh^n s
+    cosh^(-3/2) s sqrt((2n + 1)!) / (2^n n!), |c_(2n+1)|^2 = tanh^(2n) s
+    (2n + 1)! / (cosh^3 s 4^n n!^2) (Kim, de Oliveira & Knight, Phys. Rev. A
+    40, 2494 (1989)), with the factorials in logarithms so that no photon
+    number overflows.
     """
-    spec.check_cutoff(cutoff)
+    if cutoff < 0:
+        raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
+    n = np.arange((cutoff + 1) // 2)
+    lg = log_factorials(2 * n.size)
+    x = math.tanh(spec.s)
     amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    tanh_s = math.tanh(spec.s)
-    cosh_s = math.cosh(spec.s)
-    for n in range(spec.n_cut + 1):
-        weight = (
-            tanh_s**n
-            / cosh_s**1.5
-            * math.sqrt(math.factorial(2 * n + 1))
-            / (2**n * math.factorial(n))
-        )
-        amps[2 * n + 1] = weight
+    # plain powers, not logarithms: at s = 0 the photon needs 0 ** 0 = 1
+    amps[1::2] = (1.0 - x * x) ** 0.75 * x**n \
+        * np.exp(0.5 * lg[2 * n + 1] - lg[n] - n * math.log(2.0))
     return amps

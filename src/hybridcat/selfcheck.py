@@ -392,7 +392,7 @@ def check_spdc_lambda_scaling() -> CheckResult:
         p = full.sector_probabilities
         formula = analytic.f_eff(p[0], p[1], p[2], lam, full.f_chi)
         worst_f = max(worst_f, abs(full.fidelity - formula) / formula)
-    small = replace(base, t=0.95, eta=0.9, alpha_i=0.5, n_cut=3, lam=0.05, cutoff_b=8)
+    small = replace(base, t=0.95, eta=0.9, alpha_i=0.5, lam=0.05, cutoff_b=11)
     run = run_scheme(small)
     (probability, post), _ = herald_patterns(small)
     gap_p = abs(run.plain_probability / probability - 1.0)

@@ -126,7 +126,7 @@ def test_run_prints_the_negativity_of_its_sweep_row(tmp_path, capsys):
     assert main(["sweep", "--scenario", scenario, "--output", str(table)]) == 0
     capsys.readouterr()
     header, row = (line.split("\t") for line in table.read_text().splitlines())
-    assert row[header.index("negativity")] == printed == "8.77631504763e-01"
+    assert row[header.index("negativity")] == printed == "8.77631504244e-01"
 
 
 def test_run_writes_single_row_table(tmp_path, capsys):
@@ -155,10 +155,9 @@ def test_run_missing_file_is_invalid_input(tmp_path, capsys):
     [
         "spdc_order = -3\n",
         "spdc_weighting = bogus\n",
-        "n_cut = 0\n",
-        "spdc_order = -3\nspdc_weighting = bogus\nn_cut = 0\n",
+        "spdc_order = -3\nspdc_weighting = bogus\n",
     ],
-    ids=["spdc_order", "spdc_weighting", "n_cut", "all"],
+    ids=["spdc_order", "spdc_weighting", "all"],
 )
 def test_run_refuses_values_the_sources_do_not_read(extra, tmp_path, capsys):
     # an ideal cat and a chi pair read none of these keys, but a malformed

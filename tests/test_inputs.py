@@ -44,14 +44,15 @@ def test_scenario_keys_are_the_schema_and_the_sweep_axes():
     names = [
         name
         for name, value in vars(cli).items()
-        if isinstance(value, (tuple, list, set, frozenset)) and "n_cut" in value
+        if isinstance(value, (tuple, list, set, frozenset)) and "spdc_order" in value
     ]
     assert names == []
 
 
 @pytest.mark.parametrize(
     "text",
-    ["t = nan", "eta = inf", "n_cut = 7.0", "cutoff_b = x", "sweep_eta = 0.5, nan"],
+    ["t = nan", "eta = inf", "spdc_order = 2.0", "cutoff_b = x",
+     "sweep_eta = 0.5, nan"],
 )
 def test_scenario_values_follow_the_rules(text):
     with pytest.raises(ValidationError, match="scenario line 1: .* must be a number"):
@@ -135,7 +136,7 @@ SPDC = dict(
     "kwargs, field, value",
     [
         (dict(t=0.9, eta=0.9, alpha_f=1.0), "cutoff_detector", 8),
-        (dict(SPDC, pair_source="chi", lam=None, detector="pnr"), "n_cut", 7),
+        (dict(SPDC, pair_source="chi", lam=None, detector="pnr"), "cutoff_b", 15),
         (SPDC, "spdc_order", 2),
     ],
 )
@@ -169,6 +170,36 @@ def test_a_deleted_field_is_an_unknown_scenario_key(tmp_path, capsys):
     path.write_text("t = 0.9\neta = 0.9\nalpha_f = 1.0\ncutoff_a = 2\n", "utf-8")
     assert cli.main(["run", "--scenario", str(path)]) == 1
     assert "scenario line 4: unknown key 'cutoff_a'" in capsys.readouterr().err
+
+
+def test_n_cut_is_refused_naming_the_key(tmp_path, capsys):
+    """The squeezed photon is evaluated exactly to every photon number the
+    run reaches, so no input cuts it: a scenario or a config that still
+    sets `n_cut` is refused, naming the key."""
+    path = tmp_path / "run.txt"
+    path.write_text(
+        "t = 0.99\neta = 0.7\nalpha_i = 0.7\nscs_source = squeezed\n"
+        "s = 0.161\nn_cut = 7\n",
+        "utf-8",
+    )
+    assert cli.main(["run", "--scenario", str(path)]) == 1
+    assert "scenario line 6: unknown key 'n_cut'" in capsys.readouterr().err
+    with pytest.raises(TypeError, match="n_cut"):
+        SchemeConfig(t=0.99, eta=0.7, alpha_i=0.7, scs_source="squeezed", s=0.161,
+                     n_cut=7)
+
+
+def test_the_odd_cats_divergence_has_one_home():
+    """`analytic.n_phi` alone decides where the odd cat's normalization
+    diverges: the config and the closed forms accept alpha_f = 8e-7 alike
+    and refuse 4e-7 alike."""
+    assert SchemeConfig(t=0.9, eta=0.9, alpha_f=8e-7)
+    assert analytic.p_tot_eta(8e-7, 0.9, 0.9) > 0.0
+    for call in (
+        lambda: SchemeConfig(t=0.9, eta=0.9, alpha_f=4e-7),
+        lambda: analytic.p_tot_eta(4e-7, 0.9, 0.9),
+    ):
+        assert "normalization diverges" in _message(call)
 
 
 def _message(call) -> str:

@@ -58,8 +58,6 @@ def test_config_validates_ranges():
         SchemeConfig(t=0.9, eta=0.9, alpha_i=0.7, detector="analog")
     for source in (
         dict(scs_source="squeezed", s=-0.1),
-        dict(scs_source="squeezed", s=0.2, n_cut=0),
-        dict(scs_source="squeezed", s=0.161, n_cut=2.5),
         dict(pair_source="vacuum_mixed", z=0.0),
         dict(pair_source="vacuum_mixed", z=1.5),
         dict(pair_source="spdc", lam=1.0),
@@ -73,8 +71,6 @@ def test_config_validates_ranges():
     for field in (
         dict(spdc_order=-3),
         dict(spdc_weighting="bogus"),
-        dict(n_cut=0),
-        dict(n_cut=True),
         dict(spdc_order=True),
         dict(cutoff_detector=True),
         dict(cutoff_b=False),
@@ -268,23 +264,23 @@ SPOT_A = dict(
 )
 
 SPOT_A_EXPECTED = {
-    "p_vac": 1.264713567e-08,
+    "p_vac": 1.264713596e-08,
     "p_chi": 9.766780704e-04,
     "p_phi2": 4.260359997e-02,
     "f_chi": 9.962401869e-01,
-    "f_eff": 9.507315780e-01,
-    "p_tot": 4.950997264e-07,
+    "f_eff": 9.507315775e-01,
+    "p_tot": 4.950997267e-07,
 }
 
 SPOT_B = dict(SPOT_A, alpha_i=1.0, s=0.313, lam=0.038)
 
 SPOT_B_EXPECTED = {
-    "p_vac": 1.886964888e-07,
-    "p_chi": 1.429033214e-03,
-    "p_phi2": 4.292235651e-02,
-    "f_chi": 9.864761698e-01,
-    "f_eff": 8.692831484e-01,
-    "p_tot": 2.338337958e-06,
+    "p_vac": 1.887047991e-07,
+    "p_chi": 1.429033374e-03,
+    "p_phi2": 4.292235670e-02,
+    "f_chi": 9.864760431e-01,
+    "f_eff": 8.692799634e-01,
+    "p_tot": 2.338346488e-06,
 }
 
 
@@ -604,7 +600,8 @@ def test_factored_herald_matches_dense_oracle(pair, beam, detector, extra):
     if pair == "spdc":
         kwargs["lam"] = 0.3
     if beam == "squeezed":
-        kwargs.update(s=0.2, n_cut=3)
+        # the squeezed photon's cutoff contract needs b >= 9 at s = 0.1
+        kwargs.update(s=0.1, cutoff_b=9)
     config = SchemeConfig(**kwargs, **extra)
     result = run_scheme(config)
     probs, rho = _dense_oracle(config)
@@ -713,7 +710,7 @@ def test_negativity_eigensolve_runs_on_the_product_support(monkeypatch):
     # one run, one efficiency: a stack of one
     assert sizes == [(1, 4, 4)]
     assert abs(result.negativity - _full_negativity(result.post_state)) <= 1e-12
-    for spot, expected in zip(FIGURE_4_SPOTS, (20, 22)):
+    for spot, expected in zip(FIGURE_4_SPOTS, (18, 20)):
         sizes, result = _eigensolve_sizes(monkeypatch, SchemeConfig(**spot))
         # vacuum-mixed pairs use |0, 0>, |0, 1> and |1, 0>; the vacuum
         # sector's one state is its own partial transpose and is skipped
@@ -724,13 +721,13 @@ def test_negativity_eigensolve_runs_on_the_product_support(monkeypatch):
 
 
 def test_negativity_cap_checks_the_eigensolved_dimension(monkeypatch):
-    monkeypatch.setattr(metrics, "MAX_NEGATIVITY_DIM", 20)
+    monkeypatch.setattr(metrics, "MAX_NEGATIVITY_DIM", 18)
     # a figure 4 spot: the one-pair sector's 2 signal states times beam
-    # rank 11; the cap trips before any eigensolve
+    # rank 10; the cap trips before any eigensolve
     config = SchemeConfig(**FIGURE_4_SPOTS[1])
     with monkeypatch.context() as patch:
         shapes = _record_eigensolves(patch)
-        with pytest.raises(ValidationError, match="dimension 22 exceeds"):
+        with pytest.raises(ValidationError, match="dimension 20 exceeds"):
             run_scheme(config)
         # the cap sees the dimension, not the stack: every row of a sweep fails
         table = sweep(config, {"eta": (0.5, 0.7, 0.9)})
@@ -907,8 +904,51 @@ def test_sector_negativities_sum_to_the_whole_state(kwargs):
 def test_conversion_spot_negativities():
     """The pair-number mixture's negativity at the two conversion spots, a
     polarization qubit's, below its maximum of 1."""
-    for kwargs, expected in ((SPOT_A, 0.877631504763), (SPOT_B, 0.862343208329)):
+    for kwargs, expected in ((SPOT_A, 0.877631504244), (SPOT_B, 0.862340131398)):
         assert abs(run_scheme(SchemeConfig(**kwargs)).negativity - expected) < 1e-9
+
+
+def test_the_squeezed_photons_mass_above_b_counts_in_the_tail():
+    """At the figure-5a spot (b = 15) the source runs past b and the box
+    keeps the field up to b: each photon stays in the field with
+    probability t, so at least t^(b + 1) of the photon's mass above b
+    leaves the box and enters every sector's deficit."""
+    result = run_scheme(SchemeConfig(**SPOT_A))
+    b = result.cutoffs.b
+    assert b == 15
+    spec = resource_states.SqueezedPhotonSpec(SPOT_A["s"])
+    amps = resource_states.squeezed_amplitudes(spec, 80)
+    above = float(np.sum(np.abs(amps[b + 1 :]) ** 2))
+    assert 1e-13 < SPOT_A["t"] ** (b + 1) * above <= result.tail_mass
+
+
+def _largest_move(config, **cutoffs) -> float:
+    """How far F and N move, and P relative to itself, when `config` runs
+    at the given cutoffs instead of its own."""
+    base, raised = run_scheme(config), run_scheme(dataclasses.replace(config, **cutoffs))
+    return max(
+        abs(raised.fidelity - base.fidelity),
+        abs(raised.negativity - base.negativity),
+        abs(raised.probability_total / base.probability_total - 1.0),
+    )
+
+
+@pytest.mark.parametrize("spot", [SPOT_A, SPOT_B], ids=["5a", "5b"])
+def test_conversion_spots_converge_in_the_cutoffs(spot):
+    """Raising the field cutoff by 6 and the detector cutoff by 4 moves
+    F, N and P/P by at most 1e-10."""
+    config = SchemeConfig(**spot)
+    cuts = resolve_cutoffs(config)
+    raised = dict(cutoff_b=cuts.b + 6, cutoff_detector=cuts.detector + 4)
+    assert _largest_move(config, **raised) <= 1e-10
+
+
+def test_a_large_detector_cutoff_runs_the_squeezed_photon():
+    """At cutoff_detector = 80 the source runs to b + 2d = 185 photons, past
+    where (2n + 1)! overflows a float: the run raises no `OverflowError`,
+    and its numbers are the default cutoffs' within 1e-10."""
+    config = SchemeConfig(**dict(FIGURE_4_SPOTS[1], pair_source="chi", z=None))
+    assert _largest_move(config, cutoff_detector=80) <= 1e-10
 
 
 SOURCES = {
@@ -1005,7 +1045,8 @@ def test_too_small_field_cutoff_raises():
     # each source's cutoff contract holds at b, though the beam is built
     # from the source up to b + 2d photons
     small = SchemeConfig(t=0.9, eta=0.9, alpha_i=1.0, cutoff_b=10)
-    squeezed = dataclasses.replace(small, scs_source="squeezed", s=0.2, cutoff_b=14)
+    # the squeezed photon at s = 0.2 needs b >= 13
+    squeezed = dataclasses.replace(small, scs_source="squeezed", s=0.2, cutoff_b=12)
     for config in (small, squeezed):
         with pytest.raises(CutoffError):
             run_scheme(config)

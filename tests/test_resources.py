@@ -16,6 +16,7 @@ from hybridcat.resource_states import (
     coherent_cutoff_for,
     source_amplitudes,
     squeezed_amplitudes,
+    squeezed_cutoff_for,
 )
 
 
@@ -71,15 +72,48 @@ def test_squeezed_photon_expansion_structure():
     amps = squeezed_amplitudes(spec, 15)
     assert abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) < 1e-12
     # squeezing pumps photons in pairs on top of the single photon, so the
-    # expansion holds odd occupations only, up to 2 n_cut + 1
+    # expansion holds odd occupations only, to any photon number asked for
     assert np.max(np.abs(amps[0::2])) < 1e-14
     assert abs(amps[1]) > 0.9
     assert abs(amps[15]) > 0.0
 
 
 def test_squeezed_photon_needs_room():
-    with pytest.raises(CutoffError):
-        squeezed_amplitudes(SqueezedPhotonSpec(s=0.2), 10)
+    # the contract the cat keeps: at most 1e-9 of the mass above the cutoff,
+    # which at s = 0.2 takes 13 photons
+    spec = SqueezedPhotonSpec(s=0.2)
+    with pytest.raises(CutoffError, match="above 12 photons"):
+        source_amplitudes(spec, 12, 20)
+    assert abs(np.linalg.norm(source_amplitudes(spec, 13, 20)) - 1.0) < 1e-12
+
+
+def test_squeezed_expansion_is_exact_at_any_length():
+    """|c_(2n+1)|^2 = tanh^(2n) s (2n + 1)! / (cosh^3 s 4^n n!^2), summed in
+    logarithms: 400 photons neither overflow nor lose norm, and the terms
+    match the exact integer form where floats hold it."""
+    spec = SqueezedPhotonSpec(s=0.313)
+    amps = squeezed_amplitudes(spec, 400)
+    assert np.all(np.isfinite(amps))
+    assert abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) < 1e-12
+    tanh2, cosh3 = math.tanh(0.313) ** 2, math.cosh(0.313) ** 3
+    for n in range(20):
+        exact = tanh2**n * math.factorial(2 * n + 1) / (4**n * math.factorial(n) ** 2)
+        assert abs(abs(amps[2 * n + 1]) ** 2 - exact / cosh3) <= 1e-14 * exact
+    assert np.array_equal(squeezed_amplitudes(SqueezedPhotonSpec(s=0.0), 5),
+                          np.eye(6)[1])
+
+
+def test_squeezed_cutoff_resolves_the_tail_bound():
+    """The smallest cutoff whose tail is at most the bound: 1e-12, the
+    field cutoff's tail, at the figure 4/5 squeezings, and the 1e-9 of the
+    contract at s = 0.1, 0.161 and 0.2."""
+    for s, tail, cutoff in (
+        (0.161, 1e-12, 15), (0.2, 1e-12, 17), (0.313, 1e-12, 25),
+        (0.1, 1e-9, 9), (0.161, 1e-9, 11), (0.2, 1e-9, 13),
+    ):
+        assert squeezed_cutoff_for(s, tail) == cutoff
+        mass = np.abs(squeezed_amplitudes(SqueezedPhotonSpec(s), 200)) ** 2
+        assert float(mass[cutoff + 1 :].sum()) <= tail < float(mass[cutoff - 1 :].sum())
 
 
 def test_squeezed_overlap_matches_closed_form():
