@@ -1,6 +1,6 @@
 """Matrices of the linear-optical elements in the truncated Fock basis.
 
-Beam splitters and polarization rotations share one two-mode mixing kernel,
+Beam splitters and polarization rotations share one two-mode mixer,
 parameterized by the 2x2 scattering matrix S that maps input creation
 operators to output creation operators (columns = inputs). For a mode pair
 (i, j) the convention is
@@ -15,13 +15,13 @@ beam entering mode j keeps its transmitted part +sqrt(t) in mode j and sends
 its reflected part.
 
 The mixer conserves photon number, so its amplitudes are indexed by the
-input (n, m) and the output o in mode i alone (`mixer_amplitudes`), and the
-dense kernel of the dense test oracle only scatters them. They are built
-without loops over Fock entries. Input |n, m> expands binomially in the
-output creation operators (Campos, Saleh & Teich, PRA 40, 1371 (1989)), so
-the amplitude of o photons in output i is a convolution of two per-input
-tables of exact binomials times powers of S; one matmul takes it for every
-input pair, and a boson factor from `log_factorials` scales it.
+input (n, m) and the output o in mode i alone (`mixer_amplitudes`), the one
+form of the mixer that the run path and the dense test oracle both apply.
+They are built without loops over Fock entries. Input |n, m> expands
+binomially in the output creation operators (Campos, Saleh & Teich, PRA 40,
+1371 (1989)), so the amplitude of o photons in output i is a convolution of
+two per-input tables of exact binomials times powers of S; one matmul takes
+it for every input pair, and a boson factor from `log_factorials` scales it.
 
 Displacement matrices come from the closed-form associated-Laguerre matrix
 elements, not from exponentiating truncated generators, so low Fock
@@ -46,7 +46,6 @@ __all__ = [
     "rotation",
     "splitter",
     "mixer_amplitudes",
-    "two_mode_kernel",
     "displacement_matrix",
     "required_displacement_cutoff",
 ]
@@ -101,11 +100,10 @@ def _scattering_entries(scattering: np.ndarray) -> tuple:
 def mixer_amplitudes(scattering: np.ndarray, dim_i: int, dim_j: int) -> np.ndarray:
     """The two-mode mixer's photon-number-conserving amplitudes, indexed
     [n, m, o]: <o, n + m - o| of the mixer applied to input |n, m>, over
-    dimensions (dim_i, dim_j), zero where that output falls outside them.
-
-    These are the only nonzero entries of `two_mode_kernel`, dim_i^2 dim_j
-    of them against its (dim_i dim_j)^2. The result is not cached: its
-    callers cache what they build from it.
+    dimensions (dim_i, dim_j), zero where that output falls outside them:
+    the mixer's only nonzero Fock matrix elements, dim_i^2 dim_j of them
+    against the (dim_i dim_j)^2 of its dense matrix. The result is not
+    cached: its callers cache what they build from it.
     """
     # Input |n, m> expands as (s00 a_i^dag + s10 a_j^dag)^n (s01 a_i^dag +
     # s11 a_j^dag)^m / sqrt(n! m!). The amplitude of o photons in output i
@@ -132,31 +130,6 @@ def mixer_amplitudes(scattering: np.ndarray, dim_i: int, dim_j: int) -> np.ndarr
     # past a cutoff out_j reads any entry of lg, and the amplitude is dropped
     boson = np.exp(0.5 * ((lg[o] - lg[n]) + (lg[out_j] - lg[m])))
     return np.where((out_j >= 0) & (out_j < dim_j), conv * boson, 0.0)
-
-
-@lru_cache(maxsize=256)
-def _cached_kernel(entries: tuple, dim_i: int, dim_j: int) -> np.ndarray:
-    # the nonzero `mixer_amplitudes` scattered to row (o, n + m - o),
-    # column (n, m)
-    amplitudes = mixer_amplitudes(np.reshape(entries, (2, 2)), dim_i, dim_j)
-    n, m, o = np.nonzero(amplitudes)
-    kernel = np.zeros((dim_i * dim_j, dim_i * dim_j), dtype=np.complex128)
-    kernel[o * dim_j + n + m - o, n * dim_j + m] = amplitudes[n, m, o]
-    kernel.setflags(write=False)
-    return kernel
-
-
-def two_mode_kernel(scattering: np.ndarray, dim_i: int, dim_j: int) -> np.ndarray:
-    """Fock-basis matrix of the two-mode mixer with the given 2x2 scattering
-    matrix, over dimensions (dim_i, dim_j); row/column index is i-major.
-
-    The dense form of `mixer_amplitudes`, which the run path uses instead;
-    this matrix serves the dense test oracle and `selfcheck`. Components
-    whose output occupation exceeds a cutoff are dropped, so the matrix is
-    an exact isometry only on inputs whose images fit. The result is cached
-    and read-only.
-    """
-    return _cached_kernel(_scattering_entries(scattering), int(dim_i), int(dim_j))
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,16 @@ back into the beam frame. `pair_source` gives the pair as the mixture of
 its pair-number terms, a list of (weight, amplitudes) branches.
 `herald_patterns` displaces each branch's idler mode by mode, interferes
 it with the taps on the two 50:50 splitters and heralds both click
-patterns by `herald`, a weighted partial trace. Every operator is a kernel
-of `optics` (`two_mode_kernel`, `displacement_matrix`) applied to its axes;
-`bs_fock_coefficient` is a second, combinatorial form of the splitter
-kernel, and `target_hybrid` the target for scoring by `np.vdot`. The tests
-and `selfcheck` compare `run_scheme` with these. The oracle builds the
-dense `two_mode_kernel`, which the run path never does; it shares the
-mixer amplitudes that kernel scatters, the displacement matrices, the
-POVMs, the source amplitudes, the cutoffs and the pair sources' sector
-weights with the run path, which never imports it.
+patterns by `herald`, a weighted partial trace. Every operator comes from
+`optics` and acts on its axes: `mix` applies the splitter's amplitudes
+(`mixer_amplitudes`) one photon-number total at a time, and the
+displacement is `displacement_matrix` contracted with one axis.
+`bs_fock_coefficient` is a second, combinatorial form of the splitter's
+amplitudes, and `target_hybrid` the target for scoring by `np.vdot`. The
+tests and `selfcheck` compare `run_scheme` with these. The oracle shares
+the mixer amplitudes, the displacement matrices, the POVMs, the source
+amplitudes, the cutoffs and the pair sources' sector weights with the run
+path, which never imports it.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ from .errors import (
 from .metrics import target_field_vectors
 from .optics import (
     displacement_matrix,
+    mixer_amplitudes,
     rotation,
     splitter,
     transmissivity,
-    two_mode_kernel,
 )
 from .pipeline import SchemeConfig, resolve_cutoffs
 from .resource_states import PairSourceSpec, source_amplitudes
@@ -57,29 +58,22 @@ _SWAP_HV = str.maketrans("HV", "VH")
 Branches = List[Tuple[float, np.ndarray]]
 
 
-def _apply_axes(arr: np.ndarray, kernel: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Apply a square kernel to the listed axes of a tensor.
-
-    The kernel indexes the flattened joint space of the listed axes with the
-    first listed axis most significant.
-    """
-    ndim = arr.ndim
-    axes = list(axes)
-    order = axes + [k for k in range(ndim) if k not in axes]
-    moved = np.transpose(arr, order)
-    head_shape = moved.shape[: len(axes)]
-    head = int(np.prod(head_shape))
-    flat = np.ascontiguousarray(moved).reshape(head, -1)
-    out = kernel @ flat
-    out = out.reshape(head_shape + moved.shape[len(axes):])
-    return np.transpose(out, np.argsort(order))
-
-
 def mix(amps: np.ndarray, axes: Tuple[int, int], scattering: np.ndarray) -> np.ndarray:
-    """The two listed axes mixed by a 2 x 2 scattering matrix, through the
-    dense `two_mode_kernel` (see `optics` for the signs)."""
-    i, j = axes
-    return _apply_axes(amps, two_mode_kernel(scattering, amps.shape[i], amps.shape[j]), axes)
+    """The two listed axes mixed by a 2 x 2 scattering matrix (see `optics`
+    for the signs), the first listed as mode i. The mixer conserves the
+    photon-number total s, so each anti-diagonal (n, s - n) of the two axes
+    maps onto (o, s - o) by the (s + 1)-square, or cutoff-clipped, block
+    `mixer_amplitudes[n, s - n, o]`."""
+    moved = np.moveaxis(amps, axes, (0, 1))
+    dim_i, dim_j = moved.shape[:2]
+    flat = moved.reshape(dim_i, dim_j, -1)
+    amplitudes = mixer_amplitudes(scattering, dim_i, dim_j)
+    out = np.zeros(flat.shape, dtype=np.complex128)
+    for total in range(dim_i + dim_j - 1):
+        n = np.arange(max(0, total - dim_j + 1), min(total, dim_i - 1) + 1)
+        # the [o, n] block, o over the same range as n
+        out[n, total - n] = amplitudes[n, total - n][:, n].T @ flat[n, total - n]
+    return np.moveaxis(out.reshape(moved.shape), (0, 1), axes)
 
 
 def bs_fock_coefficient(n: int, m: int, p: int, q: int, t: float) -> float:
@@ -89,7 +83,7 @@ def bs_fock_coefficient(n: int, m: int, p: int, q: int, t: float) -> float:
     photons transmitted out of n and q transmitted out of m. Squared over
     all (p, q) it sums to one; it is the full output amplitude only when one
     input port is empty, since it omits the bosonic normalization of
-    multiply occupied output modes (see `optics.two_mode_kernel`).
+    multiply occupied output modes (see `optics.mixer_amplitudes`).
     """
     for name, value in (("n", n), ("m", m), ("p", p), ("q", q)):
         nonnegative(name, value, integer)
@@ -257,7 +251,8 @@ def herald_patterns(config: SchemeConfig):
     amplitude = math.sqrt(1.0 - config.t) * config.resolved_alpha_i / math.sqrt(2.0)
     shift = displacement_matrix(amplitude, cuts.detector)
     for p, axis in zip("HV", (2, 3)):
-        pair = _gated(config, pair, f"displacing 2{p}", lambda a: _apply_axes(a, shift, [axis]))
+        pair = _gated(config, pair, f"displacing 2{p}",
+                      lambda a: np.moveaxis(np.tensordot(shift, a, axes=(1, axis)), 0, axis))
     joint = [(w, np.multiply.outer(amps, beam)) for w, amps in pair]
     half = splitter(0.5)
     for p, axes in zip("HV", ((4, 2), (5, 3))):

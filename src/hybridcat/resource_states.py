@@ -38,7 +38,6 @@ __all__ = [
     "squeezed_cutoff_for",
 ]
 
-COHERENT_TAIL_BOUND = 1e-10
 PAIR_SOURCES = ("chi", "vacuum_mixed", "spdc")
 SPDC_WEIGHTINGS = ("paper", "exact")
 
@@ -130,7 +129,7 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return magnitude * phase
 
 
-def coherent_cutoff_for(alpha: complex, tail: float = COHERENT_TAIL_BOUND) -> int:
+def coherent_cutoff_for(alpha: complex, tail: float) -> int:
     """Smallest cutoff whose truncated coherent tail mass is below `tail`."""
     x = abs(alpha) ** 2
     if x == 0.0:

@@ -212,55 +212,3 @@ def test_cli_import_loads_no_oracle():
     # `cli` imports `selfcheck` only inside `cmd_selfcheck`
     loaded = _modules_after_cli_import()
     assert [m for m in loaded if m in ("hybridcat.oracle", "hybridcat.selfcheck")] == []
-
-
-def _clear_program_caches():
-    for name, module in list(sys.modules.items()):
-        if name == "hybridcat" or name.startswith("hybridcat."):
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear") and hasattr(value, "cache_info"):
-                    value.cache_clear()
-
-
-def test_dense_kernel_stays_oracle_only(monkeypatch, tmp_path):
-    # the run path builds its idler images from the compact amplitudes: a
-    # cold figure-2 reproduce and a cold alpha_f = 7 run never reach the
-    # dense two-mode kernel
-    from hybridcat import SchemeConfig, analytic, cli, optics, run_scheme
-
-    def refuse(*args):
-        raise AssertionError("the run path built the dense two-mode kernel")
-
-    monkeypatch.setattr(optics, "two_mode_kernel", refuse)
-    monkeypatch.setattr(optics, "_cached_kernel", refuse)
-    _clear_program_caches()
-    argv = ["reproduce", "--figure", "2", "--output", str(tmp_path / "f2.tsv")]
-    assert cli.main(argv) == 0
-    _clear_program_caches()
-    result = run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_f=7.0))
-    assert abs(result.fidelity - analytic.fidelity_eta(7.0, 0.9, 0.9)) <= 1e-12
-
-
-def test_compact_amplitudes_are_the_dense_kernels_nonzero_entries():
-    import itertools
-
-    import numpy as np
-
-    from hybridcat.optics import mixer_amplitudes, splitter, two_mode_kernel
-
-    for t, (dim_i, dim_j) in itertools.product(
-        (0.5, 0.73, 1.0), ((1, 1), (5, 5), (4, 9), (9, 4), (14, 14), (36, 36))
-    ):
-        scattering = splitter(t)
-        kernel = two_mode_kernel(scattering, dim_i, dim_j)
-        amplitudes = mixer_amplitudes(scattering, dim_i, dim_j)
-        assert amplitudes.shape == (dim_i, dim_j, dim_i)
-        n, m, o = np.indices(amplitudes.shape)
-        inside = (o <= n + m) & (n + m - o < dim_j)
-        rows, columns = o * dim_j + n + m - o, n * dim_j + m
-        assert np.array_equal(kernel[rows[inside], columns[inside]], amplitudes[inside])
-        assert not amplitudes[~inside].any()
-        # every other kernel entry is zero
-        rest = kernel.copy()
-        rest[rows[inside], columns[inside]] = 0.0
-        assert not rest.any()

@@ -13,27 +13,36 @@ from hybridcat import analytic, cli, pipeline
 from hybridcat.errors import ValidationError
 from hybridcat.optics import (
     displacement_matrix,
+    mixer_amplitudes,
     required_displacement_cutoff,
     rotation,
     splitter,
-    two_mode_kernel,
 )
 from hybridcat.oracle import bs_fock_coefficient, mix
 from hybridcat.resource_states import coherent_amplitudes
 
 
-def _sector_unitary(kernel, dim, total):
-    """Extract the photon-number sector (n_i + n_j = total) as a matrix."""
+def _sector_unitary(matrix, dim, total):
+    """Extract the photon-number sector (n_i + n_j = total) of a dense
+    two-mode matrix, i-major, as [out, in] over (n_i, total - n_i)."""
     index = [(total - j, j) for j in range(total + 1)]
     block = np.zeros((total + 1, total + 1), dtype=complex)
     for row, (a, b) in enumerate(index):
         for col, (c, d) in enumerate(index):
-            block[row, col] = kernel[a * dim + b, c * dim + d]
+            block[row, col] = matrix[a * dim + b, c * dim + d]
     return block
 
 
+def _sector_amplitudes(amplitudes, total):
+    """The same sector block read off `mixer_amplitudes`: [n, total - n, o]
+    at row (o, total - o), column (n, total - n), in `_sector_unitary`'s
+    order."""
+    n = np.arange(total, -1, -1)
+    return amplitudes[n, total - n][:, n].T
+
+
 def test_kernel_matches_exponential_generator():
-    """The Fock-basis kernel must equal expm of the quadratic generator.
+    """The mixer's amplitudes must equal expm of the quadratic generator.
 
     For scattering S = expm(i G) acting on the mode operators, the Fock
     representation is expm(i a^dag G a). Compared entry by entry on the
@@ -55,10 +64,10 @@ def test_kernel_matches_exponential_generator():
     }
     generator = sum(g[i, j] * n_ops[(i, j)] for i in range(2) for j in range(2))
     expected = expm(1j * generator)
-    kernel = two_mode_kernel(s, dim, dim)
+    amplitudes = mixer_amplitudes(s, dim, dim)
     # compare on the interior where truncation cannot leak
     for total in range(4):
-        got = _sector_unitary(kernel, dim, total)
+        got = _sector_amplitudes(amplitudes, total)
         want = _sector_unitary(expected, dim, total)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -83,28 +92,24 @@ def test_bs_coefficient_takes_photon_counts_only(photons):
 
 
 def test_bs_coefficient_matches_kernel_single_mode_input():
-    # with one port empty the kernel column is the printed coefficient,
-    # sign included, on square and non-square dimensions; outputs past a
-    # cutoff are dropped
+    # with one port empty the mixer's amplitudes are the printed
+    # coefficient, sign included, on square and non-square dimensions;
+    # outputs past a cutoff are dropped
     for t, (dim_i, dim_j) in itertools.product(
         (0.73, 0.81, 0.9, 1.0), ((7, 7), (5, 8))
     ):
-        kernel = two_mode_kernel(splitter(t), dim_i, dim_j)
-        expected = np.zeros_like(kernel)
+        amplitudes = mixer_amplitudes(splitter(t), dim_i, dim_j)
+        from_i = np.zeros((dim_i, dim_i))  # [n, o] of input |n, 0>
         for n in range(dim_i):
             for p in range(max(0, n - dim_j + 1), n + 1):
-                expected[p * dim_j + n - p, n * dim_j] = bs_fock_coefficient(
-                    n, 0, p, 0, t
-                )
+                from_i[n, p] = bs_fock_coefficient(n, 0, p, 0, t)
+        from_j = np.zeros((dim_j, dim_i))  # [m, o] of input |0, m>
         for m in range(dim_j):
             # q photons stay in port j, m - q cross into port i
             for q in range(max(0, m - dim_i + 1), m + 1):
-                expected[(m - q) * dim_j + q, m] = bs_fock_coefficient(
-                    0, m, 0, q, t
-                )
-        single_port = [n * dim_j for n in range(dim_i)] + list(range(dim_j))
-        got = kernel[:, single_port]
-        assert np.abs(got - expected[:, single_port]).max() <= 1e-12
+                from_j[m, m - q] = bs_fock_coefficient(0, m, 0, q, t)
+        assert np.abs(amplitudes[:, 0] - from_i).max() <= 1e-12
+        assert np.abs(amplitudes[0] - from_j).max() <= 1e-12
 
 
 def _balanced_amplitude(n, m, o):
@@ -126,23 +131,67 @@ def _balanced_amplitude(n, m, o):
 @pytest.mark.parametrize("dim", [9, 14])
 def test_balanced_kernel_matches_exact_integers(dim):
     # every entry, including the zeros of outputs past the cutoff
-    expected = np.zeros((dim * dim, dim * dim))
+    expected = np.zeros((dim, dim, dim))
     for n in range(dim):
         for m in range(dim):
             for o in range(max(0, n + m - dim + 1), min(dim, n + m + 1)):
-                expected[o * dim + n + m - o, n * dim + m] = _balanced_amplitude(
-                    n, m, o
-                )
-    s = splitter(0.5)
-    kernel = two_mode_kernel(s, dim, dim)
-    assert np.abs(kernel - expected).max() <= 1e-12
+                expected[n, m, o] = _balanced_amplitude(n, m, o)
+    amplitudes = mixer_amplitudes(splitter(0.5), dim, dim)
+    assert np.abs(amplitudes - expected).max() <= 1e-12
 
 
 @pytest.mark.parametrize("dims", [(6, 6), (4, 9)])
 def test_full_transmission_kernel_is_the_identity(dims):
-    s = splitter(1.0)
-    kernel = two_mode_kernel(s, *dims)
-    assert np.array_equal(kernel, np.eye(dims[0] * dims[1]))
+    # |n, m> -> |n, m>: one photon count o = n in mode i, exactly
+    dim_i, dim_j = dims
+    amplitudes = mixer_amplitudes(splitter(1.0), dim_i, dim_j)
+    identity = np.broadcast_to(np.eye(dim_i)[:, None, :], (dim_i, dim_j, dim_i))
+    assert np.array_equal(amplitudes, identity)
+
+
+def test_mixer_amplitudes_keep_to_the_conserving_entries():
+    # shape [n, m, o]; zero wherever the output (o, n + m - o) is not a
+    # photon-number-conserving one inside the cutoffs, and every input
+    # whose total fits both cutoffs keeps its norm
+    for t, (dim_i, dim_j) in itertools.product(
+        (0.5, 0.73, 1.0), ((1, 1), (5, 5), (4, 9), (9, 4), (14, 14), (36, 36))
+    ):
+        amplitudes = mixer_amplitudes(splitter(t), dim_i, dim_j)
+        assert amplitudes.shape == (dim_i, dim_j, dim_i)
+        n, m, o = np.indices(amplitudes.shape)
+        inside = (o <= n + m) & (n + m - o < dim_j)
+        assert not amplitudes[~inside].any()
+        norms = (np.abs(amplitudes) ** 2).sum(axis=2)
+        fits = np.add.outer(np.arange(dim_i), np.arange(dim_j)) < min(dim_i, dim_j)
+        assert np.abs(norms[fits] - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(4, 9), (9, 4)])
+def test_mix_applies_every_amplitude_to_the_axes_listed(shape):
+    # |n, m> -> sum_o amplitudes[n, m, o] |o, n + m - o>, entry by entry,
+    # the outputs past a cutoff dropped
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    scattering = splitter(0.73)
+    amplitudes = mixer_amplitudes(scattering, *shape)
+    expected = np.zeros(shape, dtype=complex)
+    for n, m, o in itertools.product(range(shape[0]), range(shape[1]), range(shape[0])):
+        if 0 <= n + m - o < shape[1]:
+            expected[o, n + m - o] += amplitudes[n, m, o] * amps[n, m]
+    assert np.abs(mix(amps, (0, 1), scattering) - expected).max() <= 1e-14
+    # the oracle lists the higher axis first, as (4, 2) and (5, 3): the
+    # first listed is mode i, whatever its position
+    for scattering in (splitter(0.73), rotation(0.3)):
+        assert np.array_equal(
+            mix(amps, (1, 0), scattering), mix(amps.T, (0, 1), scattering).T
+        )
+    # an input whose photon-number totals fit both cutoffs keeps its norm
+    fits = np.add.outer(np.arange(shape[0]), np.arange(shape[1])) < min(shape)
+    inside = np.where(fits, amps, 0.0) / np.linalg.norm(amps[fits])
+    for axes, scattering in itertools.product(
+        ((0, 1), (1, 0)), (splitter(0.5), splitter(0.9), rotation(-0.4))
+    ):
+        assert abs(np.linalg.norm(mix(inside, axes, scattering)) - 1.0) <= 1e-12
 
 
 def test_hom_dip():
