@@ -113,8 +113,9 @@ def pair_source(spec: PairSourceSpec, dims: Sequence[int]) -> Branches:
     """Photon-pair input as a mixture: one branch (w_n, `phi_state(n)`) per
     pair-number term of the source, w_n from `PairSourceSpec.sector_weights`.
     chi: the unit branch |Phi_1>, the Bell pair. vacuum_mixed: (1 - z,
-    vacuum) and (z, |Phi_1>). spdc: the mixture of its n-pair terms
-    |Phi_n>, the dense form of the model `run_scheme` scores.
+    vacuum) and (z, |Phi_1>). spdc: the mixture of its vacuum, one-pair
+    and two-pair terms |Phi_n>, the dense form of the model `run_scheme`
+    scores.
     """
     return [(w, phi_state(n, dims)) for n, w in spec.sector_weights().items()]
 
@@ -131,44 +132,55 @@ def flipped_pattern(pattern: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarra
     return {label: pattern[label.translate(_SWAP_HV)] for label in pattern}
 
 
-def herald(branches: Branches, pattern: Mapping[str, np.ndarray]):
-    """Herald a mixture of states on `MODES` by a click pattern, which maps
-    each detector 5H, 5V, 6H, 6V to its Fock-diagonal POVM weights (see
-    `detection.herald_pattern`); the joint weight of an occupation pattern
-    is their product. Returns the total probability P and the conditional
-    state of (A_H, A_V, B_H, B_V) as a matrix: the weighted partial trace
-    over the detectors, divided by P. Each branch is contracted on the kept
-    states it populates (an n-pair branch fills only the signal states of n
-    photons). Raises HeraldImpossibleError when P is below the floor.
+def herald(branches: Branches, patterns: Sequence[Mapping[str, np.ndarray]]):
+    """Herald a mixture of states on `MODES` by each click pattern of
+    `patterns`, which maps each detector 5H, 5V, 6H, 6V to its
+    Fock-diagonal POVM weights (see `detection.herald_pattern`); the joint
+    weight of an occupation pattern is their product. Returns, per pattern,
+    the total probability P and the conditional state of (A_H, A_V, B_H,
+    B_V) as a matrix: the weighted partial trace over the detectors,
+    divided by P. Each branch is moved to (kept, detector) order once for
+    all the patterns, on the kept states it populates (an n-pair branch
+    fills only the signal states of n photons). Raises
+    HeraldImpossibleError when a pattern's P is below the floor.
     """
     dims = branches[0][1].shape
-    for axis, label in enumerate(MODES[2:6], 2):
-        if len(pattern[label]) != dims[axis]:
-            raise ValidationError(
-                f"POVM element on {label!r} has dimension {len(pattern[label])}, "
-                f"mode needs {dims[axis]}"
-            )
-    weights = functools.reduce(np.multiply.outer, [pattern[x] for x in MODES[2:6]])
-    weights = weights.ravel()
+    for pattern in patterns:
+        for axis, label in enumerate(MODES[2:6], 2):
+            if len(pattern[label]) != dims[axis]:
+                raise ValidationError(
+                    f"POVM element on {label!r} has dimension "
+                    f"{len(pattern[label])}, mode needs {dims[axis]}"
+                )
     size = dims[0] * dims[1] * dims[6] * dims[7]
-    total = 0.0
-    accumulated = np.zeros((size, size), dtype=np.complex128)
+    # per branch: weight, populated kept states, their rows and the
+    # detector occupations' probabilities
+    rows = []
     for weight, amps in branches:
         matrix = amps.transpose(0, 1, 6, 7, 2, 3, 4, 5).reshape(size, -1)
         support = np.flatnonzero(matrix.any(axis=1))
         matrix = matrix[support]
-        probability = float((np.abs(matrix) ** 2).sum(axis=0) @ weights)
-        block = (matrix * weights) @ matrix.conj().T
-        conditional = np.zeros((size, size), dtype=np.complex128)
-        conditional[np.ix_(support, support)] = 0.5 * (block + block.conj().T)
-        total += weight * probability
-        accumulated += weight * conditional
-    if total < HERALD_PROBABILITY_FLOOR:
-        raise HeraldImpossibleError(
-            f"herald pattern has probability {total:.3e}, below the "
-            f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
-        )
-    return float(total), accumulated / total
+        rows.append((weight, support, matrix, (np.abs(matrix) ** 2).sum(axis=0)))
+    outcomes = []
+    for pattern in patterns:
+        weights = functools.reduce(np.multiply.outer, [pattern[x] for x in MODES[2:6]])
+        weights = weights.ravel()
+        total = 0.0
+        accumulated = np.zeros((size, size), dtype=np.complex128)
+        for weight, support, matrix, occupations in rows:
+            probability = float(occupations @ weights)
+            block = (matrix * weights) @ matrix.conj().T
+            conditional = np.zeros((size, size), dtype=np.complex128)
+            conditional[np.ix_(support, support)] = 0.5 * (block + block.conj().T)
+            total += weight * probability
+            accumulated += weight * conditional
+        if total < HERALD_PROBABILITY_FLOOR:
+            raise HeraldImpossibleError(
+                f"herald pattern has probability {total:.3e}, below the "
+                f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
+            )
+        outcomes.append((float(total), accumulated / total))
+    return outcomes
 
 
 def target_hybrid(alpha_f: float, phi: float, dims: Sequence[int]) -> np.ndarray:
@@ -257,13 +269,11 @@ def herald_patterns(config: SchemeConfig):
     half = splitter(0.5)
     for p, axes in zip("HV", ((4, 2), (5, 3))):
         joint = _gated(config, joint, f"the {p} 50:50 splitter", lambda a: mix(a, axes, half))
-    plain = herald_pattern(config.detector, config.eta, cuts.detector)
+    pattern = herald_pattern(config.detector, config.eta, cuts.detector)
     n, e = (cuts.a + 1) ** 2 * (cuts.b + 1), cuts.b + 1
-    outcomes = []
-    for flipped, pattern in ((False, plain), (True, flipped_pattern(plain))):
-        probability, post = herald(joint, pattern)
-        if flipped:
-            post = post.reshape(dims[:2] + (e, e) + dims[:2] + (e, e))
-            post = post.transpose(1, 0, 2, 3, 5, 4, 6, 7)
-        outcomes.append((probability, post.reshape(n, e, n, e)))
-    return outcomes
+    (p_plain, plain), (p_flipped, flipped) = herald(
+        joint, (pattern, flipped_pattern(pattern))
+    )
+    flipped = flipped.reshape(dims[:2] + (e, e) + dims[:2] + (e, e))
+    flipped = flipped.transpose(1, 0, 2, 3, 5, 4, 6, 7)
+    return [(p_plain, plain.reshape(n, e, n, e)), (p_flipped, flipped.reshape(n, e, n, e))]

@@ -71,7 +71,6 @@ from .optics import (
 )
 from .resource_states import (
     PAIR_SOURCES,
-    SPDC_WEIGHTINGS,
     PairSourceSpec,
     ScsSpec,
     SqueezedPhotonSpec,
@@ -85,7 +84,6 @@ SCS_SOURCES = ("ideal", "squeezed")
 CHOICES = MappingProxyType({
     "scs_source": SCS_SOURCES,
     "pair_source": PAIR_SOURCES,
-    "spdc_weighting": SPDC_WEIGHTINGS,
     "detector": DETECTORS,
 })
 SWEEP_AXES = ("alpha_f", "eta", "lambda", "s", "t", "z")
@@ -104,15 +102,17 @@ class SchemeConfig:
     Exactly one of alpha_i (source amplitude) and alpha_f (target amplitude,
     alpha_i = alpha_f / sqrt(t)) must be given. Cutoffs left at None are
     chosen automatically from the amplitudes involved; explicit values are
-    honored as-is and may trigger truncation failures.
+    honored as-is and may trigger truncation failures. Downconversion is
+    the paper's mixture of its vacuum, one-pair and two-pair terms, set by
+    lambda alone (`PairSourceSpec.sector_weights`).
 
     The annotations are the schema of every input (`FIELDS`): a float field
-    takes a finite real number, an int field an integral one >= 1, numpy
-    scalars too, bools not (`errors.real`, `errors.integer`), a str field
-    one of its `CHOICES`, and an Optional one None as well. Values are
-    stored as given. The ranges are the ones every other entry point
-    applies: `optics.transmissivity`, `detection.efficiency`, the source
-    specs' (`source_spec`, `pair_spec`).
+    takes a finite real number, an int field (a cutoff) an integral one
+    >= 1, numpy scalars too, bools not (`errors.real`, `errors.integer`), a
+    str field one of its `CHOICES`, and an Optional one None as well.
+    Values are stored as given. The ranges are the ones every other entry
+    point applies: `optics.transmissivity`, `detection.efficiency`, the
+    source specs' (`source_spec`, `pair_spec`).
     """
 
     t: float
@@ -125,8 +125,6 @@ class SchemeConfig:
     pair_source: str = "chi"
     z: Optional[float] = None
     lam: Optional[float] = None
-    spdc_order: int = 2
-    spdc_weighting: str = "paper"
     detector: str = "pnr"
     cutoff_detector: Optional[int] = None
     cutoff_b: Optional[int] = None
@@ -154,12 +152,9 @@ class SchemeConfig:
             raise ValidationError("z must be set exactly for the vacuum_mixed pair")
         if (self.lam is None) == (self.pair_source == "spdc"):
             raise ValidationError("lambda must be set exactly for the spdc pair")
-        # the source specs own the range checks of their parameters;
-        # downconversion's are checked whatever the pair source, so that no
-        # malformed value is silently ignored
+        # the source specs own the range checks of their parameters
         self.source_spec()
         self.pair_spec()
-        PairSourceSpec("spdc", order_max=self.spdc_order, weighting=self.spdc_weighting)
         if not (0.0 < self.tail_tol < 1.0):
             raise ValidationError("tail_tol must be in (0, 1)")
 
@@ -183,13 +178,11 @@ class SchemeConfig:
         return SqueezedPhotonSpec(self.s)
 
     def pair_spec(self) -> PairSourceSpec:
-        """The pair source's spec, with its downconversion weights; a z or
-        lambda the source does not read is None and takes the spec's default."""
+        """The pair source's spec; a z or lambda the source does not read is
+        None and takes the spec's default."""
         z = 1.0 if self.z is None else self.z
         lam = 0.0 if self.lam is None else self.lam
-        return PairSourceSpec(
-            self.pair_source, z, lam, self.spdc_order, self.spdc_weighting
-        )
+        return PairSourceSpec(self.pair_source, z, lam)
 
 
 # The schema of every input, read off the annotations: (field, kind, optional)
@@ -215,7 +208,7 @@ def resolve_cutoffs(config: SchemeConfig) -> ResolvedCutoffs:
 
     The signal polarization modes (A_H, A_V) hold exactly n photons in the
     pair source's n-pair term, so their cutoff a is the source's largest
-    pair number: 1 for the Bell and vacuum-mixed pairs, `spdc_order` for
+    pair number: 1 for the Bell and vacuum-mixed pairs, 2 for
     downconversion. It truncates nothing and is not an input. The detector
     channels see the tapped source field and the displacement,
     each of amplitude sqrt(r) alpha_i, so their cutoff covers the coherent
@@ -502,11 +495,11 @@ def _factors(key: SchemeConfig) -> _Factors:
     """
     cuts = resolve_cutoffs(key)
     dim = cuts.detector + 1
-    tap, beam_s, beam_vh, discarded = _beam(key, cuts)
-    disp = displacement_matrix(_displacement_amplitude(key), cuts.detector)
     numbers = sorted(_sector_weights(key, key.lam))
     if numbers[-1] > cuts.detector:
         raise CutoffError(f"{numbers[-1]} pairs need cutoff_detector >= {numbers[-1]}")
+    tap, beam_s, beam_vh, discarded = _beam(key, cuts)
+    disp = displacement_matrix(_displacement_amplitude(key), cuts.detector)
     # pair factor k of sector n[k] has m[k] photons in A_H and in 2V
     n = np.concatenate([np.full(q + 1, q) for q in numbers])
     m = np.concatenate([np.arange(q + 1) for q in numbers])
@@ -587,9 +580,11 @@ def _score(
     sum_n w_n d_n / sum_n w_n for downconversion and max_n d_n for a
     mixture; a lambda above `tail_tol` fails with `TruncationError`, and a
     point whose plain probability is below `HERALD_PROBABILITY_FLOOR` fails
-    alone. The columns are `METRIC_COLUMNS` (p_* for downconversion only),
-    f_chi (the same) and `sector_probabilities`, the p_n = 2 t_n stacked by
-    sector; each broadcasts to (L, E), and NaN marks an empty cell. Only
+    alone. The columns are `METRIC_COLUMNS`, f_chi and
+    `sector_probabilities`, the p_n = 2 t_n stacked by sector; only
+    downconversion fills `SECTOR_COLUMNS`, its p_n for n = 0, 1, 2, of
+    which P is the paper's P_tot, and f_chi, the one-pair sector's F.
+    Each broadcasts to (L, E), and NaN marks an empty cell. Only
     the plain pattern is heralded: swapping H and V in every mode leaves
     the prepared state unchanged (the tap is polarization independent,
     sector n maps onto itself under m -> n - m, the splitters and POVMs
@@ -647,10 +642,10 @@ def _score(
         "tail_mass": tail[:, None],
         "sector_probabilities": sectors,
         "f_chi": empty,
+        **dict.fromkeys(SECTOR_COLUMNS, empty),
     }
-    for n, name in enumerate(SECTOR_COLUMNS):
-        columns[name] = sectors[n] if spdc and n in traces else empty
     if spdc:
+        columns.update(zip(SECTOR_COLUMNS, sectors))
         t = traces[1]
         f_chi = np.divide(overlaps[1], t, out=np.zeros_like(t), where=t > 0)
         columns["f_chi"] = f_chi[None]

@@ -3,7 +3,7 @@
 Single-mode resources: coherent states, superpositions of coherent states
 (SCS), and squeezed single photons. `PairSourceSpec` describes the
 two-photon resources: the polarization Bell pair, its vacuum-mixed variant,
-and parametric pair sources with vacuum plus higher-order components, each
+and the parametric pair source's vacuum, one-pair and two-pair terms, each
 a mixture of pair-number terms whose weights it owns.
 
 `source_amplitudes` is the beam source, the cat or the squeezed photon by
@@ -22,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import interaction_strength, n_phi
-from .errors import CutoffError, ValidationError, choice, integer, nonnegative, real
+from .errors import CutoffError, ValidationError, choice, nonnegative, real
 from .fock_core import log_factorials
 
 __all__ = [
     "PAIR_SOURCES",
-    "SPDC_WEIGHTINGS",
     "ScsSpec",
     "SqueezedPhotonSpec",
     "PairSourceSpec",
@@ -39,7 +38,6 @@ __all__ = [
 ]
 
 PAIR_SOURCES = ("chi", "vacuum_mixed", "spdc")
-SPDC_WEIGHTINGS = ("paper", "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +79,6 @@ class PairSourceSpec:
     variant: str
     z: float = 1.0
     lam: float = 0.0
-    order_max: int = 2
-    weighting: str = "paper"
 
     def __post_init__(self) -> None:
         choice("pair_source", self.variant, PAIR_SOURCES)
@@ -90,26 +86,19 @@ class PairSourceSpec:
             raise ValidationError(f"pair weight z={self.z} outside (0, 1]")
         if self.variant == "spdc":
             interaction_strength(self.lam)
-            if integer("order_max", self.order_max) < 1:
-                raise ValidationError(f"order_max must be >= 1, got {self.order_max!r}")
-            choice("spdc_weighting", self.weighting, SPDC_WEIGHTINGS)
 
     def sector_weights(self) -> dict[int, float]:
         """The source as a mixture of unit n-pair terms |Phi_n>, weights w_n
         by n: {1: 1} for the Bell pair, {0: 1 - z, 1: z} for the
-        vacuum-mixed pair and, for the parametric source, n <= order_max
-        with 'paper' (1 - lam^2) lam^(2n), the terms of the paper's P_tot
-        (arXiv:1410.6823), or 'exact' (1 - lam^2)^2 (n + 1) lam^(2n), two
-        two-mode squeezers regrouped by pair number; not renormalized."""
+        vacuum-mixed pair and, for the parametric source, the three terms
+        of the paper's P_tot (arXiv:1410.6823), (1 - lam^2) lam^(2n) for
+        n = 0, 1, 2; not renormalized."""
         if self.variant == "chi":
             return {1: 1.0}
         if self.variant == "vacuum_mixed":
             return {0: 1.0 - self.z, 1: self.z}
         lam2 = self.lam * self.lam
-        orders = range(self.order_max + 1)
-        if self.weighting == "paper":
-            return {n: (1.0 - lam2) * lam2**n for n in orders}
-        return {n: (1.0 - lam2) ** 2 * (n + 1) * lam2**n for n in orders}
+        return {n: (1.0 - lam2) * lam2**n for n in range(3)}
 
 
 # ---------------------------------------------------------------------------

@@ -153,15 +153,15 @@ def test_run_missing_file_is_invalid_input(tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra",
     [
-        "spdc_order = -3\n",
-        "spdc_weighting = bogus\n",
-        "spdc_order = -3\nspdc_weighting = bogus\n",
+        "cutoff_b = -3\n",
+        "cutoff_detector = 0\n",
+        "cutoff_b = -3\ncutoff_detector = 0\n",
     ],
-    ids=["spdc_order", "spdc_weighting", "all"],
+    ids=["cutoff_b", "cutoff_detector", "all"],
 )
 def test_run_refuses_values_the_sources_do_not_read(extra, tmp_path, capsys):
-    # an ideal cat and a chi pair read none of these keys, but a malformed
-    # value is refused rather than ignored
+    # no source reads a cutoff, but a malformed one is refused rather than
+    # ignored
     scenario = _write(tmp_path / "s.txt", BASE_SCENARIO + extra)
     assert main(["run", "--scenario", scenario]) == 1
     assert "error:" in capsys.readouterr().err

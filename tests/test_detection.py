@@ -138,14 +138,14 @@ def test_herald_rejects_weights_of_the_wrong_length():
     pattern = dict(herald_pattern("pnr", 0.8, CUTOFF))
     pattern["6H"] = povm_pnr(1, 0.8, CUTOFF + 1)
     with pytest.raises(ValidationError, match="'6H' has dimension 5, mode needs 4"):
-        herald([(1.0, state)], pattern)
+        herald([(1.0, state)], [pattern])
 
 
 def test_herald_probability_single_photons():
     """One photon on each bright detector heralds with probability eta^2."""
     eta = 0.8
     state = _ket({"A_H": 1, "5V": 1, "6H": 1})
-    probability, post = herald([(1.0, state)], herald_pattern("pnr", eta, CUTOFF))
+    ((probability, post),) = herald([(1.0, state)], [herald_pattern("pnr", eta, CUTOFF)])
     assert abs(probability - eta * eta) < 1e-12
     # the post-state lives on (A_H, A_V, B_H, B_V)
     assert post.shape == (2 * 2 * 5 * 1,) * 2
@@ -160,23 +160,23 @@ def test_herald_dark_mode_suppresses():
     # an extra photon on a dark detector costs a no-click factor (1 - eta)
     eta = 0.8
     state = _ket({"A_H": 1, "5V": 1, "6H": 1, "5H": 1})
-    probability, _ = herald([(1.0, state)], herald_pattern("pnr", eta, CUTOFF))
+    ((probability, _),) = herald([(1.0, state)], [herald_pattern("pnr", eta, CUTOFF)])
     assert abs(probability - eta * eta * (1.0 - eta)) < 1e-12
 
 
 def test_herald_two_photons_on_bright_mode():
     eta = 0.8
     state = _ket({"A_H": 1, "5V": 2, "6H": 1})
-    probability, _ = herald([(1.0, state)], herald_pattern("pnr", eta, CUTOFF))
+    ((probability, _),) = herald([(1.0, state)], [herald_pattern("pnr", eta, CUTOFF)])
     expected = (2.0 * eta * (1.0 - eta)) * eta
     assert abs(probability - expected) < 1e-12
 
 
 def test_onoff_accepts_multiphoton():
     eta = 0.8
-    pattern = herald_pattern("onoff", eta, CUTOFF)
-    two, _ = herald([(1.0, _ket({"5V": 2, "6H": 1}))], pattern)
-    one, _ = herald([(1.0, _ket({"5V": 1, "6H": 1}))], pattern)
+    pattern = [herald_pattern("onoff", eta, CUTOFF)]
+    ((two, _),) = herald([(1.0, _ket({"5V": 2, "6H": 1}))], pattern)
+    ((one, _),) = herald([(1.0, _ket({"5V": 1, "6H": 1}))], pattern)
     # click probability grows with photon number instead of dropping to the
     # one-photon coincidence
     assert two > one
@@ -185,15 +185,15 @@ def test_onoff_accepts_multiphoton():
 def test_impossible_pattern_raises():
     state = _ket({"A_H": 1, "5H": 1})
     with pytest.raises(HeraldImpossibleError):
-        herald([(1.0, state)], herald_pattern("pnr", 0.9, CUTOFF))
+        herald([(1.0, state)], [herald_pattern("pnr", 0.9, CUTOFF)])
 
 
 def test_herald_mixture_branches():
     bright = _ket({"5V": 1, "6H": 1})
     brighter = _ket({"5V": 2, "6H": 1})
     eta = 0.7
-    probability, _ = herald(
-        [(0.5, bright), (0.5, brighter)], herald_pattern("pnr", eta, CUTOFF)
+    ((probability, _),) = herald(
+        [(0.5, bright), (0.5, brighter)], [herald_pattern("pnr", eta, CUTOFF)]
     )
     p1 = eta * eta
     p2 = (2.0 * eta * (1.0 - eta)) * eta

@@ -44,6 +44,6 @@ def test_ensemble_expectation_is_weighted():
     zero, one = np.zeros(dims), np.zeros(dims)
     zero[0], one[1] = 1.0, 1.0
     pattern = dict.fromkeys(MODES[2:6], np.ones(1))
-    probability, post = herald([(0.25, zero), (0.75, one)], pattern)
+    ((probability, post),) = herald([(0.25, zero), (0.75, one)], [pattern])
     assert abs(probability - 1.0) < 1e-12
     assert np.allclose(post, np.diag([0.25, 0.75]), rtol=0, atol=1e-12)

@@ -44,14 +44,14 @@ def test_scenario_keys_are_the_schema_and_the_sweep_axes():
     names = [
         name
         for name, value in vars(cli).items()
-        if isinstance(value, (tuple, list, set, frozenset)) and "spdc_order" in value
+        if isinstance(value, (tuple, list, set, frozenset)) and "cutoff_b" in value
     ]
     assert names == []
 
 
 @pytest.mark.parametrize(
     "text",
-    ["t = nan", "eta = inf", "spdc_order = 2.0", "cutoff_b = x",
+    ["t = nan", "eta = inf", "cutoff_detector = 2.0", "cutoff_b = x",
      "sweep_eta = 0.5, nan"],
 )
 def test_scenario_values_follow_the_rules(text):
@@ -137,7 +137,7 @@ SPDC = dict(
     [
         (dict(t=0.9, eta=0.9, alpha_f=1.0), "cutoff_detector", 8),
         (dict(SPDC, pair_source="chi", lam=None, detector="pnr"), "cutoff_b", 15),
-        (SPDC, "spdc_order", 2),
+        (SPDC, "cutoff_detector", 7),
     ],
 )
 def test_numpy_integers_run_as_their_python_ints(kwargs, field, value):
@@ -187,6 +187,26 @@ def test_n_cut_is_refused_naming_the_key(tmp_path, capsys):
     with pytest.raises(TypeError, match="n_cut"):
         SchemeConfig(t=0.99, eta=0.7, alpha_i=0.7, scs_source="squeezed", s=0.161,
                      n_cut=7)
+
+
+def test_downconversion_knobs_are_refused_naming_the_key(tmp_path, capsys):
+    """Downconversion is the paper's three pair-number terms with their
+    (1 - lambda^2) lambda^(2n) weights, so no input sets its order or its
+    weighting: a scenario, a config or a spec that still names one is
+    refused, naming the key."""
+    spot = "t = 0.99\neta = 0.5\nalpha_i = 0.7\npair_source = spdc\nlambda = 0.022\n"
+    for line in ("spdc_order = 3", "spdc_weighting = exact"):
+        path = tmp_path / "run.txt"
+        path.write_text(f"{spot}{line}\n", "utf-8")
+        assert cli.main(["run", "--scenario", str(path)]) == 1
+        key = line.partition(" ")[0]
+        assert f"scenario line 6: unknown key '{key}'" in capsys.readouterr().err
+    for key, value in (("spdc_order", 3), ("spdc_weighting", "exact")):
+        with pytest.raises(TypeError, match=key):
+            SchemeConfig(**SPDC, **{key: value})
+    for key, value in (("order_max", 3), ("weighting", "exact")):
+        with pytest.raises(TypeError, match=key):
+            PairSourceSpec("spdc", lam=0.022, **{key: value})
 
 
 def test_the_odd_cats_divergence_has_one_home():

@@ -61,17 +61,14 @@ def test_config_validates_ranges():
         dict(pair_source="vacuum_mixed", z=0.0),
         dict(pair_source="vacuum_mixed", z=1.5),
         dict(pair_source="spdc", lam=1.0),
-        dict(pair_source="spdc", lam=0.1, spdc_order=0),
-        dict(pair_source="spdc", lam=0.02, spdc_order=2.5),
-        dict(pair_source="spdc", lam=0.1, spdc_weighting="uniform"),
     ):
         with pytest.raises(ValidationError):
             SchemeConfig(t=0.9, eta=0.9, alpha_i=0.7, **source)
-    # checked whatever the source, and no bool passes for an integer
+    # a cutoff counts photons: at least one, and no bool passes for it
     for field in (
-        dict(spdc_order=-3),
-        dict(spdc_weighting="bogus"),
-        dict(spdc_order=True),
+        dict(cutoff_b=-3),
+        dict(cutoff_detector=0),
+        dict(cutoff_b=2.5),
         dict(cutoff_detector=True),
         dict(cutoff_b=False),
     ):
@@ -197,7 +194,7 @@ def test_pattern_probabilities_symmetric(monkeypatch):
         dict(t=0.9, eta=0.9, alpha_f=2.5),
         dict(t=0.99, eta=0.7, alpha_i=1.0, scs_source="squeezed", s=0.313,
              pair_source="vacuum_mixed", z=0.5),
-        SPDC_ORDER_3,
+        dict(SPOT_A, lam=0.3),
         dict(t=0.95, eta=0.8, alpha_i=0.9, phi=0.7, detector="onoff"),
     ):
         config = SchemeConfig(**kwargs)
@@ -290,7 +287,7 @@ def _decomposition(config):
     result = run_scheme(config)
     p = result.sector_probabilities
     return dict(
-        p_vac=p[0], p_chi=p[1], p_phi2=p.get(2), f_chi=result.f_chi,
+        p_vac=p[0], p_chi=p[1], p_phi2=p[2], f_chi=result.f_chi,
         f_eff=result.fidelity, p_tot=result.probability_total,
     )
 
@@ -317,15 +314,30 @@ def test_spdc_run_reports_component_probabilities():
 
 
 def test_spdc_effective_fidelity_identity():
-    got = _decomposition(SchemeConfig(**SPOT_A))
-    rebuilt = analytic.f_eff(
-        p_vac=got["p_vac"],
-        p_chi=got["p_chi"],
-        p_phi2=got["p_phi2"],
-        lam=0.022,
-        f_chi=got["f_chi"],
-    )
-    assert abs(rebuilt - got["f_eff"]) < 1e-12
+    for spot in (SPOT_A, SPOT_B):
+        got = _decomposition(SchemeConfig(**spot))
+        rebuilt = analytic.f_eff(
+            p_vac=got["p_vac"],
+            p_chi=got["p_chi"],
+            p_phi2=got["p_phi2"],
+            lam=spot["lam"],
+            f_chi=got["f_chi"],
+        )
+        assert abs(rebuilt - got["f_eff"]) < 1e-12
+
+
+def test_figure_5_totals_are_p_tot_of_their_sector_columns():
+    """Each row of both figure-5 panels prints P as the paper's P_tot of
+    its own sector columns, (1 - lambda^2)(p_vac + lambda^2 p_chi +
+    lambda^4 p_phi2), at full precision."""
+    for panel in ("a", "b"):
+        columns = sweep(*cli.figure_sweep(5, panel)).columns
+        lam2 = columns["lambda"] ** 2
+        p_tot = (1.0 - lam2) * (
+            columns["p_vac"] + lam2 * columns["p_chi"] + lam2**2 * columns["p_phi2"]
+        )
+        assert len(p_tot) == 125
+        assert np.all(np.abs(columns["probability_total"] - p_tot) <= 1e-14 * p_tot)
 
 
 def test_sweep_rows_are_sorted_and_complete():
@@ -560,15 +572,6 @@ ORACLE_CASES = [
     pytest.param(*case, {}, id="-".join(case + ("diagonal",)))
     for case in itertools.product(
         ("chi", "vacuum_mixed", "spdc"), ("ideal", "squeezed"), ("pnr", "onoff")
-    )
-] + [
-    pytest.param("spdc", beam, detector, extra, id=f"spdc-{name}-{beam}-{detector}")
-    for name, extra, beam, detector in (
-        ("order1", dict(spdc_order=1), "squeezed", "onoff"),
-        ("order3", dict(spdc_order=3), "ideal", "pnr"),
-        ("order3", dict(spdc_order=3), "squeezed", "onoff"),
-        ("exact", dict(spdc_weighting="exact"), "ideal", "onoff"),
-        ("exact", dict(spdc_weighting="exact"), "squeezed", "pnr"),
     )
 ] + [
     pytest.param(pair, "ideal", det, dict(phi=0.7), id=f"{pair}-phi0.7-{det}")
@@ -1058,38 +1061,27 @@ def test_too_small_field_cutoff_raises():
             oracle.lab_frame_beam(config)
 
 
-SPDC_ORDER_3 = dict(
-    t=0.99,
-    eta=0.5,
-    alpha_i=0.7,
-    scs_source="squeezed",
-    s=0.161,
-    pair_source="spdc",
-    lam=0.3,
-    spdc_order=3,
-    detector="onoff",
-)
-
-
 def test_pair_number_above_the_detector_cutoff_raises():
     """The signal cutoff is the source's largest pair number, so only the
-    detector cutoff can be too small for a pair term: six pairs fail at
-    cutoff_detector = 5 and run at 6."""
-    config = SchemeConfig(**dict(SPDC_ORDER_3, spdc_order=6, cutoff_detector=5))
-    assert resolve_cutoffs(config).a == 6
-    with pytest.raises(CutoffError, match="6 pairs need cutoff_detector >= 6"):
+    detector cutoff can be too small for a pair term: downconversion's two
+    pairs fail at cutoff_detector = 1, and at 2 the displacement is the
+    first to need more."""
+    config = SchemeConfig(**dict(SPOT_A, cutoff_detector=1))
+    assert resolve_cutoffs(config).a == 2
+    with pytest.raises(CutoffError, match="2 pairs need cutoff_detector >= 2"):
         run_scheme(config)
-    assert run_scheme(dataclasses.replace(config, cutoff_detector=6)).probability_total > 0
+    with pytest.raises(CutoffError, match="displacement"):
+        run_scheme(dataclasses.replace(config, cutoff_detector=2))
 
 
 def test_post_state_signal_modes_stop_at_the_largest_pair_number():
     """(A_H, A_V) hold exactly n photons in the n-pair term, so the signal
     cutoff is the largest pair number: 2 x 2 x 33 = 132 dimensions for the
-    Bell pair at alpha_f = 2.5, and 4 x 4 x 16 = 256 for downconversion at
-    order 3."""
+    Bell pair at alpha_f = 2.5, and 3 x 3 x 16 = 144 for downconversion on
+    the squeezed source."""
     for kwargs, dims in (
         (dict(t=0.9, eta=0.9, alpha_f=2.5), (2, 2, 33)),
-        (SPDC_ORDER_3, (4, 4, 16)),
+        (SPOT_A, (3, 3, 16)),
     ):
         post = run_scheme(SchemeConfig(**kwargs)).post_state
         assert isinstance(post, DensityOperator)
@@ -1126,20 +1118,6 @@ def test_a_cold_preparation_evaluates_its_source_once(monkeypatch):
     assert calls == cat
 
 
-def test_sweep_runs_higher_spdc_orders_in_full():
-    config = SchemeConfig(**SPDC_ORDER_3)
-    row = sweep(config, {"eta": (0.5,)}).rows[0]
-    result = run_scheme(config)
-    assert row.status == "ok"
-    assert row.probability_total == result.probability_total
-    assert row.fidelity == result.fidelity
-    # sweep rows carry the run's negativity at every order
-    assert row.negativity == result.negativity > 0.0
-    assert row.p_chi == result.sector_probabilities[1]
-    assert abs(row.probability_total - 4.4635e-4) < 1e-7
-    assert abs(row.fidelity - 0.17855) < 1e-5
-
-
 @pytest.mark.parametrize(
     "kwargs", [FIGURE_4_SPOTS[1], SPOT_A], ids=["figure-4b", "spot-a"]
 )
@@ -1172,31 +1150,16 @@ def test_discarded_beam_mass_is_counted_once(monkeypatch, kwargs):
 
 
 def test_truncation_gate_weights_the_sectors():
-    # the unit three-pair sector alone loses more than tail_tol to the
-    # detector cutoff; lambda^6 weights that loss far below it
-    config = SchemeConfig(**SPDC_ORDER_3)
+    # the unit two-pair sector alone loses more than tail_tol to the
+    # detector cutoff; lambda^4 weights that loss far below it
+    config = SchemeConfig(**dict(SPOT_A, t=0.95, lam=0.1, cutoff_detector=5))
     factors = pipeline._factors(pipeline._factors_key(config))
-    assert factors.tails[3] > config.tail_tol
+    assert factors.tails[2] > config.tail_tol
     tail = run_scheme(config).tail_mass
-    spec = resource_states.PairSourceSpec("spdc", lam=0.3, order_max=3)
-    weights = spec.sector_weights()
+    weights = resource_states.PairSourceSpec("spdc", lam=0.1).sector_weights()
     expected = sum(w * factors.tails[n] for n, w in weights.items())
     assert abs(tail - expected / sum(weights.values())) <= 1e-15 * tail
     assert tail < 1e-10
-
-
-def test_spdc_order_one_has_no_two_pair_term():
-    config = SchemeConfig(**dict(SPOT_A, lam=0.02, spdc_order=1))
-    result = run_scheme(config)
-    assert sorted(result.sector_probabilities) == [0, 1]
-    assert result.sector_probabilities[1] == pytest.approx(SPOT_A_EXPECTED["p_chi"])
-    row = sweep(config, {"lambda": (0.02,)}).rows[0]
-    assert row.status == "ok" and row.p_phi2 is None
-    lam2 = 0.02**2
-    expected = (1.0 - lam2) * (
-        SPOT_A_EXPECTED["p_vac"] + lam2 * SPOT_A_EXPECTED["p_chi"]
-    )
-    assert row.probability_total == pytest.approx(expected, rel=1e-6)
 
 
 SWEEP_MATCH_POINTS = [
@@ -1277,9 +1240,7 @@ def test_run_path_leaves_the_dense_oracle_alone(monkeypatch, tmp_path):
     for kwargs in (
         dict(pair_source="chi", lam=None),
         dict(pair_source="vacuum_mixed", z=0.5, lam=None),
-        dict(spdc_order=1),
-        dict(spdc_order=2),
-        dict(spdc_order=3),
+        dict(),
     ):
         run_scheme(SchemeConfig(**dict(SPOT_A, **kwargs)))
 

@@ -42,7 +42,6 @@ def configs(draw):
         kwargs["z"] = draw(st.floats(0.1, 1.0))
     elif kwargs["pair_source"] == "spdc":
         kwargs["lam"] = draw(st.floats(0.001, 0.1))
-        kwargs["spdc_order"] = draw(st.sampled_from((1, 2)))
     return SchemeConfig(**kwargs)
 
 

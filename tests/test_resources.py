@@ -173,7 +173,7 @@ def test_pair_source_spdc_expansion():
     # mixture, with no coherence between the terms
     dims = _pair_dims()
     lam = 0.2
-    spec = PairSourceSpec(variant="spdc", lam=lam, order_max=2)
+    spec = PairSourceSpec(variant="spdc", lam=lam)
     branches = pair_source(spec, dims)
     assert len(branches) == 3
     for n, (weight, state) in enumerate(branches):
@@ -183,22 +183,9 @@ def test_pair_source_spdc_expansion():
     assert abs(sum(w for w, _ in branches) - (1.0 - lam**6)) < 1e-15
 
 
-def test_pair_source_spdc_exact_weighting():
-    dims = _pair_dims()
-    lam = 0.2
-    spec = PairSourceSpec(variant="spdc", lam=lam, order_max=2, weighting="exact")
-    branches = pair_source(spec, dims)
-    assert len(branches) == 3
-    for n, (weight, state) in enumerate(branches):
-        assert weight == spec.sector_weights()[n]
-        expected = (1.0 - lam**2) ** 2 * (n + 1) * lam ** (2 * n)
-        assert abs(weight - expected) < 1e-15
-        assert abs(np.vdot(phi_state(n, dims), state) - 1.0) < 1e-12
-
-
 def test_sector_weights_cover_every_pair_source():
     assert PairSourceSpec("chi").sector_weights() == {1: 1.0}
     vacuum_mixed = PairSourceSpec("vacuum_mixed", z=0.37).sector_weights()
     assert vacuum_mixed == {0: 1.0 - 0.37, 1: 0.37}
-    spdc = PairSourceSpec("spdc", lam=0.1, order_max=3).sector_weights()
-    assert list(spdc) == [0, 1, 2, 3]
+    spdc = PairSourceSpec("spdc", lam=0.1).sector_weights()
+    assert list(spdc) == [0, 1, 2]
