@@ -21,7 +21,8 @@ photon's (s, alpha_i) that both figures of a panel share, figure 4's
 quoted fidelity floor and negativity, and figure 5's conversion spot,
 which has no closed form. `reproduce` prints the tables' cells next to
 them and `selfcheck` asserts those cells. Every argument is held to the
-rule the config and the source specs apply.
+rule `SchemeConfig` applies, which checks its cat by `n_phi` and its
+lambda by `interaction_strength`.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ arrays with one axis per mode of `MODES`, mode by mode. `lab_frame_beam`
 builds the tapped beam: the source up to b + 2d photons, rotated onto the
 diagonal of (B_H, B_V) by `rotation`, tapped by one splitter per
 polarization, its kept field projected onto at most b photons and turned
-back into the beam frame. `pair_source` gives the pair as the mixture of
-its pair-number terms, a list of (weight, amplitudes) branches.
+back into the beam frame. `pair_source` gives a config's pair as the
+mixture of its pair-number terms, a list of (weight, amplitudes) branches.
 `herald_patterns` displaces each branch's idler mode by mode, interferes
 it with the taps on the two 50:50 splitters and heralds both click
 patterns by `herald`, a weighted partial trace. Every operator comes from
@@ -46,7 +46,7 @@ from .optics import (
     transmissivity,
 )
 from .pipeline import SchemeConfig, resolve_cutoffs
-from .resource_states import PairSourceSpec, source_amplitudes
+from .resource_states import sector_weights, source_amplitudes
 
 # The axes of the dense state. Before the 50:50 splitters, axes 2-5 hold
 # the idler modes 2H and 2V and the tap modes 4H and 4V; the splitters turn
@@ -109,15 +109,16 @@ def phi_state(n: int, dims: Sequence[int]) -> np.ndarray:
     return amps * (1.0 / math.sqrt(n + 1.0))
 
 
-def pair_source(spec: PairSourceSpec, dims: Sequence[int]) -> Branches:
-    """Photon-pair input as a mixture: one branch (w_n, `phi_state(n)`) per
-    pair-number term of the source, w_n from `PairSourceSpec.sector_weights`.
-    chi: the unit branch |Phi_1>, the Bell pair. vacuum_mixed: (1 - z,
-    vacuum) and (z, |Phi_1>). spdc: the mixture of its vacuum, one-pair
-    and two-pair terms |Phi_n>, the dense form of the model `run_scheme`
-    scores.
+def pair_source(config: SchemeConfig, dims: Sequence[int]) -> Branches:
+    """The config's photon-pair input as a mixture: one branch (w_n,
+    `phi_state(n)`) per pair-number term of its `pair_source`, w_n from
+    `resource_states.sector_weights` at its z and lambda. chi: the unit
+    branch |Phi_1>, the Bell pair. vacuum_mixed: (1 - z, vacuum) and
+    (z, |Phi_1>). spdc: the mixture of its vacuum, one-pair and two-pair
+    terms |Phi_n>, the dense form of the model `run_scheme` scores.
     """
-    return [(w, phi_state(n, dims)) for n, w in spec.sector_weights().items()]
+    weights = sector_weights(config.pair_source, config.z, config.lam)
+    return [(w, phi_state(n, dims)) for n, w in weights.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +171,10 @@ def herald(branches: Branches, patterns: Sequence[Mapping[str, np.ndarray]]):
         for weight, support, matrix, occupations in rows:
             probability = float(occupations @ weights)
             block = (matrix * weights) @ matrix.conj().T
-            conditional = np.zeros((size, size), dtype=np.complex128)
-            conditional[np.ix_(support, support)] = 0.5 * (block + block.conj().T)
             total += weight * probability
-            accumulated += weight * conditional
+            # Hermitised, added on the branch's support alone
+            hermitised = 0.5 * (block + block.conj().T)
+            accumulated[np.ix_(support, support)] += weight * hermitised
         if total < HERALD_PROBABILITY_FLOOR:
             raise HeraldImpossibleError(
                 f"herald pattern has probability {total:.3e}, below the "
@@ -234,7 +235,9 @@ def lab_frame_beam(config: SchemeConfig) -> np.ndarray:
     cuts = resolve_cutoffs(config)
     reach = cuts.b + 2 * cuts.detector
     amps = np.zeros((cuts.detector + 1,) * 2 + (reach + 1,) * 2, dtype=np.complex128)
-    amps[0, 0, :, 0] = source_amplitudes(config.source_spec(), cuts.b, reach)
+    amps[0, 0, :, 0] = source_amplitudes(
+        config.resolved_alpha_i, config.phi, config.s, cuts.b, reach
+    )
     # the beam is one unit branch, for which both gating rules agree
     beam = [(1.0, mix(amps, (2, 3), rotation(-math.pi / 4.0)))]
     tap = splitter(config.t)
@@ -259,7 +262,7 @@ def herald_patterns(config: SchemeConfig):
     cuts = resolve_cutoffs(config)
     beam = lab_frame_beam(config)
     dims = (cuts.a + 1,) * 2 + (cuts.detector + 1,) * 2
-    pair = pair_source(config.pair_spec(), dims)
+    pair = pair_source(config, dims)
     amplitude = math.sqrt(1.0 - config.t) * config.resolved_alpha_i / math.sqrt(2.0)
     shift = displacement_matrix(amplitude, cuts.detector)
     for p, axis in zip("HV", (2, 3)):

@@ -13,7 +13,7 @@ field mode is B.
 `run_scheme` never forms the joint state. The tapped beam is written in
 closed form and split into Schmidt factors through its one tap mode
 (`_beam`); every pair source is a mixture of unit pair-number sectors n
-with weights w_n (`PairSourceSpec.sector_weights`; downconversion's are
+with weights w_n (`resource_states.sector_weights`; downconversion's are
 the paper's P_tot terms, arXiv:1410.6823), each in closed form. Each
 term (k, l) of the state before detection is a signal Fock state
 |m, n - m> times the beam's right singular vector `beam_vh[l]` on the
@@ -43,7 +43,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Sequence, Tuple, get_args, get_type_hints
+from typing import Mapping, Optional, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -71,10 +71,8 @@ from .optics import (
 )
 from .resource_states import (
     PAIR_SOURCES,
-    PairSourceSpec,
-    ScsSpec,
-    SqueezedPhotonSpec,
     coherent_cutoff_for,
+    sector_weights,
     source_amplitudes,
     squeezed_cutoff_for,
 )
@@ -104,15 +102,17 @@ class SchemeConfig:
     chosen automatically from the amplitudes involved; explicit values are
     honored as-is and may trigger truncation failures. Downconversion is
     the paper's mixture of its vacuum, one-pair and two-pair terms, set by
-    lambda alone (`PairSourceSpec.sector_weights`).
+    lambda alone (`resource_states.sector_weights`). The squeezed photon
+    fills only odd photon numbers, as the phi = pi cat does, so it takes
+    phi = pi alone.
 
     The annotations are the schema of every input (`FIELDS`): a float field
     takes a finite real number, an int field (a cutoff) an integral one
     >= 1, numpy scalars too, bools not (`errors.real`, `errors.integer`), a
     str field one of its `CHOICES`, and an Optional one None as well.
     Values are stored as given. The ranges are the ones every other entry
-    point applies: `optics.transmissivity`, `detection.efficiency`, the
-    source specs' (`source_spec`, `pair_spec`).
+    point applies: `optics.transmissivity`, `detection.efficiency`, and
+    the closed forms' `analytic.n_phi` and `analytic.interaction_strength`.
     """
 
     t: float
@@ -152,9 +152,20 @@ class SchemeConfig:
             raise ValidationError("z must be set exactly for the vacuum_mixed pair")
         if (self.lam is None) == (self.pair_source == "spdc"):
             raise ValidationError("lambda must be set exactly for the spdc pair")
-        # the source specs own the range checks of their parameters
-        self.source_spec()
-        self.pair_spec()
+        # the sources' ranges: the cat's as the closed forms check them
+        if self.s is None:
+            analytic.n_phi(self.resolved_alpha_i, self.phi)
+        else:
+            nonnegative("s", self.s)
+            if self.phi != math.pi:
+                raise ValidationError(
+                    "phi must be pi for the squeezed source, which fills odd "
+                    f"photon numbers alone, got {self.phi!r}"
+                )
+        if self.pair_source == "vacuum_mixed" and not 0.0 < self.z <= 1.0:
+            raise ValidationError(f"pair weight z={self.z} outside (0, 1]")
+        if self.lam is not None:
+            analytic.interaction_strength(self.lam)
         if not (0.0 < self.tail_tol < 1.0):
             raise ValidationError("tail_tol must be in (0, 1)")
 
@@ -169,20 +180,6 @@ class SchemeConfig:
         if self.alpha_f is not None:
             return float(self.alpha_f)
         return float(self.alpha_i) * math.sqrt(self.t)
-
-    def source_spec(self) -> ScsSpec | SqueezedPhotonSpec:
-        """The beam source's spec: the cat (`ScsSpec`) for "ideal", the
-        squeezed photon (`SqueezedPhotonSpec`) for "squeezed"."""
-        if self.scs_source == "ideal":
-            return ScsSpec(self.resolved_alpha_i, self.phi)
-        return SqueezedPhotonSpec(self.s)
-
-    def pair_spec(self) -> PairSourceSpec:
-        """The pair source's spec; a z or lambda the source does not read is
-        None and takes the spec's default."""
-        z = 1.0 if self.z is None else self.z
-        lam = 0.0 if self.lam is None else self.lam
-        return PairSourceSpec(self.pair_source, z, lam)
 
 
 # The schema of every input, read off the annotations: (field, kind, optional)
@@ -221,7 +218,7 @@ def resolve_cutoffs(config: SchemeConfig) -> ResolvedCutoffs:
     """
     alpha_i = config.resolved_alpha_i
     x = math.sqrt(1.0 - config.t) * alpha_i
-    a = max(config.pair_spec().sector_weights())
+    a = max(sector_weights(config.pair_source, config.z, config.lam))
 
     if config.cutoff_detector is not None:
         det = config.cutoff_detector
@@ -270,7 +267,8 @@ def _beam(config: SchemeConfig, cuts: ResolvedCutoffs):
     dim, t = cuts.detector + 1, config.t
     s = np.arange(2 * dim - 1)[:, None]
     m = np.arange(cuts.b + 1)
-    c = source_amplitudes(config.source_spec(), cuts.b, cuts.b + 2 * cuts.detector)
+    c = source_amplitudes(config.resolved_alpha_i, config.phi, config.s, cuts.b,
+                          cuts.b + 2 * cuts.detector)
     lg = log_factorials(c.size)
     # plain powers, not logarithms: at t = 1 the tap needs 0 ** 0 = 1
     phi = c[s + m] * np.exp(0.5 * (lg[s + m] - lg[s] - lg[m])) \
@@ -294,15 +292,6 @@ def _displacement_amplitude(config: SchemeConfig) -> float:
     # the "diagonal" convention: x / sqrt(2) on each polarization component
     x = math.sqrt(1.0 - config.t) * config.resolved_alpha_i
     return x / math.sqrt(2.0)
-
-
-def _sector_weights(config: SchemeConfig, lam: Optional[float]) -> Dict[int, float]:
-    """The pair source as unit pair-number sectors n with weights w_n
-    (`PairSourceSpec.sector_weights`), at `lam` for downconversion."""
-    spec = config.pair_spec()
-    if lam is not None:
-        spec = dataclasses.replace(spec, lam=lam)
-    return spec.sector_weights()
 
 
 @dataclass(frozen=True)
@@ -495,7 +484,7 @@ def _factors(key: SchemeConfig) -> _Factors:
     """
     cuts = resolve_cutoffs(key)
     dim = cuts.detector + 1
-    numbers = sorted(_sector_weights(key, key.lam))
+    numbers = sorted(sector_weights(key.pair_source, key.z, key.lam))
     if numbers[-1] > cuts.detector:
         raise CutoffError(f"{numbers[-1]} pairs need cutoff_detector >= {numbers[-1]}")
     tap, beam_s, beam_vh, discarded = _beam(key, cuts)
@@ -609,7 +598,9 @@ def _score(
         traces[n] = np.trace(b, axis1=1, axis2=2).real
         overlaps[n] = ((b @ c) * c.conj()).sum(axis=1).real
     # rows lambda, columns sector n, summed over the sectors in ascending n
-    w = np.array([list(_sector_weights(key, lam).values()) for lam in lams])
+    w = np.array([
+        list(sector_weights(key.pair_source, key.z, lam).values()) for lam in lams
+    ])
     plain = sum(wn[:, None] * traces[n] for wn, n in zip(w.T, blocks))
     overlap = sum(wn[:, None] * overlaps[n] for wn, n in zip(w.T, blocks))
     if spdc:
@@ -681,7 +672,7 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
         raise failures[0, 0]
     row = {name: column[..., 0, 0] for name, column in columns.items()}
     factors, sectors = _factors(key), row["sector_probabilities"]
-    weights = _sector_weights(config, config.lam)
+    weights = sector_weights(config.pair_source, config.z, config.lam)
     plain = float(row["probability_total"]) / 2
     rho = np.zeros((len(factors.scale),) * 2, dtype=np.complex128)
     for n, span in factors.blocks.items():

@@ -11,7 +11,7 @@ import pytest
 
 from hybridcat import analytic
 from hybridcat.errors import ValidationError
-from hybridcat.resource_states import PairSourceSpec, ScsSpec, SqueezedPhotonSpec
+from hybridcat.pipeline import SchemeConfig
 
 
 def test_normalization_constant_values():
@@ -140,18 +140,21 @@ def test_closed_forms_refuse_what_the_config_refuses(name, args):
         getattr(analytic, name)(*args)
 
 
-def test_closed_forms_share_the_specs_ranges():
+def test_closed_forms_share_the_configs_ranges():
     def message(call):
         with pytest.raises(ValidationError) as info:
             call()
         return str(info.value)
 
+    squeezed = dict(t=0.99, eta=0.7, alpha_i=0.7, scs_source="squeezed")
     assert message(lambda: analytic.scs_fidelity(1.0, -0.1)) == message(
-        lambda: SqueezedPhotonSpec(-0.1)
+        lambda: SchemeConfig(**squeezed, s=-0.1)
     )
     assert message(lambda: analytic.f_eff(0.0, 1e-3, 0.0, 1.0, 0.9)) == message(
-        lambda: PairSourceSpec("spdc", lam=1.0)
+        lambda: SchemeConfig(t=0.99, eta=0.5, alpha_i=0.7, pair_source="spdc", lam=1.0)
     )
-    assert message(lambda: analytic.n_phi(-1.0, 0.0)) == message(
-        lambda: ScsSpec(-1.0, 0.0)
+    # a cat whose normalization diverges, which the config's alpha refusal
+    # does not reach: alpha_i = 0 at phi = pi
+    assert message(lambda: analytic.n_phi(0.0, math.pi)) == message(
+        lambda: SchemeConfig(t=0.9, eta=0.9, alpha_i=0.0)
     )

@@ -15,7 +15,6 @@ from hybridcat import analytic, cli, detection, optics, oracle, pipeline
 from hybridcat.cli import parse_scenario
 from hybridcat.errors import ValidationError
 from hybridcat.pipeline import CHOICES, FIELDS, SWEEP_AXES, SchemeConfig, run_scheme, sweep
-from hybridcat.resource_states import PairSourceSpec
 
 KINDS = (float, int, str)
 TOKENS = {float: "0.5", int: "3"}
@@ -192,8 +191,8 @@ def test_n_cut_is_refused_naming_the_key(tmp_path, capsys):
 def test_downconversion_knobs_are_refused_naming_the_key(tmp_path, capsys):
     """Downconversion is the paper's three pair-number terms with their
     (1 - lambda^2) lambda^(2n) weights, so no input sets its order or its
-    weighting: a scenario, a config or a spec that still names one is
-    refused, naming the key."""
+    weighting: a scenario or a config that still names one is refused,
+    naming the key."""
     spot = "t = 0.99\neta = 0.5\nalpha_i = 0.7\npair_source = spdc\nlambda = 0.022\n"
     for line in ("spdc_order = 3", "spdc_weighting = exact"):
         path = tmp_path / "run.txt"
@@ -204,9 +203,6 @@ def test_downconversion_knobs_are_refused_naming_the_key(tmp_path, capsys):
     for key, value in (("spdc_order", 3), ("spdc_weighting", "exact")):
         with pytest.raises(TypeError, match=key):
             SchemeConfig(**SPDC, **{key: value})
-    for key, value in (("order_max", 3), ("weighting", "exact")):
-        with pytest.raises(TypeError, match=key):
-            PairSourceSpec("spdc", lam=0.022, **{key: value})
 
 
 def test_the_odd_cats_divergence_has_one_home():
@@ -220,6 +216,20 @@ def test_the_odd_cats_divergence_has_one_home():
         lambda: analytic.p_tot_eta(4e-7, 0.9, 0.9),
     ):
         assert "normalization diverges" in _message(call)
+
+
+def test_the_squeezed_source_refuses_a_phase_other_than_pi(tmp_path, capsys):
+    """The squeezed photon fills only odd photon numbers, the phi = pi cat,
+    and ignores phi, which the target alone would read: the config and a
+    scenario refuse any other phi, naming it, and keep phi = pi."""
+    photon = dict(t=0.99, eta=0.7, alpha_i=0.7, scs_source="squeezed", s=0.161)
+    assert SchemeConfig(**photon, phi=math.pi)
+    scenario = "".join(f"{key} = {value}\n" for key, value in photon.items())
+    for phi in (0.7, 0.0, -math.pi):
+        message = _message(lambda: SchemeConfig(**photon, phi=phi))
+        assert message.startswith("phi must be pi for the squeezed source")
+        assert message.endswith(f"got {phi!r}")
+        assert _run_message(tmp_path, capsys, scenario + f"phi = {phi!r}\n") == message
 
 
 def _message(call) -> str:
@@ -270,7 +280,6 @@ def test_every_entry_point_refuses_a_choice_alike(tmp_path, capsys):
     assert refused == "scenario line 4: " + detector.pop()
     pair = {
         _message(lambda: SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0, pair_source="bell")),
-        _message(lambda: PairSourceSpec("bell")),
     }
     assert pair == {
         "unknown pair_source 'bell'; choose one of ('chi', 'vacuum_mixed', 'spdc')"

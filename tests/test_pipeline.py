@@ -472,7 +472,9 @@ def test_untapped_beam_heralds_nothing():
     assert float(np.abs(beam - _lab_frame_beam(config)).max()) <= 1e-14
     # untapped, the beam is the source's first b + 1 amplitudes
     reach = cuts.b + 2 * cuts.detector
-    source = resource_states.source_amplitudes(config.source_spec(), cuts.b, reach)
+    source = resource_states.source_amplitudes(
+        config.resolved_alpha_i, config.phi, config.s, cuts.b, reach
+    )
     source = source[: cuts.b + 1]
     assert float(np.abs(beam[0, 0] - source).max()) <= 1e-14
     with pytest.raises(HeraldImpossibleError):
@@ -920,8 +922,7 @@ def test_the_squeezed_photons_mass_above_b_counts_in_the_tail():
     result = run_scheme(SchemeConfig(**SPOT_A))
     b = result.cutoffs.b
     assert b == 15
-    spec = resource_states.SqueezedPhotonSpec(SPOT_A["s"])
-    amps = resource_states.squeezed_amplitudes(spec, 80)
+    amps = resource_states.squeezed_amplitudes(SPOT_A["s"], 80)
     above = float(np.sum(np.abs(amps[b + 1 :]) ** 2))
     assert 1e-13 < SPOT_A["t"] ** (b + 1) * above <= result.tail_mass
 
@@ -1156,7 +1157,7 @@ def test_truncation_gate_weights_the_sectors():
     factors = pipeline._factors(pipeline._factors_key(config))
     assert factors.tails[2] > config.tail_tol
     tail = run_scheme(config).tail_mass
-    weights = resource_states.PairSourceSpec("spdc", lam=0.1).sector_weights()
+    weights = resource_states.sector_weights("spdc", None, 0.1)
     expected = sum(w * factors.tails[n] for n, w in weights.items())
     assert abs(tail - expected / sum(weights.values())) <= 1e-15 * tail
     assert tail < 1e-10

@@ -26,7 +26,8 @@ from hybridcat.pipeline import (  # noqa: E402
 
 @st.composite
 def configs(draw):
-    """A small-amplitude config of any source, pair source and detector."""
+    """A small-amplitude config of any source, pair source and detector;
+    the ideal cat at any phase, the squeezed photon at its phi = pi."""
     kwargs = dict(
         t=draw(st.floats(0.85, 0.999)),
         eta=draw(st.floats(0.05, 1.0)),
@@ -35,7 +36,9 @@ def configs(draw):
         detector=draw(st.sampled_from(DETECTORS)),
     )
     if kwargs["scs_source"] == "ideal":
-        kwargs["alpha_f"] = draw(st.floats(0.3, 1.2))
+        kwargs.update(
+            alpha_f=draw(st.floats(0.3, 1.2)), phi=draw(st.floats(0.0, 2 * np.pi))
+        )
     else:
         kwargs.update(alpha_i=draw(st.floats(0.5, 1.0)), s=draw(st.floats(0.1, 0.35)))
     if kwargs["pair_source"] == "vacuum_mixed":

@@ -8,12 +8,11 @@ import pytest
 from hybridcat import analytic
 from hybridcat.errors import CutoffError
 from hybridcat.oracle import pair_source, phi_state
+from hybridcat.pipeline import SchemeConfig
 from hybridcat.resource_states import (
-    PairSourceSpec,
-    ScsSpec,
-    SqueezedPhotonSpec,
     coherent_amplitudes,
     coherent_cutoff_for,
+    sector_weights,
     source_amplitudes,
     squeezed_amplitudes,
     squeezed_cutoff_for,
@@ -22,6 +21,11 @@ from hybridcat.resource_states import (
 
 def _pair_dims(cutoff=2):
     return (cutoff + 1,) * 4
+
+
+def _pair_config(**kwargs):
+    """A config of the given pair source; its pair is all the tests read."""
+    return SchemeConfig(t=0.9, eta=0.9, alpha_i=0.5, **kwargs)
 
 
 def _bell_chi():
@@ -51,7 +55,7 @@ def test_coherent_cutoff_bound_is_tight_enough():
 
 
 def test_odd_cat_has_odd_support():
-    amps = source_amplitudes(ScsSpec(alpha=0.9, phi=math.pi), 18, 18)
+    amps = source_amplitudes(0.9, math.pi, None, 18, 18)
     assert np.max(np.abs(amps[0::2])) < 1e-14
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
     # overlap with the constituent coherent state is N (1 - e^{-2 a^2})
@@ -62,14 +66,13 @@ def test_odd_cat_has_odd_support():
 
 
 def test_even_cat_has_even_support():
-    amps = source_amplitudes(ScsSpec(alpha=0.9, phi=0.0), 18, 18)
+    amps = source_amplitudes(0.9, 0.0, None, 18, 18)
     assert np.max(np.abs(amps[1::2])) < 1e-14
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
 
 def test_squeezed_photon_expansion_structure():
-    spec = SqueezedPhotonSpec(s=0.161)
-    amps = squeezed_amplitudes(spec, 15)
+    amps = squeezed_amplitudes(0.161, 15)
     assert abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) < 1e-12
     # squeezing pumps photons in pairs on top of the single photon, so the
     # expansion holds odd occupations only, to any photon number asked for
@@ -81,26 +84,24 @@ def test_squeezed_photon_expansion_structure():
 def test_squeezed_photon_needs_room():
     # the contract the cat keeps: at most 1e-9 of the mass above the cutoff,
     # which at s = 0.2 takes 13 photons
-    spec = SqueezedPhotonSpec(s=0.2)
     with pytest.raises(CutoffError, match="above 12 photons"):
-        source_amplitudes(spec, 12, 20)
-    assert abs(np.linalg.norm(source_amplitudes(spec, 13, 20)) - 1.0) < 1e-12
+        source_amplitudes(0.7, math.pi, 0.2, 12, 20)
+    amps = source_amplitudes(0.7, math.pi, 0.2, 13, 20)
+    assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
 
 def test_squeezed_expansion_is_exact_at_any_length():
     """|c_(2n+1)|^2 = tanh^(2n) s (2n + 1)! / (cosh^3 s 4^n n!^2), summed in
     logarithms: 400 photons neither overflow nor lose norm, and the terms
     match the exact integer form where floats hold it."""
-    spec = SqueezedPhotonSpec(s=0.313)
-    amps = squeezed_amplitudes(spec, 400)
+    amps = squeezed_amplitudes(0.313, 400)
     assert np.all(np.isfinite(amps))
     assert abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) < 1e-12
     tanh2, cosh3 = math.tanh(0.313) ** 2, math.cosh(0.313) ** 3
     for n in range(20):
         exact = tanh2**n * math.factorial(2 * n + 1) / (4**n * math.factorial(n) ** 2)
         assert abs(abs(amps[2 * n + 1]) ** 2 - exact / cosh3) <= 1e-14 * exact
-    assert np.array_equal(squeezed_amplitudes(SqueezedPhotonSpec(s=0.0), 5),
-                          np.eye(6)[1])
+    assert np.array_equal(squeezed_amplitudes(0.0, 5), np.eye(6)[1])
 
 
 def test_squeezed_cutoff_resolves_the_tail_bound():
@@ -112,15 +113,15 @@ def test_squeezed_cutoff_resolves_the_tail_bound():
         (0.1, 1e-9, 9), (0.161, 1e-9, 11), (0.2, 1e-9, 13),
     ):
         assert squeezed_cutoff_for(s, tail) == cutoff
-        mass = np.abs(squeezed_amplitudes(SqueezedPhotonSpec(s), 200)) ** 2
+        mass = np.abs(squeezed_amplitudes(s, 200)) ** 2
         assert float(mass[cutoff + 1 :].sum()) <= tail < float(mass[cutoff - 1 :].sum())
 
 
 def test_squeezed_overlap_matches_closed_form():
     """Numeric |<cat|squeezed photon>|^2 equals the closed-form fidelity."""
     for alpha, s in ((0.7, 0.161), (1.0, 0.313)):
-        cat = source_amplitudes(ScsSpec(alpha=alpha, phi=math.pi), 15, 15)
-        amps = squeezed_amplitudes(SqueezedPhotonSpec(s=s), 15)
+        cat = source_amplitudes(alpha, math.pi, None, 15, 15)
+        amps = squeezed_amplitudes(s, 15)
         overlap = abs(np.vdot(cat, amps)) ** 2
         assert abs(overlap - analytic.scs_fidelity(alpha, s)) < 1e-10
 
@@ -149,7 +150,7 @@ def test_phi_one_is_bell_chi():
 
 
 def test_pair_source_chi_single_branch():
-    branches = pair_source(PairSourceSpec(variant="chi"), _pair_dims())
+    branches = pair_source(_pair_config(pair_source="chi"), _pair_dims())
     assert len(branches) == 1
     weight, state = branches[0]
     assert weight == 1.0
@@ -158,7 +159,8 @@ def test_pair_source_chi_single_branch():
 
 def test_pair_source_vacuum_mixture_weights():
     z = 0.37
-    branches = pair_source(PairSourceSpec(variant="vacuum_mixed", z=z), _pair_dims())
+    config = _pair_config(pair_source="vacuum_mixed", z=z)
+    branches = pair_source(config, _pair_dims())
     weights = sorted(w for w, _ in branches)
     assert abs(weights[0] - z) < 1e-15
     assert abs(weights[1] - (1.0 - z)) < 1e-15
@@ -173,19 +175,18 @@ def test_pair_source_spdc_expansion():
     # mixture, with no coherence between the terms
     dims = _pair_dims()
     lam = 0.2
-    spec = PairSourceSpec(variant="spdc", lam=lam)
-    branches = pair_source(spec, dims)
+    branches = pair_source(_pair_config(pair_source="spdc", lam=lam), dims)
     assert len(branches) == 3
     for n, (weight, state) in enumerate(branches):
-        assert weight == spec.sector_weights()[n]
+        assert weight == sector_weights("spdc", None, lam)[n]
         assert abs(weight - (1.0 - lam**2) * lam ** (2 * n)) < 1e-15
         assert abs(np.vdot(phi_state(n, dims), state) - 1.0) < 1e-12
     assert abs(sum(w for w, _ in branches) - (1.0 - lam**6)) < 1e-15
 
 
 def test_sector_weights_cover_every_pair_source():
-    assert PairSourceSpec("chi").sector_weights() == {1: 1.0}
-    vacuum_mixed = PairSourceSpec("vacuum_mixed", z=0.37).sector_weights()
+    assert sector_weights("chi", None, None) == {1: 1.0}
+    vacuum_mixed = sector_weights("vacuum_mixed", 0.37, None)
     assert vacuum_mixed == {0: 1.0 - 0.37, 1: 0.37}
-    spdc = PairSourceSpec("spdc", lam=0.1).sector_weights()
+    spdc = sector_weights("spdc", None, 0.1)
     assert list(spdc) == [0, 1, 2]
