@@ -114,7 +114,7 @@ def load_scenario(path: str) -> Tuple[SchemeConfig, Dict[str, Tuple[float, ...]]
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read scenario {path!r}: {exc}") from exc
     kwargs, grid = parse_scenario(text)
     return config_from_kwargs(kwargs), grid

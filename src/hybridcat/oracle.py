@@ -5,14 +5,16 @@ arrays with one axis per mode of `MODES`, mode by mode. `lab_frame_beam`
 builds the tapped beam: the source up to b + 2d photons, rotated onto the
 diagonal of (B_H, B_V) by `rotation`, tapped by one splitter per
 polarization, its kept field projected onto at most b photons and turned
-back into the beam frame. `pair_source` gives a config's pair as the
-mixture of its pair-number terms, a list of (weight, amplitudes) branches.
-`herald_patterns` displaces each branch's idler mode by mode, interferes
-it with the taps on the two 50:50 splitters and heralds both click
-patterns by `herald`, a weighted partial trace. Every operator comes from
-`optics` and acts on its axes: `mix` applies the splitter's amplitudes
-(`mixer_amplitudes`) one photon-number total at a time, and the
-displacement is `displacement_matrix` contracted with one axis.
+back into the beam frame, its empty polarization B_V projected onto the
+vacuum, so that the field is the one mode B. `pair_source` gives a
+config's pair as the mixture of its pair-number terms, a list of (weight,
+amplitudes) branches. `herald_patterns` displaces each branch's idler
+mode by mode, interferes it with the taps on the two 50:50 splitters and
+heralds both click patterns by `herald`, a weighted partial trace, onto
+the post-state of (A_H, A_V, B) that `run_scheme` reports. Every operator
+comes from `optics` and acts on its axes: `mix` applies the splitter's
+amplitudes (`mixer_amplitudes`) one photon-number total at a time, and
+the displacement is `displacement_matrix` contracted with one axis.
 `bs_fock_coefficient` is a second, combinatorial form of the splitter's
 amplitudes, and `target_hybrid` the target for scoring by `np.vdot`. The
 tests and `selfcheck` compare `run_scheme` with these. The oracle shares
@@ -48,10 +50,11 @@ from .optics import (
 from .pipeline import SchemeConfig, resolve_cutoffs
 from .resource_states import sector_weights, source_amplitudes
 
-# The axes of the dense state. Before the 50:50 splitters, axes 2-5 hold
-# the idler modes 2H and 2V and the tap modes 4H and 4V; the splitters turn
-# (4H, 2H) into (6H, 5H) and (4V, 2V) into (6V, 5V) in place.
-MODES = ("A_H", "A_V", "5H", "5V", "6H", "6V", "B_H", "B_V")
+# The axes of the dense state, B the beam's kept field. Before the 50:50
+# splitters, axes 2-5 hold the idler modes 2H and 2V and the tap modes 4H
+# and 4V; the splitters turn (4H, 2H) into (6H, 5H) and (4V, 2V) into
+# (6V, 5V) in place.
+MODES = ("A_H", "A_V", "5H", "5V", "6H", "6V", "B")
 _SWAP_HV = str.maketrans("HV", "VH")
 
 # a mixture: (weight, amplitudes) branches
@@ -138,12 +141,11 @@ def herald(branches: Branches, patterns: Sequence[Mapping[str, np.ndarray]]):
     `patterns`, which maps each detector 5H, 5V, 6H, 6V to its
     Fock-diagonal POVM weights (see `detection.herald_pattern`); the joint
     weight of an occupation pattern is their product. Returns, per pattern,
-    the total probability P and the conditional state of (A_H, A_V, B_H,
-    B_V) as a matrix: the weighted partial trace over the detectors,
-    divided by P. Each branch is moved to (kept, detector) order once for
-    all the patterns, on the kept states it populates (an n-pair branch
-    fills only the signal states of n photons). Raises
-    HeraldImpossibleError when a pattern's P is below the floor.
+    the total probability P and the conditional state of (A_H, A_V, B) as
+    a matrix: the weighted partial trace over the detectors, divided by P.
+    Each branch is moved to (kept, detector) order once for all the
+    patterns. Raises HeraldImpossibleError when a pattern's P is below the
+    floor.
     """
     dims = branches[0][1].shape
     for pattern in patterns:
@@ -153,28 +155,23 @@ def herald(branches: Branches, patterns: Sequence[Mapping[str, np.ndarray]]):
                     f"POVM element on {label!r} has dimension "
                     f"{len(pattern[label])}, mode needs {dims[axis]}"
                 )
-    size = dims[0] * dims[1] * dims[6] * dims[7]
-    # per branch: weight, populated kept states, their rows and the
-    # detector occupations' probabilities
+    size = dims[0] * dims[1] * dims[6]
+    # per branch: weight, kept rows and the detector occupations' probabilities
     rows = []
     for weight, amps in branches:
-        matrix = amps.transpose(0, 1, 6, 7, 2, 3, 4, 5).reshape(size, -1)
-        support = np.flatnonzero(matrix.any(axis=1))
-        matrix = matrix[support]
-        rows.append((weight, support, matrix, (np.abs(matrix) ** 2).sum(axis=0)))
+        matrix = amps.transpose(0, 1, 6, 2, 3, 4, 5).reshape(size, -1)
+        rows.append((weight, matrix, (np.abs(matrix) ** 2).sum(axis=0)))
     outcomes = []
     for pattern in patterns:
         weights = functools.reduce(np.multiply.outer, [pattern[x] for x in MODES[2:6]])
         weights = weights.ravel()
         total = 0.0
         accumulated = np.zeros((size, size), dtype=np.complex128)
-        for weight, support, matrix, occupations in rows:
+        for weight, matrix, occupations in rows:
             probability = float(occupations @ weights)
             block = (matrix * weights) @ matrix.conj().T
             total += weight * probability
-            # Hermitised, added on the branch's support alone
-            hermitised = 0.5 * (block + block.conj().T)
-            accumulated[np.ix_(support, support)] += weight * hermitised
+            accumulated += weight * (0.5 * (block + block.conj().T))
         if total < HERALD_PROBABILITY_FLOOR:
             raise HeraldImpossibleError(
                 f"herald pattern has probability {total:.3e}, below the "
@@ -222,16 +219,17 @@ def _gated(config: SchemeConfig, branches: Branches, stage: str,
 
 
 def lab_frame_beam(config: SchemeConfig) -> np.ndarray:
-    """The tapped beam on (4H, 4V, B_H, B_V), built without `run_scheme`'s
-    closed form, in the beam frame: B_H the field B, B_V its empty
-    polarization. The source, up to b + 2d photons (b the field and d the
-    detector cutoff, so that no photon the taps keep is cut before them),
-    is rotated from B_H onto the diagonal of (B_H, B_V), each polarization
-    tapped by its own splitter, the kept field projected onto at most b
-    photons, the (B_H, B_V) cutoffs, and rotated back. Each tap's
-    truncation is gated as `_gated` says. It shares the source amplitudes
-    and their cutoff contracts (`source_amplitudes`, checked at b) and the
-    cutoffs with the run path."""
+    """The tapped beam on (4H, 4V, B), built without `run_scheme`'s closed
+    form, in the beam frame. The source, up to b + 2d photons (b the field
+    and d the detector cutoff, so that no photon the taps keep is cut
+    before them), is put on B_H, rotated onto the diagonal of (B_H, B_V),
+    each polarization tapped by its own splitter, the kept field projected
+    onto at most b photons, the (B_H, B_V) cutoffs, and rotated back, where
+    B_H is the field B and B_V, its empty polarization, is projected onto
+    its vacuum. Each tap's truncation and the empty B_V's mass are gated as
+    `_gated` says. It shares the source amplitudes and their cutoff
+    contracts (`source_amplitudes`, checked at b) and the cutoffs with the
+    run path."""
     cuts = resolve_cutoffs(config)
     reach = cuts.b + 2 * cuts.detector
     amps = np.zeros((cuts.detector + 1,) * 2 + (reach + 1,) * 2, dtype=np.complex128)
@@ -246,19 +244,20 @@ def lab_frame_beam(config: SchemeConfig) -> np.ndarray:
     ((_, beam),) = beam
     photons = np.add.outer(np.arange(reach + 1), np.arange(reach + 1))
     kept = np.where(photons <= cuts.b, beam, 0.0)[..., : cuts.b + 1, : cuts.b + 1]
-    return mix(kept, (2, 3), rotation(math.pi / 4.0))
+    back = [(1.0, mix(kept, (2, 3), rotation(math.pi / 4.0)))]
+    ((_, beam),) = _gated(config, back, "the empty B_V", lambda a: a[..., 0])
+    return beam
 
 
 def herald_patterns(config: SchemeConfig):
     """Both click patterns, plain then flipped, heralded on the dense state
-    of `MODES`: per pattern, P and the post-state of (A_H, A_V, B) and the
-    beam's empty polarization B_V, as an (n, b + 1, n, b + 1) array with
-    n = (a + 1)^2 (b + 1), the flipped pattern's post un-flipped (A_H and
-    A_V swapped back). `post[:, 0, :, 0]` is the part `run_scheme`
-    reports. The pair comes from `pair_source`, its idler displaced mode by
-    mode by x / sqrt(2), x = sqrt(1 - t) alpha_i (the "diagonal"
-    convention), and is joined to `lab_frame_beam`; each displacement and
-    each 50:50 splitter is gated per pair branch as `_gated` says."""
+    of `MODES`: per pattern, P and the (n, n) post-state of (A_H, A_V, B)
+    with n = (a + 1)^2 (b + 1), the basis of `run_scheme`'s post-state,
+    the flipped pattern's post un-flipped (A_H and A_V swapped back). The
+    pair comes from `pair_source`, its idler displaced mode by mode by
+    x / sqrt(2), x = sqrt(1 - t) alpha_i (the "diagonal" convention), and
+    is joined to `lab_frame_beam`; each displacement and each 50:50
+    splitter is gated per pair branch as `_gated` says."""
     cuts = resolve_cutoffs(config)
     beam = lab_frame_beam(config)
     dims = (cuts.a + 1,) * 2 + (cuts.detector + 1,) * 2
@@ -273,10 +272,9 @@ def herald_patterns(config: SchemeConfig):
     for p, axes in zip("HV", ((4, 2), (5, 3))):
         joint = _gated(config, joint, f"the {p} 50:50 splitter", lambda a: mix(a, axes, half))
     pattern = herald_pattern(config.detector, config.eta, cuts.detector)
-    n, e = (cuts.a + 1) ** 2 * (cuts.b + 1), cuts.b + 1
     (p_plain, plain), (p_flipped, flipped) = herald(
         joint, (pattern, flipped_pattern(pattern))
     )
-    flipped = flipped.reshape(dims[:2] + (e, e) + dims[:2] + (e, e))
-    flipped = flipped.transpose(1, 0, 2, 3, 5, 4, 6, 7)
-    return [(p_plain, plain.reshape(n, e, n, e)), (p_flipped, flipped.reshape(n, e, n, e))]
+    kept = dims[:2] + (cuts.b + 1,)
+    flipped = flipped.reshape(kept + kept).transpose(1, 0, 2, 4, 3, 5)
+    return [(p_plain, plain), (p_flipped, flipped.reshape(plain.shape))]

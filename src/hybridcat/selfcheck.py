@@ -228,9 +228,10 @@ def check_mixture_scaling() -> CheckResult:
 
 def check_pattern_symmetry() -> CheckResult:
     """The two herald patterns fire equally and agree after the bit flip,
-    on the dense eight-mode state; `run_scheme`'s factored contraction
-    gives both the same probability. The dense state has one more
-    field mode than `run_scheme` keeps, so a small amplitude keeps it cheap."""
+    on the dense seven-mode state; `run_scheme`'s factored contraction
+    gives both the same probability. The dense state holds every detector
+    mode, which `run_scheme` never forms, so a small amplitude keeps it
+    cheap."""
     config = _ideal_config(0.5, 0.95, 0.9, cutoff_b=8)
     (p_plain, plain), (p_flipped, flipped) = herald_patterns(config)
     probs = [p_plain, p_flipped]
@@ -395,8 +396,7 @@ def check_spdc_lambda_scaling() -> CheckResult:
     run = run_scheme(small)
     (probability, post), _ = herald_patterns(small)
     gap_p = abs(run.plain_probability / probability - 1.0)
-    rho = post[:, 0, :, 0]
-    gap_state = float(np.abs(run.post_state.matrix - rho).max())
+    gap_state = float(np.abs(run.post_state.matrix - post).max())
     return CheckResult(
         max(gap_p, gap_state) <= 1e-12 and worst_f <= 1e-12,
         "P and heralded state equal to the dense pair-number mixture's; "

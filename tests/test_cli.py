@@ -150,6 +150,16 @@ def test_run_missing_file_is_invalid_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_scenario_that_is_not_utf8_is_invalid_input(command, tmp_path, capsys):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(BASE_SCENARIO.encode("utf-8") + b"# \xff\n")
+    argv = [command, "--scenario", str(path), "--output", str(tmp_path / "o.tsv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "cannot read scenario" in err and repr(str(path)) in err
+
+
 @pytest.mark.parametrize(
     "extra",
     [

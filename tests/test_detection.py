@@ -51,8 +51,8 @@ def test_perfect_pnr_is_projective():
 
 # detector channels 5H, 5V, 6H and 6V all have this cutoff in `_ket`
 CUTOFF = 3
-# the oracle's eight modes, the beam's empty polarization B_V of one state
-DIMS = (2, 2) + (CUTOFF + 1,) * 4 + (5, 1)
+# the oracle's seven modes
+DIMS = (2, 2) + (CUTOFF + 1,) * 4 + (5,)
 
 
 def _ket(occupations):
@@ -147,11 +147,11 @@ def test_herald_probability_single_photons():
     state = _ket({"A_H": 1, "5V": 1, "6H": 1})
     ((probability, post),) = herald([(1.0, state)], [herald_pattern("pnr", eta, CUTOFF)])
     assert abs(probability - eta * eta) < 1e-12
-    # the post-state lives on (A_H, A_V, B_H, B_V)
-    assert post.shape == (2 * 2 * 5 * 1,) * 2
+    # the post-state lives on (A_H, A_V, B)
+    assert post.shape == (2 * 2 * 5,) * 2
     # the surviving state is the unchanged A_H photon
-    survivor = np.zeros((2, 2, 5, 1))
-    survivor[1, 0, 0, 0] = 1.0
+    survivor = np.zeros((2, 2, 5))
+    survivor[1, 0, 0] = 1.0
     survivor = survivor.ravel()
     assert abs(np.vdot(survivor, post @ survivor) - 1.0) < 1e-12
 

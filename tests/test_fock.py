@@ -40,7 +40,7 @@ def test_to_density_and_fidelity_roundtrip():
 def test_ensemble_expectation_is_weighted():
     # with unit detector weights the oracle's herald is the partial trace,
     # so each branch of a mixture enters the state with its weight
-    dims = (2,) + (1,) * 7
+    dims = (2,) + (1,) * 6
     zero, one = np.zeros(dims), np.zeros(dims)
     zero[0], one[1] = 1.0, 1.0
     pattern = dict.fromkeys(MODES[2:6], np.ones(1))

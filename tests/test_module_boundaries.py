@@ -1,9 +1,8 @@
 """Checks on the package layout: no module imports another's private
 helpers, every `__all__` entry is defined where it is exported, every one
 has a caller in the package or the benchmark, only `selfcheck` reaches the
-dense oracle, the run path never builds the oracle's dense two-mode
-kernel, the runtime needs numpy and the standard library only, and the
-package stays within its line budget."""
+dense oracle, the runtime needs numpy and the standard library only, and
+the package stays within its line budget."""
 
 import ast
 import os

@@ -430,14 +430,23 @@ def test_cold_figure_5_builds_no_result_objects(monkeypatch, tmp_path):
 # the tapped beam
 
 
-def _lab_frame_beam(config):
-    """The oracle's beam, built mode by mode in the lab frame, with the
-    empty B_V channel dropped."""
-    return oracle.lab_frame_beam(config)[..., 0]
+def _record_empty_b_v(patch):
+    """The mass each `oracle.lab_frame_beam` call drops when it projects
+    the empty B_V onto its vacuum, as `oracle._gated` sees it there."""
+    dropped = []
+    real = oracle._gated
+
+    def recording(config, branches, stage, op):
+        if stage == "the empty B_V":
+            dropped.append(sum(np.linalg.norm(a[..., 1:]) ** 2 for _, a in branches))
+        return real(config, branches, stage, op)
+
+    patch.setattr(oracle, "_gated", recording)
+    return dropped
 
 
 def _factored_beam(config, cuts):
-    """The beam put back together from its Schmidt factors, on (4H, 4V, B_H)."""
+    """The beam put back together from its Schmidt factors, on (4H, 4V, B)."""
     tap, s, vh, _ = pipeline._beam(config, cuts)
     assert tap.shape[1:] == (cuts.detector + 1, cuts.detector + 1)
     return np.einsum("lij,l,lm->ijm", tap, s, vh)
@@ -452,24 +461,30 @@ def _factored_beam(config, cuts):
     ],
     ids=["ideal", "squeezed", "truncated"],
 )
-def test_closed_form_beam_matches_lab_frame(kwargs):
+def test_closed_form_beam_matches_lab_frame(monkeypatch, kwargs):
     config = SchemeConfig(eta=0.9, alpha_f=2.5, **kwargs)
     cuts = resolve_cutoffs(config)
     beam = _factored_beam(config, cuts)
-    assert float(np.abs(beam - _lab_frame_beam(config)).max()) <= 1e-14
+    dropped = _record_empty_b_v(monkeypatch)
+    assert float(np.abs(beam - oracle.lab_frame_beam(config)).max()) <= 1e-14
+    # B_V holds nothing, so its projection is a check of its own even where
+    # the loose tail_tol of the truncated case would pass almost any loss
+    assert len(dropped) == 1 and dropped[0] <= 1e-24
     if config.cutoff_detector == 3:
         # the detector cutoff really truncates this beam
         assert 1.0 - np.linalg.norm(beam) ** 2 > 1e-2
 
 
-def test_untapped_beam_heralds_nothing():
+def test_untapped_beam_heralds_nothing(monkeypatch):
     config = SchemeConfig(t=1.0, eta=0.9, alpha_i=1.0)
     cuts = resolve_cutoffs(config)
     tap, _, _, _ = pipeline._beam(config, cuts)
     assert len(tap) == 1
     beam = _factored_beam(config, cuts)
     assert np.isfinite(beam).all()
-    assert float(np.abs(beam - _lab_frame_beam(config)).max()) <= 1e-14
+    dropped = _record_empty_b_v(monkeypatch)
+    assert float(np.abs(beam - oracle.lab_frame_beam(config)).max()) <= 1e-14
+    assert len(dropped) == 1 and dropped[0] <= 1e-24
     # untapped, the beam is the source's first b + 1 amplitudes
     reach = cuts.b + 2 * cuts.detector
     source = resource_states.source_amplitudes(
@@ -552,11 +567,11 @@ def test_post_state_is_embedded_at_first_read(monkeypatch):
 
 def _dense_oracle(config):
     """Pattern probabilities and combined post-state from the dense state,
-    both patterns heralded by `oracle.herald_patterns`, with the empty
-    field channel projected out, as `run_scheme` reports them."""
+    both patterns heralded by `oracle.herald_patterns`, on the modes
+    `run_scheme` reports."""
     (p_plain, plain), (p_flipped, flipped) = oracle.herald_patterns(config)
     matrix = (p_plain * plain + p_flipped * flipped) / (p_plain + p_flipped)
-    return (p_plain, p_flipped), matrix[:, 0, :, 0]
+    return (p_plain, p_flipped), matrix
 
 
 def _full_negativity(post):
@@ -583,9 +598,8 @@ ORACLE_CASES = [
 
 @pytest.mark.parametrize("pair,beam,detector,extra", ORACLE_CASES)
 def test_factored_herald_matches_dense_oracle(pair, beam, detector, extra):
-    # Small amplitudes and cutoffs keep the dense eight-mode state cheap;
-    # both paths truncate alike, and the looser tail_tol admits the
-    # two-pair term at this detector cutoff.
+    # Small amplitudes and cutoffs keep the dense seven-mode state cheap;
+    # both paths truncate alike, at the default tail_tol.
     kwargs = dict(
         t=0.95,
         eta=0.8,
@@ -594,7 +608,6 @@ def test_factored_herald_matches_dense_oracle(pair, beam, detector, extra):
         scs_source=beam,
         detector=detector,
         cutoff_b=8,
-        tail_tol=1e-6,
     )
     if pair == "vacuum_mixed":
         kwargs["z"] = 0.6
