@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .resource_states import coherent_amplitudes
+from .resource_states import cat_phase, coherent_amplitudes
 
 # Eigensolves above this dimension get slow and memory hungry; refuse
 # instead of silently grinding.
@@ -29,14 +29,14 @@ def target_field_vectors(alpha_f: float, phi: float, cutoff: int):
     """The hybrid target's field vectors next to |1, 0> and |0, 1> on
     (A_H, A_V): |alpha_f> / sqrt(2) and e^(i phi) |-alpha_f> / sqrt(2), both
     truncated at `cutoff` and scaled by one factor so that their squared
-    norms sum to one.
+    norms sum to one; real where phi is a multiple of pi (`cat_phase`).
 
     The polarization branches are orthogonal, so the ideal norm is exactly
     one; truncating the coherent tails changes it by less than 1e-10 when
     the field cutoff is adequate.
     """
     plus = coherent_amplitudes(alpha_f, cutoff) / np.sqrt(2.0)
-    minus = np.exp(1j * phi) * coherent_amplitudes(-alpha_f, cutoff) / np.sqrt(2.0)
+    minus = cat_phase(phi) * coherent_amplitudes(-alpha_f, cutoff) / np.sqrt(2.0)
     norm = np.linalg.norm((plus, minus))
     return plus / norm, minus / norm
 

@@ -23,6 +23,11 @@ binomially in the output creation operators (Campos, Saleh & Teich, PRA 40,
 two per-input tables of exact binomials times powers of S; one matmul takes
 it for every input pair, and a boson factor from `log_factorials` scales it.
 
+Every matrix here takes the dtype its arguments force: a real scattering
+matrix (every rotation and splitter) gives real mixer amplitudes, and a
+real amplitude a real displacement matrix, float64 both; complex128 comes
+only from a complex argument.
+
 Displacement matrices come from the closed-form associated-Laguerre matrix
 elements, not from exponentiating truncated generators, so low Fock
 components are accurate to machine precision. The Laguerre values L_n^(k)(x)
@@ -67,18 +72,18 @@ def rotation(angle: float) -> np.ndarray:
     basis, so that at +45 degrees a diagonally polarized beam (equal H and
     V components) maps onto H."""
     c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, s], [-s, c]], dtype=np.complex128)
+    return np.array([[c, s], [-s, c]])
 
 
 def splitter(t) -> np.ndarray:
-    """The scattering matrix of a transmissivity-t beam splitter: the
+    """The real scattering matrix of a transmissivity-t beam splitter: the
     rotation by arccos(sqrt(t))."""
     return rotation(math.acos(math.sqrt(transmissivity(t))))
 
 
 def _expansion_table(size: int, dim: int, to_i: complex, to_j: complex) -> np.ndarray:
-    # row n, column p: C(n, p) to_i^p to_j^(n - p), zero for p > n; integer
-    # powers of a complex array keep 0 ** 0 = 1. The binomials follow
+    # row n, column p: C(n, p) to_i^p to_j^(n - p), zero for p > n, real for
+    # real entries; integer powers keep 0 ** 0 = 1. The binomials follow
     # Pascal's rule in float64, exact while every C(n, p) is below 2^53
     # (n <= 56)
     binomials = np.zeros((size, dim))
@@ -86,15 +91,17 @@ def _expansion_table(size: int, dim: int, to_i: complex, to_j: complex) -> np.nd
     for row in range(1, size):
         binomials[row, 1:] = binomials[row - 1, 1:] + binomials[row - 1, :-1]
     n, p = np.arange(size)[:, None], np.arange(dim)
-    powers = np.complex128(to_i) ** p * np.complex128(to_j) ** np.maximum(n - p, 0)
+    powers = np.asarray(to_i) ** p * np.asarray(to_j) ** np.maximum(n - p, 0)
     return binomials * powers
 
 
 def _scattering_entries(scattering: np.ndarray) -> tuple:
+    # the four entries as floats, or as complex numbers where any of them
+    # has an imaginary part
     mat = np.asarray(scattering, dtype=np.complex128)
     if mat.shape != (2, 2):
         raise ValidationError("scattering matrix must be 2x2")
-    return tuple(complex(x) for x in mat.ravel())
+    return tuple((mat if mat.imag.any() else mat.real).ravel().tolist())
 
 
 def mixer_amplitudes(scattering: np.ndarray, dim_i: int, dim_j: int) -> np.ndarray:
@@ -102,8 +109,9 @@ def mixer_amplitudes(scattering: np.ndarray, dim_i: int, dim_j: int) -> np.ndarr
     [n, m, o]: <o, n + m - o| of the mixer applied to input |n, m>, over
     dimensions (dim_i, dim_j), zero where that output falls outside them:
     the mixer's only nonzero Fock matrix elements, dim_i^2 dim_j of them
-    against the (dim_i dim_j)^2 of its dense matrix. The result is not
-    cached: its callers cache what they build from it.
+    against the (dim_i dim_j)^2 of its dense matrix; float64 for a real
+    scattering matrix. The result is not cached: its callers cache what
+    they build from it.
     """
     # Input |n, m> expands as (s00 a_i^dag + s10 a_j^dag)^n (s01 a_i^dag +
     # s11 a_j^dag)^m / sqrt(n! m!). The amplitude of o photons in output i
@@ -146,9 +154,10 @@ def required_displacement_cutoff(alpha: complex) -> int:
 def _cached_displacement(alpha: complex, cutoff: int) -> np.ndarray:
     # <r|D|c> = sqrt(lo!/hi!) beta^k e^(-x/2) L_lo^(k)(x) with lo, hi =
     # min, max(r, c), k = hi - lo and beta = alpha below the diagonal, -alpha*
-    # above it. For q[n, k] = L_n^(k)(x) / C(n + k, n) the recurrence reads
-    # (n + k + 1) q[n + 1] = (2n + k + 1 - x) q[n] - n q[n - 1], run on the
-    # step d = q[n + 1] - q[n], which stays small where q is nearly flat.
+    # above it, real for a real alpha. For q[n, k] = L_n^(k)(x) / C(n + k, n)
+    # the recurrence reads (n + k + 1) q[n + 1] = (2n + k + 1 - x) q[n] -
+    # n q[n - 1], run on the step d = q[n + 1] - q[n], which stays small where
+    # q is nearly flat.
     dim = cutoff + 1
     x = abs(alpha) ** 2
     k = np.arange(dim)
@@ -161,8 +170,8 @@ def _cached_displacement(alpha: complex, cutoff: int) -> np.ndarray:
     lo, hi = np.minimum(row, col), np.maximum(row, col)
     beta = np.where(row >= col, alpha, -np.conj(alpha))
     lg = log_factorials(dim)
-    # sqrt(lo!/hi!) C(hi, lo) = sqrt(hi!/lo!) / k!; integer powers of a
-    # complex array keep 0 ** 0 = 1, so alpha = 0 gives the identity
+    # sqrt(lo!/hi!) C(hi, lo) = sqrt(hi!/lo!) / k!; integer powers keep
+    # 0 ** 0 = 1, so alpha = 0 gives the identity
     mat = np.exp(0.5 * (lg[hi] - lg[lo]) - lg[hi - lo] - 0.5 * x) \
         * beta ** (hi - lo) * q[lo, hi - lo]
     mat.setflags(write=False)
@@ -171,7 +180,7 @@ def _cached_displacement(alpha: complex, cutoff: int) -> np.ndarray:
 
 def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     """Single-mode displacement operator on a truncated space, as a cached
-    read-only matrix.
+    read-only matrix, float64 for a real alpha and complex128 otherwise.
 
     Matrix elements are the closed-form associated-Laguerre expressions,
     with the Laguerre table built by the three-term recurrence in n
@@ -188,4 +197,5 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
             f"displacement with |alpha|={abs(alpha):.4g} needs cutoff >= "
             f"{needed}, got {cutoff}"
         )
-    return _cached_displacement(alpha, int(cutoff))
+    # a real alpha is cached, and built, as a float
+    return _cached_displacement(alpha if alpha.imag else alpha.real, int(cutoff))

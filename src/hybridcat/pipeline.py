@@ -28,6 +28,14 @@ so its negativity recombines the sectors' own; it is embedded in the
 register (a local isometry) only when a result's `post_state` is first
 read.
 
+Every array takes the dtype its factors force (`np.result_type`), never a
+complex literal. The splitters are real rotations, the displacement
+amplitude is real and the POVMs are real, so the run path, post-state
+included, is float64 wherever the source is real: the squeezed photon and
+the cat whose phi is a multiple of pi (`resource_states.cat_phase`), which
+covers every figure. Only a cat of another phi, such as phi = 0.7, makes
+the beam and the target complex128; the dense oracle stays complex128.
+
 Scoring runs one preparation at a time (`_score`): the points of a sweep
 that differ only in eta (and, for downconversion, lambda) share one
 `_factors` lookup and are scored together as columns over (lambda, eta),
@@ -386,13 +394,14 @@ def _gram(factors: _Factors, w: Mapping[str, np.ndarray]) -> np.ndarray:
     n_k n_l dim^6. It needs product idler factors and a product,
     Fock-diagonal POVM. Each image's P diag(w) P^H is formed as
     conj((conj(P) o w) P^T), from one weighted copy and a transposed view of
-    the image, so no adjoint is held.
+    the image, so no adjoint is held; the copy is allocated explicitly, since
+    `conj` of a real image is the image itself.
     """
     n_l, dim, _ = factors.tap.shape
     n_k, (k, m) = len(factors.signal_states), factors.pairs
 
     def pulled(p, q):
-        weighted = p.conj()
+        weighted = np.conjugate(p, out=np.empty_like(p))
         weighted *= (w["6" + q][:, None] * w["5" + q]).ravel()
         square = weighted @ p.T
         return np.conjugate(square, out=square).reshape(n_k, dim, n_k, dim)
@@ -430,7 +439,8 @@ def _eta_grams(factors: _Factors, detector: str, etas: Sequence[float]):
     contracts one efficiency at a time and only the pairs inside a sector."""
     n_l = factors.beam_rank
     sizes = {n: span.stop - span.start for n, span in factors.blocks.items()}
-    stacks = {n: np.empty((len(etas), s, s), np.complex128) for n, s in sizes.items()}
+    dtype = np.result_type(factors.idler_h, factors.tap)
+    stacks = {n: np.empty((len(etas), s, s), dtype) for n, s in sizes.items()}
     for i, eta in enumerate(etas):
         w = herald_pattern(detector, eta, factors.cuts.detector)
         blocks, end = _gram(factors, w), 0
@@ -530,7 +540,8 @@ def _target_terms(
     only on the signal states |1, 0> and |0, 1>, where they are the
     target's field vectors against the conjugated rows of `beam_vh`."""
     fields = target_field_vectors(config.resolved_alpha_f, config.phi, cuts.b)
-    coeffs = np.zeros((len(signal_states), len(beam_vh)), dtype=np.complex128)
+    dtype = np.result_type(beam_vh, *fields)
+    coeffs = np.zeros((len(signal_states), len(beam_vh)), dtype)
     for state, field in zip((cuts.a + 1, 1), fields):
         coeffs[signal_states == state] = beam_vh.conj() @ field
     return coeffs.ravel()
@@ -545,7 +556,7 @@ def _embed(factors: _Factors, rho: np.ndarray) -> DensityOperator:
     half = rho.reshape(-1, factors.beam_rank) @ vh.conj()
     full = (vh.T @ half.reshape(k, factors.beam_rank, -1)).reshape(k, dim_b, k, dim_b)
     dim_a = (cuts.a + 1) ** 2
-    matrix = np.zeros((dim_a, dim_b, dim_a, dim_b), dtype=np.complex128)
+    matrix = np.zeros((dim_a, dim_b, dim_a, dim_b), full.dtype)
     states = factors.signal_states
     matrix[states[:, None], :, states, :] = full.transpose(0, 2, 1, 3)
     dims = (cuts.a + 1, cuts.a + 1, dim_b)
@@ -558,8 +569,8 @@ def _score(
     """Score the points (lams[i], etas[j]) of one preparation, `key` a
     `_factors_key`, each value in range, lambda None but for downconversion:
     columns over (lambda, eta), the failures among the points by (i, j),
-    and each sector n's unit-weight block B_n stacked over eta. A failed
-    preparation (`_factors`) raises.
+    each sector n's unit-weight block B_n stacked over eta, and the
+    preparation's `_Factors`. A failed preparation (`_factors`) raises.
 
     The POVM is photon-number diagonal and the unit sectors differ in
     signal photon number, so P and F read only each sector's Gram block
@@ -652,7 +663,7 @@ def _score(
             f"herald pattern has probability {plain[i, j]:.3e}, below the "
             f"{HERALD_PROBABILITY_FLOOR:.0e} floor"
         )
-    return columns, failures, blocks
+    return columns, failures, blocks, factors
 
 
 def run_scheme(config: SchemeConfig) -> SchemeResult:
@@ -666,15 +677,16 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     of the register's 132). rho_t, the blocks' mixture sum_n w_n B_n /
     (P / 2), is kept for `post_state` to embed at its first read.
     """
-    key = _factors_key(config)
-    columns, failures, blocks = _score(key, (config.lam,), (config.eta,))
+    columns, failures, blocks, factors = _score(
+        _factors_key(config), (config.lam,), (config.eta,)
+    )
     if failures:
         raise failures[0, 0]
     row = {name: column[..., 0, 0] for name, column in columns.items()}
-    factors, sectors = _factors(key), row["sector_probabilities"]
+    sectors = row["sector_probabilities"]
     weights = sector_weights(config.pair_source, config.z, config.lam)
     plain = float(row["probability_total"]) / 2
-    rho = np.zeros((len(factors.scale),) * 2, dtype=np.complex128)
+    rho = np.zeros((len(factors.scale),) * 2, np.result_type(*blocks.values()))
     for n, span in factors.blocks.items():
         rho[span, span] = blocks[n][0] * weights[n] / plain
     reference = None
@@ -817,7 +829,7 @@ def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTab
             updates["alpha_i"] = None
         try:
             key = _factors_key(config, **updates)
-            columns, failures, _ = _score(key, lams, etas)
+            columns, failures, *_ = _score(key, lams, etas)
         except SimulationError as exc:
             status[at] = f"error:{type(exc).__name__}"
             columns, failures = {}, {}

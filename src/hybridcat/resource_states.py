@@ -13,6 +13,11 @@ to one cutoff contract and normalized; the raw amplitude functions
 (`coherent_amplitudes`, `squeezed_amplitudes`) expand to any photon
 number, and `coherent_cutoff_for` and `squeezed_cutoff_for` find where a
 tail bound holds.
+
+Amplitudes are real (float64) wherever the state is: a coherent state of
+real amplitude, the squeezed photon, and the cat whose phase phi is a
+multiple of pi (`cat_phase`). Only a cat of another phi is complex128, and
+the run path computes in whichever dtype its source forces.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .fock_core import log_factorials
 
 __all__ = [
     "PAIR_SOURCES",
+    "cat_phase",
     "coherent_amplitudes",
     "coherent_cutoff_for",
     "sector_weights",
@@ -63,17 +69,31 @@ def sector_weights(
 # single-mode resources
 
 
+def cat_phase(phi: float):
+    """The cat's relative phase e^(i phi): the float 1.0 or -1.0 where phi
+    is a multiple of pi to double precision, so that the cat, and every
+    array built from it, stays real, else a complex number."""
+    k = round(phi / math.pi)
+    if phi == k * math.pi:
+        return -1.0 if k % 2 else 1.0
+    return complex(np.exp(1j * phi))
+
+
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    """Truncated coherent-state amplitudes c_n = e^{-|a|^2/2} a^n / sqrt(n!)."""
+    """Truncated coherent-state amplitudes c_n = e^{-|a|^2/2} a^n / sqrt(n!),
+    float64 for a real alpha (its sign alternating with n where alpha < 0)
+    and complex128 otherwise."""
     if cutoff < 0:
         raise ValidationError(f"cutoff must be >= 0, got {cutoff}")
     n = np.arange(cutoff + 1)
     if alpha == 0:
-        return np.where(n == 0, 1.0, 0.0).astype(np.complex128)
+        return np.where(n == 0, 1.0, 0.0)
     magnitude = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha))
                        - 0.5 * log_factorials(cutoff + 1))
-    phase = np.exp(1j * np.angle(complex(alpha)) * n)
-    return magnitude * phase
+    alpha = complex(alpha)
+    if alpha.imag == 0.0:
+        return magnitude * math.copysign(1.0, alpha.real) ** n
+    return magnitude * np.exp(1j * np.angle(alpha) * n)
 
 
 def coherent_cutoff_for(alpha: complex, tail: float) -> int:
@@ -122,7 +142,7 @@ def source_amplitudes(
     if s is None:
         plus = coherent_amplitudes(alpha, reach)
         minus = coherent_amplitudes(-alpha, reach)
-        amps = n_phi(alpha, phi) * (plus + np.exp(1j * phi) * minus)
+        amps = n_phi(alpha, phi) * (plus + cat_phase(phi) * minus)
     else:
         amps = squeezed_amplitudes(s, reach)
     lost = 1.0 - float(np.sum(np.abs(amps[: cutoff + 1]) ** 2))
@@ -135,8 +155,8 @@ def source_amplitudes(
 
 def squeezed_amplitudes(s: float, cutoff: int) -> np.ndarray:
     """The squeezed single photon S(s)|1>'s exact amplitudes up to `cutoff`
-    photons, not renormalized: occupation 2n + 1 carries c_(2n+1) = tanh^n s
-    cosh^(-3/2) s sqrt((2n + 1)!) / (2^n n!), |c_(2n+1)|^2 = tanh^(2n) s
+    photons, real and not renormalized: occupation 2n + 1 carries c_(2n+1) =
+    tanh^n s cosh^(-3/2) s sqrt((2n + 1)!) / (2^n n!), |c_(2n+1)|^2 = tanh^(2n) s
     (2n + 1)! / (cosh^3 s 4^n n!^2) (Kim, de Oliveira & Knight, Phys. Rev. A
     40, 2494 (1989)), with the factorials in logarithms so that no photon
     number overflows.
@@ -146,7 +166,7 @@ def squeezed_amplitudes(s: float, cutoff: int) -> np.ndarray:
     n = np.arange((cutoff + 1) // 2)
     lg = log_factorials(2 * n.size)
     x = math.tanh(s)
-    amps = np.zeros(cutoff + 1, dtype=np.complex128)
+    amps = np.zeros(cutoff + 1)
     # plain powers, not logarithms: at s = 0 the photon needs 0 ** 0 = 1
     amps[1::2] = (1.0 - x * x) ** 0.75 * x**n \
         * np.exp(0.5 * lg[2 * n + 1] - lg[n] - n * math.log(2.0))

@@ -353,7 +353,7 @@ def test_reproduce_summary_skips_failed_rows(
     real = pipeline._score
 
     def failing(key, lams, etas):
-        columns, failures, rho = real(key, lams, etas)
+        columns, failures, *rest = real(key, lams, etas)
         for (i, lam), (j, eta) in itertools.product(enumerate(lams), enumerate(etas)):
             values = {"eta": eta, "lam": lam}
             hit = all(
@@ -363,7 +363,7 @@ def test_reproduce_summary_skips_failed_rows(
             if hit and not failed:
                 failed.append((key, eta, lam))
                 failures[i, j] = SimulationError("injected failure")
-        return columns, failures, rho
+        return (columns, failures, *rest)
 
     monkeypatch.setattr(pipeline, "_score", failing)
     code = main(

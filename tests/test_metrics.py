@@ -33,6 +33,15 @@ def test_target_is_normalized():
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
+def test_target_field_vectors_take_the_cats_dtype():
+    """Both field vectors are real at phi = pi; at phi = 0.7 the phased
+    one is complex."""
+    plus, minus = metrics.target_field_vectors(1.0, math.pi, 14)
+    assert plus.dtype == minus.dtype == np.float64
+    plus, minus = metrics.target_field_vectors(1.0, 0.7, 14)
+    assert plus.dtype == np.float64 and minus.dtype == np.complex128
+
+
 def test_target_branch_structure():
     alpha_f = 0.8
     dims = _target_dims(alpha_f)

@@ -239,6 +239,20 @@ def test_polarization_rotation_inverts():
     assert abs(abs(np.vdot(back, state)) - 1.0) < 1e-12
 
 
+def test_real_arguments_give_real_matrices():
+    """Every rotation and splitter is real, and so are the mixer's
+    amplitudes and a real amplitude's displacement; a complex argument
+    gives complex128. A real alpha passed as a complex number is cached,
+    and built, as the real one."""
+    assert rotation(0.3).dtype == splitter(0.9).dtype == np.float64
+    assert mixer_amplitudes(splitter(0.5), 4, 5).dtype == np.float64
+    phased = splitter(0.5) * np.array([[1.0, 1j], [1j, 1.0]])
+    assert mixer_amplitudes(phased, 4, 5).dtype == np.complex128
+    assert displacement_matrix(-0.7, 10).dtype == np.float64
+    assert displacement_matrix(complex(-0.7), 10) is displacement_matrix(-0.7, 10)
+    assert displacement_matrix(0.7j, 10).dtype == np.complex128
+
+
 def test_displacement_matrix_unitary_interior():
     # truncation error drains from the top of the matrix; with eight
     # levels of headroom the low-lying block is unitary to high accuracy

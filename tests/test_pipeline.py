@@ -466,7 +466,10 @@ def test_closed_form_beam_matches_lab_frame(monkeypatch, kwargs):
     cuts = resolve_cutoffs(config)
     beam = _factored_beam(config, cuts)
     dropped = _record_empty_b_v(monkeypatch)
-    assert float(np.abs(beam - oracle.lab_frame_beam(config)).max()) <= 1e-14
+    lab = oracle.lab_frame_beam(config)
+    # the real closed form against the complex lab frame
+    assert beam.dtype == np.float64 and lab.dtype == np.complex128
+    assert float(np.abs(beam - lab).max()) <= 1e-14
     # B_V holds nothing, so its projection is a check of its own even where
     # the loose tail_tol of the truncated case would pass almost any loss
     assert len(dropped) == 1 and dropped[0] <= 1e-24
@@ -619,6 +622,10 @@ def test_factored_herald_matches_dense_oracle(pair, beam, detector, extra):
     config = SchemeConfig(**kwargs, **extra)
     result = run_scheme(config)
     probs, rho = _dense_oracle(config)
+    # the oracle is complex; at phi = pi the run path ran real, so every
+    # comparison below is real against complex
+    assert rho.dtype == np.complex128
+    assert result.post_state.matrix.dtype == (np.complex128 if extra else np.float64)
     plain = result.plain_probability
     for expected in probs:
         assert abs(plain - expected) <= 1e-12 * max(probs)
@@ -701,6 +708,8 @@ def test_pulled_back_gram_matches_interfered_factors(kwargs):
         # the pairs inside one sector, the only ones `_gram` contracts
         ks, ms = factors.pairs
         got = pipeline._gram(factors, w)
+        # real blocks against the complex splitter matrix's
+        assert got.dtype == np.float64 and z.dtype == np.complex128
         assert np.abs(got - expected[ks * n_k + ms]).max() <= bound
 
 
@@ -1289,3 +1298,103 @@ def test_ideal_cat_vacuum_sector_cannot_herald(detector):
         )
         got = sweep(config, {"eta": (eta,)}).rows[0]
         assert got.p_vac <= 1e-10 * got.p_chi, (alpha_i, eta, t)
+
+
+def test_a_run_looks_its_preparation_up_once():
+    """`run_scheme` reads its `_Factors` off `_score`, which built them: a
+    cold run misses `_factors`' cache once and never hits it."""
+    pipeline._factors.cache_clear()
+    run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0))
+    info = pipeline._factors.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_the_v_side_pull_back_is_the_h_side_mirrored(source):
+    """Under the plain pattern, which lights 6H and 5V, the V weights are
+    the H weights with the two outputs of the 50:50 splitter swapped, a
+    sign (-1) per photon in one input. So each V-side pulled block is an
+    H-side one at the mirrored pair factors, V_km[i, c] = (-1)^(i + c)
+    H_k'm'[i, c], k' the factor of k's sector with m -> n - m: to 1e-15 of
+    the largest entry."""
+    config = SchemeConfig(**SOURCES[source])
+    factors = pipeline._factors(pipeline._factors_key(config))
+    w = herald_pattern(config.detector, config.eta, factors.cuts.detector)
+    n_k, dim = len(factors.signal_states), factors.cuts.detector + 1
+
+    def pulled(p, q):
+        # P^T diag(w_6q (x) w_5q) conj(P), as [k, i, m, c]
+        weights = np.outer(w["6" + q], w["5" + q]).ravel()
+        return ((p * weights) @ p.conj().T).reshape(n_k, dim, n_k, dim)
+
+    h, v = pulled(factors.idler_h, "H"), pulled(factors.idler_v, "V")
+    # signal state |m, n - m> mirrors onto |n - m, m>
+    a = factors.cuts.a + 1
+    m, rest = np.divmod(factors.signal_states, a)
+    states = factors.signal_states.tolist()
+    mirror = np.array([states.index(state) for state in (rest * a + m).tolist()])
+    assert not np.array_equal(mirror, np.arange(n_k))
+    k, l = factors.pairs
+    sign = (-1.0) ** np.add.outer(np.arange(dim), np.arange(dim))
+    mirrored = h[mirror[k], :, mirror[l]]
+    bound = 1e-15 * np.abs(h).max()
+    assert np.abs(v[k, :, l] - sign * mirrored).max() <= bound
+    # the sign matters: without it the blocks differ
+    assert np.abs(v[k, :, l] - mirrored).max() > 1e3 * bound
+
+
+# ---------------------------------------------------------------------------
+# the dtype rule
+
+FACTOR_ARRAYS = ("tap", "beam_vh", "idler_h", "idler_v", "target")
+
+
+def _run_and_factors(key):
+    """A run at one point of the preparation `key` and that preparation's
+    `_Factors`."""
+    point = dataclasses.replace(key, eta=0.9, lam=0.022 if key.lam is not None else None)
+    result = run_scheme(point)
+    return result, pipeline._factors(pipeline._factors_key(point))
+
+
+def test_real_sources_run_in_real_arithmetic(monkeypatch):
+    """Every figure heralds a real state: at each of the 24 distinct
+    preparations of figures 2-5 (the squeezed photon, or the cat at
+    phi = pi) and at alpha_f = 2.5, every factor, the target's
+    coefficients and the post-state are float64."""
+    keys = []
+    prepare = pipeline._factors
+    monkeypatch.setattr(pipeline, "_factors", lambda key: keys.append(key) or prepare(key))
+    for figure, panels in ((2, [None]), (3, [None]), (4, "ab"), (5, "ab")):
+        for panel in panels:
+            sweep(*cli.figure_sweep(figure, panel))
+    monkeypatch.undo()
+    preparations = list(dict.fromkeys(keys))
+    assert len(preparations) == 24
+    large = pipeline._factors_key(SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5))
+    for key in preparations + [large]:
+        result, factors = _run_and_factors(key)
+        for name in FACTOR_ARRAYS:
+            assert getattr(factors, name).dtype == np.float64, (key, name)
+        assert result.post_state.matrix.dtype == np.float64, key
+
+
+@pytest.mark.parametrize("phi", [0.7, math.pi / 2], ids=["0.7", "pi/2"])
+def test_a_complex_cat_phase_runs_in_complex_arithmetic(phi):
+    """A cat whose phi is no multiple of pi has a complex phase: its beam,
+    the target's coefficients and the post-state are complex128. The
+    displaced idler, which no phi enters, stays real."""
+    result, factors = _run_and_factors(
+        pipeline._factors_key(SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0, phi=phi))
+    )
+    for name in ("tap", "beam_vh", "target"):
+        assert getattr(factors, name).dtype == np.complex128, name
+    assert result.post_state.matrix.dtype == np.complex128
+    assert factors.idler_h.dtype == factors.idler_v.dtype == np.float64
+
+
+def test_a_dropped_imaginary_part_fails_the_test():
+    """The gate that guards the dtype rule (tests/conftest.py): numpy
+    casting a complex value into a real array is an error here."""
+    with pytest.raises(getattr(np, "exceptions", np).ComplexWarning):
+        np.zeros(2)[...] = np.array([1.0, 1j])

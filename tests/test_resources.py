@@ -10,6 +10,7 @@ from hybridcat.errors import CutoffError
 from hybridcat.oracle import pair_source, phi_state
 from hybridcat.pipeline import SchemeConfig
 from hybridcat.resource_states import (
+    cat_phase,
     coherent_amplitudes,
     coherent_cutoff_for,
     sector_weights,
@@ -44,6 +45,26 @@ def test_coherent_amplitudes():
     )
     assert np.max(np.abs(amps - expected)) < 1e-12
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
+
+
+def test_real_states_have_real_amplitudes():
+    """A real coherent amplitude, the squeezed photon and the cat whose phi
+    is a multiple of pi have float64 amplitudes; any other phi gives the
+    cat a complex phase."""
+    for phi, phase in ((0.0, 1.0), (math.pi, -1.0), (-math.pi, -1.0),
+                       (2 * math.pi, 1.0), (3 * math.pi, -1.0)):
+        assert type(cat_phase(phi)) is float and cat_phase(phi) == phase
+    for phi in (0.7, math.pi / 2, math.pi + 1e-12):
+        assert cat_phase(phi) == np.exp(1j * phi)
+    minus = coherent_amplitudes(-0.8, 20)
+    assert minus.dtype == np.float64
+    assert np.array_equal(minus, coherent_amplitudes(0.8, 20) * (-1.0) ** np.arange(21))
+    assert coherent_amplitudes(0.0, 20).dtype == np.float64
+    assert coherent_amplitudes(0.8j, 20).dtype == np.complex128
+    assert squeezed_amplitudes(0.3, 9).dtype == np.float64
+    assert source_amplitudes(1.0, math.pi, None, 14, 20).dtype == np.float64
+    assert source_amplitudes(1.0, math.pi, 0.161, 15, 20).dtype == np.float64
+    assert source_amplitudes(1.0, 0.7, None, 14, 20).dtype == np.complex128
 
 
 def test_coherent_cutoff_bound_is_tight_enough():
