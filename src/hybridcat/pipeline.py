@@ -38,10 +38,11 @@ the beam and the target complex128; the dense oracle stays complex128.
 
 Scoring runs one preparation at a time (`_score`): the points of a sweep
 that differ only in eta (and, for downconversion, lambda) share one
-`_factors` lookup and are scored together as columns over (lambda, eta),
-which `sweep` copies as a block into its `SweepTable`'s columns, with no
-object per row. `run_scheme` is the same scoring at one point, read off
-its one row, plus rho_t.
+preparation (`_factors`), built for them and dropped once they are scored
+together as columns over (lambda, eta), which `sweep` copies as a block
+into its `SweepTable`'s columns, with no object per row. `run_scheme` is
+the same scoring at one point, read off its one row, plus rho_t; its
+result keeps the preparation for `post_state`.
 """
 
 from __future__ import annotations
@@ -452,22 +453,14 @@ def _eta_grams(factors: _Factors, detector: str, etas: Sequence[float]):
     return stacks
 
 
-def _factors_key(config: SchemeConfig, **updates) -> SchemeConfig:
-    """Cache key of `_factors`: the config with `updates` applied and eta
-    and lambda canonicalised, since neither enters the unit sectors."""
-    changes = dict(updates, eta=1.0)
-    if config.pair_source == "spdc":
-        changes["lam"] = 0.0
-    return dataclasses.replace(config, **changes)
-
-
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=1)
 def _balanced_splitter(dim: int):
     """The 50:50 splitter on (4H, 2H) as a gather: output (6H, 5H) =
     (o6, o5) of tap input j takes the one idler input i = o6 + o5 - j that
     conserves photon number, with amplitude kappa[j, o6, o5]
     (`mixer_amplitudes` at [j, i, o6]; zero where i falls outside the
-    cutoff, whose index is then 0). Returns (i, kappa), cached read-only."""
+    cutoff, whose index is then 0). Returns (i, kappa), read-only; the
+    cache holds one detector cutoff, the last one asked for."""
     amplitudes = mixer_amplitudes(splitter(0.5), dim, dim)
     j, o6, o5 = np.arange(dim)[:, None, None], np.arange(dim)[:, None], np.arange(dim)
     inputs = o6 + o5 - j
@@ -479,8 +472,7 @@ def _balanced_splitter(dim: int):
     return inputs, kappa
 
 
-@functools.lru_cache(maxsize=32)
-def _factors(key: SchemeConfig) -> _Factors:
+def _factors(config: SchemeConfig) -> _Factors:
     """Schmidt-factored pre-detection sectors of one configuration.
 
     The displaced n-pair sector is written in closed form: signal factors
@@ -492,13 +484,13 @@ def _factors(key: SchemeConfig) -> _Factors:
     displacement's truncation and, since d holds only the kept singular
     values, the beam's discarded mass.
     """
-    cuts = resolve_cutoffs(key)
+    cuts = resolve_cutoffs(config)
     dim = cuts.detector + 1
-    numbers = sorted(sector_weights(key.pair_source, key.z, key.lam))
+    numbers = sorted(sector_weights(config.pair_source, config.z, config.lam))
     if numbers[-1] > cuts.detector:
         raise CutoffError(f"{numbers[-1]} pairs need cutoff_detector >= {numbers[-1]}")
-    tap, beam_s, beam_vh, discarded = _beam(key, cuts)
-    disp = displacement_matrix(_displacement_amplitude(key), cuts.detector)
+    tap, beam_s, beam_vh, discarded = _beam(config, cuts)
+    disp = displacement_matrix(_displacement_amplitude(config), cuts.detector)
     # pair factor k of sector n[k] has m[k] photons in A_H and in 2V
     n = np.concatenate([np.full(q + 1, q) for q in numbers])
     m = np.concatenate([np.arange(q + 1) for q in numbers])
@@ -510,7 +502,7 @@ def _factors(key: SchemeConfig) -> _Factors:
         (disp.T[photons].take(inputs, axis=1) * kappa).reshape(-1, dim * dim)
         for photons in (n - m, m)
     )
-    target = _target_terms(key, cuts, signal_states, beam_vh)
+    target = _target_terms(config, cuts, signal_states, beam_vh)
     pairs = np.nonzero(np.equal.outer(n, n))
     for array in (scale, idler_h, idler_v, tap, *pairs, signal_states, beam_vh, target):
         array.setflags(write=False)
@@ -564,13 +556,14 @@ def _embed(factors: _Factors, rho: np.ndarray) -> DensityOperator:
 
 
 def _score(
-    key: SchemeConfig, lams: Sequence[Optional[float]], etas: Sequence[float]
+    config: SchemeConfig, lams: Sequence[Optional[float]], etas: Sequence[float]
 ):
-    """Score the points (lams[i], etas[j]) of one preparation, `key` a
-    `_factors_key`, each value in range, lambda None but for downconversion:
-    columns over (lambda, eta), the failures among the points by (i, j),
-    each sector n's unit-weight block B_n stacked over eta, and the
-    preparation's `_Factors`. A failed preparation (`_factors`) raises.
+    """Score the points (lams[i], etas[j]) of the preparation `config`
+    builds, whose own eta and lambda it ignores, each value in range,
+    lambda None but for downconversion: columns over (lambda, eta), the
+    failures among the points by (i, j), each sector n's unit-weight block
+    B_n stacked over eta, and the preparation's `_Factors`, built here and
+    held by nothing else. A failed preparation (`_factors`) raises.
 
     The POVM is photon-number diagonal and the unit sectors differ in
     signal photon number, so P and F read only each sector's Gram block
@@ -598,9 +591,9 @@ def _score(
     eigensolve per sector of more than one signal state, over the
     efficiencies at which some point heralds, serves every lambda.
     """
-    factors = _factors(key)
-    spdc = key.pair_source == "spdc"
-    blocks = _eta_grams(factors, key.detector, etas)
+    factors = _factors(config)
+    spdc = config.pair_source == "spdc"
+    blocks = _eta_grams(factors, config.detector, etas)
     traces, overlaps = {}, {}
     for n, span in factors.blocks.items():
         d, c, g = factors.scale[span], factors.target[span], blocks[n]
@@ -610,7 +603,7 @@ def _score(
         overlaps[n] = ((b @ c) * c.conj()).sum(axis=1).real
     # rows lambda, columns sector n, summed over the sectors in ascending n
     w = np.array([
-        list(sector_weights(key.pair_source, key.z, lam).values()) for lam in lams
+        list(sector_weights(config.pair_source, config.z, lam).values()) for lam in lams
     ])
     plain = sum(wn[:, None] * traces[n] for wn, n in zip(w.T, blocks))
     overlap = sum(wn[:, None] * overlaps[n] for wn, n in zip(w.T, blocks))
@@ -620,7 +613,7 @@ def _score(
     else:
         tail = np.full(len(w), max(factors.tails.values()))
     fires = plain >= HERALD_PROBABILITY_FLOOR
-    truncated = tail > key.tail_tol
+    truncated = tail > config.tail_tol
     live = fires & ~truncated[:, None]
     # the sectors' negativities nu_n at the efficiencies that herald, mixed
     # over lambda; a one-state sector is its own partial transpose
@@ -655,7 +648,7 @@ def _score(
     for i in np.flatnonzero(truncated).tolist():
         error = TruncationError(
             f"truncation lost probability {tail[i]:.3e}, above the "
-            f"tolerance {key.tail_tol:.0e}; raise the cutoffs"
+            f"tolerance {config.tail_tol:.0e}; raise the cutoffs"
         )
         failures.update(((i, j), error) for j in range(len(etas)))
     for i, j in np.argwhere(~fires & ~truncated[:, None]).tolist():
@@ -677,9 +670,7 @@ def run_scheme(config: SchemeConfig) -> SchemeResult:
     of the register's 132). rho_t, the blocks' mixture sum_n w_n B_n /
     (P / 2), is kept for `post_state` to embed at its first read.
     """
-    columns, failures, blocks, factors = _score(
-        _factors_key(config), (config.lam,), (config.eta,)
-    )
+    columns, failures, blocks, factors = _score(config, (config.lam,), (config.eta,))
     if failures:
         raise failures[0, 0]
     row = {name: column[..., 0, 0] for name, column in columns.items()}
@@ -828,8 +819,9 @@ def sweep(config: SchemeConfig, grid: Mapping[str, Sequence[float]]) -> SweepTab
         if "alpha_f" in updates:
             updates["alpha_i"] = None
         try:
-            key = _factors_key(config, **updates)
-            columns, failures, *_ = _score(key, lams, etas)
+            columns, failures, *_ = _score(
+                dataclasses.replace(config, **updates), lams, etas
+            )
         except SimulationError as exc:
             status[at] = f"error:{type(exc).__name__}"
             columns, failures = {}, {}

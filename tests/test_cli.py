@@ -541,12 +541,13 @@ def test_selfcheck_joins_the_panel_claims_from_four_sweeps(monkeypatch):
 
     monkeypatch.setattr(selfcheck, "sweep", counted)
     results = {result.name: result for result in selfcheck.run_all_checks()}
-    # one sweep of each figure 4 and 5 panel table, and no other
+    # one sweep of each figure 4 and 5 panel table, and the detector
+    # fidelity check's one sweep of its eight points
     panel_bases = [
         cli.figure_sweep(figure, panel)[0]
         for figure in (4, 5)
         for panel in analytic.PANELS
-    ]
+    ] + [pipeline.SchemeConfig(t=0.9, eta=0.9, alpha_f=0.7)]
     assert sorted(bases, key=repr) == sorted(panel_bases, key=repr)
     claims = {}
     for figure in (4, 5):

@@ -142,7 +142,6 @@ SPDC = dict(
 def test_numpy_integers_run_as_their_python_ints(kwargs, field, value):
     results = []
     for given in (np.int64(value), value):
-        pipeline._factors.cache_clear()
         results.append(run_scheme(SchemeConfig(**kwargs, **{field: given})))
     numpy_run, plain = results
     for name in ("probability_total", "fidelity", "negativity", "tail_mass", "cutoffs"):

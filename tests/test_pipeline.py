@@ -5,11 +5,13 @@ implementation under the locked conventions.
 """
 
 import dataclasses
+import gc
 import itertools
 import math
 import sys
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -419,7 +421,6 @@ def test_cold_figure_5_builds_no_result_objects(monkeypatch, tmp_path):
             cls, "__init__", lambda self, *a, init=init, **k: built.append(self)
             or init(self, *a, **k)
         )
-    pipeline._factors.cache_clear()
     argv = ["reproduce", "--figure", "5", "--output", str(tmp_path / "f5.tsv")]
     assert cli.main(argv) == 0
     assert built == []
@@ -526,14 +527,13 @@ def test_ideal_cat_beam_is_rank_two(monkeypatch):
         return factors
 
     monkeypatch.setattr(pipeline, "_beam", recorded)
-    pipeline._factors.cache_clear()
     sweep(*cli.figure_sweep(2, None))
     sweep(*cli.figure_sweep(3, None))
     result = run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5))
     assert result.schmidt_ranks == (2, 2)
     # 11 transmissivities of figure 2, 6 amplitudes of figure 3 (one of them
-    # figure 2's t = 0.99 preparation, served from the cache), one run
-    assert ranks == [2] * (len(cli._FIG2_T) + len(cli._FIG3_ALPHA))
+    # figure 2's t = 0.99 preparation, built again), one run
+    assert ranks == [2] * (len(cli._FIG2_T) + len(cli._FIG3_ALPHA) + 1)
 
 
 def test_plain_probability_is_half_the_total():
@@ -662,7 +662,7 @@ def _interfered_factors(config):
     dense matrix, scattered here from its amplitudes, applied on (4H, 2H)
     and on (4V, 2V) to every explicit product u_k (x) v_k (x) T_l, rows
     (k, l) over (6H, 5H, 6V, 5V)."""
-    factors = pipeline._factors(pipeline._factors_key(config))
+    factors = pipeline._factors(config)
     dim = factors.cuts.detector + 1
     disp = optics.displacement_matrix(
         pipeline._displacement_amplitude(config), factors.cuts.detector
@@ -792,7 +792,6 @@ def test_eta_sweep_is_bit_identical_to_runs():
     config = SchemeConfig(t=0.9, eta=0.9, alpha_f=1.2)
     etas = (0.3, 0.6, 0.9)
     table = sweep(config, {"eta": etas, "t": (0.9, 0.95)})
-    pipeline._factors.cache_clear()
     for row in table.rows:
         params = dict(row.params)
         result = run_scheme(dataclasses.replace(config, **params))
@@ -816,6 +815,19 @@ def _record_grams(monkeypatch):
     return grams
 
 
+def _record_preparations(monkeypatch):
+    """Every `_Factors` that `pipeline._factors` builds, in call order."""
+    built = []
+    prepare = pipeline._factors
+
+    def record(config):
+        built.append(prepare(config))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "_factors", record)
+    return built
+
+
 def _sector_matrix(blocks, n_l):
     """Pair blocks (k, m) of one sector, k-major, as its Gram block with
     rows (k, l) and columns (m, n)."""
@@ -827,15 +839,14 @@ def test_eta_shares_one_preparation(monkeypatch):
     stacks = _record_gram_stacks(monkeypatch)
     grams = _record_grams(monkeypatch)
     shapes = _record_eigensolves(monkeypatch)
-    pipeline._factors.cache_clear()
+    built = _record_preparations(monkeypatch)
     config = SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0)
     sweep(config, {"eta": (0.5, 0.7, 0.9)})
-    info = pipeline._factors.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
-    # one Gram per efficiency, contracted on its own over every pair, which
-    # lie inside the one sector; the truncation deficit reads only the
-    # Gram's diagonal blocks and forms no Gram
-    factors = pipeline._factors(pipeline._factors_key(config))
+    # one preparation for the three efficiencies; one Gram per efficiency,
+    # contracted on its own over every pair, which lie inside the one
+    # sector; the truncation deficit reads only the Gram's diagonal blocks
+    # and forms no Gram
+    (factors,) = built
     every = np.divmod(np.arange(len(factors.signal_states) ** 2), len(factors.signal_states))
     assert len(grams) == 3
     assert all(np.array_equal(a, b) for pairs, _ in grams for a, b in zip(pairs, every))
@@ -856,10 +867,9 @@ def test_eta_shares_one_preparation(monkeypatch):
     stacks.clear()
     grams.clear()
     shapes.clear()
-    pipeline._factors.cache_clear()
+    built.clear()
     sweep(SchemeConfig(**SPOT_A), {"lambda": (0.01, 0.02, 0.03), "eta": (0.5, 0.9)})
-    assert pipeline._factors.cache_info().misses == 1
-    factors = pipeline._factors(pipeline._factors_key(SchemeConfig(**SPOT_A)))
+    (factors,) = built
     inside = factors.pairs
     (sectors,) = stacks
     assert len(grams) == 2
@@ -896,10 +906,9 @@ def test_figure_5_sweep_contracts_only_the_sector_blocks(monkeypatch):
     sector, and their blocks are the ones `run_scheme` contracts at that
     point, in its one `_gram` call, bit for bit."""
     grams = _record_grams(monkeypatch)
-    pipeline._factors.cache_clear()
     table = sweep(*cli.figure_sweep(5, "b"))
     etas = sorted({dict(row.params)["eta"] for row in table.rows})
-    factors = pipeline._factors(pipeline._factors_key(SchemeConfig(**FIGURE_5B)))
+    factors = pipeline._factors(SchemeConfig(**FIGURE_5B))
     n_k, n_l = len(factors.signal_states), factors.beam_rank
     assert n_k == 6 and len(grams) == len(etas) == 5
     swept = list(grams)
@@ -1064,6 +1073,53 @@ def test_cold_alpha_7_run_stays_small():
     assert abs(results[0].fidelity - analytic.fidelity_eta(7.0, 0.9, 0.9)) <= 1e-12
 
 
+def test_a_sweep_keeps_no_preparation(monkeypatch):
+    """Each preparation belongs to the call that builds it: no `_Factors`
+    of a sweep outlives the sweep, and a run's lives only as long as its
+    result."""
+    refs = []
+    prepare = pipeline._factors
+
+    def record(config):
+        factors = prepare(config)
+        refs.append(weakref.ref(factors))
+        return factors
+
+    monkeypatch.setattr(pipeline, "_factors", record)
+    config = SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0)
+    sweep(config, {"alpha_f": (0.5, 1.0, 1.5), "eta": (0.7, 0.9)})
+    result = run_scheme(SchemeConfig(**SPOT_A))
+    assert result.post_state.matrix.size
+    assert len(refs) == 4 and refs[-1]() is result._heralded[0]
+    del result
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
+
+
+def test_a_cold_sweep_leaves_one_splitter_behind():
+    """Once a cold alpha_f sweep (1 to 4, t = eta = 0.9) returns, what stays
+    allocated is `_balanced_splitter`'s one entry, at the sweep's last
+    detector cutoff (0.13 MB), and at most 0.1 MB of the small caches
+    (displacements, herald patterns, log-factorials); a cache of the
+    sweep's four preparations held 0.78 MB."""
+    config = SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0)
+    grid = {"alpha_f": (1.0, 2.0, 3.0, 4.0)}
+    sweep(config, grid)  # whatever the first call imports stays out of the count
+    _clear_program_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sweep(config, grid)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pipeline._balanced_splitter.cache_info().currsize == 1
+    last = resolve_cutoffs(dataclasses.replace(config, alpha_f=4.0)).detector + 1
+    splitter_bytes = sum(a.nbytes for a in pipeline._balanced_splitter(last))
+    assert held <= splitter_bytes + 1e5
+
+
 def test_too_small_detector_cutoff_raises():
     config = SchemeConfig(t=0.8, eta=0.9, alpha_i=2.0, cutoff_detector=10)
     with pytest.raises(TruncationError):
@@ -1133,8 +1189,7 @@ def test_a_cold_preparation_evaluates_its_source_once(monkeypatch):
         (FIGURE_4_SPOTS[1], ["squeezed_amplitudes"]),
     ):
         calls.clear()
-        pipeline._factors.cache_clear()
-        pipeline._factors(pipeline._factors_key(SchemeConfig(**kwargs)))
+        pipeline._factors(SchemeConfig(**kwargs))
         assert calls == expected
     calls.clear()
     oracle.lab_frame_beam(SchemeConfig(t=0.95, eta=0.8, alpha_i=0.5, cutoff_b=8))
@@ -1149,9 +1204,8 @@ def test_discarded_beam_mass_is_counted_once(monkeypatch, kwargs):
     the mass of the terms it drops, which is the discarded singular mass
     times those terms' unit-POVM norms (just below one), so by the
     discarded mass once, not twice."""
-    key = pipeline._factors_key(SchemeConfig(**kwargs))
-    pipeline._factors.cache_clear()
-    full = pipeline._factors(key)
+    config = SchemeConfig(**kwargs)
+    full = pipeline._factors(config)
     norms = full.scale**2 * pipeline._unit_norms(full.idler_h, full.idler_v, full.tap)
     dropped = np.arange(len(full.scale)) % full.beam_rank >= 2
     beam = pipeline._beam
@@ -1161,9 +1215,7 @@ def test_discarded_beam_mass_is_counted_once(monkeypatch, kwargs):
         return tap[:2], s[:2], vh[:2], discarded + float(np.sum(s[2:] ** 2))
 
     monkeypatch.setattr(pipeline, "_beam", cut)
-    pipeline._factors.cache_clear()
-    factors = pipeline._factors(key)
-    pipeline._factors.cache_clear()
+    factors = pipeline._factors(config)
     extra = factors.discarded - full.discarded
     assert extra > 1e-8
     for n, span in full.blocks.items():
@@ -1176,7 +1228,7 @@ def test_truncation_gate_weights_the_sectors():
     # the unit two-pair sector alone loses more than tail_tol to the
     # detector cutoff; lambda^4 weights that loss far below it
     config = SchemeConfig(**dict(SPOT_A, t=0.95, lam=0.1, cutoff_detector=5))
-    factors = pipeline._factors(pipeline._factors_key(config))
+    factors = pipeline._factors(config)
     assert factors.tails[2] > config.tail_tol
     tail = run_scheme(config).tail_mass
     weights = resource_states.sector_weights("spdc", None, 0.1)
@@ -1237,7 +1289,6 @@ def test_run_path_leaves_the_dense_oracle_alone(monkeypatch, tmp_path):
             for attr, value in list(vars(module).items()):
                 if id(value) in held:
                     monkeypatch.setattr(module, attr, forbidden)
-    pipeline._factors.cache_clear()
     with pytest.raises(AssertionError):
         oracle.herald_patterns(SchemeConfig(**SPOT_A))
     scenario = "".join(
@@ -1274,10 +1325,9 @@ def test_spdc_sweep_eigensolves_each_sector_once(monkeypatch):
     lambda: the one-pair and two-pair blocks, 2 and 3 signal states times
     the beam rank; the vacuum sector's one state is skipped."""
     shapes = _record_eigensolves(monkeypatch)
-    pipeline._factors.cache_clear()
     config = SchemeConfig(**SPOT_A)
     table = sweep(config, {"lambda": (0.01, 0.022, 0.038), "eta": (0.5, 0.9)})
-    n_l = pipeline._factors(pipeline._factors_key(config)).beam_rank
+    n_l = pipeline._factors(config).beam_rank
     assert shapes == [(2, 2 * n_l, 2 * n_l), (2, 3 * n_l, 3 * n_l)]
     assert all(row.p_chi > 0.0 and 0.0 < row.negativity <= 1.0 for row in table.rows)
 
@@ -1300,13 +1350,12 @@ def test_ideal_cat_vacuum_sector_cannot_herald(detector):
         assert got.p_vac <= 1e-10 * got.p_chi, (alpha_i, eta, t)
 
 
-def test_a_run_looks_its_preparation_up_once():
+def test_a_run_builds_its_preparation_once(monkeypatch):
     """`run_scheme` reads its `_Factors` off `_score`, which built them: a
-    cold run misses `_factors`' cache once and never hits it."""
-    pipeline._factors.cache_clear()
-    run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0))
-    info = pipeline._factors.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
+    run calls `_factors` once, and its result keeps that preparation."""
+    built = _record_preparations(monkeypatch)
+    result = run_scheme(SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0))
+    assert len(built) == 1 and result._heralded[0] is built[0]
 
 
 @pytest.mark.parametrize("source", sorted(SOURCES))
@@ -1318,7 +1367,7 @@ def test_the_v_side_pull_back_is_the_h_side_mirrored(source):
     H_k'm'[i, c], k' the factor of k's sector with m -> n - m: to 1e-15 of
     the largest entry."""
     config = SchemeConfig(**SOURCES[source])
-    factors = pipeline._factors(pipeline._factors_key(config))
+    factors = pipeline._factors(config)
     w = herald_pattern(config.detector, config.eta, factors.cuts.detector)
     n_k, dim = len(factors.signal_states), factors.cuts.detector + 1
 
@@ -1349,12 +1398,14 @@ def test_the_v_side_pull_back_is_the_h_side_mirrored(source):
 FACTOR_ARRAYS = ("tap", "beam_vh", "idler_h", "idler_v", "target")
 
 
-def _run_and_factors(key):
-    """A run at one point of the preparation `key` and that preparation's
-    `_Factors`."""
-    point = dataclasses.replace(key, eta=0.9, lam=0.022 if key.lam is not None else None)
+def _run_and_factors(config):
+    """A run at one point of the preparation `config` and the `_Factors`
+    its result keeps."""
+    point = dataclasses.replace(
+        config, eta=0.9, lam=0.022 if config.lam is not None else None
+    )
     result = run_scheme(point)
-    return result, pipeline._factors(pipeline._factors_key(point))
+    return result, result._heralded[0]
 
 
 def test_real_sources_run_in_real_arithmetic(monkeypatch):
@@ -1362,21 +1413,27 @@ def test_real_sources_run_in_real_arithmetic(monkeypatch):
     preparations of figures 2-5 (the squeezed photon, or the cat at
     phi = pi) and at alpha_f = 2.5, every factor, the target's
     coefficients and the post-state are float64."""
-    keys = []
+    configs = []
     prepare = pipeline._factors
-    monkeypatch.setattr(pipeline, "_factors", lambda key: keys.append(key) or prepare(key))
+    monkeypatch.setattr(
+        pipeline, "_factors", lambda config: configs.append(config) or prepare(config)
+    )
     for figure, panels in ((2, [None]), (3, [None]), (4, "ab"), (5, "ab")):
         for panel in panels:
             sweep(*cli.figure_sweep(figure, panel))
     monkeypatch.undo()
-    preparations = list(dict.fromkeys(keys))
+    # neither eta nor lambda enters a preparation: one value each names it
+    preparations = list(dict.fromkeys(
+        dataclasses.replace(config, eta=1.0, lam=None if config.lam is None else 0.0)
+        for config in configs
+    ))
     assert len(preparations) == 24
-    large = pipeline._factors_key(SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5))
-    for key in preparations + [large]:
-        result, factors = _run_and_factors(key)
+    large = SchemeConfig(t=0.9, eta=0.9, alpha_f=2.5)
+    for config in preparations + [large]:
+        result, factors = _run_and_factors(config)
         for name in FACTOR_ARRAYS:
-            assert getattr(factors, name).dtype == np.float64, (key, name)
-        assert result.post_state.matrix.dtype == np.float64, key
+            assert getattr(factors, name).dtype == np.float64, (config, name)
+        assert result.post_state.matrix.dtype == np.float64, config
 
 
 @pytest.mark.parametrize("phi", [0.7, math.pi / 2], ids=["0.7", "pi/2"])
@@ -1384,9 +1441,7 @@ def test_a_complex_cat_phase_runs_in_complex_arithmetic(phi):
     """A cat whose phi is no multiple of pi has a complex phase: its beam,
     the target's coefficients and the post-state are complex128. The
     displaced idler, which no phi enters, stays real."""
-    result, factors = _run_and_factors(
-        pipeline._factors_key(SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0, phi=phi))
-    )
+    result, factors = _run_and_factors(SchemeConfig(t=0.9, eta=0.9, alpha_f=1.0, phi=phi))
     for name in ("tap", "beam_vh", "target"):
         assert getattr(factors, name).dtype == np.complex128, name
     assert result.post_state.matrix.dtype == np.complex128
