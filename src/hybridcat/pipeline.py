@@ -19,14 +19,14 @@ term (k, l) of the state before detection is a signal Fock state
 |m, n - m> times the beam's right singular vector `beam_vh[l]` on the
 kept modes, scaled by d = (n + 1)^(-1/2) s_l, next to a measured factor.
 The herald contracts Gram matrices G of the plain click pattern pulled
-back through the splitters onto each polarization's idler and tap
-factors, so no array spans all four detector channels. The detectors are
-photon-number diagonal, so P and F read each sector's diagonal block of G
-alone, and only those are contracted. The heralded state is the sectors'
-mixture, block diagonal in the term basis, rho_t = sum_n w_n D G_nn D / p,
-so its negativity recombines the sectors' own; it is embedded in the
-register (a local isometry) only when a result's `post_state` is first
-read.
+back through the splitters onto one idler image and the tap factors, V
+read off H at the mirrored pair factor (`_Factors`), so no array spans
+all four detector channels. The detectors are photon-number diagonal,
+so P and F read each sector's diagonal block of G alone, and only those
+are contracted. The heralded state is the sectors' mixture, block
+diagonal in the term basis, rho_t = sum_n w_n D G_nn D / p, so its
+negativity recombines the sectors' own; it is embedded in the register
+(a local isometry) only when a result's `post_state` is first read.
 
 Every array takes the dtype its factors force (`np.result_type`), never a
 complex literal. The splitters are real rotations, the displacement
@@ -354,19 +354,22 @@ class _Factors:
     factor T_l = `tap[l]` on (4H, 4V), and each splitter acts on one
     polarization, so row (k, l) of Z, as a (6H 5H) x (6V 5V) matrix, is
     P_k T_l Q_k^T. P_k = K (I (x) u_k), u_k through the 50:50 splitter K
-    with the tap's 4H left open, fills rows (k, 4H) of `idler_h`, one
-    amplitude of K per entry (`_balanced_splitter`); `idler_v` holds Q_k
-    alike. `pairs` holds the pairs (k, m) of pair factors inside one
-    sector, the only ones `_gram` contracts, as two index arrays. `tails`
-    holds the sectors' truncation deficits and `target` the hybrid
-    target's coefficients c on the terms (`_target_terms`); `tap`,
-    `beam_vh` and `discarded` come from `_beam`.
+    with the tap's 4H left open, fills rows (k, 4H) of `idler`, one
+    amplitude of K per entry (`_balanced_splitter`). K acts alike on H and
+    V (as `_score` argues) and v_k = u_k' at k' = `mirror[k]` = k + n - 2m,
+    k's partner in its sector with m -> n - m, so Q_k = P_k'; K with its
+    outputs swapped is K times (-1)^(o6 + o5 - j), which signs the pulled
+    V blocks by (-1)^(j + d) (`_gram`). `pairs` holds the pairs (k, m) of
+    pair factors inside one sector, the only ones `_gram` contracts, as two
+    index arrays. `tails` holds the sectors' truncation deficits and
+    `target` the hybrid target's coefficients c on the terms
+    (`_target_terms`); `tap`, `beam_vh` and `discarded` come from `_beam`.
     """
 
     cuts: ResolvedCutoffs
     scale: np.ndarray
-    idler_h: np.ndarray
-    idler_v: np.ndarray
+    idler: np.ndarray
+    mirror: np.ndarray
     tap: np.ndarray
     pairs: Tuple[np.ndarray, np.ndarray]
     blocks: Mapping[int, slice]
@@ -383,54 +386,50 @@ class _Factors:
 
 def _gram(factors: _Factors, w: Mapping[str, np.ndarray]) -> np.ndarray:
     """Blocks G_km[l, n] = G[(k, l), (m, n)] of G = Z diag(w_h (x) w_v) Z^H,
-    w_h = w_6H (x) w_5H and w_v alike from a herald pattern `w`, stacked
-    (pairs, n_l, n_l) over the pairs (k, m) of pair factors inside one
-    sector (`_Factors.pairs`). Pulled back through the splitters, with
-    H_km = P_k^T diag(w_h) conj(P_m) and V_km alike from Q,
-    G_km[l, n] = sum T_l[i, j] H_km[i, c] V_km[j, d] conj(T_n[c, d]): three
+    w_h = w_6H (x) w_5H and w_v alike from a herald pattern `w` with
+    w_6V = w_5H and w_5V = w_6H (the plain, flipped and unit patterns),
+    stacked (pairs, n_l, n_l) over the pairs (k, m) of pair factors inside
+    one sector (`_Factors.pairs`). Pulled back through the splitters, with
+    H_km = P_k^T diag(w_h) conj(P_m) and V_km[j, d] = (-1)^(j + d)
+    H_k'm'[j, d] (`_Factors.mirror`), G_km[l, n] = sum T_l[i, j] H_km[i, c]
+    V_km[j, d] conj(T_n[c, d]), the sign folded into the tap factors: three
     products with the pair a batch axis (a GEMM over i against the tap
     factors as rows i by columns (l, j), a (dim n_l x dim) product per pair
     over j, a GEMM over (c, d) against their conjugate transpose),
     n_k^2 n_l dim^3 + (n_k n_l dim)^2 work where forming Z costs
     n_k n_l dim^6. It needs product idler factors and a product,
-    Fock-diagonal POVM. Each image's P diag(w) P^H is formed as
-    conj((conj(P) o w) P^T), from one weighted copy and a transposed view of
-    the image, so no adjoint is held; the copy is allocated explicitly, since
-    `conj` of a real image is the image itself.
+    Fock-diagonal POVM. The one weighted square P diag(w_h) P^H is formed as
+    conj((conj(P) o w_h) P^T), from one weighted copy and a transposed view
+    of the image, so no adjoint is held; the copy is allocated explicitly,
+    since `conj` of a real image is the image itself.
     """
     n_l, dim, _ = factors.tap.shape
-    n_k, (k, m) = len(factors.signal_states), factors.pairs
-
-    def pulled(p, q):
-        weighted = np.conjugate(p, out=np.empty_like(p))
-        weighted *= (w["6" + q][:, None] * w["5" + q]).ravel()
-        square = weighted @ p.T
-        return np.conjugate(square, out=square).reshape(n_k, dim, n_k, dim)
-
-    h, v = pulled(factors.idler_h, "H"), pulled(factors.idler_v, "V")
-    # per pair (k, m): H_km as rows c, columns i, and V_km as rows j
-    h, v = h[k, :, m].transpose(0, 2, 1), v[k, :, m]
-    count = h.size // (dim * dim)
-    # rows (pair, c), columns (l, j): sum_i H_km[i, c] T_l[i, j]
-    pushed = h.reshape(-1, dim) @ factors.tap.transpose(1, 0, 2).reshape(dim, -1)
+    idler, mirror, (k, m) = factors.idler, factors.mirror, factors.pairs
+    weighted = np.conjugate(idler, out=np.empty_like(idler))
+    weighted *= (w["6H"][:, None] * w["5H"]).ravel()
+    square = weighted @ idler.T
+    h = np.conjugate(square, out=square).reshape(len(mirror), dim, len(mirror), dim)
+    # per pair (k, m): H_km as rows c, columns i, and V_km unsigned as rows j
+    h, v = h[k, :, m].transpose(0, 2, 1), h[mirror[k], :, mirror[m]]
+    tap = factors.tap * (-1.0) ** np.arange(dim)
+    # rows (pair, c), columns (l, j): sum_i H_km[i, c] T_l[i, j] (-1)^j
+    pushed = h.reshape(-1, dim) @ tap.transpose(1, 0, 2).reshape(dim, -1)
     # per pair, rows (c, l), columns d: times V_km over j
-    pushed = pushed.reshape(count, -1, dim) @ v.reshape(count, dim, dim)
-    # rows (pair, l), columns (c, d), against conj(T_n)
-    pushed = pushed.reshape(count, dim, n_l, dim).transpose(0, 2, 1, 3)
-    gram = pushed.reshape(-1, dim * dim) @ factors.tap.reshape(n_l, -1).conj().T
-    return gram.reshape(count, n_l, n_l)
+    pushed = pushed.reshape(len(k), -1, dim) @ v
+    # rows (pair, l), columns (c, d), against conj(T_n) (-1)^d
+    pushed = pushed.reshape(len(k), dim, n_l, dim).transpose(0, 2, 1, 3)
+    gram = pushed.reshape(-1, dim * dim) @ tap.reshape(n_l, -1).conj().T
+    return gram.reshape(len(k), n_l, n_l)
 
 
-def _unit_norms(idler_h, idler_v, tap) -> np.ndarray:
-    """The diagonal of `_gram` at unit POVM weight, ||Z[(k, l)]||^2, from
-    the diagonal blocks alone: with H_kk = P_k P_k^H and V_kk = Q_k Q_k^H,
-    entry (k, l) is sum (H_kk^T T_l V_kk) o conj(T_l)."""
+def _unit_norms(idler, mirror, tap) -> np.ndarray:
+    """The diagonal of `_gram` at unit POVM weight, ||Z[(k, l)]||^2, from the
+    diagonal blocks: with H_kk = P_k P_k^H and V_kk = Q_k Q_k^H = H_k'k'
+    (`_Factors.mirror`), entry (k, l) is sum (H_kk^T T_l V_kk) o conj(T_l)."""
     n_l, dim, _ = tap.shape
-    h, v = (
-        p @ p.conj().transpose(0, 2, 1)
-        for p in (x.reshape(-1, dim, dim * dim) for x in (idler_h, idler_v))
-    )
-    pushed = h.transpose(0, 2, 1)[:, None] @ tap @ v[:, None]
+    p = idler.reshape(-1, dim, dim * dim)
+    h = p @ p.conj().transpose(0, 2, 1)
+    pushed = h.transpose(0, 2, 1)[:, None] @ tap @ h[mirror][:, None]
     return (pushed * tap.conj()).sum(axis=(2, 3)).real.ravel()
 
 
@@ -440,7 +439,7 @@ def _eta_grams(factors: _Factors, detector: str, etas: Sequence[float]):
     contracts one efficiency at a time and only the pairs inside a sector."""
     n_l = factors.beam_rank
     sizes = {n: span.stop - span.start for n, span in factors.blocks.items()}
-    dtype = np.result_type(factors.idler_h, factors.tap)
+    dtype = np.result_type(factors.idler, factors.tap)
     stacks = {n: np.empty((len(etas), s, s), dtype) for n, s in sizes.items()}
     for i, eta in enumerate(etas):
         w = herald_pattern(detector, eta, factors.cuts.detector)
@@ -498,22 +497,21 @@ def _factors(config: SchemeConfig) -> _Factors:
     scale = np.outer((n + 1.0) ** -0.5, beam_s).ravel()
     # rows (k, 4H), columns (6H 5H): one amplitude of u_k each
     inputs, kappa = _balanced_splitter(dim)
-    idler_h, idler_v = (
-        (disp.T[photons].take(inputs, axis=1) * kappa).reshape(-1, dim * dim)
-        for photons in (n - m, m)
-    )
+    idler = (disp.T[n - m].take(inputs, axis=1) * kappa).reshape(-1, dim * dim)
+    # factor k's m -> n - m partner in its sector: the factors ascend in m
+    mirror = np.arange(len(n)) + n - 2 * m
     target = _target_terms(config, cuts, signal_states, beam_vh)
     pairs = np.nonzero(np.equal.outer(n, n))
-    for array in (scale, idler_h, idler_v, tap, *pairs, signal_states, beam_vh, target):
+    for array in (scale, idler, mirror, tap, *pairs, signal_states, beam_vh, target):
         array.setflags(write=False)
     starts = (np.searchsorted(n, numbers) * len(beam_s)).tolist()
     blocks = {q: slice(a, a + (q + 1) * len(beam_s)) for q, a in zip(numbers, starts)}
-    norms = scale**2 * _unit_norms(idler_h, idler_v, tap)
+    norms = scale**2 * _unit_norms(idler, mirror, tap)
     return _Factors(
         cuts=cuts,
         scale=scale,
-        idler_h=idler_h,
-        idler_v=idler_v,
+        idler=idler,
+        mirror=mirror,
         tap=tap,
         pairs=pairs,
         blocks=blocks,

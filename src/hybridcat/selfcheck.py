@@ -250,14 +250,18 @@ def check_pattern_symmetry() -> CheckResult:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _ideal_runs() -> tuple:
+    """(P over its closed form, F) of the six ideal runs `probability_ratio` and
+    `ideal_exactness` read, once per `run_all_checks`, which empties this cache."""
+    points = [(a, t) for a in (0.7, 1.0) for t in (0.75, 0.9, 0.99)]
+    runs = [run_scheme(_ideal_config(a, t)) for a, t in points]
+    return tuple((r.probability_total / r.analytic_p_tot, r.fidelity) for r in runs)
+
+
 def check_probability_ratio() -> CheckResult:
     """Numeric total probability over the closed form is one constant."""
-    ratios = []
-    for alpha_i in (0.7, 1.0):
-        for t in (0.75, 0.9, 0.99):
-            result = run_scheme(_ideal_config(alpha_i, t))
-            ratios.append(result.probability_total / result.analytic_p_tot)
-    ratios = np.array(ratios)
+    ratios = np.array([ratio for ratio, _ in _ideal_runs()])
     spread = float(ratios.max() - ratios.min()) / float(ratios.mean())
     constant = float(ratios.mean())
     documented = analytic.PROBABILITY_CONVENTION_FACTOR
@@ -271,11 +275,7 @@ def check_probability_ratio() -> CheckResult:
 
 
 def check_ideal_exactness() -> CheckResult:
-    worst = 0.0
-    for alpha_i in (0.7, 1.0):
-        for t in (0.75, 0.9, 0.99):
-            result = run_scheme(_ideal_config(alpha_i, t))
-            worst = max(worst, 1.0 - result.fidelity)
+    worst = max(0.0, *(1.0 - fidelity for _, fidelity in _ideal_runs()))
     return CheckResult(
         worst <= 1e-8,
         "fidelity 1 with ideal resources and detectors",
@@ -440,6 +440,7 @@ def run_all_checks(names: Optional[Iterable[str]] = None) -> List[CheckResult]:
     """Run the named checks (all of them by default), in declaration order."""
     wanted = None if names is None else set(names)
     _joined.cache_clear()
+    _ideal_runs.cache_clear()
     results = []
     for func in ALL_CHECKS:
         name = func.__name__.removeprefix("check_")

@@ -657,25 +657,31 @@ FIGURE_4_SPOTS = [
 ]
 
 
-def _interfered_factors(config):
-    """The measured factors Z of `config` the long way: the 50:50 splitter's
-    dense matrix, scattered here from its amplitudes, applied on (4H, 2H)
-    and on (4V, 2V) to every explicit product u_k (x) v_k (x) T_l, rows
-    (k, l) over (6H, 5H, 6V, 5V)."""
-    factors = pipeline._factors(config)
+def _dense_idler(config, factors):
+    """The 50:50 splitter's dense matrix, scattered here from its amplitudes
+    as kernel[a, b, i, x], output (a, b) on (6, 5) from input (i, x) on
+    (4, 2), and the displaced idler inputs D|n - m> on 2H and D|m> on 2V of
+    the pair factors, whose signal state is |m, n - m>, as columns."""
     dim = factors.cuts.detector + 1
     disp = optics.displacement_matrix(
         pipeline._displacement_amplitude(config), factors.cuts.detector
     )
     amplitudes = optics.mixer_amplitudes(splitter(0.5), dim, dim)
-    # kernel[a, b, i, x]: output (a, b) on (6, 5) from input (i, x) on (4, 2)
     i, x, a = np.nonzero(amplitudes)
     kernel = np.zeros((dim,) * 4, dtype=np.complex128)
     kernel[a, i + x - a, i, x] = amplitudes[i, x, a]
-    # signal |m, n - m> pairs with idler D|n - m> on 2H and D|m> on 2V
     m, n_minus_m = np.divmod(factors.signal_states, factors.cuts.a + 1)
+    return kernel, disp[:, n_minus_m], disp[:, m]
+
+
+def _interfered_factors(config):
+    """The measured factors Z of `config` the long way: the 50:50 splitter's
+    dense matrix applied on (4H, 2H) and on (4V, 2V) to every explicit
+    product u_k (x) v_k (x) T_l, rows (k, l) over (6H, 5H, 6V, 5V)."""
+    factors = pipeline._factors(config)
+    kernel, idler_h, idler_v = _dense_idler(config, factors)
     rows = []
-    for u, v in zip(disp[:, n_minus_m].T, disp[:, m].T):
+    for u, v in zip(idler_h.T, idler_v.T):
         for tap in factors.tap:
             product = np.einsum("ij,x,y->ixjy", tap, u, v)
             image = np.einsum(
@@ -686,10 +692,13 @@ def _interfered_factors(config):
 
 
 @pytest.mark.parametrize(
-    "kwargs", [dict(t=0.9, eta=0.9, alpha_f=1.0), SPOT_A]
+    "kwargs", [dict(t=0.9, eta=0.9, alpha_f=1.0), SPOT_A, FIGURE_4_SPOTS[1]]
 )
 def test_pulled_back_gram_matches_interfered_factors(kwargs):
     factors, z = _interfered_factors(SchemeConfig(**kwargs))
+    # the unit-weight diagonal the deficits read, V_kk taken at the mirror
+    norms = pipeline._unit_norms(factors.idler, factors.mirror, factors.tap)
+    assert np.abs(norms - (np.abs(z) ** 2).sum(axis=1)).max() <= 1e-13
     ones = np.ones(factors.cuts.detector + 1)
     cases = [dict.fromkeys(("5H", "5V", "6H", "6V"), ones)]
     for detector, eta, flipped in itertools.product(
@@ -1073,6 +1082,22 @@ def test_cold_alpha_7_run_stays_small():
     assert abs(results[0].fidelity - analytic.fidelity_eta(7.0, 0.9, 0.9)) <= 1e-12
 
 
+def test_cold_alpha_14_run_stays_small():
+    """The V-side pull-back is read off the H side (`_Factors.mirror`), so
+    one idler image and one weighted square are held: the traced peak of
+    one cold run at alpha_f = 14 stays below 40 MB (46.3 MB with a second
+    image and square). Its F and P are the closed forms'."""
+    config = SchemeConfig(t=0.9, eta=0.9, alpha_f=14.0)
+    results = []
+    assert _cold_peak(lambda: results.append(run_scheme(config))) < 40e6
+    result = results[0]
+    assert abs(result.fidelity - analytic.fidelity_eta(14.0, 0.9, 0.9)) <= 1e-11
+    expected = analytic.PROBABILITY_CONVENTION_FACTOR * analytic.p_tot_eta(
+        14.0, 0.9, 0.9, math.pi
+    )
+    assert abs(result.probability_total / expected - 1.0) <= 1e-11
+
+
 def test_a_sweep_keeps_no_preparation(monkeypatch):
     """Each preparation belongs to the call that builds it: no `_Factors`
     of a sweep outlives the sweep, and a run's lives only as long as its
@@ -1206,7 +1231,7 @@ def test_discarded_beam_mass_is_counted_once(monkeypatch, kwargs):
     discarded mass once, not twice."""
     config = SchemeConfig(**kwargs)
     full = pipeline._factors(config)
-    norms = full.scale**2 * pipeline._unit_norms(full.idler_h, full.idler_v, full.tap)
+    norms = full.scale**2 * pipeline._unit_norms(full.idler, full.mirror, full.tap)
     dropped = np.arange(len(full.scale)) % full.beam_rank >= 2
     beam = pipeline._beam
 
@@ -1360,28 +1385,33 @@ def test_a_run_builds_its_preparation_once(monkeypatch):
 
 @pytest.mark.parametrize("source", sorted(SOURCES))
 def test_the_v_side_pull_back_is_the_h_side_mirrored(source):
-    """Under the plain pattern, which lights 6H and 5V, the V weights are
-    the H weights with the two outputs of the 50:50 splitter swapped, a
-    sign (-1) per photon in one input. So each V-side pulled block is an
-    H-side one at the mirrored pair factors, V_km[i, c] = (-1)^(i + c)
-    H_k'm'[i, c], k' the factor of k's sector with m -> n - m: to 1e-15 of
-    the largest entry."""
+    """`_Factors` holds the H-side idler image alone. The V-side images
+    built the long way, each factor's D|m> on 2V through the dense 50:50
+    splitter with the tap's 4V left open, pulled back under the plain
+    pattern, which lights 6H and 5V, are the H blocks of `idler` at the
+    mirrored pair factors with a sign (-1) per photon in one input,
+    V_km[j, d] = (-1)^(j + d) H_k'm'[j, d], k' = `mirror[k]` the factor of
+    k's sector with m -> n - m: to 1e-15 of the largest entry."""
     config = SchemeConfig(**SOURCES[source])
     factors = pipeline._factors(config)
     w = herald_pattern(config.detector, config.eta, factors.cuts.detector)
     n_k, dim = len(factors.signal_states), factors.cuts.detector + 1
+    kernel, _, idler_v = _dense_idler(config, factors)
+    # rows (k, 4V), columns (6V, 5V), as `idler`'s
+    images = np.einsum("abjy,yk->kjab", kernel, idler_v).reshape(n_k * dim, -1)
 
     def pulled(p, q):
         # P^T diag(w_6q (x) w_5q) conj(P), as [k, i, m, c]
         weights = np.outer(w["6" + q], w["5" + q]).ravel()
         return ((p * weights) @ p.conj().T).reshape(n_k, dim, n_k, dim)
 
-    h, v = pulled(factors.idler_h, "H"), pulled(factors.idler_v, "V")
+    h, v = pulled(factors.idler, "H"), pulled(images, "V")
     # signal state |m, n - m> mirrors onto |n - m, m>
     a = factors.cuts.a + 1
     m, rest = np.divmod(factors.signal_states, a)
     states = factors.signal_states.tolist()
     mirror = np.array([states.index(state) for state in (rest * a + m).tolist()])
+    assert np.array_equal(factors.mirror, mirror)
     assert not np.array_equal(mirror, np.arange(n_k))
     k, l = factors.pairs
     sign = (-1.0) ** np.add.outer(np.arange(dim), np.arange(dim))
@@ -1392,10 +1422,20 @@ def test_the_v_side_pull_back_is_the_h_side_mirrored(source):
     assert np.abs(v[k, :, l] - mirrored).max() > 1e3 * bound
 
 
+def test_every_herald_pattern_mirrors_h_onto_v():
+    """`_gram` reads the V side off the H side, which holds when
+    w_6V = w_5H and w_5V = w_6H: every herald pattern and its flip do."""
+    for detector, eta in itertools.product(DETECTORS, (0.0, 0.1, 0.7, 1.0)):
+        plain = herald_pattern(detector, eta, 6)
+        for w in (plain, oracle.flipped_pattern(plain)):
+            assert np.array_equal(w["6V"], w["5H"]), (detector, eta)
+            assert np.array_equal(w["5V"], w["6H"]), (detector, eta)
+
+
 # ---------------------------------------------------------------------------
 # the dtype rule
 
-FACTOR_ARRAYS = ("tap", "beam_vh", "idler_h", "idler_v", "target")
+FACTOR_ARRAYS = ("tap", "beam_vh", "idler", "target")
 
 
 def _run_and_factors(config):
@@ -1445,7 +1485,7 @@ def test_a_complex_cat_phase_runs_in_complex_arithmetic(phi):
     for name in ("tap", "beam_vh", "target"):
         assert getattr(factors, name).dtype == np.complex128, name
     assert result.post_state.matrix.dtype == np.complex128
-    assert factors.idler_h.dtype == factors.idler_v.dtype == np.float64
+    assert factors.idler.dtype == np.float64
 
 
 def test_a_dropped_imaginary_part_fails_the_test():
